@@ -1,11 +1,10 @@
 //! Interp-vs-VM-vs-JIT wall-clock comparison over the four case-study
 //! workloads, fused and unfused, plus per-opt-level fused VM medians
 //! (`O0` vs `O2`), fused JIT medians in both counted and release mode,
-//! batch throughput of the fused VM engine at 1, 4 and 8 worker
-//! threads, and intra-tree parallel single-tree medians of the fused VM
-//! engine at 1, 2 and 4 workers — recorded to `BENCH_vm.json` together
-//! with per-stage compile wall times (parse/sema/fusion/lower/opt
-//! passes/jit) from each workload's engine build.
+//! and batch throughput of the fused VM engine at 1, 4 and 8 worker
+//! threads — recorded to `BENCH_vm.json` together with per-stage compile
+//! wall times (parse/sema/fusion/lower/opt passes/jit) from each
+//! workload's engine build.
 //!
 //! Every configuration (backend × fusion × opt level) is one immutable
 //! `grafter_engine::Engine`, built once — compile, fusion, bytecode
@@ -46,17 +45,13 @@ use std::time::Instant;
 
 use grafter::FusionOptions;
 use grafter_bench::{arg_value, baseline};
-use grafter_engine::{Backend, Engine, JitMode, OptLevel, ParallelOptions};
+use grafter_engine::{Backend, Engine, JitMode, OptLevel};
 use grafter_runtime::{with_stack, Heap};
 use grafter_workloads::harness::{batch_throughput, Throughput, RUN_STACK};
 use grafter_workloads::{case_studies, CaseStudy};
 
 /// Worker-thread counts swept by the throughput experiment.
 const BATCH_WORKERS: [usize; 3] = [1, 4, 8];
-
-/// Intra-tree worker counts swept by the parallel single-tree
-/// experiment (fused VM engine, one bench-sized tree per run).
-const PARALLEL_WORKERS: [usize; 3] = [1, 2, 4];
 
 /// Allowed fused-median regression per tier before `--check` fails (25%).
 const CHECK_TOLERANCE: f64 = 1.25;
@@ -90,9 +85,6 @@ struct WorkloadRow {
     fused: Config,
     unfused: Config,
     batch: Vec<Throughput>,
-    /// Fused VM single-tree medians per intra-tree worker count
-    /// (`(workers, median_ns)`, [`PARALLEL_WORKERS`] order).
-    parallel: Vec<(usize, u128)>,
     /// Per-stage compile wall times (`(stage, ns)`, build order) of one
     /// fused jit-tier build from source, plus the build's total — every
     /// stage from parse to jit chain construction appears.
@@ -112,24 +104,10 @@ fn time_runs(
     heap: &Heap,
     root: grafter_runtime::NodeId,
 ) -> (u128, u64) {
-    time_runs_parallel(samples, engine, heap, root, None)
-}
-
-/// [`time_runs`] with optional intra-tree parallelism on each session.
-fn time_runs_parallel(
-    samples: usize,
-    engine: &Engine,
-    heap: &Heap,
-    root: grafter_runtime::NodeId,
-    parallel: Option<&ParallelOptions>,
-) -> (u128, u64) {
     let mut visits = 0;
     let mut times = Vec::with_capacity(samples);
     for i in 0..=samples {
         let mut session = engine.session_on(heap.clone());
-        if let Some(par) = parallel {
-            session = session.with_parallel(par.clone());
-        }
         let start = Instant::now();
         let report = session.run(root).expect("run succeeds");
         let elapsed = start.elapsed().as_nanos();
@@ -203,18 +181,6 @@ fn workload(samples: usize, batch_trees: usize, case: &CaseStudy) -> WorkloadRow
             )
         })
         .collect();
-    // Intra-tree parallelism: the same fused VM engine on ONE tree,
-    // swept over worker counts. Results are bit-identical across the
-    // sweep (the differential suite pins that); only wall time moves.
-    let parallel = PARALLEL_WORKERS
-        .iter()
-        .map(|&workers| {
-            let opts = ParallelOptions::with_workers(workers);
-            let (ns, v) = time_runs_parallel(samples, &engine, &heap, root, Some(&opts));
-            assert_eq!(v, fused.visits, "parallel run disagrees on visit counts");
-            (workers, ns)
-        })
-        .collect();
     // Compile-side stage timings: rebuild the fused jit engine from
     // *source* (the case studies' engines reuse a pre-compiled frontend
     // artifact, which would hide the parse/sema stages).
@@ -238,7 +204,6 @@ fn workload(samples: usize, batch_trees: usize, case: &CaseStudy) -> WorkloadRow
         fused,
         unfused,
         batch,
-        parallel,
         compile,
     }
 }
@@ -263,15 +228,6 @@ fn json_config(c: &Config) -> String {
         opt,
         jit
     )
-}
-
-fn json_parallel(parallel: &[(usize, u128)]) -> String {
-    let items = parallel
-        .iter()
-        .map(|(workers, ns)| format!(r#"{{"workers": {workers}, "wall_ns": {ns}}}"#))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("[{items}]")
 }
 
 fn json_compile((stages, total): &(Vec<(String, u128)>, u128)) -> String {
@@ -322,15 +278,6 @@ fn check(samples: usize, baseline_path: &str, slowdown: f64) -> usize {
     if let Err(problems) = baseline::validate_batch(&json, &expected, &BATCH_WORKERS) {
         panic!(
             "baseline `{baseline_path}` has invalid batch arrays (regenerate it with `vm_compare`):\n  {}",
-            problems.join("\n  ")
-        );
-    }
-    // Parallel medians are shape-validated only: intra-tree speedup is
-    // too runner-dependent to regression-gate, but a baseline that
-    // silently dropped the sweep must fail.
-    if let Err(problems) = baseline::validate_parallel(&json, &expected, &PARALLEL_WORKERS) {
-        panic!(
-            "baseline `{baseline_path}` has invalid parallel arrays (regenerate it with `vm_compare`):\n  {}",
             problems.join("\n  ")
         );
     }
@@ -503,24 +450,6 @@ fn main() {
         }
     }
     println!(
-        "\n{:<10} {}",
-        "workload",
-        PARALLEL_WORKERS
-            .iter()
-            .map(|w| format!("{:>16}", format!("par x{w}")))
-            .collect::<String>()
-    );
-    for r in &rows {
-        println!(
-            "{:<10} {}",
-            r.name,
-            r.parallel
-                .iter()
-                .map(|(_, ns)| format!("{ns:>14}ns"))
-                .collect::<String>()
-        );
-    }
-    println!(
         "\n{:<10} {:>6} {}",
         "workload",
         "trees",
@@ -551,12 +480,11 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"fused\": {}, \"unfused\": {}, \"batch\": {}, \
-             \"parallel\": {}, \"compile\": {}}}{}",
+             \"compile\": {}}}{}",
             r.name,
             json_config(&r.fused),
             json_config(&r.unfused),
             json_batch(&r.batch),
-            json_parallel(&r.parallel),
             json_compile(&r.compile),
             if i + 1 < rows.len() { "," } else { "" }
         );

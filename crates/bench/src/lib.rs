@@ -183,80 +183,6 @@ pub mod baseline {
         }
     }
 
-    /// One recorded intra-tree-parallel entry of a baseline workload row.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct ParallelEntry {
-        /// Intra-tree worker count the entry was measured at.
-        pub workers: usize,
-        /// Recorded median single-tree wall time.
-        pub wall_ns: u128,
-    }
-
-    /// The `"parallel"` entries of `workload`'s baseline row: median
-    /// single-tree wall times of the fused VM engine per intra-tree
-    /// worker count.
-    pub fn parallel_entries(json: &str, workload: &str) -> Option<Vec<ParallelEntry>> {
-        let doc = parse(json).ok()?;
-        let rows = doc.get("workloads")?.as_arr()?;
-        let row = rows
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(workload))?;
-        row.get("parallel")?
-            .as_arr()?
-            .iter()
-            .map(|e| {
-                Some(ParallelEntry {
-                    workers: e.get("workers")?.as_num()? as usize,
-                    wall_ns: e.get("wall_ns")?.as_num()? as u128,
-                })
-            })
-            .collect()
-    }
-
-    /// Strictly validates every expected workload's `"parallel"` array
-    /// **shape**: it must exist, sweep exactly `expected_workers` (in
-    /// order), and record positive wall times. Parallel medians are
-    /// *not* regression-gated — intra-tree speedup is runner-dependent —
-    /// but a baseline that silently stopped recording them must fail.
-    ///
-    /// # Errors
-    ///
-    /// Returns the full list of violation messages (never a silent skip).
-    pub fn validate_parallel(
-        json: &str,
-        expected: &[&str],
-        expected_workers: &[usize],
-    ) -> Result<(), Vec<String>> {
-        let mut problems = Vec::new();
-        for want in expected {
-            let Some(entries) = parallel_entries(json, want) else {
-                problems.push(format!(
-                    "baseline workload `{want}` has no parseable `parallel` array"
-                ));
-                continue;
-            };
-            let workers: Vec<usize> = entries.iter().map(|e| e.workers).collect();
-            if workers != expected_workers {
-                problems.push(format!(
-                    "baseline workload `{want}` parallel array sweeps workers {workers:?}, expected {expected_workers:?}"
-                ));
-            }
-            for e in &entries {
-                if e.wall_ns == 0 {
-                    problems.push(format!(
-                        "baseline workload `{want}` parallel entry at {} worker(s) has zero wall_ns",
-                        e.workers
-                    ));
-                }
-            }
-        }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems)
-        }
-    }
-
     /// All workload names recorded in the baseline JSON, in file order.
     pub fn workload_names(json: &str) -> Vec<String> {
         let mut names = Vec::new();
@@ -443,49 +369,6 @@ pub mod baseline {
             let problems = validate_batch(bad, &["ast"], &[1]).unwrap_err();
             assert!(problems.iter().any(|p| p.contains("zero trees")));
             assert!(problems.iter().any(|p| p.contains("invalid trees_per_sec")));
-        }
-
-        const WITH_PARALLEL: &str = r#"{
-          "workloads": [
-            {"name": "ast", "fused": {"vm_ns": 3}, "unfused": {"vm_ns": 7},
-             "parallel": [{"workers": 1, "wall_ns": 100},
-                          {"workers": 2, "wall_ns": 60},
-                          {"workers": 4, "wall_ns": 40}]}
-          ]
-        }"#;
-
-        #[test]
-        fn parallel_entries_parse_workers_and_walls() {
-            let entries = parallel_entries(WITH_PARALLEL, "ast").expect("parses");
-            assert_eq!(entries.len(), 3);
-            assert_eq!(
-                entries[0],
-                ParallelEntry {
-                    workers: 1,
-                    wall_ns: 100
-                }
-            );
-            assert_eq!(entries[2].workers, 4);
-            assert!(parallel_entries(WITH_PARALLEL, "nope").is_none());
-        }
-
-        #[test]
-        fn validate_parallel_accepts_the_expected_sweep() {
-            assert!(validate_parallel(WITH_PARALLEL, &["ast"], &[1, 2, 4]).is_ok());
-        }
-
-        #[test]
-        fn validate_parallel_fails_on_missing_array_wrong_sweep_or_zero_wall() {
-            // GOOD has no parallel arrays at all.
-            let problems = validate_parallel(GOOD, &["ast"], &[1, 2, 4]).unwrap_err();
-            assert!(problems[0].contains("no parseable `parallel` array"));
-            let problems = validate_parallel(WITH_PARALLEL, &["ast"], &[1, 2]).unwrap_err();
-            assert!(problems[0].contains("sweeps workers"));
-            let bad = r#"{"workloads": [
-                {"name": "ast", "parallel": [{"workers": 1, "wall_ns": 0}]}
-            ]}"#;
-            let problems = validate_parallel(bad, &["ast"], &[1]).unwrap_err();
-            assert!(problems.iter().any(|p| p.contains("zero wall_ns")));
         }
 
         #[test]

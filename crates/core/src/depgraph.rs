@@ -269,149 +269,6 @@ impl DepGraph {
     }
 }
 
-// ---------------------------------------------------------------------
-// Subtree independence (intra-tree parallelism)
-// ---------------------------------------------------------------------
-
-/// Why a pair of sibling call groups may not execute in parallel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ParBlock {
-    /// The subtree effects conflict: a cross-subtree read/write or
-    /// write/write overlap through the access automata.
-    Conflict,
-    /// A member call may write a global — a global-accumulator ordering
-    /// hazard (parallel workers run against a read-only globals snapshot,
-    /// so any subtree global write forces sequential execution).
-    GlobalWrite,
-}
-
-/// The verdict for one ordered pair of grouped-call body items.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CallPairVerdict {
-    /// Body-item index of the earlier call.
-    pub a: usize,
-    /// Body-item index of the later call.
-    pub b: usize,
-    /// `None` when the pair is parallel-safe; otherwise why not.
-    pub blocked: Option<ParBlock>,
-}
-
-/// Subtree-independence facts of one fused function's scheduled body.
-///
-/// A *parallel set* is a maximal run of consecutive `Call` body items
-/// that are pairwise parallel-safe: no dependence edge connects any two
-/// member vertices in either direction (no cross-subtree conflict) and no
-/// member may write a global. Executing the member dispatches of one set
-/// in any order — or concurrently on disjoint heap shards — produces the
-/// same final state as the scheduled order.
-#[derive(Clone, Debug, Default)]
-pub struct FnParallelism {
-    /// `(start, len)` in body-item indices, `len >= 2`: the items
-    /// `body[start..start + len]` form one parallel set.
-    pub sets: Vec<(usize, usize)>,
-    /// Per-pair verdicts over the body's call items (diagnostics; the
-    /// refusal tests assert on the block reason).
-    pub pairs: Vec<CallPairVerdict>,
-}
-
-impl FnParallelism {
-    /// The length of the parallel set starting exactly at `body_idx`, if
-    /// one does.
-    pub fn set_at(&self, body_idx: usize) -> Option<usize> {
-        self.sets
-            .iter()
-            .find(|&&(start, _)| start == body_idx)
-            .map(|&(_, len)| len)
-    }
-}
-
-/// The per-fused-function subtree-independence verdicts of a whole fused
-/// program (recorded on `FusedProgram::par`, indexed by `FusedFnId`).
-#[derive(Clone, Debug, Default)]
-pub struct SubtreeIndependence {
-    /// One entry per fused function, in function-table order.
-    pub fns: Vec<FnParallelism>,
-}
-
-impl SubtreeIndependence {
-    /// The facts for fused function `index`.
-    pub fn for_fn(&self, index: usize) -> &FnParallelism {
-        &self.fns[index]
-    }
-
-    /// Whether any fused function has at least one parallel set (i.e.
-    /// whether a parallel run of this program can fork at all).
-    pub fn any_parallel(&self) -> bool {
-        self.fns.iter().any(|f| !f.sets.is_empty())
-    }
-}
-
-/// Classifies the grouped-call items of one scheduled body for parallel
-/// execution.
-///
-/// `items` has one entry per scheduled body item, in body order:
-/// `Some(member_vertices)` for a grouped call (vertex indices into
-/// `graph`), `None` for a plain statement. `writes_globals[v]` says
-/// whether merged vertex `v`'s summary may write any global (for call
-/// vertices this covers the whole subtree traversal via the call
-/// automata).
-pub fn subtree_independence(
-    graph: &DepGraph,
-    items: &[Option<Vec<usize>>],
-    writes_globals: &[bool],
-) -> FnParallelism {
-    let independent = |a: &[usize], b: &[usize]| {
-        a.iter().all(|&u| {
-            b.iter()
-                .all(|&v| !graph.has_edge(u, v) && !graph.has_edge(v, u))
-        })
-    };
-    let fork_ok = |members: &[usize]| members.iter().all(|&v| !writes_globals[v]);
-
-    // Pairwise verdicts over all call items (diagnostics).
-    let calls: Vec<(usize, &Vec<usize>)> = items
-        .iter()
-        .enumerate()
-        .filter_map(|(i, m)| m.as_ref().map(|members| (i, members)))
-        .collect();
-    let mut pairs = Vec::new();
-    for (i, &(a, ma)) in calls.iter().enumerate() {
-        for &(b, mb) in &calls[i + 1..] {
-            let blocked = if !independent(ma, mb) {
-                Some(ParBlock::Conflict)
-            } else if !fork_ok(ma) || !fork_ok(mb) {
-                Some(ParBlock::GlobalWrite)
-            } else {
-                None
-            };
-            pairs.push(CallPairVerdict { a, b, blocked });
-        }
-    }
-
-    // Maximal runs of consecutive, pairwise-safe call items.
-    let mut sets = Vec::new();
-    let mut run: Vec<(usize, &Vec<usize>)> = Vec::new();
-    let mut flush = |run: &mut Vec<(usize, &Vec<usize>)>| {
-        if run.len() >= 2 {
-            sets.push((run[0].0, run.len()));
-        }
-        run.clear();
-    };
-    for (i, item) in items.iter().enumerate() {
-        match item {
-            Some(members) if fork_ok(members) => {
-                if !run.iter().all(|&(_, m)| independent(m, members)) {
-                    flush(&mut run);
-                }
-                run.push((i, members));
-            }
-            _ => flush(&mut run),
-        }
-    }
-    flush(&mut run);
-    FnParallelism { sets, pairs }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,84 +420,6 @@ mod tests {
         assert!(dot.contains("call"));
         assert!(dot.contains("assign"));
         assert!(dot.contains("->"));
-    }
-
-    #[test]
-    fn sibling_subtree_calls_form_a_parallel_set() {
-        let p = compile(
-            r#"
-            tree class Tree {
-                int v = 0;
-                virtual traversal bump() {}
-            }
-            tree class Inner : Tree {
-                child Tree* left;
-                child Tree* right;
-                traversal bump() { v = v + 1; this->left->bump(); this->right->bump(); }
-            }
-            tree class Leaf : Tree { }
-            "#,
-        )
-        .unwrap();
-        let inner = p.class_by_name("Inner").unwrap();
-        let seq = vec![p.method_on_class(inner, "bump").unwrap()];
-        let merged = DepGraph::merge_bodies(&p, &seq);
-        let mut acc = ProgramAccesses::new(&p);
-        let g = DepGraph::build(&mut acc, &seq, &merged);
-        // Body items: Stmt(v=v+1), Call(left), Call(right) — vertices 0,1,2.
-        let items = vec![None, Some(vec![1]), Some(vec![2])];
-        let writes_globals = vec![false, false, false];
-        let par = subtree_independence(&g, &items, &writes_globals);
-        assert_eq!(par.sets, vec![(1, 2)], "left/right dispatches fork");
-        assert_eq!(par.set_at(1), Some(2));
-        assert_eq!(par.set_at(2), None);
-        assert_eq!(
-            par.pairs,
-            vec![CallPairVerdict {
-                a: 1,
-                b: 2,
-                blocked: None
-            }]
-        );
-    }
-
-    #[test]
-    fn global_accumulator_blocks_the_fork() {
-        let p = compile(
-            r#"
-            global int SUM = 0;
-            tree class Tree {
-                int v = 0;
-                virtual traversal sum() {}
-            }
-            tree class Inner : Tree {
-                child Tree* left;
-                child Tree* right;
-                traversal sum() { SUM = SUM + v; this->left->sum(); this->right->sum(); }
-            }
-            tree class Leaf : Tree { }
-            "#,
-        )
-        .unwrap();
-        let inner = p.class_by_name("Inner").unwrap();
-        let seq = vec![p.method_on_class(inner, "sum").unwrap()];
-        let merged = DepGraph::merge_bodies(&p, &seq);
-        let mut acc = ProgramAccesses::new(&p);
-        let g = DepGraph::build(&mut acc, &seq, &merged);
-        let items = vec![None, Some(vec![1]), Some(vec![2])];
-        let writes_globals: Vec<bool> = merged
-            .iter()
-            .map(|ms| {
-                !acc.summary(seq[ms.traversal], ms.index)
-                    .global_writes
-                    .is_empty_language()
-            })
-            .collect();
-        assert!(writes_globals[1] && writes_globals[2], "calls write SUM");
-        let par = subtree_independence(&g, &items, &writes_globals);
-        assert!(par.sets.is_empty(), "accumulating siblings must not fork");
-        // Both subtrees write SUM, so the pair conflicts outright.
-        assert_eq!(par.pairs[0].blocked, Some(ParBlock::Conflict));
     }
 
     #[test]

@@ -27,9 +27,7 @@ use std::sync::Arc;
 use grafter_frontend::{ClassId, Expr, MethodId, NodePath, Program, Stmt};
 
 use crate::access::ProgramAccesses;
-use crate::depgraph::{
-    subtree_independence, DepGraph, FnParallelism, MergedStmt, SubtreeIndependence,
-};
+use crate::depgraph::{DepGraph, MergedStmt};
 use crate::explain::{
     BlockCause, CallSite, ConflictKind, EdgeEnd, FusionExplain, FusionVerdict, MissReason,
     PairExplain,
@@ -228,10 +226,6 @@ pub struct FusedProgram {
     /// span-carrying record per candidate pair, with the reason it fused,
     /// was missed, or was blocked. Category totals equal `coverage`.
     pub explain: FusionExplain,
-    /// Subtree-independence verdicts per fused function (indexed by
-    /// [`FusedFnId`]): which runs of sibling dispatches are parallel-safe.
-    /// Computed from the same dependence graphs that scheduled the bodies.
-    pub par: SubtreeIndependence,
 }
 
 impl FusedProgram {
@@ -269,11 +263,6 @@ impl FusedProgram {
     /// Total number of generated fused functions.
     pub fn n_functions(&self) -> usize {
         self.functions.len()
-    }
-
-    /// The subtree-independence facts of one fused function.
-    pub fn parallelism(&self, id: FusedFnId) -> &FnParallelism {
-        self.par.for_fn(id.0 as usize)
     }
 }
 
@@ -347,7 +336,6 @@ pub fn fuse_slots(
         stub_keys: HashMap::new(),
         coverage: FusionCoverage::default(),
         explain: FusionExplain::default(),
-        par: Vec::new(),
     };
     let entries = if opts.grouping {
         vec![fuser.stub_for(class, slots.to_vec())]
@@ -367,7 +355,6 @@ pub fn fuse_slots(
         entry_slots: slots.to_vec(),
         coverage: fuser.coverage,
         explain: fuser.explain,
-        par: SubtreeIndependence { fns: fuser.par },
     }
 }
 
@@ -382,8 +369,6 @@ struct Fuser<'p> {
     coverage: FusionCoverage,
     /// Per-pair verdicts behind `coverage`, pushed in discovery order.
     explain: FusionExplain,
-    /// Parallelism facts per fused function, filled as bodies finish.
-    par: Vec<FnParallelism>,
 }
 
 impl Fuser<'_> {
@@ -451,7 +436,6 @@ impl Fuser<'_> {
             name,
         });
         self.fn_keys.insert(seq.clone(), id);
-        self.par.push(FnParallelism::default());
 
         let merged = DepGraph::merge_bodies(self.program, &seq);
         let graph = DepGraph::build(&mut self.accesses, &seq, &merged);
@@ -459,21 +443,7 @@ impl Fuser<'_> {
         let order = graph.schedule(&group_of, n_groups);
         debug_assert!(graph.order_is_valid(&order));
 
-        let (body, members) = self.emit_body(&seq, &merged, &group_of, &order);
-        // Subtree independence: which sibling dispatches of this body are
-        // free of cross-subtree conflicts (the dependence edges) and of
-        // global writes (the parallel workers' ordering hazard).
-        let writes_globals: Vec<bool> = merged
-            .iter()
-            .map(|ms| {
-                !self
-                    .accesses
-                    .summary(seq[ms.traversal], ms.index)
-                    .global_writes
-                    .is_empty_language()
-            })
-            .collect();
-        self.par[id.0 as usize] = subtree_independence(&graph, &members, &writes_globals);
+        let body = self.emit_body(&seq, &merged, &group_of, &order);
         self.functions[id.0 as usize].body = body;
         id
     }
@@ -792,21 +762,16 @@ impl Fuser<'_> {
     }
 
     /// Emits the scheduled body, turning each call group into a stub
-    /// dispatch (recursing into `stub_for` / `fused_for`). Also returns,
-    /// per body item, the merged-vertex members of each `Call` item
-    /// (`None` for `Stmt` items) — the input of the subtree-independence
-    /// analysis.
-    #[allow(clippy::type_complexity)]
+    /// dispatch (recursing into `stub_for` / `fused_for`).
     fn emit_body(
         &mut self,
         seq: &[MethodId],
         merged: &[MergedStmt],
         group_of: &[usize],
         order: &[usize],
-    ) -> (Vec<ScheduledItem>, Vec<Option<Vec<usize>>>) {
+    ) -> Vec<ScheduledItem> {
         let mut emitted_groups: Vec<bool> = vec![false; merged.len() + 1];
         let mut body = Vec::new();
-        let mut item_members = Vec::new();
         for &v in order {
             match &merged[v].stmt {
                 Stmt::Traverse(_) => {
@@ -847,18 +812,14 @@ impl Fuser<'_> {
                         stub,
                         parts,
                     });
-                    item_members.push(Some(members));
                 }
-                stmt => {
-                    body.push(ScheduledItem::Stmt {
-                        traversal: merged[v].traversal,
-                        stmt: stmt.clone(),
-                    });
-                    item_members.push(None);
-                }
+                stmt => body.push(ScheduledItem::Stmt {
+                    traversal: merged[v].traversal,
+                    stmt: stmt.clone(),
+                }),
             }
         }
-        (body, item_members)
+        body
     }
 }
 

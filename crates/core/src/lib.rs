@@ -46,6 +46,8 @@
 //! assert!(fused.fully_fused());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod cpp;
 pub mod depgraph;
@@ -55,9 +57,7 @@ pub mod fusion;
 pub mod pipeline;
 
 pub use access::{AccessSummary, ProgramAccesses};
-pub use depgraph::{
-    CallPairVerdict, DepGraph, FnParallelism, MergedStmt, ParBlock, SubtreeIndependence,
-};
+pub use depgraph::{DepGraph, MergedStmt};
 pub use error::Error;
 pub use explain::{
     BlockCause, CallSite, ConflictKind, EdgeEnd, FusionExplain, FusionVerdict, MissReason,

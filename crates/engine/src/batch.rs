@@ -12,7 +12,6 @@ use grafter_obs::{BatchTrace, WorkerStats};
 use grafter_runtime::{Heap, NodeId};
 
 use crate::engine::Engine;
-use crate::par::ParallelOptions;
 use crate::pool;
 use crate::report::Report;
 use crate::session::Session;
@@ -30,13 +29,6 @@ pub struct BatchOptions {
     /// the persistent pool; anything larger falls back to dedicated
     /// per-call threads.
     pub stack_bytes: usize,
-    /// Intra-tree parallelism applied to every input's session; `None`
-    /// inherits the engine's default (see
-    /// [`EngineBuilder::parallel`](crate::EngineBuilder::parallel)).
-    /// Intra-tree forks draw on the same persistent pool as the batch
-    /// fan-out itself — waiting threads help drain the queue, so the two
-    /// levels of parallelism compose without deadlock.
-    pub parallel: Option<ParallelOptions>,
 }
 
 impl Default for BatchOptions {
@@ -44,7 +36,6 @@ impl Default for BatchOptions {
         BatchOptions {
             workers: thread::available_parallelism().map_or(4, usize::from),
             stack_bytes: 256 << 20,
-            parallel: None,
         }
     }
 }
@@ -56,12 +47,6 @@ impl BatchOptions {
             workers,
             ..BatchOptions::default()
         }
-    }
-
-    /// Sets the per-session intra-tree parallelism.
-    pub fn with_parallel(mut self, parallel: ParallelOptions) -> Self {
-        self.parallel = Some(parallel);
-        self
     }
 }
 
@@ -144,9 +129,6 @@ struct BatchCtx<'a, F> {
     next: &'a AtomicUsize,
     n: usize,
     probing: bool,
-    /// Intra-tree parallelism for each input's session (`None` inherits
-    /// the engine default).
-    parallel: Option<&'a ParallelOptions>,
     stats: &'a Mutex<Vec<WorkerStats>>,
     /// Batch-local worker index sequence (for telemetry labels).
     seq: &'a AtomicUsize,
@@ -193,13 +175,8 @@ where
             .take()
             .expect("each input is claimed once");
         let t = ctx.probing.then(Instant::now);
-        let session_ref = session.get_or_insert_with(|| {
-            let s = ctx.engine.session_on(pool::take_heap(ctx.engine));
-            match ctx.parallel {
-                Some(par) => s.with_parallel(par.clone()),
-                None => s,
-            }
-        });
+        let session_ref =
+            session.get_or_insert_with(|| ctx.engine.session_on(pool::take_heap(ctx.engine)));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             session_ref.reset();
             let root = session_ref.build_tree(build);
@@ -345,7 +322,6 @@ impl Engine {
             next: &AtomicUsize::new(0),
             n,
             probing: self.probe.is_some(),
-            parallel: opts.parallel.as_ref(),
             stats: &stats,
             seq: &AtomicUsize::new(0),
         };
@@ -404,7 +380,6 @@ impl Engine {
             next: &AtomicUsize::new(0),
             n,
             probing: self.probe.is_some(),
-            parallel: opts.parallel.as_ref(),
             stats: &stats,
             seq: &AtomicUsize::new(0),
         };

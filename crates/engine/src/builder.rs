@@ -37,7 +37,6 @@ pub struct EngineBuilder {
     args: Vec<Vec<Value>>,
     cache: Option<CacheHierarchy>,
     probe: Option<Arc<dyn Probe>>,
-    parallel: Option<crate::par::ParallelOptions>,
 }
 
 impl EngineBuilder {
@@ -123,16 +122,6 @@ impl EngineBuilder {
     /// the hooks monomorphize away and execution is bit-identical.
     pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
         self.probe = Some(probe);
-        self
-    }
-
-    /// Default intra-tree parallelism for every session (overridable per
-    /// session with `Session::with_parallel`). With more than one worker,
-    /// runs without a cache model fork statically certified independent
-    /// sibling subtrees across the persistent worker pool — bit-identical
-    /// results, less wall time. Default: sequential.
-    pub fn parallel(mut self, parallel: crate::par::ParallelOptions) -> Self {
-        self.parallel = Some(parallel);
         self
     }
 
@@ -319,7 +308,6 @@ impl EngineBuilder {
             cache: self.cache,
             warnings,
             probe: self.probe,
-            parallel: self.parallel.unwrap_or_default(),
             compile_trace,
         })
     }

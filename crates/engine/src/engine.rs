@@ -49,9 +49,6 @@ pub struct Engine {
     /// Observability sink (see [`EngineBuilder::probe`]); when attached,
     /// sessions record runtime profiles and report them here.
     pub(crate) probe: Option<Arc<dyn grafter_obs::Probe>>,
-    /// Default intra-tree parallelism for sessions (see
-    /// [`EngineBuilder::parallel`]); `workers = 1` means sequential.
-    pub(crate) parallel: crate::par::ParallelOptions,
     /// Per-stage wall times of this engine's build, recorded
     /// unconditionally (a handful of `Instant` reads).
     pub(crate) compile_trace: grafter_obs::CompileTrace,
@@ -108,11 +105,6 @@ impl Engine {
     /// The attached observability probe, if any.
     pub fn probe(&self) -> Option<&Arc<dyn grafter_obs::Probe>> {
         self.probe.as_ref()
-    }
-
-    /// The engine's default intra-tree parallelism options.
-    pub fn parallel_options(&self) -> &crate::par::ParallelOptions {
-        &self.parallel
     }
 
     /// The DSL source the engine was built from.

@@ -82,7 +82,6 @@ mod batch;
 mod builder;
 mod engine;
 mod fingerprint;
-mod par;
 mod pool;
 mod report;
 mod session;
@@ -96,7 +95,6 @@ pub use grafter_obs::{
     BatchTrace, CompileTrace, NullProbe, Probe, RunTrace, TierProfile, TraceProbe,
 };
 pub use grafter_vm::{Backend, JitMode, OptLevel};
-pub use par::ParallelOptions;
 pub use pool::{pool_stats, PoolStats};
 pub use report::Report;
 pub use session::Session;

@@ -277,43 +277,6 @@ impl WorkerPool {
         self.cv.notify_all();
         latch
     }
-
-    /// Blocks on `latch`, draining queued jobs (any batch's) while it is
-    /// outstanding. This is the fork-join wait: a worker that forked
-    /// nested subtrees helps execute queued work instead of parking, so
-    /// every waiter makes progress and nested fork-join cannot deadlock
-    /// the fixed-size pool — each queued job can always be run by its own
-    /// submitter if no worker is free.
-    pub(crate) fn wait_help(&'static self, latch: &Latch) {
-        loop {
-            if *latch.outstanding.lock().expect("latch lock") == 0 {
-                return;
-            }
-            let job = {
-                let mut state = self.state.lock().expect("pool lock");
-                state.queue.pop_front()
-            };
-            match job {
-                Some(job) => {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        // SAFETY: as in `worker_loop` — the job's submitter
-                        // blocks on its latch until `done()`.
-                        unsafe { (job.run)(job.ctx.0) }
-                    }));
-                    self.jobs_executed.fetch_add(1, Ordering::Relaxed);
-                    job.latch.done();
-                    drop(outcome);
-                }
-                None => {
-                    // Nothing left to steal: the remaining handles of this
-                    // latch are running on other threads. Their jobs never
-                    // grow this latch, so a plain wait is deadlock-free.
-                    latch.wait();
-                    return;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

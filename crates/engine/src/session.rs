@@ -6,10 +6,9 @@ use grafter::{Diag, Error, Stage};
 use grafter_cachesim::CacheHierarchy;
 use grafter_obs::{ExecCounters, RunTrace, TierProfile};
 use grafter_runtime::{Heap, Interp, NodeId, PureRegistry, SnapValue, Value};
-use grafter_vm::{Backend, Jit, JitMode, Vm};
+use grafter_vm::{Backend, Jit, Vm};
 
 use crate::engine::Engine;
-use crate::par::{ParHost, ParallelOptions};
 use crate::report::Report;
 
 /// One request's execution context: a heap plus run configuration,
@@ -30,7 +29,6 @@ pub struct Session<'e> {
     pures: Option<PureRegistry>,
     args: Option<Vec<Vec<Value>>>,
     cache: Option<CacheHierarchy>,
-    parallel: Option<ParallelOptions>,
 }
 
 impl<'e> Session<'e> {
@@ -45,7 +43,6 @@ impl<'e> Session<'e> {
             pures: None,
             args: None,
             cache: engine.cache.clone(),
-            parallel: None,
         }
     }
 
@@ -88,16 +85,6 @@ impl<'e> Session<'e> {
     /// engine-level prototype).
     pub fn without_cache(mut self) -> Self {
         self.cache = None;
-        self
-    }
-
-    /// Overrides the engine's intra-tree parallelism for this session
-    /// only. With more than one worker (and no cache model attached),
-    /// statically certified independent sibling subtrees fork across the
-    /// persistent worker pool; results stay bit-identical to a
-    /// sequential run.
-    pub fn with_parallel(mut self, parallel: ParallelOptions) -> Self {
-        self.parallel = Some(parallel);
         self
     }
 
@@ -210,50 +197,29 @@ impl<'e> Session<'e> {
         // unprobed paths are exactly the pre-observability ones (the VM
         // hooks monomorphize away, the jit compiles without counters).
         let probing = engine.probe.is_some();
-        // Intra-tree parallelism: fork statically certified independent
-        // sibling subtrees across the worker pool. Only without a cache
-        // model (cache simulation is address-ordered) and only when the
-        // program has at least one certified parallel-safe call run;
-        // everything observable — snapshots, metrics, globals — is
-        // bit-identical to the sequential path below.
-        let par = self
-            .parallel
-            .clone()
-            .unwrap_or_else(|| engine.parallel.clone());
-        let use_parallel = par.workers > 1 && cache.is_none() && engine.fused.par.any_parallel();
         // `wall` times the execution alone; executor setup and the
         // post-run globals readout stay outside the measured region.
-        let (metrics, cache_stats, globals, wall, profile) = if use_parallel {
-            // The orchestrator interprets the top `fork_depth` levels and
-            // hands whole subtrees to the engine's tier below them; the
-            // cross-tier metric model is bit-identical, so each tier's
-            // sequential report is reproduced exactly.
-            let mut host = ParHost::new(engine, par, pures.clone(), probing);
-            let mut interp = Interp::with_pures(&engine.fused, pures);
-            if probing && matches!(engine.backend, Backend::Interp) {
-                interp = interp.with_class_counts();
-            }
-            let start = Instant::now();
-            interp
-                .run_with_host(&mut self.heap, root, args, &mut host)
-                .map_err(runtime_err)?;
-            let wall = start.elapsed();
-            let globals = global_names
-                .map(|name| {
-                    let value = interp.global(&name).expect("declared global resolves");
-                    (name, value)
-                })
-                .collect();
-            let metrics = match engine.backend {
-                // Release-mode JIT reports visits only; the interpreted
-                // fork levels must not leak full counts into its report.
-                Backend::Jit(JitMode::Release) => {
-                    crate::par::release_visits_only(interp.metrics.clone())
+        let (metrics, cache_stats, globals, wall, profile) = match engine.backend {
+            Backend::Interp => {
+                let mut interp = Interp::with_pures(&engine.fused, pures);
+                if let Some(cache) = cache {
+                    interp = interp.with_cache(cache);
                 }
-                _ => interp.metrics.clone(),
-            };
-            let profile = match engine.backend {
-                Backend::Interp => interp.take_class_counts().map(|counts| TierProfile {
+                if probing {
+                    interp = interp.with_class_counts();
+                }
+                let start = Instant::now();
+                interp
+                    .run(&mut self.heap, root, args)
+                    .map_err(runtime_err)?;
+                let wall = start.elapsed();
+                let globals = global_names
+                    .map(|name| {
+                        let value = interp.global(&name).expect("declared global resolves");
+                        (name, value)
+                    })
+                    .collect();
+                let profile = interp.take_class_counts().map(|counts| TierProfile {
                     class_visits: engine
                         .program()
                         .classes
@@ -263,140 +229,82 @@ impl<'e> Session<'e> {
                         .map(|(c, n)| (c.name.clone(), n))
                         .collect(),
                     ..TierProfile::default()
-                }),
-                // Compiled-tier histograms cover the subtrees the tier
-                // executed (per-worker counters merged at join); the
-                // interpreted fork levels contribute no per-site rows.
-                Backend::Vm => host.take_exec_counters().map(|c| {
-                    engine
-                        .module
-                        .as_ref()
-                        .expect("vm engine holds its module (lowered at build)")
-                        .profile(&c)
-                }),
-                Backend::Jit(_) => host.take_chain_counters().map(|c| {
-                    engine
-                        .jit
-                        .as_ref()
-                        .expect("jit engine holds its closure program (compiled at build)")
-                        .profile(
-                            &c,
-                            engine
-                                .module
-                                .as_ref()
-                                .expect("jit engine holds its module (lowered at build)"),
-                        )
-                }),
-            };
-            (metrics, None, globals, wall, profile)
-        } else {
-            match engine.backend {
-                Backend::Interp => {
-                    let mut interp = Interp::with_pures(&engine.fused, pures);
-                    if let Some(cache) = cache {
-                        interp = interp.with_cache(cache);
-                    }
-                    if probing {
-                        interp = interp.with_class_counts();
-                    }
-                    let start = Instant::now();
-                    interp
-                        .run(&mut self.heap, root, args)
+                });
+                (
+                    interp.metrics,
+                    interp.cache.as_ref().map(CacheHierarchy::stats),
+                    globals,
+                    wall,
+                    profile,
+                )
+            }
+            Backend::Vm => {
+                let module = engine
+                    .module
+                    .as_ref()
+                    .expect("vm engine holds its module (lowered at build)");
+                let mut vm = Vm::with_pures(module, pures);
+                if let Some(cache) = cache {
+                    vm = vm.with_cache(cache);
+                }
+                let start = Instant::now();
+                let profile = if probing {
+                    let mut counters = ExecCounters::new(module.n_functions(), module.n_ops());
+                    vm.run_probed(&mut self.heap, root, args, &mut counters)
                         .map_err(runtime_err)?;
-                    let wall = start.elapsed();
-                    let globals = global_names
-                        .map(|name| {
-                            let value = interp.global(&name).expect("declared global resolves");
-                            (name, value)
-                        })
-                        .collect();
-                    let profile = interp.take_class_counts().map(|counts| TierProfile {
-                        class_visits: engine
-                            .program()
-                            .classes
-                            .iter()
-                            .zip(counts)
-                            .filter(|&(_, n)| n > 0)
-                            .map(|(c, n)| (c.name.clone(), n))
-                            .collect(),
-                        ..TierProfile::default()
-                    });
-                    (
-                        interp.metrics,
-                        interp.cache.as_ref().map(CacheHierarchy::stats),
-                        globals,
-                        wall,
-                        profile,
-                    )
+                    Some(module.profile(&counters))
+                } else {
+                    vm.run(&mut self.heap, root, args).map_err(runtime_err)?;
+                    None
+                };
+                let wall = start.elapsed();
+                let globals = global_names
+                    .map(|name| {
+                        let value = vm.global(&name).expect("declared global resolves");
+                        (name, value)
+                    })
+                    .collect();
+                (
+                    vm.metrics,
+                    vm.cache.as_ref().map(CacheHierarchy::stats),
+                    globals,
+                    wall,
+                    profile,
+                )
+            }
+            Backend::Jit(_) => {
+                let program = engine
+                    .jit
+                    .as_ref()
+                    .expect("jit engine holds its closure program (compiled at build)");
+                let mut jit = Jit::with_pures(program, pures);
+                if let Some(cache) = cache {
+                    jit = jit.with_cache(cache);
                 }
-                Backend::Vm => {
-                    let module = engine
-                        .module
-                        .as_ref()
-                        .expect("vm engine holds its module (lowered at build)");
-                    let mut vm = Vm::with_pures(module, pures);
-                    if let Some(cache) = cache {
-                        vm = vm.with_cache(cache);
-                    }
-                    let start = Instant::now();
-                    let profile = if probing {
-                        let mut counters = ExecCounters::new(module.n_functions(), module.n_ops());
-                        vm.run_probed(&mut self.heap, root, args, &mut counters)
-                            .map_err(runtime_err)?;
-                        Some(module.profile(&counters))
-                    } else {
-                        vm.run(&mut self.heap, root, args).map_err(runtime_err)?;
-                        None
-                    };
-                    let wall = start.elapsed();
-                    let globals = global_names
-                        .map(|name| {
-                            let value = vm.global(&name).expect("declared global resolves");
-                            (name, value)
-                        })
-                        .collect();
-                    (
-                        vm.metrics,
-                        vm.cache.as_ref().map(CacheHierarchy::stats),
-                        globals,
-                        wall,
-                        profile,
-                    )
+                if probing {
+                    jit = jit.with_counters();
                 }
-                Backend::Jit(_) => {
-                    let program = engine
-                        .jit
-                        .as_ref()
-                        .expect("jit engine holds its closure program (compiled at build)");
-                    let mut jit = Jit::with_pures(program, pures);
-                    if let Some(cache) = cache {
-                        jit = jit.with_cache(cache);
-                    }
-                    if probing {
-                        jit = jit.with_counters();
-                    }
-                    let start = Instant::now();
-                    jit.run(&mut self.heap, root, args).map_err(runtime_err)?;
-                    let wall = start.elapsed();
-                    let globals = global_names
-                        .map(|name| {
-                            let value = jit.global(&name).expect("declared global resolves");
-                            (name, value)
-                        })
-                        .collect();
-                    let module = engine
-                        .module
-                        .as_ref()
-                        .expect("jit engine holds its module (lowered at build)");
-                    let profile = jit.take_counters().map(|c| program.profile(&c, module));
-                    (
-                        jit.metrics().clone(),
-                        jit.cache().map(CacheHierarchy::stats),
-                        globals,
-                        wall,
-                        profile,
-                    )
-                }
+                let start = Instant::now();
+                jit.run(&mut self.heap, root, args).map_err(runtime_err)?;
+                let wall = start.elapsed();
+                let globals = global_names
+                    .map(|name| {
+                        let value = jit.global(&name).expect("declared global resolves");
+                        (name, value)
+                    })
+                    .collect();
+                let module = engine
+                    .module
+                    .as_ref()
+                    .expect("jit engine holds its module (lowered at build)");
+                let profile = jit.take_counters().map(|c| program.profile(&c, module));
+                (
+                    jit.metrics().clone(),
+                    jit.cache().map(CacheHierarchy::stats),
+                    globals,
+                    wall,
+                    profile,
+                )
             }
         };
         let trace = profile.map(|profile| {

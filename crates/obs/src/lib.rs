@@ -83,20 +83,6 @@ impl ExecCounters {
             op_hits: vec![0; n_ops],
         }
     }
-
-    /// Folds a worker's counters into this histogram (fork-join
-    /// reduction: u64 sums, so any deterministic order gives the
-    /// sequential totals).
-    pub fn merge(&mut self, other: &ExecCounters) {
-        debug_assert_eq!(self.func_hits.len(), other.func_hits.len());
-        debug_assert_eq!(self.op_hits.len(), other.op_hits.len());
-        for (a, b) in self.func_hits.iter_mut().zip(&other.func_hits) {
-            *a += b;
-        }
-        for (a, b) in self.op_hits.iter_mut().zip(&other.op_hits) {
-            *a += b;
-        }
-    }
 }
 
 impl ExecProbe for ExecCounters {
@@ -144,20 +130,6 @@ impl ChainCounters {
     #[inline(always)]
     pub fn block(&mut self, slot: usize) {
         self.block_hits[slot] += 1;
-    }
-
-    /// Folds a worker's counters into this histogram (fork-join
-    /// reduction: u64 sums, so any deterministic order gives the
-    /// sequential totals).
-    pub fn merge(&mut self, other: &ChainCounters) {
-        debug_assert_eq!(self.func_hits.len(), other.func_hits.len());
-        debug_assert_eq!(self.block_hits.len(), other.block_hits.len());
-        for (a, b) in self.func_hits.iter_mut().zip(&other.func_hits) {
-            *a += b;
-        }
-        for (a, b) in self.block_hits.iter_mut().zip(&other.block_hits) {
-            *a += b;
-        }
     }
 }
 

@@ -21,6 +21,12 @@ use crate::Value;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
+impl NodeId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Byte size of the per-node header (holds the dynamic type, like a vtable
 /// pointer).
 pub const NODE_HEADER_BYTES: u64 = 8;
@@ -188,67 +194,6 @@ struct NodeRec {
     alive: bool,
 }
 
-/// One borrowed arena segment of an ancestor heap: the records and slot
-/// pool backing node ids `[id_start, id_start + nodes_len)`.
-///
-/// Raw pointers, not borrows: sibling shards alias the same ancestor
-/// buffers, each touching only its own dependence-checked subtree. The
-/// ancestor must not grow or mutate these buffers while shards execute —
-/// see the contract on [`Heap::shard_for_subtree`].
-#[derive(Clone, Copy, Debug)]
-struct Segment {
-    nodes: *mut NodeRec,
-    nodes_len: usize,
-    pool: *mut Value,
-    /// First node id this segment resolves.
-    id_start: u32,
-    /// Absolute pool offset the segment's pool starts at (0 for the base
-    /// heap; provisional for shard-local segments until they merge).
-    addr_base: u64,
-}
-
-/// Shard state of a [`Heap`] opened with [`Heap::shard_for_subtree`].
-///
-/// A shard reads and writes pre-existing nodes in place through the
-/// `segments` chain and bump-allocates fresh nodes into the heap's own
-/// (private) vectors, deferring their final ids/bases to the sibling-order
-/// merge so they come out bit-identical to a sequential run.
-#[derive(Debug)]
-pub(crate) struct ShardCtx {
-    /// Ancestor segments, `id_start` ascending and contiguous; `segments[0]`
-    /// is the base heap.
-    segments: Vec<Segment>,
-    /// Ids `>= ext_id_start` are local to this shard.
-    ext_id_start: u32,
-    /// Provisional absolute pool offset of local allocations (exact once
-    /// all earlier siblings have merged first).
-    pool_start: u64,
-    /// Lowest id that a merge anywhere up the chain may still renumber;
-    /// storing a ref at or above it into an ancestor-owned slot records a
-    /// fixup.
-    pending_floor: u32,
-    /// Ancestor-owned `(node, slot)` locations holding refs that may need
-    /// renumbering at merge.
-    fixups: Vec<(NodeId, u32)>,
-    /// Net live-byte change (allocations minus deletes) folded into the
-    /// parent at merge.
-    live_delta: i64,
-}
-
-// SAFETY: a shard is handed to exactly one worker; the raw segment
-// pointers target ancestor buffers that are parked (neither grown nor
-// accessed) for the whole fork-join region, and the dependence analysis
-// guarantees sibling shards dereference disjoint subtrees.
-unsafe impl Send for ShardCtx {}
-
-/// Where a node id resolves: this heap's own vectors or a borrowed
-/// ancestor segment.
-#[derive(Clone, Copy)]
-enum Loc {
-    Own(usize),
-    Seg(usize, usize),
-}
-
 /// An arena of tree nodes with simulated addresses.
 ///
 /// Field values of all nodes live in one contiguous slot pool; a node is
@@ -260,7 +205,7 @@ enum Loc {
 /// The program and its [`Layouts`] are shared (`Arc`) so opening many
 /// heaps against one compiled program — sessions, batch workers — costs
 /// two reference bumps, not a program clone and a layout recomputation.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Heap {
     program: Arc<Program>,
     layouts: Arc<Layouts>,
@@ -268,27 +213,6 @@ pub struct Heap {
     /// The slot arena: every node's flattened field values, contiguous.
     pool: Vec<Value>,
     live_bytes: u64,
-    /// Present when this heap is a per-subtree shard of another heap.
-    shard: Option<Box<ShardCtx>>,
-}
-
-/// Shard heaps are transient fork-join workers — they merge back, they are
-/// never cloned (their raw segment pointers must stay unique per worker).
-impl Clone for Heap {
-    fn clone(&self) -> Self {
-        assert!(
-            self.shard.is_none(),
-            "shard heaps merge back into their parent, they are not cloned"
-        );
-        Heap {
-            program: Arc::clone(&self.program),
-            layouts: Arc::clone(&self.layouts),
-            nodes: self.nodes.clone(),
-            pool: self.pool.clone(),
-            live_bytes: self.live_bytes,
-            shard: None,
-        }
-    }
 }
 
 impl Heap {
@@ -308,13 +232,7 @@ impl Heap {
             nodes: Vec::new(),
             pool: Vec::new(),
             live_bytes: 0,
-            shard: None,
         }
-    }
-
-    /// Whether this heap is a per-subtree shard of another heap.
-    pub fn is_shard(&self) -> bool {
-        self.shard.is_some()
     }
 
     /// The program this heap belongs to.
@@ -350,7 +268,6 @@ impl Heap {
     /// built here allocates nothing and gets bit-identical simulated
     /// addresses to a fresh heap.
     pub fn reset(&mut self) {
-        assert!(self.shard.is_none(), "reset on a shard heap");
         self.nodes.clear();
         self.pool.clear();
         self.live_bytes = 0;
@@ -361,66 +278,18 @@ impl Heap {
         let base = self.pool.len();
         assert!(base <= u32::MAX as usize, "slot arena overflow");
         self.pool.extend_from_slice(self.layouts.defaults(class));
-        let bytes = self.layouts.node_bytes(class);
-        match &mut self.shard {
-            None => self.live_bytes += bytes,
-            Some(ctx) => ctx.live_delta += bytes as i64,
-        }
+        self.live_bytes += self.layouts.node_bytes(class);
         self.nodes.push(NodeRec {
             class,
             base: base as u32,
             alive: true,
         });
-        NodeId(self.id_base() + (self.nodes.len() - 1) as u32)
+        NodeId((self.nodes.len() - 1) as u32)
     }
 
     /// Allocates a node by class name.
     pub fn alloc_by_name(&mut self, class: &str) -> Option<NodeId> {
         self.program.class_by_name(class).map(|c| self.alloc(c))
-    }
-
-    /// First node id owned by this heap's own `nodes` vector (0 unless
-    /// this heap is a shard).
-    #[inline]
-    fn id_base(&self) -> u32 {
-        match &self.shard {
-            None => 0,
-            Some(ctx) => ctx.ext_id_start,
-        }
-    }
-
-    /// Resolves a node id to this heap's own vectors or an ancestor
-    /// segment. Ids below every segment panic (as stale ids always did).
-    #[inline]
-    fn locate(&self, id: NodeId) -> Loc {
-        let base = self.id_base();
-        if id.0 >= base {
-            Loc::Own((id.0 - base) as usize)
-        } else {
-            let ctx = self.shard.as_ref().expect("non-shard ids start at 0");
-            let seg = ctx
-                .segments
-                .iter()
-                .rposition(|s| id.0 >= s.id_start)
-                .expect("node id below every segment");
-            Loc::Seg(seg, (id.0 - ctx.segments[seg].id_start) as usize)
-        }
-    }
-
-    /// Record at a resolved location.
-    #[inline]
-    fn rec_at(&self, loc: Loc) -> NodeRec {
-        match loc {
-            Loc::Own(i) => self.nodes[i],
-            Loc::Seg(s, i) => {
-                let seg = &self.shard.as_ref().unwrap().segments[s];
-                debug_assert!(i < seg.nodes_len);
-                // SAFETY: segments tile the external id space contiguously,
-                // so `i` is in bounds; the ancestor buffer is parked for
-                // the whole fork-join region (shard contract).
-                unsafe { *seg.nodes.add(i) }
-            }
-        }
     }
 
     /// Checked record accessor.
@@ -430,29 +299,15 @@ impl Heap {
     /// Panics if the id is stale (node deleted).
     #[inline]
     fn rec(&self, id: NodeId) -> NodeRec {
-        let r = self.rec_at(self.locate(id));
+        let r = self.nodes[id.index()];
         assert!(r.alive, "access to deleted node {id:?}");
         r
     }
 
-    /// Pointer to `slot` of a record living in ancestor segment `s`.
     #[inline]
-    fn seg_slot_ptr(&self, s: usize, r: NodeRec, slot: usize) -> *mut Value {
-        let seg = &self.shard.as_ref().unwrap().segments[s];
-        // SAFETY: `r.base` indexes the segment's own pool; see `rec_at`.
-        unsafe { seg.pool.add(r.base as usize + slot) }
-    }
-
-    /// Slot values at a resolved location.
-    #[inline]
-    fn slots_at(&self, loc: Loc, r: NodeRec) -> &[Value] {
-        let n = self.layouts.size_of(r.class);
-        match loc {
-            Loc::Own(_) => &self.pool[r.base as usize..r.base as usize + n],
-            // SAFETY: the node's slots are contiguous in the segment pool
-            // and nothing aliases them mutably while `&self` is held.
-            Loc::Seg(s, _) => unsafe { std::slice::from_raw_parts(self.seg_slot_ptr(s, r, 0), n) },
-        }
+    fn slot_range(&self, r: NodeRec) -> std::ops::Range<usize> {
+        let base = r.base as usize;
+        base..base + self.layouts.size_of(r.class)
     }
 
     /// Dynamic type of a node.
@@ -469,33 +324,21 @@ impl Heap {
     /// Dynamic type without the liveness check.
     #[inline]
     pub fn class_of_raw(&self, id: NodeId) -> ClassId {
-        self.rec_at(self.locate(id)).class
+        self.nodes[id.index()].class
     }
 
     /// Simulated base address of a node (valid for dead nodes too, like a
     /// dangling pointer's numeric value).
-    ///
-    /// On a shard heap, addresses of shard-fresh nodes are provisional
-    /// (exact only once all earlier siblings merge first); the engine never
-    /// attaches the cache simulator to parallel runs, so provisional
-    /// addresses are informative, not load-bearing.
     #[inline]
     pub fn addr_of(&self, id: NodeId) -> u64 {
-        let loc = self.locate(id);
-        let r = self.rec_at(loc);
-        let base = match (loc, &self.shard) {
-            (Loc::Own(_), None) => r.base as u64,
-            (Loc::Own(_), Some(ctx)) => ctx.pool_start + r.base as u64,
-            (Loc::Seg(s, _), Some(ctx)) => ctx.segments[s].addr_base + r.base as u64,
-            (Loc::Seg(..), None) => unreachable!("segments imply a shard"),
-        };
-        HEAP_BASE_ADDR + NODE_HEADER_BYTES * id.0 as u64 + SLOT_BYTES * base
+        let r = &self.nodes[id.index()];
+        HEAP_BASE_ADDR + NODE_HEADER_BYTES * id.0 as u64 + SLOT_BYTES * r.base as u64
     }
 
     /// Whether the node is still live (not deleted).
     #[inline]
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.rec_at(self.locate(id)).alive
+        self.nodes[id.index()].alive
     }
 
     /// Reads slot `slot` of a node.
@@ -505,18 +348,12 @@ impl Heap {
     /// Panics if the node was deleted or the slot is out of range.
     #[inline]
     pub fn get(&self, id: NodeId, slot: usize) -> Value {
-        let loc = self.locate(id);
-        let r = self.rec_at(loc);
-        assert!(r.alive, "access to deleted node {id:?}");
+        let r = self.rec(id);
         assert!(
             slot < self.layouts.size_of(r.class),
             "slot {slot} out of range for node {id:?}"
         );
-        match loc {
-            Loc::Own(_) => self.pool[r.base as usize + slot],
-            // SAFETY: see `slots_at`.
-            Loc::Seg(s, _) => unsafe { *self.seg_slot_ptr(s, r, slot) },
-        }
+        self.pool[r.base as usize + slot]
     }
 
     /// Writes slot `slot` of a node.
@@ -526,30 +363,12 @@ impl Heap {
     /// Panics if the node was deleted or the slot is out of range.
     #[inline]
     pub fn set(&mut self, id: NodeId, slot: usize, value: Value) {
-        let loc = self.locate(id);
-        let r = self.rec_at(loc);
-        assert!(r.alive, "access to deleted node {id:?}");
+        let r = self.rec(id);
         assert!(
             slot < self.layouts.size_of(r.class),
             "slot {slot} out of range for node {id:?}"
         );
-        match loc {
-            Loc::Own(_) => self.pool[r.base as usize + slot] = value,
-            Loc::Seg(s, _) => {
-                let p = self.seg_slot_ptr(s, r, slot);
-                // Grafting a still-renumberable ref into an ancestor-owned
-                // slot: remember the location for the merge to revisit.
-                let ctx = self.shard.as_mut().unwrap();
-                if let Value::Ref(Some(c)) = value {
-                    if c.0 >= ctx.pending_floor {
-                        ctx.fixups.push((id, slot as u32));
-                    }
-                }
-                // SAFETY: see `slots_at`; `&mut self` means no outstanding
-                // slice borrows of this heap's view of the segment.
-                unsafe { *p = value };
-            }
-        }
+        self.pool[r.base as usize + slot] = value;
     }
 
     /// The node's flattened field values.
@@ -560,17 +379,15 @@ impl Heap {
     /// inspect dead nodes.
     #[inline]
     pub fn slots(&self, id: NodeId) -> &[Value] {
-        let loc = self.locate(id);
-        let r = self.rec_at(loc);
-        assert!(r.alive, "access to deleted node {id:?}");
-        self.slots_at(loc, r)
+        let range = self.slot_range(self.rec(id));
+        &self.pool[range]
     }
 
     /// The node's flattened field values without the liveness check.
     #[inline]
     pub fn slots_raw(&self, id: NodeId) -> &[Value] {
-        let loc = self.locate(id);
-        self.slots_at(loc, self.rec_at(loc))
+        let range = self.slot_range(self.nodes[id.index()]);
+        &self.pool[range]
     }
 
     /// Iteratively deletes the subtree rooted at `id`, returning the
@@ -580,27 +397,14 @@ impl Heap {
         let mut freed = 0;
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
-            let loc = self.locate(n);
-            let rec = self.rec_at(loc);
+            let rec = self.nodes[n.index()];
             if !rec.alive {
                 continue;
             }
-            match loc {
-                Loc::Own(i) => self.nodes[i].alive = false,
-                Loc::Seg(s, i) => {
-                    let seg = &self.shard.as_ref().unwrap().segments[s];
-                    // SAFETY: see `rec_at`; deletes inside a shard only
-                    // touch the shard's own subtree.
-                    unsafe { (*seg.nodes.add(i)).alive = false };
-                }
-            }
-            let bytes = self.layouts.node_bytes(rec.class);
-            match &mut self.shard {
-                None => self.live_bytes -= bytes,
-                Some(ctx) => ctx.live_delta -= bytes as i64,
-            }
+            self.nodes[n.index()].alive = false;
+            self.live_bytes -= self.layouts.node_bytes(rec.class);
             freed += 1;
-            for v in self.slots_at(loc, rec) {
+            for v in &self.pool[self.slot_range(rec)] {
                 if let Value::Ref(Some(child)) = v {
                     stack.push(*child);
                 }
@@ -609,36 +413,14 @@ impl Heap {
         freed
     }
 
-    /// Number of nodes ever allocated (including deleted ones); on a shard
-    /// heap, the full merged id space the shard can see.
+    /// Number of nodes ever allocated (including deleted ones).
     pub fn len(&self) -> usize {
-        self.id_base() as usize + self.nodes.len()
+        self.nodes.len()
     }
 
     /// Whether the heap has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of live nodes reachable from `root` by child refs — the fork
-    /// planner's subtree-size estimate for the sequential cutoff. Walks
-    /// outside the cost model (no metrics are charged) and assumes tree
-    /// shape, which the traversal language maintains.
-    pub fn subtree_nodes(&self, root: NodeId) -> usize {
-        let mut n = 0;
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if !self.is_alive(id) {
-                continue;
-            }
-            n += 1;
-            for v in self.slots(id) {
-                if let Value::Ref(Some(child)) = v {
-                    stack.push(*child);
-                }
-            }
-        }
-        n
+        self.nodes.is_empty()
     }
 
     /// Number of currently live nodes.
@@ -652,165 +434,10 @@ impl Heap {
         self.live_bytes
     }
 
-    // ---- per-subtree shards (fork-join parallel traversal) ---------------
-
-    /// Opens a per-subtree arena shard: a `Heap` that reads and writes this
-    /// heap's existing nodes in place and bump-allocates fresh nodes into a
-    /// private segment, so parallel workers on dependence-free sibling
-    /// subtrees never contend on the arena. Merging the shards back in
-    /// sibling order ([`Heap::merge_shard`]) reproduces the exact node ids,
-    /// pool bases and simulated addresses of a sequential run.
-    ///
-    /// # Contract (checked by the caller, not the type system)
-    ///
-    /// Sibling shards alias this heap's buffers through raw pointers.
-    /// Until every shard handed out here has finished executing, this heap
-    /// must not be mutated, and each shard must touch only nodes of its
-    /// own subtree — which is exactly what the `SubtreeIndependence`
-    /// analysis certifies before the engine forks.
-    pub fn shard_for_subtree(&mut self, root: NodeId) -> Heap {
-        assert!(self.is_alive(root), "sharding a deleted subtree root");
-        let mut segments = match &self.shard {
-            None => Vec::new(),
-            Some(ctx) => ctx.segments.clone(),
-        };
-        let own_start = self.id_base();
-        let own_addr_base = match &self.shard {
-            None => 0,
-            Some(ctx) => ctx.pool_start,
-        };
-        segments.push(Segment {
-            nodes: self.nodes.as_mut_ptr(),
-            nodes_len: self.nodes.len(),
-            pool: self.pool.as_mut_ptr(),
-            id_start: own_start,
-            addr_base: own_addr_base,
-        });
-        let ext_id_start = own_start + self.nodes.len() as u32;
-        let pool_start = own_addr_base + self.pool.len() as u64;
-        let pending_floor = segments.get(1).map_or(ext_id_start, |s| s.id_start);
-        Heap {
-            program: Arc::clone(&self.program),
-            layouts: Arc::clone(&self.layouts),
-            nodes: Vec::new(),
-            pool: Vec::new(),
-            live_bytes: 0,
-            shard: Some(Box::new(ShardCtx {
-                segments,
-                ext_id_start,
-                pool_start,
-                pending_floor,
-                fixups: Vec::new(),
-                live_delta: 0,
-            })),
-        }
-    }
-
-    /// Merges a shard back, appending its fresh nodes to this heap.
-    ///
-    /// Shards of one fork must merge in sibling (sequential dispatch)
-    /// order, after **all** of them have finished executing: each merge
-    /// assigns the shard's fresh nodes the exact ids and pool bases a
-    /// sequential run would have produced at that point, and growing this
-    /// heap's buffers here invalidates the remaining shards' borrowed
-    /// segments for execution (merging them stays fine — a merge only
-    /// reads the shard's private vectors and resolves fixups through
-    /// `self`).
-    pub fn merge_shard(&mut self, mut shard: Heap) {
-        let ctx = *shard.shard.take().expect("merge_shard needs a shard heap");
-        assert_eq!(
-            ctx.segments.last().map(|s| s.id_start),
-            Some(self.id_base()),
-            "shard merged into a heap it was not opened on"
-        );
-        assert!(
-            ctx.ext_id_start as usize <= self.len(),
-            "sibling shards must merge in order"
-        );
-        let delta = (self.len() - ctx.ext_id_start as usize) as u32;
-        let pool_off = self.pool.len();
-        assert!(
-            pool_off + shard.pool.len() <= u32::MAX as usize,
-            "slot arena overflow"
-        );
-        self.nodes.reserve(shard.nodes.len());
-        for r in &shard.nodes {
-            self.nodes.push(NodeRec {
-                class: r.class,
-                base: r.base + pool_off as u32,
-                alive: r.alive,
-            });
-        }
-        self.pool.reserve(shard.pool.len());
-        for v in shard.pool.drain(..) {
-            self.pool.push(match v {
-                Value::Ref(Some(c)) if c.0 >= ctx.ext_id_start => {
-                    Value::Ref(Some(NodeId(c.0 + delta)))
-                }
-                other => other,
-            });
-        }
-        match &mut self.shard {
-            None => self.live_bytes = (self.live_bytes as i64 + ctx.live_delta) as u64,
-            Some(own) => own.live_delta += ctx.live_delta,
-        }
-        // Renumber refs to shard-fresh nodes grafted into pre-existing
-        // nodes during execution. Deduped: the same slot may have been
-        // rewritten several times, but it is renumbered once, from its
-        // final value.
-        let mut fixups = ctx.fixups;
-        fixups.sort_unstable();
-        fixups.dedup();
-        for (node, slot) in fixups {
-            let v = match self.peek_slot(node, slot as usize) {
-                Value::Ref(Some(c)) if c.0 >= ctx.ext_id_start => {
-                    let v = Value::Ref(Some(NodeId(c.0 + delta)));
-                    self.poke_slot(node, slot as usize, v);
-                    v
-                }
-                other => other,
-            };
-            // A graft that landed in a node our own ancestors own may need
-            // renumbering again when *we* merge.
-            if let Some(own) = &mut self.shard {
-                if node.0 < own.ext_id_start {
-                    if let Value::Ref(Some(t)) = v {
-                        if t.0 >= own.pending_floor {
-                            own.fixups.push((node, slot));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Raw slot read for merge fixups: no liveness check (the grafted-into
-    /// node may have been deleted after the graft).
-    fn peek_slot(&self, id: NodeId, slot: usize) -> Value {
-        let loc = self.locate(id);
-        let r = self.rec_at(loc);
-        match loc {
-            Loc::Own(_) => self.pool[r.base as usize + slot],
-            // SAFETY: see `slots_at`.
-            Loc::Seg(s, _) => unsafe { *self.seg_slot_ptr(s, r, slot) },
-        }
-    }
-
-    /// Raw slot write for merge fixups (see [`Heap::peek_slot`]).
-    fn poke_slot(&mut self, id: NodeId, slot: usize, value: Value) {
-        let loc = self.locate(id);
-        let r = self.rec_at(loc);
-        match loc {
-            Loc::Own(_) => self.pool[r.base as usize + slot] = value,
-            // SAFETY: see `set`.
-            Loc::Seg(s, _) => unsafe { *self.seg_slot_ptr(s, r, slot) = value },
-        }
-    }
-
     // ---- name-based convenience accessors (tests, builders) --------------
 
     fn slot_by_name(&self, id: NodeId, field: &str) -> Option<usize> {
-        let class = self.class_of_raw(id);
+        let class = self.nodes[id.index()].class;
         let mut parts = field.split('.');
         let head = parts.next()?;
         let f = self.program.field_on_class(class, head)?;
@@ -1051,154 +678,6 @@ mod tests {
         assert_eq!((heap.addr_of(a2), heap.addr_of(b2)), addrs);
         assert_eq!(heap.snapshot(a2), snap);
         assert_eq!(heap.pool.capacity(), pool_cap, "reset keeps capacity");
-    }
-
-    fn binary_program() -> Program {
-        compile(
-            r#"
-            tree class T {
-                child T* l;
-                child T* r;
-                int v = 0;
-                virtual traversal nop() {}
-            }
-            "#,
-        )
-        .unwrap()
-    }
-
-    /// root with two leaf children — the smallest forkable shape.
-    fn binary_root(heap: &mut Heap) -> (NodeId, NodeId, NodeId) {
-        let root = heap.alloc_by_name("T").unwrap();
-        let l = heap.alloc_by_name("T").unwrap();
-        let r = heap.alloc_by_name("T").unwrap();
-        heap.set_child_by_name(root, "l", Some(l)).unwrap();
-        heap.set_child_by_name(root, "r", Some(r)).unwrap();
-        (root, l, r)
-    }
-
-    /// "Visit" a subtree: read a field, allocate a fresh node, graft it.
-    fn grow(heap: &mut Heap, n: NodeId) {
-        let fresh = heap.alloc_by_name("T").unwrap();
-        heap.set_by_name(fresh, "v", Value::Int(n.0 as i64))
-            .unwrap();
-        heap.set_child_by_name(n, "l", Some(fresh)).unwrap();
-    }
-
-    #[test]
-    fn sibling_shards_reproduce_sequential_ids_and_addresses() {
-        let p = binary_program();
-        // Sequential reference: visit left, then right.
-        let mut seq = Heap::new(&p);
-        let (sroot, sl, sr) = binary_root(&mut seq);
-        grow(&mut seq, sl);
-        grow(&mut seq, sr);
-
-        // Sharded: the same work through per-subtree shards. The right
-        // shard grafts its fresh node (provisional id) into a pre-existing
-        // node, exercising the fixup path with a nonzero delta.
-        let mut par = Heap::new(&p);
-        let (proot, pl, pr) = binary_root(&mut par);
-        let mut sa = par.shard_for_subtree(pl);
-        let mut sb = par.shard_for_subtree(pr);
-        grow(&mut sa, pl);
-        grow(&mut sb, pr);
-        par.merge_shard(sa);
-        par.merge_shard(sb);
-
-        assert_eq!(par.len(), seq.len());
-        assert_eq!(par.live_bytes(), seq.live_bytes());
-        assert_eq!(par.snapshot(proot), seq.snapshot(sroot));
-        for i in 0..seq.len() as u32 {
-            assert_eq!(par.addr_of(NodeId(i)), seq.addr_of(NodeId(i)));
-        }
-        // The right child's graft resolved to the renumbered fresh node.
-        let grafted = par.child_by_name(pr, "l").unwrap().unwrap();
-        assert_eq!(par.get_by_name(grafted, "v"), Some(Value::Int(pr.0 as i64)));
-    }
-
-    #[test]
-    fn shard_deletes_fold_into_the_parent_at_merge() {
-        let p = binary_program();
-        let mut heap = Heap::new(&p);
-        let (_root, l, r) = binary_root(&mut heap);
-        grow(&mut heap, l);
-        grow(&mut heap, r);
-        let before = heap.live_bytes();
-
-        let mut sa = heap.shard_for_subtree(l);
-        let mut sb = heap.shard_for_subtree(r);
-        let gone_l = sa.child_by_name(l, "l").unwrap().unwrap();
-        assert_eq!(sa.delete_subtree(gone_l), 1);
-        sa.set_child_by_name(l, "l", None).unwrap();
-        let gone_r = sb.child_by_name(r, "l").unwrap().unwrap();
-        assert_eq!(sb.delete_subtree(gone_r), 1);
-        sb.set_child_by_name(r, "l", None).unwrap();
-        heap.merge_shard(sa);
-        heap.merge_shard(sb);
-
-        let node_bytes = heap.layouts().node_bytes(heap.class_of(l));
-        assert_eq!(heap.live_bytes(), before - 2 * node_bytes);
-        assert!(!heap.is_alive(gone_l) && !heap.is_alive(gone_r));
-    }
-
-    #[test]
-    fn nested_shards_propagate_renumbering_up_the_chain() {
-        let p = binary_program();
-        // root -> l -> ll; root -> r. Sequential order: visit r (allocates
-        // one node), then descend into l and visit ll (allocates one).
-        let mut seq = Heap::new(&p);
-        let sroot = seq.alloc_by_name("T").unwrap();
-        let sl = seq.alloc_by_name("T").unwrap();
-        let sr = seq.alloc_by_name("T").unwrap();
-        let sll = seq.alloc_by_name("T").unwrap();
-        seq.set_child_by_name(sroot, "l", Some(sl)).unwrap();
-        seq.set_child_by_name(sroot, "r", Some(sr)).unwrap();
-        seq.set_child_by_name(sl, "l", Some(sll)).unwrap();
-        grow(&mut seq, sr);
-        grow(&mut seq, sll);
-
-        let mut par = Heap::new(&p);
-        let proot = par.alloc_by_name("T").unwrap();
-        let pl = par.alloc_by_name("T").unwrap();
-        let pr = par.alloc_by_name("T").unwrap();
-        let pll = par.alloc_by_name("T").unwrap();
-        par.set_child_by_name(proot, "l", Some(pl)).unwrap();
-        par.set_child_by_name(proot, "r", Some(pr)).unwrap();
-        par.set_child_by_name(pl, "l", Some(pll)).unwrap();
-
-        // Sibling order: r first, then l; l's work happens in a shard of a
-        // shard, grafting into the base-owned node `pll`, so the fixup must
-        // survive two merges (nested delta 0, then top-level delta 1).
-        let mut s_r = par.shard_for_subtree(pr);
-        let mut s_l = par.shard_for_subtree(pl);
-        grow(&mut s_r, pr);
-        let mut nested = s_l.shard_for_subtree(pll);
-        grow(&mut nested, pll);
-        s_l.merge_shard(nested);
-        par.merge_shard(s_r);
-        par.merge_shard(s_l);
-
-        assert_eq!(par.len(), seq.len());
-        assert_eq!(par.snapshot(proot), seq.snapshot(sroot));
-        for i in 0..seq.len() as u32 {
-            assert_eq!(par.addr_of(NodeId(i)), seq.addr_of(NodeId(i)));
-        }
-        let grafted = par.child_by_name(pll, "l").unwrap().unwrap();
-        assert_eq!(
-            par.get_by_name(grafted, "v"),
-            Some(Value::Int(pll.0 as i64))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "not cloned")]
-    fn shard_heaps_refuse_to_clone() {
-        let p = binary_program();
-        let mut heap = Heap::new(&p);
-        let (_root, l, _r) = binary_root(&mut heap);
-        let shard = heap.shard_for_subtree(l);
-        let _ = shard.clone();
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub enum RuntimeError {
     MissingTarget(String),
     /// A child slot held a non-reference value (heap corruption).
     NotARef,
-    /// A fork worker panicked while executing a scattered subtree.
-    WorkerPanic(String),
 }
 
 impl fmt::Display for RuntimeError {
@@ -40,9 +38,6 @@ impl fmt::Display for RuntimeError {
                 write!(f, "no fused function for dynamic type `{class}`")
             }
             RuntimeError::NotARef => write!(f, "child slot does not hold a reference"),
-            RuntimeError::WorkerPanic(msg) => {
-                write!(f, "fork worker panicked: {msg}")
-            }
         }
     }
 }
@@ -54,130 +49,6 @@ type RResult<T> = Result<T, RuntimeError>;
 enum Flow {
     Continue,
     Returned,
-}
-
-/// One parallel-safe sibling dispatch, packaged for a [`ForkHost`]: the
-/// callee stub, the child receiver, the active-traversal flags and the
-/// already-evaluated per-part arguments — exactly what a stub call needs,
-/// with all pre-call costs (guards, navigation, flag shuffles, argument
-/// evaluation) already charged by the preparing interpreter.
-#[derive(Clone, Debug)]
-pub struct ForkTask {
-    /// Dispatch stub of the call.
-    pub stub: StubId,
-    /// Receiver node (root of the forked subtree).
-    pub child: NodeId,
-    /// Active-traversal flags of the call.
-    pub flags: u64,
-    /// Evaluated arguments, one vector per call part.
-    pub args: Vec<Vec<Value>>,
-}
-
-/// Counters a [`ForkHost`] hands back after executing dispatched work,
-/// merged in deterministic sibling order so totals are bit-identical to a
-/// sequential run.
-#[derive(Debug, Default)]
-pub struct ForkOutcome {
-    /// Summed [`Metrics`] of the executed subtrees.
-    pub metrics: Metrics,
-    /// Summed per-class visit counters, when the run is probed.
-    pub class_visits: Option<Vec<u64>>,
-}
-
-/// Execution hook for intra-tree parallelism.
-///
-/// The interpreter consults the host at two points of its dispatch loop:
-///
-/// - at a statically certified parallel-safe call run ([`ForkHost::fork`]),
-///   where the host may scatter the sibling subtrees across workers; and
-/// - at every subtree dispatch ([`ForkHost::take_over`]), where the host
-///   may hand the whole subtree to a different execution tier (the engine
-///   runs fork-level nodes here and VM/JIT code below them).
-///
-/// Both hooks sit behind `if H::ENABLED`, so the `NoFork` instantiation
-/// monomorphizes to exactly the sequential dispatch loop.
-pub trait ForkHost {
-    /// `false` compiles every hook out of the dispatch loop.
-    const ENABLED: bool;
-
-    /// Whether a parallel-safe call run under a node at tree depth
-    /// `depth` (root = 1) should fork instead of running in-line.
-    fn should_fork(&mut self, depth: usize) -> bool;
-
-    /// Executes every prepared sibling task exactly once — scattered,
-    /// in-line, or mixed — and returns the merged counters. `globals` is
-    /// the caller's current global frame; the dependence analysis only
-    /// certifies call runs that never write globals, so a read-only copy
-    /// per worker is sound.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the runtime error of the lowest-indexed failing sibling
-    /// (the error a sequential run would have hit first).
-    fn fork(
-        &mut self,
-        heap: &mut Heap,
-        depth: usize,
-        tasks: Vec<ForkTask>,
-        globals: &[Value],
-    ) -> RResult<ForkOutcome>;
-
-    /// Whether the subtree dispatched at `depth` should leave the
-    /// interpreter entirely (handed to [`ForkHost::run_subtree`]).
-    fn take_over(&mut self, depth: usize) -> bool;
-
-    /// Executes one whole subtree dispatch outside the interpreter (e.g.
-    /// in the session's VM or JIT tier), returning its counters.
-    ///
-    /// Runs on the calling thread with exclusive heap access, so —
-    /// unlike forked subtrees — it may write globals: the host seeds its
-    /// executor from `globals` and copies the final frame back, which is
-    /// exactly the sequential data flow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the subtree's runtime error unchanged.
-    fn run_subtree(
-        &mut self,
-        heap: &mut Heap,
-        task: ForkTask,
-        globals: &mut [Value],
-    ) -> RResult<ForkOutcome>;
-}
-
-/// The disabled host: plain sequential execution. `ENABLED = false`
-/// compiles every hook call site out of the dispatch loop.
-pub struct NoFork;
-
-impl ForkHost for NoFork {
-    const ENABLED: bool = false;
-
-    fn should_fork(&mut self, _depth: usize) -> bool {
-        false
-    }
-
-    fn fork(
-        &mut self,
-        _heap: &mut Heap,
-        _depth: usize,
-        _tasks: Vec<ForkTask>,
-        _globals: &[Value],
-    ) -> RResult<ForkOutcome> {
-        unreachable!("NoFork is never enabled")
-    }
-
-    fn take_over(&mut self, _depth: usize) -> bool {
-        false
-    }
-
-    fn run_subtree(
-        &mut self,
-        _heap: &mut Heap,
-        _task: ForkTask,
-        _globals: &mut [Value],
-    ) -> RResult<ForkOutcome> {
-        unreachable!("NoFork is never enabled")
-    }
 }
 
 /// Executes a [`FusedProgram`] against a [`Heap`], collecting [`Metrics`]
@@ -198,9 +69,6 @@ pub struct Interp<'a> {
     /// [`grafter_frontend::ClassId`]; `None` (the default) records
     /// nothing and costs one predicted branch per dispatch.
     class_visits: Option<Vec<u64>>,
-    /// Tree depth of the node currently dispatched (root = 1); what the
-    /// [`ForkHost`] hooks receive to bound forking to the top levels.
-    depth: usize,
 }
 
 const GLOBALS_BASE_ADDR: u64 = 0x1000;
@@ -223,7 +91,6 @@ impl<'a> Interp<'a> {
             global_offsets,
             local_layouts: HashMap::new(),
             class_visits: None,
-            depth: 0,
         }
     }
 
@@ -269,25 +136,6 @@ impl<'a> Interp<'a> {
     /// Returns a [`RuntimeError`] if execution dereferences a null child in
     /// a data access, calls an unregistered pure, or dispatch fails.
     pub fn run(&mut self, heap: &mut Heap, root: NodeId, args: &[Vec<Value>]) -> RResult<()> {
-        self.run_with_host(heap, root, args, &mut NoFork)
-    }
-
-    /// [`Interp::run`] with a [`ForkHost`] attached: statically certified
-    /// parallel-safe sibling dispatches are offered to `host`, which may
-    /// scatter them across workers or hand subtrees to another tier.
-    /// With `host = NoFork` this is exactly [`Interp::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Interp::run`], plus any error the host's workers hit (the
-    /// lowest-sibling error, matching sequential order).
-    pub fn run_with_host<H: ForkHost>(
-        &mut self,
-        heap: &mut Heap,
-        root: NodeId,
-        args: &[Vec<Value>],
-        host: &mut H,
-    ) -> RResult<()> {
         let entries = self.fp.entries.clone();
         if entries.len() == 1 {
             let stub = self.fp.stub(entries[0]);
@@ -296,70 +144,14 @@ impl<'a> Interp<'a> {
             let part_args: Vec<Vec<Value>> = (0..n)
                 .map(|i| args.get(i).cloned().unwrap_or_default())
                 .collect();
-            self.call_stub(heap, entries[0], root, flags, part_args, host)?;
+            self.call_stub(heap, entries[0], root, flags, part_args)?;
         } else {
             for (i, &entry) in entries.iter().enumerate() {
                 let part_args = vec![args.get(i).cloned().unwrap_or_default()];
-                self.call_stub(heap, entry, root, 0b1, part_args, host)?;
+                self.call_stub(heap, entry, root, 0b1, part_args)?;
             }
         }
         Ok(())
-    }
-
-    /// Dispatches one stub call — the worker-side entry for executing a
-    /// [`ForkTask`] on a (shard) heap. Charges exactly what the in-line
-    /// call would have charged from the dispatch onward.
-    ///
-    /// # Errors
-    ///
-    /// As [`Interp::run`].
-    pub fn run_stub(
-        &mut self,
-        heap: &mut Heap,
-        stub: StubId,
-        node: NodeId,
-        flags: u64,
-        args: Vec<Vec<Value>>,
-    ) -> RResult<()> {
-        self.call_stub(heap, stub, node, flags, args, &mut NoFork)
-    }
-
-    /// [`Interp::run_stub`] with a [`ForkHost`] attached and the dispatched
-    /// node's tree depth (root = 1), so a forked worker can keep forking
-    /// at the correct level.
-    ///
-    /// # Errors
-    ///
-    /// As [`Interp::run_with_host`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_stub_with_host<H: ForkHost>(
-        &mut self,
-        heap: &mut Heap,
-        stub: StubId,
-        node: NodeId,
-        flags: u64,
-        args: Vec<Vec<Value>>,
-        host: &mut H,
-        depth: usize,
-    ) -> RResult<()> {
-        let saved = self.depth;
-        self.depth = depth.saturating_sub(1);
-        let r = self.call_stub(heap, stub, node, flags, args, host);
-        self.depth = saved;
-        r
-    }
-
-    /// The flattened global frame (identical layout across all tiers —
-    /// every executor flattens with `flatten_globals`).
-    pub fn globals_frame(&self) -> &[Value] {
-        &self.globals
-    }
-
-    /// Overwrites the flattened global frame (fork workers start from the
-    /// orchestrator's snapshot).
-    pub fn set_globals_frame(&mut self, frame: &[Value]) {
-        assert_eq!(frame.len(), self.globals.len(), "global frame layout");
-        self.globals.copy_from_slice(frame);
     }
 
     fn touch(&mut self, addr: u64) {
@@ -381,45 +173,14 @@ impl<'a> Interp<'a> {
         layout
     }
 
-    fn call_stub<H: ForkHost>(
+    fn call_stub(
         &mut self,
         heap: &mut Heap,
         stub: StubId,
         node: NodeId,
         flags: u64,
         part_args: Vec<Vec<Value>>,
-        host: &mut H,
     ) -> RResult<()> {
-        self.depth += 1;
-        let r = self.dispatch_stub(heap, stub, node, flags, part_args, host);
-        self.depth -= 1;
-        r
-    }
-
-    fn dispatch_stub<H: ForkHost>(
-        &mut self,
-        heap: &mut Heap,
-        stub: StubId,
-        node: NodeId,
-        flags: u64,
-        part_args: Vec<Vec<Value>>,
-        host: &mut H,
-    ) -> RResult<()> {
-        if H::ENABLED && host.take_over(self.depth) {
-            // Hand the whole subtree to the host's tier before any
-            // dispatch cost is charged: the host's executor charges the
-            // full call from the dispatch onward, exactly as
-            // `Interp::run_stub` would.
-            let task = ForkTask {
-                stub,
-                child: node,
-                flags,
-                args: part_args,
-            };
-            let out = host.run_subtree(heap, task, &mut self.globals)?;
-            self.absorb_outcome(out);
-            return Ok(());
-        }
         // Virtual dispatch: read the node header (type tag / vtable).
         self.metrics.instructions += cost::DISPATCH;
         self.metrics.loads += 1;
@@ -433,29 +194,16 @@ impl<'a> Interp<'a> {
         if let Some(counts) = &mut self.class_visits {
             counts[class.index()] += 1;
         }
-        self.run_fn(heap, target, node, flags, part_args, host)
+        self.run_fn(heap, target, node, flags, part_args)
     }
 
-    /// Folds a host's counters back in (deterministic reduction: hosts
-    /// merge their workers in sibling order, then we absorb here at the
-    /// point the sequential run would have accrued the same counts).
-    fn absorb_outcome(&mut self, out: ForkOutcome) {
-        self.metrics.absorb(&out.metrics);
-        if let (Some(mine), Some(theirs)) = (&mut self.class_visits, &out.class_visits) {
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                *m += t;
-            }
-        }
-    }
-
-    fn run_fn<H: ForkHost>(
+    fn run_fn(
         &mut self,
         heap: &mut Heap,
         fn_id: FusedFnId,
         node: NodeId,
         flags: u64,
         part_args: Vec<Vec<Value>>,
-        host: &mut H,
     ) -> RResult<()> {
         self.metrics.visits += 1;
         // `fp` outlives `self`, so function data can be borrowed for the
@@ -492,33 +240,7 @@ impl<'a> Interp<'a> {
         }
 
         let mut active = flags;
-        let mut i = 0;
-        while i < f.body.len() {
-            // Statically certified parallel-safe call run: offer the whole
-            // run to the host. Charges up to and including argument
-            // evaluation happen here, in sequential item order, so the
-            // totals match a sequential run bit for bit.
-            if H::ENABLED {
-                if let Some(len) = fp.parallelism(fn_id).set_at(i) {
-                    if host.should_fork(self.depth) {
-                        let tasks = self.prepare_fork_tasks(
-                            heap,
-                            seq,
-                            &mut frames,
-                            node,
-                            &f.body[i..i + len],
-                            multi,
-                            active,
-                        )?;
-                        let out = host.fork(heap, self.depth, tasks, &self.globals)?;
-                        self.absorb_outcome(out);
-                        i += len;
-                        continue;
-                    }
-                }
-            }
-            let item = &f.body[i];
-            i += 1;
+        for item in &f.body {
             match item {
                 ScheduledItem::Stmt { traversal, stmt } => {
                     if multi {
@@ -564,67 +286,11 @@ impl<'a> Interp<'a> {
                         }
                     }
                     let args = self.eval_call_args(heap, seq, &mut frames, node, parts, active)?;
-                    self.call_stub(heap, *stub, child, call_flags, args, host)?;
+                    self.call_stub(heap, *stub, child, call_flags, args)?;
                 }
             }
         }
         Ok(())
-    }
-
-    /// Prepares one [`ForkTask`] per live call in a parallel-safe run,
-    /// charging exactly what the sequential loop charges before each call
-    /// (guard, navigation, flag shuffles, argument evaluation), in item
-    /// order. Null-child and fully-inactive calls produce no task — the
-    /// sequential loop `continue`s past them too.
-    #[allow(clippy::too_many_arguments)]
-    fn prepare_fork_tasks(
-        &mut self,
-        heap: &mut Heap,
-        seq: &[MethodId],
-        frames: &mut [Vec<Value>],
-        node: NodeId,
-        items: &[ScheduledItem],
-        multi: bool,
-        active: u64,
-    ) -> RResult<Vec<ForkTask>> {
-        let mut tasks = Vec::with_capacity(items.len());
-        for item in items {
-            let ScheduledItem::Call {
-                receiver,
-                stub,
-                parts,
-            } = item
-            else {
-                unreachable!("parallel-safe sets contain only Call items")
-            };
-            if multi {
-                self.metrics.instructions += cost::GUARD;
-            }
-            let mask: u64 = parts.iter().fold(0, |m, p| m | (1u64 << p.traversal));
-            if active & mask == 0 {
-                continue;
-            }
-            let Some(child) = self.navigate(heap, node, receiver)? else {
-                continue;
-            };
-            let mut call_flags = 0u64;
-            for (i, part) in parts.iter().enumerate() {
-                if multi {
-                    self.metrics.instructions += cost::FLAG_SHUFFLE;
-                }
-                if active & (1u64 << part.traversal) != 0 {
-                    call_flags |= 1u64 << i;
-                }
-            }
-            let args = self.eval_call_args(heap, seq, frames, node, parts, active)?;
-            tasks.push(ForkTask {
-                stub: *stub,
-                child,
-                flags: call_flags,
-                args,
-            });
-        }
-        Ok(tasks)
     }
 
     fn eval_call_args(

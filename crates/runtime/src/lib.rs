@@ -52,6 +52,8 @@
 //! assert_eq!(interp.metrics.visits, 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod heap;
 mod interp;
 mod metrics;
@@ -60,7 +62,7 @@ pub mod pipeline;
 mod pure;
 
 pub use heap::{default_literal, Heap, Layouts, NodeId, SnapValue, NODE_HEADER_BYTES, SLOT_BYTES};
-pub use interp::{ForkHost, ForkOutcome, ForkTask, Interp, NoFork, RuntimeError};
+pub use interp::{Interp, RuntimeError};
 pub use metrics::{cost, Metrics};
 pub use pure::{NativeFn, PureRegistry};
 

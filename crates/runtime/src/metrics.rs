@@ -42,15 +42,6 @@ impl Metrics {
         *self = Metrics::default();
     }
 
-    /// Folds another run's counters into this one (fork-join reduction:
-    /// u64 sums, so any deterministic order gives the sequential totals).
-    pub fn absorb(&mut self, other: &Metrics) {
-        self.visits += other.visits;
-        self.instructions += other.instructions;
-        self.loads += other.loads;
-        self.stores += other.stores;
-    }
-
     /// Total memory operations.
     pub fn memory_ops(&self) -> u64 {
         self.loads + self.stores

@@ -220,11 +220,7 @@ impl Daemon {
                 w.end_obj();
                 write_frame(writer, &w.finish())
             }
-            Request::Run {
-                program,
-                input,
-                parallel,
-            } => {
+            Request::Run { program, input } => {
                 let engine = match self.engine_for(&program) {
                     Ok(e) => e,
                     Err(e) => return write_frame(writer, &render_error(&e.stage, &e.message)),
@@ -234,11 +230,9 @@ impl Daemon {
                     Err(e) => return write_frame(writer, &render_error(&e.stage, &e.message)),
                 };
                 // Routed through the pool: pooled session, 2 GiB stack,
-                // per-input catch_unwind — even for a single run. Requested
-                // intra-tree parallelism forks further pool jobs from there.
-                let mut opts = BatchOptions::with_workers(1);
-                opts.parallel = parallel;
-                let mut results = engine.try_run_batch(vec![builder], &opts);
+                // per-input catch_unwind — even for a single run.
+                let mut results =
+                    engine.try_run_batch(vec![builder], &BatchOptions::with_workers(1));
                 let result = results.pop().expect("one input, one result");
                 let body = match result {
                     Ok(report) => {
@@ -262,7 +256,6 @@ impl Daemon {
                 program,
                 inputs,
                 window,
-                parallel,
             } => {
                 let engine = match self.engine_for(&program) {
                     Ok(e) => e,
@@ -276,8 +269,7 @@ impl Daemon {
                         Err(e) => return write_frame(writer, &render_error(&e.stage, &e.message)),
                     }
                 }
-                let mut opts = BatchOptions::with_workers(self.opts.workers.min(total.max(1)));
-                opts.parallel = parallel;
+                let opts = BatchOptions::with_workers(self.opts.workers.min(total.max(1)));
 
                 // Stream input-ordered chunks; TCP write stalls propagate
                 // through the sink into the batch window (backpressure).

@@ -29,13 +29,6 @@
 //! - `{"method":"run_batch","program":P,"inputs":[I...],"window":W}` —
 //!   a batch; responses stream back as input-ordered chunks.
 //!
-//! `run` and `run_batch` additionally accept an optional top-level
-//! `"parallel":{"workers":N,"fork_depth":D,"seq_cutoff":C}` object
-//! enabling intra-tree parallelism for each run (`fork_depth` and
-//! `seq_cutoff` optional). Parallel runs are bit-identical to
-//! sequential ones, so the setting never changes a response body —
-//! only server-side wall time.
-//!
 //! A program spec `P` is `{"source":S,"root":C,"passes":[..],
 //! "backend":"vm","opt_level":"O2","fusion":{..},"args":[[..]..]}`
 //! (everything but `source`, `root` and `passes` optional). An input
@@ -54,7 +47,7 @@
 
 use std::io::{self, Read, Write};
 
-use grafter_engine::{fnv1a, Backend, EngineKey, FusionOptions, OptLevel, ParallelOptions};
+use grafter_engine::{fnv1a, Backend, EngineKey, FusionOptions, OptLevel};
 use grafter_obs::json::{parse, Json, JsonWriter};
 use grafter_runtime::{Heap, NodeId, Value};
 
@@ -260,16 +253,12 @@ pub enum Request {
     Run {
         program: ProgramSpec,
         input: InputSpec,
-        /// Intra-tree parallelism for the run (`None` = sequential).
-        parallel: Option<ParallelOptions>,
     },
     RunBatch {
         program: ProgramSpec,
         inputs: Vec<InputSpec>,
         /// Reorder/backpressure window for the streamed response.
         window: usize,
-        /// Intra-tree parallelism per input (`None` = sequential).
-        parallel: Option<ParallelOptions>,
     },
 }
 
@@ -415,12 +404,7 @@ pub fn parse_request(body: &str) -> Result<Request, AppError> {
                 doc.get("input")
                     .ok_or_else(|| AppError::proto("run: missing `input`"))?,
             )?;
-            let parallel = parse_parallel(&doc)?;
-            Ok(Request::Run {
-                program,
-                input,
-                parallel,
-            })
+            Ok(Request::Run { program, input })
         }
         "run_batch" => {
             let program = parse_program(&doc)?;
@@ -436,12 +420,10 @@ pub fn parse_request(body: &str) -> Result<Request, AppError> {
                 .and_then(Json::as_num)
                 .map_or(8, |w| w as usize)
                 .clamp(1, 64);
-            let parallel = parse_parallel(&doc)?;
             Ok(Request::RunBatch {
                 program,
                 inputs,
                 window,
-                parallel,
             })
         }
         other => Err(AppError::proto(format!("unknown method `{other}`"))),
@@ -517,28 +499,6 @@ fn parse_program(doc: &Json) -> Result<ProgramSpec, AppError> {
         fusion,
         args,
     })
-}
-
-/// Parses the optional top-level `"parallel"` object. Worker counts are
-/// clamped to a sane range so one request cannot demand an absurd
-/// fan-out; depth and cutoff fall back to the engine defaults.
-fn parse_parallel(doc: &Json) -> Result<Option<ParallelOptions>, AppError> {
-    const MAX_WORKERS: usize = 64;
-    let Some(p) = doc.get("parallel") else {
-        return Ok(None);
-    };
-    let workers =
-        p.get("workers")
-            .and_then(Json::as_num)
-            .ok_or_else(|| AppError::proto("parallel: missing number `workers`"))? as usize;
-    let mut opts = ParallelOptions::with_workers(workers.clamp(1, MAX_WORKERS));
-    if let Some(n) = p.get("fork_depth").and_then(Json::as_num) {
-        opts.fork_depth = n as usize;
-    }
-    if let Some(n) = p.get("seq_cutoff").and_then(Json::as_num) {
-        opts.seq_cutoff = n as usize;
-    }
-    Ok(Some(opts))
 }
 
 fn parse_input(doc: &Json) -> Result<InputSpec, AppError> {
@@ -664,14 +624,6 @@ fn write_program(w: &mut JsonWriter, p: &ProgramSpec) {
     w.end_obj();
 }
 
-fn write_parallel(w: &mut JsonWriter, p: &ParallelOptions) {
-    w.key("parallel").begin_obj();
-    w.key("workers").num(p.workers);
-    w.key("fork_depth").num(p.fork_depth);
-    w.key("seq_cutoff").num(p.seq_cutoff);
-    w.end_obj();
-}
-
 fn write_input(w: &mut JsonWriter, input: &InputSpec) {
     w.begin_obj();
     match input {
@@ -723,41 +675,18 @@ fn write_tree(w: &mut JsonWriter, tree: &TreeSpec) {
 
 /// Renders a `run` request body.
 pub fn render_run(program: &ProgramSpec, input: &InputSpec) -> String {
-    render_run_with(program, input, None)
-}
-
-/// Renders a `run` request body with optional intra-tree parallelism.
-pub fn render_run_with(
-    program: &ProgramSpec,
-    input: &InputSpec,
-    parallel: Option<&ParallelOptions>,
-) -> String {
     let mut w = JsonWriter::with_capacity(program.source.len() + 256);
     w.begin_obj();
     w.key("method").str("run");
     write_program(&mut w, program);
     w.key("input");
     write_input(&mut w, input);
-    if let Some(p) = parallel {
-        write_parallel(&mut w, p);
-    }
     w.end_obj();
     w.finish()
 }
 
 /// Renders a `run_batch` request body.
 pub fn render_run_batch(program: &ProgramSpec, inputs: &[InputSpec], window: usize) -> String {
-    render_run_batch_with(program, inputs, window, None)
-}
-
-/// Renders a `run_batch` request body with optional intra-tree
-/// parallelism.
-pub fn render_run_batch_with(
-    program: &ProgramSpec,
-    inputs: &[InputSpec],
-    window: usize,
-    parallel: Option<&ParallelOptions>,
-) -> String {
     let mut w = JsonWriter::with_capacity(program.source.len() + 256 + 64 * inputs.len());
     w.begin_obj();
     w.key("method").str("run_batch");
@@ -768,9 +697,6 @@ pub fn render_run_batch_with(
     }
     w.end_arr();
     w.key("window").num(window);
-    if let Some(p) = parallel {
-        write_parallel(&mut w, p);
-    }
     w.end_obj();
     w.finish()
 }
@@ -892,7 +818,6 @@ mod tests {
             Request::Run {
                 program: p,
                 input: InputSpec::Tree(t),
-                parallel: None,
             } => {
                 assert_eq!(p.source, program.source);
                 assert_eq!(p.key(), program.key());
@@ -924,55 +849,6 @@ mod tests {
             }
             other => panic!("wrong parse: {other:?}"),
         }
-    }
-
-    #[test]
-    fn parallel_field_round_trips_and_clamps() {
-        let program = tiny_program();
-        let input = InputSpec::Gen {
-            workload: "ast".to_string(),
-            size: 64,
-            seed: 7,
-        };
-        let par = ParallelOptions {
-            workers: 4,
-            fork_depth: 3,
-            seq_cutoff: 128,
-        };
-        let body = render_run_with(&program, &input, Some(&par));
-        match parse_request(&body).expect("round-trips") {
-            Request::Run { parallel, .. } => assert_eq!(parallel, Some(par.clone())),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        let body = render_run_batch_with(&program, &[input], 4, Some(&par));
-        match parse_request(&body).expect("round-trips") {
-            Request::RunBatch { parallel, .. } => assert_eq!(parallel, Some(par)),
-            other => panic!("wrong parse: {other:?}"),
-        }
-
-        // Absent field parses as None; absurd worker counts clamp.
-        let body = render_run(
-            &tiny_program(),
-            &InputSpec::Tree(TreeSpec {
-                class: "N".to_string(),
-                fields: Vec::new(),
-                children: Vec::new(),
-            }),
-        );
-        assert!(matches!(
-            parse_request(&body).expect("parses"),
-            Request::Run { parallel: None, .. }
-        ));
-        let body = "{\"method\":\"run\",\"program\":{\"source\":\"tree class N { virtual traversal t() {} }\",\"root\":\"N\",\"passes\":[\"t\"]},\"input\":{\"tree\":{\"class\":\"N\"}},\"parallel\":{\"workers\":100000}}";
-        match parse_request(body).expect("parses") {
-            Request::Run { parallel, .. } => assert_eq!(parallel.expect("present").workers, 64),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        let body = "{\"method\":\"run\",\"program\":{\"source\":\"s\",\"root\":\"N\",\"passes\":[]},\"input\":{\"tree\":{\"class\":\"N\"}},\"parallel\":{}}";
-        assert!(
-            parse_request(body).is_err(),
-            "parallel without workers is refused"
-        );
     }
 
     #[test]

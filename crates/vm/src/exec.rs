@@ -122,56 +122,6 @@ impl<'a> Vm<'a> {
         self.run_with(heap, root, args, probe)
     }
 
-    /// Dispatches one stub call — the worker-side entry for executing a
-    /// forked subtree ([`grafter_runtime::ForkTask`]) in the VM tier.
-    /// Charges exactly what the in-line call would have charged from the
-    /// dispatch onward, matching [`grafter_runtime::Interp::run_stub`]
-    /// bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// As [`Vm::run`].
-    pub fn run_stub(
-        &mut self,
-        heap: &mut Heap,
-        stub: u16,
-        node: NodeId,
-        flags: u64,
-        args: &[Vec<Value>],
-    ) -> RResult<()> {
-        self.enter(heap, stub, node, flags, args, &mut NoProbe)
-    }
-
-    /// [`Vm::run_stub`] with a recording probe attached.
-    ///
-    /// # Errors
-    ///
-    /// As [`Vm::run`].
-    pub fn run_stub_probed(
-        &mut self,
-        heap: &mut Heap,
-        stub: u16,
-        node: NodeId,
-        flags: u64,
-        args: &[Vec<Value>],
-        probe: &mut ExecCounters,
-    ) -> RResult<()> {
-        self.enter(heap, stub, node, flags, args, probe)
-    }
-
-    /// The flattened global frame (identical layout across all tiers —
-    /// every executor flattens with `flatten_globals`).
-    pub fn globals_frame(&self) -> &[Value] {
-        &self.globals
-    }
-
-    /// Overwrites the flattened global frame (fork workers start from the
-    /// orchestrator's snapshot).
-    pub fn set_globals_frame(&mut self, frame: &[Value]) {
-        assert_eq!(frame.len(), self.globals.len(), "global frame layout");
-        self.globals.copy_from_slice(frame);
-    }
-
     fn run_with<P: ExecProbe>(
         &mut self,
         heap: &mut Heap,

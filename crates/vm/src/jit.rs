@@ -2290,39 +2290,6 @@ impl<'a> Jit<'a> {
         Ok(())
     }
 
-    /// Dispatches one stub call — the worker-side entry for executing a
-    /// forked subtree ([`grafter_runtime::ForkTask`]) in the JIT tier.
-    /// In counted mode this charges exactly what the in-line call would
-    /// have charged from the dispatch onward, matching
-    /// [`grafter_runtime::Interp::run_stub`] bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// As [`Jit::run`].
-    pub fn run_stub(
-        &mut self,
-        heap: &mut Heap,
-        stub: u16,
-        node: NodeId,
-        flags: u64,
-        args: &[Vec<Value>],
-    ) -> RResult<()> {
-        self.enter(heap, stub, node, flags, args)
-    }
-
-    /// The flattened global frame (identical layout across all tiers —
-    /// every executor flattens with `flatten_globals`).
-    pub fn globals_frame(&self) -> &[Value] {
-        &self.st.globals
-    }
-
-    /// Overwrites the flattened global frame (fork workers start from the
-    /// orchestrator's snapshot).
-    pub fn set_globals_frame(&mut self, frame: &[Value]) {
-        assert_eq!(frame.len(), self.st.globals.len(), "global frame layout");
-        self.st.globals.copy_from_slice(frame);
-    }
-
     /// Entry-point dispatch: arguments arrive as caller-provided vectors,
     /// one per entry part.
     fn enter(

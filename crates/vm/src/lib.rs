@@ -78,6 +78,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod exec;
 pub mod jit;
 mod lower;

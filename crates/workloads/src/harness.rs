@@ -243,7 +243,6 @@ pub fn batch_throughput(
     let opts = BatchOptions {
         workers,
         stack_bytes: RUN_STACK,
-        ..BatchOptions::default()
     };
     let start = Instant::now();
     let reports = engine

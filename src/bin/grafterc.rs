@@ -17,7 +17,7 @@
 //! grafterc <file.gr | -> --root <Class> --passes <t1,t2,...>
 //!          [--unfused] [--explain] [--stats] [--backend interp|vm|jit|jit-release]
 //!          [-O0|-O1|-O2] [--emit cpp|bytecode|none] [--disasm-blocks]
-//!          [--run] [--parallel N] [--json] [--profile] [--trace-out FILE]
+//!          [--run] [--json] [--profile] [--trace-out FILE]
 //! ```
 //!
 //! `--backend` names the execution tier the artifact is being prepared
@@ -37,10 +37,6 @@
 //! execution that surfaces runtime failures. With `--run --json` the
 //! run's `Report` is additionally serialized as one JSON object on
 //! stdout (combine with `--emit none` for a pure-JSON stdout).
-//! `--parallel N` runs with N-worker intra-tree parallelism (forking
-//! statically certified independent sibling subtrees onto the worker
-//! pool); results are bit-identical to a sequential run, so the flag
-//! only changes wall time.
 //!
 //! `--explain` prints the fusability report on stdout: one verdict per
 //! same-receiver candidate pair — fused, missed (with the grouping
@@ -71,7 +67,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use grafter::{Diag, DiagnosticBag, Error, FuseOptions, Stage};
-use grafter_engine::{Backend, Engine, OptLevel, ParallelOptions, Probe, TraceProbe};
+use grafter_engine::{Backend, Engine, OptLevel, Probe, TraceProbe};
 
 const EXIT_IO: u8 = 1;
 const EXIT_USAGE: u8 = 2;
@@ -134,11 +130,6 @@ const FLAGS: &[FlagSpec] = &[
         name: "--run",
         value: None,
         help: "execute once on a fresh root-class node; report on stderr (stdout with --json)",
-    },
-    FlagSpec {
-        name: "--parallel",
-        value: Some("N"),
-        help: "run with N-worker intra-tree parallelism (bit-identical results)",
     },
     FlagSpec {
         name: "--json",
@@ -378,16 +369,6 @@ fn main() -> ExitCode {
     } else {
         FuseOptions::default()
     };
-    let parallel = match cli.value("--parallel") {
-        None => None,
-        Some(n) => match n.parse::<usize>() {
-            Ok(workers) if workers >= 1 => Some(ParallelOptions::with_workers(workers)),
-            _ => {
-                eprintln!("error: --parallel expects a worker count of at least 1");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        },
-    };
     let probe = cli.has("--profile").then(|| Arc::new(TraceProbe::new()));
     let trace_out = cli.value("--trace-out").map(str::to_string);
     if trace_out.is_some() && probe.is_none() {
@@ -516,9 +497,6 @@ fn main() -> ExitCode {
 
     if cli.has("--run") {
         let mut session = engine.session();
-        if let Some(par) = &parallel {
-            session = session.with_parallel(par.clone());
-        }
         let node = match session.alloc(&root) {
             Ok(node) => node,
             Err(err) => return report(&err, &pending, &source, &path, json),

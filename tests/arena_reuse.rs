@@ -110,7 +110,6 @@ fn pooled_batch_workers_stay_input_ordered_and_deterministic() {
                 let opts = BatchOptions {
                     workers,
                     stack_bytes: STACK,
-                    ..BatchOptions::default()
                 };
                 let batch = engine.run_batch_with(inputs, &opts).expect("batch runs");
                 assert_eq!(

@@ -133,7 +133,6 @@ fn run_batch_is_deterministic_and_ordered_for_every_case_study() {
                 &BatchOptions {
                     workers: 1,
                     stack_bytes: STACK,
-                    ..BatchOptions::default()
                 },
             )
             .unwrap();
@@ -143,7 +142,6 @@ fn run_batch_is_deterministic_and_ordered_for_every_case_study() {
                 &BatchOptions {
                     workers: THREADS,
                     stack_bytes: STACK,
-                    ..BatchOptions::default()
                 },
             )
             .unwrap();

@@ -109,7 +109,6 @@ fn help_lists_every_flag_and_exits_zero() {
         "--emit",
         "--disasm-blocks",
         "--run",
-        "--parallel",
         "--json",
         "--profile",
         "--trace-out",
