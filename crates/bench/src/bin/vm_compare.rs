@@ -1,10 +1,9 @@
-//! Interp-vs-VM-vs-JIT wall-clock comparison over the four case-study
+//! Interp-vs-VM wall-clock comparison over the four case-study
 //! workloads, fused and unfused, plus per-opt-level fused VM medians
-//! (`O0` vs `O2`), fused JIT medians in both counted and release mode,
-//! and batch throughput of the fused VM engine at 1, 4 and 8 worker
-//! threads — recorded to `BENCH_vm.json` together with per-stage compile
-//! wall times (parse/sema/fusion/lower/opt passes/jit) from each
-//! workload's engine build.
+//! (`O0` vs `O2`) and batch throughput of the fused VM engine at 1, 4
+//! and 8 worker threads — recorded to `BENCH_vm.json` together with
+//! per-stage compile wall times (parse/sema/fusion/lower/opt passes)
+//! from each workload's engine build.
 //!
 //! Every configuration (backend × fusion × opt level) is one immutable
 //! `grafter_engine::Engine`, built once — compile, fusion, bytecode
@@ -23,11 +22,10 @@
 //! ```
 //!
 //! `--check` is the CI perf-regression gate: instead of writing a new
-//! JSON it measures the fused medians — VM (default `O2`) plus the JIT
-//! tier in counted and release mode — and the fused-VM batch throughput
-//! at every recorded worker count, and fails with exit code 1 when any
-//! workload/tier (or batch trees/sec figure) regresses more than 25%
-//! against the committed baseline (`--baseline`, default
+//! JSON it measures the fused VM median (default `O2`) and the fused-VM
+//! batch throughput at every recorded worker count, and fails with exit
+//! code 1 when any workload (or batch trees/sec figure) regresses more
+//! than 25% against the committed baseline (`--baseline`, default
 //! `BENCH_vm.json`). Before measuring anything, the baseline itself is
 //! strictly validated against the current case studies: a workload
 //! missing from the baseline, a stale baseline workload the code no
@@ -45,7 +43,7 @@ use std::time::Instant;
 
 use grafter::FusionOptions;
 use grafter_bench::{arg_value, baseline};
-use grafter_engine::{Backend, Engine, JitMode, OptLevel};
+use grafter_engine::{Backend, Engine, OptLevel};
 use grafter_runtime::{with_stack, Heap};
 use grafter_workloads::harness::{batch_throughput, Throughput, RUN_STACK};
 use grafter_workloads::{case_studies, CaseStudy};
@@ -53,20 +51,18 @@ use grafter_workloads::{case_studies, CaseStudy};
 /// Worker-thread counts swept by the throughput experiment.
 const BATCH_WORKERS: [usize; 3] = [1, 4, 8];
 
-/// Allowed fused-median regression per tier before `--check` fails (25%).
+/// Allowed fused-median regression before `--check` fails (25%).
 const CHECK_TOLERANCE: f64 = 1.25;
 
 /// Fused median keys every baseline workload must record for `--check`
 /// to have anything to gate against.
-const REQUIRED_BASELINE_KEYS: &[&[&str]] = &[&["vm_ns"], &["jit", "counted"], &["jit", "release"]];
+const REQUIRED_BASELINE_KEYS: &[&[&str]] = &[&["vm_ns"]];
 
 struct Config {
     interp_ns: u128,
     vm_ns: u128,
     /// Fused-only: per-opt-level VM medians (`O0`, `O2`).
     opt_ns: Option<(u128, u128)>,
-    /// Fused-only: JIT medians (counted, release).
-    jit_ns: Option<(u128, u128)>,
     visits: u64,
 }
 
@@ -86,8 +82,8 @@ struct WorkloadRow {
     unfused: Config,
     batch: Vec<Throughput>,
     /// Per-stage compile wall times (`(stage, ns)`, build order) of one
-    /// fused jit-tier build from source, plus the build's total — every
-    /// stage from parse to jit chain construction appears.
+    /// fused VM build from source, plus the build's total — every stage
+    /// from parse to the last optimizer pass appears.
     compile: (Vec<(String, u128)>, u128),
 }
 
@@ -140,22 +136,10 @@ fn compare(
         // The default engine above already is O2; reuse its median.
         (o0_ns, vm_ns)
     });
-    let jit_ns = sweep_opt_levels.then(|| {
-        // Both jit modes count visits (release drops every *other*
-        // counter), so the like-for-like cross-check holds for them too.
-        let counted = case.engine_with(opts.clone(), Backend::Jit(JitMode::Counted));
-        let release = case.engine_with(opts.clone(), Backend::Jit(JitMode::Release));
-        let (counted_ns, v_counted) = time_runs(samples, &counted, heap, root);
-        let (release_ns, v_release) = time_runs(samples, &release, heap, root);
-        assert_eq!(v_counted, v_vm, "jit-counted disagrees on visit counts");
-        assert_eq!(v_release, v_vm, "jit-release disagrees on visit counts");
-        (counted_ns, release_ns)
-    });
     Config {
         interp_ns,
         vm_ns,
         opt_ns,
-        jit_ns,
         visits: v_vm,
     }
 }
@@ -181,13 +165,13 @@ fn workload(samples: usize, batch_trees: usize, case: &CaseStudy) -> WorkloadRow
             )
         })
         .collect();
-    // Compile-side stage timings: rebuild the fused jit engine from
+    // Compile-side stage timings: rebuild the fused VM engine from
     // *source* (the case studies' engines reuse a pre-compiled frontend
     // artifact, which would hide the parse/sema stages).
     let traced = Engine::builder()
         .source(case.source)
         .entry(case.root_class, &case.passes)
-        .backend(Backend::Jit(JitMode::Counted))
+        .backend(Backend::Vm)
         .build()
         .expect("case-study entry sequence resolves");
     let trace = traced.compile_trace();
@@ -213,20 +197,13 @@ fn json_config(c: &Config) -> String {
         Some((o0, o2)) => format!(r#", "opt": {{"O0": {o0}, "O2": {o2}}}"#),
         None => String::new(),
     };
-    let jit = match c.jit_ns {
-        Some((counted, release)) => {
-            format!(r#", "jit": {{"counted": {counted}, "release": {release}}}"#)
-        }
-        None => String::new(),
-    };
     format!(
-        r#"{{"interp_ns": {}, "vm_ns": {}, "speedup": {:.3}, "visits": {}{}{}}}"#,
+        r#"{{"interp_ns": {}, "vm_ns": {}, "speedup": {:.3}, "visits": {}{}}}"#,
         c.interp_ns,
         c.vm_ns,
         c.speedup(),
         c.visits,
-        opt,
-        jit
+        opt
     )
 }
 
@@ -257,9 +234,8 @@ fn json_batch(batch: &[Throughput]) -> String {
 }
 
 /// The `--check` gate: strictly validate the committed baseline, then
-/// measure the fused medians of every gated tier (VM `O2`, JIT counted,
-/// JIT release) and compare each against it. Returns the number of
-/// regressed workload/tier pairs.
+/// measure the fused VM `O2` median of every workload and compare each
+/// against it. Returns the number of regressed workload/tier pairs.
 ///
 /// Validation runs first and panics on any mismatch — a renamed
 /// workload, a stale baseline row or a missing median key must fail the
@@ -281,15 +257,6 @@ fn check(samples: usize, baseline_path: &str, slowdown: f64) -> usize {
             problems.join("\n  ")
         );
     }
-    let tiers: [(&str, Backend, &[&str]); 3] = [
-        ("vm", Backend::Vm, &["vm_ns"]),
-        ("jit", Backend::Jit(JitMode::Counted), &["jit", "counted"]),
-        (
-            "jit-release",
-            Backend::Jit(JitMode::Release),
-            &["jit", "release"],
-        ),
-    ];
     let mut regressed = 0;
     println!(
         "{:<10} {:<12} {:>14} {:>14} {:>9}   (tolerance: +{:.0}%)",
@@ -303,28 +270,25 @@ fn check(samples: usize, baseline_path: &str, slowdown: f64) -> usize {
     for case in &cases {
         let mut heap = Heap::new(case.compiled.program());
         let root = case.build_bench(&mut heap);
-        for (tier, backend, keys) in tiers {
-            let base_ns = baseline::fused_u128(&json, case.name, keys)
-                .expect("validate() guaranteed the key is present");
-            let engine = case.engine_with(FusionOptions::default(), backend);
-            let (measured, _) = time_runs(samples, &engine, &heap, root);
-            let measured = (measured as f64 * slowdown) as u128;
-            let ratio = measured as f64 / base_ns as f64;
-            let verdict = if ratio > CHECK_TOLERANCE {
-                regressed += 1;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "{:<10} {:<12} {:>12}ns {:>12}ns {:>8.2}x   {verdict}",
-                case.name, tier, base_ns, measured, ratio
-            );
-        }
+        let engine = case.engine_with(FusionOptions::default(), Backend::Vm);
+        let base_ns = baseline::fused_u128(&json, case.name, &["vm_ns"])
+            .expect("validate() guaranteed the key is present");
+        let (measured, _) = time_runs(samples, &engine, &heap, root);
+        let measured = (measured as f64 * slowdown) as u128;
+        let ratio = measured as f64 / base_ns as f64;
+        let verdict = if ratio > CHECK_TOLERANCE {
+            regressed += 1;
+            "REGRESSED"
+        } else {
+            "ok"
+        };
+        println!(
+            "{:<10} {:<12} {:>12}ns {:>12}ns {:>8.2}x   {verdict}",
+            case.name, "vm", base_ns, measured, ratio
+        );
         // Batch-throughput gate: each recorded worker count must sustain
         // its baseline trees/sec within the same tolerance. Throughput
         // regresses *downward*, so the ratio is baseline over measured.
-        let engine = case.engine_with(FusionOptions::default(), Backend::Vm);
         for entry in baseline::batch_entries(&json, case.name)
             .expect("validate_batch() guaranteed the array is present")
         {
@@ -379,7 +343,7 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "perf check ok: no fused vm/jit median or batch throughput regressed >25% vs baseline"
+            "perf check ok: no fused vm median or batch throughput regressed >25% vs baseline"
         );
         return;
     }
@@ -425,27 +389,6 @@ fn main() {
                 o0,
                 o2,
                 if o2 == 0 { 1.0 } else { o0 as f64 / o2 as f64 }
-            );
-        }
-    }
-    println!(
-        "\n{:<10} {:>14} {:>14} {:>14} {:>9}",
-        "workload", "vm -O2", "jit counted", "jit release", "speedup"
-    );
-    for r in &rows {
-        if let Some((counted, release)) = r.fused.jit_ns {
-            // The headline column: release-mode jit over the fused O2 VM.
-            println!(
-                "{:<10} {:>12}ns {:>12}ns {:>12}ns {:>8.2}x",
-                r.name,
-                r.fused.vm_ns,
-                counted,
-                release,
-                if release == 0 {
-                    1.0
-                } else {
-                    r.fused.vm_ns as f64 / release as f64
-                }
             );
         }
     }

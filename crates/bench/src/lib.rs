@@ -210,7 +210,7 @@ pub mod baseline {
     }
 
     /// Extracts an integer median of `workload`'s `"fused"` object by key
-    /// path, e.g. `["vm_ns"]` or `["jit", "release"]`.
+    /// path, e.g. `["vm_ns"]` or `["opt", "O0"]`.
     pub fn fused_u128(json: &str, workload: &str, keys: &[&str]) -> Option<u128> {
         let row = row(json, workload)?;
         let mut scope = &row[row.find("\"fused\":")?..];
@@ -283,8 +283,8 @@ pub mod baseline {
 
         const GOOD: &str = r#"{
           "workloads": [
-            {"name": "ast", "fused": {"interp_ns": 9, "vm_ns": 3, "jit": {"counted": 4, "release": 2}}, "unfused": {"vm_ns": 7}},
-            {"name": "fmm", "fused": {"interp_ns": 90, "vm_ns": 30, "jit": {"counted": 40, "release": 20}}, "unfused": {"vm_ns": 70}}
+            {"name": "ast", "fused": {"interp_ns": 9, "vm_ns": 3, "opt": {"O0": 4, "O2": 2}}, "unfused": {"vm_ns": 7}},
+            {"name": "fmm", "fused": {"interp_ns": 90, "vm_ns": 30, "opt": {"O0": 40, "O2": 20}}, "unfused": {"vm_ns": 70}}
           ]
         }"#;
 
@@ -292,25 +292,25 @@ pub mod baseline {
         fn extracts_names_and_medians() {
             assert_eq!(workload_names(GOOD), vec!["ast", "fmm"]);
             assert_eq!(fused_u128(GOOD, "ast", &["vm_ns"]), Some(3));
-            assert_eq!(fused_u128(GOOD, "fmm", &["jit", "release"]), Some(20));
-            assert_eq!(fused_u128(GOOD, "fmm", &["jit", "counted"]), Some(40));
+            assert_eq!(fused_u128(GOOD, "fmm", &["opt", "O2"]), Some(20));
+            assert_eq!(fused_u128(GOOD, "fmm", &["opt", "O0"]), Some(40));
         }
 
         #[test]
         fn fused_lookup_stays_inside_the_row_and_fused_object() {
-            // `ast` has no jit key here; the lookup must not drift into
+            // `ast` has no opt key here; the lookup must not drift into
             // `fmm`'s fused object or into ast's unfused object.
             let json = r#"{"workloads": [
-                {"name": "ast", "fused": {"vm_ns": 3}, "unfused": {"vm_ns": 7, "jit": {"release": 9}}},
-                {"name": "fmm", "fused": {"vm_ns": 30, "jit": {"counted": 40, "release": 20}}}
+                {"name": "ast", "fused": {"vm_ns": 3}, "unfused": {"vm_ns": 7, "opt": {"O2": 9}}},
+                {"name": "fmm", "fused": {"vm_ns": 30, "opt": {"O0": 40, "O2": 20}}}
             ]}"#;
-            assert_eq!(fused_u128(json, "ast", &["jit", "release"]), None);
+            assert_eq!(fused_u128(json, "ast", &["opt", "O2"]), None);
             assert_eq!(fused_u128(json, "ast", &["vm_ns"]), Some(3));
         }
 
         #[test]
         fn validate_accepts_a_complete_baseline() {
-            let required: &[&[&str]] = &[&["vm_ns"], &["jit", "counted"], &["jit", "release"]];
+            let required: &[&[&str]] = &[&["vm_ns"], &["opt", "O0"], &["opt", "O2"]];
             assert!(validate(GOOD, &["ast", "fmm"], required).is_ok());
         }
 
@@ -373,13 +373,13 @@ pub mod baseline {
 
         #[test]
         fn validate_fails_on_missing_key() {
-            let no_jit = r#"{"workloads": [
+            let no_opt = r#"{"workloads": [
                 {"name": "ast", "fused": {"vm_ns": 3}, "unfused": {"vm_ns": 7}}
             ]}"#;
-            let required: &[&[&str]] = &[&["vm_ns"], &["jit", "release"]];
-            let problems = validate(no_jit, &["ast"], required).unwrap_err();
+            let required: &[&[&str]] = &[&["vm_ns"], &["opt", "O0"]];
+            let problems = validate(no_opt, &["ast"], required).unwrap_err();
             assert_eq!(problems.len(), 1);
-            assert!(problems[0].contains("missing fused key `jit.release`"));
+            assert!(problems[0].contains("missing fused key `opt.O0`"));
         }
     }
 }

@@ -7,7 +7,7 @@ use grafter::pipeline::Compiled;
 use grafter::{fuse, Error, FusionMetrics, FusionOptions};
 use grafter_obs::{CompileTrace, Probe, Span};
 use grafter_runtime::{Layouts, PureRegistry, Value};
-use grafter_vm::{jit, lower_with, Backend, OptLevel, VmOptions};
+use grafter_vm::{lower_with, Backend, OptLevel, VmOptions};
 
 use crate::engine::Engine;
 use grafter_cachesim::CacheHierarchy;
@@ -213,13 +213,12 @@ impl EngineBuilder {
             missed_pairs: fused.coverage.missed_pairs,
             blocked_pairs: fused.coverage.blocked_pairs,
         };
-        // The compile-once step of the compiled tiers: lowering (and
-        // bytecode optimization) happens here and nowhere else in the
-        // engine's lifetime. The jit tier additionally compiles the
-        // optimized module into its closure program, also exactly once.
+        // The compile-once step of the VM tier: lowering (and bytecode
+        // optimization) happens here and nowhere else in the engine's
+        // lifetime.
         let module = match self.backend {
             Backend::Interp => None,
-            Backend::Vm | Backend::Jit(_) => {
+            Backend::Vm => {
                 let t = build_start.elapsed();
                 let m = lower_with(
                     &fused,
@@ -263,23 +262,6 @@ impl EngineBuilder {
                 Some(m)
             }
         };
-        let jit = match self.backend {
-            Backend::Jit(mode) => module.as_ref().map(|m| {
-                let t = build_start.elapsed();
-                let p = jit::compile_with(m, mode, self.probe.is_some());
-                spans.push(Span {
-                    name: "jit".to_string(),
-                    start: t,
-                    dur: build_start.elapsed() - t,
-                    meta: vec![
-                        ("blocks".to_string(), p.n_blocks().to_string()),
-                        ("mode".to_string(), format!("{mode:?}")),
-                    ],
-                });
-                p
-            }),
-            _ => None,
-        };
         let mut warnings = compiled.warnings().clone();
         warnings.dedup();
         // Computed once here; every session heap shares the fused
@@ -298,7 +280,6 @@ impl EngineBuilder {
             fused,
             fusion,
             module,
-            jit,
             backend: self.backend,
             opt_level: self.opt_level,
             shared_program,

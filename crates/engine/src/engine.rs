@@ -5,7 +5,7 @@ use std::sync::Arc;
 use grafter::{cpp, DiagnosticBag, FusedProgram, FusionMetrics};
 use grafter_frontend::Program;
 use grafter_runtime::{Heap, Layouts, PureRegistry, Value};
-use grafter_vm::{Backend, JitProgram, Module, OptLevel};
+use grafter_vm::{Backend, Module, OptLevel};
 
 use crate::builder::EngineBuilder;
 use crate::session::Session;
@@ -27,12 +27,9 @@ pub struct Engine {
     pub(crate) src: String,
     pub(crate) fused: FusedProgram,
     pub(crate) fusion: FusionMetrics,
-    /// Lowered exactly once at build for the compiled tiers
-    /// ([`Backend::Vm`] and [`Backend::Jit`]); `None` on the interpreter
-    /// tier.
+    /// Lowered exactly once at build for [`Backend::Vm`]; `None` on the
+    /// interpreter tier.
     pub(crate) module: Option<Module>,
-    /// Closure-compiled exactly once at build for [`Backend::Jit`].
-    pub(crate) jit: Option<JitProgram>,
     pub(crate) backend: Backend,
     /// Bytecode optimization level the module was lowered at (set even on
     /// the interpreter tier, where it has no effect).
@@ -95,7 +92,7 @@ impl Engine {
     }
 
     /// Per-stage wall times of the build (parse/sema when built from
-    /// source, fusion, lowering, each optimization pass, jit compile).
+    /// source, fusion, lowering, each optimization pass).
     /// Always recorded; attaching a probe additionally delivers it to
     /// [`grafter_obs::Probe::on_compile`].
     pub fn compile_trace(&self) -> &grafter_obs::CompileTrace {
@@ -133,15 +130,9 @@ impl Engine {
     }
 
     /// The lowered bytecode module — `Some` exactly when the engine was
-    /// built with a compiled tier ([`Backend::Vm`] or [`Backend::Jit`]).
+    /// built with [`Backend::Vm`].
     pub fn module(&self) -> Option<&Module> {
         self.module.as_ref()
-    }
-
-    /// The closure-compiled program — `Some` exactly when the engine was
-    /// built with [`Backend::Jit`].
-    pub fn jit_program(&self) -> Option<&JitProgram> {
-        self.jit.as_ref()
     }
 
     /// Renders the fused program as C++-like source (the paper's Fig. 6).
@@ -167,7 +158,6 @@ impl std::fmt::Debug for Engine {
             .field("opt_level", &self.opt_level)
             .field("fusion", &self.fusion)
             .field("module", &self.module.as_ref().map(|m| m.n_ops()))
-            .field("jit", &self.jit.as_ref().map(|p| p.n_blocks()))
             .field("warnings", &self.warnings.len())
             .finish_non_exhaustive()
     }

@@ -94,7 +94,7 @@ pub use grafter::{Error, FusionMetrics, FusionOptions};
 pub use grafter_obs::{
     BatchTrace, CompileTrace, NullProbe, Probe, RunTrace, TierProfile, TraceProbe,
 };
-pub use grafter_vm::{Backend, JitMode, OptLevel};
+pub use grafter_vm::{Backend, OptLevel};
 pub use pool::{pool_stats, PoolStats};
 pub use report::Report;
 pub use session::Session;

@@ -203,8 +203,8 @@ impl fmt::Display for Report {
         if self.backend == Backend::Interp {
             write!(f, "[{}]", self.backend)?;
         } else {
-            // Compiled tiers (vm, jit, jit-release) name the bytecode
-            // level their module was optimized at.
+            // The VM tier names the bytecode level its module was
+            // optimized at.
             write!(f, "[{} {}]", self.backend, self.opt_level)?;
         }
         write!(

@@ -6,7 +6,7 @@ use grafter::{Diag, Error, Stage};
 use grafter_cachesim::CacheHierarchy;
 use grafter_obs::{ExecCounters, RunTrace, TierProfile};
 use grafter_runtime::{Heap, Interp, NodeId, PureRegistry, SnapValue, Value};
-use grafter_vm::{Backend, Jit, Vm};
+use grafter_vm::{Backend, Vm};
 
 use crate::engine::Engine;
 use crate::report::Report;
@@ -195,7 +195,7 @@ impl<'e> Session<'e> {
         let global_names = engine.program().globals.iter().map(|g| g.name.clone());
         // Run-side profiling exists only when the engine has a probe; the
         // unprobed paths are exactly the pre-observability ones (the VM
-        // hooks monomorphize away, the jit compiles without counters).
+        // hooks monomorphize away).
         let probing = engine.probe.is_some();
         // `wall` times the execution alone; executor setup and the
         // post-run globals readout stay outside the measured region.
@@ -267,40 +267,6 @@ impl<'e> Session<'e> {
                 (
                     vm.metrics,
                     vm.cache.as_ref().map(CacheHierarchy::stats),
-                    globals,
-                    wall,
-                    profile,
-                )
-            }
-            Backend::Jit(_) => {
-                let program = engine
-                    .jit
-                    .as_ref()
-                    .expect("jit engine holds its closure program (compiled at build)");
-                let mut jit = Jit::with_pures(program, pures);
-                if let Some(cache) = cache {
-                    jit = jit.with_cache(cache);
-                }
-                if probing {
-                    jit = jit.with_counters();
-                }
-                let start = Instant::now();
-                jit.run(&mut self.heap, root, args).map_err(runtime_err)?;
-                let wall = start.elapsed();
-                let globals = global_names
-                    .map(|name| {
-                        let value = jit.global(&name).expect("declared global resolves");
-                        (name, value)
-                    })
-                    .collect();
-                let module = engine
-                    .module
-                    .as_ref()
-                    .expect("jit engine holds its module (lowered at build)");
-                let profile = jit.take_counters().map(|c| program.profile(&c, module));
-                (
-                    jit.metrics().clone(),
-                    jit.cache().map(CacheHierarchy::stats),
                     globals,
                     wall,
                     profile,

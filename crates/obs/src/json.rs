@@ -261,8 +261,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts.
+///
+/// The parser recurses once per level, and so do the recursive walks of
+/// a parsed [`Json`] (its drop, and the wire protocol's inline-tree
+/// decoding). A frame of a few hundred kilobytes nested a few hundred
+/// thousand levels deep would otherwise overflow the parsing thread's
+/// stack, which aborts the process instead of failing the request. No
+/// document this workspace writes comes near the cap.
+pub const MAX_DEPTH: usize = 1024;
+
 struct Parser<'s> {
-    src: &'s [u8],
+    src: &'s str,
     pos: usize,
 }
 
@@ -275,7 +285,7 @@ impl<'s> Parser<'s> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.src.get(self.pos) {
+        while let Some(&b) = self.src.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -285,7 +295,7 @@ impl<'s> Parser<'s> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -298,7 +308,7 @@ impl<'s> Parser<'s> {
     }
 
     fn eat_lit(&mut self, lit: &str, val: Json) -> Result<Json, JsonError> {
-        if self.src[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(val)
         } else {
@@ -306,11 +316,15 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Parses one value nested inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
@@ -321,7 +335,7 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -334,7 +348,7 @@ impl<'s> Parser<'s> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let val = self.value()?;
+            let val = self.value(depth)?;
             map.insert(key, val);
             self.skip_ws();
             match self.peek() {
@@ -348,7 +362,7 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -357,7 +371,7 @@ impl<'s> Parser<'s> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -374,13 +388,21 @@ impl<'s> Parser<'s> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` as one slice. Both
+            // are ASCII, so the run starts and ends on char boundaries.
+            let run = self.src.as_bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.src.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -395,7 +417,6 @@ impl<'s> Parser<'s> {
                             let hex = self
                                 .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok());
                             match hex.and_then(char::from_u32) {
                                 // Surrogate pairs are not needed for the
@@ -410,19 +431,6 @@ impl<'s> Parser<'s> {
                         _ => return self.err("bad escape"),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through byte-by-byte; input is valid UTF-8 by
-                    // construction of &str).
-                    let rest = &self.src[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| JsonError {
-                        msg: "invalid utf-8".into(),
-                        at: self.pos,
-                    })?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -451,8 +459,7 @@ impl<'s> Parser<'s> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-        match text.parse::<f64>() {
+        match self.src[start..self.pos].parse::<f64>() {
             Ok(n) => Ok(Json::Num(n)),
             Err(_) => self.err("bad number"),
         }
@@ -461,11 +468,8 @@ impl<'s> Parser<'s> {
 
 /// Parses a JSON document, requiring it to be fully consumed.
 pub fn parse(src: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        src: src.as_bytes(),
-        pos: 0,
-    };
-    let val = p.value()?;
+    let mut p = Parser { src, pos: 0 };
+    let val = p.value(0)?;
     p.skip_ws();
     if p.pos != p.src.len() {
         return p.err("trailing data after document");
@@ -565,6 +569,52 @@ mod tests {
     fn unicode_escapes_round_trip() {
         let doc = parse(r#""Aé""#).unwrap();
         assert_eq!(doc.as_str(), Some("Aé"));
+    }
+
+    #[test]
+    fn strings_mixing_runs_escapes_and_multibyte_utf8_decode_exactly() {
+        let run = "plain ascii, é ü €, 😀 and 𝄞 ".repeat(200);
+        let src = format!(r#""{run}\"\\\/\n\r\t\b\f\u0041\u00e9\u20ac{run}x\\""#);
+        let want = format!("{run}\"\\/\n\r\t\u{8}\u{c}Aé€{run}x\\");
+        assert_eq!(parse(&src), Ok(Json::Str(want)));
+        // Runs end exactly at quotes and escapes, including at the edges.
+        assert_eq!(parse(r#""""#), Ok(Json::Str(String::new())));
+        assert_eq!(parse(r#""\n""#), Ok(Json::Str("\n".to_string())));
+        assert_eq!(parse(r#""é\"""#), Ok(Json::Str("é\"".to_string())));
+        assert!(parse(r#""unterminated é"#).is_err());
+        assert!(parse(r#""bad \q escape""#).is_err());
+        assert!(parse(r#""short \u00""#).is_err());
+    }
+
+    #[test]
+    fn megabyte_strings_decode_in_linear_time() {
+        let body = "0123456789abcdeé".repeat(1 << 16);
+        assert!(body.len() > 1 << 20);
+        let src = format!("[\"{body}\"]");
+        let start = std::time::Instant::now();
+        let doc = parse(&src).unwrap();
+        let took = start.elapsed();
+        assert_eq!(doc.as_arr().unwrap()[0].as_str(), Some(body.as_str()));
+        // Linear decoding takes milliseconds even unoptimized; a decoder
+        // that rescans the rest of the input per character takes minutes.
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "1 MiB string took {took:?}"
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(parse(&nested(open, close, MAX_DEPTH)).is_ok());
+            // One level past the cap fails, and so does a bomb far past
+            // it, without exhausting the stack.
+            for depth in [MAX_DEPTH + 1, 300_000] {
+                let err = parse(&nested(open, close, depth)).unwrap_err();
+                assert!(err.msg.contains("nesting deeper than"), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   `ENABLED = false` and empty inline methods, so every hook guarded by
 //!   `if P::ENABLED { .. }` constant-folds to nothing: the uninstrumented
 //!   dispatch loop is *bit-identical machine code* to a build without the
-//!   probe layer. [`ExecCounters`] / [`ChainCounters`] are the recording
-//!   implementations (dense per-site counters, one add per hook).
+//!   probe layer. [`ExecCounters`] is the recording implementation
+//!   (dense per-site counters, one add per hook).
 //! - **Sinks** — [`Probe`] is the user-facing trait wired through
 //!   `Engine::builder().probe(..)`. Every method has a no-op default;
 //!   [`TraceProbe`] is the everything-recorder behind `grafterc
@@ -99,48 +99,13 @@ impl ExecProbe for ExecCounters {
     }
 }
 
-/// Dense hit counters for a probed JIT run: one slot per compiled
-/// function and one per compiled basic-block closure (flattened across
-/// functions in block order).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ChainCounters {
-    /// Activations per compiled function index.
-    pub func_hits: Vec<u64>,
-    /// Entries per compiled block, flattened function-major.
-    pub block_hits: Vec<u64>,
-}
-
-impl ChainCounters {
-    /// Zeroed counters for `n_funcs` functions and `n_blocks` total
-    /// compiled blocks.
-    pub fn new(n_funcs: usize, n_blocks: usize) -> Self {
-        ChainCounters {
-            func_hits: vec![0; n_funcs],
-            block_hits: vec![0; n_blocks],
-        }
-    }
-
-    /// Records one activation of function `fidx`.
-    #[inline(always)]
-    pub fn func(&mut self, fidx: usize) {
-        self.func_hits[fidx] += 1;
-    }
-
-    /// Records one entry into flattened block slot `slot`.
-    #[inline(always)]
-    pub fn block(&mut self, slot: usize) {
-        self.block_hits[slot] += 1;
-    }
-}
-
 // ---- trace model ---------------------------------------------------------
 
 /// One timed compile stage: name, offset from the start of the build, and
 /// a few `key=value` size/delta annotations (op counts, rewrites, ...).
 #[derive(Clone, Debug)]
 pub struct Span {
-    /// Stage name (`parse`, `sema`, `fusion`, `lower`, `opt/fold`,
-    /// `jit`, ...).
+    /// Stage name (`parse`, `sema`, `fusion`, `lower`, `opt/fold`, ...).
     pub name: String,
     /// Offset of the stage start from the beginning of the build.
     pub start: Duration,
@@ -152,7 +117,7 @@ pub struct Span {
 
 /// Every compile-side stage of one `Engine` build, in execution order:
 /// frontend (when the engine was built from source), fusion, bytecode
-/// lowering, each optimizer pass, and JIT chain construction.
+/// lowering and each optimizer pass.
 #[derive(Clone, Debug, Default)]
 pub struct CompileTrace {
     /// The stages, in execution order.
@@ -187,8 +152,8 @@ pub struct OpFire {
 
 /// The aggregated, named profile of one probed run on one tier. Which
 /// rows are populated depends on the tier: the interpreter records class
-/// visits, the VM records function hits and the opcode histogram, the
-/// JIT records function and basic-block hits.
+/// visits, the VM records function hits, basic-block hits and the opcode
+/// histogram.
 #[derive(Clone, Debug, Default)]
 pub struct TierProfile {
     /// Activations per function, named.
@@ -215,7 +180,7 @@ impl TierProfile {
 /// and delivered to [`Probe::on_run`].
 #[derive(Clone, Debug)]
 pub struct RunTrace {
-    /// The tier that ran (`interp`, `vm`, `jit-counted`, `jit-release`).
+    /// The tier that ran (`interp` or `vm`).
     pub tier: String,
     /// Wall time of the run.
     pub wall: Duration,
@@ -356,12 +321,6 @@ mod tests {
         c.exec_op(3);
         assert_eq!(c.func_hits, vec![0, 1]);
         assert_eq!(c.op_hits, vec![0, 0, 0, 2]);
-
-        let mut j = ChainCounters::new(1, 2);
-        j.func(0);
-        j.block(1);
-        assert_eq!(j.func_hits, vec![1]);
-        assert_eq!(j.block_hits, vec![0, 1]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The compiled-engine cache: LRU + single-flight.
 //!
-//! Compiling a program (parse → sema → fuse → lower → jit) costs
+//! Compiling a program (parse → sema → fuse → lower) costs
 //! milliseconds; running it costs microseconds. A service that recompiled
 //! per request would be compile-bound, so the daemon keys ready
 //! `Arc<Engine>`s by [`EngineKey`] — source hash, entry point, fusion

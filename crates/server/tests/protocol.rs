@@ -499,3 +499,46 @@ fn parallel_field_from_old_clients_is_ignored() {
     drop(client);
     handle.join().expect("daemon thread");
 }
+
+#[test]
+fn nesting_bomb_is_a_typed_proto_error_and_survivable() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+
+    // ~600 KB, well under the body cap, nested far deeper than any stack
+    // could recurse through.
+    let depth = 300_000;
+    let bomb = format!(
+        "{{\"method\":\"ping\",\"x\":{}{}}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    assert!(bomb.len() < MAX_BODY);
+    let resp = client.call(&bomb);
+    assert!(!is_ok(&resp));
+    assert_eq!(error_stage(&resp), "proto");
+
+    assert!(is_ok(&client.call(&render_bare("ping"))));
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
+fn removed_jit_backend_is_a_config_error() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+
+    let body = render_run(&program(), &leaf());
+    assert!(body.contains("\"backend\":\"vm\""), "{body}");
+    let resp = client.call(&body.replace("\"backend\":\"vm\"", "\"backend\":\"jit\""));
+    assert!(!is_ok(&resp), "`jit` still runs: {resp:?}");
+    assert_eq!(error_stage(&resp), "config");
+
+    assert!(is_ok(&client.call(&body)));
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}

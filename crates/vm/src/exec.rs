@@ -27,7 +27,7 @@ use crate::module::{Module, Op, NO_TARGET};
 
 /// Base address of the flattened global frame (identical to the
 /// interpreter's, so global accesses hit the same cache lines).
-pub(crate) const GLOBALS_BASE_ADDR: u64 = 0x1000;
+const GLOBALS_BASE_ADDR: u64 = 0x1000;
 
 type RResult<T> = Result<T, RuntimeError>;
 

@@ -27,7 +27,7 @@
 //!
 //! Backend choice is one builder call away: [`Backend`] on
 //! `grafter_engine::Engine::builder().backend(..)` selects the tier, and
-//! the engine lowers (and jit-compiles) exactly once at build.
+//! the engine lowers exactly once at build.
 //!
 //! # Example
 //!
@@ -81,14 +81,12 @@
 #![forbid(unsafe_code)]
 
 mod exec;
-pub mod jit;
 mod lower;
 mod module;
 pub mod opt;
 mod pipeline;
 
 pub use exec::Vm;
-pub use jit::{compile_with, Jit, JitMode, JitProgram};
 pub use lower::{lower, lower_with, lowering_count};
 pub use module::{Co, Module, Op};
 pub use opt::{optimize, OptLevel, OptReport, PassStat, VmOptions};

@@ -521,11 +521,6 @@ impl Module {
         self.funcs.is_empty()
     }
 
-    /// Generated name of lowered function `i`.
-    pub fn function_name(&self, i: usize) -> &str {
-        &self.funcs[i].name
-    }
-
     /// Aggregates raw per-site [`grafter_obs::ExecCounters`] from a probed
     /// VM run into a named [`grafter_obs::TierProfile`]: per-function
     /// activation counts, per-basic-block entry counts (the pc-hit of each
@@ -557,7 +552,7 @@ impl Module {
             });
         }
         for (i, f) in self.funcs.iter().enumerate() {
-            for (bi, &(start, _)) in crate::jit::basic_blocks(self, i).iter().enumerate() {
+            for (bi, &(start, _)) in basic_blocks(self, i).iter().enumerate() {
                 let hits = counters.op_hits.get(start as usize).copied().unwrap_or(0);
                 if hits > 0 {
                     p.block_hits.push((format!("{}/b{bi}", f.name), hits));
@@ -639,10 +634,9 @@ impl Module {
         out
     }
 
-    /// Pretty-prints the module grouped into basic blocks with CFG edges —
-    /// exactly the block structure the [`crate::jit`] tier compiles one
-    /// closure per block from (the `--emit bytecode --disasm-blocks`
-    /// format).
+    /// Pretty-prints the module grouped into basic blocks with CFG edges
+    /// (the `--emit bytecode --disasm-blocks` format). The blocks are the
+    /// ones [`Module::profile`] reports `block_hits` for.
     ///
     /// Each block line names the function-local block id, its pc range and
     /// its successor edges (`ret` marks an activation exit; `Deactivate`
@@ -657,13 +651,10 @@ impl Module {
             self.stubs.len(),
             self.consts.len()
         );
-        let _ = writeln!(
-            out,
-            "; basic-block view: the CFG the jit tier compiles from"
-        );
+        let _ = writeln!(out, "; basic-block view: the CFG of each function");
         let _ = writeln!(out, "; opt: {}", self.opt.level);
         for (i, f) in self.funcs.iter().enumerate() {
-            let blocks = crate::jit::basic_blocks(self, i);
+            let blocks = basic_blocks(self, i);
             let _ = writeln!(
                 out,
                 "\nfn {i} {} (traversals={}, {} block(s))",
@@ -1007,6 +998,37 @@ impl Module {
             }
         }
     }
+}
+
+/// Whether `op` ends a basic block (transfers or may transfer control).
+fn is_block_terminator(op: &Op) -> bool {
+    crate::opt::op_target(op).is_some() || matches!(op, Op::Ret)
+}
+
+/// The basic blocks of function `fidx`, as `(start, end)` pc ranges in
+/// program order. Block boundaries are the function entry, every jump
+/// target, and the op after every control transfer — the grouping
+/// `grafterc --disasm-blocks` prints and [`Module::profile`] counts.
+fn basic_blocks(module: &Module, fidx: usize) -> Vec<(u32, u32)> {
+    let f = &module.funcs[fidx];
+    let mut starts = vec![f.entry];
+    for pc in f.entry..f.end {
+        let op = &module.ops[pc as usize];
+        if let Some(t) = crate::opt::op_target(op) {
+            debug_assert!((f.entry..f.end).contains(&t), "intra-function target");
+            starts.push(t);
+        }
+        if is_block_terminator(op) && pc + 1 < f.end {
+            starts.push(pc + 1);
+        }
+    }
+    starts.sort_unstable();
+    starts.dedup();
+    starts
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (s, starts.get(i + 1).copied().unwrap_or(f.end)))
+        .collect()
 }
 
 /// Renders a slot addend suffix (`+2`), empty when zero.

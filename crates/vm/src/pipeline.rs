@@ -2,14 +2,11 @@
 //!
 //! [`Backend`] names which tier runs a fused artifact; it is configured
 //! once on `grafter_engine::Engine::builder().backend(..)`, which lowers
-//! the bytecode module (and, on the jit tier, compiles the closure
-//! program) exactly once and shares the immutable artifact across every
-//! session and thread.
+//! the bytecode module exactly once and shares the immutable artifact
+//! across every session and thread.
 
 use std::fmt;
 use std::str::FromStr;
-
-use crate::jit::JitMode;
 
 /// Which execution tier runs a fused artifact.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -19,10 +16,6 @@ pub enum Backend {
     Interp,
     /// The bytecode register VM (`grafter-vm`).
     Vm,
-    /// The closure-threaded native tier ([`crate::jit`]): bytecode
-    /// pre-compiled into per-basic-block closures, with the
-    /// [`JitMode`] choosing bit-identical accounting or flat-out speed.
-    Jit(JitMode),
 }
 
 impl fmt::Display for Backend {
@@ -30,8 +23,6 @@ impl fmt::Display for Backend {
         f.pad(match self {
             Backend::Interp => "interp",
             Backend::Vm => "vm",
-            Backend::Jit(JitMode::Counted) => "jit",
-            Backend::Jit(JitMode::Release) => "jit-release",
         })
     }
 }
@@ -43,11 +34,7 @@ impl FromStr for Backend {
         match s {
             "interp" | "interpreter" => Ok(Backend::Interp),
             "vm" | "bytecode" => Ok(Backend::Vm),
-            "jit" | "jit-counted" => Ok(Backend::Jit(JitMode::Counted)),
-            "jit-release" => Ok(Backend::Jit(JitMode::Release)),
-            other => Err(format!(
-                "unknown backend `{other}` (expected interp|vm|jit|jit-release)"
-            )),
+            other => Err(format!("unknown backend `{other}` (expected interp|vm)")),
         }
     }
 }

@@ -15,22 +15,20 @@
 //!
 //! ```text
 //! grafterc <file.gr | -> --root <Class> --passes <t1,t2,...>
-//!          [--unfused] [--explain] [--stats] [--backend interp|vm|jit|jit-release]
+//!          [--unfused] [--explain] [--stats] [--backend interp|vm]
 //!          [-O0|-O1|-O2] [--emit cpp|bytecode|none] [--disasm-blocks]
 //!          [--run] [--json] [--profile] [--trace-out FILE]
 //! ```
 //!
 //! `--backend` names the execution tier the artifact is being prepared
-//! for: it selects the default `--emit` (the compiled tiers disassemble
-//! their bytecode) and, with `--stats`/`--run`, that tier
-//! compiles/executes. `jit` is the closure-threaded native tier in its
-//! counted (bit-identical accounting) mode; `jit-release` drops the
-//! accounting. `-O{0,1,2}` picks the bytecode optimization level
+//! for: it selects the default `--emit` (the VM tier disassembles its
+//! bytecode) and, with `--stats`/`--run`, that tier
+//! compiles/executes. `-O{0,1,2}` picks the bytecode optimization level
 //! (default `-O2`); the disassembly header lists what each optimizer
 //! pass did, and `--stats` repeats those per-pass deltas on stderr so
 //! they survive a piped or discarded stdout. `--disasm-blocks` switches
 //! the bytecode emission to the per-basic-block view with CFG edges —
-//! exactly the blocks the jit tier compiles one closure from.
+//! the blocks a `--profile` run on the VM counts entries of.
 //! `--json` switches diagnostics (stderr) to a JSON array; the emitted
 //! artifact stays on stdout. `--run` executes the program once on a
 //! freshly allocated root-class node with null children — a smoke
@@ -113,13 +111,13 @@ const FLAGS: &[FlagSpec] = &[
     },
     FlagSpec {
         name: "--backend",
-        value: Some("interp|vm|jit|jit-release"),
+        value: Some("interp|vm"),
         help: "execution tier the artifact targets (default interp)",
     },
     FlagSpec {
         name: "--emit",
         value: Some("cpp|bytecode|none"),
-        help: "artifact on stdout (default cpp on interp, bytecode on vm/jit)",
+        help: "artifact on stdout (default cpp on interp, bytecode on vm)",
     },
     FlagSpec {
         name: "--disasm-blocks",
@@ -342,7 +340,7 @@ fn main() -> ExitCode {
         },
     };
     let explain = cli.has("--explain");
-    // The compiled tiers' natural artifact is their bytecode; the
+    // The VM tier's natural artifact is its bytecode; the
     // interpreter walks the rendered (C++-style) program shape. With
     // --explain the report is the artifact unless --emit insists.
     let default_emit = if explain {
@@ -350,7 +348,7 @@ fn main() -> ExitCode {
     } else {
         match backend {
             Backend::Interp => "cpp",
-            Backend::Vm | Backend::Jit(_) => "bytecode",
+            Backend::Vm => "bytecode",
         }
     };
     let emit = cli.value("--emit").unwrap_or(default_emit).to_string();
@@ -360,7 +358,7 @@ fn main() -> ExitCode {
     }
     let disasm_blocks = cli.has("--disasm-blocks");
     if disasm_blocks && emit != "bytecode" {
-        eprintln!("error: --disasm-blocks requires `--emit bytecode` (the default on vm/jit)");
+        eprintln!("error: --disasm-blocks requires `--emit bytecode` (the default on vm)");
         return ExitCode::from(EXIT_USAGE);
     }
     let pass_list: Vec<&str> = passes.split(',').map(str::trim).collect();
@@ -452,33 +450,21 @@ fn main() -> ExitCode {
         let m = engine.fusion_metrics();
         // Stats go to stderr so they survive a piped/discarded stdout
         // (the emitted artifact): the fusion summary line, then —
-        // compiled tiers — the optimizer's per-pass deltas.
-        match (engine.module().or(adhoc_module.as_ref()), engine.module()) {
-            (None, _) => eprintln!(
+        // whenever a module was lowered — the optimizer's per-pass deltas.
+        match engine.module().or(adhoc_module.as_ref()) {
+            None => eprintln!(
                 "fused {} traversal(s) on `{root}`: {m} [backend: interp]",
                 pass_list.len()
             ),
-            (Some(module), cached) => {
-                match engine.jit_program() {
-                    Some(program) => eprintln!(
-                        "fused {} traversal(s) on `{root}`: {m} [backend: {backend} {}, \
-                         {} op(s), {} stub table(s), {} compiled block(s)]",
-                        pass_list.len(),
-                        opt_level,
-                        module.n_ops(),
-                        module.n_stubs(),
-                        program.n_blocks()
-                    ),
-                    None => eprintln!(
-                        "fused {} traversal(s) on `{root}`: {m} [backend: {} {}, {} op(s), \
-                         {} stub table(s)]",
-                        pass_list.len(),
-                        if cached.is_some() { "vm" } else { "interp" },
-                        opt_level,
-                        module.n_ops(),
-                        module.n_stubs()
-                    ),
-                }
+            Some(module) => {
+                eprintln!(
+                    "fused {} traversal(s) on `{root}`: {m} [backend: {backend} {}, {} op(s), \
+                     {} stub table(s)]",
+                    pass_list.len(),
+                    opt_level,
+                    module.n_ops(),
+                    module.n_stubs()
+                );
                 let report = module.opt_report();
                 eprintln!(
                     "opt {}: {} rewrite(s)",

@@ -130,6 +130,38 @@ fn unknown_flags_are_usage_errors_that_name_the_flag() {
     assert!(stderr.contains("usage:"), "stderr: {stderr}");
 }
 
+#[test]
+fn removed_jit_backend_is_a_usage_error_that_names_the_tiers() {
+    let (_, stderr, code) = grafterc(
+        &["-", "--root", "Node", "--passes", "inc", "--backend", "jit"],
+        LIST,
+    );
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("interp|vm"), "stderr: {stderr}");
+}
+
+#[test]
+fn disasm_blocks_groups_the_bytecode_into_basic_blocks() {
+    let (stdout, stderr, code) = grafterc(
+        &[
+            "-",
+            "--root",
+            "Node",
+            "--passes",
+            "inc",
+            "--backend",
+            "vm",
+            "--disasm-blocks",
+        ],
+        LIST,
+    );
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(stdout.contains("; basic-block view"), "{stdout}");
+    assert!(stdout.contains("block(s))"), "{stdout}");
+    assert!(stdout.contains("  b0  "), "{stdout}");
+    assert!(stdout.contains("-> "), "block edges are listed:\n{stdout}");
+}
+
 /// `f` reads through `next` after its recursive call while `g` writes the
 /// same field: merging the calls would close a dependence cycle, so the
 /// pair is blocked and `--explain` renders caret snippets for it.

@@ -1,13 +1,13 @@
 //! The zero-cost probe layer's correctness contract: observing a run
 //! must not change it.
 //!
-//! For every case study and every tier whose accounting is bit-exact
-//! (interp, VM `O2`, JIT counted), a run with a recording probe attached
+//! For every case study and every tier (interp, VM `O2`), a run with a
+//! recording probe attached
 //! must produce exactly the heap snapshot, metrics, simulated cache
 //! traffic and final globals of the unprobed run — profiling is a pure
 //! read. On top of that the suite pins what the probe actually delivers:
 //! every compile stage appears in the `CompileTrace` (with the `opt/*`
-//! passes on the compiled tiers), each tier records at least one
+//! passes on the VM tier), each tier records at least one
 //! populated runtime profile of its expected shape, batch runs deliver
 //! per-worker telemetry, and the Chrome trace-event export round-trips
 //! through the hand-rolled JSON parser's schema check.
@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use grafter::FusionOptions;
 use grafter_cachesim::CacheHierarchy;
-use grafter_engine::{Backend, Engine, JitMode, Probe, Report, TraceProbe};
+use grafter_engine::{Backend, Engine, Probe, Report, TraceProbe};
 use grafter_obs::json::{parse, validate_chrome_trace};
 use grafter_runtime::{with_stack, Heap, NodeId, SnapValue};
 use grafter_workloads::case_studies;
@@ -24,8 +24,8 @@ use grafter_workloads::harness::RUN_STACK;
 
 type Snapshot = Vec<(String, Vec<SnapValue>)>;
 
-/// The tiers with bit-exact accounting, with the probe's tier label.
-const TIERS: [Backend; 3] = [Backend::Interp, Backend::Vm, Backend::Jit(JitMode::Counted)];
+/// Every execution tier.
+const TIERS: [Backend; 2] = [Backend::Interp, Backend::Vm];
 
 fn run_once(engine: &Engine, build: &dyn Fn(&mut Heap) -> NodeId) -> (Report, Snapshot) {
     let mut session = engine.session().with_cache(CacheHierarchy::xeon());
@@ -100,10 +100,6 @@ fn every_tier_records_a_populated_profile_of_its_shape() {
                     let fired: u64 = p.op_fires.iter().map(|o| o.fires).sum();
                     assert!(fired > 0);
                 }
-                Backend::Jit(_) => {
-                    assert!(!p.func_hits.is_empty(), "jit records function activations");
-                    assert!(!p.block_hits.is_empty(), "jit records block entries");
-                }
             }
         }
     });
@@ -118,13 +114,13 @@ fn compile_trace_names_every_stage_per_tier() {
             Engine::builder()
                 .source(case.source)
                 .entry(case.root_class, &case.passes)
-                .backend(Backend::Jit(JitMode::Counted))
+                .backend(Backend::Vm)
                 .probe(Arc::clone(&probe) as Arc<dyn Probe>)
                 .build()
                 .expect("case study builds");
             let trace = probe.compile().expect("probe saw the build");
             let stages = trace.stage_names();
-            for expected in ["parse", "sema", "fusion", "lower", "jit"] {
+            for expected in ["parse", "sema", "fusion", "lower"] {
                 assert!(
                     stages.contains(&expected),
                     "{}: stage `{expected}` missing from {stages:?}",
@@ -148,10 +144,7 @@ fn chrome_trace_round_trips_schema_check() {
     with_stack(RUN_STACK, || {
         let case = &case_studies()[0];
         let probe = Arc::new(TraceProbe::new());
-        let engine = case.engine_probed(
-            Backend::Jit(JitMode::Counted),
-            Arc::clone(&probe) as Arc<dyn Probe>,
-        );
+        let engine = case.engine_probed(Backend::Vm, Arc::clone(&probe) as Arc<dyn Probe>);
         run_once(&engine, &|heap| case.build_test(heap));
         let rendered = probe.chrome_trace();
         let doc = parse(&rendered).expect("chrome trace is valid JSON");
