@@ -9,14 +9,10 @@
 //!
 //! - nondeterministic finite automata with epsilon transitions ([`Nfa`]),
 //! - primitive automata for single access paths ([`Nfa::from_path`]),
-//! - union ([`Nfa::union`]) and language intersection tests
-//!   ([`Nfa::intersects`], [`Nfa::intersection`]) that are aware of the
-//!   wildcard "any member" symbol used for opaque objects and for `new` /
-//!   `delete` tree mutations,
-//! - subset construction ([`Nfa::determinize`]) and Moore minimisation
-//!   ([`Nfa::minimize`]) used when rendering automata (the paper's Fig. 5c
-//!   "minimize" step),
-//! - Graphviz rendering for debugging ([`Nfa::to_dot`]).
+//! - union ([`Nfa::union`]) and an on-the-fly language intersection test
+//!   ([`Nfa::intersects`]) that is aware of the wildcard "any member"
+//!   symbol used for opaque objects and for `new` / `delete` tree
+//!   mutations.
 //!
 //! The alphabet is generic over the [`Symbol`] trait so the automata can be
 //! tested independently of the compiler; the compiler instantiates it with
@@ -45,7 +41,7 @@
 mod nfa;
 mod sym;
 
-pub use nfa::{Dfa, Nfa, StateId};
+pub use nfa::{Nfa, StateId};
 pub use sym::{PathSym, Symbol};
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! Nondeterministic finite automata with epsilon transitions.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use crate::sym::Symbol;
 
@@ -280,257 +279,5 @@ impl<S: Symbol> Nfa<S> {
             }
         }
         false
-    }
-
-    /// Builds an explicit product automaton accepting `L(self) ∩ L(other)`.
-    ///
-    /// Mostly useful for tests and debugging; the dependence test uses the
-    /// cheaper on-the-fly [`Nfa::intersects`].
-    pub fn intersection(&self, other: &Nfa<S>) -> Nfa<S> {
-        let mut out = Nfa::new();
-        let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
-        let mut queue = VecDeque::new();
-
-        // Work on raw state pairs; epsilon closures are chased per side when
-        // a pair is expanded.
-        let pair_state = |out: &mut Nfa<S>,
-                          index: &mut HashMap<(StateId, StateId), StateId>,
-                          queue: &mut VecDeque<(StateId, StateId)>,
-                          a: StateId,
-                          b: StateId| {
-            *index.entry((a, b)).or_insert_with(|| {
-                let id = out.add_state();
-                queue.push_back((a, b));
-                id
-            })
-        };
-
-        index.insert((self.start, other.start), out.start);
-        queue.push_back((self.start, other.start));
-
-        while let Some((a, b)) = queue.pop_front() {
-            let from = index[&(a, b)];
-            let mut a_cl = BTreeSet::from([a]);
-            self.eps_closure(&mut a_cl);
-            let mut b_cl = BTreeSet::from([b]);
-            other.eps_closure(&mut b_cl);
-            if a_cl.iter().any(|&s| self.accepting[s]) && b_cl.iter().any(|&s| other.accepting[s]) {
-                out.set_accepting(from, true);
-            }
-            for &sa in &a_cl {
-                for (asym, ato) in &self.transitions[sa] {
-                    for &sb in &b_cl {
-                        for (bsym, bto) in &other.transitions[sb] {
-                            if asym.overlaps(bsym) {
-                                let to = pair_state(&mut out, &mut index, &mut queue, *ato, *bto);
-                                out.add_transition(from, asym.meet(bsym), to);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Determinizes the automaton by subset construction.
-    ///
-    /// Wildcard transitions are expanded over the concrete alphabet of the
-    /// automaton plus a designated "fresh" symbol representing every symbol
-    /// not otherwise mentioned; `fresh` must not appear in the automaton.
-    pub fn determinize(&self, fresh: S) -> Dfa<S> {
-        let mut alphabet: BTreeSet<S> = BTreeSet::new();
-        let mut has_wildcard = false;
-        for st in 0..self.len() {
-            for (sym, _) in &self.transitions[st] {
-                if sym.is_wildcard() {
-                    has_wildcard = true;
-                } else {
-                    alphabet.insert(sym.clone());
-                }
-            }
-        }
-        if has_wildcard {
-            alphabet.insert(fresh.clone());
-        }
-        let alphabet: Vec<S> = alphabet.into_iter().collect();
-        let other = if has_wildcard {
-            alphabet.iter().position(|s| *s == fresh)
-        } else {
-            None
-        };
-
-        let mut start = BTreeSet::from([self.start]);
-        self.eps_closure(&mut start);
-
-        let mut index: HashMap<BTreeSet<StateId>, StateId> = HashMap::new();
-        let mut dfa = Dfa {
-            alphabet: alphabet.clone(),
-            other,
-            transitions: Vec::new(),
-            accepting: Vec::new(),
-            start: 0,
-        };
-        index.insert(start.clone(), 0);
-        dfa.transitions.push(vec![None; alphabet.len()]);
-        dfa.accepting.push(start.iter().any(|&s| self.accepting[s]));
-        let mut queue = VecDeque::from([start]);
-
-        while let Some(states) = queue.pop_front() {
-            let from = index[&states];
-            for (ai, sym) in alphabet.iter().enumerate() {
-                let mut next = BTreeSet::new();
-                for &s in &states {
-                    for (label, to) in &self.transitions[s] {
-                        if label.overlaps(sym) {
-                            next.insert(*to);
-                        }
-                    }
-                }
-                if next.is_empty() {
-                    continue;
-                }
-                self.eps_closure(&mut next);
-                let to = match index.get(&next) {
-                    Some(&id) => id,
-                    None => {
-                        let id = dfa.transitions.len();
-                        index.insert(next.clone(), id);
-                        dfa.transitions.push(vec![None; alphabet.len()]);
-                        dfa.accepting.push(next.iter().any(|&s| self.accepting[s]));
-                        queue.push_back(next);
-                        id
-                    }
-                };
-                dfa.transitions[from][ai] = Some(to);
-            }
-        }
-        dfa
-    }
-
-    /// Determinizes and minimises the automaton, returning an equivalent
-    /// automaton with the minimal number of states (plus possibly a dead
-    /// state removed). This mirrors the paper's Fig. 5c reduction step.
-    pub fn minimize(&self, fresh: S) -> Dfa<S> {
-        self.determinize(fresh).minimize()
-    }
-
-    /// Renders the automaton in Graphviz DOT format.
-    pub fn to_dot(&self, name: &str) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph {name} {{");
-        let _ = writeln!(out, "  rankdir=LR;");
-        for st in 0..self.len() {
-            let shape = if self.accepting[st] {
-                "doublecircle"
-            } else {
-                "circle"
-            };
-            let _ = writeln!(out, "  s{st} [shape={shape}];");
-        }
-        let _ = writeln!(out, "  init [shape=point]; init -> s{};", self.start);
-        for st in 0..self.len() {
-            for (sym, to) in &self.transitions[st] {
-                let _ = writeln!(out, "  s{st} -> s{to} [label=\"{sym:?}\"];");
-            }
-            for to in &self.epsilons[st] {
-                let _ = writeln!(out, "  s{st} -> s{to} [label=\"eps\", style=dashed];");
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// A deterministic finite automaton produced by [`Nfa::determinize`].
-///
-/// The transition table is dense over the discovered alphabet; `None` is the
-/// (implicit) dead state.
-#[derive(Clone, Debug)]
-pub struct Dfa<S> {
-    alphabet: Vec<S>,
-    /// Column standing in for "every symbol not in the alphabet" when the
-    /// source NFA had wildcard transitions.
-    other: Option<usize>,
-    transitions: Vec<Vec<Option<StateId>>>,
-    accepting: Vec<bool>,
-    start: StateId,
-}
-
-impl<S: Symbol> Dfa<S> {
-    /// Number of states.
-    pub fn len(&self) -> usize {
-        self.transitions.len()
-    }
-
-    /// Returns `true` if the DFA has no states (never constructed this way,
-    /// provided for completeness).
-    pub fn is_empty(&self) -> bool {
-        self.transitions.is_empty()
-    }
-
-    /// Returns `true` if the DFA accepts `word` (wildcard-free input).
-    pub fn accepts(&self, word: &[S]) -> bool {
-        let mut st = self.start;
-        for sym in word {
-            let ai = match self
-                .alphabet
-                .iter()
-                .position(|a| !a.is_wildcard() && a == sym)
-                .or(self.other)
-            {
-                Some(ai) => ai,
-                None => return false,
-            };
-            match self.transitions[st][ai] {
-                Some(next) => st = next,
-                None => return false,
-            }
-        }
-        self.accepting[st]
-    }
-
-    /// Moore minimisation by iterated partition refinement.
-    pub fn minimize(&self) -> Dfa<S> {
-        let n = self.len();
-        // Initial partition: accepting vs non-accepting.
-        let mut class: Vec<usize> = self.accepting.iter().map(|&a| usize::from(a)).collect();
-        loop {
-            // Signature of a state: its class and the classes of successors.
-            let mut sig_index: HashMap<(usize, Vec<Option<usize>>), usize> = HashMap::new();
-            let mut next_class = vec![0usize; n];
-            for st in 0..n {
-                let sig = (
-                    class[st],
-                    self.transitions[st]
-                        .iter()
-                        .map(|t| t.map(|to| class[to]))
-                        .collect::<Vec<_>>(),
-                );
-                let len = sig_index.len();
-                let id = *sig_index.entry(sig).or_insert(len);
-                next_class[st] = id;
-            }
-            if next_class == class {
-                break;
-            }
-            class = next_class;
-        }
-        let n_classes = class.iter().max().map_or(0, |&m| m + 1);
-        let mut transitions = vec![vec![None; self.alphabet.len()]; n_classes];
-        let mut accepting = vec![false; n_classes];
-        for st in 0..n {
-            accepting[class[st]] = accepting[class[st]] || self.accepting[st];
-            for (ai, t) in self.transitions[st].iter().enumerate() {
-                transitions[class[st]][ai] = t.map(|to| class[to]);
-            }
-        }
-        Dfa {
-            alphabet: self.alphabet.clone(),
-            other: self.other,
-            transitions,
-            accepting,
-            start: class[self.start],
-        }
     }
 }

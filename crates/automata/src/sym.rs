@@ -14,18 +14,6 @@ pub trait Symbol: Clone + Ord + Eq + Hash + fmt::Debug {
     /// edge. For ordinary symbols this is equality; a wildcard overlaps
     /// everything.
     fn overlaps(&self, other: &Self) -> bool;
-
-    /// Returns the more specific of two overlapping symbols (used to label
-    /// transitions of a product automaton).
-    ///
-    /// # Panics
-    ///
-    /// May panic if the symbols do not overlap; callers must check
-    /// [`Symbol::overlaps`] first.
-    fn meet(&self, other: &Self) -> Self;
-
-    /// Returns `true` if this symbol matches any member access.
-    fn is_wildcard(&self) -> bool;
 }
 
 /// A single member-access step of a Grafter access path.
@@ -53,17 +41,6 @@ impl Symbol for PathSym {
     fn overlaps(&self, other: &Self) -> bool {
         matches!((self, other), (PathSym::Any, _) | (_, PathSym::Any)) || self == other
     }
-
-    fn meet(&self, other: &Self) -> Self {
-        match (self, other) {
-            (PathSym::Any, s) => *s,
-            (s, _) => *s,
-        }
-    }
-
-    fn is_wildcard(&self) -> bool {
-        matches!(self, PathSym::Any)
-    }
 }
 
 impl fmt::Debug for PathSym {
@@ -86,17 +63,5 @@ impl fmt::Display for PathSym {
 impl Symbol for char {
     fn overlaps(&self, other: &Self) -> bool {
         self == other || *self == '*' || *other == '*'
-    }
-
-    fn meet(&self, other: &Self) -> Self {
-        if *self == '*' {
-            *other
-        } else {
-            *self
-        }
-    }
-
-    fn is_wildcard(&self) -> bool {
-        *self == '*'
     }
 }

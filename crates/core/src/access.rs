@@ -19,6 +19,8 @@ use grafter_frontend::{
     TraverseStmt,
 };
 
+use crate::explain::ConflictKind;
+
 /// The automata alphabet symbol of a field.
 pub fn field_sym(field: FieldId) -> PathSym {
     PathSym::Field(field.0)
@@ -64,35 +66,38 @@ impl AccessSummary {
         }
     }
 
-    /// Whether this statement may conflict with `other` when both execute
-    /// with the same `this` binding.
+    /// The first conflict between this statement and a later statement
+    /// `other` when both execute with the same `this` binding, or `None`
+    /// if they touch no common location with at least one of them writing.
     ///
+    /// Tree accesses are tested first, then globals, then locals; within
+    /// each, write/read, write/write and read/write, in that order.
     /// `same_frame` enables local-variable conflicts; it is true only for
     /// statements originating from the same traversal copy in a merged
     /// function (inlined copies have disjoint frames).
-    pub fn conflicts_with(&self, other: &AccessSummary, same_frame: bool) -> bool {
-        if self.tree_writes.intersects(&other.tree_reads)
-            || self.tree_writes.intersects(&other.tree_writes)
-            || self.tree_reads.intersects(&other.tree_writes)
-        {
-            return true;
-        }
-        if self.global_writes.intersects(&other.global_reads)
-            || self.global_writes.intersects(&other.global_writes)
-            || self.global_reads.intersects(&other.global_writes)
-        {
-            return true;
-        }
-        if same_frame {
-            let hit = |a: &[LocalId], b: &[LocalId]| a.iter().any(|x| b.contains(x));
-            if hit(&self.local_writes, &other.local_reads)
+    pub fn conflict(&self, other: &AccessSummary, same_frame: bool) -> Option<ConflictKind> {
+        let hit = |a: &[LocalId], b: &[LocalId]| a.iter().any(|x| b.contains(x));
+        if self.tree_writes.intersects(&other.tree_reads) {
+            Some(ConflictKind::TreeWriteRead)
+        } else if self.tree_writes.intersects(&other.tree_writes) {
+            Some(ConflictKind::TreeWriteWrite)
+        } else if self.tree_reads.intersects(&other.tree_writes) {
+            Some(ConflictKind::TreeReadWrite)
+        } else if self.global_writes.intersects(&other.global_reads) {
+            Some(ConflictKind::GlobalWriteRead)
+        } else if self.global_writes.intersects(&other.global_writes) {
+            Some(ConflictKind::GlobalWriteWrite)
+        } else if self.global_reads.intersects(&other.global_writes) {
+            Some(ConflictKind::GlobalReadWrite)
+        } else if same_frame
+            && (hit(&self.local_writes, &other.local_reads)
                 || hit(&self.local_writes, &other.local_writes)
-                || hit(&self.local_reads, &other.local_writes)
-            {
-                return true;
-            }
+                || hit(&self.local_reads, &other.local_writes))
+        {
+            Some(ConflictKind::Local)
+        } else {
+            None
         }
-        false
     }
 }
 
@@ -119,15 +124,24 @@ impl<'p> ProgramAccesses<'p> {
         self.program
     }
 
-    /// Summary for top-level statement `index` of `method`.
+    /// Summary for top-level statement `index` of `method`, computed on
+    /// first request.
     pub fn summary(&mut self, method: MethodId, index: usize) -> &AccessSummary {
         if !self.cache.contains_key(&(method, index)) {
-            let stmt = self.program.methods[method.index()].body[index].clone();
-            let class = self.program.methods[method.index()].class;
-            let summary = self.stmt_summary(&stmt, class);
+            let m = &self.program.methods[method.index()];
+            let summary = self.stmt_summary(&m.body[index], m.class);
             self.cache.insert((method, index), summary);
         }
         &self.cache[&(method, index)]
+    }
+
+    /// Summaries for several `(method, index)` statements at once, each
+    /// computed on first request and borrowed from the cache.
+    pub(crate) fn summaries(&mut self, stmts: &[(MethodId, usize)]) -> Vec<&AccessSummary> {
+        for &(method, index) in stmts {
+            self.summary(method, index);
+        }
+        stmts.iter().map(|key| &self.cache[key]).collect()
     }
 
     /// Builds the summary of one top-level statement in the context of a
@@ -338,10 +352,9 @@ impl CallAutomataBuilder<'_, '_> {
         }
         let st = (self.reads.add_state(), self.writes.add_state());
         self.fn_state.insert(method, st);
-        let body = self.program.methods[method.index()].body.clone();
-        let class = self.program.methods[method.index()].class;
-        for stmt in &body {
-            self.append_stmt(stmt, class, st);
+        let m = &self.program.methods[method.index()];
+        for stmt in &m.body {
+            self.append_stmt(stmt, m.class, st);
         }
         st
     }
@@ -582,8 +595,16 @@ mod tests {
         let m = p.method_on_class(tb, "computeWidth").unwrap();
         let s1 = acc.summary(m, 1).clone(); // Width = Text.Length
         let s2 = acc.summary(m, 2).clone(); // TotalWidth = Next.Width + Width
-        assert!(s1.conflicts_with(&s2, true), "s2 reads Width written by s1");
-        assert!(s2.conflicts_with(&s1, true), "conflict is symmetric");
+        assert_eq!(
+            s1.conflict(&s2, true),
+            Some(ConflictKind::TreeWriteRead),
+            "s2 reads Width written by s1"
+        );
+        assert_eq!(
+            s2.conflict(&s1, true),
+            Some(ConflictKind::TreeReadWrite),
+            "conflict is symmetric"
+        );
     }
 
     #[test]
@@ -613,8 +634,9 @@ mod tests {
             for j in 0..2 {
                 let sa = acc.summary(ma, i).clone();
                 let sb = acc.summary(mb, j).clone();
-                assert!(
-                    !sa.conflicts_with(&sb, false),
+                assert_eq!(
+                    sa.conflict(&sb, false),
+                    None,
                     "incA[{i}] vs incB[{j}] must be independent"
                 );
             }
@@ -641,9 +663,9 @@ mod tests {
         let mg = p.method_on_class(n, "g").unwrap();
         let del = acc.summary(mf, 0).clone();
         let read = acc.summary(mg, 0).clone();
-        assert!(del.conflicts_with(&read, false));
+        assert!(del.conflict(&read, false).is_some());
         let new = acc.summary(mf, 1).clone();
-        assert!(new.conflicts_with(&read, false));
+        assert!(new.conflict(&read, false).is_some());
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! Statements from *different* inlined copies have disjoint local frames, so
 //! local variables only induce dependences within a copy.
 
+use std::collections::VecDeque;
+
 use grafter_frontend::{MethodId, Program, Stmt};
 
-use crate::access::{AccessSummary, ProgramAccesses};
+use crate::access::ProgramAccesses;
 
 /// One statement of a merged (outlined + inlined) function body.
 #[derive(Clone, Debug)]
@@ -31,11 +33,8 @@ pub struct MergedStmt {
 /// The dependence graph of a merged function body.
 #[derive(Clone, Debug)]
 pub struct DepGraph {
-    n: usize,
-    /// `succs[u]` = vertices that must stay after `u`.
+    /// `succs[u]` = vertices that must stay after `u`, in ascending order.
     succs: Vec<Vec<usize>>,
-    /// `preds[v]` = vertices that must stay before `v`.
-    preds: Vec<Vec<usize>>,
 }
 
 impl DepGraph {
@@ -63,43 +62,23 @@ impl DepGraph {
         seq: &[MethodId],
         merged: &[MergedStmt],
     ) -> DepGraph {
-        let n = merged.len();
-        let summaries: Vec<AccessSummary> = merged
+        let stmts: Vec<(MethodId, usize)> = merged
             .iter()
-            .map(|ms| accesses.summary(seq[ms.traversal], ms.index).clone())
+            .map(|ms| (seq[ms.traversal], ms.index))
             .collect();
-
-        let mut g = DepGraph {
-            n,
-            succs: vec![Vec::new(); n],
-            preds: vec![Vec::new(); n],
-        };
+        let summaries = accesses.summaries(&stmts);
+        let n = merged.len();
+        let mut succs = vec![Vec::new(); n];
         for u in 0..n {
             for v in (u + 1)..n {
                 let same_frame = merged[u].traversal == merged[v].traversal;
                 let control = same_frame && (summaries[u].may_return || summaries[v].may_return);
-                if control || summaries[u].conflicts_with(&summaries[v], same_frame) {
-                    g.succs[u].push(v);
-                    g.preds[v].push(u);
+                if control || summaries[u].conflict(summaries[v], same_frame).is_some() {
+                    succs[u].push(v);
                 }
             }
         }
-        g
-    }
-
-    /// Number of vertices.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the graph has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Whether there is a direct edge `u → v`.
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.succs[u].contains(&v)
+        DepGraph { succs }
     }
 
     /// Direct successors of `u`.
@@ -107,61 +86,57 @@ impl DepGraph {
         &self.succs[u]
     }
 
-    /// Direct predecessors of `v`.
-    pub fn preds(&self, v: usize) -> &[usize] {
-        &self.preds[v]
-    }
-
-    /// Whether `v` is reachable from `u` by a non-empty path.
-    pub fn reaches(&self, u: usize, v: usize) -> bool {
-        let mut seen = vec![false; self.n];
-        let mut stack = vec![u];
-        while let Some(x) = stack.pop() {
-            for &s in &self.succs[x] {
-                if s == v {
-                    return true;
-                }
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        false
-    }
-
-    /// Whether `v` is reachable from `u` through at least one intermediate
-    /// vertex that is *not* in `group`.
+    /// The first hop of a shortest path `u → x → … → v` whose intermediate
+    /// vertices avoid `v`, or `None` if no such path exists.
     ///
-    /// This is the legality test for call grouping: merging the members of
-    /// `group` into one vertex keeps the graph acyclic iff no member reaches
-    /// another member through an outside vertex.
-    pub fn reaches_outside(&self, u: usize, v: usize, group: &[usize]) -> bool {
-        let mut seen = vec![false; self.n];
-        let mut stack: Vec<usize> = Vec::new();
+    /// This is the legality test for grouping the pair `u < v`: edges only
+    /// point forward, so merging the two into one vertex closes a cycle
+    /// exactly when such a path exists. The returned successor of `u` names
+    /// the dependence edge that blocks the pair.
+    pub fn blocking_hop(&self, u: usize, v: usize) -> Option<usize> {
+        // Breadth-first from u's successors; `first[x]` is the successor of
+        // u through which x was first reached. Vertices past v cannot reach
+        // it, so the search stays below v.
+        let mut first: Vec<Option<usize>> = vec![None; self.succs.len()];
+        let mut queue = VecDeque::new();
         for &s in &self.succs[u] {
-            if !group.contains(&s) {
-                stack.push(s);
+            if s < v {
+                first[s] = Some(s);
+                queue.push_back(s);
             }
         }
-        while let Some(x) = stack.pop() {
-            if seen[x] {
-                continue;
-            }
-            seen[x] = true;
-            if x == v {
-                return true;
-            }
+        while let Some(x) = queue.pop_front() {
             for &s in &self.succs[x] {
                 if s == v {
-                    return true;
+                    return first[x];
                 }
-                if !group.contains(&s) && !seen[s] {
-                    stack.push(s);
+                if s < v && first[s].is_none() {
+                    first[s] = first[x];
+                    queue.push_back(s);
                 }
             }
         }
-        false
+        None
+    }
+
+    /// Whether the graph stays acyclic with the vertices of each group of
+    /// `group_of` condensed into one, i.e. whether [`DepGraph::schedule`]
+    /// accepts the grouping. Group ids must be below the vertex count.
+    pub fn condensation_is_acyclic(&self, group_of: &[usize]) -> bool {
+        let n_groups = self.succs.len();
+        let (gsuccs, mut indeg) = self.condense(group_of, n_groups);
+        let mut ready: Vec<usize> = (0..n_groups).filter(|&g| indeg[g] == 0).collect();
+        let mut seen = 0;
+        while let Some(g) = ready.pop() {
+            seen += 1;
+            for &s in &gsuccs[g] {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        seen == n_groups
     }
 
     /// Topological order of the graph with `groups` condensed into single
@@ -175,28 +150,19 @@ impl DepGraph {
     /// # Panics
     ///
     /// Panics if the condensed graph has a cycle — callers must only group
-    /// calls whose condensation is legal (see [`DepGraph::reaches_outside`]).
+    /// calls whose condensation is legal (see
+    /// [`DepGraph::condensation_is_acyclic`] and [`DepGraph::blocking_hop`]).
     pub fn schedule(&self, group_of: &[usize], n_groups: usize) -> Vec<usize> {
-        assert_eq!(group_of.len(), self.n);
+        let n = self.succs.len();
+        assert_eq!(group_of.len(), n);
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-        for v in 0..self.n {
+        for v in 0..n {
             members[group_of[v]].push(v);
         }
-        // Build condensed edges and in-degrees.
-        let mut gsuccs: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-        let mut indeg = vec![0usize; n_groups];
-        for u in 0..self.n {
-            for &v in &self.succs[u] {
-                let (gu, gv) = (group_of[u], group_of[v]);
-                if gu != gv && !gsuccs[gu].contains(&gv) {
-                    gsuccs[gu].push(gv);
-                    indeg[gv] += 1;
-                }
-            }
-        }
+        let (gsuccs, mut indeg) = self.condense(group_of, n_groups);
         // Kahn, preferring the group whose first member is earliest.
         let mut ready: Vec<usize> = (0..n_groups).filter(|&g| indeg[g] == 0).collect();
-        let mut order = Vec::with_capacity(self.n);
+        let mut order = Vec::with_capacity(n);
         let mut emitted = 0;
         while !ready.is_empty() {
             let (i, &g) = ready
@@ -221,51 +187,34 @@ impl DepGraph {
         order
     }
 
-    /// Renders the graph in Graphviz DOT format, labelling vertices with
-    /// their traversal index and statement kind — handy when inspecting why
-    /// a grouping was rejected.
-    pub fn to_dot(&self, merged: &[MergedStmt]) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph deps {\n  rankdir=TB;\n");
-        for (v, ms) in merged.iter().enumerate() {
-            let kind = match &ms.stmt {
-                Stmt::Traverse(_) => "call",
-                Stmt::Assign { .. } => "assign",
-                Stmt::If { .. } => "if",
-                Stmt::LocalDef { .. } => "local",
-                Stmt::New { .. } => "new",
-                Stmt::Delete { .. } => "delete",
-                Stmt::Return => "return",
-                Stmt::PureStmt { .. } => "pure",
-            };
-            let shape = if matches!(ms.stmt, Stmt::Traverse(_)) {
-                "box"
-            } else {
-                "ellipse"
-            };
-            let _ = writeln!(
-                out,
-                "  v{v} [label=\"t{}#{} {kind}\", shape={shape}];",
-                ms.traversal, ms.index
-            );
-        }
-        for u in 0..self.n {
-            for &v in &self.succs[u] {
-                let _ = writeln!(out, "  v{u} -> v{v};");
+    /// The condensed graph of `group_of` (ids below `n_groups`): each
+    /// group's distinct successor groups, and each group's in-degree.
+    fn condense(&self, group_of: &[usize], n_groups: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
+        let mut gsuccs: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
+        let mut indeg = vec![0usize; n_groups];
+        for (u, succs) in self.succs.iter().enumerate() {
+            for &v in succs {
+                let (gu, gv) = (group_of[u], group_of[v]);
+                if gu != gv && !gsuccs[gu].contains(&gv) {
+                    gsuccs[gu].push(gv);
+                    indeg[gv] += 1;
+                }
             }
         }
-        out.push_str("}\n");
-        out
+        (gsuccs, indeg)
     }
 
     /// Validates that `order` (a permutation of vertices) respects every
     /// edge. Used by tests and debug assertions.
     pub fn order_is_valid(&self, order: &[usize]) -> bool {
-        let mut pos = vec![0usize; self.n];
+        let mut pos = vec![0usize; self.succs.len()];
         for (i, &v) in order.iter().enumerate() {
             pos[v] = i;
         }
-        (0..self.n).all(|u| self.succs[u].iter().all(|&v| pos[u] < pos[v]))
+        self.succs
+            .iter()
+            .enumerate()
+            .all(|(u, succs)| succs.iter().all(|&v| pos[u] < pos[v]))
     }
 }
 
@@ -273,6 +222,8 @@ impl DepGraph {
 mod tests {
     use super::*;
     use grafter_frontend::compile;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn dep_fixture() -> (Program, Vec<MethodId>) {
         let p = compile(
@@ -318,14 +269,14 @@ mod tests {
         let mut acc = ProgramAccesses::new(&p);
         let g = DepGraph::build(&mut acc, &seq, &merged);
         // writeA's `a = 1` (0) is a source of readA's `b = a` (2).
-        assert!(g.has_edge(0, 2));
+        assert!(g.succs(0).contains(&2));
         // The recursive calls both touch `a` below: call (1) vs call (3).
-        assert!(g.has_edge(1, 3));
+        assert!(g.succs(1).contains(&3));
         // writeA's statement does not conflict with readA's call (the call
         // only touches descendants' fields, not this node's `a`)... it does:
         // readA's call reads next.a etc., writeA's stmt writes this.a — no
         // overlap.
-        assert!(!g.has_edge(0, 3));
+        assert!(!g.succs(0).contains(&3));
     }
 
     #[test]
@@ -356,12 +307,12 @@ mod tests {
         let g = DepGraph::build(&mut acc, &seq, &merged);
         for u in 0..2 {
             for v in 2..4 {
-                assert!(!g.has_edge(u, v), "{u} -> {v} should be absent");
+                assert!(!g.succs(u).contains(&v), "{u} -> {v} should be absent");
             }
         }
         // Within incA, `a = a + 1` and the recursive call are independent
         // (the call only touches next's subtree).
-        assert!(!g.has_edge(0, 1));
+        assert!(!g.succs(0).contains(&1));
     }
 
     #[test]
@@ -387,10 +338,10 @@ mod tests {
         let mut acc = ProgramAccesses::new(&p);
         let g = DepGraph::build(&mut acc, &seq, &merged);
         // The conditional return pins both later statements.
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(0, 2));
+        assert!(g.succs(0).contains(&1));
+        assert!(g.succs(0).contains(&2));
         // But x=1 and y=2 stay mutually independent.
-        assert!(!g.has_edge(1, 2));
+        assert!(!g.succs(1).contains(&2));
     }
 
     #[test]
@@ -400,7 +351,7 @@ mod tests {
         let mut acc = ProgramAccesses::new(&p);
         let g = DepGraph::build(&mut acc, &seq, &merged);
         // Group the two calls (vertices 1 and 3) together if legal.
-        assert!(!g.reaches_outside(1, 3, &[1, 3]));
+        assert_eq!(g.blocking_hop(1, 3), None);
         let group_of = vec![0, 1, 2, 1];
         let order = g.schedule(&group_of, 3);
         assert!(g.order_is_valid(&order), "order {order:?}");
@@ -410,20 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn dot_output_names_calls_and_statements() {
-        let (p, seq) = dep_fixture();
-        let merged = DepGraph::merge_bodies(&p, &seq);
-        let mut acc = ProgramAccesses::new(&p);
-        let g = DepGraph::build(&mut acc, &seq, &merged);
-        let dot = g.to_dot(&merged);
-        assert!(dot.contains("digraph deps"));
-        assert!(dot.contains("call"));
-        assert!(dot.contains("assign"));
-        assert!(dot.contains("->"));
-    }
-
-    #[test]
-    fn reaches_outside_detects_blocking_vertex() {
+    fn blocking_hop_detects_blocking_vertex() {
         let p = compile(
             r#"
             tree class Node {
@@ -453,8 +391,56 @@ mod tests {
         // Grouping the calls requires call(0) ... call(3) with a=1, a=2 in
         // between; 0→3 path through outside vertices does not exist (calls
         // touch only the next subtree, stores touch this.a).
-        assert!(!g.reaches_outside(0, 3, &[0, 3]));
+        assert_eq!(g.blocking_hop(0, 3), None);
         // But a=1 (1) reaches a=2 (2) directly.
-        assert!(g.reaches(1, 2));
+        assert!(g.succs(1).contains(&2));
+    }
+
+    /// Whether `v` is reachable from `u` by a non-empty path.
+    fn reachable(g: &DepGraph, u: usize, v: usize) -> bool {
+        let mut stack = vec![u];
+        let mut seen = vec![false; g.succs.len()];
+        while let Some(x) = stack.pop() {
+            for &s in g.succs(x) {
+                if s == v {
+                    return true;
+                }
+                if !seen[s] {
+                    seen[s] = true;
+                    stack.push(s);
+                }
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn blocking_hop_agrees_with_pair_condensation_on_random_dags() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..200 {
+            let n = rng.gen_range(2..12usize);
+            let density = rng.gen_range(0.05..0.6);
+            let succs = (0..n)
+                .map(|u| ((u + 1)..n).filter(|_| rng.gen_bool(density)).collect())
+                .collect();
+            let g = DepGraph { succs };
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    let mut pair: Vec<usize> = (0..n).collect();
+                    pair[v] = u;
+                    let hop = g.blocking_hop(u, v);
+                    assert_eq!(
+                        hop.is_none(),
+                        g.condensation_is_acyclic(&pair),
+                        "pair ({u}, {v}) of {g:?}"
+                    );
+                    if let Some(h) = hop {
+                        assert!(g.succs(u).contains(&h), "hop {h} of ({u}, {v}) in {g:?}");
+                        assert_ne!(h, v);
+                        assert!(reachable(&g, h, v), "hop {h} of ({u}, {v}) in {g:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -13,8 +13,9 @@
 //! - [`FusionVerdict::Blocked`] — no legal grouping exists, with the specific
 //!   cause: a receiver that does not resolve to a tree class, no common
 //!   dispatch supertype (naming the two static targets), or a dependence
-//!   cycle (naming the access-conflict edge that closes it, recovered from
-//!   the same automata intersections that built the [`DepGraph`]).
+//!   cycle (naming the edge that closes it, found by
+//!   [`DepGraph::blocking_hop`] and classified by the same
+//!   [`AccessSummary::conflict`] call that put it in the [`DepGraph`]).
 //!
 //! The verdicts aggregate into a [`FusionExplain`] attached to
 //! [`FusedProgram`](crate::FusedProgram), rendered as caret-snippet text via
@@ -24,6 +25,8 @@
 //! invariant the test suite checks on every case study.
 //!
 //! [`DepGraph`]: crate::DepGraph
+//! [`DepGraph::blocking_hop`]: crate::DepGraph::blocking_hop
+//! [`AccessSummary::conflict`]: crate::AccessSummary::conflict
 
 use grafter_frontend::{Diag, Span, Stage};
 use grafter_obs::json::JsonWriter;
@@ -84,7 +87,8 @@ impl MissReason {
     }
 }
 
-/// The kind of dependence edge that closes a condensation cycle.
+/// The kind of a dependence edge: the first access conflict between its
+/// endpoints, or a control dependence when there is none.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConflictKind {
     /// A tree write intersecting a tree read.

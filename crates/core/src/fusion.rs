@@ -32,6 +32,7 @@ use crate::explain::{
     BlockCause, CallSite, ConflictKind, EdgeEnd, FusionExplain, FusionVerdict, MissReason,
     PairExplain,
 };
+use crate::pipeline::FusionMetrics;
 
 /// Index of a fused function within a [`FusedProgram`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -263,6 +264,19 @@ impl FusedProgram {
     /// Total number of generated fused functions.
     pub fn n_functions(&self) -> usize {
         self.functions.len()
+    }
+
+    /// Compile-side fusion statistics.
+    pub fn metrics(&self) -> FusionMetrics {
+        FusionMetrics {
+            functions: self.n_functions(),
+            stubs: self.stubs.len(),
+            passes: self.entries.len(),
+            fully_fused: self.fully_fused(),
+            fused_pairs: self.coverage.fused_pairs,
+            missed_pairs: self.coverage.missed_pairs,
+            blocked_pairs: self.coverage.blocked_pairs,
+        }
     }
 }
 
@@ -527,7 +541,7 @@ impl Fuser<'_> {
                 // acyclic.
                 let saved = group_of[v];
                 group_of[v] = group_of[u];
-                if condensation_acyclic(graph, &group_of) {
+                if graph.condensation_is_acyclic(&group_of) {
                     grouped[v] = true;
                     members.push(v);
                     types = tentative_types;
@@ -537,28 +551,54 @@ impl Fuser<'_> {
             }
         }
 
-        // Re-number groups densely (before coverage, so fused verdicts can
-        // name the dense group id the scheduled body will use).
-        let mut remap: HashMap<usize, usize> = HashMap::new();
+        // Re-number groups densely in order of first appearance (before
+        // coverage, so fused verdicts can name the dense group id the
+        // scheduled body will use).
+        let mut dense = vec![usize::MAX; n];
+        let mut n_groups = 0;
         for g in group_of.iter_mut() {
-            let next = remap.len();
-            *g = *remap.entry(*g).or_insert(next);
+            if dense[*g] == usize::MAX {
+                dense[*g] = n_groups;
+                n_groups += 1;
+            }
+            *g = dense[*g];
         }
-        let n_groups = remap.len();
 
         // Coverage accounting + explain: every same-receiver pair of
         // traversing calls is a static fusion candidate. Pairs landing in
-        // the same group were fused; the rest are classified by whether
-        // merging just the two of them would have been legal (a common
-        // dispatch supertype exists and the condensed graph stays acyclic)
-        // — "missed" if so, "blocked" otherwise — and each pair gets a
-        // span-carrying verdict recording the specific reason.
+        // the same group were fused; the rest are "blocked" if merging just
+        // the two of them would be illegal (no common dispatch supertype, or
+        // a dependence path between them that the merge would close into a
+        // cycle) and "missed" otherwise. Each pair gets a span-carrying
+        // verdict recording the specific reason.
+        let program = self.program;
         let fn_name = self
             .functions
             .last()
             .expect("group_calls runs for the function just registered")
             .name
             .clone();
+        let method_name = |w: usize| program.methods[slot_of(w).index()].name.clone();
+        let block_cause = |fuser: &mut Self, u: usize, v: usize| match (
+            static_target(fuser, u),
+            static_target(fuser, v),
+        ) {
+            (None, _) => Some(BlockCause::CrossHierarchy {
+                method: method_name(u),
+            }),
+            (_, None) => Some(BlockCause::CrossHierarchy {
+                method: method_name(v),
+            }),
+            (Some(a), Some(b)) if program.least_common_ancestor(&[a, b]).is_none() => {
+                Some(BlockCause::NoCommonSupertype {
+                    left: program.classes[a.index()].name.clone(),
+                    right: program.classes[b.index()].name.clone(),
+                })
+            }
+            (Some(_), Some(_)) => graph
+                .blocking_hop(u, v)
+                .map(|hop| fuser.dependence_cycle(seq, merged, u, hop)),
+        };
         for (i, &u) in call_vertices.iter().enumerate() {
             for &v in &call_vertices[i + 1..] {
                 if receiver_key(u) != receiver_key(v) {
@@ -567,83 +607,47 @@ impl Fuser<'_> {
                 let verdict = if self.opts.grouping && group_of[u] == group_of[v] {
                     self.coverage.fused_pairs += 1;
                     FusionVerdict::Fused { group: group_of[u] }
+                } else if let Some(cause) = block_cause(self, u, v) {
+                    self.coverage.blocked_pairs += 1;
+                    FusionVerdict::Blocked { cause }
                 } else {
-                    let targets = (static_target(self, u), static_target(self, v));
-                    let legal = match targets {
-                        (Some(a), Some(b)) => {
-                            self.program.least_common_ancestor(&[a, b]).is_some() && {
-                                let mut pair: Vec<usize> = (0..n).collect();
-                                pair[v] = u;
-                                condensation_acyclic(graph, &pair)
-                            }
-                        }
-                        _ => false,
-                    };
-                    if legal {
-                        self.coverage.missed_pairs += 1;
-                        let reason = if !self.opts.grouping {
-                            MissReason::GroupingDisabled
-                        } else {
-                            let size = |g: usize| {
-                                call_vertices.iter().filter(|&&w| group_of[w] == g).count()
-                            };
-                            let combined: Vec<usize> = call_vertices
-                                .iter()
-                                .copied()
-                                .filter(|&w| {
-                                    group_of[w] == group_of[u] || group_of[w] == group_of[v]
-                                })
-                                .collect();
-                            let repeats = combined.iter().any(|&w| {
-                                combined
-                                    .iter()
-                                    .filter(|&&x| slot_of(x) == slot_of(w))
-                                    .count()
-                                    > self.opts.max_occurrences
-                            });
-                            if size(group_of[u]) + size(group_of[v]) > self.opts.max_group_size {
-                                MissReason::GroupSizeCutoff {
-                                    limit: self.opts.max_group_size,
-                                }
-                            } else if repeats {
-                                MissReason::OccurrenceCutoff {
-                                    limit: self.opts.max_occurrences,
-                                }
-                            } else {
-                                MissReason::GreedyOrder
-                            }
-                        };
-                        FusionVerdict::Missed { reason }
+                    self.coverage.missed_pairs += 1;
+                    let reason = if !self.opts.grouping {
+                        MissReason::GroupingDisabled
                     } else {
-                        self.coverage.blocked_pairs += 1;
-                        let method_name =
-                            |w: usize| self.program.methods[slot_of(w).index()].name.clone();
-                        let cause = match targets {
-                            (None, _) => BlockCause::CrossHierarchy {
-                                method: method_name(u),
-                            },
-                            (_, None) => BlockCause::CrossHierarchy {
-                                method: method_name(v),
-                            },
-                            (Some(a), Some(b)) => {
-                                if self.program.least_common_ancestor(&[a, b]).is_none() {
-                                    BlockCause::NoCommonSupertype {
-                                        left: self.program.classes[a.index()].name.clone(),
-                                        right: self.program.classes[b.index()].name.clone(),
-                                    }
-                                } else {
-                                    self.cycle_cause(seq, merged, graph, u, v)
-                                }
+                        let size =
+                            |g: usize| call_vertices.iter().filter(|&&w| group_of[w] == g).count();
+                        let combined: Vec<usize> = call_vertices
+                            .iter()
+                            .copied()
+                            .filter(|&w| group_of[w] == group_of[u] || group_of[w] == group_of[v])
+                            .collect();
+                        let repeats = combined.iter().any(|&w| {
+                            combined
+                                .iter()
+                                .filter(|&&x| slot_of(x) == slot_of(w))
+                                .count()
+                                > self.opts.max_occurrences
+                        });
+                        if size(group_of[u]) + size(group_of[v]) > self.opts.max_group_size {
+                            MissReason::GroupSizeCutoff {
+                                limit: self.opts.max_group_size,
                             }
-                        };
-                        FusionVerdict::Blocked { cause }
-                    }
+                        } else if repeats {
+                            MissReason::OccurrenceCutoff {
+                                limit: self.opts.max_occurrences,
+                            }
+                        } else {
+                            MissReason::GreedyOrder
+                        }
+                    };
+                    FusionVerdict::Missed { reason }
                 };
                 self.explain.pairs.push(PairExplain {
                     fused_fn: fn_name.clone(),
-                    receiver: render_receiver(self.program, u, merged),
-                    left: call_site(self.program, merged, u),
-                    right: call_site(self.program, merged, v),
+                    receiver: render_receiver(program, u, merged),
+                    left: call_site(program, merged, u),
+                    right: call_site(program, merged, v),
                     verdict,
                 });
             }
@@ -652,112 +656,29 @@ impl Fuser<'_> {
         (group_of, n_groups)
     }
 
-    /// Names the dependence edge that closes the condensation cycle when
-    /// the pair `(u, v)` is merged: the first edge of a shortest dependence
-    /// path `u → … → v` through vertices outside the pair (with forward-only
-    /// edges, such a path is exactly what makes the pair-merged condensation
-    /// cyclic), classified by re-running the access-automata intersections
-    /// that built the graph.
-    fn cycle_cause(
+    /// The blocked verdict of a pair whose merge would close a dependence
+    /// cycle, naming the edge `u → hop` from [`DepGraph::blocking_hop`] by
+    /// the same [`AccessSummary::conflict`] call that put it in the graph,
+    /// or as a control edge when no data conflict did.
+    ///
+    /// [`AccessSummary::conflict`]: crate::AccessSummary::conflict
+    fn dependence_cycle(
         &mut self,
         seq: &[MethodId],
         merged: &[MergedStmt],
-        graph: &DepGraph,
         u: usize,
-        v: usize,
+        hop: usize,
     ) -> BlockCause {
-        let n = merged.len();
-        // BFS from u towards v, never stepping *through* v (intermediate
-        // vertices must be outside the pair; the final hop lands on v).
-        let mut parent: Vec<Option<usize>> = vec![None; n];
-        let mut queue = std::collections::VecDeque::new();
-        let mut found = false;
-        for &s in graph.succs(u) {
-            if s != v && parent[s].is_none() {
-                parent[s] = Some(u);
-                queue.push_back(s);
-            }
-        }
-        'bfs: while let Some(x) = queue.pop_front() {
-            for &s in graph.succs(x) {
-                if s == v {
-                    parent[v] = Some(x);
-                    found = true;
-                    break 'bfs;
-                }
-                if parent[s].is_none() {
-                    parent[s] = Some(x);
-                    queue.push_back(s);
-                }
-            }
-        }
-        let (from, to) = if found {
-            // Walk back from v to recover the first hop out of u.
-            let mut hop = v;
-            while let Some(p) = parent[hop] {
-                if p == u {
-                    break;
-                }
-                hop = p;
-            }
-            (u, hop)
-        } else {
-            // Defensive: with forward-only edges this should not happen;
-            // fall back to the direct pair edge.
-            (u, v)
-        };
-        let kind = self.classify_edge(seq, merged, from, to);
+        let stmt = |w: usize| (seq[merged[w].traversal], merged[w].index);
+        let summaries = self.accesses.summaries(&[stmt(u), stmt(hop)]);
+        let same_frame = merged[u].traversal == merged[hop].traversal;
+        let kind = summaries[0]
+            .conflict(summaries[1], same_frame)
+            .unwrap_or(ConflictKind::Control);
         BlockCause::DependenceCycle {
             kind,
-            from: edge_end(self.program, merged, from),
-            to: edge_end(self.program, merged, to),
-        }
-    }
-
-    /// Classifies the dependence edge `(a, b)` by re-running the individual
-    /// automata intersections of [`AccessSummary::conflicts_with`], data
-    /// conflicts first (more informative than the control fallback).
-    ///
-    /// [`AccessSummary::conflicts_with`]: crate::AccessSummary::conflicts_with
-    fn classify_edge(
-        &mut self,
-        seq: &[MethodId],
-        merged: &[MergedStmt],
-        a: usize,
-        b: usize,
-    ) -> ConflictKind {
-        let same_frame = merged[a].traversal == merged[b].traversal;
-        let sa = self
-            .accesses
-            .summary(seq[merged[a].traversal], merged[a].index)
-            .clone();
-        let sb = self
-            .accesses
-            .summary(seq[merged[b].traversal], merged[b].index)
-            .clone();
-        let locals_hit = |x: &[grafter_frontend::LocalId], y: &[grafter_frontend::LocalId]| {
-            x.iter().any(|l| y.contains(l))
-        };
-        if sa.tree_writes.intersects(&sb.tree_reads) {
-            ConflictKind::TreeWriteRead
-        } else if sa.tree_writes.intersects(&sb.tree_writes) {
-            ConflictKind::TreeWriteWrite
-        } else if sa.tree_reads.intersects(&sb.tree_writes) {
-            ConflictKind::TreeReadWrite
-        } else if sa.global_writes.intersects(&sb.global_reads) {
-            ConflictKind::GlobalWriteRead
-        } else if sa.global_writes.intersects(&sb.global_writes) {
-            ConflictKind::GlobalWriteWrite
-        } else if sa.global_reads.intersects(&sb.global_writes) {
-            ConflictKind::GlobalReadWrite
-        } else if same_frame
-            && (locals_hit(&sa.local_writes, &sb.local_reads)
-                || locals_hit(&sa.local_writes, &sb.local_writes)
-                || locals_hit(&sa.local_reads, &sb.local_writes))
-        {
-            ConflictKind::Local
-        } else {
-            ConflictKind::Control
+            from: edge_end(self.program, merged, u),
+            to: edge_end(self.program, merged, hop),
         }
     }
 
@@ -868,39 +789,4 @@ fn edge_end(program: &Program, merged: &[MergedStmt], v: usize) -> EdgeEnd {
         index: merged[v].index,
         what,
     }
-}
-
-/// Whether condensing `group_of` over `graph` yields an acyclic graph.
-fn condensation_acyclic(graph: &DepGraph, group_of: &[usize]) -> bool {
-    let n = group_of.len();
-    // Dense renumbering of group ids.
-    let mut remap: HashMap<usize, usize> = HashMap::new();
-    for &g in group_of {
-        let next = remap.len();
-        remap.entry(g).or_insert(next);
-    }
-    let k = remap.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut indeg = vec![0usize; k];
-    for u in 0..n {
-        for &v in graph.succs(u) {
-            let (gu, gv) = (remap[&group_of[u]], remap[&group_of[v]]);
-            if gu != gv && !succs[gu].contains(&gv) {
-                succs[gu].push(gv);
-                indeg[gv] += 1;
-            }
-        }
-    }
-    let mut ready: Vec<usize> = (0..k).filter(|&g| indeg[g] == 0).collect();
-    let mut seen = 0;
-    while let Some(g) = ready.pop() {
-        seen += 1;
-        for &s in &succs[g] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                ready.push(s);
-            }
-        }
-    }
-    seen == k
 }

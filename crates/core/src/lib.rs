@@ -67,5 +67,7 @@ pub use fusion::{
     fuse, fuse_slots, CallPart, FuseError, FuseOptions, FusedFn, FusedFnId, FusedProgram,
     FusionCoverage, FusionOptions, ScheduledItem, Stub, StubId,
 };
-pub use grafter_frontend::{Diag, DiagnosticBag, Severity, Stage};
+pub use grafter_frontend::{
+    ClassId, Diag, DiagnosticBag, FieldId, FieldKind, Program, Severity, Stage, Ty,
+};
 pub use pipeline::{Compiled, Fused, FusionMetrics};

@@ -4,7 +4,8 @@
 //! (running lexer, parser and sema, with all diagnostics accumulated in
 //! one [`DiagnosticBag`]); [`Compiled::fuse`] runs the fusion compiler and
 //! yields a [`Fused`] artifact that can render C++ ([`Fused::render_cpp`])
-//! or report compile-side fusion statistics ([`Fused::metrics`]).
+//! or report compile-side fusion statistics ([`FusedProgram::metrics`],
+//! reached through `Deref`).
 //! Execution lives in `grafter_engine` — build an `Engine` from a
 //! [`Compiled`] (or straight from source) and open per-request sessions.
 //!
@@ -172,7 +173,7 @@ impl Compiled {
     }
 }
 
-/// Compile-side statistics of a fusion run (see [`Fused::metrics`]).
+/// Compile-side statistics of a fusion run (see [`FusedProgram::metrics`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FusionMetrics {
     /// Number of generated fused functions.
@@ -225,19 +226,6 @@ impl Fused {
     /// Renders the fused program as C++-like source (the paper's Fig. 6).
     pub fn render_cpp(&self) -> String {
         cpp::emit(&self.fused)
-    }
-
-    /// Compile-side fusion statistics.
-    pub fn metrics(&self) -> FusionMetrics {
-        FusionMetrics {
-            functions: self.fused.n_functions(),
-            stubs: self.fused.stubs.len(),
-            passes: self.fused.entries.len(),
-            fully_fused: self.fused.fully_fused(),
-            fused_pairs: self.fused.coverage.fused_pairs,
-            missed_pairs: self.fused.coverage.missed_pairs,
-            blocked_pairs: self.fused.coverage.blocked_pairs,
-        }
     }
 
     /// The per-pair fusability verdicts of the fusion run (the `--explain`

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use grafter::pipeline::Compiled;
-use grafter::{fuse, Error, FusionMetrics, FusionOptions};
+use grafter::{fuse, Error, FusionOptions};
 use grafter_obs::{CompileTrace, Probe, Span};
 use grafter_runtime::{Layouts, PureRegistry, Value};
 use grafter_vm::{lower_with, Backend, OptLevel, VmOptions};
@@ -204,15 +204,7 @@ impl EngineBuilder {
                 ),
             ],
         });
-        let fusion = FusionMetrics {
-            functions: fused.n_functions(),
-            stubs: fused.stubs.len(),
-            passes: fused.entries.len(),
-            fully_fused: fused.fully_fused(),
-            fused_pairs: fused.coverage.fused_pairs,
-            missed_pairs: fused.coverage.missed_pairs,
-            blocked_pairs: fused.coverage.blocked_pairs,
-        };
+        let fusion = fused.metrics();
         // The compile-once step of the VM tier: lowering (and bytecode
         // optimization) happens here and nowhere else in the engine's
         // lifetime.

@@ -52,6 +52,7 @@ pub use hir::{
     BinOp, ClassId, DataAccess, Expr, FieldId, FieldKind, GlobalId, LocalId, MethodId, NodePath,
     PathStep, Program, PureId, Stmt, StructId, TraverseStmt, Ty, UnOp,
 };
+pub use parser::MAX_NESTING;
 
 /// Parses and semantically checks a Grafter program.
 ///

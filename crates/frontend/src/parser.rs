@@ -5,21 +5,44 @@ use crate::diag::{Diag, DiagnosticBag, Span, Stage};
 use crate::hir::{BinOp, UnOp};
 use crate::lexer::{lex, Token, TokenKind};
 
+/// The deepest a construct may nest within a traversal body.
+///
+/// Every pass after the parser (sema, access analysis, lowering, the
+/// interpreter, the C++ renderer and `Drop`) recurses once per level of the
+/// tree it walks, so unbounded nesting overflows the thread stack and aborts
+/// the process. Each enclosing `if`, parenthesis, unary operator, call and
+/// cast counts one level, and so does each binary operator above a
+/// subexpression: `1+1+…+1` builds a left-nested tree one level deeper per
+/// operator although the parser never recurses on it. The cap is far
+/// deeper than hand-written code and far below the nesting that overflows
+/// an 8 MiB stack in a debug build.
+pub const MAX_NESTING: usize = 256;
+
 /// Parses source text into a surface AST.
 ///
 /// # Errors
 ///
-/// Returns all lexer diagnostics, or the first parse error encountered.
+/// Returns all lexer diagnostics, or the first parse error encountered,
+/// including nesting deeper than [`MAX_NESTING`].
 pub fn parse(src: &str) -> Result<SurfaceProgram, DiagnosticBag> {
     let tokens = lex(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     parser.program().map_err(DiagnosticBag::from)
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels enclosing the current position (see [`MAX_NESTING`]).
+    depth: usize,
 }
+
+/// An expression and the number of levels below its root.
+type Nested = (SurfaceExpr, usize);
 
 type PResult<T> = Result<T, Diag>;
 
@@ -50,6 +73,24 @@ impl Parser {
 
     fn error(&self, message: impl Into<String>) -> Diag {
         Diag::error(Stage::Parse, message, self.span())
+    }
+
+    /// Fails if a construct `height` levels tall, at the current depth,
+    /// would nest deeper than [`MAX_NESTING`].
+    fn check_nesting(&self, height: usize) -> PResult<()> {
+        if self.depth + height > MAX_NESTING {
+            return Err(self.error(format!("nesting exceeds the limit of {MAX_NESTING} levels")));
+        }
+        Ok(())
+    }
+
+    /// Parses `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.check_nesting(1)?;
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn expect(&mut self, kind: TokenKind) -> PResult<Span> {
@@ -338,7 +379,7 @@ impl Parser {
     fn stmt(&mut self) -> PResult<SurfaceStmt> {
         let start = self.span();
         if self.is_kw("if") {
-            return self.if_stmt();
+            return self.nested(Self::if_stmt);
         }
         if self.eat_kw("return") {
             self.expect(TokenKind::Semi)?;
@@ -389,7 +430,7 @@ impl Parser {
             && *self.peek_at(1) == TokenKind::LParen
         {
             let (name, _) = self.ident()?;
-            let args = self.call_args()?;
+            let (args, _) = self.call_args()?;
             self.expect(TokenKind::Semi)?;
             return Ok(SurfaceStmt::PureCall {
                 name,
@@ -406,7 +447,7 @@ impl Parser {
                 let Some(last) = receiver.arrows.pop() else {
                     return Err(self.error("traversal call requires `->method(...)`"));
                 };
-                let args = self.call_args()?;
+                let (args, _) = self.call_args()?;
                 self.expect(TokenKind::Semi)?;
                 return Ok(SurfaceStmt::Traverse {
                     receiver,
@@ -482,19 +523,26 @@ impl Parser {
         })
     }
 
-    fn call_args(&mut self) -> PResult<Vec<SurfaceExpr>> {
-        self.expect(TokenKind::LParen)?;
-        let mut args = Vec::new();
-        if !self.eat(TokenKind::RParen) {
-            loop {
-                args.push(self.expr()?);
-                if !self.eat(TokenKind::Comma) {
-                    break;
+    /// A parenthesised argument list, one level below the call, and the
+    /// height of the call (one above its tallest argument).
+    fn call_args(&mut self) -> PResult<(Vec<SurfaceExpr>, usize)> {
+        self.nested(|p| {
+            p.expect(TokenKind::LParen)?;
+            let mut args = Vec::new();
+            let mut height = 1;
+            if !p.eat(TokenKind::RParen) {
+                loop {
+                    let (arg, h) = p.binary_expr(0)?;
+                    args.push(arg);
+                    height = height.max(h + 1);
+                    if !p.eat(TokenKind::Comma) {
+                        break;
+                    }
                 }
+                p.expect(TokenKind::RParen)?;
             }
-            self.expect(TokenKind::RParen)?;
-        }
-        Ok(args)
+            Ok((args, height))
+        })
     }
 
     // ---- paths -----------------------------------------------------------
@@ -511,7 +559,7 @@ impl Parser {
             self.expect(TokenKind::Star)?;
             self.expect(TokenKind::Gt)?;
             self.expect(TokenKind::LParen)?;
-            let inner = self.path()?;
+            let inner = self.nested(Self::path)?;
             self.expect(TokenKind::RParen)?;
             PathBase::Cast {
                 class,
@@ -544,49 +592,21 @@ impl Parser {
     // ---- expressions -----------------------------------------------------
 
     fn expr(&mut self) -> PResult<SurfaceExpr> {
-        self.or_expr()
+        Ok(self.binary_expr(0)?.0)
     }
 
-    fn or_expr(&mut self) -> PResult<SurfaceExpr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(TokenKind::OrOr) {
-            let rhs = self.and_expr()?;
-            let span = lhs.span().to(rhs.span());
-            lhs = SurfaceExpr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> PResult<SurfaceExpr> {
-        let mut lhs = self.equality_expr()?;
-        while self.eat(TokenKind::AndAnd) {
-            let rhs = self.equality_expr()?;
-            let span = lhs.span().to(rhs.span());
-            lhs = SurfaceExpr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn equality_expr(&mut self) -> PResult<SurfaceExpr> {
-        let mut lhs = self.relational_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::NotEq => BinOp::Ne,
-                _ => break,
-            };
+    /// Parses a chain of left-associative binary operators binding at
+    /// least as tightly as `min_prec` (precedence climbing).
+    fn binary_expr(&mut self, min_prec: u8) -> PResult<Nested> {
+        let (mut lhs, mut height) = self.unary_expr()?;
+        while let Some((op, prec)) = binary_op(self.peek()) {
+            if prec < min_prec {
+                break;
+            }
             self.bump();
-            let rhs = self.relational_expr()?;
+            let (rhs, rhs_height) = self.binary_expr(prec + 1)?;
+            height = height.max(rhs_height) + 1;
+            self.check_nesting(height)?;
             let span = lhs.span().to(rhs.span());
             lhs = SurfaceExpr::Binary {
                 op,
@@ -595,137 +615,97 @@ impl Parser {
                 span,
             };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn relational_expr(&mut self) -> PResult<SurfaceExpr> {
-        let mut lhs = self.additive_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.additive_expr()?;
-            let span = lhs.span().to(rhs.span());
-            lhs = SurfaceExpr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn additive_expr(&mut self) -> PResult<SurfaceExpr> {
-        let mut lhs = self.multiplicative_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.multiplicative_expr()?;
-            let span = lhs.span().to(rhs.span());
-            lhs = SurfaceExpr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative_expr(&mut self) -> PResult<SurfaceExpr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            let span = lhs.span().to(rhs.span());
-            lhs = SurfaceExpr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> PResult<SurfaceExpr> {
+    fn unary_expr(&mut self) -> PResult<Nested> {
         let start = self.span();
-        if self.eat(TokenKind::Minus) {
-            let expr = self.unary_expr()?;
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Bang => UnOp::Not,
+            _ => return self.primary_expr(),
+        };
+        self.nested(|p| {
+            p.bump();
+            let (expr, height) = p.unary_expr()?;
             let span = start.to(expr.span());
-            return Ok(SurfaceExpr::Unary {
-                op: UnOp::Neg,
+            let unary = SurfaceExpr::Unary {
+                op,
                 expr: Box::new(expr),
                 span,
-            });
-        }
-        if self.eat(TokenKind::Bang) {
-            let expr = self.unary_expr()?;
-            let span = start.to(expr.span());
-            return Ok(SurfaceExpr::Unary {
-                op: UnOp::Not,
-                expr: Box::new(expr),
-                span,
-            });
-        }
-        self.primary_expr()
+            };
+            Ok((unary, height + 1))
+        })
     }
 
-    fn primary_expr(&mut self) -> PResult<SurfaceExpr> {
+    fn primary_expr(&mut self) -> PResult<Nested> {
         let start = self.span();
         match self.peek().clone() {
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(SurfaceExpr::Literal(Literal::Int(v), start))
+                Ok((SurfaceExpr::Literal(Literal::Int(v), start), 0))
             }
             TokenKind::Float(v) => {
                 self.bump();
-                Ok(SurfaceExpr::Literal(Literal::Float(v), start))
+                Ok((SurfaceExpr::Literal(Literal::Float(v), start), 0))
             }
-            TokenKind::LParen => {
-                self.bump();
-                let inner = self.expr()?;
-                self.expect(TokenKind::RParen)?;
-                Ok(inner)
-            }
+            TokenKind::LParen => self.nested(|p| {
+                p.bump();
+                let (inner, height) = p.binary_expr(0)?;
+                p.expect(TokenKind::RParen)?;
+                Ok((inner, height + 1))
+            }),
             TokenKind::Ident(name) => {
                 if name == "true" || name == "false" {
                     self.bump();
-                    return Ok(SurfaceExpr::Literal(Literal::Bool(name == "true"), start));
+                    let literal = Literal::Bool(name == "true");
+                    return Ok((SurfaceExpr::Literal(literal, start), 0));
                 }
                 // Pure call in expression position: `name(args)`.
                 if name != "this" && name != "static_cast" && *self.peek_at(1) == TokenKind::LParen
                 {
                     self.bump();
-                    let args = self.call_args()?;
-                    return Ok(SurfaceExpr::Call {
+                    let (args, height) = self.call_args()?;
+                    let call = SurfaceExpr::Call {
                         name,
                         args,
                         span: start.to(self.prev_span()),
-                    });
+                    };
+                    return Ok((call, height));
                 }
                 let path = self.path()?;
-                Ok(SurfaceExpr::Path(path))
+                let mut height = 0;
+                let mut base = &path.base;
+                while let PathBase::Cast { inner, .. } = base {
+                    height += 1;
+                    base = &inner.base;
+                }
+                Ok((SurfaceExpr::Path(path), height))
             }
             other => Err(self.error(format!("expected expression, found {}", other.describe()))),
         }
     }
+}
+
+/// The binary operator a token denotes and its precedence, tightest
+/// highest: `||`, `&&`, equality, relational, additive, multiplicative.
+fn binary_op(kind: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinOp::Or, 0),
+        TokenKind::AndAnd => (BinOp::And, 1),
+        TokenKind::EqEq => (BinOp::Eq, 2),
+        TokenKind::NotEq => (BinOp::Ne, 2),
+        TokenKind::Lt => (BinOp::Lt, 3),
+        TokenKind::Le => (BinOp::Le, 3),
+        TokenKind::Gt => (BinOp::Gt, 3),
+        TokenKind::Ge => (BinOp::Ge, 3),
+        TokenKind::Plus => (BinOp::Add, 4),
+        TokenKind::Minus => (BinOp::Sub, 4),
+        TokenKind::Star => (BinOp::Mul, 5),
+        TokenKind::Slash => (BinOp::Div, 5),
+        TokenKind::Percent => (BinOp::Rem, 5),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -890,5 +870,81 @@ mod tests {
     fn empty_traversal_body_allowed() {
         let p = parse_ok("tree class A { virtual traversal f() {} }");
         assert_eq!(p.classes.len(), 1);
+    }
+
+    /// Parses a program whose traversal body is `body`, on a thread with
+    /// room for a debug build's parser frames at the cap (up to 16 KiB per
+    /// level, more than the default 2 MiB test thread holds at 256 levels).
+    fn parse_traversal(body: &str) -> Result<SurfaceProgram, DiagnosticBag> {
+        let src = format!("tree class A {{ int x = 0; traversal f() {{ {body} }} }}");
+        std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(move || parse(&src))
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    fn parens(levels: usize, inner: &str) -> String {
+        format!("{}{inner}{}", "(".repeat(levels), ")".repeat(levels))
+    }
+
+    fn chain(terms: usize) -> String {
+        vec!["1"; terms].join(" + ")
+    }
+
+    fn ifs(levels: usize, inner: &str) -> String {
+        format!(
+            "{}{inner}{}",
+            "if (true) { ".repeat(levels),
+            " }".repeat(levels)
+        )
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_nesting() {
+        let n = MAX_NESTING;
+        let cast = |levels: usize| {
+            format!(
+                "x = {}this{}.x;",
+                "static_cast<A*>(".repeat(levels),
+                ")".repeat(levels)
+            )
+        };
+        // (deepest accepted, shallowest rejected) pairs, one per shape.
+        let cases = [
+            (
+                format!("x = {};", parens(n, "1")),
+                format!("x = {};", parens(n + 1, "1")),
+            ),
+            (
+                format!("x = {};", chain(n + 1)),
+                format!("x = {};", chain(n + 2)),
+            ),
+            (
+                format!("x = {}1;", "-".repeat(n)),
+                format!("x = {}1;", "-".repeat(n + 1)),
+            ),
+            (
+                format!("x = {}1{};", "f(".repeat(n), ")".repeat(n)),
+                format!("x = {}1{};", "f(".repeat(n + 1), ")".repeat(n + 1)),
+            ),
+            (ifs(n, "x = 1;"), ifs(n + 1, "x = 1;")),
+            (cast(n), cast(n + 1)),
+            // Levels add up across shapes: 100 ifs, 100 parentheses and a
+            // chain of 56 operators is exactly the cap.
+            (
+                ifs(100, &format!("x = {};", parens(100, &chain(57)))),
+                ifs(100, &format!("x = {};", parens(100, &chain(58)))),
+            ),
+        ];
+        for (deepest, too_deep) in &cases {
+            if let Err(err) = parse_traversal(deepest) {
+                panic!("{deepest}: {err:?}");
+            }
+            let err = parse_traversal(too_deep).unwrap_err();
+            assert_eq!(err[0].stage, Stage::Parse, "{err:?}");
+            assert!(err[0].message.contains("nesting"), "{err:?}");
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! - **memory accesses / cache misses** — every field access is issued at a
 //!   byte address to a [`grafter_cachesim::CacheHierarchy`];
 //! - **runtime** — a cycle model (instructions + memory stalls), and real
-//!   wall-clock when driven by Criterion benches.
+//!   wall-clock when timed by perfbench or `vm_compare`.
 //!
 //! The heap assigns nodes bump-allocated addresses in construction order
 //! (like `malloc` in the paper's C++ runs), so locality effects of fusion

@@ -30,8 +30,8 @@ use grafter_workloads::case_studies;
 
 use crate::cache::EngineCache;
 use crate::proto::{
-    build_tree_spec, parse_request, render_error, write_frame, AppError, FrameReader, Incoming,
-    InputSpec, ProgramSpec, ProtoError, Request,
+    build_tree_spec, parse_request, render_error, resolve_tree_spec, write_frame, AppError,
+    FrameReader, Incoming, InputSpec, ProgramSpec, ProtoError, Request,
 };
 
 /// Results per streamed `run_batch` response frame.
@@ -225,7 +225,7 @@ impl Daemon {
                     Ok(e) => e,
                     Err(e) => return write_frame(writer, &render_error(&e.stage, &e.message)),
                 };
-                let builder = match make_builder(input) {
+                let builder = match make_builder(input, &engine) {
                     Ok(b) => b,
                     Err(e) => return write_frame(writer, &render_error(&e.stage, &e.message)),
                 };
@@ -264,7 +264,7 @@ impl Daemon {
                 let total = inputs.len();
                 let mut builders = Vec::with_capacity(total);
                 for input in inputs {
-                    match make_builder(input) {
+                    match make_builder(input, &engine) {
                         Ok(b) => builders.push(b),
                         Err(e) => return write_frame(writer, &render_error(&e.stage, &e.message)),
                     }
@@ -429,10 +429,10 @@ impl<'w, W: Write> ChunkState<'w, W> {
 }
 
 /// Resolves an input spec into a `Send` tree builder for the batch API.
-/// Unknown workloads fail fast here (typed config error); unknown
-/// classes/fields in an inline tree surface as per-input runtime errors
-/// via the pool's `catch_unwind`.
-fn make_builder(input: InputSpec) -> Result<Builder, AppError> {
+/// Unknown workloads, oversized generators and inline trees naming
+/// classes or fields `engine`'s program lacks fail fast here, as typed
+/// config errors, before anything is queued.
+fn make_builder(input: InputSpec, engine: &Engine) -> Result<Builder, AppError> {
     // Generator sizes are capped so one request cannot OOM-abort the
     // whole daemon (allocation failure aborts, catch_unwind can't help).
     // kdtree's `size` is a tree *depth* — 2^size nodes — so its cap is
@@ -466,9 +466,12 @@ fn make_builder(input: InputSpec) -> Result<Builder, AppError> {
             }
             Ok(Box::new(move |heap: &mut Heap| build(heap, size, seed)))
         }
-        InputSpec::Tree(spec) => Ok(Box::new(move |heap: &mut Heap| {
-            build_tree_spec(heap, &spec)
-        })),
+        InputSpec::Tree(spec) => {
+            let tree = resolve_tree_spec(engine.program(), &spec)?;
+            Ok(Box::new(move |heap: &mut Heap| {
+                build_tree_spec(heap, &tree)
+            }))
+        }
     }
 }
 

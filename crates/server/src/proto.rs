@@ -35,9 +35,11 @@
 //! spec `I` is either a generator reference
 //! `{"gen":{"workload":"ast","size":64,"seed":7}}` into the four paper
 //! case studies, or an inline tree
-//! `{"tree":{"class":C,"fields":{..},"children":{..}}}`. Leaf values are
-//! tagged — `{"i":1}`, `{"f":2.5}`, `{"b":true}` — because JSON numbers
-//! alone cannot distinguish the DSL's int and float types.
+//! `{"tree":{"class":C,"fields":{..},"children":{..}}}`, whose names are
+//! resolved against the program before the run is queued (a name that
+//! does not resolve is a `config` error). Leaf values are tagged —
+//! `{"i":1}`, `{"f":2.5}`, `{"b":true}` — because JSON numbers alone
+//! cannot distinguish the DSL's int and float types.
 //!
 //! # Responses
 //!
@@ -47,6 +49,7 @@
 
 use std::io::{self, Read, Write};
 
+use grafter::{ClassId, FieldId, FieldKind, Program, Ty};
 use grafter_engine::{fnv1a, Backend, EngineKey, FusionOptions, OptLevel};
 use grafter_obs::json::{parse, Json, JsonWriter};
 use grafter_runtime::{Heap, NodeId, Value};
@@ -335,23 +338,94 @@ pub struct TreeSpec {
     pub children: Vec<(String, Option<TreeSpec>)>,
 }
 
-/// Materializes an inline tree spec into `heap`, returning the root.
+/// An inline tree whose names [`resolve_tree_spec`] resolved against a
+/// program, so that building it cannot fail.
+#[derive(Clone, Debug)]
+pub struct ResolvedTree {
+    class: ClassId,
+    /// Data fields as the field and struct-member chain they write.
+    fields: Vec<(Vec<FieldId>, Value)>,
+    children: Vec<(FieldId, Option<ResolvedTree>)>,
+}
+
+/// Resolves an inline tree's class, data-field and child-field names
+/// against `program`, before any run is queued.
 ///
-/// Unknown classes or fields panic with a descriptive message; the batch
-/// layer's per-input `catch_unwind` turns that into a typed runtime
-/// error for exactly this input.
-pub fn build_tree_spec(heap: &mut Heap, spec: &TreeSpec) -> NodeId {
-    let node = heap
-        .alloc_by_name(&spec.class)
-        .unwrap_or_else(|| panic!("unknown tree class `{}`", spec.class));
-    for (field, value) in &spec.fields {
-        heap.set_by_name(node, field, *value)
-            .unwrap_or_else(|| panic!("unknown field `{field}` on `{}`", spec.class));
+/// # Errors
+///
+/// A `config` [`AppError`] naming the first class or field that does not
+/// resolve, or a child whose class the child field cannot hold.
+pub fn resolve_tree_spec(program: &Program, spec: &TreeSpec) -> Result<ResolvedTree, AppError> {
+    let class = program
+        .class_by_name(&spec.class)
+        .ok_or_else(|| AppError::config(format!("unknown tree class `{}`", spec.class)))?;
+    let mut fields = Vec::with_capacity(spec.fields.len());
+    for (name, value) in &spec.fields {
+        let chain = data_field_chain(program, class, name).ok_or_else(|| {
+            AppError::config(format!("unknown field `{name}` on `{}`", spec.class))
+        })?;
+        fields.push((chain, *value));
     }
-    for (field, child) in &spec.children {
+    let mut children = Vec::with_capacity(spec.children.len());
+    for (name, child) in &spec.children {
+        let unknown =
+            || AppError::config(format!("unknown child field `{name}` on `{}`", spec.class));
+        let field = program.field_on_class(class, name).ok_or_else(unknown)?;
+        let FieldKind::Child(declared) = program.fields[field.index()].kind else {
+            return Err(unknown());
+        };
+        let child = match child {
+            Some(c) => {
+                let tree = resolve_tree_spec(program, c)?;
+                if !program.is_subtype(tree.class, declared) {
+                    return Err(AppError::config(format!(
+                        "child `{name}` of `{}` holds a `{}`, not a `{}`",
+                        spec.class,
+                        c.class,
+                        program.classes[declared.index()].name
+                    )));
+                }
+                Some(tree)
+            }
+            None => None,
+        };
+        children.push((field, child));
+    }
+    Ok(ResolvedTree {
+        class,
+        fields,
+        children,
+    })
+}
+
+/// The field and struct-member chain a data-field name like `size` or
+/// `border.width` denotes on `class`.
+fn data_field_chain(program: &Program, class: ClassId, name: &str) -> Option<Vec<FieldId>> {
+    let mut parts = name.split('.');
+    let mut field = program.field_on_class(class, parts.next()?)?;
+    let mut chain = vec![field];
+    for member in parts {
+        let FieldKind::Data(Ty::Struct(st)) = program.fields[field.index()].kind else {
+            return None;
+        };
+        field = program.field_on_struct(st, member)?;
+        chain.push(field);
+    }
+    matches!(program.fields[field.index()].kind, FieldKind::Data(_)).then_some(chain)
+}
+
+/// Materializes a resolved inline tree into `heap` (laid out for the
+/// program it was resolved against), returning the root.
+pub fn build_tree_spec(heap: &mut Heap, tree: &ResolvedTree) -> NodeId {
+    let node = heap.alloc(tree.class);
+    for (chain, value) in &tree.fields {
+        let slot = heap.layouts().slot_of_chain(tree.class, chain);
+        heap.set(node, slot, *value);
+    }
+    for (field, child) in &tree.children {
         let child = child.as_ref().map(|c| build_tree_spec(heap, c));
-        heap.set_child_by_name(node, field, child)
-            .unwrap_or_else(|| panic!("unknown child field `{field}` on `{}`", spec.class));
+        let slot = heap.layouts().slot_of(tree.class, *field);
+        heap.set(node, slot, Value::Ref(child));
     }
     node
 }
@@ -867,5 +941,80 @@ mod tests {
         b.args = vec![vec![Value::Float(2.5), Value::Int(4)]];
         assert_ne!(a.key(), b.key());
         assert_eq!(a.key(), tiny_program().key());
+    }
+
+    #[test]
+    fn inline_trees_resolve_against_the_program() {
+        let compiled = grafter::Compiled::compile(
+            "struct Box { int w; int h; }
+             tree class N { child N* next; Box size; int a = 0; virtual traversal t() {} }
+             tree class M : N { }
+             tree class Other { int b = 0; }",
+        )
+        .unwrap();
+        let program = compiled.program();
+        let spec =
+            |class: &str, fields: &[(&str, i64)], children: Vec<(&str, Option<TreeSpec>)>| {
+                TreeSpec {
+                    class: class.to_string(),
+                    fields: fields
+                        .iter()
+                        .map(|&(f, v)| (f.to_string(), Value::Int(v)))
+                        .collect(),
+                    children: children
+                        .into_iter()
+                        .map(|(f, c)| (f.to_string(), c))
+                        .collect(),
+                }
+            };
+
+        let tree = spec(
+            "M",
+            &[("a", 1), ("size.h", 7)],
+            vec![("next", Some(spec("N", &[], Vec::new())))],
+        );
+        let resolved = resolve_tree_spec(program, &tree).unwrap();
+        let mut heap = Heap::new(program);
+        let root = build_tree_spec(&mut heap, &resolved);
+        assert_eq!(heap.get_by_name(root, "a"), Some(Value::Int(1)));
+        assert_eq!(heap.get_by_name(root, "size.h"), Some(Value::Int(7)));
+        assert_eq!(heap.get_by_name(root, "size.w"), Some(Value::Int(0)));
+        let kid = heap.child_by_name(root, "next").unwrap().unwrap();
+        assert_eq!(heap.class_of(kid), program.class_by_name("N").unwrap());
+
+        for (tree, needle) in [
+            (spec("Nope", &[], Vec::new()), "unknown tree class `Nope`"),
+            (spec("N", &[("b", 1)], Vec::new()), "unknown field `b`"),
+            (
+                spec("N", &[("size.d", 1)], Vec::new()),
+                "unknown field `size.d`",
+            ),
+            (spec("N", &[("a.w", 1)], Vec::new()), "unknown field `a.w`"),
+            (
+                spec("N", &[("next", 1)], Vec::new()),
+                "unknown field `next`",
+            ),
+            (spec("N", &[], vec![("a", None)]), "unknown child field `a`"),
+            (
+                spec(
+                    "N",
+                    &[],
+                    vec![("next", Some(spec("Other", &[], Vec::new())))],
+                ),
+                "holds a `Other`, not a `N`",
+            ),
+            (
+                spec(
+                    "N",
+                    &[],
+                    vec![("next", Some(spec("Gone", &[], Vec::new())))],
+                ),
+                "unknown tree class `Gone`",
+            ),
+        ] {
+            let err = resolve_tree_spec(program, &tree).unwrap_err();
+            assert_eq!(err.stage, "config");
+            assert!(err.message.contains(needle), "{}", err.message);
+        }
     }
 }

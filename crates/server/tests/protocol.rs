@@ -542,3 +542,82 @@ fn removed_jit_backend_is_a_config_error() {
     drop(client);
     handle.join().expect("daemon thread");
 }
+
+#[test]
+fn deeply_nested_sources_are_typed_parse_errors_and_survivable() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+
+    let traversal =
+        |body: String| format!("tree class N {{ int a = 0; virtual traversal t() {{ {body} }} }}");
+    for source in [
+        traversal(format!(
+            "a = {}1{};",
+            "(".repeat(30_000),
+            ")".repeat(30_000)
+        )),
+        // Binary chains build left-nested trees without the parser
+        // recursing; a 200k-term chain aborted the daemon before the cap.
+        traversal(format!("a = {};", vec!["1"; 200_000].join("+"))),
+        traversal(format!(
+            "{}a = 1;{}",
+            "if (a == 0) { ".repeat(20_000),
+            " }".repeat(20_000)
+        )),
+    ] {
+        assert!(source.len() < MAX_BODY);
+        let spec = ProgramSpec {
+            source,
+            ..program()
+        };
+        let resp = client.call(&render_run(&spec, &leaf()));
+        assert!(!is_ok(&resp), "{resp:?}");
+        assert_eq!(error_stage(&resp), "parse", "{resp:?}");
+        assert!(is_ok(&client.call(&render_bare("ping"))));
+    }
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
+fn inline_trees_naming_unknown_classes_or_fields_are_config_errors() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+
+    let unknown_class = TreeSpec {
+        class: "NoSuchClass".to_string(),
+        fields: Vec::new(),
+        children: Vec::new(),
+    };
+    let unknown_field = TreeSpec {
+        class: "N".to_string(),
+        fields: vec![("nope".to_string(), Value::Int(1))],
+        children: Vec::new(),
+    };
+    let unknown_child = TreeSpec {
+        class: "N".to_string(),
+        fields: Vec::new(),
+        children: vec![("kid".to_string(), None)],
+    };
+    for tree in [unknown_class, unknown_field, unknown_child] {
+        let resp = client.call(&render_run(&program(), &InputSpec::Tree(tree)));
+        assert!(!is_ok(&resp), "{resp:?}");
+        assert_eq!(error_stage(&resp), "config", "{resp:?}");
+        let message = resp
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .expect("error message");
+        assert!(message.contains("unknown"), "{message}");
+        assert!(!message.contains("panicked"), "{message}");
+        assert!(is_ok(&client.call(&render_bare("ping"))));
+    }
+    // The same program still runs a well-formed tree.
+    assert!(is_ok(&client.call(&render_run(&program(), &leaf()))));
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}

@@ -1,7 +1,7 @@
 //! The four case studies as uniform descriptors.
 //!
-//! Every driver that sweeps "all the workloads" — the Criterion bench,
-//! the `vm_compare` backend comparison, the backend differential tests —
+//! Every tool that sweeps "all the workloads" — perfbench, the
+//! `vm_compare` backend comparison, the backend differential tests —
 //! reads this one matrix, so a change to a workload's entry sequence (or
 //! to the kd-tree schedule selection) propagates to every driver at once
 //! instead of requiring three copies to be edited in lockstep.

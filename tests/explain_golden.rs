@@ -1,7 +1,9 @@
-//! Golden-file tests for the `--explain` report: the full text and JSON
-//! renderings for each of the paper's four case studies are pinned under
-//! `tests/golden/`, so any change to verdict classification, span
-//! resolution or report formatting shows up as a reviewable diff.
+//! Golden-file tests for the `--explain` report and the fused code: the
+//! full text and JSON renderings of the report, and the rendered C++ of the
+//! fused program, for each of the paper's four case studies are pinned
+//! under `tests/golden/`, so any change to verdict classification, span
+//! resolution, report formatting, call grouping or schedule shows up as a
+//! reviewable diff.
 //!
 //! Regenerate after an intentional change with
 //! `BLESS=1 cargo test --test explain_golden`.
@@ -54,6 +56,18 @@ fn explain_text_and_json_match_goldens_on_all_case_studies() {
             &format!("{}.explain.json", case.name),
             &explain.render_json(case.source),
         );
+    }
+}
+
+#[test]
+fn fused_cpp_matches_goldens_on_all_case_studies() {
+    for case in case_studies() {
+        let engine = Engine::builder()
+            .compiled(case.compiled.clone())
+            .entry(case.root_class, &case.passes)
+            .build()
+            .unwrap();
+        check_golden(&format!("{}.fused.cpp", case.name), &engine.render_cpp());
     }
 }
 

@@ -299,3 +299,56 @@ fn stats_report_the_opt_level() {
     assert_eq!(code, Some(0));
     assert!(stderr.contains("[backend: vm O2"), "stats: {stderr}");
 }
+
+/// A one-class program whose traversal `f` has body `body`.
+fn nested_program(body: &str) -> String {
+    format!("tree class A {{ int x = 0; traversal f() {{ {body} }} }}")
+}
+
+#[test]
+fn nesting_past_the_cap_is_a_parse_error() {
+    let parens = format!("x = {}1{};", "(".repeat(3_000), ")".repeat(3_000));
+    let chain = format!("x = {};", vec!["1"; 30_000].join("+"));
+    for body in [parens, chain] {
+        let (_, stderr, code) = grafterc(
+            &["-", "--root", "A", "--passes", "f"],
+            &nested_program(&body),
+        );
+        assert_eq!(code, Some(3), "a compile error, not a crash: {stderr}");
+        assert!(stderr.contains("error[parse]"), "{stderr}");
+        assert!(stderr.contains("nesting"), "{stderr}");
+    }
+}
+
+#[test]
+fn programs_nested_to_the_cap_compile_and_run_on_both_tiers() {
+    let cap = grafter_frontend::MAX_NESTING;
+    let body = format!(
+        "x = {parens_open}1{parens_close}; x = {chain}; {ifs_open}x = -x;{ifs_close}",
+        parens_open = "(".repeat(cap),
+        parens_close = ")".repeat(cap),
+        chain = vec!["1"; cap + 1].join("+"),
+        ifs_open = "if (x > 0) { ".repeat(cap - 1),
+        ifs_close = " }".repeat(cap - 1),
+    );
+    let src = nested_program(&body);
+    for backend in ["vm", "interp"] {
+        let (_, stderr, code) = grafterc(
+            &[
+                "-",
+                "--root",
+                "A",
+                "--passes",
+                "f",
+                "--backend",
+                backend,
+                "--emit",
+                "none",
+                "--run",
+            ],
+            &src,
+        );
+        assert_eq!(code, Some(0), "{backend}: {stderr}");
+        assert!(stderr.contains("run ok"), "{backend}: {stderr}");
+    }
+}
