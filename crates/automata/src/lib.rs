@@ -9,10 +9,14 @@
 //!
 //! - nondeterministic finite automata with epsilon transitions ([`Nfa`]),
 //! - primitive automata for single access paths ([`Nfa::from_path`]),
-//! - union ([`Nfa::union`]) and an on-the-fly language intersection test
+//! - union ([`Nfa::union`]) and a language intersection test
 //!   ([`Nfa::intersects`]) that is aware of the wildcard "any member"
 //!   symbol used for opaque objects and for `new` / `delete` tree
-//!   mutations.
+//!   mutations. It searches the product automaton's state pairs for an
+//!   accepting pair, stepping both sides together on labels that
+//!   overlap; that is exact for the wildcard semantics, because a word
+//!   both automata accept overlaps label by label, and every overlapping
+//!   label pair is matched by some concrete member.
 //!
 //! The alphabet is generic over the [`Symbol`] trait so the automata can be
 //! tested independently of the compiler; the compiler instantiates it with

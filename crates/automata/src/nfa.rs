@@ -1,6 +1,6 @@
 //! Nondeterministic finite automata with epsilon transitions.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::sym::Symbol;
 
@@ -219,62 +219,50 @@ impl<S: Symbol> Nfa<S> {
     ///
     /// This is the core dependence test of the compiler: two statements may
     /// conflict iff the write automaton of one intersects a read or write
-    /// automaton of the other. The product is explored on the fly; wildcard
-    /// transitions overlap every symbol.
+    /// automaton of the other.
+    ///
+    /// The test is an emptiness search over the product automaton, whose
+    /// states are pairs `(a, b)` of one state from each side. A pair steps
+    /// by an epsilon move of either side alone, or by one labelled
+    /// transition of each side whose symbols [`overlap`](Symbol::overlaps);
+    /// the intersection is non-empty iff a pair of accepting states is
+    /// reachable from `(start, start)`. Visited pairs live in one flat
+    /// `|self| · |other|` table, so each pair is expanded at most once.
+    ///
+    /// The search is exact for the wildcard semantics: a concrete word both
+    /// automata accept spells, step by step, two labels that each match the
+    /// same concrete member, so every step's labels overlap and the word's
+    /// two accepting paths form a product path. Conversely, two labels
+    /// overlap only if they are equal or one is a wildcard, so each step of
+    /// a product path is matched by a concrete member (the non-wildcard
+    /// label, or any member when both are wildcards), and the path spells a
+    /// word both automata accept.
     pub fn intersects(&self, other: &Nfa<S>) -> bool {
-        let mut start = (BTreeSet::from([self.start]), BTreeSet::from([other.start]));
-        self.eps_closure(&mut start.0);
-        other.eps_closure(&mut start.1);
-
-        let mut seen: HashSet<(BTreeSet<StateId>, BTreeSet<StateId>)> = HashSet::new();
-        let mut queue = VecDeque::from([start.clone()]);
-        seen.insert(start);
-
-        while let Some((a_states, b_states)) = queue.pop_front() {
-            let a_accepts = a_states.iter().any(|&s| self.accepting[s]);
-            let b_accepts = b_states.iter().any(|&s| other.accepting[s]);
-            if a_accepts && b_accepts {
+        let width = other.len();
+        let mut seen = vec![false; self.len() * width];
+        let mut stack = vec![(self.start, other.start)];
+        seen[self.start * width + other.start] = true;
+        while let Some((a, b)) = stack.pop() {
+            if self.accepting[a] && other.accepting[b] {
                 return true;
             }
-            // Collect candidate symbols from both sides and advance the
-            // product by every overlapping pair.
-            let mut moves: BTreeMap<(BTreeSet<StateId>, BTreeSet<StateId>), ()> = BTreeMap::new();
-            let mut a_syms: Vec<&S> = Vec::new();
-            for &s in &a_states {
-                for (sym, _) in &self.transitions[s] {
-                    a_syms.push(sym);
+            let mut visit = |a: StateId, b: StateId| {
+                if !seen[a * width + b] {
+                    seen[a * width + b] = true;
+                    stack.push((a, b));
                 }
+            };
+            for &next in &self.epsilons[a] {
+                visit(next, b);
             }
-            for a_sym in a_syms {
-                // Destination on the `self` side under `a_sym`.
-                let mut a_next = BTreeSet::new();
-                for &s in &a_states {
-                    for (sym, to) in &self.transitions[s] {
-                        if sym.overlaps(a_sym) {
-                            a_next.insert(*to);
-                        }
-                    }
-                }
-                // Destination on the `other` side under `a_sym`.
-                let mut b_next = BTreeSet::new();
-                for &s in &b_states {
-                    for (sym, to) in &other.transitions[s] {
-                        if sym.overlaps(a_sym) {
-                            b_next.insert(*to);
-                        }
-                    }
-                }
-                if a_next.is_empty() || b_next.is_empty() {
-                    continue;
-                }
-                self.eps_closure(&mut a_next);
-                other.eps_closure(&mut b_next);
-                moves.insert((a_next, b_next), ());
+            for &next in &other.epsilons[b] {
+                visit(a, next);
             }
-            for (pair, ()) in moves {
-                if !seen.contains(&pair) {
-                    seen.insert(pair.clone());
-                    queue.push_back(pair);
+            for (a_sym, a_next) in &self.transitions[a] {
+                for (b_sym, b_next) in &other.transitions[b] {
+                    if a_sym.overlaps(b_sym) {
+                        visit(*a_next, *b_next);
+                    }
                 }
             }
         }

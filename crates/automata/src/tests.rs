@@ -223,6 +223,69 @@ mod proptests {
         }
     }
 
+    /// A random automaton of one to three states over `{a, b, *}`: any
+    /// ordered state pair (self-loops and back edges included) may get
+    /// labelled edges and an epsilon edge. At least one state accepts.
+    fn small_nfa(rng: &mut StdRng) -> Nfa<char> {
+        let mut a = Nfa::new();
+        let n = rng.gen_range(1..4usize);
+        for _ in 1..n {
+            a.add_state();
+        }
+        for from in 0..n {
+            for to in 0..n {
+                for label in ['a', 'b', '*'] {
+                    if rng.gen_bool(0.25) {
+                        a.add_transition(from, label, to);
+                    }
+                }
+                if rng.gen_bool(0.2) {
+                    a.add_epsilon(from, to);
+                }
+            }
+            a.set_accepting(from, rng.gen_bool(0.3));
+        }
+        a.set_accepting(rng.gen_range(0..n), true);
+        a
+    }
+
+    /// Brute force: is some concrete word over `{a, b, c}` that extends
+    /// `word` by at most `budget` letters accepted by both automata? `c`
+    /// is a member no label names, so only a `*` edge reads it.
+    fn shared_word(a: &Nfa<char>, b: &Nfa<char>, word: &mut Vec<char>, budget: usize) -> bool {
+        if a.accepts(word) && b.accepts(word) {
+            return true;
+        }
+        budget > 0
+            && ['a', 'b', 'c'].into_iter().any(|c| {
+                word.push(c);
+                let hit = shared_word(a, b, word, budget - 1);
+                word.pop();
+                hit
+            })
+    }
+
+    /// The product search against a brute-force oracle on automata with
+    /// wildcards, loops and epsilon edges. A shortest accepting path of
+    /// the product visits each of its `|a| · |b|` (at most nine) state
+    /// pairs at most once, so a shortest common word has fewer letters
+    /// than that and the oracle's bound is exact.
+    #[test]
+    fn intersects_matches_bounded_word_search() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut outcomes = [0usize; 2];
+        for _ in 0..2 * CASES {
+            let a = small_nfa(&mut rng);
+            let b = small_nfa(&mut rng);
+            let expected = shared_word(&a, &b, &mut Vec::new(), a.len() * b.len() - 1);
+            assert_eq!(a.intersects(&b), expected, "{a:?} vs {b:?}");
+            assert_eq!(b.intersects(&a), expected, "{b:?} vs {a:?}");
+            outcomes[usize::from(expected)] += 1;
+        }
+        // Both answers are well represented (50 disjoint, 206 not).
+        assert!(outcomes.iter().all(|&n| n > CASES / 4), "{outcomes:?}");
+    }
+
     #[test]
     fn empty_language_iff_no_word_accepted() {
         let mut rng = StdRng::seed_from_u64(5);

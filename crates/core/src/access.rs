@@ -101,13 +101,23 @@ impl AccessSummary {
     }
 }
 
-/// Cached per-statement access summaries for a whole program.
+/// A top-level statement: its method and its index in the method's body.
+type StmtKey = (MethodId, usize);
+
+/// Cached per-statement access summaries for a whole program, and a memo
+/// of the conflicts between them.
 ///
 /// Call summaries depend on the *static receiver context* (the class whose
 /// method contains the call), so the cache key is `(method, stmt index)`.
+///
+/// The same statement pairs recur across the fused functions of one
+/// program, so the dependence graphs ask for conflicts through a memo of
+/// `(statement, statement, same_frame)` verdicts: the automata of a pair
+/// are intersected once however many graphs test it.
 pub struct ProgramAccesses<'p> {
     program: &'p Program,
-    cache: HashMap<(MethodId, usize), AccessSummary>,
+    cache: HashMap<StmtKey, AccessSummary>,
+    conflicts: HashMap<(StmtKey, StmtKey, bool), Option<ConflictKind>>,
 }
 
 impl<'p> ProgramAccesses<'p> {
@@ -116,6 +126,7 @@ impl<'p> ProgramAccesses<'p> {
         ProgramAccesses {
             program,
             cache: HashMap::new(),
+            conflicts: HashMap::new(),
         }
     }
 
@@ -135,13 +146,24 @@ impl<'p> ProgramAccesses<'p> {
         &self.cache[&(method, index)]
     }
 
-    /// Summaries for several `(method, index)` statements at once, each
-    /// computed on first request and borrowed from the cache.
-    pub(crate) fn summaries(&mut self, stmts: &[(MethodId, usize)]) -> Vec<&AccessSummary> {
-        for &(method, index) in stmts {
-            self.summary(method, index);
+    /// The first conflict between statement `first` and a later statement
+    /// `second` ([`AccessSummary::conflict`] on their summaries), computed
+    /// on first request for each `(first, second, same_frame)`.
+    pub(crate) fn conflict(
+        &mut self,
+        first: StmtKey,
+        second: StmtKey,
+        same_frame: bool,
+    ) -> Option<ConflictKind> {
+        let key = (first, second, same_frame);
+        if let Some(&kind) = self.conflicts.get(&key) {
+            return kind;
         }
-        stmts.iter().map(|key| &self.cache[key]).collect()
+        self.summary(first.0, first.1);
+        self.summary(second.0, second.1);
+        let kind = self.cache[&first].conflict(&self.cache[&second], same_frame);
+        self.conflicts.insert(key, kind);
+        kind
     }
 
     /// Builds the summary of one top-level statement in the context of a
@@ -643,9 +665,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn topology_mutation_conflicts_with_subtree_access() {
-        let p = compile(
+    /// `new` and `delete`, whose write automata end in a wildcard loop.
+    fn mutation() -> Program {
+        compile(
             r#"
             tree class E { virtual traversal f() {} virtual traversal g() {} }
             tree class N : E {
@@ -656,7 +678,12 @@ mod tests {
             }
             "#,
         )
-        .unwrap();
+        .expect("mutation fixture compiles")
+    }
+
+    #[test]
+    fn topology_mutation_conflicts_with_subtree_access() {
+        let p = mutation();
         let mut acc = ProgramAccesses::new(&p);
         let n = p.class_by_name("N").unwrap();
         let mf = p.method_on_class(n, "f").unwrap();
@@ -666,6 +693,53 @@ mod tests {
         assert!(del.conflict(&read, false).is_some());
         let new = acc.summary(mf, 1).clone();
         assert!(new.conflict(&read, false).is_some());
+    }
+
+    /// Statements that conflict only through a local, so only when they
+    /// share a frame.
+    fn local_only() -> Program {
+        compile("tree class A { int x = 0; traversal f() { int t = 1; x = t; } }")
+            .expect("local fixture compiles")
+    }
+
+    #[test]
+    fn memoised_conflicts_equal_direct_ones() {
+        // Verdicts without and with a conflict, and pairs whose verdict
+        // depends on `same_frame`.
+        let (mut none, mut some, mut frame_dependent) = (0, 0, 0);
+        for p in [fig2(), mutation(), local_only()] {
+            let stmts: Vec<(MethodId, usize)> = (0..p.methods.len())
+                .flat_map(|m| (0..p.methods[m].body.len()).map(move |i| (MethodId(m as u32), i)))
+                .collect();
+            let mut acc = ProgramAccesses::new(&p);
+            // The second round repeats every query and must be answered
+            // from the memo, with the same verdicts.
+            for round in 0..2 {
+                for &a in &stmts {
+                    for &b in &stmts {
+                        let mut verdicts = [None; 2];
+                        for same_frame in [false, true] {
+                            let memo = acc.conflict(a, b, same_frame);
+                            let direct = acc.cache[&a].conflict(&acc.cache[&b], same_frame);
+                            assert_eq!(memo, direct, "{a:?} vs {b:?}, same frame {same_frame}");
+                            verdicts[usize::from(same_frame)] = memo;
+                        }
+                        if round == 0 {
+                            for v in verdicts {
+                                if v.is_some() {
+                                    some += 1;
+                                } else {
+                                    none += 1;
+                                }
+                            }
+                            frame_dependent += usize::from(verdicts[0] != verdicts[1]);
+                        }
+                    }
+                }
+                assert_eq!(acc.conflicts.len(), 2 * stmts.len() * stmts.len());
+            }
+        }
+        assert!(none > 0 && some > 0 && frame_dependent > 0);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!
 //! Statements from *different* inlined copies have disjoint local frames, so
 //! local variables only induce dependences within a copy.
+//!
+//! Data conflicts come from a memo in [`ProgramAccesses`] that keeps each
+//! `(statement, statement, same_frame)` verdict: the fused functions of
+//! one program share most of their statement pairs, so each pair's
+//! automata are intersected once per program, not once per graph.
 
 use std::collections::VecDeque;
 
@@ -66,14 +71,17 @@ impl DepGraph {
             .iter()
             .map(|ms| (seq[ms.traversal], ms.index))
             .collect();
-        let summaries = accesses.summaries(&stmts);
+        let may_return: Vec<bool> = stmts
+            .iter()
+            .map(|&(method, index)| accesses.summary(method, index).may_return)
+            .collect();
         let n = merged.len();
         let mut succs = vec![Vec::new(); n];
         for u in 0..n {
             for v in (u + 1)..n {
                 let same_frame = merged[u].traversal == merged[v].traversal;
-                let control = same_frame && (summaries[u].may_return || summaries[v].may_return);
-                if control || summaries[u].conflict(summaries[v], same_frame).is_some() {
+                let control = same_frame && (may_return[u] || may_return[v]);
+                if control || accesses.conflict(stmts[u], stmts[v], same_frame).is_some() {
                     succs[u].push(v);
                 }
             }

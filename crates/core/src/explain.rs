@@ -14,8 +14,8 @@
 //!   cause: a receiver that does not resolve to a tree class, no common
 //!   dispatch supertype (naming the two static targets), or a dependence
 //!   cycle (naming the edge that closes it, found by
-//!   [`DepGraph::blocking_hop`] and classified by the same
-//!   [`AccessSummary::conflict`] call that put it in the [`DepGraph`]).
+//!   [`DepGraph::blocking_hop`] and classified by the same memoised
+//!   [`AccessSummary::conflict`] verdict that put it in the [`DepGraph`]).
 //!
 //! The verdicts aggregate into a [`FusionExplain`] attached to
 //! [`FusedProgram`](crate::FusedProgram), rendered as caret-snippet text via

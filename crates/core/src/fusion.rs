@@ -658,10 +658,8 @@ impl Fuser<'_> {
 
     /// The blocked verdict of a pair whose merge would close a dependence
     /// cycle, naming the edge `u → hop` from [`DepGraph::blocking_hop`] by
-    /// the same [`AccessSummary::conflict`] call that put it in the graph,
-    /// or as a control edge when no data conflict did.
-    ///
-    /// [`AccessSummary::conflict`]: crate::AccessSummary::conflict
+    /// the memoised [`ProgramAccesses::conflict`] verdict that put it in
+    /// the graph, or as a control edge when no data conflict did.
     fn dependence_cycle(
         &mut self,
         seq: &[MethodId],
@@ -670,10 +668,10 @@ impl Fuser<'_> {
         hop: usize,
     ) -> BlockCause {
         let stmt = |w: usize| (seq[merged[w].traversal], merged[w].index);
-        let summaries = self.accesses.summaries(&[stmt(u), stmt(hop)]);
         let same_frame = merged[u].traversal == merged[hop].traversal;
-        let kind = summaries[0]
-            .conflict(summaries[1], same_frame)
+        let kind = self
+            .accesses
+            .conflict(stmt(u), stmt(hop), same_frame)
             .unwrap_or(ConflictKind::Control);
         BlockCause::DependenceCycle {
             kind,

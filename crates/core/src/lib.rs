@@ -13,7 +13,8 @@
 //!    of Algorithm 1 that capture all accesses transitively reachable from a
 //!    traversing call under dynamic dispatch and mutual recursion;
 //! 2. [`depgraph`] intersects those automata to build the dependence graph
-//!    of a candidate fused function;
+//!    of a candidate fused function, testing each statement pair once per
+//!    program through a conflict memo in [`ProgramAccesses`];
 //! 3. [`fusion`] runs the fusion algorithm (outline → inline → reorder →
 //!    group → recurse) with *type-specific partial fusion*: every sequence
 //!    of concrete functions fuses independently, memoised so recursive

@@ -1,8 +1,9 @@
 //! The grafterd connection loop: accept, serve, drain, exit.
 //!
-//! One thread per connection (requests within a connection are
-//! sequential; concurrency comes from concurrent connections), all
-//! execution routed through the engine crate's persistent worker pool —
+//! One thread per connection, at most [`MAX_CONNECTIONS`] at once
+//! (requests within a connection are sequential; concurrency comes from
+//! concurrent connections), all execution routed through the engine
+//! crate's persistent worker pool —
 //! the daemon itself never runs a traversal on a connection thread, so
 //! connection stacks stay small while traversal recursion gets the
 //! pool's 2 GiB reserved stacks, and per-input `catch_unwind` isolation
@@ -17,7 +18,7 @@
 
 use std::io::{self, BufWriter, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -47,6 +48,11 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
 /// Poll quantum for the acceptor and connection read timeouts.
 const POLL: Duration = Duration::from_millis(50);
+
+/// Open connections the daemon serves at once. A connection past the cap
+/// gets one `proto` error frame and is closed, so idle clients cannot
+/// make the daemon spawn connection threads without bound.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Daemon tuning.
 #[derive(Clone, Debug)]
@@ -101,25 +107,40 @@ impl Daemon {
     /// accepting, lets every connection finish its in-flight request,
     /// and returns once all connection threads exited.
     ///
+    /// At most [`MAX_CONNECTIONS`] connections are served at once; one
+    /// more is refused with a `proto` error frame. If the OS cannot spawn
+    /// a connection's thread, that connection is dropped and the daemon
+    /// keeps accepting.
+    ///
     /// # Errors
     ///
     /// Propagates acceptor socket errors (per-connection I/O errors only
     /// close that connection).
     pub fn serve(&self, shutdown: &AtomicBool) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
+        let open = AtomicUsize::new(0);
         thread::scope(|scope| {
             while !shutdown.load(Ordering::SeqCst) {
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
-                        thread::Builder::new()
+                        // Only this thread adds connections, so the count
+                        // cannot pass the cap between check and add.
+                        if open.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                            refuse(stream);
+                            continue;
+                        }
+                        let slot = ConnSlot::take(&open);
+                        // A failed spawn drops the closure, and with it the
+                        // stream (closing the connection) and its slot.
+                        let _ = thread::Builder::new()
                             .name("grafterd-conn".to_string())
                             .stack_size(CONN_STACK)
                             .spawn_scoped(scope, move || {
+                                let _slot = slot;
                                 // A connection failing (I/O, desync) only
                                 // drops that connection.
                                 let _ = self.handle_conn(stream, shutdown);
-                            })
-                            .expect("spawn connection thread");
+                            });
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -351,6 +372,32 @@ impl Daemon {
         w.end_obj();
         w.finish()
     }
+}
+
+/// One open connection's share of [`MAX_CONNECTIONS`], given back when
+/// the connection's thread ends (or its spawn fails), panics included.
+struct ConnSlot<'a>(&'a AtomicUsize);
+
+impl<'a> ConnSlot<'a> {
+    fn take(open: &'a AtomicUsize) -> ConnSlot<'a> {
+        open.fetch_add(1, Ordering::SeqCst);
+        ConnSlot(open)
+    }
+}
+
+impl Drop for ConnSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answers a connection past [`MAX_CONNECTIONS`] with one error frame and
+/// closes it. The write is bounded so a peer that never reads cannot
+/// stall the acceptor.
+fn refuse(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(POLL));
+    let message = format!("server is at its cap of {MAX_CONNECTIONS} open connections");
+    let _ = write_frame(&mut stream, &render_error("proto", &message));
 }
 
 /// Accumulates streamed results and frames them every [`CHUNK`] inputs.

@@ -14,4 +14,4 @@ pub mod daemon;
 pub mod proto;
 
 pub use cache::{CacheStats, EngineCache};
-pub use daemon::{Daemon, DaemonOptions};
+pub use daemon::{Daemon, DaemonOptions, MAX_CONNECTIONS};

@@ -8,7 +8,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use grafter_engine::{Backend, FusionOptions, OptLevel};
 use grafter_obs::json::{parse, Json};
@@ -17,7 +17,7 @@ use grafter_server::proto::{
     render_bare, render_explain, render_run, render_run_batch, write_frame, FrameReader, Incoming,
     InputSpec, ProgramSpec, TreeSpec, MAX_BODY,
 };
-use grafter_server::{Daemon, DaemonOptions};
+use grafter_server::{Daemon, DaemonOptions, MAX_CONNECTIONS};
 
 const SRC: &str = "tree class N { int a = 0; virtual traversal t() { a = a + 1; } }";
 
@@ -620,4 +620,67 @@ fn inline_trees_naming_unknown_classes_or_fields_are_config_errors() {
     shutdown.store(true, Ordering::SeqCst);
     drop(client);
     handle.join().expect("daemon thread");
+}
+
+/// Whether a fresh connection's `ping` gets a pong. A refused connection
+/// answers with an error frame and closes; a ping that races the close
+/// may instead see the connection reset.
+fn fresh_ping_succeeds(addr: SocketAddr) -> bool {
+    let mut client = Client::connect(addr);
+    if write_frame(&mut client.writer, &render_bare("ping")).is_err() {
+        return false;
+    }
+    loop {
+        match client.reader.read_frame() {
+            Ok(Incoming::Frame(body)) => return is_ok(&parse(&body).expect("parse response")),
+            Ok(Incoming::Idle) => {}
+            Ok(Incoming::Closed) | Err(_) => return false,
+        }
+    }
+}
+
+#[test]
+fn connections_past_the_cap_get_an_error_frame_and_are_closed() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| Client::connect(addr))
+        .collect();
+    // A pong on each proves the daemon serves all of them at once.
+    for client in &mut held {
+        assert!(is_ok(&client.call(&render_bare("ping"))));
+    }
+
+    // The next connection gets one `proto` error frame, then EOF.
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut refused = FrameReader::new(stream);
+    let Ok(Incoming::Frame(body)) = refused.read_frame() else {
+        panic!("no refusal frame within 10 s");
+    };
+    let refusal = parse(&body).expect("parse refusal");
+    assert_eq!(error_stage(&refusal), "proto", "{refusal:?}");
+    assert!(
+        matches!(refused.read_frame(), Ok(Incoming::Closed)),
+        "a refused connection is closed"
+    );
+
+    // Closing a held connection frees its slot once the daemon sees the
+    // close; until then a fresh connection may still be refused.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !fresh_ping_succeeds(addr) {
+        assert!(
+            Instant::now() < deadline,
+            "a closed connection's slot was never freed"
+        );
+        thread::sleep(Duration::from_millis(20));
+    }
+    // The held connections were never disturbed.
+    assert!(is_ok(&held[0].call(&render_bare("ping"))));
+
+    drop(held);
+    shutdown.store(true, Ordering::SeqCst);
+    handle.join().expect("daemon drains and exits");
 }
