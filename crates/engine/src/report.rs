@@ -23,7 +23,7 @@ use grafter_vm::{Backend, OptLevel};
 /// [`Report::wall`], which varies run to run, and [`Report::opt_level`],
 /// which by the optimizer's bit-identity contract cannot change the
 /// outcome (the differential suites assert exactly this by comparing
-/// `O0`/`O1`/`O2` reports). Two runs of the same program on identical
+/// `O0`/`O2` reports). Two runs of the same program on identical
 /// trees compare equal even across threads; this is what the concurrency
 /// test suite asserts.
 #[derive(Clone, Debug)]

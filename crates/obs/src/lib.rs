@@ -105,7 +105,8 @@ impl ExecProbe for ExecCounters {
 /// a few `key=value` size/delta annotations (op counts, rewrites, ...).
 #[derive(Clone, Debug)]
 pub struct Span {
-    /// Stage name (`parse`, `sema`, `fusion`, `lower`, `opt/fold`, ...).
+    /// Stage name (`parse`, `sema`, `fusion`, `lower`, `opt/peephole`,
+    /// `opt/regs`).
     pub name: String,
     /// Offset of the stage start from the beginning of the build.
     pub start: Duration,
@@ -145,8 +146,7 @@ pub struct OpFire {
     pub name: String,
     /// How many times an op with this mnemonic executed.
     pub fires: u64,
-    /// Whether the op is optimizer-introduced (a superinstruction or
-    /// folded/devirtualised form).
+    /// Whether the op is an optimizer-introduced superinstruction.
     pub superinstruction: bool,
 }
 

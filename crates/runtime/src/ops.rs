@@ -151,7 +151,7 @@ pub fn binop(op: BinOp, l: Value, r: Value) -> Value {
 ///
 /// Integer negation wraps (so `-i64::MIN` is deterministic in every
 /// build profile, matching [`binop`]'s wrapping arithmetic — and the
-/// VM's constant folder, which evaluates through this same kernel).
+/// VM, which evaluates through this same kernel).
 ///
 /// # Panics
 ///

@@ -41,6 +41,13 @@
 //! `{"i":1}`, `{"f":2.5}`, `{"b":true}` — because JSON numbers alone
 //! cannot distinguish the DSL's int and float types.
 //!
+//! Numbers are checked, never cast. The fusion cutoffs
+//! (`max_group_size`, `max_occurrences`) must be integers in `1..=16`,
+//! or the request gets a `config` error. `size`, `seed` and `window`
+//! must be non-negative integers up to 2^53, an `{"i":..}` an integer of
+//! magnitude at most 2^53 and an `{"f":..}` finite, or the request gets
+//! a `proto` error.
+//!
 //! # Responses
 //!
 //! `{"ok":true,...}` or `{"ok":false,"error":{"stage":S,"message":M}}`
@@ -48,6 +55,7 @@
 //! `runtime`, `config`) or `proto` for transport-level faults.
 
 use std::io::{self, Read, Write};
+use std::ops::RangeInclusive;
 
 use grafter::{ClassId, FieldId, FieldKind, Program, Ty};
 use grafter_engine::{fnv1a, Backend, EngineKey, FusionOptions, OptLevel};
@@ -453,6 +461,38 @@ impl AppError {
     }
 }
 
+/// 2^53: every integer up to this magnitude is exact in a JSON number
+/// (an `f64`), and no request integer may go past it.
+const MAX_EXACT_INT: i64 = 1 << 53;
+
+/// The fusion cutoffs a request may ask for, up to `ablation`'s largest
+/// sweep value. Fusion time grows steeply with the cutoffs, so a larger
+/// one would hold a connection thread and its single-flight compile.
+const FUSION_CUTOFFS: RangeInclusive<i64> = 1..=16;
+
+/// The number at `key` of `doc` (`None` when the key is absent), checked
+/// rather than cast: `as` would saturate `1e999` and 2^63, and wrap `-1`
+/// and truncate `1.5` without a word. It must be finite and, with
+/// `ints`, an integer inside that range.
+fn number(doc: &Json, key: &str, ints: Option<RangeInclusive<i64>>) -> Result<Option<f64>, String> {
+    let Some(v) = doc.get(key) else {
+        return Ok(None);
+    };
+    let x = v
+        .as_num()
+        .filter(|x| x.is_finite())
+        .ok_or_else(|| format!("`{key}` must be a finite number"))?;
+    if let Some(range) = ints {
+        let (lo, hi) = (*range.start(), *range.end());
+        if x.fract() != 0.0 || x < lo as f64 || x > hi as f64 {
+            return Err(format!(
+                "`{key}` must be an integer in {lo}..={hi}, not {x}"
+            ));
+        }
+    }
+    Ok(Some(x))
+}
+
 /// Parses one request body.
 ///
 /// # Errors
@@ -489,9 +529,8 @@ pub fn parse_request(body: &str) -> Result<Request, AppError> {
                 .iter()
                 .map(parse_input)
                 .collect::<Result<Vec<_>, _>>()?;
-            let window = doc
-                .get("window")
-                .and_then(Json::as_num)
+            let window = number(&doc, "window", Some(0..=MAX_EXACT_INT))
+                .map_err(AppError::proto)?
                 .map_or(8, |w| w as usize)
                 .clamp(1, 64);
             Ok(Request::RunBatch {
@@ -539,10 +578,11 @@ fn parse_program(doc: &Json) -> Result<ProgramSpec, AppError> {
     };
     let mut fusion = FusionOptions::default();
     if let Some(f) = p.get("fusion") {
-        if let Some(n) = f.get("max_group_size").and_then(Json::as_num) {
+        let cutoff = |key: &str| number(f, key, Some(FUSION_CUTOFFS)).map_err(AppError::config);
+        if let Some(n) = cutoff("max_group_size")? {
             fusion.max_group_size = n as usize;
         }
-        if let Some(n) = f.get("max_occurrences").and_then(Json::as_num) {
+        if let Some(n) = cutoff("max_occurrences")? {
             fusion.max_occurrences = n as usize;
         }
         if let Some(Json::Bool(g)) = f.get("grouping") {
@@ -582,14 +622,10 @@ fn parse_input(doc: &Json) -> Result<InputSpec, AppError> {
             .and_then(Json::as_str)
             .ok_or_else(|| AppError::proto("gen: missing string `workload`"))?
             .to_string();
+        let count = |key: &str| number(gen, key, Some(0..=MAX_EXACT_INT)).map_err(AppError::proto);
         let size =
-            gen.get("size")
-                .and_then(Json::as_num)
-                .ok_or_else(|| AppError::proto("gen: missing number `size`"))? as usize;
-        let seed = gen
-            .get("seed")
-            .and_then(Json::as_num)
-            .map_or(42, |s| s as u64);
+            count("size")?.ok_or_else(|| AppError::proto("gen: missing number `size`"))? as usize;
+        let seed = count("seed")?.map_or(42, |s| s as u64);
         return Ok(InputSpec::Gen {
             workload,
             size,
@@ -639,10 +675,11 @@ fn parse_tree(doc: &Json) -> Result<TreeSpec, AppError> {
 }
 
 fn parse_value(doc: &Json) -> Result<Value, AppError> {
-    if let Some(n) = doc.get("i").and_then(Json::as_num) {
+    let int = number(doc, "i", Some(-MAX_EXACT_INT..=MAX_EXACT_INT)).map_err(AppError::proto)?;
+    if let Some(n) = int {
         return Ok(Value::Int(n as i64));
     }
-    if let Some(x) = doc.get("f").and_then(Json::as_num) {
+    if let Some(x) = number(doc, "f", None).map_err(AppError::proto)? {
         return Ok(Value::Float(x));
     }
     if let Some(Json::Bool(b)) = doc.get("b") {

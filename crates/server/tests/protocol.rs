@@ -538,6 +538,99 @@ fn removed_jit_backend_is_a_config_error() {
 
     assert!(is_ok(&client.call(&body)));
 
+    // `O1` was removed with its optimizer passes.
+    assert!(body.contains("\"opt_level\":\"O2\""), "{body}");
+    let resp = client.call(&body.replace("\"opt_level\":\"O2\"", "\"opt_level\":\"O1\""));
+    assert!(!is_ok(&resp), "`O1` still runs: {resp:?}");
+    assert_eq!(error_stage(&resp), "config");
+
+    assert!(is_ok(&client.call(&body)));
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
+fn hostile_numbers_are_typed_errors_and_survivable() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+
+    // Each template swaps one number of a well-formed request for `{x}`.
+    let run = render_run(&program(), &leaf());
+    let with_float_arg = ProgramSpec {
+        args: vec![vec![Value::Float(0.5)]],
+        ..program()
+    };
+    let float_run = render_run(&with_float_arg, &leaf());
+    let gen = InputSpec::Gen {
+        workload: "ast".to_string(),
+        size: 8,
+        seed: 7,
+    };
+    let batch = render_run_batch(&program(), &[gen], 4);
+    let template = |body: &str, from: &str, to: &str| {
+        assert!(body.contains(from), "`{from}` not in {body}");
+        body.replace(from, to)
+    };
+    let cutoffs = ["0", "17", "1e9", "-1", "1.5", "1e999"];
+    let counts = ["-1", "1.5", "1e999", "1e300"];
+    let cases = [
+        (
+            template(&run, "\"max_group_size\":8", "\"max_group_size\":{x}"),
+            &cutoffs[..],
+            "config",
+        ),
+        (
+            template(&run, "\"max_occurrences\":5", "\"max_occurrences\":{x}"),
+            &cutoffs[..],
+            "config",
+        ),
+        (
+            template(&batch, "\"size\":8", "\"size\":{x}"),
+            &counts[..],
+            "proto",
+        ),
+        (
+            template(&batch, "\"seed\":7", "\"seed\":{x}"),
+            &counts[..],
+            "proto",
+        ),
+        (
+            template(&batch, "\"window\":4", "\"window\":{x}"),
+            &counts[..],
+            "proto",
+        ),
+        (
+            template(&run, "{\"i\":0}", "{\"i\":{x}}"),
+            &["9223372036854775808", "-1e300", "1.5", "1e999"][..],
+            "proto",
+        ),
+        (
+            template(&float_run, "{\"f\":0.5}", "{\"f\":{x}}"),
+            &["1e999", "-1e999"][..],
+            "proto",
+        ),
+    ];
+    for (body, values, stage) in cases {
+        for x in values {
+            let resp = client.call(&body.replace("{x}", x));
+            assert!(!is_ok(&resp), "{x} accepted in {body}");
+            assert_eq!(error_stage(&resp), stage, "{x}: {resp:?}");
+            assert!(is_ok(&client.call(&render_bare("ping"))));
+        }
+    }
+
+    // The range ends are still accepted.
+    for body in [
+        template(&run, "\"max_group_size\":8", "\"max_group_size\":16"),
+        template(&run, "\"max_occurrences\":5", "\"max_occurrences\":1"),
+        template(&run, "{\"i\":0}", "{\"i\":-9007199254740992}"),
+    ] {
+        let resp = client.call(&body);
+        assert!(is_ok(&resp), "{body}: {resp:?}");
+    }
+
     shutdown.store(true, Ordering::SeqCst);
     drop(client);
     handle.join().expect("daemon thread");

@@ -457,10 +457,6 @@ impl<'a> Vm<'a> {
                 // Each arm below replays the exact charge/touch sequence
                 // of the op pair it replaced (see `crate::opt`): Metrics
                 // and cache traffic stay bit-identical to `O0`.
-                Op::FoldedConst { dst, c, charge } => {
-                    self.metrics.instructions += charge as u64;
-                    self.regs[base + dst as usize] = m.consts[c as usize];
-                }
                 Op::ConstBin { op, dst, a, c } => {
                     self.metrics.instructions += 1;
                     let l = self.regs[base + a as usize];
@@ -501,13 +497,6 @@ impl<'a> Vm<'a> {
                     let l = self.regs[base + a as usize];
                     self.regs[base + dst as usize] = binop(op, l, r);
                 }
-                Op::BinBranch { op, a, b, target } => {
-                    self.metrics.instructions += 2; // Bin + Branch
-                    let (l, r) = (self.regs[base + a as usize], self.regs[base + b as usize]);
-                    if !binop(op, l, r).as_bool() {
-                        pc = target as usize;
-                    }
-                }
                 Op::ConstBinBranch { op, a, c, target } => {
                     self.metrics.instructions += 2; // Bin + Branch (Const free)
                     let l = self.regs[base + a as usize];
@@ -521,37 +510,6 @@ impl<'a> Vm<'a> {
                     if !binop(op, l, r).as_bool() {
                         pc = target as usize;
                     }
-                }
-                Op::LocBranch { src, target } => {
-                    self.metrics.instructions += 2; // Mov + Branch
-                    if !self.regs[base + src as usize].as_bool() {
-                        pc = target as usize;
-                    }
-                }
-                Op::TreeBranch {
-                    path,
-                    field,
-                    addend,
-                    target,
-                } => {
-                    let Some(node_t) = self.navigate(heap, node, path)? else {
-                        return Err(RuntimeError::NullDeref);
-                    };
-                    let class = heap.class_of(node_t);
-                    let slot = m.offset_of(class.index(), field) + addend as usize;
-                    self.metrics.instructions += 1;
-                    self.metrics.loads += 1;
-                    self.touch(Self::slot_addr(heap, node_t, slot));
-                    let v = heap.get(node_t, slot);
-                    self.metrics.instructions += 1; // the fused Branch
-                    if !v.as_bool() {
-                        pc = target as usize;
-                    }
-                }
-                Op::BinLoc { op, dst, a, b, co } => {
-                    self.metrics.instructions += 2; // Bin + StoreLocal
-                    let (l, r) = (self.regs[base + a as usize], self.regs[base + b as usize]);
-                    self.regs[base + dst as usize] = co.apply(binop(op, l, r));
                 }
                 Op::BinTree {
                     op,
@@ -574,15 +532,6 @@ impl<'a> Vm<'a> {
                     self.metrics.stores += 1;
                     self.touch(Self::slot_addr(heap, target, slot));
                     heap.set(target, slot, co.apply(v));
-                }
-                Op::BinGlob { op, a, b, idx, co } => {
-                    self.metrics.instructions += 1; // the fused Bin
-                    let (l, r) = (self.regs[base + a as usize], self.regs[base + b as usize]);
-                    let v = binop(op, l, r);
-                    self.metrics.instructions += 1;
-                    self.metrics.stores += 1;
-                    self.touch(GLOBALS_BASE_ADDR + SLOT_BYTES * idx as u64);
-                    self.globals[idx as usize] = co.apply(v);
                 }
                 Op::TreeLoc {
                     dst,
@@ -648,12 +597,6 @@ impl<'a> Vm<'a> {
                     self.touch(Self::slot_addr(heap, target, slot));
                     heap.set(target, slot, co.apply(m.consts[c as usize]));
                 }
-                Op::ConstGlob { c, idx, co } => {
-                    self.metrics.instructions += 1;
-                    self.metrics.stores += 1;
-                    self.touch(GLOBALS_BASE_ADDR + SLOT_BYTES * idx as u64);
-                    self.globals[idx as usize] = co.apply(m.consts[c as usize]);
-                }
                 Op::ConstLoc { dst, c, co } => {
                     self.metrics.instructions += 1;
                     self.regs[base + dst as usize] = co.apply(m.consts[c as usize]);
@@ -676,12 +619,6 @@ impl<'a> Vm<'a> {
                     self.metrics.stores += 1;
                     self.touch(Self::slot_addr(heap, target, slot));
                     heap.set(target, slot, co.apply(v));
-                }
-                Op::LocGlob { src, idx, co } => {
-                    self.metrics.instructions += 2; // Mov + WriteGlobal
-                    self.metrics.stores += 1;
-                    self.touch(GLOBALS_BASE_ADDR + SLOT_BYTES * idx as u64);
-                    self.globals[idx as usize] = co.apply(self.regs[base + src as usize]);
                 }
                 Op::LocLoc { dst, src, co } => {
                     self.metrics.instructions += 2; // Mov + StoreLocal
@@ -721,52 +658,6 @@ impl<'a> Vm<'a> {
                             r?;
                         }
                     }
-                }
-                Op::CallMono {
-                    call,
-                    child,
-                    argbase,
-                    target,
-                    class,
-                } => {
-                    let info = &m.calls[call as usize];
-                    let mut call_flags = 0u64;
-                    for (i, part) in info.parts.iter().enumerate() {
-                        if info.charge_flags {
-                            self.metrics.instructions += cost::FLAG_SHUFFLE;
-                        }
-                        if active & (1u64 << part.traversal) != 0 {
-                            call_flags |= 1u64 << i;
-                        }
-                    }
-                    let Value::Ref(Some(child_node)) = self.regs[base + child as usize] else {
-                        unreachable!("Nav always precedes Call with a live child")
-                    };
-                    // Devirtualised dispatch: same charges and touch as
-                    // the jump-table path, one class check instead of the
-                    // table indirection.
-                    self.metrics.instructions += cost::DISPATCH;
-                    self.metrics.loads += 1;
-                    self.touch(heap.addr_of(child_node));
-                    let dynamic = heap.class_of(child_node);
-                    if dynamic.index() != class as usize {
-                        return Err(RuntimeError::MissingTarget(
-                            m.class_names[dynamic.index()].clone(),
-                        ));
-                    }
-                    self.metrics.visits += 1;
-                    let cbase = self.push_frame(target);
-                    for (i, part) in info.parts.iter().enumerate() {
-                        let params = &m.funcs[target as usize].params[i];
-                        let n = (part.nargs as usize).min(params.len());
-                        for k in 0..n {
-                            self.regs[cbase + params[k] as usize] =
-                                self.regs[base + (argbase + part.argbase) as usize + k];
-                        }
-                    }
-                    let r = self.exec(heap, target, child_node, call_flags, cbase, probe);
-                    self.regs.truncate(cbase);
-                    r?;
                 }
             }
         }

@@ -10,14 +10,13 @@
 //!    registers for locals and expression scratch, resolved field offsets
 //!    (dense `class × field` table) instead of name/hash lookups, a jump
 //!    table per dispatch stub keyed by the receiver's dynamic type, and
-//!    constant-folded operand encoding;
+//!    a deduplicated constant pool;
 //! 2. the [`opt`] pipeline rewrites the module ([`OptLevel::O2`] by
-//!    default, configurable via [`lower_with`]/[`VmOptions`]): constant
-//!    folding, peephole fusion of hot adjacent pairs into
-//!    superinstructions, dead-register elimination, and
-//!    monomorphic-dispatch devirtualisation — all observationally
-//!    bit-identical to unoptimized code (same `Metrics`, cache traffic,
-//!    errors), just fewer dispatch rounds;
+//!    default, [`OptLevel::O0`] via [`lower_with`]/[`VmOptions`]):
+//!    peephole fusion of hot adjacent pairs into superinstructions, then
+//!    register-window compaction — both observationally bit-identical to
+//!    unoptimized code (same `Metrics`, cache traffic, errors), just
+//!    fewer dispatch rounds;
 //! 3. [`Vm`] executes the module with a single `match`-dispatch loop over
 //!    the contiguous op vector, directly against the existing
 //!    [`grafter_runtime::Heap`], producing the same

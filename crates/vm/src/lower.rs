@@ -377,7 +377,6 @@ impl Lowerer<'_> {
         self.item_fixups.push(nav);
 
         let argbase = child + 1;
-        let zero = self.intern_const(Value::Int(0));
         let mut rel = 0u16;
         let mut infos = Vec::with_capacity(parts.len());
         for part in parts {
@@ -402,6 +401,7 @@ impl Lowerer<'_> {
                 let over = self.emit(Op::Jump { target: PENDING });
                 let skip_to = self.here();
                 self.patch(skip, skip_to);
+                let zero = self.intern_const(Value::Int(0));
                 for k in 0..part.args.len() {
                     self.emit(Op::Const {
                         dst: pbase + k as u16,

@@ -13,7 +13,7 @@
 //! - **dispatch stubs** become per-stub jump tables indexed by the
 //!   receiver's dynamic [`ClassId`], replacing the interpreter's linear
 //!   `target_for` scan;
-//! - **constants** are folded into a deduplicated pool at lowering time.
+//! - **constants** are interned into a deduplicated pool at lowering time.
 //!
 //! The module is inert data: [`crate::Vm`] executes it against a
 //! [`grafter_runtime::Heap`]. [`Module::disassemble`] pretty-prints the
@@ -145,10 +145,6 @@ pub enum Op {
     // and charges *exactly* the instructions/loads/stores that sequence
     // charged, touching the same simulated addresses in the same order —
     // the optimizer trades dispatch overhead, never observable counters.
-    /// `r[dst] ← consts[c]`, charging `charge` instructions — the residue
-    /// of a constant-folded expression (the folded operators' charges are
-    /// preserved so `Metrics` stay bit-identical to unoptimized code).
-    FoldedConst { dst: u16, c: u16, charge: u16 },
     /// Superinstruction `Const + Bin`: `r[dst] ← r[a] op consts[c]`.
     ConstBin { op: BinOp, dst: u16, a: u16, c: u16 },
     /// Superinstruction `Mov + Bin`: `r[dst] ← r[a] op r[src]`.
@@ -175,14 +171,6 @@ pub enum Op {
         a: u16,
         idx: u16,
     },
-    /// Superinstruction `Bin + Branch` (compare-and-branch): evaluate
-    /// `r[a] op r[b]`, jump when false.
-    BinBranch {
-        op: BinOp,
-        a: u16,
-        b: u16,
-        target: u32,
-    },
     /// Superinstruction `Const + Bin + Branch` (the kind-tag test
     /// `if (x.kind == K)`): evaluate `r[a] op consts[c]`, jump when false.
     ConstBinBranch {
@@ -199,17 +187,6 @@ pub enum Op {
         src: u16,
         target: u32,
     },
-    /// Superinstruction `Mov + Branch` (branch on a local): jump when
-    /// `r[src]` is false.
-    LocBranch { src: u16, target: u32 },
-    /// Superinstruction `ReadTree + Branch` (branch on a field): jump
-    /// when `[paths[path].field+addend]` is false.
-    TreeBranch {
-        path: u16,
-        field: u32,
-        addend: u16,
-        target: u32,
-    },
     /// Superinstruction `Mov + WriteTree` (store local to field):
     /// `[paths[path].field+addend] ← co(r[src])`.
     LocTree {
@@ -219,19 +196,9 @@ pub enum Op {
         addend: u16,
         co: Co,
     },
-    /// Superinstruction `Mov + WriteGlobal`: `globals[idx] ← co(r[src])`.
-    LocGlob { src: u16, idx: u16, co: Co },
     /// Superinstruction `Mov + StoreLocal` (local-to-local copy with
     /// coercion): `r[dst] ← co(r[src])`.
     LocLoc { dst: u16, src: u16, co: Co },
-    /// Superinstruction `Bin + StoreLocal`: `r[dst] ← co(r[a] op r[b])`.
-    BinLoc {
-        op: BinOp,
-        dst: u16,
-        a: u16,
-        b: u16,
-        co: Co,
-    },
     /// Superinstruction `Bin + WriteTree` (store-field from accumulator):
     /// `[paths[path].field+addend] ← co(r[a] op r[b])`.
     BinTree {
@@ -241,15 +208,6 @@ pub enum Op {
         path: u16,
         field: u32,
         addend: u16,
-        co: Co,
-    },
-    /// Superinstruction `Bin + WriteGlobal`:
-    /// `globals[idx] ← co(r[a] op r[b])`.
-    BinGlob {
-        op: BinOp,
-        a: u16,
-        b: u16,
-        idx: u16,
         co: Co,
     },
     /// Superinstruction `ReadTree + StoreLocal` (load-field + coerce):
@@ -283,22 +241,8 @@ pub enum Op {
         addend: u16,
         co: Co,
     },
-    /// Superinstruction `Const + WriteGlobal`:
-    /// `globals[idx] ← co(consts[c])`.
-    ConstGlob { c: u16, idx: u16, co: Co },
     /// Superinstruction `Const + StoreLocal`: `r[dst] ← co(consts[c])`.
     ConstLoc { dst: u16, c: u16, co: Co },
-    /// Devirtualised [`Op::Call`] through a monomorphic stub: the jump
-    /// table has a single live entry, so dispatch is one class check plus
-    /// a direct jump to function `target` (same charges, same
-    /// `MissingTarget` error on a class mismatch).
-    CallMono {
-        call: u16,
-        child: u16,
-        argbase: u16,
-        target: u32,
-        class: u16,
-    },
     /// Superinstruction `Nav + Call` (argument-less grouped call, the
     /// hottest pair in every workload): navigate the receiver path and
     /// dispatch in one op, skipping the intermediate child register. A
@@ -340,61 +284,42 @@ impl Op {
             Op::New { .. } => "new",
             Op::Delete { .. } => "delete",
             Op::CallPure { .. } => "pure",
-            Op::FoldedConst { .. } => "fconst",
             Op::ConstBin { .. } => "bin.c",
             Op::LocBin { .. } => "bin.l",
             Op::TreeBin { .. } => "bin.t",
             Op::GlobBin { .. } => "bin.g",
-            Op::BinBranch { .. } => "cmpbr",
             Op::ConstBinBranch { .. } => "cmpbr.c",
             Op::LocBinBranch { .. } => "cmpbr.l",
-            Op::LocBranch { .. } => "brfalse.l",
-            Op::TreeBranch { .. } => "brfalse.t",
             Op::LocTree { .. } => "wrtree.l",
-            Op::LocGlob { .. } => "wrglob.l",
             Op::LocLoc { .. } => "stloc.l",
-            Op::BinLoc { .. } => "stloc.b",
             Op::BinTree { .. } => "wrtree.b",
-            Op::BinGlob { .. } => "wrglob.b",
             Op::TreeLoc { .. } => "stloc.t",
             Op::TreeTree { .. } => "cptree",
             Op::ConstTree { .. } => "wrtree.c",
-            Op::ConstGlob { .. } => "wrglob.c",
             Op::ConstLoc { .. } => "stloc.c",
             Op::NavCall { .. } => "navcall",
-            Op::CallMono { .. } => "call.m",
         }
     }
 
-    /// Whether the op is optimizer-introduced (a superinstruction,
-    /// folded-constant residue, or devirtualised call) rather than a base
-    /// op the lowering pass emits.
+    /// Whether the op is an optimizer-introduced superinstruction rather
+    /// than a base op the lowering pass emits.
     pub fn is_superinstruction(self) -> bool {
         matches!(
             self,
-            Op::FoldedConst { .. }
-                | Op::ConstBin { .. }
+            Op::ConstBin { .. }
                 | Op::LocBin { .. }
                 | Op::TreeBin { .. }
                 | Op::GlobBin { .. }
-                | Op::BinBranch { .. }
                 | Op::ConstBinBranch { .. }
                 | Op::LocBinBranch { .. }
-                | Op::LocBranch { .. }
-                | Op::TreeBranch { .. }
                 | Op::LocTree { .. }
-                | Op::LocGlob { .. }
                 | Op::LocLoc { .. }
-                | Op::BinLoc { .. }
                 | Op::BinTree { .. }
-                | Op::BinGlob { .. }
                 | Op::TreeLoc { .. }
                 | Op::TreeTree { .. }
                 | Op::ConstTree { .. }
-                | Op::ConstGlob { .. }
                 | Op::ConstLoc { .. }
                 | Op::NavCall { .. }
-                | Op::CallMono { .. }
         )
     }
 }
@@ -828,10 +753,6 @@ impl Module {
                 "pure     r{dst} <- {co:?}({}(r{base}..+{n}))",
                 self.pure_names[pure as usize]
             ),
-            Op::FoldedConst { dst, c, charge } => format!(
-                "fconst   r{dst} <- #{c} ({:?}) charge={charge}",
-                self.consts[c as usize]
-            ),
             Op::ConstBin { op, dst, a, c } => format!(
                 "bin.c    r{dst} <- r{a} {} #{c} ({:?})",
                 op.symbol(),
@@ -857,9 +778,6 @@ impl Module {
             Op::GlobBin { op, dst, a, idx } => {
                 format!("bin.g    r{dst} <- r{a} {} g{idx}", op.symbol())
             }
-            Op::BinBranch { op, a, b, target } => {
-                format!("cmpbr    r{a} {} r{b} false-> {target:04}", op.symbol())
-            }
             Op::ConstBinBranch { op, a, c, target } => format!(
                 "cmpbr.c  r{a} {} #{c} ({:?}) false-> {target:04}",
                 op.symbol(),
@@ -868,18 +786,6 @@ impl Module {
             Op::LocBinBranch { op, a, src, target } => {
                 format!("cmpbr.l  r{a} {} r{src} false-> {target:04}", op.symbol())
             }
-            Op::LocBranch { src, target } => format!("brfalse.l r{src} -> {target:04}"),
-            Op::TreeBranch {
-                path,
-                field,
-                addend,
-                target,
-            } => format!(
-                "brfalse.t [{}.{}{}] -> {target:04}",
-                self.render_path(path),
-                self.field_names[field as usize],
-                render_addend(addend)
-            ),
             Op::LocTree {
                 src,
                 path,
@@ -892,11 +798,7 @@ impl Module {
                 self.field_names[field as usize],
                 render_addend(addend)
             ),
-            Op::LocGlob { src, idx, co } => format!("wrglob.l g{idx} <- {co:?}(r{src})"),
             Op::LocLoc { dst, src, co } => format!("stloc.l  r{dst} <- {co:?}(r{src})"),
-            Op::BinLoc { op, dst, a, b, co } => {
-                format!("stloc.b  r{dst} <- {co:?}(r{a} {} r{b})", op.symbol())
-            }
             Op::BinTree {
                 op,
                 a,
@@ -912,9 +814,6 @@ impl Module {
                 render_addend(addend),
                 op.symbol()
             ),
-            Op::BinGlob { op, a, b, idx, co } => {
-                format!("wrglob.b g{idx} <- {co:?}(r{a} {} r{b})", op.symbol())
-            }
             Op::TreeLoc {
                 dst,
                 path,
@@ -957,10 +856,6 @@ impl Module {
                 render_addend(addend),
                 self.consts[c as usize]
             ),
-            Op::ConstGlob { c, idx, co } => format!(
-                "wrglob.c g{idx} <- {co:?}(#{c} {:?})",
-                self.consts[c as usize]
-            ),
             Op::ConstLoc { dst, c, co } => format!(
                 "stloc.c  r{dst} <- {co:?}(#{c} {:?})",
                 self.consts[c as usize]
@@ -977,23 +872,6 @@ impl Module {
                     self.stubs[info.stub as usize].name,
                     self.render_path(path),
                     info.parts.len()
-                )
-            }
-            Op::CallMono {
-                call,
-                child,
-                argbase,
-                target,
-                class,
-            } => {
-                let info = &self.calls[call as usize];
-                format!(
-                    "call.m   {} child=r{child} args@r{argbase} parts={} {}-> fn {} {}",
-                    self.stubs[info.stub as usize].name,
-                    info.parts.len(),
-                    self.class_names[class as usize],
-                    target,
-                    self.funcs[target as usize].name
                 )
             }
         }

@@ -2,52 +2,38 @@
 //!
 //! [`crate::lower`] emits naive one-op-per-HIR-node code, so the VM's
 //! dispatch loop pays a full `match` round-trip per tiny instruction —
-//! the classic interpreter overhead that superinstruction and peephole
-//! passes eliminate. [`optimize`] runs up to five passes over a module:
+//! the classic interpreter overhead that superinstructions eliminate.
+//! At [`OptLevel::O2`], [`optimize`] runs two passes over a module:
 //!
-//! 1. **fold** (`O1`) — constant folding: operators whose operands are
-//!    statically known collapse into [`Op::FoldedConst`];
-//! 2. **peephole** (`O1`) — fusion of hot adjacent pairs into
+//! 1. **peephole** — fusion of hot adjacent pairs into
 //!    superinstructions (load-field + coerce, load + binop, compare +
-//!    branch, store-field from the accumulator, constant stores);
-//! 3. **dce** (`O2`) — dead-register elimination: free ops whose result
-//!    register is dead are deleted, jump chains are threaded, and each
-//!    function's register window shrinks to what is actually used;
-//! 4. **mono** (`O2`) — jump-table compaction: a call through a stub with
-//!    a single live target devirtualises into [`Op::CallMono`];
-//! 5. **pool** (`O1`) — constant-pool compaction: constants orphaned by
-//!    the passes above are dropped and the pool re-deduplicated.
+//!    branch, store-field from the accumulator, constant stores,
+//!    receiver navigation + call);
+//! 2. **regs** — register-window compaction: each function's window
+//!    shrinks to the registers its fused body still touches.
 //!
-//! **The invariant every pass preserves:** optimized execution is
+//! **The invariant both passes preserve:** optimized execution is
 //! *observationally bit-identical* to unoptimized execution — the same
 //! heap snapshots, the same [`grafter_runtime::Metrics`] (every
 //! superinstruction charges exactly the instructions/loads/stores of the
-//! sequence it replaces), the same simulated cache traffic (same
-//! addresses touched in the same order), and the same runtime errors.
-//! The optimizer trades *dispatch overhead* — fewer `match` rounds,
-//! fewer bounds checks, smaller register windows — never counters. The
-//! differential suites (`crates/vm/tests/opt_differential.rs`) assert
-//! `O0 == O1 == O2 == interp` across every case-study workload.
+//! pair it replaces), the same simulated cache traffic (same addresses
+//! touched in the same order), and the same runtime errors. The
+//! optimizer trades *dispatch overhead* — fewer `match` rounds, smaller
+//! register windows — never counters. The differential suites
+//! (`crates/vm/tests/opt_differential.rs`) assert `O0 == O2 == interp`
+//! across every case-study workload.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
-use grafter_frontend::{BinOp, UnOp};
-use grafter_runtime::ops::{binop, unop, values_equal};
-use grafter_runtime::Value;
-
-use crate::module::{CallInfo, Module, Op, NO_TARGET};
+use crate::module::{CallInfo, Module, Op};
 
 /// How hard [`optimize`] works on a lowered module.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum OptLevel {
     /// No optimization: execute exactly what [`crate::lower`] emitted.
     O0,
-    /// Constant folding, peephole superinstructions, pool compaction.
-    O1,
-    /// `O1` plus dead-register elimination, jump threading, register
-    /// window compaction and monomorphic-dispatch devirtualisation.
+    /// Peephole superinstructions, then register-window compaction.
     #[default]
     O2,
 }
@@ -56,7 +42,6 @@ impl fmt::Display for OptLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.pad(match self {
             OptLevel::O0 => "O0",
-            OptLevel::O1 => "O1",
             OptLevel::O2 => "O2",
         })
     }
@@ -68,15 +53,14 @@ impl FromStr for OptLevel {
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "0" | "O0" | "o0" => Ok(OptLevel::O0),
-            "1" | "O1" | "o1" => Ok(OptLevel::O1),
             "2" | "O2" | "o2" => Ok(OptLevel::O2),
-            other => Err(format!("unknown opt level `{other}` (expected 0|1|2)")),
+            other => Err(format!("unknown opt level `{other}` (expected 0|2)")),
         }
     }
 }
 
 /// Lowering options of the VM tier (the knobs behind
-/// `Engine::builder().opt_level(..)` and `grafterc -O{0,1,2}`).
+/// `Engine::builder().opt_level(..)` and `grafterc -O{0,2}`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VmOptions {
     /// Optimization level applied after lowering (default [`OptLevel::O2`]).
@@ -93,17 +77,17 @@ impl VmOptions {
 /// One optimization pass's before/after accounting.
 #[derive(Clone, Debug)]
 pub struct PassStat {
-    /// Pass name (`fold`, `peephole`, `dce`, `mono`, `regs`, `pool`).
+    /// Pass name (`peephole`, `regs`).
     pub pass: &'static str,
     /// Count before the pass ran, in `unit`s.
     pub before: usize,
     /// Count after the pass ran, in `unit`s.
     pub after: usize,
-    /// What `before`/`after` count (`op`, `reg`, `const`).
+    /// What `before`/`after` count (`op`, `reg`).
     pub unit: &'static str,
     /// How many sites the pass rewrote.
     pub rewrites: usize,
-    /// What a rewrite did (`folded`, `fused`, `removed`, ...).
+    /// What a rewrite did (`fused`, `shrunk`).
     pub action: &'static str,
     /// Wall time the pass took, in nanoseconds (excluded from equality —
     /// two identical optimizations compare equal across machines).
@@ -129,7 +113,7 @@ impl Eq for PassStat {}
 pub struct OptReport {
     /// The level the module was optimized at.
     pub level: OptLevel,
-    /// Per-pass instruction-count (or pool/register-count) deltas, in
+    /// Per-pass instruction-count (or register-count) deltas, in
     /// execution order. Empty at [`OptLevel::O0`].
     pub passes: Vec<PassStat>,
 }
@@ -157,15 +141,7 @@ pub fn optimize(module: &mut Module, level: OptLevel) -> OptReport {
     if level == OptLevel::O0 {
         return OptReport::none();
     }
-    let mut passes = Vec::new();
-    passes.push(timed(module, fold_pass));
-    passes.push(timed(module, peephole_pass));
-    if level >= OptLevel::O2 {
-        passes.push(timed(module, dce_pass));
-        passes.push(timed(module, regs_pass));
-        passes.push(timed(module, mono_pass));
-    }
-    passes.push(timed(module, pool_pass));
+    let passes = vec![timed(module, peephole_pass), timed(module, regs_pass)];
     OptReport { level, passes }
 }
 
@@ -183,7 +159,6 @@ fn timed(module: &mut Module, pass: fn(&mut Module) -> PassStat) -> PassStat {
 fn reg_reads(op: &Op, calls: &[CallInfo], out: &mut Vec<u16>) {
     match *op {
         Op::Const { .. }
-        | Op::FoldedConst { .. }
         | Op::Jump { .. }
         | Op::Guard { .. }
         | Op::SkipInactive { .. }
@@ -196,23 +171,16 @@ fn reg_reads(op: &Op, calls: &[CallInfo], out: &mut Vec<u16>) {
         | Op::Delete { .. }
         | Op::TreeLoc { .. }
         | Op::TreeTree { .. }
-        | Op::TreeBranch { .. }
         | Op::ConstTree { .. }
-        | Op::ConstGlob { .. }
         | Op::ConstLoc { .. } => {}
         Op::Mov { src, .. }
         | Op::StoreLocal { src, .. }
         | Op::Un { src, .. }
         | Op::WriteTree { src, .. }
         | Op::WriteGlobal { src, .. }
-        | Op::LocBranch { src, .. }
         | Op::LocTree { src, .. }
-        | Op::LocGlob { src, .. }
         | Op::LocLoc { src, .. } => out.push(src),
-        Op::Bin { a, b, .. } | Op::BinBranch { a, b, .. } => out.extend([a, b]),
-        Op::BinLoc { a, b, .. } | Op::BinTree { a, b, .. } | Op::BinGlob { a, b, .. } => {
-            out.extend([a, b])
-        }
+        Op::Bin { a, b, .. } | Op::BinTree { a, b, .. } => out.extend([a, b]),
         Op::ConstBin { a, .. }
         | Op::TreeBin { a, .. }
         | Op::GlobBin { a, .. }
@@ -224,12 +192,6 @@ fn reg_reads(op: &Op, calls: &[CallInfo], out: &mut Vec<u16>) {
             call,
             child,
             argbase,
-        }
-        | Op::CallMono {
-            call,
-            child,
-            argbase,
-            ..
         } => {
             out.push(child);
             for part in calls[call as usize].parts.iter() {
@@ -253,7 +215,6 @@ fn reg_reads(op: &Op, calls: &[CallInfo], out: &mut Vec<u16>) {
 fn reg_write(op: &Op) -> Option<u16> {
     match *op {
         Op::Const { dst, .. }
-        | Op::FoldedConst { dst, .. }
         | Op::Mov { dst, .. }
         | Op::StoreLocal { dst, .. }
         | Op::Un { dst, .. }
@@ -262,7 +223,6 @@ fn reg_write(op: &Op) -> Option<u16> {
         | Op::LocBin { dst, .. }
         | Op::TreeBin { dst, .. }
         | Op::GlobBin { dst, .. }
-        | Op::BinLoc { dst, .. }
         | Op::ReadTree { dst, .. }
         | Op::ReadGlobal { dst, .. }
         | Op::Nav { dst, .. }
@@ -284,11 +244,8 @@ pub(crate) fn op_target(op: &Op) -> Option<u32> {
         | Op::Guard { target, .. }
         | Op::SkipInactive { target, .. }
         | Op::Deactivate { target, .. }
-        | Op::BinBranch { target, .. }
         | Op::ConstBinBranch { target, .. }
         | Op::LocBinBranch { target, .. }
-        | Op::LocBranch { target, .. }
-        | Op::TreeBranch { target, .. }
         | Op::Nav {
             null_target: target,
             ..
@@ -310,11 +267,8 @@ fn map_target(op: &mut Op, f: impl Fn(u32) -> u32) {
         | Op::Guard { target, .. }
         | Op::SkipInactive { target, .. }
         | Op::Deactivate { target, .. }
-        | Op::BinBranch { target, .. }
         | Op::ConstBinBranch { target, .. }
         | Op::LocBinBranch { target, .. }
-        | Op::LocBranch { target, .. }
-        | Op::TreeBranch { target, .. }
         | Op::Nav {
             null_target: target,
             ..
@@ -336,11 +290,8 @@ pub(crate) fn successors(pc: u32, op: &Op, out: &mut Vec<u32>) {
         | Op::ShortCircuit { target, .. }
         | Op::Guard { target, .. }
         | Op::SkipInactive { target, .. }
-        | Op::BinBranch { target, .. }
         | Op::ConstBinBranch { target, .. }
         | Op::LocBinBranch { target, .. }
-        | Op::LocBranch { target, .. }
-        | Op::TreeBranch { target, .. }
         | Op::Nav {
             null_target: target,
             ..
@@ -461,136 +412,7 @@ fn compact(module: &mut Module, deleted: &[bool]) {
     }
 }
 
-// ---- pass 1: constant folding --------------------------------------------
-
-/// Interns `v` into the module's constant pool (bit-level float identity,
-/// so folding never conflates `0.0` and `-0.0` or distinct NaNs).
-fn intern_const(module: &mut Module, v: Value) -> Option<u16> {
-    let same = |a: &Value, b: &Value| match (a, b) {
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        (Value::Bool(x), Value::Bool(y)) => x == y,
-        _ => false,
-    };
-    if let Some(i) = module.consts.iter().position(|c| same(c, &v)) {
-        return Some(i as u16);
-    }
-    if module.consts.len() >= u16::MAX as usize {
-        return None; // pool full: skip the fold rather than overflow
-    }
-    module.consts.push(v);
-    Some((module.consts.len() - 1) as u16)
-}
-
-/// Folds `op l r` when the result is statically computable with exactly
-/// the runtime's semantics. Operand kinds the kernel would panic on are
-/// left unfolded so the panic still happens at run time.
-fn fold_binop(op: BinOp, l: Value, r: Value) -> Option<Value> {
-    let numeric = |v: Value| matches!(v, Value::Int(_) | Value::Float(_));
-    match op {
-        BinOp::Add
-        | BinOp::Sub
-        | BinOp::Mul
-        | BinOp::Div
-        | BinOp::Rem
-        | BinOp::Lt
-        | BinOp::Le
-        | BinOp::Gt
-        | BinOp::Ge => (numeric(l) && numeric(r)).then(|| binop(op, l, r)),
-        BinOp::Eq | BinOp::Ne => {
-            let comparable =
-                matches!((l, r), (Value::Bool(_), Value::Bool(_))) || (numeric(l) && numeric(r));
-            comparable.then(|| Value::Bool(values_equal(l, r) == (op == BinOp::Eq)))
-        }
-        BinOp::And | BinOp::Or => None, // short-circuited before lowering
-    }
-}
-
-/// Folds `op v` through the runtime's unary kernel when the operand
-/// kind is legal for the operator (illegal kinds stay unfolded so the
-/// kernel's panic still happens at run time).
-fn fold_unop(op: UnOp, v: Value) -> Option<Value> {
-    let legal = match op {
-        UnOp::Neg => matches!(v, Value::Int(_) | Value::Float(_)),
-        UnOp::Not => matches!(v, Value::Bool(_)),
-    };
-    legal.then(|| unop(op, v))
-}
-
-/// Constant folding: inside each basic block, registers holding known
-/// constants flow into `Un`/`Bin` operators, which collapse to
-/// [`Op::FoldedConst`] carrying the operator's original instruction
-/// charge (the producing `Const`s stay behind — they are free — and are
-/// swept by `dce` at `O2`).
-fn fold_pass(module: &mut Module) -> PassStat {
-    let before = module.ops.len();
-    let targets = jump_target_flags(module);
-    let mut rewrites = 0usize;
-    for fi in 0..module.funcs.len() {
-        let (entry, end) = (module.funcs[fi].entry, module.funcs[fi].end);
-        let mut known: HashMap<u16, Value> = HashMap::new();
-        for pc in entry..end {
-            if targets[pc as usize] {
-                known.clear(); // block boundary: control may enter here
-            }
-            let op = module.ops[pc as usize];
-            match op {
-                Op::Const { dst, c } | Op::FoldedConst { dst, c, .. } => {
-                    known.insert(dst, module.consts[c as usize]);
-                }
-                Op::Un { op: uo, dst, src } => {
-                    let folded = known
-                        .get(&src)
-                        .and_then(|&v| fold_unop(uo, v))
-                        .and_then(|v| intern_const(module, v).map(|c| (v, c)));
-                    match folded {
-                        Some((v, c)) => {
-                            module.ops[pc as usize] = Op::FoldedConst { dst, c, charge: 1 };
-                            known.insert(dst, v);
-                            rewrites += 1;
-                        }
-                        None => {
-                            known.remove(&dst);
-                        }
-                    }
-                }
-                Op::Bin { op: bo, dst, a, b } => {
-                    let folded = match (known.get(&a), known.get(&b)) {
-                        (Some(&l), Some(&r)) => fold_binop(bo, l, r)
-                            .and_then(|v| intern_const(module, v).map(|c| (v, c))),
-                        _ => None,
-                    };
-                    match folded {
-                        Some((v, c)) => {
-                            module.ops[pc as usize] = Op::FoldedConst { dst, c, charge: 1 };
-                            known.insert(dst, v);
-                            rewrites += 1;
-                        }
-                        None => {
-                            known.remove(&dst);
-                        }
-                    }
-                }
-                other => {
-                    if let Some(w) = reg_write(&other) {
-                        known.remove(&w);
-                    }
-                }
-            }
-        }
-    }
-    PassStat {
-        wall_ns: 0,
-        pass: "fold",
-        before,
-        after: module.ops.len(),
-        unit: "op",
-        rewrites,
-        action: "folded",
-    }
-}
-
-// ---- pass 2: peephole superinstructions ----------------------------------
+// ---- pass 1: peephole superinstructions ----------------------------------
 
 /// Fuses the adjacent pair `(a, b)` into one superinstruction, or `None`.
 ///
@@ -628,13 +450,9 @@ fn fuse_pair(a: Op, b: Op, dead: impl Fn(u16) -> bool) -> Option<Op> {
         {
             Some(Op::GlobBin { op, dst, a, idx })
         }
-        // ---- binop feeding a consumer ----
-        (Op::Bin { op, dst: r, a, b }, Op::Branch { cond, target }) if cond == r && dead(r) => {
-            Some(Op::BinBranch { op, a, b, target })
-        }
-        // Second-round patterns: a fused compare feeding a branch (the
-        // kind-tag test `if (x.kind == K)` fuses Const+Bin in round one,
-        // then ConstBin+Branch here).
+        // ---- compare feeding a branch ----
+        // Second-round patterns: the kind-tag test `if (x.kind == K)`
+        // fuses Const+Bin in round one, then ConstBin+Branch here.
         (Op::ConstBin { op, dst: r, a, c }, Op::Branch { cond, target })
             if cond == r && dead(r) =>
         {
@@ -645,26 +463,7 @@ fn fuse_pair(a: Op, b: Op, dead: impl Fn(u16) -> bool) -> Option<Op> {
         {
             Some(Op::LocBinBranch { op, a, src, target })
         }
-        (Op::Mov { dst: r, src }, Op::Branch { cond, target }) if cond == r && dead(r) => {
-            Some(Op::LocBranch { src, target })
-        }
-        (
-            Op::ReadTree {
-                dst: r,
-                path,
-                field,
-                addend,
-            },
-            Op::Branch { cond, target },
-        ) if cond == r && dead(r) => Some(Op::TreeBranch {
-            path,
-            field,
-            addend,
-            target,
-        }),
-        (Op::Bin { op, dst: r, a, b }, Op::StoreLocal { dst, src, co }) if src == r && dead(r) => {
-            Some(Op::BinLoc { op, dst, a, b, co })
-        }
+        // ---- binop feeding a field store ----
         (
             Op::Bin { op, dst: r, a, b },
             Op::WriteTree {
@@ -683,9 +482,6 @@ fn fuse_pair(a: Op, b: Op, dead: impl Fn(u16) -> bool) -> Option<Op> {
             addend,
             co,
         }),
-        (Op::Bin { op, dst: r, a, b }, Op::WriteGlobal { src, idx, co }) if src == r && dead(r) => {
-            Some(Op::BinGlob { op, a, b, idx, co })
-        }
         // ---- receiver navigation feeding an argument-less call ----
         (
             Op::Nav {
@@ -761,9 +557,6 @@ fn fuse_pair(a: Op, b: Op, dead: impl Fn(u16) -> bool) -> Option<Op> {
             addend,
             co,
         }),
-        (Op::Const { dst: r, c }, Op::WriteGlobal { src, idx, co }) if src == r && dead(r) => {
-            Some(Op::ConstGlob { c, idx, co })
-        }
         (Op::Const { dst: r, c }, Op::StoreLocal { dst, src, co }) if src == r && dead(r) => {
             Some(Op::ConstLoc { dst, c, co })
         }
@@ -783,11 +576,6 @@ fn fuse_pair(a: Op, b: Op, dead: impl Fn(u16) -> bool) -> Option<Op> {
             addend,
             co,
         }),
-        (Op::Mov { dst: r, src }, Op::WriteGlobal { src: wsrc, idx, co })
-            if wsrc == r && src != r && dead(r) =>
-        {
-            Some(Op::LocGlob { src, idx, co })
-        }
         (Op::Mov { dst: r, src }, Op::StoreLocal { dst, src: ssrc, co })
             if ssrc == r && src != r && dead(r) =>
         {
@@ -863,64 +651,7 @@ fn peephole_round(module: &mut Module) -> usize {
     rewrites
 }
 
-// ---- pass 3: dead-register elimination -----------------------------------
-
-/// Dead-register elimination and jump threading.
-///
-/// Only *free* ops are ever deleted — `Const`/`CastBool` writing a dead
-/// register, `Jump`s to the next pc — so `Metrics` cannot change; charged
-/// dead stores stay behind precisely because removing them would. Jump
-/// chains thread through intermediate `Jump`s (also free).
-fn dce_pass(module: &mut Module) -> PassStat {
-    let before = module.ops.len();
-    let mut rewrites = 0usize;
-
-    // Thread jump chains: any target landing on a `Jump` follows it
-    // (bounded — lowered control flow is forward-only, but be safe).
-    let resolved: Vec<Op> = module.ops.clone();
-    for op in &mut module.ops {
-        map_target(op, |mut t| {
-            for _ in 0..64 {
-                match resolved[t as usize] {
-                    Op::Jump { target } if target != t => t = target,
-                    _ => break,
-                }
-            }
-            t
-        });
-    }
-
-    let mut deleted = vec![false; module.ops.len()];
-    for fi in 0..module.funcs.len() {
-        let (entry, end, total_regs) = {
-            let f = &module.funcs[fi];
-            (f.entry, f.end, f.total_regs)
-        };
-        let live = Liveness::compute(&module.ops, &module.calls, entry, end, total_regs);
-        for pc in entry..end {
-            let dead = match module.ops[pc as usize] {
-                Op::Const { dst, .. } => !live.live_after(pc, dst),
-                Op::CastBool { reg } => !live.live_after(pc, reg),
-                Op::Jump { target } => target == pc + 1,
-                _ => false,
-            };
-            if dead {
-                deleted[pc as usize] = true;
-                rewrites += 1;
-            }
-        }
-    }
-    compact(module, &deleted);
-    PassStat {
-        wall_ns: 0,
-        pass: "dce",
-        before,
-        after: module.ops.len(),
-        unit: "op",
-        rewrites,
-        action: "removed",
-    }
-}
+// ---- pass 2: register-window compaction ----------------------------------
 
 /// Register-window compaction: shrinks each function's `total_regs` to
 /// the registers its (optimized) body actually touches, so every
@@ -956,107 +687,5 @@ fn regs_pass(module: &mut Module) -> PassStat {
         unit: "reg",
         rewrites,
         action: "shrunk",
-    }
-}
-
-// ---- pass 4: monomorphic dispatch ----------------------------------------
-
-/// Jump-table compaction: a [`Op::Call`] through a stub whose table has a
-/// single live entry devirtualises into [`Op::CallMono`] — one class
-/// check and a direct jump instead of the table indirection, with the
-/// same dispatch charges and the same `MissingTarget` error on mismatch.
-fn mono_pass(module: &mut Module) -> PassStat {
-    let before = module.ops.len();
-    let mut rewrites = 0usize;
-    for pc in 0..module.ops.len() {
-        let Op::Call {
-            call,
-            child,
-            argbase,
-        } = module.ops[pc]
-        else {
-            continue;
-        };
-        let stub = module.calls[call as usize].stub;
-        let mut live = module.stubs[stub as usize]
-            .targets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t != NO_TARGET);
-        if let (Some((class, &target)), None) = (live.next(), live.next()) {
-            module.ops[pc] = Op::CallMono {
-                call,
-                child,
-                argbase,
-                target,
-                class: class as u16,
-            };
-            rewrites += 1;
-        }
-    }
-    PassStat {
-        wall_ns: 0,
-        pass: "mono",
-        before,
-        after: module.ops.len(),
-        unit: "op",
-        rewrites,
-        action: "devirtualised",
-    }
-}
-
-// ---- pass 5: constant-pool compaction ------------------------------------
-
-/// Drops constants no surviving op references and renumbers the pool
-/// (re-deduplication: folding interns bit-identical values once, and the
-/// passes above orphan the literals they swallowed).
-fn pool_pass(module: &mut Module) -> PassStat {
-    let before = module.consts.len();
-    let mut used = vec![false; module.consts.len()];
-    let const_ref = |op: &Op| match *op {
-        Op::Const { c, .. }
-        | Op::FoldedConst { c, .. }
-        | Op::ConstBin { c, .. }
-        | Op::ConstBinBranch { c, .. }
-        | Op::ConstTree { c, .. }
-        | Op::ConstGlob { c, .. }
-        | Op::ConstLoc { c, .. } => Some(c),
-        _ => None,
-    };
-    for op in &module.ops {
-        if let Some(c) = const_ref(op) {
-            used[c as usize] = true;
-        }
-    }
-    let mut remap = vec![0u16; module.consts.len()];
-    let mut consts = Vec::new();
-    for (i, &u) in used.iter().enumerate() {
-        if u {
-            remap[i] = consts.len() as u16;
-            consts.push(module.consts[i]);
-        }
-    }
-    let rewrites = before - consts.len();
-    module.consts = consts;
-    for op in &mut module.ops {
-        match op {
-            Op::Const { c, .. }
-            | Op::FoldedConst { c, .. }
-            | Op::ConstBin { c, .. }
-            | Op::ConstBinBranch { c, .. }
-            | Op::ConstTree { c, .. }
-            | Op::ConstGlob { c, .. }
-            | Op::ConstLoc { c, .. } => *c = remap[*c as usize],
-            _ => {}
-        }
-    }
-    PassStat {
-        wall_ns: 0,
-        pass: "pool",
-        before,
-        after: module.consts.len(),
-        unit: "const",
-        rewrites,
-        action: "dropped",
     }
 }

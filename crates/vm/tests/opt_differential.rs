@@ -1,8 +1,8 @@
-//! Differential testing of the bytecode optimizer: `O0 == O1 == O2 ==
-//! interp` — bit-identical heap snapshots, `Metrics`, simulated cache
-//! traffic and final globals — across the paper's four case studies,
-//! fused and unfused, plus one focused program per peephole pattern
-//! proving the pattern actually fires (and stays observation-preserving).
+//! Differential testing of the bytecode optimizer: `O0 == O2 == interp`
+//! — bit-identical heap snapshots, `Metrics`, simulated cache traffic
+//! and final globals — across the paper's four case studies, fused and
+//! unfused, plus one focused program per peephole pattern proving the
+//! pattern actually fires (and stays observation-preserving).
 //!
 //! This is the executable statement of the optimizer's contract (see
 //! `grafter_vm::opt`): optimization sheds dispatch overhead, never
@@ -15,7 +15,7 @@ use grafter_runtime::{with_stack, Heap, NodeId, SnapValue};
 use grafter_vm::{lower_with, VmOptions};
 use grafter_workloads::case_studies;
 
-const LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
+const LEVELS: [OptLevel; 2] = [OptLevel::O0, OptLevel::O2];
 
 /// Runs `engine` on a freshly built tree with a Xeon cache model
 /// attached; returns the report and the final heap snapshot.
@@ -75,7 +75,7 @@ fn opt_levels_match_interp_on_all_case_studies() {
 #[test]
 fn opt_levels_match_each_other_exactly() {
     // Transitivity spot-check at the Report level (PartialEq covers
-    // metrics + cache + globals): O0 == O1 == O2 on every case study.
+    // metrics + cache + globals): O0 == O2 on every case study.
     with_stack(256 << 20, || {
         for case in case_studies() {
             let reports: Vec<(Report, _)> = LEVELS
@@ -103,10 +103,11 @@ fn opt_levels_match_each_other_exactly() {
 // specific adjacent pair; the test asserts (a) the superinstruction
 // appears in the `O2` disassembly (the pattern fired), (b) the `O0`
 // disassembly does not contain it, and (c) `O0`/`O2` execution still
-// agree with the interpreter on the final tree and every counter.
+// agree with the interpreter on the final tree and every counter. With
+// no mnemonic, only (c) is checked.
 
 /// List program: every class reachable, one recursion, rich statements.
-fn check_pattern(src: &str, root: &str, passes: &[&str], mnemonic: &str) {
+fn check_pattern(src: &str, root: &str, passes: &[&str], mnemonic: Option<&str>) {
     let engine_at = |level: OptLevel, backend: Backend| {
         Engine::builder()
             .source(src)
@@ -119,16 +120,18 @@ fn check_pattern(src: &str, root: &str, passes: &[&str], mnemonic: &str) {
     // (a) + (b): the pattern fires at O2 and only at O2.
     let o2 = engine_at(OptLevel::O2, Backend::Vm);
     let o0 = engine_at(OptLevel::O0, Backend::Vm);
-    let disasm_o2 = o2.module().unwrap().disassemble();
-    let disasm_o0 = o0.module().unwrap().disassemble();
-    assert!(
-        disasm_o2.contains(mnemonic),
-        "`{mnemonic}` did not fire; O2 disassembly:\n{disasm_o2}"
-    );
-    assert!(
-        !disasm_o0.contains(mnemonic),
-        "`{mnemonic}` must not appear at O0:\n{disasm_o0}"
-    );
+    if let Some(mnemonic) = mnemonic {
+        let disasm_o2 = o2.module().unwrap().disassemble();
+        let disasm_o0 = o0.module().unwrap().disassemble();
+        assert!(
+            disasm_o2.contains(mnemonic),
+            "`{mnemonic}` did not fire; O2 disassembly:\n{disasm_o2}"
+        );
+        assert!(
+            !disasm_o0.contains(mnemonic),
+            "`{mnemonic}` must not appear at O0:\n{disasm_o0}"
+        );
+    }
     // (c): observational bit-identity against the interpreter.
     let interp = engine_at(OptLevel::O2, Backend::Interp);
     let build = |h: &mut Heap| {
@@ -141,13 +144,14 @@ fn check_pattern(src: &str, root: &str, passes: &[&str], mnemonic: &str) {
         }
         cur
     };
+    let label = mnemonic.unwrap_or(src);
     let (ri, si) = run_snap(&interp, &build);
     for engine in [&o0, &o2] {
         let (rv, sv) = run_snap(engine, &build);
-        assert_eq!(si, sv, "`{mnemonic}`: snapshots diverge");
-        assert_eq!(ri.metrics, rv.metrics, "`{mnemonic}`: metrics diverge");
-        assert_eq!(ri.cache, rv.cache, "`{mnemonic}`: cache traffic diverges");
-        assert_eq!(ri.globals, rv.globals, "`{mnemonic}`: globals diverge");
+        assert_eq!(si, sv, "{label}: snapshots diverge");
+        assert_eq!(ri.metrics, rv.metrics, "{label}: metrics diverge");
+        assert_eq!(ri.cache, rv.cache, "{label}: cache traffic diverges");
+        assert_eq!(ri.globals, rv.globals, "{label}: globals diverge");
     }
 }
 
@@ -173,7 +177,7 @@ fn list_program(header: &str, body: &str) -> String {
 }
 
 fn check_list_pattern(body: &str, mnemonic: &str) {
-    check_pattern(&list_program("", body), "N", &["go"], mnemonic);
+    check_pattern(&list_program("", body), "N", &["go"], Some(mnemonic));
 }
 
 #[test]
@@ -204,23 +208,7 @@ fn pattern_glob_bin_fires() {
         &list_program("global int G = 5;", "b = p + G;"),
         "N",
         &["go"],
-        "bin.g",
-    );
-}
-
-#[test]
-fn pattern_bin_branch_fires() {
-    // Pure-call operands keep the compare a plain Bin, so Bin + Branch
-    // fuses (operands produced by fusable ops fuse into cmpbr.c/.l
-    // instead — covered below).
-    check_pattern(
-        &list_program(
-            "pure float fabs(float x);",
-            "if (fabs(p) > fabs(b)) { b = p; }",
-        ),
-        "N",
-        &["go"],
-        "cmpbr ",
+        Some("bin.g"),
     );
 }
 
@@ -237,16 +225,6 @@ fn pattern_loc_bin_branch_fires() {
 }
 
 #[test]
-fn pattern_loc_branch_fires() {
-    check_list_pattern("bool t = flag; if (t) { b = p; }", "brfalse.l");
-}
-
-#[test]
-fn pattern_tree_branch_fires() {
-    check_list_pattern("if (flag) { b = p; }", "brfalse.t");
-}
-
-#[test]
 fn pattern_bin_tree_fires() {
     // Pure-call operands again: Bin + WriteTree (store-field from the
     // accumulator).
@@ -254,49 +232,13 @@ fn pattern_bin_tree_fires() {
         &list_program("pure float fabs(float x);", "b = fabs(p) + fabs(a);"),
         "N",
         &["go"],
-        "wrtree.b",
-    );
-}
-
-#[test]
-fn pattern_bin_loc_fires() {
-    check_pattern(
-        &list_program(
-            "pure float fabs(float x);",
-            "int t = fabs(p) + fabs(a); b = t + 1;",
-        ),
-        "N",
-        &["go"],
-        "stloc.b",
-    );
-}
-
-#[test]
-fn pattern_bin_glob_fires() {
-    check_pattern(
-        &list_program(
-            "global int G = 0; pure float fabs(float x);",
-            "G = fabs(p) + fabs(a);",
-        ),
-        "N",
-        &["go"],
-        "wrglob.b",
+        Some("wrtree.b"),
     );
 }
 
 #[test]
 fn pattern_const_tree_fires() {
     check_list_pattern("b = 9;", "wrtree.c");
-}
-
-#[test]
-fn pattern_const_glob_fires() {
-    check_pattern(
-        &list_program("global int G = 0;", "G = 4;"),
-        "N",
-        &["go"],
-        "wrglob.c",
-    );
 }
 
 #[test]
@@ -307,16 +249,6 @@ fn pattern_const_loc_fires() {
 #[test]
 fn pattern_loc_tree_fires() {
     check_list_pattern("b = p;", "wrtree.l");
-}
-
-#[test]
-fn pattern_loc_glob_fires() {
-    check_pattern(
-        &list_program("global int G = 0;", "G = p;"),
-        "N",
-        &["go"],
-        "wrglob.l",
-    );
 }
 
 #[test]
@@ -346,16 +278,37 @@ fn pattern_nav_call_fires() {
     "#,
         "N",
         &["go"],
-        "navcall",
+        Some("navcall"),
     );
 }
 
 #[test]
-fn pattern_call_mono_fires() {
-    // A call *with* an argument through a single-class child hierarchy:
-    // Nav and Call are separated by argument evaluation, so the mono pass
-    // devirtualises the remaining polymorphic Call.
-    check_pattern(
+fn programs_without_a_superinstruction_match_interp() {
+    // Global writes, compares and stores of pure-call operands, branches
+    // on a field or a local, constant expressions and a call with an
+    // argument: no superinstruction covers these, and O0/O2 must still
+    // agree with the interpreter.
+    let fabs = "pure float fabs(float x);";
+    let mut programs: Vec<String> = [
+        ("global int G = 0;", "G = p;"),
+        ("global int G = 0;", "G = 4;"),
+        (
+            "global int G = 0; pure float fabs(float x);",
+            "G = fabs(p) + fabs(a);",
+        ),
+        (fabs, "if (fabs(p) > fabs(b)) { b = p; }"),
+        (fabs, "int t = fabs(p) + fabs(a); b = t + 1;"),
+        ("", "if (flag) { b = p; }"),
+        ("", "bool t = flag; if (t) { b = p; }"),
+        ("", "b = 2 + 3 * 4;"),
+        // The kernel defines int division by zero as 0.
+        ("", "b = 7 / 0 + p;"),
+    ]
+    .iter()
+    .map(|(header, body)| list_program(header, body))
+    .collect();
+    // A call with an argument through a single-class child hierarchy.
+    programs.push(
         r#"
         tree class K {
             int sum = 0;
@@ -374,22 +327,12 @@ fn pattern_call_mono_fires() {
             }
         }
         tree class E : N { }
-    "#,
-        "N",
-        &["go"],
-        "call.m",
+    "#
+        .to_string(),
     );
-}
-
-#[test]
-fn pattern_folded_const_fires() {
-    check_list_pattern("b = 2 + 3 * 4;", "fconst");
-}
-
-#[test]
-fn folding_preserves_division_by_zero_semantics() {
-    // The kernel defines int division by zero as 0; folding must agree.
-    check_list_pattern("b = 7 / 0 + p;", "fconst");
+    for src in &programs {
+        check_pattern(src, "N", &["go"], None);
+    }
 }
 
 // ---- structural checks ----------------------------------------------------
@@ -406,15 +349,12 @@ fn lower_with_levels_are_ordered_and_reported() {
     )
     .unwrap();
     let o0 = lower_with(&fused, &VmOptions::with_opt_level(OptLevel::O0));
-    let o1 = lower_with(&fused, &VmOptions::with_opt_level(OptLevel::O1));
     let o2 = lower_with(&fused, &VmOptions::with_opt_level(OptLevel::O2));
     assert!(o0.opt_report().passes.is_empty(), "O0 runs no passes");
     assert_eq!(o0.opt_report().level, OptLevel::O0);
-    assert_eq!(o1.opt_report().level, OptLevel::O1);
     assert_eq!(o2.opt_report().level, OptLevel::O2);
-    assert!(o1.n_ops() < o0.n_ops(), "O1 peephole shrinks the module");
-    assert!(o2.n_ops() <= o1.n_ops(), "O2 never grows the module");
-    assert!(o2.opt_report().total_rewrites() >= o1.opt_report().total_rewrites());
+    let passes: Vec<&str> = o2.opt_report().passes.iter().map(|p| p.pass).collect();
+    assert_eq!(passes, ["peephole", "regs"], "O2 runs peephole then regs");
     // The disassembly carries the per-pass deltas.
     let disasm = o2.disassemble();
     assert!(disasm.contains("; opt: O2"));
@@ -458,13 +398,4 @@ fn empty_module_is_detected() {
         &grafter::FuseOptions::default(),
     );
     assert!(!grafter_vm::lower(&normal).is_empty());
-}
-
-#[test]
-fn folding_preserves_wrapping_negation_at_i64_min() {
-    // `-(i64::MIN)` must be deterministic (wrapping) in every build
-    // profile and identical across interp / O0 / O2: all three evaluate
-    // through the shared `grafter_runtime::ops::unop` kernel, and the
-    // folder only ever folds what that kernel computes.
-    check_list_pattern("b = -(0 - 9223372036854775807 - 1) + p;", "fconst");
 }

@@ -16,14 +16,14 @@
 //! ```text
 //! grafterc <file.gr | -> --root <Class> --passes <t1,t2,...>
 //!          [--unfused] [--explain] [--stats] [--backend interp|vm]
-//!          [-O0|-O1|-O2] [--emit cpp|bytecode|none] [--disasm-blocks]
+//!          [-O0|-O2] [--emit cpp|bytecode|none] [--disasm-blocks]
 //!          [--run] [--json] [--profile] [--trace-out FILE]
 //! ```
 //!
 //! `--backend` names the execution tier the artifact is being prepared
 //! for: it selects the default `--emit` (the VM tier disassembles its
 //! bytecode) and, with `--stats`/`--run`, that tier
-//! compiles/executes. `-O{0,1,2}` picks the bytecode optimization level
+//! compiles/executes. `-O{0,2}` picks the bytecode optimization level
 //! (default `-O2`); the disassembly header lists what each optimizer
 //! pass did, and `--stats` repeats those per-pass deltas on stderr so
 //! they survive a piped or discarded stdout. `--disasm-blocks` switches
@@ -153,7 +153,7 @@ const FLAGS: &[FlagSpec] = &[
 
 /// The one-line usage string, generated from [`FLAGS`].
 fn usage() -> String {
-    let mut line = String::from("usage: grafterc <file.gr | -> [-O0|-O1|-O2]");
+    let mut line = String::from("usage: grafterc <file.gr | -> [-O0|-O2]");
     for f in FLAGS {
         if f.name == "--help" {
             continue;
@@ -184,9 +184,10 @@ fn help() -> String {
         };
         out.push_str(&format!("  {left:<width$}  {}\n", f.help));
     }
-    out.push_str("  -O0|-O1|-O2");
-    out.push_str(&" ".repeat(width.saturating_sub(9)));
-    out.push_str("bytecode optimization level (default -O2)\n");
+    let levels = "-O0|-O2";
+    out.push_str(&format!(
+        "  {levels:<width$}  bytecode optimization level (default -O2)\n"
+    ));
     out
 }
 

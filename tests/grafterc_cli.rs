@@ -1,4 +1,4 @@
-//! `grafterc` CLI regressions: the `-O{0,1,2}` flags, the disassembly
+//! `grafterc` CLI regressions: the `-O{0,2}` flags, the disassembly
 //! header, and the empty-module diagnostic contract (`Module::is_empty`
 //! carries the predicate; the warning path is exercised through the same
 //! engine code the CLI drives — the zero-target state itself is only
@@ -77,6 +77,11 @@ fn opt_level_flags_select_the_level() {
     let (_, stderr, code) = grafterc(&["-", "--root", "Node", "--passes", "inc", "-O9"], LIST);
     assert_eq!(code, Some(2), "unknown level is a usage error");
     assert!(stderr.contains("unknown opt level"));
+
+    // `-O1` was removed with its passes: a usage error naming the levels.
+    let (_, stderr, code) = grafterc(&["-", "--root", "Node", "--passes", "inc", "-O1"], LIST);
+    assert_eq!(code, Some(2), "removed level is a usage error: {stderr}");
+    assert!(stderr.contains("0|2"), "stderr names the levels: {stderr}");
 }
 
 /// Two independent passes over the same list: one fused pair under the
@@ -113,7 +118,7 @@ fn help_lists_every_flag_and_exits_zero() {
         "--profile",
         "--trace-out",
         "--help",
-        "-O0|-O1|-O2",
+        "-O0|-O2",
     ] {
         assert!(stdout.contains(flag), "help misses `{flag}`:\n{stdout}");
     }

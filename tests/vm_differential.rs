@@ -267,11 +267,12 @@ fn runtime_errors_render_identically_on_all_tiers() {
 #[test]
 fn div_by_zero_and_overflow_semantics_match_across_tiers() {
     // Integer division/remainder by zero yields 0 (deterministic, never
-    // a trap) and multiplication wraps — on both tiers, bit-identically.
+    // a trap), and multiplication and negation wrap in every build
+    // profile — on both tiers, bit-identically.
     let src = r#"
         tree class Node {
             child Node* next;
-            int q = 0; int r = 0; int big = 0;
+            int q = 0; int r = 0; int big = 0; int neg = 0;
             virtual traversal crunch() {}
         }
         tree class Cell : Node {
@@ -279,6 +280,7 @@ fn div_by_zero_and_overflow_semantics_match_across_tiers() {
                 q = this->q / 0;
                 r = this->r % 0;
                 big = this->big * this->big;
+                neg = -(0 - 9223372036854775807 - 1);
                 this->next->crunch();
             }
         }
@@ -296,7 +298,8 @@ fn div_by_zero_and_overflow_semantics_match_across_tiers() {
     let [interp, vm] =
         TIERS.map(|backend| run_once(&adhoc(src, "Node", &["crunch"], backend), &build));
     assert_identical("div0 interp vs vm", &interp, &vm);
-    // And the semantics really are div0 → 0 and wrapping multiply.
+    // And the semantics really are div0 → 0, wrapping multiply and
+    // wrapping negation.
     let cell = &interp.1[0].1;
     assert_eq!(cell[1], SnapValue::Int(0), "q = 41 / 0 must yield 0");
     assert_eq!(cell[2], SnapValue::Int(0), "r = 17 % 0 must yield 0");
@@ -305,6 +308,7 @@ fn div_by_zero_and_overflow_semantics_match_across_tiers() {
         SnapValue::Int(i64::MAX.wrapping_mul(i64::MAX)),
         "big * big must wrap"
     );
+    assert_eq!(cell[4], SnapValue::Int(i64::MIN), "-(i64::MIN) must wrap");
 }
 
 #[test]
