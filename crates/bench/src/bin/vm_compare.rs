@@ -418,8 +418,6 @@ fn main() {
     let _ = writeln!(json, "  \"batch_trees\": {batch_trees},");
     let _ = writeln!(json, "  \"workloads\": [");
     for (i, r) in rows.iter().enumerate() {
-        // "compile" stays behind "unfused"/"batch": `baseline::fused_u128`
-        // scopes a row's "fused" object by the "unfused" key that follows.
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"fused\": {}, \"unfused\": {}, \"batch\": {}, \

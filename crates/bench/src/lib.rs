@@ -92,9 +92,8 @@ pub fn has_flag(flag: &str) -> bool {
 /// Reading and strictly validating the committed `BENCH_vm.json` baseline
 /// the `vm_compare --check` perf gate compares against.
 ///
-/// The baseline is written by `vm_compare` itself, so the hand-rolled
-/// scanner here matches the hand-rolled emitter there. The gate's
-/// correctness depends on *strictness*: a workload renamed in either the
+/// The baseline is written by `vm_compare` itself and read here with the
+/// shared `grafter_obs::json` parser. The gate's correctness depends on *strictness*: a workload renamed in either the
 /// code or the committed file, or a median key that was never recorded,
 /// must fail the gate loudly instead of silently skipping the comparison
 /// ([`validate`](baseline::validate) is the single place that contract
@@ -113,16 +112,23 @@ pub mod baseline {
         pub trees_per_sec: f64,
     }
 
-    /// The `"batch"` throughput entries of `workload`'s baseline row,
-    /// parsed with the shared JSON parser (the arrays carry floats, which
-    /// the string-scanning `fused_u128` lookups cannot read).
+    /// The rows of the baseline's `"workloads"` array.
+    fn rows(doc: &Json) -> &[Json] {
+        doc.get("workloads").and_then(Json::as_arr).unwrap_or(&[])
+    }
+
+    /// `workload`'s row of the baseline.
+    fn row<'d>(doc: &'d Json, workload: &str) -> Option<&'d Json> {
+        rows(doc)
+            .iter()
+            .find(|r| r.get("name").and_then(Json::as_str) == Some(workload))
+    }
+
+    /// The `"batch"` throughput entries of `workload`'s baseline row.
     pub fn batch_entries(json: &str, workload: &str) -> Option<Vec<BatchEntry>> {
         let doc = parse(json).ok()?;
-        let rows = doc.get("workloads")?.as_arr()?;
-        let row = rows
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(workload))?;
-        row.get("batch")?
+        row(&doc, workload)?
+            .get("batch")?
             .as_arr()?
             .iter()
             .map(|e| {
@@ -183,51 +189,28 @@ pub mod baseline {
         }
     }
 
-    /// All workload names recorded in the baseline JSON, in file order.
+    /// All workload names recorded in the baseline JSON, in file order
+    /// (none when the file does not parse).
     pub fn workload_names(json: &str) -> Vec<String> {
-        let mut names = Vec::new();
-        let mut rest = json;
-        const KEY: &str = "\"name\": \"";
-        while let Some(at) = rest.find(KEY) {
-            rest = &rest[at + KEY.len()..];
-            if let Some(end) = rest.find('"') {
-                names.push(rest[..end].to_string());
-                rest = &rest[end..];
-            }
-        }
-        names
+        let Ok(doc) = parse(json) else {
+            return Vec::new();
+        };
+        rows(&doc)
+            .iter()
+            .filter_map(|r| r.get("name")?.as_str().map(str::to_string))
+            .collect()
     }
 
-    /// The byte range of `workload`'s row object within the baseline (from
-    /// its `"name"` key to the next row's, or end of input) — scoping key
-    /// lookups so a key absent from this row is never satisfied by the
-    /// next one.
-    fn row<'j>(json: &'j str, workload: &str) -> Option<&'j str> {
-        let at = json.find(&format!("\"name\": \"{workload}\""))?;
-        let body = &json[at..];
-        let end = body[1..].find("\"name\": \"").map_or(body.len(), |e| e + 1);
-        Some(&body[..end])
-    }
-
-    /// Extracts an integer median of `workload`'s `"fused"` object by key
-    /// path, e.g. `["vm_ns"]` or `["opt", "O0"]`.
+    /// An integer median of `workload`'s `"fused"` object by key path,
+    /// e.g. `["vm_ns"]` or `["opt", "O0"]`.
     pub fn fused_u128(json: &str, workload: &str, keys: &[&str]) -> Option<u128> {
-        let row = row(json, workload)?;
-        let mut scope = &row[row.find("\"fused\":")?..];
-        // Bound the fused object to keep nested lookups from drifting
-        // into the sibling "unfused"/"batch" objects.
-        if let Some(end) = scope.find("\"unfused\":") {
-            scope = &scope[..end];
-        }
+        let doc = parse(json).ok()?;
+        let mut value = row(&doc, workload)?.get("fused")?;
         for key in keys {
-            scope = &scope[scope.find(&format!("\"{key}\":"))? + key.len() + 3..];
+            value = value.get(key)?;
         }
-        let digits: String = scope
-            .chars()
-            .skip_while(|c| *c == ' ')
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().ok()
+        let n = value.as_num()?;
+        (n >= 0.0 && n.fract() == 0.0).then_some(n as u128)
     }
 
     /// Strictly validates the baseline against the expected workload set

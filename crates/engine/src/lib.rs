@@ -15,9 +15,11 @@
 //!   Each session owns its [`Heap`](grafter_runtime::Heap), exposes tree
 //!   construction, and [`Session::run`] executes the engine's program,
 //!   returning a unified [`Report`].
-//! - [`Engine::run_batch`] — fans independent inputs out across
-//!   `std::thread` workers and returns `Vec<Report>` in input order,
-//!   deterministically.
+//! - [`Engine::run_batch`] — fans independent inputs out across scoped
+//!   `std::thread` workers (2 GiB reserved stacks each, spawned per call)
+//!   and returns `Vec<Report>` in input order, deterministically. A panic
+//!   in one input becomes that input's typed runtime error
+//!   ([`Session::run_input`]).
 //!
 //! Errors are the typed [`grafter::Error`] (stage + span + rendered caret
 //! snippet) rather than bare diagnostic bags.
@@ -78,11 +80,12 @@
 //! # Ok::<(), grafter_engine::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod batch;
 mod builder;
 mod engine;
 mod fingerprint;
-mod pool;
 mod report;
 mod session;
 
@@ -95,6 +98,5 @@ pub use grafter_obs::{
     BatchTrace, CompileTrace, NullProbe, Probe, RunTrace, TierProfile, TraceProbe,
 };
 pub use grafter_vm::{Backend, OptLevel};
-pub use pool::{pool_stats, PoolStats};
 pub use report::Report;
 pub use session::Session;

@@ -1,5 +1,6 @@
 //! Per-request execution contexts over a shared engine.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use grafter::{Diag, Error, Stage};
@@ -295,10 +296,34 @@ impl<'e> Session<'e> {
         })
     }
 
-    /// Consumes the session into its heap (e.g. to hand the mutated tree
-    /// to a follow-up engine).
-    pub fn into_heap(self) -> Heap {
-        self.heap
+    /// Serves one input: resets the session, builds the input's tree with
+    /// `build` and runs the engine's program on it. This is what every
+    /// batch worker and every grafterd job does per input.
+    ///
+    /// A panic in `build` or in the run does not unwind out of here: it
+    /// becomes a typed [`Stage::Runtime`] error naming the panic
+    /// (`worker panicked: ..`), and the session continues on a fresh heap,
+    /// so the panic poisons nothing the next input sees.
+    ///
+    /// # Errors
+    ///
+    /// The run's own [`Error`]s, plus the panic error above.
+    pub fn run_input(&mut self, build: impl FnOnce(&mut Heap) -> NodeId) -> Result<Report, Error> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.reset();
+            let root = self.build_tree(build);
+            self.run(root)
+        }));
+        outcome.unwrap_or_else(|payload| {
+            self.heap = self.engine.new_heap();
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let diag = Diag::error_global(Stage::Runtime, format!("worker panicked: {msg}"));
+            Err(Error::from_diag(diag, &self.engine.src))
+        })
     }
 
     fn config_error(&self, message: String) -> Error {

@@ -195,7 +195,8 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Inputs this worker processed.
     pub inputs: u64,
-    /// Session resets this worker performed (pooled-session reuse).
+    /// Session resets this worker performed. A worker resets its one
+    /// session before every input, so this equals `inputs`.
     pub resets: u64,
     /// Wall time spent building inputs and running them.
     pub busy: Duration,

@@ -7,8 +7,8 @@
 //! Drives all four paper case studies against a running daemon in three
 //! phases:
 //!
-//! 1. **Warm**: compiles every case's engine (cache misses) and one batch
-//!    per case, so the daemon's worker pool reaches steady width.
+//! 1. **Warm**: compiles every case's engine (cache misses) and runs one
+//!    batch per case.
 //! 2. **Uncached**: per-case source variants (a comment suffix changes
 //!    the source hash) force fresh compiles — the mixed cached/uncached
 //!    traffic a real service sees.
@@ -16,8 +16,8 @@
 //!    single runs and streamed batches, measuring per-request latency.
 //!
 //! After the steady phase the daemon's `stats` method must show **zero**
-//! new lowerings and **zero** new pool thread spawns — cached requests
-//! neither compile nor spawn. A violation exits 1.
+//! new lowerings and **zero** new executor threads (`pool.spawned_total`)
+//! — cached requests neither compile nor spawn. A violation exits 1.
 //!
 //! Results (p50/p99 latency, sustained trees/sec per case) land in
 //! `BENCH_server.json`.
@@ -323,9 +323,7 @@ fn run(addr: &str, shape: &Shape, smoke: bool, out: &str) -> io::Result<bool> {
     let cases = case_studies();
     let mut control = Client::connect(addr)?;
 
-    // Warm phase: compile every case's engine and bring the pool to
-    // steady width (a batch spawns up to `batch` workers once; steady
-    // batches then reuse them).
+    // Warm phase: compile every case's engine and run one batch per case.
     for case in &cases {
         let program = program_for(case);
         let body = render_run(&program, &gen_input(case, shape.size_for(case), 1));
@@ -378,7 +376,7 @@ fn run(addr: &str, shape: &Shape, smoke: bool, out: &str) -> io::Result<bool> {
         ok = false;
     }
     if spawned_delta != 0 {
-        eprintln!("grafter-load: steady phase spawned {spawned_delta} pool threads (want 0)");
+        eprintln!("grafter-load: steady phase spawned {spawned_delta} executor threads (want 0)");
         ok = false;
     }
     if after.cache_hits <= before.cache_hits {

@@ -4,6 +4,11 @@
 //! grafterd [--addr HOST:PORT] [--workers N] [--cache N]
 //! ```
 //!
+//! `--workers N` (default: the machine's available parallelism) sets how
+//! many executor threads run traversals; they are spawned at start-up and
+//! shared by every connection, and one batch fans out to at most `N` of
+//! them. `--cache N` (default 32) bounds the resident compiled engines.
+//!
 //! Binds (port 0 picks an ephemeral port), prints
 //! `grafterd listening on <addr>` on stdout (scripts and CI parse this
 //! line to discover the resolved port), then serves until SIGTERM or

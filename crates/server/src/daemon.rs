@@ -2,12 +2,15 @@
 //!
 //! One thread per connection, at most [`MAX_CONNECTIONS`] at once
 //! (requests within a connection are sequential; concurrency comes from
-//! concurrent connections), all execution routed through the engine
-//! crate's persistent worker pool —
-//! the daemon itself never runs a traversal on a connection thread, so
-//! connection stacks stay small while traversal recursion gets the
-//! pool's 2 GiB reserved stacks, and per-input `catch_unwind` isolation
-//! applies to every request shape.
+//! concurrent connections). Connection threads parse, look up engines
+//! and write frames; every traversal runs on the daemon's own executor
+//! (`executor.rs`), a fixed set of threads with 2 GiB reserved stacks
+//! spawned in [`Daemon::bind`]. So connection stacks stay small, serving
+//! spawns no thread per request, and every request shape gets the
+//! per-input panic isolation of
+//! [`Session::run_input`](grafter_engine::Session::run_input). A `run` is
+//! one job; a `run_batch` is `min(workers, inputs)` jobs that claim its
+//! inputs in order and hand results back through a bounded window.
 //!
 //! Shutdown is cooperative: when the shutdown flag flips (SIGTERM in the
 //! binary, a test hook here), the acceptor stops taking connections and
@@ -17,19 +20,21 @@
 //! exits, so the process can exit 0 with no lost responses.
 
 use std::io::{self, BufWriter, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use grafter_engine::{pool_stats, BatchOptions, Engine, Error, Report};
+use grafter_engine::{Engine, Error, Report};
 use grafter_obs::json::JsonWriter;
 use grafter_runtime::{Heap, NodeId};
 use grafter_vm::lowering_count;
 use grafter_workloads::case_studies;
 
 use crate::cache::EngineCache;
+use crate::executor::Executor;
 use crate::proto::{
     build_tree_spec, parse_request, render_error, resolve_tree_spec, write_frame, AppError,
     FrameReader, Incoming, InputSpec, ProgramSpec, ProtoError, Request,
@@ -39,14 +44,14 @@ use crate::proto::{
 const CHUNK: usize = 16;
 
 /// Connection-thread stack: big enough for deep JSON recursion, small
-/// next to the pool's traversal stacks (which do the actual running).
+/// next to the executor's traversal stacks (which do the actual running).
 const CONN_STACK: usize = 64 << 20;
 
 /// How long a connection waits on a *partially received* frame after
 /// shutdown begins before giving up on the peer.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
-/// Poll quantum for the acceptor and connection read timeouts.
+/// Poll quantum for the shutdown flag and connection read timeouts.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Open connections the daemon serves at once. A connection past the cap
@@ -59,7 +64,8 @@ pub const MAX_CONNECTIONS: usize = 64;
 pub struct DaemonOptions {
     /// Ready engines kept resident (LRU beyond this).
     pub cache_capacity: usize,
-    /// Worker-pool width used for batch requests.
+    /// Executor threads (at least one), spawned in [`Daemon::bind`]. All
+    /// requests share them, and one batch runs on at most this many.
     pub workers: usize,
 }
 
@@ -72,25 +78,28 @@ impl Default for DaemonOptions {
     }
 }
 
-/// A bound (not yet serving) grafterd instance.
+/// A bound (not yet serving) grafterd instance. Dropping it stops its
+/// executor threads.
 pub struct Daemon {
     listener: TcpListener,
     cache: EngineCache,
-    opts: DaemonOptions,
+    executor: Executor,
 }
 
 impl Daemon {
-    /// Binds the listening socket (use port 0 for an ephemeral port).
+    /// Binds the listening socket (use port 0 for an ephemeral port) and
+    /// spawns the executor's threads.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (address in use, permission).
+    /// Propagates socket errors (address in use, permission) and thread
+    /// spawn failures.
     pub fn bind(addr: impl ToSocketAddrs, opts: DaemonOptions) -> io::Result<Daemon> {
         let listener = TcpListener::bind(addr)?;
         Ok(Daemon {
             listener,
             cache: EngineCache::new(opts.cache_capacity),
-            opts,
+            executor: Executor::new(opts.workers)?,
         })
     }
 
@@ -99,7 +108,7 @@ impl Daemon {
     /// # Errors
     ///
     /// Propagates `local_addr` socket errors.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -117,38 +126,59 @@ impl Daemon {
     /// Propagates acceptor socket errors (per-connection I/O errors only
     /// close that connection).
     pub fn serve(&self, shutdown: &AtomicBool) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let mut wake_addr = self.listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let open = AtomicUsize::new(0);
+        let accepting = AtomicBool::new(true);
         thread::scope(|scope| {
-            while !shutdown.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        // Only this thread adds connections, so the count
-                        // cannot pass the cap between check and add.
-                        if open.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
-                            refuse(stream);
-                            continue;
-                        }
-                        let slot = ConnSlot::take(&open);
-                        // A failed spawn drops the closure, and with it the
-                        // stream (closing the connection) and its slot.
-                        let _ = thread::Builder::new()
-                            .name("grafterd-conn".to_string())
-                            .stack_size(CONN_STACK)
-                            .spawn_scoped(scope, move || {
-                                let _slot = slot;
-                                // A connection failing (I/O, desync) only
-                                // drops that connection.
-                                let _ = self.handle_conn(stream, shutdown);
-                            });
+            // `accept` blocks, so a new connection is served the moment it
+            // arrives; once the flag flips, this waker connects to unblock
+            // the acceptor, which then sees the flag and stops.
+            scope.spawn(|| {
+                while accepting.load(Ordering::SeqCst) {
+                    if shutdown.load(Ordering::SeqCst) && TcpStream::connect(wake_addr).is_ok() {
+                        return;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
+                    thread::sleep(POLL);
                 }
-            }
-            Ok(())
-            // Scope exit joins every connection thread: the drain.
+            });
+            let result = loop {
+                let stream = match self.listener.accept() {
+                    Ok((stream, _peer)) => stream,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => break Err(e),
+                };
+                if shutdown.load(Ordering::SeqCst) {
+                    break Ok(());
+                }
+                // Only this thread adds connections, so the count cannot
+                // pass the cap between check and add.
+                if open.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                    refuse(stream);
+                    continue;
+                }
+                let slot = ConnSlot::take(&open);
+                // A failed spawn drops the closure, and with it the stream
+                // (closing the connection) and its slot.
+                let _ = thread::Builder::new()
+                    .name("grafterd-conn".to_string())
+                    .stack_size(CONN_STACK)
+                    .spawn_scoped(scope, move || {
+                        let _slot = slot;
+                        // A connection failing (I/O, desync) only drops
+                        // that connection.
+                        let _ = self.handle_conn(stream, shutdown);
+                    });
+            };
+            accepting.store(false, Ordering::SeqCst);
+            result
+            // Scope exit joins the waker and every connection thread: the
+            // drain.
         })
     }
 
@@ -250,12 +280,12 @@ impl Daemon {
                     Ok(b) => b,
                     Err(e) => return write_frame(writer, &render_error(&e.stage, &e.message)),
                 };
-                // Routed through the pool: pooled session, 2 GiB stack,
-                // per-input catch_unwind — even for a single run.
-                let mut results =
-                    engine.try_run_batch(vec![builder], &BatchOptions::with_workers(1));
-                let result = results.pop().expect("one input, one result");
-                let body = match result {
+                let (reply, result) = mpsc::channel();
+                let job_engine = Arc::clone(&engine);
+                self.executor.spawn(move || {
+                    let _ = reply.send(job_engine.session().run_input(builder));
+                });
+                let body = match result.recv().expect("a run job always replies") {
                     Ok(report) => {
                         let mut w = JsonWriter::with_capacity(512);
                         w.begin_obj();
@@ -290,17 +320,31 @@ impl Daemon {
                         Err(e) => return write_frame(writer, &render_error(&e.stage, &e.message)),
                     }
                 }
-                let opts = BatchOptions::with_workers(self.opts.workers.min(total.max(1)));
+                let batch = Arc::new(Batch {
+                    engine,
+                    inputs: Mutex::new(builders.into_iter().enumerate()),
+                    window: Window::new(window),
+                });
+                // Each job holds a sender; the channel closes once every
+                // job has finished.
+                let (job_done, jobs_finished) = mpsc::channel::<()>();
+                for _ in 0..self.executor.width().min(total) {
+                    let (batch, job_done) = (Arc::clone(&batch), job_done.clone());
+                    self.executor.spawn(move || {
+                        batch.participate();
+                        drop(job_done);
+                    });
+                }
+                drop(job_done);
 
                 // Stream input-ordered chunks; TCP write stalls propagate
-                // through the sink into the batch window (backpressure).
-                let broken = {
-                    let mut chunk = ChunkState::new(writer);
-                    engine.run_batch_streamed(builders, &opts, window, |i, result| {
-                        chunk.push(i, &result);
-                    });
-                    chunk.finish()
-                };
+                // through this loop into the batch window (backpressure).
+                let mut chunk = ChunkState::new(writer);
+                for _ in 0..total {
+                    chunk.push(&batch.window.take_next());
+                }
+                let broken = chunk.finish();
+                let _ = jobs_finished.recv();
                 if broken {
                     return Err(io::Error::new(
                         io::ErrorKind::BrokenPipe,
@@ -340,7 +384,6 @@ impl Daemon {
 
     fn stats_body(&self) -> String {
         let cache = self.cache.stats();
-        let pool = pool_stats();
         // Fusion pair coverage aggregated over the resident engines: how
         // well the programs this daemon currently serves fused.
         let (mut fused, mut missed, mut blocked) = (0usize, 0usize, 0usize);
@@ -362,13 +405,8 @@ impl Daemon {
         w.key("evictions").num(cache.evictions);
         w.key("single_flight_waits").num(cache.single_flight_waits);
         w.end_obj();
-        w.key("pool").begin_obj();
-        w.key("threads").num(pool.threads);
-        w.key("spawned_total").num(pool.spawned_total);
-        w.key("jobs_executed").num(pool.jobs_executed);
-        w.key("busy").num(pool.busy);
-        w.key("idle").num(pool.idle);
-        w.end_obj();
+        w.key("pool");
+        self.executor.write_stats(&mut w);
         w.end_obj();
         w.finish()
     }
@@ -400,10 +438,96 @@ fn refuse(mut stream: TcpStream) {
     let _ = write_frame(&mut stream, &render_error("proto", &message));
 }
 
+/// One `run_batch` request, shared by its participation jobs and its
+/// connection thread.
+struct Batch {
+    engine: Arc<Engine>,
+    /// Unclaimed inputs with their positions, claimed in ascending order.
+    inputs: Mutex<std::iter::Enumerate<std::vec::IntoIter<Builder>>>,
+    window: Window,
+}
+
+impl Batch {
+    /// One participation job: run inputs on one session until none are
+    /// left, handing each result to the window.
+    fn participate(&self) {
+        // The closure drops the input lock before the input runs; a guard
+        // in the `while let` scrutinee would live through the loop body.
+        let claim = || self.inputs.lock().expect("batch input lock").next();
+        let mut session = None;
+        while let Some((i, build)) = claim() {
+            let result = session
+                .get_or_insert_with(|| self.engine.session())
+                .run_input(build);
+            self.window.deposit(i, result);
+        }
+    }
+}
+
+/// The bounded reorder buffer between a batch's jobs and its connection
+/// thread.
+///
+/// A job deposits result `i` only once `i` is within the window's width
+/// of the next index the connection thread will take, and blocks before
+/// that (backpressure); the connection thread takes results strictly in
+/// input order. So at most `width` finished results wait at any time,
+/// result `i` in slot `i % width`. Deadlock-free for any width: inputs
+/// are claimed in ascending order, so the job holding the next index to
+/// take is never the one made to wait.
+struct Window {
+    state: Mutex<WindowState>,
+    /// Signals jobs blocked on the window (a result was taken).
+    space: Condvar,
+    /// Signals the connection thread (a result landed).
+    ready: Condvar,
+}
+
+struct WindowState {
+    slots: Vec<Option<Result<Report, Error>>>,
+    next_take: usize,
+}
+
+impl Window {
+    fn new(width: usize) -> Window {
+        Window {
+            state: Mutex::new(WindowState {
+                slots: (0..width.max(1)).map(|_| None).collect(),
+                next_take: 0,
+            }),
+            space: Condvar::new(),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn deposit(&self, i: usize, result: Result<Report, Error>) {
+        let mut state = self.state.lock().expect("window lock");
+        let width = state.slots.len();
+        while i >= state.next_take + width {
+            state = self.space.wait(state).expect("window wait");
+        }
+        state.slots[i % width] = Some(result);
+        self.ready.notify_all();
+    }
+
+    /// Blocks until the result of input `next_take` landed, and takes it.
+    fn take_next(&self) -> Result<Report, Error> {
+        let mut state = self.state.lock().expect("window lock");
+        let width = state.slots.len();
+        loop {
+            let slot = state.next_take % width;
+            if let Some(result) = state.slots[slot].take() {
+                state.next_take += 1;
+                self.space.notify_all();
+                return result;
+            }
+            state = self.ready.wait(state).expect("window wait");
+        }
+    }
+}
+
 /// Accumulates streamed results and frames them every [`CHUNK`] inputs.
 struct ChunkState<'w, W: Write> {
     writer: &'w mut W,
-    first: usize,
     chunk_no: usize,
     results: Vec<String>,
     broken: bool,
@@ -413,17 +537,14 @@ impl<'w, W: Write> ChunkState<'w, W> {
     fn new(writer: &'w mut W) -> ChunkState<'w, W> {
         ChunkState {
             writer,
-            first: 0,
             chunk_no: 0,
             results: Vec::with_capacity(CHUNK),
             broken: false,
         }
     }
 
-    fn push(&mut self, i: usize, result: &Result<Report, Error>) {
-        if self.results.is_empty() {
-            self.first = i;
-        }
+    /// Adds the result of the next input in input order.
+    fn push(&mut self, result: &Result<Report, Error>) {
         self.results.push(match result {
             Ok(report) => report.to_json(),
             Err(e) => {
@@ -451,14 +572,15 @@ impl<'w, W: Write> ChunkState<'w, W> {
         w.begin_obj();
         w.key("ok").bool(true);
         w.key("chunk").num(self.chunk_no);
-        w.key("first").num(self.first);
+        // Every chunk but the last is full.
+        w.key("first").num(self.chunk_no * CHUNK);
         w.key("results").begin_arr();
         for r in &self.results {
             w.raw(r);
         }
         w.end_arr();
         w.end_obj();
-        // A dead peer cannot abort the batch (the engine owns it); mark
+        // A dead peer cannot abort the batch (its jobs are running); mark
         // the stream broken and drop the remaining output.
         if write_frame(self.writer, &w.finish()).is_err() {
             self.broken = true;

@@ -4,13 +4,17 @@
 //!
 //! The daemon speaks a length-prefixed line protocol (`<len>\n<body>\n`,
 //! JSON bodies) defined in [`proto`], keeps compiled engines resident in
-//! the single-flight LRU [`cache`], and executes every request on the
-//! engine crate's persistent worker pool — steady-state cached requests
-//! perform **zero** compiles and **zero** thread spawns, which the
-//! `stats` method exposes for end-to-end assertion.
+//! the single-flight LRU [`cache`], and executes every request on a small
+//! executor each [`Daemon`] owns: a fixed set of threads spawned when it
+//! binds. Steady-state cached requests perform **zero** compiles and
+//! **zero** thread spawns, which the `stats` method exposes for
+//! end-to-end assertion.
+
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod daemon;
+mod executor;
 pub mod proto;
 
 pub use cache::{CacheStats, EngineCache};

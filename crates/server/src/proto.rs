@@ -20,8 +20,10 @@
 //! The body is one JSON object with a `"method"` key:
 //!
 //! - `{"method":"ping"}` — liveness check.
-//! - `{"method":"stats"}` — compile/cache/pool counters plus a `fusion`
-//!   object aggregating pair coverage over the resident engines.
+//! - `{"method":"stats"}` — compile and cache counters, the daemon's
+//!   executor counters (`pool`: `threads`, `spawned_total`,
+//!   `jobs_executed`, `busy`, `idle`), plus a `fusion` object
+//!   aggregating pair coverage over the resident engines.
 //! - `{"method":"explain","program":P}` — compiles (or reuses) the
 //!   program's engine and returns its per-pair fusability verdicts as
 //!   the `explain` document (`totals` + `pairs`).
@@ -40,6 +42,9 @@
 //! does not resolve is a `config` error). Leaf values are tagged —
 //! `{"i":1}`, `{"f":2.5}`, `{"b":true}` — because JSON numbers alone
 //! cannot distinguish the DSL's int and float types.
+//!
+//! A program may list at most [`MAX_PASSES`] passes, or the request gets
+//! a `config` error before anything compiles.
 //!
 //! Numbers are checked, never cast. The fusion cutoffs
 //! (`max_group_size`, `max_occurrences`) must be integers in `1..=16`,
@@ -470,6 +475,12 @@ const MAX_EXACT_INT: i64 = 1 << 53;
 /// one would hold a connection thread and its single-flight compile.
 const FUSION_CUTOFFS: RangeInclusive<i64> = 1..=16;
 
+/// The most entries a program's `passes` array may have. Like the
+/// cutoffs, fusion time grows steeply with the entry sequence's length,
+/// so a longer one would hold a connection thread and its single-flight
+/// compile. The case studies' longest sequence is 10.
+pub const MAX_PASSES: usize = 32;
+
 /// The number at `key` of `doc` (`None` when the key is absent), checked
 /// rather than cast: `as` would saturate `1e999` and 2^63, and wrap `-1`
 /// and truncate `1.5` without a word. It must be finite and, with
@@ -560,7 +571,14 @@ fn parse_program(doc: &Json) -> Result<ProgramSpec, AppError> {
     let passes = p
         .get("passes")
         .and_then(Json::as_arr)
-        .ok_or_else(|| AppError::proto("program: missing array `passes`"))?
+        .ok_or_else(|| AppError::proto("program: missing array `passes`"))?;
+    if passes.len() > MAX_PASSES {
+        return Err(AppError::config(format!(
+            "program: {} passes exceed the cap of {MAX_PASSES}",
+            passes.len()
+        )));
+    }
+    let passes = passes
         .iter()
         .map(|x| {
             x.as_str()

@@ -15,7 +15,7 @@ use grafter_obs::json::{parse, Json};
 use grafter_runtime::Value;
 use grafter_server::proto::{
     render_bare, render_explain, render_run, render_run_batch, write_frame, FrameReader, Incoming,
-    InputSpec, ProgramSpec, TreeSpec, MAX_BODY,
+    InputSpec, ProgramSpec, TreeSpec, MAX_BODY, MAX_PASSES,
 };
 use grafter_server::{Daemon, DaemonOptions, MAX_CONNECTIONS};
 
@@ -776,4 +776,212 @@ fn connections_past_the_cap_get_an_error_frame_and_are_closed() {
     drop(held);
     shutdown.store(true, Ordering::SeqCst);
     handle.join().expect("daemon drains and exits");
+}
+
+/// A three-class list program whose `go` visits every cell, entered with
+/// `passes` copies of `go`.
+fn list_program(passes: usize) -> ProgramSpec {
+    ProgramSpec {
+        source: "tree class Node { child Node* next; int a = 0; virtual traversal go() {} } \
+                 tree class Cons : Node { traversal go() { a = a + 1; this->next->go(); } } \
+                 tree class End : Node { }"
+            .to_string(),
+        root: "Node".to_string(),
+        passes: vec!["go".to_string(); passes],
+        ..program()
+    }
+}
+
+/// An inline list of `len` cells.
+fn list(len: usize) -> InputSpec {
+    let mut tree = TreeSpec {
+        class: "End".to_string(),
+        fields: Vec::new(),
+        children: Vec::new(),
+    };
+    for _ in 0..len {
+        tree = TreeSpec {
+            class: "Cons".to_string(),
+            fields: Vec::new(),
+            children: vec![("next".to_string(), Some(tree))],
+        };
+    }
+    InputSpec::Tree(tree)
+}
+
+/// Sends one `run_batch` and collects its results, checking that chunks
+/// arrive numbered in order, each starting where the previous one ended,
+/// and that the done frame counts every result.
+fn batch_results(client: &mut Client, body: &str) -> Vec<Json> {
+    write_frame(&mut client.writer, body).expect("send batch");
+    let mut results = Vec::new();
+    let mut chunk = 0;
+    loop {
+        let frame = client.recv();
+        assert!(is_ok(&frame), "batch frame failed: {frame:?}");
+        let num = |key: &str| frame.get(key).and_then(Json::as_num).map(|n| n as usize);
+        if matches!(frame.get("done"), Some(Json::Bool(true))) {
+            assert_eq!(num("total"), Some(results.len()));
+            return results;
+        }
+        assert_eq!(num("chunk"), Some(chunk));
+        assert_eq!(num("first"), Some(results.len()), "chunks in input order");
+        results.extend_from_slice(
+            frame
+                .get("results")
+                .and_then(Json::as_arr)
+                .expect("results"),
+        );
+        chunk += 1;
+    }
+}
+
+/// A report without its wall time, which differs run to run.
+fn without_wall(report: &Json) -> Json {
+    let mut r = report.clone();
+    if let Json::Obj(map) = &mut r {
+        map.remove("wall_ns");
+    }
+    r
+}
+
+#[test]
+fn streamed_batches_arrive_in_order_with_bounded_window() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+    let program = list_program(1);
+    // Lists of 1..=17 cells: every input's report is different.
+    let inputs: Vec<InputSpec> = (1..=17).map(list).collect();
+    let singles: Vec<Json> = inputs
+        .iter()
+        .map(|input| {
+            let resp = client.call(&render_run(&program, input));
+            assert!(is_ok(&resp), "run failed: {resp:?}");
+            without_wall(resp.get("report").expect("report"))
+        })
+        .collect();
+    for window in [1, 2, 7] {
+        let results = batch_results(&mut client, &render_run_batch(&program, &inputs, window));
+        assert_eq!(results.len(), inputs.len(), "window={window}");
+        for (i, (result, single)) in results.iter().zip(&singles).enumerate() {
+            assert_eq!(&without_wall(result), single, "window={window} input {i}");
+        }
+    }
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
+fn fresh_connections_are_served_without_an_accept_delay() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    // One connection after another, each closed before the next opens:
+    // a polling acceptor makes each one wait out its sleep.
+    let mut waits: Vec<Duration> = (0..10)
+        .map(|_| {
+            let start = Instant::now();
+            let mut client = Client::connect(addr);
+            assert!(is_ok(&client.call(&render_bare("ping"))));
+            start.elapsed()
+        })
+        .collect();
+    waits.sort();
+    let median = waits[waits.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median connect-to-pong {median:?} (all: {waits:?})"
+    );
+
+    shutdown.store(true, Ordering::SeqCst);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
+fn passes_past_the_cap_are_config_errors_and_survivable() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+
+    for passes in [MAX_PASSES + 1, 1024] {
+        let start = Instant::now();
+        let resp = client.call(&render_run(&list_program(passes), &list(2)));
+        assert!(!is_ok(&resp), "{passes} passes accepted");
+        assert_eq!(error_stage(&resp), "config", "{resp:?}");
+        // Refused before compiling: 1,024 passes take minutes to fuse.
+        assert!(start.elapsed() < Duration::from_secs(5), "{passes} passes");
+        assert!(is_ok(&client.call(&render_bare("ping"))));
+    }
+    let resp = client.call(&render_run(&list_program(MAX_PASSES), &list(2)));
+    assert!(
+        is_ok(&resp),
+        "{MAX_PASSES} passes must still build: {resp:?}"
+    );
+    assert!(is_ok(&client.call(&render_bare("ping"))));
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
+fn a_batch_of_ten_thousand_leaves_streams_back_in_input_order() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+
+    let inputs: Vec<InputSpec> = (0..10_000).map(|_| leaf()).collect();
+    let results = batch_results(&mut client, &render_run_batch(&program(), &inputs, 3));
+    assert_eq!(results.len(), 10_000);
+    assert!(results.iter().all(|r| r.get("metrics").is_some()));
+    assert!(is_ok(&client.call(&render_bare("ping"))));
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}
+
+/// The `pool` object of a `stats` response as (threads, spawned_total,
+/// jobs_executed), checking that its busy and idle gauges add up.
+fn executor_stats(client: &mut Client) -> (u64, u64, u64) {
+    let stats = client.call(&render_bare("stats"));
+    let pool = stats.get("pool").expect("pool stats");
+    let num = |key: &str| pool.get(key).and_then(Json::as_num).expect(key) as u64;
+    assert_eq!(num("busy") + num("idle"), num("threads"), "{pool:?}");
+    (num("threads"), num("spawned_total"), num("jobs_executed"))
+}
+
+#[test]
+fn executor_width_is_fixed_and_every_request_is_counted_as_jobs() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let (_, _, before) = executor_stats(&mut Client::connect(addr));
+    // Each of three connections sends a run and then a batch, for batches
+    // of 0, 1 and 5 inputs: 3 + 0 + 1 + 2 jobs on the daemon's two threads.
+    let clients: Vec<_> = (0..3)
+        .map(|_| {
+            thread::spawn(move || {
+                let mut client = Client::connect(addr);
+                for inputs in [0, 1, 5] {
+                    assert!(is_ok(&client.call(&render_run(&program(), &leaf()))));
+                    let batch: Vec<InputSpec> = (0..inputs).map(|_| leaf()).collect();
+                    let results =
+                        batch_results(&mut client, &render_run_batch(&program(), &batch, 4));
+                    assert_eq!(results.len(), inputs);
+                    let (threads, spawned, _) = executor_stats(&mut client);
+                    assert_eq!((threads, spawned), (2, 2), "no thread per request");
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+    let (threads, spawned, after) = executor_stats(&mut Client::connect(addr));
+    assert_eq!((threads, spawned), (2, 2));
+    assert_eq!(
+        after - before,
+        3 * (3 + 3),
+        "one job per run, min(2, inputs) per batch"
+    );
+
+    shutdown.store(true, Ordering::SeqCst);
+    handle.join().expect("daemon thread");
 }

@@ -240,13 +240,9 @@ pub fn batch_throughput(
     workers: usize,
 ) -> Throughput {
     let inputs: Vec<_> = (0..trees).map(|_| |heap: &mut Heap| build(heap)).collect();
-    let opts = BatchOptions {
-        workers,
-        stack_bytes: RUN_STACK,
-    };
     let start = Instant::now();
     let reports = engine
-        .run_batch_with(inputs, &opts)
+        .run_batch_with(inputs, &BatchOptions::with_workers(workers))
         .expect("batch succeeds");
     let wall = start.elapsed();
     assert!(

@@ -107,10 +107,7 @@ fn pooled_batch_workers_stay_input_ordered_and_deterministic() {
                     .iter()
                     .map(|&size| move |heap: &mut Heap| build(heap, size, 42))
                     .collect();
-                let opts = BatchOptions {
-                    workers,
-                    stack_bytes: STACK,
-                };
+                let opts = BatchOptions { workers };
                 let batch = engine.run_batch_with(inputs, &opts).expect("batch runs");
                 assert_eq!(
                     batch, sequential,

@@ -128,22 +128,10 @@ fn run_batch_is_deterministic_and_ordered_for_every_case_study() {
                 .collect()
         };
         let sequential = engine
-            .run_batch_with(
-                mk_inputs(),
-                &BatchOptions {
-                    workers: 1,
-                    stack_bytes: STACK,
-                },
-            )
+            .run_batch_with(mk_inputs(), &BatchOptions { workers: 1 })
             .unwrap();
         let concurrent = engine
-            .run_batch_with(
-                mk_inputs(),
-                &BatchOptions {
-                    workers: THREADS,
-                    stack_bytes: STACK,
-                },
-            )
+            .run_batch_with(mk_inputs(), &BatchOptions { workers: THREADS })
             .unwrap();
         assert_eq!(
             concurrent, sequential,

@@ -1,9 +1,9 @@
-//! The persistent batch worker pool: steady-state batches spawn zero
-//! threads, panicking inputs poison only their own pooled session, and
-//! the streamed API delivers the same results in input order under a
-//! bounded window.
+//! Engine batches fan out on scoped threads: a panicking input poisons
+//! only its own worker session, batch threads keep 2 GiB stacks on
+//! default options, an input may run a nested batch on the same engine,
+//! and case-study batches stay bit-identical.
 
-use grafter_engine::{pool_stats, Backend, BatchOptions, Engine};
+use grafter_engine::{Backend, BatchOptions, Engine};
 use grafter_runtime::Heap;
 use grafter_workloads::case_studies;
 
@@ -40,33 +40,6 @@ fn list_of(len: usize) -> impl Fn(&mut Heap) -> grafter_runtime::NodeId {
 }
 
 #[test]
-fn steady_state_batches_spawn_zero_threads() {
-    let engine = list_engine();
-    let opts = BatchOptions::with_workers(4);
-    let inputs = |n: usize| (0..n).map(|_| list_of(16)).collect::<Vec<_>>();
-
-    // Warm-up grows the pool.
-    engine
-        .run_batch_with(inputs(8), &opts)
-        .expect("warm-up batch");
-    let warm = pool_stats();
-    assert!(warm.spawned_total >= 4, "pool grew to the requested width");
-
-    // Steady state: many more batches, zero new threads.
-    for _ in 0..5 {
-        let reports = engine.run_batch_with(inputs(8), &opts).expect("batch");
-        assert_eq!(reports.len(), 8);
-        assert!(reports.iter().all(|r| r.global("a").is_none()));
-    }
-    let steady = pool_stats();
-    assert_eq!(
-        steady.spawned_total, warm.spawned_total,
-        "steady-state batches must not spawn threads"
-    );
-    assert!(steady.jobs_executed > warm.jobs_executed);
-}
-
-#[test]
 fn panicking_input_poisons_only_its_session() {
     let engine = list_engine();
     let n = 12;
@@ -100,7 +73,7 @@ fn panicking_input_poisons_only_its_session() {
         }
     }
 
-    // The engine (and pool) survive: the next batch is clean and
+    // The engine survives: the next batch is clean and
     // bit-identical to an unpoisoned run.
     let clean = engine
         .run_batch_with(
@@ -111,32 +84,41 @@ fn panicking_input_poisons_only_its_session() {
     assert!(clean.windows(2).all(|w| w[0] == w[1]));
 }
 
+/// Batch threads reserve 2 GiB stacks whatever the options: the VM
+/// recurses once per list cell, and a debug build overflows a 256 MiB
+/// stack well before this depth.
 #[test]
-fn streamed_batches_arrive_in_order_with_bounded_window() {
+fn default_batches_run_lists_too_deep_for_a_256_mib_stack() {
+    const DEPTH: usize = 50_000;
     let engine = list_engine();
-    for window in [1, 2, 7] {
-        let n = 17;
-        let mut seen = Vec::new();
-        engine.run_batch_streamed(
-            (0..n).map(|i| list_of(4 + (i % 3))).collect(),
-            &BatchOptions::with_workers(4),
-            window,
-            |i, result| seen.push((i, result.expect("streamed input runs"))),
-        );
-        let order: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
-        assert_eq!(order, (0..n).collect::<Vec<_>>(), "window={window}");
+    let reports = engine
+        .run_batch(vec![list_of(DEPTH)])
+        .expect("deep list runs");
+    assert_eq!(reports[0].metrics.visits, DEPTH as u64 + 1);
+}
 
-        // Same results as the collect-everything API, element for element.
-        let collected = engine
-            .run_batch_with(
-                (0..n).map(|i| list_of(4 + (i % 3))).collect(),
-                &BatchOptions::with_workers(4),
-            )
-            .expect("reference batch");
-        for (i, (idx, report)) in seen.into_iter().enumerate() {
-            assert_eq!(i, idx);
-            assert_eq!(report, collected[i], "window={window} input {i}");
-        }
+/// An input's builder may itself run a batch on the same engine: the
+/// inner batch fans out on threads of its own.
+#[test]
+fn inputs_may_run_nested_batches_on_the_same_engine() {
+    let engine = list_engine();
+    let opts = BatchOptions::with_workers(2);
+    let outer: Vec<_> = (0..4)
+        .map(|i| {
+            let (engine, opts) = (&engine, &opts);
+            move |heap: &mut Heap| {
+                let inner = engine
+                    .run_batch_with((0..3).map(|j| list_of(i + j)).collect(), opts)
+                    .expect("nested batch");
+                let visits: u64 = inner.iter().map(|r| r.metrics.visits).sum();
+                list_of(visits as usize)(heap)
+            }
+        })
+        .collect();
+    let reports = engine.run_batch_with(outer, &opts).expect("outer batch");
+    for (i, report) in reports.iter().enumerate() {
+        // The inner lists of lengths i, i+1 and i+2 visit 3i + 6 nodes.
+        assert_eq!(report.metrics.visits, (3 * i + 6) as u64 + 1, "input {i}");
     }
 }
 
@@ -154,7 +136,7 @@ fn case_study_batches_stay_bit_identical_through_the_pool() {
             .unwrap_or_else(|e| panic!("{}: batch failed: {e}", case.name));
         assert!(
             reports.windows(2).all(|w| w[0] == w[1]),
-            "{}: pooled batch reports must be bit-identical",
+            "{}: batch reports must be bit-identical",
             case.name
         );
     }
