@@ -9,8 +9,10 @@
 //! `grafter_engine::Engine`, built once — compile, fusion, bytecode
 //! lowering and optimization are outside every measured region. For the
 //! latency table the input tree is built once; every configuration runs
-//! `--samples` times (default 5, plus one warmup) on cloned heaps and
-//! reports the median wall time. All configurations' `visits` are
+//! `--samples` times (default 5, plus one warmup round) on cloned heaps,
+//! the configurations taking turns run by run so that a slow spell of
+//! the host cannot skew the ratios between them, and reports the median
+//! wall time. All configurations' `visits` are
 //! cross-checked — a mismatch is a hard error, so the JSON can only ever
 //! record a like-for-like comparison. The throughput section fans
 //! `--batch-trees` identical trees (default 16) through
@@ -21,12 +23,19 @@
 //! cargo run --release --bin vm_compare -- --samples 3 --check [--baseline PATH]
 //! ```
 //!
+//! Every workload also gets one probed run per fusion mode, whose op
+//! fires are printed split by what they pay for: fusion bookkeeping
+//! (guards, inactive-part skips), call/return, and body work.
+//!
 //! `--check` is the CI perf-regression gate: instead of writing a new
-//! JSON it measures the fused VM median (default `O2`) and the fused-VM
-//! batch throughput at every recorded worker count, and fails with exit
-//! code 1 when any workload (or batch trees/sec figure) regresses more
-//! than 25% against the committed baseline (`--baseline`, default
-//! `BENCH_vm.json`). Before measuring anything, the baseline itself is
+//! JSON it measures the fused and unfused VM `O2` medians in the same run
+//! and the fused-VM batch throughput at every recorded worker count, and
+//! fails with exit code 1 when any workload regresses more than 25%
+//! against the committed baseline (`--baseline`, default
+//! `BENCH_vm.json`): its fused median, its fused/unfused ratio (against
+//! the baseline's `fused.vm_ns / unfused.vm_ns`, a figure host speed
+//! cancels out of) or a batch trees/sec figure. Before measuring
+//! anything, the baseline itself is
 //! strictly validated against the current case studies: a workload
 //! missing from the baseline, a stale baseline workload the code no
 //! longer has, an absent median key, or a missing/degenerate `batch`
@@ -35,8 +44,8 @@
 //! `grafter_bench::baseline` unit tests pin that contract). The
 //! tolerance absorbs shared-runner noise at `--samples 3` while still
 //! catching real regressions; `--inject-slowdown F` multiplies the
-//! measured medians by `F` to prove the gate trips (used to validate the
-//! CI job — an injected 2× slowdown must fail).
+//! measured fused medians by `F` to prove the gate trips (used to
+//! validate the CI job — an injected 2× slowdown must fail).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -44,7 +53,9 @@ use std::time::Instant;
 use grafter::FusionOptions;
 use grafter_bench::{arg_value, baseline};
 use grafter_engine::{Backend, Engine, OptLevel};
-use grafter_runtime::{with_stack, Heap};
+use grafter_obs::ExecCounters;
+use grafter_runtime::{with_stack, Heap, PureRegistry};
+use grafter_vm::{OpKind, Vm};
 use grafter_workloads::harness::{batch_throughput, Throughput, RUN_STACK};
 use grafter_workloads::{case_studies, CaseStudy};
 
@@ -54,9 +65,9 @@ const BATCH_WORKERS: [usize; 3] = [1, 4, 8];
 /// Allowed fused-median regression before `--check` fails (25%).
 const CHECK_TOLERANCE: f64 = 1.25;
 
-/// Fused median keys every baseline workload must record for `--check`
-/// to have anything to gate against.
-const REQUIRED_BASELINE_KEYS: &[&[&str]] = &[&["vm_ns"]];
+/// Median keys every baseline workload must record for `--check` to have
+/// anything to gate against.
+const REQUIRED_BASELINE_KEYS: &[&[&str]] = &[&["fused", "vm_ns"], &["unfused", "vm_ns"]];
 
 struct Config {
     interp_ns: u128,
@@ -64,6 +75,9 @@ struct Config {
     /// Fused-only: per-opt-level VM medians (`O0`, `O2`).
     opt_ns: Option<(u128, u128)>,
     visits: u64,
+    /// VM op fires of one probed run, per kind (bookkeeping, call/return,
+    /// body).
+    op_kinds: Vec<(String, u64)>,
 }
 
 impl Config {
@@ -92,64 +106,83 @@ fn median(mut xs: Vec<u128>) -> u128 {
     xs[xs.len() / 2]
 }
 
-/// Median wall time of `samples` runs of `engine` on cloned heaps; also
-/// returns the visit count (identical across runs).
+/// Median wall time of `samples` runs of each engine on cloned heaps,
+/// with the visit count (identical across runs). The engines take turns
+/// run by run, so a slow spell of the host hits all of them alike and
+/// ratios between them hold.
 fn time_runs(
     samples: usize,
-    engine: &Engine,
+    engines: &[&Engine],
     heap: &Heap,
     root: grafter_runtime::NodeId,
-) -> (u128, u64) {
-    let mut visits = 0;
-    let mut times = Vec::with_capacity(samples);
+) -> Vec<(u128, u64)> {
+    let mut visits = vec![0; engines.len()];
+    let mut times = vec![Vec::with_capacity(samples); engines.len()];
     for i in 0..=samples {
-        let mut session = engine.session_on(heap.clone());
-        let start = Instant::now();
-        let report = session.run(root).expect("run succeeds");
-        let elapsed = start.elapsed().as_nanos();
-        visits = report.metrics.visits;
-        if i > 0 {
-            // Sample 0 is warmup.
-            times.push(elapsed);
+        for (e, engine) in engines.iter().enumerate() {
+            let mut session = engine.session_on(heap.clone());
+            let start = Instant::now();
+            let report = session.run(root).expect("run succeeds");
+            let elapsed = start.elapsed().as_nanos();
+            visits[e] = report.metrics.visits;
+            if i > 0 {
+                // Round 0 is warmup.
+                times[e].push(elapsed);
+            }
         }
     }
-    (median(times), visits)
+    times.into_iter().map(median).zip(visits).collect()
 }
 
-fn compare(
-    samples: usize,
+/// One probed run of `engine`'s bytecode module: its op fires per kind.
+fn op_kinds(
+    engine: &Engine,
     case: &CaseStudy,
-    opts: &FusionOptions,
     heap: &Heap,
     root: grafter_runtime::NodeId,
-    sweep_opt_levels: bool,
-) -> Config {
-    let interp = case.engine_with(opts.clone(), Backend::Interp);
-    let vm = case.engine_with(opts.clone(), Backend::Vm);
-    let (interp_ns, v_interp) = time_runs(samples, &interp, heap, root);
-    let (vm_ns, v_vm) = time_runs(samples, &vm, heap, root);
-    assert_eq!(v_interp, v_vm, "backends disagree on visit counts");
-    let opt_ns = sweep_opt_levels.then(|| {
-        let o0 = case.engine_opt(opts.clone(), OptLevel::O0);
-        let (o0_ns, v_o0) = time_runs(samples, &o0, heap, root);
-        assert_eq!(v_o0, v_vm, "opt levels disagree on visit counts");
-        // The default engine above already is O2; reuse its median.
-        (o0_ns, vm_ns)
-    });
-    Config {
-        interp_ns,
-        vm_ns,
-        opt_ns,
-        visits: v_vm,
-    }
+) -> Vec<(String, u64)> {
+    let module = engine.module().expect("vm engine has a module");
+    let mut heap = heap.clone();
+    let mut vm = Vm::with_pures(module, PureRegistry::with_math());
+    let mut counters = ExecCounters::new(module.n_functions(), module.n_ops());
+    vm.run_probed(&mut heap, root, &case.args, &mut counters)
+        .expect("run succeeds");
+    module.profile(&counters).op_kinds
 }
 
 fn workload(samples: usize, batch_trees: usize, case: &CaseStudy) -> WorkloadRow {
     let fused_opts = FusionOptions::default();
     let mut heap = Heap::new(case.compiled.program());
     let root = case.build_bench(&mut heap);
-    let fused = compare(samples, case, &fused_opts, &heap, root, true);
-    let unfused = compare(samples, case, &FusionOptions::unfused(), &heap, root, false);
+    // Every latency configuration, timed in turns: fused interp, VM-O2
+    // and VM-O0, then unfused interp and VM-O2.
+    let engines = [
+        case.engine_with(fused_opts.clone(), Backend::Interp),
+        case.engine_with(fused_opts.clone(), Backend::Vm),
+        case.engine_opt(fused_opts.clone(), OptLevel::O0),
+        case.engine_with(FusionOptions::unfused(), Backend::Interp),
+        case.engine_with(FusionOptions::unfused(), Backend::Vm),
+    ];
+    let t = time_runs(samples, &engines.iter().collect::<Vec<_>>(), &heap, root);
+    assert!(
+        t[0].1 == t[1].1 && t[3].1 == t[4].1,
+        "backends disagree on visit counts"
+    );
+    assert_eq!(t[2].1, t[1].1, "opt levels disagree on visit counts");
+    let fused = Config {
+        interp_ns: t[0].0,
+        vm_ns: t[1].0,
+        opt_ns: Some((t[2].0, t[1].0)),
+        visits: t[1].1,
+        op_kinds: op_kinds(&engines[1], case, &heap, root),
+    };
+    let unfused = Config {
+        interp_ns: t[3].0,
+        vm_ns: t[4].0,
+        opt_ns: None,
+        visits: t[4].1,
+        op_kinds: op_kinds(&engines[4], case, &heap, root),
+    };
 
     // Throughput: one shared fused VM engine, a batch of identical trees,
     // swept over worker counts.
@@ -267,24 +300,49 @@ fn check(samples: usize, baseline_path: &str, slowdown: f64) -> usize {
         "ratio",
         (CHECK_TOLERANCE - 1.0) * 100.0
     );
-    for case in &cases {
-        let mut heap = Heap::new(case.compiled.program());
-        let root = case.build_bench(&mut heap);
-        let engine = case.engine_with(FusionOptions::default(), Backend::Vm);
-        let base_ns = baseline::fused_u128(&json, case.name, &["vm_ns"])
-            .expect("validate() guaranteed the key is present");
-        let (measured, _) = time_runs(samples, &engine, &heap, root);
-        let measured = (measured as f64 * slowdown) as u128;
-        let ratio = measured as f64 / base_ns as f64;
-        let verdict = if ratio > CHECK_TOLERANCE {
+    let mut verdict = |ratio: f64| {
+        if ratio > CHECK_TOLERANCE {
             regressed += 1;
             "REGRESSED"
         } else {
             "ok"
+        }
+    };
+    for case in &cases {
+        let mut heap = Heap::new(case.compiled.program());
+        let root = case.build_bench(&mut heap);
+        let engine = case.engine_with(FusionOptions::default(), Backend::Vm);
+        let unfused = case.engine_with(FusionOptions::unfused(), Backend::Vm);
+        let base = |side: &str| {
+            baseline::median_u128(&json, case.name, &[side, "vm_ns"])
+                .expect("validate() guaranteed the key is present")
         };
+        let (base_ns, base_unfused_ns) = (base("fused"), base("unfused"));
+        let t = time_runs(samples, &[&engine, &unfused], &heap, root);
+        let (measured, measured_unfused) = ((t[0].0 as f64 * slowdown) as u128, t[1].0);
+        let ratio = measured as f64 / base_ns as f64;
         println!(
-            "{:<10} {:<12} {:>12}ns {:>12}ns {:>8.2}x   {verdict}",
-            case.name, "vm", base_ns, measured, ratio
+            "{:<10} {:<12} {:>12}ns {:>12}ns {:>8.2}x   {}",
+            case.name,
+            "vm",
+            base_ns,
+            measured,
+            ratio,
+            verdict(ratio)
+        );
+        // Ratio gate: fused over unfused, timed in turns in this run,
+        // against the same ratio in the baseline.
+        let base_ratio = base_ns as f64 / base_unfused_ns as f64;
+        let fused_ratio = measured as f64 / measured_unfused as f64;
+        let ratio = fused_ratio / base_ratio;
+        println!(
+            "{:<10} {:<12} {:>13.3}x {:>13.3}x {:>8.2}x   {}",
+            case.name,
+            "vm/unfused",
+            base_ratio,
+            fused_ratio,
+            ratio,
+            verdict(ratio)
         );
         // Batch-throughput gate: each recorded worker count must sustain
         // its baseline trees/sec within the same tolerance. Throughput
@@ -300,19 +358,14 @@ fn check(samples: usize, baseline_path: &str, slowdown: f64) -> usize {
             );
             let measured = t.trees_per_sec() / slowdown;
             let ratio = entry.trees_per_sec / measured;
-            let verdict = if ratio > CHECK_TOLERANCE {
-                regressed += 1;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
             println!(
-                "{:<10} {:<12} {:>12.1}/s {:>12.1}/s {:>8.2}x   {verdict}",
+                "{:<10} {:<12} {:>12.1}/s {:>12.1}/s {:>8.2}x   {}",
                 case.name,
                 format!("batch x{}", entry.workers),
                 entry.trees_per_sec,
                 measured,
-                ratio
+                ratio,
+                verdict(ratio)
             );
         }
     }
@@ -343,7 +396,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "perf check ok: no fused vm median or batch throughput regressed >25% vs baseline"
+            "perf check ok: no fused vm median, fused/unfused ratio or batch throughput \
+             regressed >25% vs baseline"
         );
         return;
     }
@@ -389,6 +443,28 @@ fn main() {
                 o0,
                 o2,
                 if o2 == 0 { 1.0 } else { o0 as f64 / o2 as f64 }
+            );
+        }
+    }
+    println!(
+        "\n{:<10} {:<8} {}   (vm -O2 op fires of one probed run)",
+        "workload",
+        "fusion",
+        OpKind::ALL
+            .iter()
+            .map(|k| format!("{:>14}", k.label()))
+            .collect::<String>()
+    );
+    for r in &rows {
+        for (mode, c) in [("fused", &r.fused), ("unfused", &r.unfused)] {
+            println!(
+                "{:<10} {:<8} {}",
+                r.name,
+                mode,
+                c.op_kinds
+                    .iter()
+                    .map(|(_, n)| format!("{n:>14}"))
+                    .collect::<String>()
             );
         }
     }

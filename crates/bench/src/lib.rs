@@ -201,11 +201,11 @@ pub mod baseline {
             .collect()
     }
 
-    /// An integer median of `workload`'s `"fused"` object by key path,
-    /// e.g. `["vm_ns"]` or `["opt", "O0"]`.
-    pub fn fused_u128(json: &str, workload: &str, keys: &[&str]) -> Option<u128> {
+    /// An integer median of `workload`'s row by key path, e.g.
+    /// `["fused", "vm_ns"]` or `["fused", "opt", "O0"]`.
+    pub fn median_u128(json: &str, workload: &str, keys: &[&str]) -> Option<u128> {
         let doc = parse(json).ok()?;
-        let mut value = row(&doc, workload)?.get("fused")?;
+        let mut value = row(&doc, workload)?;
         for key in keys {
             value = value.get(key)?;
         }
@@ -214,7 +214,7 @@ pub mod baseline {
     }
 
     /// Strictly validates the baseline against the expected workload set
-    /// and the required fused key paths, returning every violation:
+    /// and the required median key paths, returning every violation:
     /// workloads missing from the baseline, stale baseline workloads the
     /// expected set no longer contains, and absent keys.
     ///
@@ -245,9 +245,9 @@ pub mod baseline {
                 continue; // already reported above
             }
             for keys in required_keys {
-                if fused_u128(json, want, keys).is_none() {
+                if median_u128(json, want, keys).is_none() {
                     problems.push(format!(
-                        "baseline workload `{want}` is missing fused key `{}`",
+                        "baseline workload `{want}` is missing key `{}`",
                         keys.join(".")
                     ));
                 }
@@ -274,9 +274,10 @@ pub mod baseline {
         #[test]
         fn extracts_names_and_medians() {
             assert_eq!(workload_names(GOOD), vec!["ast", "fmm"]);
-            assert_eq!(fused_u128(GOOD, "ast", &["vm_ns"]), Some(3));
-            assert_eq!(fused_u128(GOOD, "fmm", &["opt", "O2"]), Some(20));
-            assert_eq!(fused_u128(GOOD, "fmm", &["opt", "O0"]), Some(40));
+            assert_eq!(median_u128(GOOD, "ast", &["fused", "vm_ns"]), Some(3));
+            assert_eq!(median_u128(GOOD, "ast", &["unfused", "vm_ns"]), Some(7));
+            assert_eq!(median_u128(GOOD, "fmm", &["fused", "opt", "O2"]), Some(20));
+            assert_eq!(median_u128(GOOD, "fmm", &["fused", "opt", "O0"]), Some(40));
         }
 
         #[test]
@@ -287,13 +288,18 @@ pub mod baseline {
                 {"name": "ast", "fused": {"vm_ns": 3}, "unfused": {"vm_ns": 7, "opt": {"O2": 9}}},
                 {"name": "fmm", "fused": {"vm_ns": 30, "opt": {"O0": 40, "O2": 20}}}
             ]}"#;
-            assert_eq!(fused_u128(json, "ast", &["opt", "O2"]), None);
-            assert_eq!(fused_u128(json, "ast", &["vm_ns"]), Some(3));
+            assert_eq!(median_u128(json, "ast", &["fused", "opt", "O2"]), None);
+            assert_eq!(median_u128(json, "ast", &["fused", "vm_ns"]), Some(3));
         }
 
         #[test]
         fn validate_accepts_a_complete_baseline() {
-            let required: &[&[&str]] = &[&["vm_ns"], &["opt", "O0"], &["opt", "O2"]];
+            let required: &[&[&str]] = &[
+                &["fused", "vm_ns"],
+                &["fused", "opt", "O0"],
+                &["fused", "opt", "O2"],
+                &["unfused", "vm_ns"],
+            ];
             assert!(validate(GOOD, &["ast", "fmm"], required).is_ok());
         }
 
@@ -301,7 +307,7 @@ pub mod baseline {
         fn validate_fails_on_missing_workload() {
             // A workload renamed in the code ("render" here) must fail the
             // gate, not silently skip its regression comparison.
-            let problems = validate(GOOD, &["ast", "render"], &[&["vm_ns"]]).unwrap_err();
+            let problems = validate(GOOD, &["ast", "render"], &[&["fused", "vm_ns"]]).unwrap_err();
             assert!(problems
                 .iter()
                 .any(|p| p.contains("missing workload `render`")));
@@ -359,10 +365,10 @@ pub mod baseline {
             let no_opt = r#"{"workloads": [
                 {"name": "ast", "fused": {"vm_ns": 3}, "unfused": {"vm_ns": 7}}
             ]}"#;
-            let required: &[&[&str]] = &[&["vm_ns"], &["opt", "O0"]];
+            let required: &[&[&str]] = &[&["fused", "vm_ns"], &["fused", "opt", "O0"]];
             let problems = validate(no_opt, &["ast"], required).unwrap_err();
             assert_eq!(problems.len(), 1);
-            assert!(problems[0].contains("missing fused key `opt.O0`"));
+            assert!(problems[0].contains("missing key `fused.opt.O0`"));
         }
     }
 }

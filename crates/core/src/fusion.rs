@@ -452,10 +452,23 @@ impl Fuser<'_> {
         self.fn_keys.insert(seq.clone(), id);
 
         let merged = DepGraph::merge_bodies(self.program, &seq);
-        let graph = DepGraph::build(&mut self.accesses, &seq, &merged);
-        let (group_of, n_groups) = self.group_calls(&seq, &merged, &graph);
-        let order = graph.schedule(&group_of, n_groups);
-        debug_assert!(graph.order_is_valid(&order));
+        let n_calls = merged
+            .iter()
+            .filter(|m| matches!(m.stmt, Stmt::Traverse(_)))
+            .count();
+        let (group_of, order) = if n_calls < 2 {
+            // Nothing to group, so the schedule is source order (what the
+            // dependence-respecting schedule of singleton groups yields):
+            // skip the graph's one conflict test per statement pair.
+            let identity: Vec<usize> = (0..merged.len()).collect();
+            (identity.clone(), identity)
+        } else {
+            let graph = DepGraph::build(&mut self.accesses, &seq, &merged);
+            let (group_of, n_groups) = self.group_calls(&seq, &merged, &graph);
+            let order = graph.schedule(&group_of, n_groups);
+            debug_assert!(graph.order_is_valid(&order));
+            (group_of, order)
+        };
 
         let body = self.emit_body(&seq, &merged, &group_of, &order);
         self.functions[id.0 as usize].body = body;

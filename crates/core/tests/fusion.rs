@@ -1,5 +1,7 @@
 //! Integration tests for the fusion engine.
 
+use std::time::{Duration, Instant};
+
 use grafter::{cpp, fuse, FuseOptions, ScheduledItem};
 use grafter_frontend::compile;
 
@@ -413,4 +415,31 @@ fn fuse_reports_unknown_names() {
     let p = compile(FIG2).unwrap();
     assert!(fuse(&p, "Nope", &["computeWidth"], &FuseOptions::default()).is_err());
     assert!(fuse(&p, "Element", &["nope"], &FuseOptions::default()).is_err());
+}
+
+#[test]
+fn bodies_without_a_call_pair_keep_source_order_in_linear_time() {
+    // 5,000 mutually dependent statements and no call pair to group: the
+    // schedule is source order, without a conflict test per statement
+    // pair (which took about 35 s here).
+    let body: String = (0..5000).map(|i| format!("a = a + {i}; ")).collect();
+    let src = format!("tree class N {{ int a = 0; virtual traversal t() {{ {body} }} }}");
+    let t0 = Instant::now();
+    let program = compile(&src).unwrap();
+    let fused = fuse(&program, "N", &["t"], &FuseOptions::default()).unwrap();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "compile + fuse took {took:?}"
+    );
+    let written = &program.methods[fused.functions[0].seq[0].index()].body;
+    let scheduled: Vec<_> = fused.functions[0]
+        .body
+        .iter()
+        .map(|item| match item {
+            ScheduledItem::Stmt { stmt, .. } => stmt,
+            ScheduledItem::Call { .. } => panic!("no calls were written"),
+        })
+        .collect();
+    assert_eq!(scheduled, written.iter().collect::<Vec<_>>());
 }

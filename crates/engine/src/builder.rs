@@ -7,7 +7,7 @@ use grafter::pipeline::Compiled;
 use grafter::{fuse, Error, FusionOptions};
 use grafter_obs::{CompileTrace, Probe, Span};
 use grafter_runtime::{Layouts, PureRegistry, Value};
-use grafter_vm::{lower_with, Backend, OptLevel, VmOptions};
+use grafter_vm::{try_lower_with, Backend, OptLevel, VmOptions};
 
 use crate::engine::Engine;
 use grafter_cachesim::CacheHierarchy;
@@ -132,9 +132,11 @@ impl EngineBuilder {
     ///
     /// Returns a typed [`Error`]: [`Stage::Config`] for builder misuse
     /// (no program, no entry), the originating stage for frontend or
-    /// fusion failures.
+    /// fusion failures, and [`Stage::Lower`] naming the exceeded limit for
+    /// a program too large for the VM's bytecode.
     ///
     /// [`Stage::Config`]: grafter_frontend::Stage::Config
+    /// [`Stage::Lower`]: grafter_frontend::Stage::Lower
     pub fn build(self) -> Result<Engine, Error> {
         let build_start = Instant::now();
         let mut spans: Vec<Span> = Vec::new();
@@ -212,12 +214,12 @@ impl EngineBuilder {
             Backend::Interp => None,
             Backend::Vm => {
                 let t = build_start.elapsed();
-                let m = lower_with(
+                let m = try_lower_with(
                     &fused,
                     &VmOptions {
                         opt_level: self.opt_level,
                     },
-                );
+                )?;
                 let dur = build_start.elapsed() - t;
                 spans.push(Span {
                     name: "lower".to_string(),

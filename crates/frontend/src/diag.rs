@@ -85,6 +85,8 @@ pub enum Stage {
     Sema,
     /// The fusion compiler.
     Fuse,
+    /// Lowering a fused program to VM bytecode.
+    Lower,
     /// Interpretation of a fused program.
     Runtime,
     /// Engine/session configuration (builder misuse, bad entry points).
@@ -92,8 +94,8 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Whether the stage runs before execution (lex/parse/sema/fuse and
-    /// engine configuration). Runtime failures are the complement.
+    /// Whether the stage runs before execution (lex/parse/sema/fuse/lower
+    /// and engine configuration). Runtime failures are the complement.
     pub fn is_compile(&self) -> bool {
         !matches!(self, Stage::Runtime)
     }
@@ -106,6 +108,7 @@ impl fmt::Display for Stage {
             Stage::Parse => f.write_str("parse"),
             Stage::Sema => f.write_str("sema"),
             Stage::Fuse => f.write_str("fuse"),
+            Stage::Lower => f.write_str("lower"),
             Stage::Runtime => f.write_str("runtime"),
             Stage::Config => f.write_str("config"),
         }

@@ -252,6 +252,8 @@ pub fn summary(
             })
             .collect();
         ranked_lines(&mut out, "opcode fires", top(&fires, 15, |c| c));
+        let kinds = p.op_kinds.iter().map(|(k, n)| (k.as_str(), *n)).collect();
+        ranked_lines(&mut out, "opcode fires by kind", kinds);
         ranked_lines(&mut out, "class visits", top(&p.class_visits, 10, |c| c));
     }
 
@@ -319,6 +321,7 @@ mod tests {
                     fires: 42,
                     superinstruction: true,
                 }],
+                op_kinds: Vec::new(),
                 class_visits: Vec::new(),
             },
         }];

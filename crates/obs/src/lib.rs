@@ -162,6 +162,9 @@ pub struct TierProfile {
     pub block_hits: Vec<(String, u64)>,
     /// Per-opcode (and per-superinstruction) fire histogram.
     pub op_fires: Vec<OpFire>,
+    /// The same fires totalled by what they pay for (fusion bookkeeping,
+    /// call/return, body work), in that order.
+    pub op_kinds: Vec<(String, u64)>,
     /// Interpreter visits per dynamic receiver class.
     pub class_visits: Vec<(String, u64)>,
 }

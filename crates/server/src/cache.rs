@@ -91,7 +91,9 @@ impl EngineCache {
     /// # Errors
     ///
     /// Propagates `build`'s compile error to the caller that ran it;
-    /// blocked waiters then retry (first one re-attempts the build).
+    /// blocked waiters then retry (first one re-attempts the build). A
+    /// `build` that panics releases the slot the same way before the
+    /// panic resumes.
     pub fn get_or_build(
         &self,
         key: &EngineKey,
@@ -119,7 +121,18 @@ impl EngineCache {
         state.map.insert(key.clone(), Slot::Building);
         drop(state);
 
-        let built = build();
+        let built = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
+            Ok(built) => built,
+            Err(panic) => {
+                // Left at `Building`, the slot would block every later
+                // request for this key forever.
+                let mut state = self.state.lock().expect("cache lock");
+                state.map.remove(key);
+                self.cv.notify_all();
+                drop(state);
+                std::panic::resume_unwind(panic);
+            }
+        };
 
         let mut state = self.state.lock().expect("cache lock");
         match built {
@@ -272,6 +285,27 @@ mod tests {
         assert_eq!(cache.stats().size, 0);
         // The key is free again: a good build succeeds.
         cache.get_or_build(&key("bad"), || tiny_engine(9)).unwrap();
+        assert_eq!(cache.stats().size, 1);
+    }
+
+    #[test]
+    fn a_panicking_build_releases_its_slot() {
+        let cache = Arc::new(EngineCache::new(4));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_build(&key("boom"), || panic!("build blew up"))
+        }));
+        assert!(unwound.is_err(), "the panic reaches the builder's caller");
+        // The next request for the key builds instead of waiting forever.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let retry = Arc::clone(&cache);
+        std::thread::spawn(move || {
+            let built = retry.get_or_build(&key("boom"), || tiny_engine(7)).is_ok();
+            tx.send(built).expect("test still listening");
+        });
+        let built = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("second build must not block on the abandoned slot");
+        assert!(built);
         assert_eq!(cache.stats().size, 1);
     }
 

@@ -57,7 +57,7 @@
 //!
 //! `{"ok":true,...}` or `{"ok":false,"error":{"stage":S,"message":M}}`
 //! where `S` is a pipeline stage name (`parse`, `sema`, `fuse`,
-//! `runtime`, `config`) or `proto` for transport-level faults.
+//! `lower`, `runtime`, `config`) or `proto` for transport-level faults.
 
 use std::io::{self, Read, Write};
 use std::ops::RangeInclusive;

@@ -675,6 +675,32 @@ fn deeply_nested_sources_are_typed_parse_errors_and_survivable() {
 }
 
 #[test]
+fn sources_past_a_bytecode_limit_are_typed_lower_errors_and_survivable() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+
+    // 70,000 locals need more registers than the bytecode numbers; the
+    // same program twice also proves the failed build freed its cache
+    // slot instead of leaving the second request waiting on it.
+    let locals: String = (0..70_000).map(|i| format!("int l{i}; ")).collect();
+    let spec = ProgramSpec {
+        source: format!("tree class N {{ int a = 0; virtual traversal t() {{ {locals} }} }}"),
+        ..program()
+    };
+    assert!(spec.source.len() < MAX_BODY);
+    for _ in 0..2 {
+        let resp = client.call(&render_run(&spec, &leaf()));
+        assert!(!is_ok(&resp), "{resp:?}");
+        assert_eq!(error_stage(&resp), "lower", "{resp:?}");
+    }
+    assert!(is_ok(&client.call(&render_bare("ping"))));
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
 fn inline_trees_naming_unknown_classes_or_fields_are_config_errors() {
     let (addr, shutdown, handle) = spawn_daemon();
     let mut client = Client::connect(addr);

@@ -10,7 +10,10 @@
 //!    registers for locals and expression scratch, resolved field offsets
 //!    (dense `class × field` table) instead of name/hash lookups, a jump
 //!    table per dispatch stub keyed by the receiver's dynamic type, and
-//!    a deduplicated constant pool;
+//!    a deduplicated constant pool. Only the fusion bookkeeping lowering
+//!    cannot decide reaches the bytecode: active-flag guards a
+//!    must-active analysis proves true are folded, and truncated call
+//!    parts pass no placeholder arguments;
 //! 2. the [`opt`] pipeline rewrites the module ([`OptLevel::O2`] by
 //!    default, [`OptLevel::O0`] via [`lower_with`]/[`VmOptions`]):
 //!    peephole fusion of hot adjacent pairs into superinstructions, then
@@ -86,7 +89,7 @@ pub mod opt;
 mod pipeline;
 
 pub use exec::Vm;
-pub use lower::{lower, lower_with, lowering_count};
-pub use module::{Co, Module, Op};
+pub use lower::{lower, lower_with, lowering_count, try_lower_with, LowerError};
+pub use module::{Co, Module, Op, OpKind};
 pub use opt::{optimize, OptLevel, OptReport, PassStat, VmOptions};
 pub use pipeline::Backend;

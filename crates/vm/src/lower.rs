@@ -6,6 +6,10 @@
 //! - each fused function's scheduled body flattens into one contiguous op
 //!   range with resolved jump targets (guards, `if` branches, short
 //!   circuits, per-traversal `return`s);
+//! - fusion bookkeeping that lowering can decide leaves the bytecode: an
+//!   interprocedural must-active analysis ([`must_active`]) folds every
+//!   guard it proves true (the charge is prepaid per activation), and a
+//!   truncated call part passes no placeholder arguments;
 //! - locals get frame-relative **registers** (traversal frames
 //!   concatenated, parameters first, struct locals flattened), and
 //!   expressions compile to a register window above the locals;
@@ -20,8 +24,13 @@
 //! charge the same [`grafter_runtime::cost`] constants at the same
 //! execution points, so `Metrics` (and simulated cache traffic) of the two
 //! backends are bit-identical — see `tests/vm_differential.rs`.
+//!
+//! Operands are fixed-width (`u16` registers and pool indices, `u8`
+//! argument counts). A program that does not fit is a [`LowerError`]
+//! naming the exceeded limit, never a silently truncated operand.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use grafter::{CallPart, FusedProgram, ScheduledItem, StubId};
 use grafter_frontend::{
@@ -45,8 +54,48 @@ pub fn lowering_count() -> u64 {
     LOWERINGS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
+/// Traversal copies one function may fuse: active flags are a `u64`.
+const MAX_TRAVERSALS: usize = 64;
+
+/// A program too large for the bytecode's fixed-width operands.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LowerError {
+    /// The exceeded limit (`constant pool`, `register number`, ...).
+    pub limit: &'static str,
+    /// The index or count that does not fit.
+    pub value: usize,
+    /// The largest value the bytecode encodes for this limit.
+    pub max: usize,
+}
+
+impl fmt::Display for LowerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "program exceeds a VM bytecode limit: {} reaches {}, the bytecode encodes at most {}",
+            self.limit, self.value, self.max
+        )
+    }
+}
+
+impl std::error::Error for LowerError {}
+
+impl From<LowerError> for grafter::Error {
+    fn from(e: LowerError) -> Self {
+        grafter::Error::from_diag(
+            grafter::Diag::error_global(grafter::Stage::Lower, e.to_string()),
+            "",
+        )
+    }
+}
+
 /// Lowers a fused program into an executable bytecode [`Module`] with
 /// the default [`VmOptions`] (full optimization, [`crate::OptLevel::O2`]).
+///
+/// # Panics
+///
+/// Panics when the program exceeds a bytecode limit; [`try_lower_with`]
+/// returns the [`LowerError`] instead.
 pub fn lower(fp: &FusedProgram) -> Module {
     lower_with(fp, &VmOptions::default())
 }
@@ -57,9 +106,38 @@ pub fn lower(fp: &FusedProgram) -> Module {
 /// [`grafter_runtime::Metrics`], simulated cache traffic, runtime errors
 /// — is bit-identical to `O0` and to the interpreter; optimization only
 /// sheds dispatch overhead (see [`crate::opt`]).
+///
+/// # Panics
+///
+/// Panics when the program exceeds a bytecode limit; [`try_lower_with`]
+/// returns the [`LowerError`] instead.
 pub fn lower_with(fp: &FusedProgram, opts: &VmOptions) -> Module {
+    try_lower_with(fp, opts).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`lower_with`], failing with the exceeded limit when the program does
+/// not fit the bytecode's fixed-width operands.
+///
+/// # Errors
+///
+/// Returns a [`LowerError`] naming the first limit the program exceeds.
+pub fn try_lower_with(fp: &FusedProgram, opts: &VmOptions) -> Result<Module, LowerError> {
     LOWERINGS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let program = &fp.program;
+    let widest = fp
+        .functions
+        .iter()
+        .map(|f| f.seq.len())
+        .chain(fp.stubs.iter().map(|s| s.slots.len()))
+        .max()
+        .unwrap_or(0);
+    if widest > MAX_TRAVERSALS {
+        return Err(LowerError {
+            limit: "traversals per function",
+            value: widest,
+            max: MAX_TRAVERSALS,
+        });
+    }
     let layouts = Layouts::new(program);
 
     // Dense class × field slot table (u32::MAX where the field is absent).
@@ -102,12 +180,23 @@ pub fn lower_with(fp: &FusedProgram, opts: &VmOptions) -> Module {
         scratch_base: 0,
         max_reg: 0,
         multi: false,
+        known: 0,
         item_fixups: Vec::new(),
+        overflow: None,
     };
 
+    let known = must_active(fp);
     let mut funcs = Vec::with_capacity(fp.functions.len());
-    for f in &fp.functions {
-        funcs.push(lo.lower_fn(f));
+    for (f, &k) in fp.functions.iter().zip(&known) {
+        funcs.push(lo.lower_fn(f, k));
+    }
+    let entries = fp
+        .entries
+        .iter()
+        .map(|&StubId(i)| lo.fit(i as usize, "stub id"))
+        .collect();
+    if let Some(e) = lo.overflow {
+        return Err(e);
     }
 
     let stubs = fp
@@ -141,11 +230,99 @@ pub fn lower_with(fp: &FusedProgram, opts: &VmOptions) -> Module {
         pure_names: program.pures.iter().map(|p| p.name.clone()).collect(),
         class_names: program.classes.iter().map(|c| c.name.clone()).collect(),
         field_names: program.fields.iter().map(|f| f.name.clone()).collect(),
-        entries: fp.entries.iter().map(|&StubId(i)| i as u16).collect(),
+        entries,
         opt: OptReport::none(),
     };
     module.opt = optimize(&mut module, opts.opt_level);
-    module
+    Ok(module)
+}
+
+/// All flag bits of an `n`-traversal function.
+fn all_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// Whether `stmt` may `return` (a `return` nested in an `if` counts).
+fn may_return(stmt: &Stmt) -> bool {
+    match stmt {
+        Stmt::Return => true,
+        Stmt::If {
+            then_branch,
+            else_branch,
+            ..
+        } => then_branch.iter().chain(else_branch).any(may_return),
+        _ => false,
+    }
+}
+
+/// Each item of `f`'s body with the must-active bits before it, when
+/// `entry` are those of every activation: a bit stays known until the
+/// first item of its traversal that may `return`.
+fn known_before_items(
+    f: &grafter::FusedFn,
+    entry: u64,
+) -> impl Iterator<Item = (u64, &ScheduledItem)> {
+    f.body.iter().scan(entry, |known, item| {
+        let before = *known;
+        if let ScheduledItem::Stmt { traversal, stmt } = item {
+            if may_return(stmt) {
+                *known &= !(1u64 << traversal);
+            }
+        }
+        Some((before, item))
+    })
+}
+
+/// The must-active analysis: per fused function, the flag bits set at
+/// every activation.
+///
+/// It is the greatest fixpoint over the stub call graph, starting from
+/// the flags [`crate::Vm::run`] enters with. Callee bit `i` is known when
+/// part `i`'s traversal is known at the call item (see
+/// [`known_before_items`]).
+fn must_active(fp: &FusedProgram) -> Vec<u64> {
+    let mut known: Vec<u64> = fp.functions.iter().map(|f| all_bits(f.seq.len())).collect();
+    for &StubId(s) in &fp.entries {
+        let stub = &fp.stubs[s as usize];
+        // Mirrors `Vm::run`: one fused entry with every part active, or
+        // one single-part entry per traversal of the unfused baseline.
+        let flags = if fp.entries.len() == 1 {
+            all_bits(stub.slots.len())
+        } else {
+            0b1
+        };
+        for &(_, fid) in &stub.targets {
+            known[fid.0 as usize] &= flags;
+        }
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (fi, f) in fp.functions.iter().enumerate() {
+            for (k, item) in known_before_items(f, known[fi]) {
+                let ScheduledItem::Call { stub, parts, .. } = item else {
+                    continue;
+                };
+                let callee = parts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| k & (1u64 << p.traversal) != 0)
+                    .fold(0u64, |m, (i, _)| m | (1u64 << i));
+                for &(_, fid) in &fp.stubs[stub.0 as usize].targets {
+                    let narrowed = known[fid.0 as usize] & callee;
+                    if narrowed != known[fid.0 as usize] {
+                        known[fid.0 as usize] = narrowed;
+                        changed = true;
+                    }
+                }
+            }
+        }
+    }
+    known
 }
 
 /// Coercion tag of a declared type.
@@ -177,11 +354,35 @@ struct Lowerer<'p> {
     scratch_base: u16,
     max_reg: u16,
     multi: bool,
+    /// Must-active flag bits before the current scheduled item.
+    known: u64,
     /// Ops whose jump target is the end of the current scheduled item.
     item_fixups: Vec<usize>,
+    /// The first operand that did not fit; lowering fails with it.
+    overflow: Option<LowerError>,
 }
 
 impl Lowerer<'_> {
+    // ---- operand limits --------------------------------------------------
+
+    /// Narrows `value` to an operand type, recording the first value that
+    /// does not fit (lowering then fails with it instead of truncating).
+    fn fit<T: TryFrom<usize> + Default>(&mut self, value: usize, limit: &'static str) -> T {
+        T::try_from(value).unwrap_or_else(|_| {
+            self.overflow.get_or_insert(LowerError {
+                limit,
+                value,
+                max: (1usize << (8 * std::mem::size_of::<T>())) - 1,
+            });
+            T::default()
+        })
+    }
+
+    /// Register `base + offset`.
+    fn reg(&mut self, base: u16, offset: usize) -> u16 {
+        self.fit(base as usize + offset, "register number")
+    }
+
     // ---- pools -----------------------------------------------------------
 
     fn intern_const(&mut self, v: Value) -> u16 {
@@ -194,7 +395,7 @@ impl Lowerer<'_> {
         if let Some(&i) = self.const_keys.get(&key) {
             return i;
         }
-        let i = self.consts.len() as u16;
+        let i = self.fit(self.consts.len(), "constant pool");
         self.consts.push(v);
         self.const_keys.insert(key, i);
         i
@@ -204,7 +405,7 @@ impl Lowerer<'_> {
         if let Some(&i) = self.path_keys.get(fields) {
             return i;
         }
-        let i = self.paths.len() as u16;
+        let i = self.fit(self.paths.len(), "path pool");
         self.paths.push(fields.to_vec().into_boxed_slice());
         self.path_keys.insert(fields.to_vec(), i);
         i
@@ -266,63 +467,85 @@ impl Lowerer<'_> {
         for m in members {
             slot += self.layouts.member_offset(*m);
         }
-        self.frame_bases[traversal] + slot as u16
+        self.reg(self.frame_bases[traversal], slot)
     }
 
-    fn global_idx(&self, global: GlobalId, members: &[grafter_frontend::FieldId]) -> u16 {
+    fn global_idx(&mut self, global: GlobalId, members: &[grafter_frontend::FieldId]) -> u16 {
         let mut idx = self.global_offsets[global.index()] as usize;
         for m in members {
             idx += self.layouts.member_offset(*m);
         }
-        idx as u16
+        self.fit(idx, "global slot")
     }
 
     /// The static slot addend of a data chain's member suffix.
-    fn chain_addend(&self, chain: &[grafter_frontend::FieldId]) -> u16 {
-        chain[1..]
+    fn chain_addend(&mut self, chain: &[grafter_frontend::FieldId]) -> u16 {
+        let addend = chain[1..]
             .iter()
             .map(|m| self.layouts.member_offset(*m))
-            .sum::<usize>() as u16
+            .sum::<usize>();
+        self.fit(addend, "member offset")
     }
 
     // ---- function lowering -----------------------------------------------
 
-    fn lower_fn(&mut self, f: &grafter::FusedFn) -> FuncInfo {
+    /// Lowers one fused function whose activations all start with the
+    /// must-active flags `known`.
+    fn lower_fn(&mut self, f: &grafter::FusedFn, known: u64) -> FuncInfo {
         let seq = &f.seq;
         self.multi = seq.len() > 1;
         self.frame_bases.clear();
-        let mut cur = 0u16;
+        let mut cur = 0usize;
         let mut params: Vec<Box<[u16]>> = Vec::with_capacity(seq.len());
         for &m in seq {
-            self.frame_bases.push(cur);
+            let base = self.fit(cur, "register number");
+            self.frame_bases.push(base);
             let (offsets, size) = self.local_layout(m);
             let method = &self.program.methods[m.index()];
             params.push(
                 offsets
                     .iter()
                     .take(method.n_params)
-                    .map(|&o| cur + o as u16)
+                    .map(|&o| self.reg(base, o))
                     .collect(),
             );
-            cur += size as u16;
+            cur += size;
         }
-        let frame_regs = cur;
+        let frame_regs = self.fit(cur, "register number");
         self.scratch_base = frame_regs;
         self.max_reg = frame_regs;
         let entry = self.here();
 
-        for item in &f.body {
+        // Per item: whether its guard folded, and its `Deactivate`s.
+        let mut folded = Vec::with_capacity(f.body.len());
+        let mut deactivates: Vec<(usize, usize)> = Vec::new();
+        for (i, (k, item)) in known_before_items(f, known).enumerate() {
             self.item_fixups.clear();
+            self.known = k;
+            let mask = match item {
+                ScheduledItem::Stmt { traversal, .. } => 1u64 << traversal,
+                ScheduledItem::Call { parts, .. } => {
+                    parts.iter().fold(0u64, |m, p| m | (1u64 << p.traversal))
+                }
+            };
+            let fold = self.multi && mask & self.known != 0;
+            folded.push(fold);
+            if self.multi && !fold {
+                let g = self.emit(Op::Guard {
+                    mask,
+                    target: PENDING,
+                });
+                self.item_fixups.push(g);
+            }
             match item {
                 ScheduledItem::Stmt { traversal, stmt } => {
-                    if self.multi {
-                        let g = self.emit(Op::Guard {
-                            mask: 1u64 << traversal,
-                            target: PENDING,
-                        });
-                        self.item_fixups.push(g);
-                    }
+                    let start = self.ops.len();
                     self.stmt(seq, *traversal, stmt);
+                    deactivates.extend(
+                        (start..self.ops.len())
+                            .filter(|&pc| matches!(self.ops[pc], Op::Deactivate { .. }))
+                            .map(|pc| (pc, i)),
+                    );
                 }
                 ScheduledItem::Call {
                     receiver,
@@ -340,12 +563,25 @@ impl Lowerer<'_> {
         }
         self.emit(Op::Ret);
 
+        // A `Deactivate` that leaves early refunds the prepaid guards of
+        // the items after its own.
+        let mut folded_after = vec![0u32; folded.len() + 1];
+        for i in (0..folded.len()).rev() {
+            folded_after[i] = folded_after[i + 1] + folded[i] as u32;
+        }
+        for (pc, item) in deactivates {
+            if let Op::Deactivate { refund, .. } = &mut self.ops[pc] {
+                *refund = folded_after[item + 1];
+            }
+        }
+
         FuncInfo {
             entry,
             end: self.here(),
             n_traversals: seq.len() as u8,
+            folded: folded_after[0],
             frame_regs,
-            total_regs: self.max_reg + 1,
+            total_regs: self.reg(self.max_reg, 1),
             params: params.into_boxed_slice(),
             name: f.name.clone(),
         }
@@ -358,14 +594,6 @@ impl Lowerer<'_> {
         stub: StubId,
         parts: &[CallPart],
     ) {
-        if self.multi {
-            let mask = parts.iter().fold(0u64, |m, p| m | (1u64 << p.traversal));
-            let g = self.emit(Op::Guard {
-                mask,
-                target: PENDING,
-            });
-            self.item_fixups.push(g);
-        }
         let child = self.scratch_base;
         self.note(child);
         let path = self.node_path(receiver);
@@ -376,51 +604,44 @@ impl Lowerer<'_> {
         });
         self.item_fixups.push(nav);
 
-        let argbase = child + 1;
-        let mut rel = 0u16;
+        let argbase = self.reg(child, 1);
+        let mut rel = 0usize;
         let mut infos = Vec::with_capacity(parts.len());
         for part in parts {
-            let pbase = argbase + rel;
+            let pbase = self.reg(argbase, rel);
+            let nargs = self.fit(part.args.len(), "argument count");
             infos.push(CallPartInfo {
                 traversal: part.traversal as u8,
-                argbase: rel,
-                nargs: part.args.len() as u8,
+                argbase: self.fit(rel, "register number"),
+                nargs,
             });
-            if part.args.is_empty() {
-                // Nothing to evaluate or zero-fill.
-            } else if self.multi {
-                // Truncated traversal: skip evaluation, pass unobservable
-                // zero placeholders (exactly the interpreter's behaviour).
-                let skip = self.emit(Op::SkipInactive {
+            // A part whose traversal may be inactive skips its argument
+            // evaluation; the call then passes it nothing.
+            let maybe_inactive = self.multi && self.known & (1u64 << part.traversal) == 0;
+            let skip = (maybe_inactive && nargs > 0).then(|| {
+                self.emit(Op::SkipInactive {
                     traversal: part.traversal as u8,
+                    nargs,
+                    args: pbase,
                     target: PENDING,
-                });
-                for (k, a) in part.args.iter().enumerate() {
-                    self.expr(seq, part.traversal, a, pbase + k as u16);
-                }
-                let over = self.emit(Op::Jump { target: PENDING });
-                let skip_to = self.here();
-                self.patch(skip, skip_to);
-                let zero = self.intern_const(Value::Int(0));
-                for k in 0..part.args.len() {
-                    self.emit(Op::Const {
-                        dst: pbase + k as u16,
-                        c: zero,
-                    });
-                }
-                let after = self.here();
-                self.patch(over, after);
-            } else {
-                for (k, a) in part.args.iter().enumerate() {
-                    self.expr(seq, part.traversal, a, pbase + k as u16);
-                }
+                })
+            });
+            for (k, a) in part.args.iter().enumerate() {
+                let dst = self.reg(pbase, k);
+                self.expr(seq, part.traversal, a, dst);
             }
-            rel += part.args.len() as u16;
-            self.note(pbase + part.args.len() as u16);
+            if let Some(skip) = skip {
+                let after = self.here();
+                self.patch(skip, after);
+            }
+            rel += part.args.len();
+            let end = self.reg(pbase, part.args.len());
+            self.note(end);
         }
-        let call = self.calls.len() as u16;
+        let call = self.fit(self.calls.len(), "call table");
+        let stub = self.fit(stub.0 as usize, "stub id");
         self.calls.push(CallInfo {
-            stub: stub.0 as u16,
+            stub,
             charge_flags: self.multi,
             parts: infos.into_boxed_slice(),
         });
@@ -484,11 +705,8 @@ impl Lowerer<'_> {
             }
             Stmt::New { target, class } => {
                 let (path, field) = self.parent_path(target);
-                self.emit(Op::New {
-                    path,
-                    field,
-                    class: class.0 as u16,
-                });
+                let class = self.fit(class.0 as usize, "class id");
+                self.emit(Op::New { path, field, class });
             }
             Stmt::Delete { target } => {
                 let (path, field) = self.parent_path(target);
@@ -497,21 +715,25 @@ impl Lowerer<'_> {
             Stmt::Return => {
                 let d = self.emit(Op::Deactivate {
                     traversal: traversal as u8,
+                    refund: 0,
                     target: PENDING,
                 });
                 self.item_fixups.push(d);
             }
             Stmt::PureStmt { pure, args } => {
                 for (k, a) in args.iter().enumerate() {
-                    self.expr(seq, traversal, a, s0 + k as u16);
+                    let dst = self.reg(s0, k);
+                    self.expr(seq, traversal, a, dst);
                 }
-                let sink = s0 + args.len() as u16;
+                let sink = self.reg(s0, args.len());
                 self.note(sink);
+                let pure = self.fit(pure.0 as usize, "pure id");
+                let n = self.fit(args.len(), "argument count");
                 self.emit(Op::CallPure {
                     dst: sink,
-                    pure: pure.0 as u16,
+                    pure,
                     base: s0,
-                    n: args.len() as u8,
+                    n,
                     co: Co::No,
                 });
             }
@@ -571,28 +793,32 @@ impl Lowerer<'_> {
                 self.patch(sc, after);
             }
             Expr::Binary(op, l, r) => {
+                let rhs = self.reg(dst, 1);
                 self.expr(seq, traversal, l, dst);
-                self.expr(seq, traversal, r, dst + 1);
-                self.note(dst + 1);
+                self.expr(seq, traversal, r, rhs);
                 self.emit(Op::Bin {
                     op: *op,
                     dst,
                     a: dst,
-                    b: dst + 1,
+                    b: rhs,
                 });
             }
             Expr::PureCall(pure, args) => {
                 for (k, a) in args.iter().enumerate() {
-                    self.expr(seq, traversal, a, dst + k as u16);
+                    let arg = self.reg(dst, k);
+                    self.expr(seq, traversal, a, arg);
                 }
-                self.note(dst + args.len() as u16);
-                let decl = &self.program.pures[pure.index()];
+                let end = self.reg(dst, args.len());
+                self.note(end);
+                let co = co_of(self.program.pures[pure.index()].return_type);
+                let pure = self.fit(pure.0 as usize, "pure id");
+                let n = self.fit(args.len(), "argument count");
                 self.emit(Op::CallPure {
                     dst,
-                    pure: pure.0 as u16,
+                    pure,
                     base: dst,
-                    n: args.len() as u8,
-                    co: co_of(decl.return_type),
+                    n,
+                    co,
                 });
             }
         }

@@ -86,12 +86,33 @@ pub enum Op {
     /// Active-flags guard of one scheduled item in a multi-traversal
     /// function: charge [`grafter_runtime::cost::GUARD`], skip the item
     /// when no guarded traversal is active.
+    ///
+    /// Lowering emits a guard only when it cannot decide it: an item whose
+    /// mask meets the function's must-active set gets none, and its charge
+    /// is prepaid with the function's folded-guard total on entry.
     Guard { mask: u64, target: u32 },
-    /// Skip argument evaluation of an inactive call part (free).
-    SkipInactive { traversal: u8, target: u32 },
+    /// Skip argument evaluation of an inactive call part (free). Lowering
+    /// emits none for a part whose traversal is known active.
+    ///
+    /// `r[args..args + nargs]` is the part's argument window. A skipped
+    /// part passes nothing (a call copies only active parts' arguments),
+    /// so the window is dead on the skip edge.
+    SkipInactive {
+        traversal: u8,
+        nargs: u8,
+        args: u16,
+        target: u32,
+    },
     /// `return` of traversal copy `traversal`: clear its active bit; leave
     /// the function when none remain, otherwise skip to the next item.
-    Deactivate { traversal: u8, target: u32 },
+    ///
+    /// Leaving early refunds `refund` folded guards: those of the items
+    /// after this one, which the activation prepaid but never reaches.
+    Deactivate {
+        traversal: u8,
+        refund: u32,
+        target: u32,
+    },
     /// End of a fused function's body.
     Ret,
     /// Navigate `paths[path]`, then read slot `field (+ addend)` of the
@@ -301,6 +322,20 @@ impl Op {
         }
     }
 
+    /// What fires of this op are spent on: the three-way split that probed
+    /// runs report (`grafterc --profile`, `vm_compare`).
+    pub fn kind(self) -> OpKind {
+        match self {
+            Op::Guard { .. } | Op::SkipInactive { .. } => OpKind::Bookkeeping,
+            Op::Nav { .. }
+            | Op::Call { .. }
+            | Op::NavCall { .. }
+            | Op::Ret
+            | Op::Deactivate { .. } => OpKind::CallReturn,
+            _ => OpKind::Body,
+        }
+    }
+
     /// Whether the op is an optimizer-introduced superinstruction rather
     /// than a base op the lowering pass emits.
     pub fn is_superinstruction(self) -> bool {
@@ -324,18 +359,51 @@ impl Op {
     }
 }
 
+/// What an op's fires pay for (see [`Op::kind`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpKind {
+    /// Fusion bookkeeping: active-flag guards and inactive-part skips.
+    Bookkeeping,
+    /// Navigation to a child, dispatch, and leaving an activation.
+    CallReturn,
+    /// The traversal bodies' own work.
+    Body,
+}
+
+impl OpKind {
+    /// Every kind, in report order.
+    pub const ALL: [OpKind; 3] = [OpKind::Bookkeeping, OpKind::CallReturn, OpKind::Body];
+
+    /// Report label of the kind.
+    pub fn label(self) -> &'static str {
+        match self {
+            OpKind::Bookkeeping => "bookkeeping",
+            OpKind::CallReturn => "call/return",
+            OpKind::Body => "body",
+        }
+    }
+}
+
 /// Sentinel for an absent jump-table entry.
 pub(crate) const NO_TARGET: u32 = u32::MAX;
 
 /// Per-function metadata of the lowered module.
+///
+/// Every activation of a multi-traversal function pays one
+/// [`grafter_runtime::cost::GUARD`] per scheduled item it reaches, as the
+/// interpreter does. Lowering folds each guard the must-active analysis
+/// decides; the activation prepays those `folded` charges on entry, and a
+/// [`Op::Deactivate`] that leaves early refunds the ones it skips.
 #[derive(Clone, Debug)]
 pub(crate) struct FuncInfo {
     /// First op of the body.
     pub entry: u32,
     /// One past the last op (for disassembly).
     pub end: u32,
-    /// Number of fused traversal copies (`> 1` means guards are emitted).
+    /// Number of fused traversal copies (`> 1` means items are guarded).
     pub n_traversals: u8,
+    /// Guards lowering folded away; their charges are paid on entry.
+    pub folded: u32,
     /// Registers holding locals (all traversal frames, concatenated).
     pub frame_regs: u16,
     /// Total register window (locals + expression scratch).
@@ -449,8 +517,8 @@ impl Module {
     /// Aggregates raw per-site [`grafter_obs::ExecCounters`] from a probed
     /// VM run into a named [`grafter_obs::TierProfile`]: per-function
     /// activation counts, per-basic-block entry counts (the pc-hit of each
-    /// block's leader op), and the per-mnemonic fire histogram with
-    /// superinstructions flagged.
+    /// block's leader op), the per-mnemonic fire histogram with
+    /// superinstructions flagged, and the fires totalled per [`OpKind`].
     pub fn profile(&self, counters: &grafter_obs::ExecCounters) -> grafter_obs::TierProfile {
         let mut p = grafter_obs::TierProfile::default();
         for (i, f) in self.funcs.iter().enumerate() {
@@ -461,12 +529,14 @@ impl Module {
         }
         let mut fires: std::collections::BTreeMap<&'static str, (u64, bool)> =
             std::collections::BTreeMap::new();
+        let mut kinds = [0u64; OpKind::ALL.len()];
         for (pc, &op) in self.ops.iter().enumerate() {
             let n = counters.op_hits.get(pc).copied().unwrap_or(0);
             if n > 0 {
                 let e = fires.entry(op.mnemonic()).or_insert((0, false));
                 e.0 += n;
                 e.1 = op.is_superinstruction();
+                kinds[op.kind() as usize] += n;
             }
         }
         for (name, (n, is_super)) in fires {
@@ -476,6 +546,10 @@ impl Module {
                 superinstruction: is_super,
             });
         }
+        p.op_kinds = OpKind::ALL
+            .iter()
+            .map(|&k| (k.label().to_string(), kinds[k as usize]))
+            .collect();
         for (i, f) in self.funcs.iter().enumerate() {
             for (bi, &(start, _)) in basic_blocks(self, i).iter().enumerate() {
                 let hits = counters.op_hits.get(start as usize).copied().unwrap_or(0);
@@ -527,9 +601,10 @@ impl Module {
         for (i, f) in self.funcs.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "\nfn {i} {} (traversals={}, locals=r0..r{}, scratch=r{}..r{})",
+                "\nfn {i} {} (traversals={}, folded-guards={}, locals=r0..r{}, scratch=r{}..r{})",
                 f.name,
                 f.n_traversals,
+                f.folded,
                 f.frame_regs.saturating_sub(1),
                 f.frame_regs,
                 f.total_regs.saturating_sub(1),
@@ -672,12 +747,17 @@ impl Module {
             ),
             Op::CastBool { reg } => format!("bool     r{reg}"),
             Op::Guard { mask, target } => format!("guard    mask={mask:#b} else -> {target:04}"),
-            Op::SkipInactive { traversal, target } => {
-                format!("skipoff  t{traversal} -> {target:04}")
-            }
-            Op::Deactivate { traversal, target } => {
-                format!("retrav   t{traversal} next -> {target:04}")
-            }
+            Op::SkipInactive {
+                traversal,
+                nargs,
+                args,
+                target,
+            } => format!("skipoff  t{traversal} args=r{args}..+{nargs} -> {target:04}"),
+            Op::Deactivate {
+                traversal,
+                refund,
+                target,
+            } => format!("retrav   t{traversal} next -> {target:04} refund={refund}"),
             Op::Ret => "ret".to_string(),
             Op::ReadTree {
                 dst,

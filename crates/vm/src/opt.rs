@@ -306,6 +306,11 @@ pub(crate) fn successors(pc: u32, op: &Op, out: &mut Vec<u32>) {
 
 /// Per-op register liveness of one function body, from a standard
 /// backward dataflow fixpoint over the op-level control-flow graph.
+///
+/// One edge kills registers: a [`Op::SkipInactive`]'s argument window is
+/// dead on its skip edge, since a call copies only active parts'
+/// arguments. Without that, the call's reads would keep every argument
+/// register live back to the function entry.
 struct Liveness {
     entry: u32,
     words: usize,
@@ -330,13 +335,31 @@ impl Liveness {
                 succs.clear();
                 successors(pc, op, &mut succs);
                 let mut out = vec![0u64; words];
-                for &s in &succs {
+                // Joins successor `s`'s live-in, minus the registers the
+                // edge kills.
+                let mut join = |s: u32, kill: std::ops::Range<u16>| {
                     if (entry..end).contains(&s) {
-                        let si = (s - entry) as usize;
-                        for (w, v) in out.iter_mut().zip(&live_in[si]) {
-                            *w |= *v;
+                        let live = &live_in[(s - entry) as usize];
+                        for (wi, (w, v)) in out.iter_mut().zip(live).enumerate() {
+                            let killed = kill
+                                .clone()
+                                .filter(|&r| r as usize / 64 == wi)
+                                .fold(0u64, |m, r| m | (1u64 << (r % 64)));
+                            *w |= *v & !killed;
                         }
                     }
+                };
+                match *op {
+                    Op::SkipInactive {
+                        nargs,
+                        args,
+                        target,
+                        ..
+                    } => {
+                        join(target, args..args + nargs as u16);
+                        join(pc + 1, 0..0);
+                    }
+                    _ => succs.iter().for_each(|&s| join(s, 0..0)),
                 }
                 let mut inn = out.clone();
                 if let Some(w) = reg_write(op) {

@@ -4,7 +4,7 @@
 //! produce the identical diagnostic.
 
 use grafter::{Compiled, DiagnosticBag, Stage};
-use grafter_engine::Engine;
+use grafter_engine::{Engine, Report};
 use grafter_runtime::{Heap, NodeId, Value};
 use grafter_vm::Backend;
 
@@ -138,4 +138,47 @@ fn not_a_ref_surfaces_identically() {
     let (interp, vm) = both_fail(&compiled, &["go"], &build);
     assert_runtime_diag(&vm, "child slot does not hold a reference");
     assert_eq!(interp[0].message, vm[0].message);
+}
+
+/// Builds `src` (entry `N.t`) on both tiers: the VM build must fail at the
+/// lowering stage naming `limit`, and the interpreter must still run it.
+fn past_a_bytecode_limit(src: &str, limit: &str) -> Report {
+    let compiled = Compiled::compile(src).unwrap();
+    let build = |backend: Backend| {
+        Engine::builder()
+            .compiled(compiled.clone())
+            .entry("N", &["t"])
+            .backend(backend)
+            .build()
+    };
+    let err = build(Backend::Vm).expect_err("the VM tier rejects the program");
+    assert_eq!(err.stage(), Stage::Lower, "{err}");
+    assert!(err.is_compile(), "{err}");
+    assert!(
+        err.to_string().contains(limit),
+        "expected `{limit}` in `{err}`"
+    );
+    let engine = build(Backend::Interp).expect("the interpreter tier builds");
+    let mut session = engine.session();
+    let root = session.build_tree(|heap| heap.alloc_by_name("N").unwrap());
+    session.run(root).expect("the interpreter runs the program")
+}
+
+#[test]
+fn a_constant_pool_past_the_bytecode_limit_is_a_lower_error() {
+    // 70,000 distinct literals: a truncated pool index would run
+    // `G = 4464` last.
+    let stmts: String = (1..=70_000).map(|i| format!("G = {i}; ")).collect();
+    let src = format!("global int G = 0;\ntree class N {{ virtual traversal t() {{ {stmts} }} }}");
+    let report = past_a_bytecode_limit(&src, "constant pool");
+    assert!(report
+        .globals
+        .contains(&("G".to_string(), Value::Int(70_000))));
+}
+
+#[test]
+fn registers_past_the_bytecode_limit_are_a_lower_error() {
+    let locals: String = (0..70_000).map(|i| format!("int l{i}; ")).collect();
+    let src = format!("tree class N {{ virtual traversal t() {{ {locals} }} }}");
+    past_a_bytecode_limit(&src, "register number");
 }

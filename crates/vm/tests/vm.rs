@@ -369,7 +369,15 @@ fn disassembly_names_functions_stubs_and_tables() {
     assert!(asm.contains("fn 0"), "{asm}");
     assert!(asm.contains("__stub0"), "{asm}");
     assert!(asm.contains("TextBox"), "disasm lists jump-table classes");
-    assert!(asm.contains("guard"), "fused code carries guards");
+    let folded: u64 = asm
+        .split("folded-guards=")
+        .skip(1)
+        .map(|rest| rest.split(',').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert!(
+        folded > 0,
+        "the header counts fused code's folded guards: {asm}"
+    );
     assert!(asm.contains("call"), "grouped calls are lowered");
     assert!(module.n_ops() > 0);
     assert!(module.n_functions() > 0);

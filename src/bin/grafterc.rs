@@ -57,7 +57,7 @@
 //! | 0 | success |
 //! | 1 | I/O failure (unreadable input) |
 //! | 2 | usage error (bad flags) |
-//! | 3 | compile-side failure (lex/parse/sema/fuse) |
+//! | 3 | compile-side failure (lex/parse/sema/fuse/lower) |
 //! | 4 | runtime failure (`--run`) |
 
 use std::io::Read as _;
@@ -403,9 +403,15 @@ fn main() -> ExitCode {
 
     // Lower at most once even on the interp tier: reuse the engine's
     // cached module when it has one.
-    let adhoc_module = (emit == "bytecode" && engine.module().is_none()).then(|| {
-        grafter_vm::lower_with(engine.fused_program(), &grafter_vm::VmOptions { opt_level })
-    });
+    let adhoc_module = if emit == "bytecode" && engine.module().is_none() {
+        let opts = grafter_vm::VmOptions { opt_level };
+        match grafter_vm::try_lower_with(engine.fused_program(), &opts) {
+            Ok(module) => Some(module),
+            Err(e) => return report(&e.into(), &pending, &source, &path, json),
+        }
+    } else {
+        None
+    };
     match emit.as_str() {
         "bytecode" => {
             let module = engine.module().or(adhoc_module.as_ref()).unwrap();

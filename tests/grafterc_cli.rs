@@ -357,3 +357,21 @@ fn programs_nested_to_the_cap_compile_and_run_on_both_tiers() {
         assert!(stderr.contains("run ok"), "{backend}: {stderr}");
     }
 }
+
+#[test]
+fn a_program_past_a_bytecode_limit_is_a_compile_error_on_the_vm_only() {
+    // 70,000 distinct literals overflow the VM's 16-bit constant pool.
+    let stmts: String = (1..=70_000).map(|i| format!("G = {i}; ")).collect();
+    let src = format!("global int G = 0;\ntree class N {{ virtual traversal t() {{ {stmts} }} }}");
+    let run = |backend: &str| {
+        let args = ["-", "--root", "N", "--passes", "t", "--backend", backend];
+        grafterc(&[&args[..], &["--emit", "none", "--run"]].concat(), &src)
+    };
+    let (_, stderr, code) = run("vm");
+    assert_eq!(code, Some(3), "a compile error, not a miscompile: {stderr}");
+    assert!(stderr.contains("error[lower]"), "{stderr}");
+    assert!(stderr.contains("constant pool"), "{stderr}");
+    let (_, stderr, code) = run("interp");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("run ok"), "{stderr}");
+}
