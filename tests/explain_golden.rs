@@ -1,9 +1,10 @@
 //! Golden-file tests for the `--explain` report and the fused code: the
-//! full text and JSON renderings of the report, and the rendered C++ of the
-//! fused program, for each of the paper's four case studies are pinned
+//! full text and JSON renderings of the report, the rendered C++ of the
+//! fused program, and the VM-O2 bytecode disassembly of the fused and
+//! unfused modules, for each of the paper's four case studies are pinned
 //! under `tests/golden/`, so any change to verdict classification, span
-//! resolution, report formatting, call grouping or schedule shows up as a
-//! reviewable diff.
+//! resolution, report formatting, call grouping, schedule, lowering or
+//! bytecode optimization shows up as a reviewable diff.
 //!
 //! Regenerate after an intentional change with
 //! `BLESS=1 cargo test --test explain_golden`.
@@ -11,7 +12,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use grafter_engine::Engine;
+use grafter_engine::{Backend, Engine, FusionOptions};
 use grafter_workloads::case_studies;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -68,6 +69,23 @@ fn fused_cpp_matches_goldens_on_all_case_studies() {
             .build()
             .unwrap();
         check_golden(&format!("{}.fused.cpp", case.name), &engine.render_cpp());
+    }
+}
+
+#[test]
+fn o2_bytecode_matches_goldens_on_all_case_studies() {
+    for case in case_studies() {
+        for (label, opts) in [
+            ("fused", FusionOptions::default()),
+            ("unfused", FusionOptions::unfused()),
+        ] {
+            let engine = case.engine_with(opts, Backend::Vm);
+            let module = engine.module().expect("the VM tier lowers a module");
+            check_golden(
+                &format!("{}.{label}.bytecode.txt", case.name),
+                &module.disassemble(),
+            );
+        }
     }
 }
 
