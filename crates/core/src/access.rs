@@ -10,8 +10,15 @@
 //! *concrete* functions transitively reachable under dynamic dispatch, with
 //! one automaton state per function and a back edge whenever a function is
 //! revisited (so unbounded recursion appears as loops).
+//!
+//! [`ProgramAccesses`] computes each of these once per program: a
+//! statement's summary, a call's dispatch targets, and a statement pair's
+//! conflict verdict.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 use grafter_automata::{Nfa, PathSym, StateId};
 use grafter_frontend::{
@@ -104,11 +111,59 @@ impl AccessSummary {
 /// A top-level statement: its method and its index in the method's body.
 type StmtKey = (MethodId, usize);
 
-/// Cached per-statement access summaries for a whole program, and a memo
-/// of the conflicts between them.
+/// A hash map keyed by tuples of program ids, hashed by [`IdHasher`].
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A multiply-rotate hasher (the Fx construction) for the memo keys.
+/// They are tuples of small ids from the program being compiled, so
+/// SipHash's resistance to chosen keys buys nothing, and the conflict memo
+/// is looked up once per statement pair of every dependence graph.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Cached per-statement access summaries for a whole program, the
+/// dispatch targets of its calls, and a memo of the conflicts between
+/// statements.
 ///
 /// Call summaries depend on the *static receiver context* (the class whose
 /// method contains the call), so the cache key is `(method, stmt index)`.
+/// The cache also serves the non-call statements that call automata
+/// attach at their function's state, so each statement is summarised once
+/// however many call automata reach it.
 ///
 /// The same statement pairs recur across the fused functions of one
 /// program, so the dependence graphs ask for conflicts through a memo of
@@ -116,8 +171,11 @@ type StmtKey = (MethodId, usize);
 /// are intersected once however many graphs test it.
 pub struct ProgramAccesses<'p> {
     program: &'p Program,
-    cache: HashMap<StmtKey, AccessSummary>,
-    conflicts: HashMap<(StmtKey, StmtKey, bool), Option<ConflictKind>>,
+    cache: IdMap<StmtKey, AccessSummary>,
+    dispatch: IdMap<(MethodId, ClassId), Rc<[MethodId]>>,
+    conflicts: IdMap<(StmtKey, StmtKey, bool), Option<ConflictKind>>,
+    /// Wall time [`ProgramAccesses::summary`] spent building summaries.
+    summary_time: Duration,
 }
 
 impl<'p> ProgramAccesses<'p> {
@@ -125,8 +183,10 @@ impl<'p> ProgramAccesses<'p> {
     pub fn new(program: &'p Program) -> Self {
         ProgramAccesses {
             program,
-            cache: HashMap::new(),
-            conflicts: HashMap::new(),
+            cache: IdMap::default(),
+            dispatch: IdMap::default(),
+            conflicts: IdMap::default(),
+            summary_time: Duration::ZERO,
         }
     }
 
@@ -138,12 +198,45 @@ impl<'p> ProgramAccesses<'p> {
     /// Summary for top-level statement `index` of `method`, computed on
     /// first request.
     pub fn summary(&mut self, method: MethodId, index: usize) -> &AccessSummary {
-        if !self.cache.contains_key(&(method, index)) {
-            let m = &self.program.methods[method.index()];
-            let summary = self.stmt_summary(&m.body[index], m.class);
-            self.cache.insert((method, index), summary);
+        let key = (method, index);
+        if !self.cache.contains_key(&key) {
+            let t0 = Instant::now();
+            self.ensure_summary(key);
+            self.summary_time += t0.elapsed();
         }
-        &self.cache[&(method, index)]
+        &self.cache[&key]
+    }
+
+    /// Wall time spent building summaries so far (call automata included;
+    /// a summary built inside another is counted once, in the outer one).
+    pub fn summary_time(&self) -> Duration {
+        self.summary_time
+    }
+
+    /// Builds the summary of `key` into the cache unless it is there.
+    fn ensure_summary(&mut self, key: StmtKey) {
+        if !self.cache.contains_key(&key) {
+            let m = &self.program.methods[key.0.index()];
+            let mut summary = AccessSummary::empty();
+            self.collect_stmt(&m.body[key.1], m.class, &mut summary);
+            self.cache.insert(key, summary);
+        }
+    }
+
+    /// The concrete methods a call of `slot` on a node of static type
+    /// `static_ty` may dispatch to: [`Program::concrete_subtypes`] in
+    /// order, each resolved by [`Program::resolve_virtual`] (classes that
+    /// do not resolve are left out). Resolved once per program.
+    pub fn dispatch_targets(&mut self, slot: MethodId, static_ty: ClassId) -> Rc<[MethodId]> {
+        let program = self.program;
+        let targets = self.dispatch.entry((slot, static_ty)).or_insert_with(|| {
+            program
+                .concrete_subtypes(static_ty)
+                .into_iter()
+                .filter_map(|concrete| program.resolve_virtual(concrete, slot))
+                .collect()
+        });
+        Rc::clone(targets)
     }
 
     /// The first conflict between statement `first` and a later statement
@@ -166,15 +259,7 @@ impl<'p> ProgramAccesses<'p> {
         kind
     }
 
-    /// Builds the summary of one top-level statement in the context of a
-    /// method of `class`.
-    pub fn stmt_summary(&self, stmt: &Stmt, class: ClassId) -> AccessSummary {
-        let mut s = AccessSummary::empty();
-        self.collect_stmt(stmt, class, &mut s);
-        s
-    }
-
-    fn collect_stmt(&self, stmt: &Stmt, class: ClassId, s: &mut AccessSummary) {
+    fn collect_stmt(&mut self, stmt: &Stmt, class: ClassId, s: &mut AccessSummary) {
         match stmt {
             Stmt::Traverse(call) => self.collect_call(call, class, s),
             Stmt::Assign { target, value } => {
@@ -291,7 +376,7 @@ impl<'p> ProgramAccesses<'p> {
     /// statement's automata at the state of its function, and prefixes the
     /// receiver path. Argument expressions are evaluated in the caller's
     /// frame and contribute caller-level accesses.
-    fn collect_call(&self, call: &TraverseStmt, class: ClassId, s: &mut AccessSummary) {
+    fn collect_call(&mut self, call: &TraverseStmt, class: ClassId, s: &mut AccessSummary) {
         for a in &call.args {
             self.collect_expr(a, s);
         }
@@ -326,7 +411,7 @@ impl<'p> ProgramAccesses<'p> {
             state = (rn, wn);
         }
 
-        let Some(static_ty) = self.program.path_target_type(class, &call.receiver) else {
+        let Some(static_ty) = builder.program.path_target_type(class, &call.receiver) else {
             return;
         };
         builder.append_dispatch(call.slot, static_ty, state);
@@ -340,7 +425,7 @@ impl<'p> ProgramAccesses<'p> {
 
 struct CallAutomataBuilder<'a, 'p> {
     program: &'p Program,
-    accesses: &'a ProgramAccesses<'p>,
+    accesses: &'a mut ProgramAccesses<'p>,
     reads: Nfa<PathSym>,
     writes: Nfa<PathSym>,
     global_reads: Nfa<PathSym>,
@@ -355,10 +440,7 @@ impl CallAutomataBuilder<'_, '_> {
     /// Expands a virtual dispatch of `slot` on a node whose static type is
     /// `static_ty`, linking from `from` (a (reads, writes) state pair).
     fn append_dispatch(&mut self, slot: MethodId, static_ty: ClassId, from: (StateId, StateId)) {
-        for concrete in self.program.concrete_subtypes(static_ty) {
-            let Some(target) = self.program.resolve_virtual(concrete, slot) else {
-                continue;
-            };
+        for &target in self.accesses.dispatch_targets(slot, static_ty).iter() {
             let state = self.append_function(target);
             // Dispatch consumes no member access: link with epsilon.
             self.reads.add_epsilon(from.0, state.0);
@@ -374,15 +456,15 @@ impl CallAutomataBuilder<'_, '_> {
         }
         let st = (self.reads.add_state(), self.writes.add_state());
         self.fn_state.insert(method, st);
-        let m = &self.program.methods[method.index()];
-        for stmt in &m.body {
-            self.append_stmt(stmt, m.class, st);
+        for index in 0..self.program.methods[method.index()].body.len() {
+            self.append_stmt((method, index), st);
         }
         st
     }
 
-    fn append_stmt(&mut self, stmt: &Stmt, class: ClassId, at: (StateId, StateId)) {
-        if let Stmt::Traverse(call) = stmt {
+    fn append_stmt(&mut self, key: StmtKey, at: (StateId, StateId)) {
+        let m = &self.program.methods[key.0.index()];
+        if let Stmt::Traverse(call) = &m.body[key.1] {
             // Argument accesses happen in the callee's caller frame (this
             // function); attach their tree parts at `at`.
             let mut args = AccessSummary::empty();
@@ -406,11 +488,12 @@ impl CallAutomataBuilder<'_, '_> {
                     .add_transition(state.1, field_sym(step.field), wn);
                 state = (rn, wn);
             }
-            if let Some(static_ty) = self.program.path_target_type(class, &call.receiver) {
+            if let Some(static_ty) = self.program.path_target_type(m.class, &call.receiver) {
                 self.append_dispatch(call.slot, static_ty, state);
             }
         } else {
-            let summary = self.accesses.stmt_summary(stmt, class);
+            self.accesses.ensure_summary(key);
+            let summary = &self.accesses.cache[&key];
             attach_at(&mut self.reads, &summary.tree_reads, at.0);
             attach_at(&mut self.writes, &summary.tree_writes, at.1);
             self.global_reads.union_in_place(&summary.global_reads);

@@ -23,8 +23,9 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use grafter_frontend::{ClassId, Expr, MethodId, NodePath, Program, Stmt};
+use grafter_frontend::{ClassId, Expr, FieldId, MethodId, NodePath, Program, Stmt};
 
 use crate::access::ProgramAccesses;
 use crate::depgraph::{DepGraph, MergedStmt};
@@ -280,6 +281,43 @@ impl FusedProgram {
     }
 }
 
+/// Where one fusion run's wall time went, stage by stage. The engine lays
+/// the stages out as the `fusion/*` spans of its compile trace.
+///
+/// Wall times only, so nothing compares them: two runs that fuse
+/// identically differ here.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FusionTimes {
+    /// Building statement access summaries, call automata included.
+    /// Summaries are built lazily while dependence graphs are built, so
+    /// this is a sum over the run.
+    pub summaries: Duration,
+    /// The rest of building dependence graphs: conflict memo lookups, and
+    /// automata intersections on misses. A sum over the run.
+    pub conflicts: Duration,
+    /// Greedy call grouping and scheduling.
+    pub group: Duration,
+    /// Coverage accounting and the explain verdict of each candidate pair.
+    pub explain: Duration,
+    /// Everything else: merging bodies, emitting scheduled bodies, stubs
+    /// and names.
+    pub emit: Duration,
+}
+
+impl FusionTimes {
+    /// The stages as `(span name, wall time)`, in the order the engine
+    /// lays them out.
+    pub fn spans(&self) -> [(&'static str, Duration); 5] {
+        [
+            ("fusion/summaries", self.summaries),
+            ("fusion/conflicts", self.conflicts),
+            ("fusion/group", self.group),
+            ("fusion/explain", self.explain),
+            ("fusion/emit", self.emit),
+        ]
+    }
+}
+
 /// An error reported by the fusion driver.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FuseError {
@@ -317,6 +355,21 @@ pub fn fuse(
     traversals: &[&str],
     opts: &FuseOptions,
 ) -> Result<FusedProgram, FuseError> {
+    fuse_timed(program, root_class, traversals, opts).map(|(fused, _)| fused)
+}
+
+/// Like [`fuse`], but also reports where the run's wall time went — the
+/// engine's compile trace builds on this.
+///
+/// # Errors
+///
+/// Same as [`fuse`].
+pub fn fuse_timed(
+    program: &Program,
+    root_class: &str,
+    traversals: &[&str],
+    opts: &FuseOptions,
+) -> Result<(FusedProgram, FusionTimes), FuseError> {
     let class = program
         .class_by_name(root_class)
         .ok_or_else(|| FuseError::UnknownClass(root_class.to_string()))?;
@@ -327,7 +380,7 @@ pub fn fuse(
             .ok_or_else(|| FuseError::UnknownTraversal(root_class.to_string(), t.to_string()))?;
         slots.push(program.methods[m.index()].slot);
     }
-    Ok(fuse_slots(program, class, &slots, opts))
+    Ok(fuse_slots_timed(program, class, &slots, opts))
 }
 
 /// Fuses a sequence of dispatch slots on a root of static type `class`.
@@ -340,6 +393,15 @@ pub fn fuse_slots(
     slots: &[MethodId],
     opts: &FuseOptions,
 ) -> FusedProgram {
+    fuse_slots_timed(program, class, slots, opts).0
+}
+
+fn fuse_slots_timed(
+    program: &Program,
+    class: ClassId,
+    slots: &[MethodId],
+    opts: &FuseOptions,
+) -> (FusedProgram, FusionTimes) {
     let mut fuser = Fuser {
         program,
         accesses: ProgramAccesses::new(program),
@@ -350,6 +412,8 @@ pub fn fuse_slots(
         stub_keys: HashMap::new(),
         coverage: FusionCoverage::default(),
         explain: FusionExplain::default(),
+        times: FusionTimes::default(),
+        lap_start: Instant::now(),
     };
     let entries = if opts.grouping {
         vec![fuser.stub_for(class, slots.to_vec())]
@@ -361,7 +425,11 @@ pub fn fuse_slots(
             .map(|&slot| fuser.stub_for(class, vec![slot]))
             .collect()
     };
-    FusedProgram {
+    fuser.charge(|t| &mut t.emit);
+    let mut times = fuser.times;
+    times.summaries = fuser.accesses.summary_time();
+    times.conflicts = times.conflicts.saturating_sub(times.summaries);
+    let fused = FusedProgram {
         program: Arc::new(program.clone()),
         functions: fuser.functions,
         stubs: fuser.stubs,
@@ -369,7 +437,8 @@ pub fn fuse_slots(
         entry_slots: slots.to_vec(),
         coverage: fuser.coverage,
         explain: fuser.explain,
-    }
+    };
+    (fused, times)
 }
 
 struct Fuser<'p> {
@@ -383,9 +452,21 @@ struct Fuser<'p> {
     coverage: FusionCoverage,
     /// Per-pair verdicts behind `coverage`, pushed in discovery order.
     explain: FusionExplain,
+    /// Stage times so far. Until the run ends, `conflicts` holds all of
+    /// dependence-graph building, summaries included.
+    times: FusionTimes,
+    /// When the stage now running started.
+    lap_start: Instant,
 }
 
 impl Fuser<'_> {
+    /// Charges the wall time since the previous charge to `stage`.
+    fn charge(&mut self, stage: fn(&mut FusionTimes) -> &mut Duration) {
+        let now = Instant::now();
+        *stage(&mut self.times) += now - self.lap_start;
+        self.lap_start = now;
+    }
+
     /// Returns the stub dispatching `slots` on static type `class`,
     /// creating it (and every fused function it needs) on first use.
     fn stub_for(&mut self, class: ClassId, slots: Vec<MethodId>) -> StubId {
@@ -452,21 +533,25 @@ impl Fuser<'_> {
         self.fn_keys.insert(seq.clone(), id);
 
         let merged = DepGraph::merge_bodies(self.program, &seq);
-        let n_calls = merged
-            .iter()
-            .filter(|m| matches!(m.stmt, Stmt::Traverse(_)))
-            .count();
-        let (group_of, order) = if n_calls < 2 {
-            // Nothing to group, so the schedule is source order (what the
-            // dependence-respecting schedule of singleton groups yields):
-            // skip the graph's one conflict test per statement pair.
+        let (group_of, order) = if !has_same_receiver_pair(&merged) {
+            // No two calls could group and no pair gets a verdict, so the
+            // schedule is source order (what the dependence-respecting
+            // schedule of singleton groups yields): skip the graph's one
+            // conflict test per statement pair. A body with a same-receiver
+            // pair still pays that quadratic cost, however many statements
+            // sit between the two calls.
             let identity: Vec<usize> = (0..merged.len()).collect();
             (identity.clone(), identity)
         } else {
+            self.charge(|t| &mut t.emit);
             let graph = DepGraph::build(&mut self.accesses, &seq, &merged);
+            // Building the summaries the graph asked for is taken out at
+            // the end of the run.
+            self.charge(|t| &mut t.conflicts);
             let (group_of, n_groups) = self.group_calls(&seq, &merged, &graph);
             let order = graph.schedule(&group_of, n_groups);
             debug_assert!(graph.order_is_valid(&order));
+            self.charge(|t| &mut t.group);
             (group_of, order)
         };
 
@@ -563,6 +648,7 @@ impl Fuser<'_> {
                 }
             }
         }
+        self.charge(|t| &mut t.group);
 
         // Re-number groups densely in order of first appearance (before
         // coverage, so fused verdicts can name the dense group id the
@@ -665,6 +751,7 @@ impl Fuser<'_> {
                 });
             }
         }
+        self.charge(|t| &mut t.explain);
 
         (group_of, n_groups)
     }
@@ -753,6 +840,22 @@ impl Fuser<'_> {
         }
         body
     }
+}
+
+/// Whether two traversing calls of `merged` share a receiver path, the key
+/// [`Fuser::group_calls`] groups on and counts candidate pairs by.
+fn has_same_receiver_pair(merged: &[MergedStmt]) -> bool {
+    let mut receivers: Vec<Vec<FieldId>> = merged
+        .iter()
+        .filter_map(|m| match &m.stmt {
+            Stmt::Traverse(call) => Some(call.receiver.fields().collect()),
+            _ => None,
+        })
+        .collect();
+    let calls = receivers.len();
+    receivers.sort_unstable();
+    receivers.dedup();
+    receivers.len() < calls
 }
 
 /// The explain record of one call site: the invoked slot's name plus the

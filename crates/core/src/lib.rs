@@ -14,7 +14,9 @@
 //!    traversing call under dynamic dispatch and mutual recursion;
 //! 2. [`depgraph`] intersects those automata to build the dependence graph
 //!    of a candidate fused function, testing each statement pair once per
-//!    program through a conflict memo in [`ProgramAccesses`];
+//!    program through a conflict memo in [`ProgramAccesses`] (which also
+//!    builds each statement's summary and each call's dispatch targets
+//!    once per program);
 //! 3. [`fusion`] runs the fusion algorithm (outline → inline → reorder →
 //!    group → recurse) with *type-specific partial fusion*: every sequence
 //!    of concrete functions fuses independently, memoised so recursive
@@ -65,8 +67,8 @@ pub use explain::{
     PairExplain,
 };
 pub use fusion::{
-    fuse, fuse_slots, CallPart, FuseError, FuseOptions, FusedFn, FusedFnId, FusedProgram,
-    FusionCoverage, FusionOptions, ScheduledItem, Stub, StubId,
+    fuse, fuse_slots, fuse_timed, CallPart, FuseError, FuseOptions, FusedFn, FusedFnId,
+    FusedProgram, FusionCoverage, FusionOptions, FusionTimes, ScheduledItem, Stub, StubId,
 };
 pub use grafter_frontend::{
     ClassId, Diag, DiagnosticBag, FieldId, FieldKind, Program, Severity, Stage, Ty,

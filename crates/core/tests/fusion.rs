@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use grafter::{cpp, fuse, FuseOptions, ScheduledItem};
-use grafter_frontend::compile;
+use grafter_frontend::{compile, Stmt};
 
 const FIG2: &str = r#"
     global int CHAR_WIDTH = 8;
@@ -442,4 +442,75 @@ fn bodies_without_a_call_pair_keep_source_order_in_linear_time() {
         })
         .collect();
     assert_eq!(scheduled, written.iter().collect::<Vec<_>>());
+}
+
+#[test]
+fn bodies_without_a_same_receiver_pair_keep_source_order_in_linear_time() {
+    // Two calls on different children around 5,000 statements: no pair of
+    // calls could group, so no conflict test per statement pair is needed
+    // (29 s and 1.27 GB here when the graph was built). Many statements
+    // between two calls on the same child still cost a quadratic graph.
+    let stmts: String = (0..5000).map(|i| format!("G = {i}; ")).collect();
+    let src = format!(
+        "global int G = 0;
+        tree class N {{ virtual traversal f() {{}} }}
+        tree class C : N {{
+            child N* left; child N* right;
+            traversal f() {{ this->left->f(); {stmts} this->right->f(); }}
+        }}"
+    );
+    let t0 = Instant::now();
+    let program = compile(&src).unwrap();
+    let fused = fuse(&program, "C", &["f"], &FuseOptions::default()).unwrap();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "compile + fuse took {took:?}"
+    );
+    assert_eq!(fused.coverage.candidate_pairs(), 0);
+    assert!(fused.explain.pairs.is_empty());
+    for f in &fused.functions {
+        let written = &program.methods[f.seq[0].index()].body;
+        assert_eq!(f.body.len(), written.len(), "{}", f.name);
+        for (item, stmt) in f.body.iter().zip(written) {
+            match (item, stmt) {
+                (ScheduledItem::Stmt { stmt: s, .. }, _) => assert_eq!(s, stmt),
+                (ScheduledItem::Call { parts, .. }, Stmt::Traverse(call)) => {
+                    assert_eq!(parts.len(), 1);
+                    assert_eq!(parts[0].slot, call.slot);
+                }
+                (ScheduledItem::Call { .. }, _) => panic!("{}: call out of order", f.name),
+            }
+        }
+    }
+}
+
+#[test]
+fn memoised_dispatch_targets_resolve_every_concrete_subtype_in_order() {
+    use grafter::ProgramAccesses;
+    use grafter_frontend::{ClassId, MethodId};
+    use std::rc::Rc;
+    let mut pairs = 0;
+    for case in grafter_workloads::case_studies() {
+        let p = case.compiled.program();
+        let mut slots: Vec<MethodId> = p.methods.iter().map(|m| m.slot).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        let mut acc = ProgramAccesses::new(p);
+        for &slot in &slots {
+            for class in (0..p.classes.len() as u32).map(ClassId) {
+                let expected: Vec<MethodId> = p
+                    .concrete_subtypes(class)
+                    .into_iter()
+                    .filter_map(|c| p.resolve_virtual(c, slot))
+                    .collect();
+                let targets = acc.dispatch_targets(slot, class);
+                assert_eq!(*targets, *expected, "{}: {slot:?} on {class:?}", case.name);
+                // Asked again, the memo answers with the same targets.
+                assert!(Rc::ptr_eq(&targets, &acc.dispatch_targets(slot, class)));
+                pairs += 1;
+            }
+        }
+    }
+    assert!(pairs > 100, "{pairs} (slot, class) pairs");
 }

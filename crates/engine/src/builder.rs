@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use grafter::pipeline::Compiled;
-use grafter::{fuse, Error, FusionOptions};
+use grafter::{fuse_timed, Error, FusionOptions};
 use grafter_obs::{CompileTrace, Probe, Span};
 use grafter_runtime::{Layouts, PureRegistry, Value};
 use grafter_vm::{try_lower_with, Backend, OptLevel, VmOptions};
@@ -179,12 +179,13 @@ impl EngineBuilder {
         let opts = self.fusion.unwrap_or_default();
         let passes: Vec<&str> = self.passes.iter().map(String::as_str).collect();
         let t = build_start.elapsed();
-        let fused = fuse(compiled.program(), &root, &passes, &opts)
+        let (fused, stage_times) = fuse_timed(compiled.program(), &root, &passes, &opts)
             .map_err(|e| Error::from_diag(e.into(), compiled.source()))?;
+        let dur = build_start.elapsed() - t;
         spans.push(Span {
             name: "fusion".to_string(),
             start: t,
-            dur: build_start.elapsed() - t,
+            dur,
             meta: vec![
                 ("functions".to_string(), fused.n_functions().to_string()),
                 ("stubs".to_string(), fused.stubs.len().to_string()),
@@ -206,6 +207,15 @@ impl EngineBuilder {
                 ),
             ],
         });
+        // Fusion timed its own stages (`FusionTimes`); lay them out inside
+        // the fusion span, as the optimizer passes sit in `lower`.
+        let stages = stage_times.spans().map(|(name, dur)| Span {
+            name: name.to_string(),
+            start: Duration::ZERO,
+            dur,
+            meta: Vec::new(),
+        });
+        push_tail(&mut spans, t, t + dur, stages);
         let fusion = fused.metrics();
         // The compile-once step of the VM tier: lowering (and bytecode
         // optimization) happens here and nowhere else in the engine's
@@ -231,28 +241,20 @@ impl EngineBuilder {
                     ],
                 });
                 // Each optimization pass already timed itself
-                // (`PassStat::wall_ns`); lay the per-pass spans out
-                // back-to-back at the tail of the lower span.
-                let opt_total: u64 = m.opt_report().passes.iter().map(|p| p.wall_ns).sum();
-                let mut cursor = (t + dur)
-                    .checked_sub(Duration::from_nanos(opt_total))
-                    .unwrap_or(t);
-                for p in &m.opt_report().passes {
-                    let d = Duration::from_nanos(p.wall_ns);
-                    spans.push(Span {
-                        name: format!("opt/{}", p.pass),
-                        start: cursor,
-                        dur: d,
-                        meta: vec![
-                            ("before".to_string(), p.before.to_string()),
-                            ("after".to_string(), p.after.to_string()),
-                            ("unit".to_string(), p.unit.to_string()),
-                            ("rewrites".to_string(), p.rewrites.to_string()),
-                            ("action".to_string(), p.action.to_string()),
-                        ],
-                    });
-                    cursor += d;
-                }
+                // (`PassStat::wall_ns`).
+                let passes = m.opt_report().passes.iter().map(|p| Span {
+                    name: format!("opt/{}", p.pass),
+                    start: Duration::ZERO,
+                    dur: Duration::from_nanos(p.wall_ns),
+                    meta: vec![
+                        ("before".to_string(), p.before.to_string()),
+                        ("after".to_string(), p.after.to_string()),
+                        ("unit".to_string(), p.unit.to_string()),
+                        ("rewrites".to_string(), p.rewrites.to_string()),
+                        ("action".to_string(), p.action.to_string()),
+                    ],
+                });
+                push_tail(&mut spans, t, t + dur, passes);
                 Some(m)
             }
         };
@@ -285,5 +287,23 @@ impl EngineBuilder {
             probe: self.probe,
             compile_trace,
         })
+    }
+}
+
+/// Appends the spans of stages that timed themselves inside a parent span
+/// running from `start` to `end`, laid out back to back at its tail.
+fn push_tail(
+    spans: &mut Vec<Span>,
+    start: Duration,
+    end: Duration,
+    stages: impl IntoIterator<Item = Span>,
+) {
+    let first = spans.len();
+    spans.extend(stages);
+    let total: Duration = spans[first..].iter().map(|s| s.dur).sum();
+    let mut cursor = end.checked_sub(total).unwrap_or(start);
+    for span in &mut spans[first..] {
+        span.start = cursor;
+        cursor += span.dur;
     }
 }

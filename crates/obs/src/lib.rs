@@ -105,8 +105,9 @@ impl ExecProbe for ExecCounters {
 /// a few `key=value` size/delta annotations (op counts, rewrites, ...).
 #[derive(Clone, Debug)]
 pub struct Span {
-    /// Stage name (`parse`, `sema`, `fusion`, `lower`, `opt/peephole`,
-    /// `opt/regs`).
+    /// Stage name (`parse`, `sema`, `fusion`, its stages `fusion/summaries`,
+    /// `fusion/conflicts`, `fusion/group`, `fusion/explain` and
+    /// `fusion/emit`, then `lower`, `opt/peephole`, `opt/regs`).
     pub name: String,
     /// Offset of the stage start from the beginning of the build.
     pub start: Duration,
@@ -117,8 +118,8 @@ pub struct Span {
 }
 
 /// Every compile-side stage of one `Engine` build, in execution order:
-/// frontend (when the engine was built from source), fusion, bytecode
-/// lowering and each optimizer pass.
+/// frontend (when the engine was built from source), fusion and its
+/// stages, bytecode lowering and each optimizer pass.
 #[derive(Clone, Debug, Default)]
 pub struct CompileTrace {
     /// The stages, in execution order.

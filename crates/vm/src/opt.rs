@@ -8,7 +8,8 @@
 //! 1. **peephole** — fusion of hot adjacent pairs into
 //!    superinstructions (load-field + coerce, load + binop, compare +
 //!    branch, store-field from the accumulator, constant stores,
-//!    receiver navigation + call);
+//!    receiver navigation + call), in one scan per function over a
+//!    register-liveness solution computed once for that function;
 //! 2. **regs** — register-window compaction: each function's window
 //!    shrinks to the registers its fused body still touches.
 //!
@@ -304,8 +305,16 @@ pub(crate) fn successors(pc: u32, op: &Op, out: &mut Vec<u32>) {
     }
 }
 
-/// Per-op register liveness of one function body, from a standard
-/// backward dataflow fixpoint over the op-level control-flow graph.
+/// Per-op register liveness of one function body: a backward dataflow
+/// fixpoint over the op-level control-flow graph, solved once per
+/// function.
+///
+/// The solver keeps five bitset planes of `words` words per op in one flat
+/// arena: live-out, live-in, and the registers the op reads, writes and
+/// kills on its skip edge. The per-op masks are built once and a sweep
+/// allocates nothing. Lowering emits forward jumps only, so one backward
+/// sweep reaches the fixpoint; a back edge makes the solver sweep until
+/// nothing changes.
 ///
 /// One edge kills registers: a [`Op::SkipInactive`]'s argument window is
 /// dead on its skip edge, since a call copies only active parts'
@@ -314,80 +323,93 @@ pub(crate) fn successors(pc: u32, op: &Op, out: &mut Vec<u32>) {
 struct Liveness {
     entry: u32,
     words: usize,
-    /// `live_out[pc - entry]`: registers read on some path after `pc`.
-    live_out: Vec<Vec<u64>>,
+    /// `live_out[(pc - entry) * words..][..words]`: registers read on some
+    /// path after `pc`.
+    live_out: Vec<u64>,
 }
 
 impl Liveness {
     fn compute(ops: &[Op], calls: &[CallInfo], entry: u32, end: u32, total_regs: u16) -> Self {
-        let n = (end - entry) as usize;
+        const NONE: u32 = u32::MAX;
+        let body = &ops[entry as usize..end as usize];
+        let n = body.len();
         let words = (total_regs as usize).div_ceil(64).max(1);
-        let mut live_in = vec![vec![0u64; words]; n];
-        let mut live_out = vec![vec![0u64; words]; n];
+        let plane = n * words;
+        let mut arena = vec![0u64; 5 * plane];
+        let (live_out, rest) = arena.split_at_mut(plane);
+        let (live_in, rest) = rest.split_at_mut(plane);
+        let (uses, rest) = rest.split_at_mut(plane);
+        let (defs, kills) = rest.split_at_mut(plane);
+        let set = |bits: &mut [u64], i: usize, r: u16| {
+            bits[i * words + r as usize / 64] |= 1u64 << (r % 64);
+        };
+        // Per op, body-relative: the successor whose live-in flows in
+        // whole, and the one whose live-in flows in minus the op's kills.
+        let mut edges = vec![[NONE; 2]; n];
+        let mut back_edge = false;
         let mut reads = Vec::new();
         let mut succs = Vec::new();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for pc in (entry..end).rev() {
-                let i = (pc - entry) as usize;
-                let op = &ops[pc as usize];
-                succs.clear();
-                successors(pc, op, &mut succs);
-                let mut out = vec![0u64; words];
-                // Joins successor `s`'s live-in, minus the registers the
-                // edge kills.
-                let mut join = |s: u32, kill: std::ops::Range<u16>| {
-                    if (entry..end).contains(&s) {
-                        let live = &live_in[(s - entry) as usize];
-                        for (wi, (w, v)) in out.iter_mut().zip(live).enumerate() {
-                            let killed = kill
-                                .clone()
-                                .filter(|&r| r as usize / 64 == wi)
-                                .fold(0u64, |m, r| m | (1u64 << (r % 64)));
-                            *w |= *v & !killed;
-                        }
-                    }
-                };
-                match *op {
-                    Op::SkipInactive {
-                        nargs,
-                        args,
-                        target,
-                        ..
-                    } => {
-                        join(target, args..args + nargs as u16);
-                        join(pc + 1, 0..0);
-                    }
-                    _ => succs.iter().for_each(|&s| join(s, 0..0)),
+        for (i, op) in body.iter().enumerate() {
+            reads.clear();
+            reg_reads(op, calls, &mut reads);
+            for &r in &reads {
+                set(uses, i, r);
+            }
+            if let Some(w) = reg_write(op) {
+                set(defs, i, w);
+            }
+            if let Op::SkipInactive { nargs, args, .. } = *op {
+                for r in args..args + nargs as u16 {
+                    set(kills, i, r);
                 }
-                let mut inn = out.clone();
-                if let Some(w) = reg_write(op) {
-                    inn[w as usize / 64] &= !(1u64 << (w % 64));
-                }
-                reads.clear();
-                reg_reads(op, calls, &mut reads);
-                for &r in &reads {
-                    inn[r as usize / 64] |= 1u64 << (r % 64);
-                }
-                if out != live_out[i] || inn != live_in[i] {
-                    changed = true;
-                    live_out[i] = out;
-                    live_in[i] = inn;
+            }
+            let pc = entry + i as u32;
+            succs.clear();
+            successors(pc, op, &mut succs);
+            for (slot, &s) in edges[i].iter_mut().zip(&succs) {
+                if (entry..end).contains(&s) {
+                    *slot = s - entry;
+                    back_edge |= s <= pc;
                 }
             }
         }
+        loop {
+            let mut changed = false;
+            for i in (0..n).rev() {
+                let [whole, killed] = edges[i];
+                for w in i * words..(i + 1) * words {
+                    let mut out = 0;
+                    if whole != NONE {
+                        out |= live_in[whole as usize * words + w % words];
+                    }
+                    if killed != NONE {
+                        out |= live_in[killed as usize * words + w % words] & !kills[w];
+                    }
+                    let inn = uses[w] | (out & !defs[w]);
+                    if out != live_out[w] || inn != live_in[w] {
+                        changed = true;
+                        live_out[w] = out;
+                        live_in[w] = inn;
+                    }
+                }
+            }
+            if !changed || !back_edge {
+                break;
+            }
+        }
+        arena.truncate(plane);
         Liveness {
             entry,
             words,
-            live_out,
+            live_out: arena,
         }
     }
 
     /// Is `reg` read on some path after the op at `pc` executes?
     fn live_after(&self, pc: u32, reg: u16) -> bool {
         debug_assert!((reg as usize) < self.words * 64);
-        self.live_out[(pc - self.entry) as usize][reg as usize / 64] & (1u64 << (reg % 64)) != 0
+        let w = (pc - self.entry) as usize * self.words + reg as usize / 64;
+        self.live_out[w] & (1u64 << (reg % 64)) != 0
     }
 }
 
@@ -474,8 +496,8 @@ fn fuse_pair(a: Op, b: Op, dead: impl Fn(u16) -> bool) -> Option<Op> {
             Some(Op::GlobBin { op, dst, a, idx })
         }
         // ---- compare feeding a branch ----
-        // Second-round patterns: the kind-tag test `if (x.kind == K)`
-        // fuses Const+Bin in round one, then ConstBin+Branch here.
+        // Retry patterns: the kind-tag test `if (x.kind == K)` fuses
+        // Const+Bin, then the retry fuses ConstBin+Branch here.
         (Op::ConstBin { op, dst: r, a, c }, Op::Branch { cond, target })
             if cond == r && dead(r) =>
         {
@@ -608,24 +630,46 @@ fn fuse_pair(a: Op, b: Op, dead: impl Fn(u16) -> bool) -> Option<Op> {
     }
 }
 
-/// Peephole fusion of adjacent op pairs into superinstructions, iterated
-/// to a fixpoint (a round-one superinstruction can fuse again — e.g.
-/// `Const+Bin` → `ConstBin`, then `ConstBin+Branch` → `ConstBinBranch`).
+/// Peephole fusion of adjacent op pairs into superinstructions, in one
+/// scan per function.
 ///
 /// A pair fuses only when (a) the second op is not a jump target (control
 /// could enter mid-pair) and (b) the register the pair communicates
 /// through is dead afterwards, per the function's liveness solution. The
 /// replacement charges exactly what the pair charged.
+///
+/// A fused op is retried against the op after the pair, so a chain fuses
+/// in the same scan: `Const+Bin` → `ConstBin`, then `ConstBin+Branch` →
+/// `ConstBinBranch`. Liveness is solved once per function, before any
+/// fusion, and stays valid throughout: a fusion only drops the write of an
+/// intermediate that is dead after the pair, so what is live after each
+/// remaining op does not change. One [`compact`] drops the fused-away ops.
 fn peephole_pass(module: &mut Module) -> PassStat {
     let before = module.ops.len();
+    let targets = jump_target_flags(module);
+    let mut deleted = vec![false; module.ops.len()];
     let mut rewrites = 0usize;
-    loop {
-        let round = peephole_round(module);
-        rewrites += round;
-        if round == 0 {
-            break;
+    for f in &module.funcs {
+        let live = Liveness::compute(&module.ops, &module.calls, f.entry, f.end, f.total_regs);
+        let mut pc = f.entry;
+        while pc + 1 < f.end {
+            // `pc` holds the (possibly already fused) first op; `next` is
+            // the op after it that is not yet deleted.
+            let mut next = pc + 1;
+            while next < f.end && !targets[next as usize] {
+                let (a, b) = (module.ops[pc as usize], module.ops[next as usize]);
+                let Some(fused) = fuse_pair(a, b, |r| !live.live_after(next, r)) else {
+                    break;
+                };
+                module.ops[pc as usize] = fused;
+                deleted[next as usize] = true;
+                rewrites += 1;
+                next += 1;
+            }
+            pc = next;
         }
     }
+    compact(module, &deleted);
     PassStat {
         wall_ns: 0,
         pass: "peephole",
@@ -635,43 +679,6 @@ fn peephole_pass(module: &mut Module) -> PassStat {
         rewrites,
         action: "fused",
     }
-}
-
-/// One scan-and-compact round of the peephole pass; returns the number
-/// of pairs fused.
-fn peephole_round(module: &mut Module) -> usize {
-    let targets = jump_target_flags(module);
-    let mut deleted = vec![false; module.ops.len()];
-    let mut rewrites = 0usize;
-    for fi in 0..module.funcs.len() {
-        let (entry, end, total_regs) = {
-            let f = &module.funcs[fi];
-            (f.entry, f.end, f.total_regs)
-        };
-        let live = Liveness::compute(&module.ops, &module.calls, entry, end, total_regs);
-        let mut pc = entry;
-        while pc + 1 < end {
-            if deleted[pc as usize] {
-                pc += 1;
-                continue;
-            }
-            if targets[(pc + 1) as usize] {
-                pc += 1;
-                continue;
-            }
-            let (a, b) = (module.ops[pc as usize], module.ops[(pc + 1) as usize]);
-            if let Some(fused) = fuse_pair(a, b, |r| !live.live_after(pc + 1, r)) {
-                module.ops[pc as usize] = fused;
-                deleted[(pc + 1) as usize] = true;
-                rewrites += 1;
-                pc += 2;
-            } else {
-                pc += 1;
-            }
-        }
-    }
-    compact(module, &deleted);
-    rewrites
 }
 
 // ---- pass 2: register-window compaction ----------------------------------
@@ -710,5 +717,189 @@ fn regs_pass(module: &mut Module) -> PassStat {
         unit: "reg",
         rewrites,
         action: "shrunk",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::module::CallPartInfo;
+    use grafter::FusionOptions;
+    use grafter_workloads::case_studies;
+
+    /// The textbook solver [`Liveness`] replaces: a vector per op, joined
+    /// one successor at a time and swept until nothing changes.
+    fn reference_live_out(
+        ops: &[Op],
+        calls: &[CallInfo],
+        entry: u32,
+        end: u32,
+        total_regs: u16,
+    ) -> Vec<Vec<bool>> {
+        let n = (end - entry) as usize;
+        let regs = total_regs as usize;
+        let mut live_in = vec![vec![false; regs]; n];
+        let mut live_out = vec![vec![false; regs]; n];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for pc in (entry..end).rev() {
+                let i = (pc - entry) as usize;
+                let op = &ops[pc as usize];
+                let mut succs = Vec::new();
+                successors(pc, op, &mut succs);
+                let mut out = vec![false; regs];
+                for s in succs.into_iter().filter(|s| (entry..end).contains(s)) {
+                    let killed = |r: usize| match *op {
+                        Op::SkipInactive {
+                            nargs,
+                            args,
+                            target,
+                            ..
+                        } => {
+                            s == target
+                                && (args as usize..args as usize + nargs as usize).contains(&r)
+                        }
+                        _ => false,
+                    };
+                    let live = &live_in[(s - entry) as usize];
+                    for r in 0..regs {
+                        out[r] |= live[r] && !killed(r);
+                    }
+                }
+                let mut inn = out.clone();
+                if let Some(w) = reg_write(op) {
+                    inn[w as usize] = false;
+                }
+                let mut reads = Vec::new();
+                reg_reads(op, calls, &mut reads);
+                for r in reads {
+                    inn[r as usize] = true;
+                }
+                if out != live_out[i] || inn != live_in[i] {
+                    changed = true;
+                    live_out[i] = out;
+                    live_in[i] = inn;
+                }
+            }
+        }
+        live_out
+    }
+
+    fn assert_same_liveness(
+        ops: &[Op],
+        calls: &[CallInfo],
+        entry: u32,
+        end: u32,
+        total_regs: u16,
+        what: &str,
+    ) {
+        let live = Liveness::compute(ops, calls, entry, end, total_regs);
+        let reference = reference_live_out(ops, calls, entry, end, total_regs);
+        for pc in entry..end {
+            for reg in 0..total_regs {
+                assert_eq!(
+                    live.live_after(pc, reg),
+                    reference[(pc - entry) as usize][reg as usize],
+                    "{what}: r{reg} after pc {pc}"
+                );
+            }
+        }
+    }
+
+    /// The eight case-study modules (fused and unfused) at `level`.
+    fn case_study_modules(level: OptLevel) -> Vec<(String, Module)> {
+        let mut modules = Vec::new();
+        for case in case_studies() {
+            for (label, opts) in [
+                ("fused", FusionOptions::default()),
+                ("unfused", FusionOptions::unfused()),
+            ] {
+                let fused = grafter::fuse(
+                    case.compiled.program(),
+                    case.root_class,
+                    &case.passes,
+                    &opts,
+                )
+                .expect("case-study entry sequence resolves");
+                let module = crate::lower_with(&fused, &VmOptions::with_opt_level(level));
+                modules.push((format!("{} {label}", case.name), module));
+            }
+        }
+        modules
+    }
+
+    #[test]
+    fn liveness_matches_a_naive_fixpoint_on_every_case_study_function() {
+        let mut functions = 0;
+        for (name, module) in case_study_modules(OptLevel::O0) {
+            for f in &module.funcs {
+                let what = format!("{name} {}", f.name);
+                assert_same_liveness(
+                    &module.ops,
+                    &module.calls,
+                    f.entry,
+                    f.end,
+                    f.total_regs,
+                    &what,
+                );
+                functions += 1;
+            }
+        }
+        assert!(functions > 200, "{functions} functions");
+    }
+
+    #[test]
+    fn a_skipped_argument_window_is_dead_on_the_skip_edge() {
+        // nav r0; skipoff r1..r1 -> 3; const r1; call r0 (args r1); ret
+        let ops = [
+            Op::Nav {
+                dst: 0,
+                path: 0,
+                null_target: 4,
+            },
+            Op::SkipInactive {
+                traversal: 0,
+                nargs: 1,
+                args: 1,
+                target: 3,
+            },
+            Op::Const { dst: 1, c: 0 },
+            Op::Call {
+                call: 0,
+                child: 0,
+                argbase: 1,
+            },
+            Op::Ret,
+        ];
+        let calls = [CallInfo {
+            stub: 0,
+            charge_flags: true,
+            parts: Box::new([CallPartInfo {
+                traversal: 0,
+                argbase: 0,
+                nargs: 1,
+            }]),
+        }];
+        let live = Liveness::compute(&ops, &calls, 0, 5, 2);
+        // The call reads its argument on the path that evaluated it...
+        assert!(live.live_after(2, 1));
+        // ...but not on the skip edge, so the window is dead before it.
+        assert!(!live.live_after(1, 1));
+        assert!(!live.live_after(0, 1));
+        assert!(live.live_after(0, 0) && live.live_after(1, 0));
+        assert_same_liveness(&ops, &calls, 0, 5, 2, "hand-built");
+    }
+
+    #[test]
+    fn one_peephole_scan_leaves_nothing_to_fuse() {
+        // A second scan over the optimized modules finds no pair: the
+        // retry fused every chain the scan opened.
+        for (name, mut module) in case_study_modules(OptLevel::O2) {
+            let ops = module.ops.len();
+            let again = peephole_pass(&mut module);
+            assert_eq!(again.rewrites, 0, "{name}");
+            assert_eq!(module.ops.len(), ops, "{name}");
+        }
     }
 }
