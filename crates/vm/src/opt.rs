@@ -892,6 +892,22 @@ mod tests {
     }
 
     #[test]
+    fn a_back_edge_is_swept_to_the_fixpoint() {
+        // Lowering jumps forward only; a loop needs more than one sweep.
+        // const r1; brfalse r0 -> 4; mov r2 <- r1; jump 1; ret
+        let ops = [
+            Op::Const { dst: 1, c: 0 },
+            Op::Branch { cond: 0, target: 4 },
+            Op::Mov { dst: 2, src: 1 },
+            Op::Jump { target: 1 },
+            Op::Ret,
+        ];
+        let live = Liveness::compute(&ops, &[], 0, 5, 3);
+        assert!(live.live_after(3, 1) && live.live_after(3, 0));
+        assert_same_liveness(&ops, &[], 0, 5, 3, "loop");
+    }
+
+    #[test]
     fn one_peephole_scan_leaves_nothing_to_fuse() {
         // A second scan over the optimized modules finds no pair: the
         // retry fused every chain the scan opened.

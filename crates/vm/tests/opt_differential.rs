@@ -214,8 +214,8 @@ fn pattern_glob_bin_fires() {
 
 #[test]
 fn pattern_const_bin_branch_fires() {
-    // The kind-tag idiom: ReadTree, Const+Bin -> ConstBin (round one),
-    // ConstBin + Branch -> cmpbr.c (round two).
+    // The kind-tag idiom: ReadTree, Const+Bin -> ConstBin, then the
+    // peephole's retry fuses ConstBin + Branch -> cmpbr.c.
     check_list_pattern("if (a == 1) { b = p; }", "cmpbr.c");
 }
 

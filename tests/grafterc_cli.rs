@@ -285,6 +285,44 @@ fn explain_json_names_blocking_reasons_on_the_ast_workload() {
 }
 
 #[test]
+fn profile_lists_fusion_and_optimizer_stages() {
+    let (_, stderr, code) = grafterc(
+        &[
+            "-",
+            "--root",
+            grafter_workloads::ast::ROOT_CLASS,
+            "--passes",
+            &grafter_workloads::ast::PASSES.join(","),
+            "--backend",
+            "vm",
+            "--emit",
+            "none",
+            "--profile",
+        ],
+        grafter_workloads::ast::SOURCE,
+    );
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    for stage in [
+        "fusion",
+        "fusion/summaries",
+        "fusion/conflicts",
+        "fusion/group",
+        "fusion/explain",
+        "fusion/emit",
+        "lower",
+        "opt/peephole",
+        "opt/regs",
+    ] {
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.split_whitespace().nth(3) == Some(stage)),
+            "`{stage}` missing from the profile:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn stats_report_the_opt_level() {
     let (_, stderr, code) = grafterc(
         &[

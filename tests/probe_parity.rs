@@ -124,6 +124,11 @@ fn compile_trace_names_every_stage_per_tier() {
                 "parse",
                 "sema",
                 "fusion",
+                "fusion/summaries",
+                "fusion/conflicts",
+                "fusion/group",
+                "fusion/explain",
+                "fusion/emit",
                 "lower",
                 "opt/peephole",
                 "opt/regs",
@@ -133,6 +138,23 @@ fn compile_trace_names_every_stage_per_tier() {
                     "{}: stage `{expected}` missing from {stages:?}",
                     case.name
                 );
+            }
+            // Stages that timed themselves sit inside their parent span.
+            for (parent, prefix) in [("fusion", "fusion/"), ("lower", "opt/")] {
+                let outer = trace.span(parent).unwrap();
+                for inner in trace.spans.iter().filter(|s| s.name.starts_with(prefix)) {
+                    assert!(
+                        inner.start >= outer.start
+                            && inner.start + inner.dur <= outer.start + outer.dur,
+                        "{}: `{}` {:?}+{:?} outside `{parent}` {:?}+{:?}",
+                        case.name,
+                        inner.name,
+                        inner.start,
+                        inner.dur,
+                        outer.start,
+                        outer.dur
+                    );
+                }
             }
             // Engines keep their compile trace even without a probe.
             let unprobed = case.engine(Backend::Vm);
