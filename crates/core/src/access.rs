@@ -114,10 +114,11 @@ type StmtKey = (MethodId, usize);
 /// A hash map keyed by tuples of program ids, hashed by [`IdHasher`].
 type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
-/// A multiply-rotate hasher (the Fx construction) for the memo keys.
-/// They are tuples of small ids from the program being compiled, so
-/// SipHash's resistance to chosen keys buys nothing, and the conflict memo
-/// is looked up once per statement pair of every dependence graph.
+/// A multiply-rotate hasher (the Fx construction) for the memo keys, which
+/// the conflict memo alone is asked once per statement pair of every
+/// dependence graph. The keys are tuples of dense ids the compiler assigns
+/// (method, class, statement index), not values a source can pick, so
+/// SipHash's resistance to chosen keys buys nothing here.
 #[derive(Default)]
 struct IdHasher(u64);
 
@@ -209,7 +210,7 @@ impl<'p> ProgramAccesses<'p> {
 
     /// Wall time spent building summaries so far (call automata included;
     /// a summary built inside another is counted once, in the outer one).
-    pub fn summary_time(&self) -> Duration {
+    pub(crate) fn summary_time(&self) -> Duration {
         self.summary_time
     }
 

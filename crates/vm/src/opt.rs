@@ -345,6 +345,8 @@ impl Liveness {
         };
         // Per op, body-relative: the successor whose live-in flows in
         // whole, and the one whose live-in flows in minus the op's kills.
+        // `successors` lists the fall-through first, so a `SkipInactive`'s
+        // skip edge takes the second slot.
         let mut edges = vec![[NONE; 2]; n];
         let mut back_edge = false;
         let mut reads = Vec::new();
@@ -727,7 +729,7 @@ mod tests {
     use grafter::FusionOptions;
     use grafter_workloads::case_studies;
 
-    /// The textbook solver [`Liveness`] replaces: a vector per op, joined
+    /// A textbook solver to hold [`Liveness`] to: a vector per op, joined
     /// one successor at a time and swept until nothing changes.
     fn reference_live_out(
         ops: &[Op],
