@@ -447,9 +447,9 @@ fn bodies_without_a_call_pair_keep_source_order_in_linear_time() {
 #[test]
 fn bodies_without_a_same_receiver_pair_keep_source_order_in_linear_time() {
     // Two calls on different children around 5,000 statements: no pair of
-    // calls could group, so no conflict test per statement pair is needed
-    // (29 s and 1.27 GB here when the graph was built). Many statements
-    // between two calls on the same child still cost a quadratic graph.
+    // calls could group, so the schedule needs no conflict test per
+    // statement pair. Many statements between two calls on the same child
+    // still cost a quadratic graph.
     let stmts: String = (0..5000).map(|i| format!("G = {i}; ")).collect();
     let src = format!(
         "global int G = 0;
