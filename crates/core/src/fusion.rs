@@ -533,7 +533,8 @@ impl Fuser<'_> {
         self.fn_keys.insert(seq.clone(), id);
 
         let merged = DepGraph::merge_bodies(self.program, &seq);
-        let (group_of, order) = if !has_same_receiver_pair(&merged) {
+        let receivers = receiver_keys(&merged);
+        let (group_of, order) = if !has_same_receiver_pair(&merged, &receivers) {
             // No two calls could group and no pair gets a verdict, so the
             // schedule is source order (what the dependence-respecting
             // schedule of singleton groups yields): skip the graph's one
@@ -548,7 +549,7 @@ impl Fuser<'_> {
             // Building the summaries the graph asked for is taken out at
             // the end of the run.
             self.charge(|t| &mut t.conflicts);
-            let (group_of, n_groups) = self.group_calls(&seq, &merged, &graph);
+            let (group_of, n_groups) = self.group_calls(&seq, &merged, &receivers, &graph);
             let order = graph.schedule(&group_of, n_groups);
             debug_assert!(graph.order_is_valid(&order));
             self.charge(|t| &mut t.group);
@@ -567,6 +568,7 @@ impl Fuser<'_> {
         &mut self,
         seq: &[MethodId],
         merged: &[MergedStmt],
+        receivers: &[Vec<FieldId>],
         graph: &DepGraph,
     ) -> (Vec<usize>, usize) {
         let n = merged.len();
@@ -576,12 +578,6 @@ impl Fuser<'_> {
         let call_vertices: Vec<usize> = (0..n)
             .filter(|&v| matches!(merged[v].stmt, Stmt::Traverse(_)))
             .collect();
-        let receiver_key = |v: usize| -> Vec<u32> {
-            let Stmt::Traverse(call) = &merged[v].stmt else {
-                unreachable!("call vertices are traverses");
-            };
-            call.receiver.fields().map(|f| f.0).collect()
-        };
         let slot_of = |v: usize| -> MethodId {
             let Stmt::Traverse(call) = &merged[v].stmt else {
                 unreachable!("call vertices are traverses");
@@ -606,10 +602,10 @@ impl Fuser<'_> {
             }
             grouped[u] = true;
             let mut members = vec![u];
-            let key = receiver_key(u);
+            let key = &receivers[u];
             let mut types = vec![static_target(self, u).unwrap_or(ClassId(0))];
             for &v in &call_vertices {
-                if grouped[v] || receiver_key(v) != key {
+                if grouped[v] || receivers[v] != *key {
                     continue;
                 }
                 if members.len() + 1 > self.opts.max_group_size {
@@ -700,7 +696,7 @@ impl Fuser<'_> {
         };
         for (i, &u) in call_vertices.iter().enumerate() {
             for &v in &call_vertices[i + 1..] {
-                if receiver_key(u) != receiver_key(v) {
+                if receivers[u] != receivers[v] {
                     continue;
                 }
                 let verdict = if self.opts.grouping && group_of[u] == group_of[v] {
@@ -842,20 +838,31 @@ impl Fuser<'_> {
     }
 }
 
-/// Whether two traversing calls of `merged` share a receiver path, the key
-/// [`Fuser::group_calls`] groups on and counts candidate pairs by.
-fn has_same_receiver_pair(merged: &[MergedStmt]) -> bool {
-    let mut receivers: Vec<Vec<FieldId>> = merged
+/// The receiver path of each traversing call of `merged`, empty for other
+/// statements: the key [`Fuser::group_calls`] groups calls on and counts
+/// candidate pairs by.
+fn receiver_keys(merged: &[MergedStmt]) -> Vec<Vec<FieldId>> {
+    merged
         .iter()
-        .filter_map(|m| match &m.stmt {
-            Stmt::Traverse(call) => Some(call.receiver.fields().collect()),
-            _ => None,
+        .map(|m| match &m.stmt {
+            Stmt::Traverse(call) => call.receiver.fields().collect(),
+            _ => Vec::new(),
         })
+        .collect()
+}
+
+/// Whether two traversing calls of `merged` share a receiver key.
+fn has_same_receiver_pair(merged: &[MergedStmt], receivers: &[Vec<FieldId>]) -> bool {
+    let mut keys: Vec<&[FieldId]> = merged
+        .iter()
+        .zip(receivers)
+        .filter(|(m, _)| matches!(m.stmt, Stmt::Traverse(_)))
+        .map(|(_, key)| key.as_slice())
         .collect();
-    let calls = receivers.len();
-    receivers.sort_unstable();
-    receivers.dedup();
-    receivers.len() < calls
+    let calls = keys.len();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.len() < calls
 }
 
 /// The explain record of one call site: the invoked slot's name plus the
