@@ -53,16 +53,13 @@ fn emit_function(fp: &FusedProgram, f: &crate::fusion::FusedFn, out: &mut String
     }
     for item in &f.body {
         match item {
-            ScheduledItem::Stmt { traversal, stmt } => {
+            &ScheduledItem::Stmt { traversal, index } => {
                 let _ = writeln!(out, "  if (active_flags & 0b{:b}) {{", 1u64 << traversal);
-                emit_stmt(p, f.seq[*traversal], *traversal, stmt, 2, out);
+                let stmt = fp.stmt(f, traversal, index);
+                emit_stmt(p, f.seq[traversal], traversal, stmt, 2, out);
                 let _ = writeln!(out, "  }}");
             }
-            ScheduledItem::Call {
-                receiver,
-                stub,
-                parts,
-            } => {
+            ScheduledItem::Call { stub, parts } => {
                 let mask: u64 = parts.iter().fold(0, |m, part| m | (1u64 << part.traversal));
                 let _ = writeln!(out, "  if (active_flags & 0b{mask:b}) /* call */ {{");
                 let _ = writeln!(out, "    unsigned int call_flags = 0;");
@@ -74,6 +71,7 @@ fn emit_function(fp: &FusedProgram, f: &crate::fusion::FusedFn, out: &mut String
                         part.traversal
                     );
                 }
+                let receiver = fp.receiver(f, parts);
                 let recv_str =
                     node_path_str(p, f.seq[parts[0].traversal], parts[0].traversal, receiver);
                 let _ = writeln!(

@@ -25,14 +25,14 @@ use grafter_frontend::{MethodId, Program, Stmt};
 use crate::access::ProgramAccesses;
 
 /// One statement of a merged (outlined + inlined) function body.
-#[derive(Clone, Debug)]
-pub struct MergedStmt {
+#[derive(Clone, Copy, Debug)]
+pub struct MergedStmt<'p> {
     /// Which element of the fused sequence the statement came from.
     pub traversal: usize,
     /// Statement index within that traversal's body.
     pub index: usize,
-    /// The statement itself.
-    pub stmt: Stmt,
+    /// The statement itself, borrowed from the program.
+    pub stmt: &'p Stmt,
 }
 
 /// The dependence graph of a merged function body.
@@ -45,14 +45,14 @@ pub struct DepGraph {
 impl DepGraph {
     /// Builds the merged statement list for a sequence of concrete
     /// functions, all invoked on the same node.
-    pub fn merge_bodies(program: &Program, seq: &[MethodId]) -> Vec<MergedStmt> {
+    pub fn merge_bodies<'p>(program: &'p Program, seq: &[MethodId]) -> Vec<MergedStmt<'p>> {
         let mut merged = Vec::new();
         for (ti, &m) in seq.iter().enumerate() {
             for (si, stmt) in program.methods[m.index()].body.iter().enumerate() {
                 merged.push(MergedStmt {
                     traversal: ti,
                     index: si,
-                    stmt: stmt.clone(),
+                    stmt,
                 });
             }
         }

@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use grafter_frontend::{ClassId, Expr, FieldId, MethodId, NodePath, Program, Stmt};
+use grafter_frontend::{ClassId, FieldId, MethodId, NodePath, Program, Stmt, TraverseStmt};
 
 use crate::access::ProgramAccesses;
 use crate::depgraph::{DepGraph, MergedStmt};
@@ -51,9 +51,13 @@ pub struct StubId(pub u32);
 ///
 /// | Knob | Default | Effect |
 /// |---|---|---|
-/// | `max_group_size` | 8 | longest sequence of traversal functions fused into one |
+/// | `max_group_size` | 8 | most calls on one child grouped into one dispatch |
 /// | `max_occurrences` | 5 | how often one static function may repeat within a group |
 /// | `grouping` | `true` | `false` disables fusion entirely (the unfused baseline) |
+///
+/// A fused function holds at most [`MAX_TRAVERSALS`] traversal copies,
+/// because active flags are one 64-bit word: [`fuse`] rejects a fused
+/// entry sequence or a `max_group_size` past that limit.
 ///
 /// Construct the baseline with [`FuseOptions::unfused`], or tighten
 /// cutoffs with struct-update syntax:
@@ -65,11 +69,12 @@ pub struct StubId(pub u32);
 /// assert!(tight.grouping);
 /// assert!(!FusionOptions::unfused().grouping);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FuseOptions {
-    /// Maximum number of traversal functions fused into one sequence
-    /// ("limiting the length of a sequence of functions to fuse").
-    /// Longer entry sequences split into multiple passes.
+    /// Maximum number of calls on one child grouped into one dispatch
+    /// ("limiting the length of a sequence of functions to fuse"). It
+    /// bounds only the groups formed inside fused bodies: the entry
+    /// sequence fuses whole, however long, up to [`MAX_TRAVERSALS`].
     pub max_group_size: usize,
     /// Maximum number of times one static function may appear in a group
     /// ("limiting the number of times any one static function can
@@ -105,33 +110,32 @@ impl FuseOptions {
     }
 }
 
-/// One member of a grouped traversing call.
-#[derive(Clone, Debug)]
+/// One member of a grouped traversing call: the position of its
+/// [`Stmt::Traverse`] in the source program (see [`FusedProgram::call`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CallPart {
     /// Which traversal copy of the enclosing fused function the call
     /// belongs to (its active flag index).
     pub traversal: usize,
-    /// The dispatch slot being invoked.
-    pub slot: MethodId,
-    /// Argument expressions, evaluated in the caller's frame for
-    /// `traversal`.
-    pub args: Vec<Expr>,
+    /// Index of the call in that traversal's body.
+    pub index: usize,
 }
 
-/// An element of a fused function's scheduled body.
-#[derive(Clone, Debug)]
+/// An element of a fused function's scheduled body. Items name source
+/// statements by position; [`FusedProgram::stmt`], [`FusedProgram::call`]
+/// and [`FusedProgram::receiver`] resolve them.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScheduledItem {
     /// A simple statement, guarded by its traversal's active flag.
     Stmt {
-        /// Flag index of the traversal copy the statement came from.
+        /// Flag index of the traversal copy the statement came from (its
+        /// locals refer to the frame of `traversal`).
         traversal: usize,
-        /// The statement (locals refer to the frame of `traversal`).
-        stmt: Stmt,
+        /// Index of the statement in that traversal's body.
+        index: usize,
     },
     /// A grouped traversing call, lowered to a dispatch through `stub`.
     Call {
-        /// The common receiver path of the grouped calls.
-        receiver: NodePath,
         /// The stub dispatching to the fused child sequence.
         stub: StubId,
         /// The grouped calls in execution order; part `i` drives child
@@ -241,6 +245,28 @@ impl FusedProgram {
         &self.stubs[id.0 as usize]
     }
 
+    /// Statement `index` of traversal copy `traversal` of `f`: what a
+    /// [`ScheduledItem::Stmt`] names.
+    pub fn stmt(&self, f: &FusedFn, traversal: usize, index: usize) -> &Stmt {
+        &self.program.methods[f.seq[traversal].index()].body[index]
+    }
+
+    /// The traversing call a part of one of `f`'s grouped calls names.
+    pub fn call(&self, f: &FusedFn, part: CallPart) -> &TraverseStmt {
+        match self.stmt(f, part.traversal, part.index) {
+            Stmt::Traverse(call) => call,
+            _ => unreachable!("call parts name traversing calls"),
+        }
+    }
+
+    /// The receiver path of one of `f`'s grouped calls. Grouped calls
+    /// share the receiver's fields and may differ only in casts; this is
+    /// the last part's.
+    pub fn receiver(&self, f: &FusedFn, parts: &[CallPart]) -> &NodePath {
+        let last = *parts.last().expect("a grouped call has a part");
+        &self.call(f, last).receiver
+    }
+
     /// Whether fusion achieved a single visit per child everywhere: the
     /// whole entry sequence starts as one pass and no fused function's body
     /// contains two grouped calls with the same receiver path.
@@ -251,7 +277,9 @@ impl FusedProgram {
                     .body
                     .iter()
                     .filter_map(|item| match item {
-                        ScheduledItem::Call { receiver, .. } => Some(receiver.fields().collect()),
+                        ScheduledItem::Call { parts, .. } => {
+                            Some(self.receiver(f, parts).fields().collect())
+                        }
                         ScheduledItem::Stmt { .. } => None,
                     })
                     .collect();
@@ -318,6 +346,22 @@ impl FusionTimes {
     }
 }
 
+/// Most traversal copies one fused function may hold: active flags are
+/// one `u64`.
+pub const MAX_TRAVERSALS: usize = 64;
+
+/// The active flags a run enters an entry stub of `parts` dispatch slots
+/// with: every part active. A fused program has one entry covering the
+/// whole sequence and the unfused baseline one single-part entry per
+/// traversal, so the entries split the passes in order.
+pub fn entry_flags(parts: usize) -> u64 {
+    if parts >= MAX_TRAVERSALS {
+        u64::MAX
+    } else {
+        (1u64 << parts) - 1
+    }
+}
+
 /// An error reported by the fusion driver.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FuseError {
@@ -325,6 +369,15 @@ pub enum FuseError {
     UnknownClass(String),
     /// A requested traversal does not exist on the root class.
     UnknownTraversal(String, String),
+    /// A fused entry sequence (`what` is `"fused entry"`) or
+    /// `max_group_size` would put more than [`MAX_TRAVERSALS`] traversal
+    /// copies in one fused function.
+    TooManyTraversals {
+        /// What exceeds the limit.
+        what: &'static str,
+        /// Its traversal count.
+        count: usize,
+    },
 }
 
 impl fmt::Display for FuseError {
@@ -334,6 +387,11 @@ impl fmt::Display for FuseError {
             FuseError::UnknownTraversal(c, t) => {
                 write!(f, "no traversal `{t}` on class `{c}`")
             }
+            FuseError::TooManyTraversals { what, count } => write!(
+                f,
+                "{what} of {count} traversals exceeds the limit of {MAX_TRAVERSALS} per fused \
+                 function"
+            ),
         }
     }
 }
@@ -348,7 +406,8 @@ impl std::error::Error for FuseError {}
 ///
 /// # Errors
 ///
-/// Returns [`FuseError`] if the class or a traversal name does not resolve.
+/// Returns [`FuseError`] if the class or a traversal name does not
+/// resolve, or if a fused function could exceed [`MAX_TRAVERSALS`].
 pub fn fuse(
     program: &Program,
     root_class: &str,
@@ -380,20 +439,25 @@ pub fn fuse_timed(
             .ok_or_else(|| FuseError::UnknownTraversal(root_class.to_string(), t.to_string()))?;
         slots.push(program.methods[m.index()].slot);
     }
-    Ok(fuse_slots_timed(program, class, &slots, opts))
+    fuse_slots_timed(program, class, &slots, opts)
 }
 
 /// Fuses a sequence of dispatch slots on a root of static type `class`.
 ///
 /// Like [`fuse`] but with resolved ids; useful when driving the compiler
 /// programmatically.
+///
+/// # Errors
+///
+/// Returns [`FuseError::TooManyTraversals`] if a fused function could
+/// exceed [`MAX_TRAVERSALS`].
 pub fn fuse_slots(
     program: &Program,
     class: ClassId,
     slots: &[MethodId],
     opts: &FuseOptions,
-) -> FusedProgram {
-    fuse_slots_timed(program, class, slots, opts).0
+) -> Result<FusedProgram, FuseError> {
+    fuse_slots_timed(program, class, slots, opts).map(|(fused, _)| fused)
 }
 
 fn fuse_slots_timed(
@@ -401,7 +465,19 @@ fn fuse_slots_timed(
     class: ClassId,
     slots: &[MethodId],
     opts: &FuseOptions,
-) -> (FusedProgram, FusionTimes) {
+) -> Result<(FusedProgram, FusionTimes), FuseError> {
+    if opts.grouping && slots.len() > MAX_TRAVERSALS {
+        return Err(FuseError::TooManyTraversals {
+            what: "fused entry",
+            count: slots.len(),
+        });
+    }
+    if opts.max_group_size > MAX_TRAVERSALS {
+        return Err(FuseError::TooManyTraversals {
+            what: "max_group_size",
+            count: opts.max_group_size,
+        });
+    }
     let mut fuser = Fuser {
         program,
         accesses: ProgramAccesses::new(program),
@@ -438,7 +514,7 @@ fn fuse_slots_timed(
         coverage: fuser.coverage,
         explain: fuser.explain,
     };
-    (fused, times)
+    Ok((fused, times))
 }
 
 struct Fuser<'p> {
@@ -579,13 +655,13 @@ impl Fuser<'_> {
             .filter(|&v| matches!(merged[v].stmt, Stmt::Traverse(_)))
             .collect();
         let slot_of = |v: usize| -> MethodId {
-            let Stmt::Traverse(call) = &merged[v].stmt else {
+            let Stmt::Traverse(call) = merged[v].stmt else {
                 unreachable!("call vertices are traverses");
             };
             call.slot
         };
         let static_target = |fuser: &Self, v: usize| -> Option<ClassId> {
-            let Stmt::Traverse(call) = &merged[v].stmt else {
+            let Stmt::Traverse(call) = merged[v].stmt else {
                 unreachable!("call vertices are traverses");
             };
             let owner = fuser.program.methods[seq[merged[v].traversal].index()].class;
@@ -788,51 +864,46 @@ impl Fuser<'_> {
         let mut emitted_groups: Vec<bool> = vec![false; merged.len() + 1];
         let mut body = Vec::new();
         for &v in order {
-            match &merged[v].stmt {
-                Stmt::Traverse(_) => {
-                    let g = group_of[v];
-                    if emitted_groups[g] {
-                        continue;
-                    }
-                    emitted_groups[g] = true;
-                    // Collect members of the group in merged order.
-                    let members: Vec<usize> =
-                        (0..merged.len()).filter(|&w| group_of[w] == g).collect();
-                    let mut parts = Vec::new();
-                    let mut types = Vec::new();
-                    let mut receiver = NodePath::this();
-                    for &w in &members {
-                        let Stmt::Traverse(call) = &merged[w].stmt else {
-                            unreachable!("group members are traverses");
-                        };
-                        receiver = call.receiver.clone();
-                        let owner = self.program.methods[seq[merged[w].traversal].index()].class;
-                        if let Some(t) = self.program.path_target_type(owner, &call.receiver) {
-                            types.push(t);
-                        }
-                        parts.push(CallPart {
-                            traversal: merged[w].traversal,
-                            slot: call.slot,
-                            args: call.args.clone(),
-                        });
-                    }
-                    let static_ty = self
-                        .program
-                        .least_common_ancestor(&types)
-                        .expect("grouping guarantees a common supertype");
-                    let slots: Vec<MethodId> = parts.iter().map(|p| p.slot).collect();
-                    let stub = self.stub_for(static_ty, slots);
-                    body.push(ScheduledItem::Call {
-                        receiver,
-                        stub,
-                        parts,
-                    });
-                }
-                stmt => body.push(ScheduledItem::Stmt {
-                    traversal: merged[v].traversal,
-                    stmt: stmt.clone(),
-                }),
+            let MergedStmt {
+                traversal,
+                index,
+                stmt,
+            } = merged[v];
+            if !matches!(stmt, Stmt::Traverse(_)) {
+                body.push(ScheduledItem::Stmt { traversal, index });
+                continue;
             }
+            let g = group_of[v];
+            if emitted_groups[g] {
+                continue;
+            }
+            emitted_groups[g] = true;
+            // The members of the group, in merged order.
+            let mut parts = Vec::new();
+            let mut slots = Vec::new();
+            let mut types = Vec::new();
+            for w in (0..merged.len()).filter(|&w| group_of[w] == g) {
+                let MergedStmt {
+                    traversal,
+                    index,
+                    stmt: Stmt::Traverse(call),
+                } = merged[w]
+                else {
+                    unreachable!("group members are traverses");
+                };
+                let owner = self.program.methods[seq[traversal].index()].class;
+                if let Some(t) = self.program.path_target_type(owner, &call.receiver) {
+                    types.push(t);
+                }
+                slots.push(call.slot);
+                parts.push(CallPart { traversal, index });
+            }
+            let static_ty = self
+                .program
+                .least_common_ancestor(&types)
+                .expect("grouping guarantees a common supertype");
+            let stub = self.stub_for(static_ty, slots);
+            body.push(ScheduledItem::Call { stub, parts });
         }
         body
     }
@@ -844,7 +915,7 @@ impl Fuser<'_> {
 fn receiver_keys(merged: &[MergedStmt]) -> Vec<Vec<FieldId>> {
     merged
         .iter()
-        .map(|m| match &m.stmt {
+        .map(|m| match m.stmt {
             Stmt::Traverse(call) => call.receiver.fields().collect(),
             _ => Vec::new(),
         })
@@ -868,7 +939,7 @@ fn has_same_receiver_pair(merged: &[MergedStmt], receivers: &[Vec<FieldId>]) -> 
 /// The explain record of one call site: the invoked slot's name plus the
 /// source span of the `receiver->method(...)` statement.
 fn call_site(program: &Program, merged: &[MergedStmt], v: usize) -> CallSite {
-    let Stmt::Traverse(call) = &merged[v].stmt else {
+    let Stmt::Traverse(call) = merged[v].stmt else {
         unreachable!("call sites are traverses");
     };
     CallSite {
@@ -880,7 +951,7 @@ fn call_site(program: &Program, merged: &[MergedStmt], v: usize) -> CallSite {
 /// Renders the receiver path of call vertex `v` as source-like text,
 /// e.g. `this->left` or `(Inner*)this->kids`.
 fn render_receiver(program: &Program, v: usize, merged: &[MergedStmt]) -> String {
-    let Stmt::Traverse(call) = &merged[v].stmt else {
+    let Stmt::Traverse(call) = merged[v].stmt else {
         unreachable!("call sites are traverses");
     };
     let mut out = match call.receiver.base_cast {
@@ -896,7 +967,7 @@ fn render_receiver(program: &Program, v: usize, merged: &[MergedStmt]) -> String
 
 /// Describes one endpoint of a named dependence edge.
 fn edge_end(program: &Program, merged: &[MergedStmt], v: usize) -> EdgeEnd {
-    let what = match &merged[v].stmt {
+    let what = match merged[v].stmt {
         Stmt::Traverse(call) => {
             format!("call `{}`", program.methods[call.slot.index()].name)
         }

@@ -67,8 +67,9 @@ pub use explain::{
     PairExplain,
 };
 pub use fusion::{
-    fuse, fuse_slots, fuse_timed, CallPart, FuseError, FuseOptions, FusedFn, FusedFnId,
-    FusedProgram, FusionCoverage, FusionOptions, FusionTimes, ScheduledItem, Stub, StubId,
+    entry_flags, fuse, fuse_slots, fuse_timed, CallPart, FuseError, FuseOptions, FusedFn,
+    FusedFnId, FusedProgram, FusionCoverage, FusionOptions, FusionTimes, ScheduledItem, Stub,
+    StubId, MAX_TRAVERSALS,
 };
 pub use grafter_frontend::{
     ClassId, Diag, DiagnosticBag, FieldId, FieldKind, Program, Severity, Stage, Ty,

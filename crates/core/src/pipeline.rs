@@ -130,7 +130,8 @@ impl Compiled {
     /// # Errors
     ///
     /// Returns a [`DiagnosticBag`] (stage `fuse`) if the class or a
-    /// traversal name does not resolve.
+    /// traversal name does not resolve, or if a fused function could
+    /// exceed [`crate::MAX_TRAVERSALS`].
     pub fn fuse(
         &self,
         root_class: &str,

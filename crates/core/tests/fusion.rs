@@ -2,8 +2,8 @@
 
 use std::time::{Duration, Instant};
 
-use grafter::{cpp, fuse, FuseOptions, ScheduledItem};
-use grafter_frontend::{compile, Stmt};
+use grafter::{cpp, fuse, CallPart, FuseOptions, ScheduledItem};
+use grafter_frontend::{compile, Program, Stmt};
 
 const FIG2: &str = r#"
     global int CHAR_WIDTH = 8;
@@ -348,65 +348,63 @@ fn cpp_emitter_produces_figure6_shape() {
     }
 }
 
-#[test]
-fn schedule_never_violates_dependences() {
-    // Differential check on many small programs: build the fused program
-    // and validate every function's schedule against a freshly built
-    // dependence graph.
+/// Checks every fused function of `program`'s entry `passes` on `root`
+/// against a freshly built dependence graph: the schedule names each
+/// merged statement exactly once, statements and calls by the right item
+/// kind, groups only calls on one child, and respects every edge.
+fn check_schedules(program: &Program, root: &str, passes: &[&str], opts: &FuseOptions) {
     use grafter::{DepGraph, ProgramAccesses};
-    let p = compile(FIG2).unwrap();
-    let fp = fuse(
-        &p,
-        "Element",
-        &["computeWidth", "computeHeight"],
-        &FuseOptions::default(),
-    )
-    .unwrap();
+    let fp = fuse(program, root, passes, opts).unwrap();
+    let mut acc = ProgramAccesses::new(program);
     for f in &fp.functions {
-        let merged = DepGraph::merge_bodies(&p, &f.seq);
-        let mut acc = ProgramAccesses::new(&p);
+        let merged = DepGraph::merge_bodies(program, &f.seq);
         let graph = DepGraph::build(&mut acc, &f.seq, &merged);
-        // Recover the emitted order of merged statements from the body.
+        let position = |traversal: usize, index: usize| {
+            merged
+                .iter()
+                .position(|ms| (ms.traversal, ms.index) == (traversal, index))
+                .unwrap_or_else(|| panic!("{}: ({traversal}, {index}) not merged", f.name))
+        };
         let mut order = Vec::new();
         for item in &f.body {
             match item {
-                ScheduledItem::Stmt { traversal, stmt } => {
-                    let pos = merged
-                        .iter()
-                        .position(|ms| {
-                            ms.traversal == *traversal
-                                && !order.contains(
-                                    &merged.iter().position(|x| std::ptr::eq(x, ms)).unwrap(),
-                                )
-                                && &ms.stmt == stmt
-                        })
-                        .unwrap();
-                    order.push(pos);
+                &ScheduledItem::Stmt { traversal, index } => {
+                    let stmt = fp.stmt(f, traversal, index);
+                    assert!(!matches!(stmt, Stmt::Traverse(_)), "{}: {item:?}", f.name);
+                    order.push(position(traversal, index));
                 }
-                ScheduledItem::Call {
-                    parts, receiver, ..
-                } => {
-                    for part in parts {
-                        let pos = (0..merged.len())
-                            .find(|&i| {
-                                if order.contains(&i) || merged[i].traversal != part.traversal {
-                                    return false;
-                                }
-                                match &merged[i].stmt {
-                                    grafter_frontend::Stmt::Traverse(c) => {
-                                        c.slot == part.slot && &c.receiver == receiver
-                                    }
-                                    _ => false,
-                                }
-                            })
-                            .unwrap();
-                        order.push(pos);
+                ScheduledItem::Call { parts, .. } => {
+                    let fields: Vec<_> = fp.receiver(f, parts).fields().collect();
+                    for &part @ CallPart { traversal, index } in parts {
+                        assert!(
+                            matches!(fp.stmt(f, traversal, index), Stmt::Traverse(_)),
+                            "{}: {part:?}",
+                            f.name
+                        );
+                        let receiver = &fp.call(f, part).receiver;
+                        assert_eq!(receiver.fields().collect::<Vec<_>>(), fields, "{}", f.name);
+                        order.push(position(traversal, index));
                     }
                 }
             }
         }
-        assert_eq!(order.len(), merged.len());
+        let mut seen = order.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..merged.len()).collect::<Vec<_>>(), "{}", f.name);
         assert!(graph.order_is_valid(&order), "function {}", f.name);
+    }
+}
+
+#[test]
+fn schedule_never_violates_dependences() {
+    let fig2 = compile(FIG2).unwrap();
+    let passes = ["computeWidth", "computeHeight"];
+    for opts in [FuseOptions::default(), FuseOptions::unfused()] {
+        check_schedules(&fig2, "Element", &passes, &opts);
+        for case in grafter_workloads::case_studies() {
+            let program = case.compiled.program();
+            check_schedules(program, case.root_class, &case.passes, &opts);
+        }
     }
 }
 
@@ -432,16 +430,13 @@ fn bodies_without_a_call_pair_keep_source_order_in_linear_time() {
         took < Duration::from_secs(5),
         "compile + fuse took {took:?}"
     );
-    let written = &program.methods[fused.functions[0].seq[0].index()].body;
-    let scheduled: Vec<_> = fused.functions[0]
-        .body
-        .iter()
-        .map(|item| match item {
-            ScheduledItem::Stmt { stmt, .. } => stmt,
-            ScheduledItem::Call { .. } => panic!("no calls were written"),
+    let source_order: Vec<_> = (0..5000)
+        .map(|index| ScheduledItem::Stmt {
+            traversal: 0,
+            index,
         })
         .collect();
-    assert_eq!(scheduled, written.iter().collect::<Vec<_>>());
+    assert_eq!(fused.functions[0].body, source_order);
 }
 
 #[test]
@@ -472,15 +467,14 @@ fn bodies_without_a_same_receiver_pair_keep_source_order_in_linear_time() {
     for f in &fused.functions {
         let written = &program.methods[f.seq[0].index()].body;
         assert_eq!(f.body.len(), written.len(), "{}", f.name);
-        for (item, stmt) in f.body.iter().zip(written) {
-            match (item, stmt) {
-                (ScheduledItem::Stmt { stmt: s, .. }, _) => assert_eq!(s, stmt),
-                (ScheduledItem::Call { parts, .. }, Stmt::Traverse(call)) => {
-                    assert_eq!(parts.len(), 1);
-                    assert_eq!(parts[0].slot, call.slot);
+        for (at, item) in f.body.iter().enumerate() {
+            let positions: Vec<_> = match item {
+                &ScheduledItem::Stmt { traversal, index } => vec![(traversal, index)],
+                ScheduledItem::Call { parts, .. } => {
+                    parts.iter().map(|p| (p.traversal, p.index)).collect()
                 }
-                (ScheduledItem::Call { .. }, _) => panic!("{}: call out of order", f.name),
-            }
+            };
+            assert_eq!(positions, [(0, at)], "{}", f.name);
         }
     }
 }

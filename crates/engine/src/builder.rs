@@ -98,8 +98,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Default per-traversal entry arguments for every session
-    /// (overridable per session with `Session::with_args`).
+    /// Per-traversal entry arguments for every session.
     pub fn args(mut self, args: Vec<Vec<Value>>) -> Self {
         self.args = args;
         self

@@ -1,19 +1,8 @@
-//! Stable identity for a compiled engine configuration.
-//!
-//! A serving layer that caches `Arc<Engine>`s needs a hashable key that
-//! changes exactly when the compiled artifact would: same key ⇒ the
-//! cached engine is a correct answer, different key ⇒ a separate compile.
-//! [`EngineKey`] spells the configuration out field by field — source
-//! (by hash), entry point, fusion options, backend and optimization
-//! level — rather than pre-hashing everything into one opaque `u64`, so
-//! collisions are confined to the 64-bit source hash and cache misses
-//! are debuggable by inspecting the key.
+//! The repo's standard dependency-free hash.
 
-use grafter::FusionOptions;
-use grafter_vm::{Backend, OptLevel};
-
-/// 64-bit FNV-1a over `bytes` — the repo's standard dependency-free hash
-/// (cheap, stable across runs and platforms, good avalanche for text).
+/// 64-bit FNV-1a over `bytes` (cheap, stable across runs and platforms,
+/// good avalanche for text). A fingerprint for digests, never an identity:
+/// distinct inputs can share a hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -21,69 +10,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// Everything that determines a compiled [`Engine`](crate::Engine):
-/// the cache key of a compiled-engine cache.
-///
-/// Two requests with equal keys may share one engine; two requests with
-/// different keys must not. Entry arguments are folded in as a caller-
-/// supplied hash ([`EngineKey::with_args_hash`]) because argument values
-/// are baked into the engine at build time.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct EngineKey {
-    /// FNV-1a hash of the DSL source text.
-    pub source_hash: u64,
-    /// Root class of the entry point.
-    pub root: String,
-    /// Entry traversal sequence, in call order (order matters: it decides
-    /// what fusion groups).
-    pub passes: Vec<String>,
-    /// [`FusionOptions::max_group_size`].
-    pub max_group_size: usize,
-    /// [`FusionOptions::max_occurrences`].
-    pub max_occurrences: usize,
-    /// [`FusionOptions::grouping`] (`false` = unfused baseline).
-    pub grouping: bool,
-    /// Execution tier the engine was built for.
-    pub backend: Backend,
-    /// Bytecode optimization level.
-    pub opt_level: OptLevel,
-    /// Hash of the entry arguments (0 when the entry takes none).
-    pub args_hash: u64,
-}
-
-impl EngineKey {
-    /// The key of an engine compiled from `source` with the given entry
-    /// point and build configuration (no entry arguments; fold them in
-    /// with [`EngineKey::with_args_hash`]).
-    pub fn new<S: AsRef<str>>(
-        source: &str,
-        root: &str,
-        passes: &[S],
-        fusion: &FusionOptions,
-        backend: Backend,
-        opt_level: OptLevel,
-    ) -> EngineKey {
-        EngineKey {
-            source_hash: fnv1a(source.as_bytes()),
-            root: root.to_string(),
-            passes: passes.iter().map(|p| p.as_ref().to_string()).collect(),
-            max_group_size: fusion.max_group_size,
-            max_occurrences: fusion.max_occurrences,
-            grouping: fusion.grouping,
-            backend,
-            opt_level,
-            args_hash: 0,
-        }
-    }
-
-    /// Folds a hash of the entry arguments into the key (e.g. FNV-1a of
-    /// their canonical wire rendering).
-    pub fn with_args_hash(mut self, args_hash: u64) -> EngineKey {
-        self.args_hash = args_hash;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -96,71 +22,5 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn key_distinguishes_every_axis() {
-        let base = EngineKey::new(
-            "src",
-            "Node",
-            &["a", "b"],
-            &FusionOptions::default(),
-            Backend::Vm,
-            OptLevel::O2,
-        );
-        assert_eq!(base, base.clone());
-
-        let other_src = EngineKey::new(
-            "src2",
-            "Node",
-            &["a", "b"],
-            &FusionOptions::default(),
-            Backend::Vm,
-            OptLevel::O2,
-        );
-        assert_ne!(base, other_src);
-
-        let unfused = EngineKey::new(
-            "src",
-            "Node",
-            &["a", "b"],
-            &FusionOptions::unfused(),
-            Backend::Vm,
-            OptLevel::O2,
-        );
-        assert_ne!(base, unfused);
-
-        let interp = EngineKey::new(
-            "src",
-            "Node",
-            &["a", "b"],
-            &FusionOptions::default(),
-            Backend::Interp,
-            OptLevel::O2,
-        );
-        assert_ne!(base, interp);
-
-        let o0 = EngineKey::new(
-            "src",
-            "Node",
-            &["a", "b"],
-            &FusionOptions::default(),
-            Backend::Vm,
-            OptLevel::O0,
-        );
-        assert_ne!(base, o0);
-
-        // Pass *order* is part of the identity — it decides fusion groups.
-        let swapped = EngineKey::new(
-            "src",
-            "Node",
-            &["b", "a"],
-            &FusionOptions::default(),
-            Backend::Vm,
-            OptLevel::O2,
-        );
-        assert_ne!(base, swapped);
-
-        assert_ne!(base, base.clone().with_args_hash(7));
     }
 }

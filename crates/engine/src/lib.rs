@@ -92,11 +92,9 @@ mod session;
 pub use batch::BatchOptions;
 pub use builder::EngineBuilder;
 pub use engine::Engine;
-pub use fingerprint::{fnv1a, EngineKey};
+pub use fingerprint::fnv1a;
 pub use grafter::{Error, FusionMetrics, FusionOptions};
-pub use grafter_obs::{
-    BatchTrace, CompileTrace, NullProbe, Probe, RunTrace, TierProfile, TraceProbe,
-};
+pub use grafter_obs::{BatchTrace, CompileTrace, Probe, RunTrace, TierProfile, TraceProbe};
 pub use grafter_vm::{Backend, OptLevel};
 pub use report::Report;
 pub use session::Session;

@@ -6,7 +6,7 @@ use std::time::Instant;
 use grafter::{Diag, Error, Stage};
 use grafter_cachesim::CacheHierarchy;
 use grafter_obs::{ExecCounters, RunTrace, TierProfile};
-use grafter_runtime::{Heap, Interp, NodeId, PureRegistry, SnapValue, Value};
+use grafter_runtime::{Heap, Interp, NodeId, SnapValue, Value};
 use grafter_vm::{Backend, Vm};
 
 use crate::engine::Engine;
@@ -17,9 +17,9 @@ use crate::report::Report;
 ///
 /// Sessions are cheap to open and independent of each other — each owns
 /// its heap and (when attached) its simulated cache, so any number can
-/// run concurrently against one `Arc<Engine>`. Configuration defaults
-/// come from the engine (pures, entry arguments, cache prototype) and can
-/// be overridden per session with the `with_*` builders.
+/// run concurrently against one `Arc<Engine>`. Pures, entry arguments and
+/// the cache prototype come from the engine; [`Session::with_cache`]
+/// attaches a cache model to one session.
 ///
 /// Tree construction goes through the session's typed wrappers
 /// ([`Session::alloc`], [`Session::set_child`], [`Session::set_field`])
@@ -27,8 +27,6 @@ use crate::report::Report;
 pub struct Session<'e> {
     engine: &'e Engine,
     heap: Heap,
-    pures: Option<PureRegistry>,
-    args: Option<Vec<Vec<Value>>>,
     cache: Option<CacheHierarchy>,
 }
 
@@ -41,8 +39,6 @@ impl<'e> Session<'e> {
         Session {
             engine,
             heap,
-            pures: None,
-            args: None,
             cache: engine.cache.clone(),
         }
     }
@@ -62,30 +58,11 @@ impl<'e> Session<'e> {
         &mut self.heap
     }
 
-    /// Replaces the pure registry for this session only.
-    pub fn with_pures(mut self, pures: PureRegistry) -> Self {
-        self.pures = Some(pures);
-        self
-    }
-
-    /// Replaces the per-traversal entry arguments for this session only.
-    pub fn with_args(mut self, args: Vec<Vec<Value>>) -> Self {
-        self.args = Some(args);
-        self
-    }
-
     /// Attaches (or replaces) a cache-model prototype for this session; a
     /// fresh clone simulates each run, and the run's [`Report`] carries
     /// its statistics.
     pub fn with_cache(mut self, cache: CacheHierarchy) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Detaches cache simulation for this session (overriding an
-    /// engine-level prototype).
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
         self
     }
 
@@ -156,8 +133,8 @@ impl<'e> Session<'e> {
     ///
     /// A reset session is observationally identical to a fresh one: the
     /// next tree gets the same simulated addresses, so `Report`s and
-    /// snapshots are bit-identical to an un-pooled run. Per-session
-    /// overrides (pures, args, cache) are kept.
+    /// snapshots are bit-identical to an un-pooled run. The session's
+    /// cache model is kept.
     pub fn reset(&mut self) {
         self.heap.reset();
     }
@@ -183,8 +160,8 @@ impl<'e> Session<'e> {
     /// identically for both backends.
     pub fn run(&mut self, root: NodeId) -> Result<Report, Error> {
         let engine = self.engine;
-        let args = self.args.as_ref().unwrap_or(&engine.args);
-        let pures = self.pures.as_ref().unwrap_or(&engine.pures).clone();
+        let args = &engine.args;
+        let pures = engine.pures.clone();
         let cache = self.cache.clone();
         let runtime_err = |e: grafter_runtime::RuntimeError| {
             Error::from_diag(

@@ -1,5 +1,5 @@
 //! Engine/Session API contract tests: builder validation, typed errors,
-//! backend parity, session overrides, batch determinism.
+//! backend parity, engine-level defaults, batch determinism.
 
 use grafter::{FusionOptions, Stage};
 use grafter_cachesim::CacheHierarchy;
@@ -227,16 +227,45 @@ fn engine_level_pures_args_and_cache_flow_into_sessions() {
         report.cache.is_some(),
         "engine-level cache prototype applies"
     );
+}
 
-    // Per-session overrides win.
-    let mut s = engine
-        .session()
-        .with_args(vec![vec![Value::Int(2)]])
-        .without_cache();
-    let root = s.alloc("C").unwrap();
-    let report = s.run(root).unwrap();
-    assert_eq!(s.get_field(root, "a").unwrap(), Value::Int(14));
-    assert!(report.cache.is_none());
+/// Counts in `G` the traversals that ran. The `if` may return early, so
+/// no VM guard folds away.
+const COUNT: &str =
+    "global int G = 0; tree class N { traversal t() { if (G > 1000) { return; } G = G + 1; } }";
+
+fn count_traversals(
+    copies: usize,
+    fusion: FusionOptions,
+    backend: Backend,
+) -> Result<Value, grafter::Error> {
+    let engine = Engine::builder()
+        .source(COUNT)
+        .entry("N", &vec!["t"; copies])
+        .fusion(fusion)
+        .backend(backend)
+        .build()?;
+    let mut s = engine.session();
+    let root = s.alloc("N")?;
+    Ok(s.run(root)?.global("G").expect("G is declared"))
+}
+
+#[test]
+fn fused_functions_hold_up_to_sixty_four_traversals() {
+    let wide = FusionOptions {
+        max_group_size: 65,
+        ..FusionOptions::default()
+    };
+    for backend in [Backend::Interp, Backend::Vm] {
+        let fused = count_traversals(64, FusionOptions::default(), backend);
+        assert_eq!(fused.unwrap(), Value::Int(64), "{backend}");
+        let err = count_traversals(65, FusionOptions::default(), backend).unwrap_err();
+        assert_eq!(err.stage(), Stage::Fuse, "{backend}: {err}");
+        let err = count_traversals(1, wide.clone(), backend).unwrap_err();
+        assert_eq!(err.stage(), Stage::Fuse, "{backend}: {err}");
+        let unfused = count_traversals(65, FusionOptions::unfused(), backend);
+        assert_eq!(unfused.unwrap(), Value::Int(65), "{backend}");
+    }
 }
 
 #[test]

@@ -236,12 +236,6 @@ pub trait Probe: Send + Sync {
     fn on_batch(&self, _trace: &BatchTrace) {}
 }
 
-/// The explicit do-nothing probe (equivalent to attaching none).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullProbe;
-
-impl Probe for NullProbe {}
-
 #[derive(Default)]
 struct TraceStore {
     compile: Option<CompileTrace>,

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use grafter::{CallPart, FusedFnId, FusedProgram, ScheduledItem, StubId};
+use grafter::{entry_flags, CallPart, FusedFn, FusedFnId, FusedProgram, ScheduledItem, StubId};
 use grafter_cachesim::CacheHierarchy;
 use grafter_frontend::{BinOp, DataAccess, Expr, MethodId, NodePath, Stmt};
 
@@ -136,20 +136,16 @@ impl<'a> Interp<'a> {
     /// Returns a [`RuntimeError`] if execution dereferences a null child in
     /// a data access, calls an unregistered pure, or dispatch fails.
     pub fn run(&mut self, heap: &mut Heap, root: NodeId, args: &[Vec<Value>]) -> RResult<()> {
-        let entries = self.fp.entries.clone();
-        if entries.len() == 1 {
-            let stub = self.fp.stub(entries[0]);
-            let n = stub.slots.len();
-            let flags: u64 = (1u64 << n) - 1;
-            let part_args: Vec<Vec<Value>> = (0..n)
+        let fp = self.fp;
+        // Each entry takes the passes after those of the entries before it.
+        let mut first = 0;
+        for &entry in &fp.entries {
+            let n = fp.stub(entry).slots.len();
+            let part_args = (first..first + n)
                 .map(|i| args.get(i).cloned().unwrap_or_default())
                 .collect();
-            self.call_stub(heap, entries[0], root, flags, part_args)?;
-        } else {
-            for (i, &entry) in entries.iter().enumerate() {
-                let part_args = vec![args.get(i).cloned().unwrap_or_default()];
-                self.call_stub(heap, entry, root, 0b1, part_args)?;
-            }
+            self.call_stub(heap, entry, root, entry_flags(n), part_args)?;
+            first += n;
         }
         Ok(())
     }
@@ -210,18 +206,6 @@ impl<'a> Interp<'a> {
         // whole call without holding a borrow of `self`.
         let fp = self.fp;
         let f = fp.function(fn_id);
-        #[cfg(debug_assertions)]
-        if std::env::var_os("GRAFTER_TRACE").is_some() {
-            let names: Vec<&str> = f
-                .seq
-                .iter()
-                .map(|m| fp.program.methods[m.index()].name.as_str())
-                .collect();
-            eprintln!(
-                "F {:?} {:?} flags={:b} args={:?}",
-                node, names, flags, part_args
-            );
-        }
         let multi = f.seq.len() > 1;
         let seq: &[MethodId] = &f.seq;
 
@@ -242,7 +226,7 @@ impl<'a> Interp<'a> {
         let mut active = flags;
         for item in &f.body {
             match item {
-                ScheduledItem::Stmt { traversal, stmt } => {
+                &ScheduledItem::Stmt { traversal, index } => {
                     if multi {
                         self.metrics.instructions += cost::GUARD;
                     }
@@ -250,7 +234,8 @@ impl<'a> Interp<'a> {
                     if active & bit == 0 {
                         continue;
                     }
-                    let flow = self.exec_stmt(heap, seq, &mut frames, node, *traversal, stmt)?;
+                    let stmt = fp.stmt(f, traversal, index);
+                    let flow = self.exec_stmt(heap, seq, &mut frames, node, traversal, stmt)?;
                     if matches!(flow, Flow::Returned) {
                         active &= !bit;
                         if active == 0 {
@@ -258,11 +243,7 @@ impl<'a> Interp<'a> {
                         }
                     }
                 }
-                ScheduledItem::Call {
-                    receiver,
-                    stub,
-                    parts,
-                } => {
+                ScheduledItem::Call { stub, parts } => {
                     if multi {
                         self.metrics.instructions += cost::GUARD;
                     }
@@ -273,7 +254,7 @@ impl<'a> Interp<'a> {
                     if active & mask == 0 {
                         continue;
                     }
-                    let Some(child) = self.navigate(heap, node, receiver)? else {
+                    let Some(child) = self.navigate(heap, node, fp.receiver(f, parts))? else {
                         continue; // null child: traversal stops here
                     };
                     let mut call_flags = 0u64;
@@ -285,7 +266,7 @@ impl<'a> Interp<'a> {
                             call_flags |= 1u64 << i;
                         }
                     }
-                    let args = self.eval_call_args(heap, seq, &mut frames, node, parts, active)?;
+                    let args = self.eval_call_args(heap, f, &mut frames, node, parts, active)?;
                     self.call_stub(heap, *stub, child, call_flags, args)?;
                 }
             }
@@ -296,23 +277,25 @@ impl<'a> Interp<'a> {
     fn eval_call_args(
         &mut self,
         heap: &mut Heap,
-        seq: &[MethodId],
+        f: &FusedFn,
         frames: &mut [Vec<Value>],
         node: NodeId,
         parts: &[CallPart],
         active: u64,
     ) -> RResult<Vec<Vec<Value>>> {
+        let fp = self.fp;
         let mut out = Vec::with_capacity(parts.len());
-        for part in parts {
+        for &part in parts {
+            let args = &fp.call(f, part).args;
             if active & (1u64 << part.traversal) == 0 {
                 // Truncated traversal: its callee never runs its statements,
                 // so placeholder arguments are unobservable.
-                out.push(vec![Value::Int(0); part.args.len()]);
+                out.push(vec![Value::Int(0); args.len()]);
                 continue;
             }
-            let mut vals = Vec::with_capacity(part.args.len());
-            for a in &part.args {
-                vals.push(self.eval(heap, seq, frames, node, part.traversal, a)?);
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(self.eval(heap, &f.seq, frames, node, part.traversal, a)?);
             }
             out.push(vals);
         }
@@ -581,16 +564,6 @@ impl<'a> Interp<'a> {
                 self.metrics.instructions += 1;
                 self.metrics.stores += 1;
                 self.touch(self.slot_addr(heap, target, slot));
-                #[cfg(debug_assertions)]
-                if std::env::var_os("GRAFTER_TRACE").is_some() {
-                    let last = data.last().unwrap();
-                    eprintln!(
-                        "W {:?} {} = {:?}",
-                        target,
-                        self.fp.program.fields[last.index()].name,
-                        value
-                    );
-                }
                 heap.set(target, slot, coerce(ty, value));
             }
             DataAccess::Local { local, members } => {

@@ -3,7 +3,7 @@
 //! Compiling a program (parse → sema → fuse → lower) costs
 //! milliseconds; running it costs microseconds. A service that recompiled
 //! per request would be compile-bound, so the daemon keys ready
-//! `Arc<Engine>`s by [`EngineKey`] — source hash, entry point, fusion
+//! `Arc<Engine>`s by [`EngineKey`] — source text, entry point, fusion
 //! options, backend, opt level, args — and reuses them across requests
 //! and connections.
 //!
@@ -20,7 +20,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-use grafter_engine::{Engine, EngineKey, Error};
+use grafter_engine::{Engine, Error};
+
+use crate::proto::EngineKey;
 
 /// Counters exposed by the `stats` method.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -220,17 +222,20 @@ impl EngineCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::ProgramSpec;
     use grafter_engine::{Backend, FusionOptions, OptLevel};
 
     fn key(tag: &str) -> EngineKey {
-        EngineKey::new(
-            tag,
-            "N",
-            &["t"],
-            &FusionOptions::default(),
-            Backend::Vm,
-            OptLevel::O2,
-        )
+        ProgramSpec {
+            source: tag.to_string(),
+            root: "N".to_string(),
+            passes: vec!["t".to_string()],
+            backend: Backend::Vm,
+            opt_level: OptLevel::O2,
+            fusion: FusionOptions::default(),
+            args: Vec::new(),
+        }
+        .key()
     }
 
     fn tiny_engine(tag: usize) -> Result<Engine, Error> {

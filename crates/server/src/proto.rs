@@ -63,7 +63,7 @@ use std::io::{self, Read, Write};
 use std::ops::RangeInclusive;
 
 use grafter::{ClassId, FieldId, FieldKind, Program, Ty};
-use grafter_engine::{fnv1a, Backend, EngineKey, FusionOptions, OptLevel};
+use grafter_engine::{Backend, FusionOptions, OptLevel};
 use grafter_obs::json::{parse, Json, JsonWriter};
 use grafter_runtime::{Heap, NodeId, Value};
 
@@ -293,21 +293,38 @@ pub struct ProgramSpec {
 impl ProgramSpec {
     /// The engine-cache key of this spec.
     pub fn key(&self) -> EngineKey {
-        EngineKey::new(
-            &self.source,
-            &self.root,
-            &self.passes,
-            &self.fusion,
-            self.backend,
-            self.opt_level,
-        )
-        .with_args_hash(fnv1a(canon_args(&self.args).as_bytes()))
+        EngineKey {
+            source: self.source.clone(),
+            root: self.root.clone(),
+            passes: self.passes.clone(),
+            fusion: self.fusion.clone(),
+            backend: self.backend,
+            opt_level: self.opt_level,
+            args: canon_args(&self.args),
+        }
     }
 }
 
-/// Canonical text form of entry arguments (the args-hash input): floats
-/// print in Rust's shortest round-trip form, so equal values — and only
-/// equal values — canonicalize equally.
+/// Everything that determines a [`ProgramSpec`]'s engine, compared
+/// exactly: the key of the daemon's engine cache. Two specs share an
+/// engine only when every field is equal, so no hash collision can hand
+/// one program another's engine.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct EngineKey {
+    source: String,
+    root: String,
+    /// In call order: order decides what fusion groups.
+    passes: Vec<String>,
+    fusion: FusionOptions,
+    backend: Backend,
+    opt_level: OptLevel,
+    /// The entry arguments in [`canon_args`] form.
+    args: String,
+}
+
+/// Canonical text form of entry arguments (the engine key's form):
+/// floats print in Rust's shortest round-trip form, so equal values — and
+/// only equal values — canonicalize equally.
 pub fn canon_args(args: &[Vec<Value>]) -> String {
     let mut out = String::new();
     for (i, pass) in args.iter().enumerate() {
@@ -990,12 +1007,64 @@ mod tests {
     }
 
     #[test]
-    fn args_hash_distinguishes_values() {
-        let a = tiny_program();
-        let mut b = tiny_program();
-        b.args = vec![vec![Value::Float(2.5), Value::Int(4)]];
-        assert_ne!(a.key(), b.key());
-        assert_eq!(a.key(), tiny_program().key());
+    fn keys_distinguish_every_field() {
+        let base = tiny_program();
+        assert_eq!(base.key(), tiny_program().key());
+        let variants = [
+            ProgramSpec {
+                source: format!("{} ", base.source),
+                ..tiny_program()
+            },
+            ProgramSpec {
+                root: "M".to_string(),
+                ..tiny_program()
+            },
+            // Pass *order* is part of the identity: it decides fusion groups.
+            ProgramSpec {
+                passes: vec!["t".to_string(), "u".to_string()],
+                ..tiny_program()
+            },
+            ProgramSpec {
+                passes: vec!["u".to_string(), "t".to_string()],
+                ..tiny_program()
+            },
+            ProgramSpec {
+                backend: Backend::Interp,
+                ..tiny_program()
+            },
+            ProgramSpec {
+                opt_level: OptLevel::O0,
+                ..tiny_program()
+            },
+            ProgramSpec {
+                fusion: FusionOptions::unfused(),
+                ..tiny_program()
+            },
+            ProgramSpec {
+                fusion: FusionOptions {
+                    max_group_size: 2,
+                    ..FusionOptions::default()
+                },
+                ..tiny_program()
+            },
+            ProgramSpec {
+                fusion: FusionOptions {
+                    max_occurrences: 2,
+                    ..FusionOptions::default()
+                },
+                ..tiny_program()
+            },
+            ProgramSpec {
+                args: vec![vec![Value::Float(2.5), Value::Int(4)]],
+                ..tiny_program()
+            },
+        ];
+        for (i, a) in variants.iter().enumerate() {
+            assert_ne!(a.key(), base.key(), "variant {i}");
+            for b in &variants[i + 1..] {
+                assert_ne!(a.key(), b.key());
+            }
+        }
     }
 
     #[test]

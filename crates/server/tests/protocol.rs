@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use grafter_engine::{Backend, FusionOptions, OptLevel};
+use grafter_engine::{fnv1a, Backend, FusionOptions, OptLevel};
 use grafter_obs::json::{parse, Json};
 use grafter_runtime::Value;
 use grafter_server::proto::{
@@ -694,6 +694,51 @@ fn sources_past_a_bytecode_limit_are_typed_lower_errors_and_survivable() {
         assert_eq!(error_stage(&resp), "lower", "{resp:?}");
     }
     assert!(is_ok(&client.call(&render_bare("ping"))));
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
+fn sources_sharing_a_hash_get_their_own_engines() {
+    // Two programs whose source texts share an FNV-1a hash, found by a
+    // collision search: a cache keyed by the hash would answer the second
+    // request with the first program's engine.
+    let sources = [
+        "global int G = 0;\ntree class N {\n  traversal t() { G = 1; }\n}\n/* 653afe09b6d9be5c */\n",
+        "global int G = 0;\ntree class N {\n  traversal t() { G = 2; }\n}\n/* c33e30d1c83afe37 */\n",
+    ];
+    assert_eq!(fnv1a(sources[0].as_bytes()), fnv1a(sources[1].as_bytes()));
+
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+    let node = InputSpec::Tree(TreeSpec {
+        class: "N".to_string(),
+        fields: Vec::new(),
+        children: Vec::new(),
+    });
+    for (source, g) in sources.into_iter().zip([1.0, 2.0]) {
+        let spec = ProgramSpec {
+            source: source.to_string(),
+            ..program()
+        };
+        let resp = client.call(&render_run(&spec, &node));
+        assert!(is_ok(&resp), "{resp:?}");
+        let globals = resp
+            .get("report")
+            .and_then(|r| r.get("globals"))
+            .and_then(Json::as_arr)
+            .expect("report.globals");
+        assert_eq!(globals[0].get("value").and_then(Json::as_num), Some(g));
+    }
+    let stats = client.call(&render_bare("stats"));
+    let misses = stats
+        .get("cache")
+        .and_then(|c| c.get("misses"))
+        .and_then(Json::as_num)
+        .expect("cache.misses");
+    assert_eq!(misses as u64, 2, "one compile per program");
 
     shutdown.store(true, Ordering::SeqCst);
     drop(client);

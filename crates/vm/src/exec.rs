@@ -129,17 +129,14 @@ impl<'a> Vm<'a> {
         args: &[Vec<Value>],
         probe: &mut P,
     ) -> RResult<()> {
-        let entries = self.module.entries.clone();
-        if entries.len() == 1 {
-            let n = self.module.stubs[entries[0] as usize].n_parts as usize;
-            let flags: u64 = (1u64 << n) - 1;
-            self.enter(heap, entries[0], root, flags, args, probe)?;
-        } else {
-            let empty: Vec<Value> = Vec::new();
-            for (i, &entry) in entries.iter().enumerate() {
-                let part = std::slice::from_ref(args.get(i).unwrap_or(&empty));
-                self.enter(heap, entry, root, 0b1, part, probe)?;
-            }
+        let m = self.module;
+        // Each entry takes the passes after those of the entries before it.
+        let mut first = 0;
+        for &entry in &m.entries {
+            let n = m.stubs[entry as usize].n_parts as usize;
+            let part_args = args.get(first..).unwrap_or(&[]);
+            self.enter(heap, entry, root, grafter::entry_flags(n), part_args, probe)?;
+            first += n;
         }
         Ok(())
     }

@@ -28,11 +28,13 @@
 //! Operands are fixed-width (`u16` registers and pool indices, `u8`
 //! argument counts). A program that does not fit is a [`LowerError`]
 //! naming the exceeded limit, never a silently truncated operand.
+//! Traversal copies per function fit by construction: fusion bounds them
+//! at [`grafter::MAX_TRAVERSALS`].
 
 use std::collections::HashMap;
 use std::fmt;
 
-use grafter::{CallPart, FusedProgram, ScheduledItem, StubId};
+use grafter::{entry_flags, CallPart, FusedFn, FusedProgram, ScheduledItem, StubId};
 use grafter_frontend::{
     BinOp, DataAccess, Expr, GlobalId, LocalId, MethodId, NodePath, Program, Stmt, Ty,
 };
@@ -53,9 +55,6 @@ static LOWERINGS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::n
 pub fn lowering_count() -> u64 {
     LOWERINGS.load(std::sync::atomic::Ordering::Relaxed)
 }
-
-/// Traversal copies one function may fuse: active flags are a `u64`.
-const MAX_TRAVERSALS: usize = 64;
 
 /// A program too large for the bytecode's fixed-width operands.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,20 +123,6 @@ pub fn lower_with(fp: &FusedProgram, opts: &VmOptions) -> Module {
 pub fn try_lower_with(fp: &FusedProgram, opts: &VmOptions) -> Result<Module, LowerError> {
     LOWERINGS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let program = &fp.program;
-    let widest = fp
-        .functions
-        .iter()
-        .map(|f| f.seq.len())
-        .chain(fp.stubs.iter().map(|s| s.slots.len()))
-        .max()
-        .unwrap_or(0);
-    if widest > MAX_TRAVERSALS {
-        return Err(LowerError {
-            limit: "traversals per function",
-            value: widest,
-            max: MAX_TRAVERSALS,
-        });
-    }
     let layouts = Layouts::new(program);
 
     // Dense class × field slot table (u32::MAX where the field is absent).
@@ -188,7 +173,7 @@ pub fn try_lower_with(fp: &FusedProgram, opts: &VmOptions) -> Result<Module, Low
     let known = must_active(fp);
     let mut funcs = Vec::with_capacity(fp.functions.len());
     for (f, &k) in fp.functions.iter().zip(&known) {
-        funcs.push(lo.lower_fn(f, k));
+        funcs.push(lo.lower_fn(fp, f, k));
     }
     let entries = fp
         .entries
@@ -237,15 +222,6 @@ pub fn try_lower_with(fp: &FusedProgram, opts: &VmOptions) -> Result<Module, Low
     Ok(module)
 }
 
-/// All flag bits of an `n`-traversal function.
-fn all_bits(n: usize) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
 /// Whether `stmt` may `return` (a `return` nested in an `if` counts).
 fn may_return(stmt: &Stmt) -> bool {
     match stmt {
@@ -262,14 +238,15 @@ fn may_return(stmt: &Stmt) -> bool {
 /// Each item of `f`'s body with the must-active bits before it, when
 /// `entry` are those of every activation: a bit stays known until the
 /// first item of its traversal that may `return`.
-fn known_before_items(
-    f: &grafter::FusedFn,
+fn known_before_items<'f>(
+    fp: &'f FusedProgram,
+    f: &'f FusedFn,
     entry: u64,
-) -> impl Iterator<Item = (u64, &ScheduledItem)> {
-    f.body.iter().scan(entry, |known, item| {
+) -> impl Iterator<Item = (u64, &'f ScheduledItem)> {
+    f.body.iter().scan(entry, move |known, item| {
         let before = *known;
-        if let ScheduledItem::Stmt { traversal, stmt } = item {
-            if may_return(stmt) {
+        if let &ScheduledItem::Stmt { traversal, index } = item {
+            if may_return(fp.stmt(f, traversal, index)) {
                 *known &= !(1u64 << traversal);
             }
         }
@@ -285,16 +262,11 @@ fn known_before_items(
 /// part `i`'s traversal is known at the call item (see
 /// [`known_before_items`]).
 fn must_active(fp: &FusedProgram) -> Vec<u64> {
-    let mut known: Vec<u64> = fp.functions.iter().map(|f| all_bits(f.seq.len())).collect();
+    // Every flag, the top of the lattice, until an activation narrows it.
+    let mut known = vec![u64::MAX; fp.functions.len()];
     for &StubId(s) in &fp.entries {
         let stub = &fp.stubs[s as usize];
-        // Mirrors `Vm::run`: one fused entry with every part active, or
-        // one single-part entry per traversal of the unfused baseline.
-        let flags = if fp.entries.len() == 1 {
-            all_bits(stub.slots.len())
-        } else {
-            0b1
-        };
+        let flags = entry_flags(stub.slots.len());
         for &(_, fid) in &stub.targets {
             known[fid.0 as usize] &= flags;
         }
@@ -303,7 +275,7 @@ fn must_active(fp: &FusedProgram) -> Vec<u64> {
     while changed {
         changed = false;
         for (fi, f) in fp.functions.iter().enumerate() {
-            for (k, item) in known_before_items(f, known[fi]) {
+            for (k, item) in known_before_items(fp, f, known[fi]) {
                 let ScheduledItem::Call { stub, parts, .. } = item else {
                     continue;
                 };
@@ -491,7 +463,7 @@ impl Lowerer<'_> {
 
     /// Lowers one fused function whose activations all start with the
     /// must-active flags `known`.
-    fn lower_fn(&mut self, f: &grafter::FusedFn, known: u64) -> FuncInfo {
+    fn lower_fn(&mut self, fp: &FusedProgram, f: &FusedFn, known: u64) -> FuncInfo {
         let seq = &f.seq;
         self.multi = seq.len() > 1;
         self.frame_bases.clear();
@@ -519,7 +491,7 @@ impl Lowerer<'_> {
         // Per item: whether its guard folded, and its `Deactivate`s.
         let mut folded = Vec::with_capacity(f.body.len());
         let mut deactivates: Vec<(usize, usize)> = Vec::new();
-        for (i, (k, item)) in known_before_items(f, known).enumerate() {
+        for (i, (k, item)) in known_before_items(fp, f, known).enumerate() {
             self.item_fixups.clear();
             self.known = k;
             let mask = match item {
@@ -538,22 +510,16 @@ impl Lowerer<'_> {
                 self.item_fixups.push(g);
             }
             match item {
-                ScheduledItem::Stmt { traversal, stmt } => {
+                &ScheduledItem::Stmt { traversal, index } => {
                     let start = self.ops.len();
-                    self.stmt(seq, *traversal, stmt);
+                    self.stmt(seq, traversal, fp.stmt(f, traversal, index));
                     deactivates.extend(
                         (start..self.ops.len())
                             .filter(|&pc| matches!(self.ops[pc], Op::Deactivate { .. }))
                             .map(|pc| (pc, i)),
                     );
                 }
-                ScheduledItem::Call {
-                    receiver,
-                    stub,
-                    parts,
-                } => {
-                    self.call_item(seq, receiver, *stub, parts);
-                }
+                ScheduledItem::Call { stub, parts } => self.call_item(fp, f, *stub, parts),
             }
             let end = self.here();
             let fixups = std::mem::take(&mut self.item_fixups);
@@ -587,16 +553,10 @@ impl Lowerer<'_> {
         }
     }
 
-    fn call_item(
-        &mut self,
-        seq: &[MethodId],
-        receiver: &NodePath,
-        stub: StubId,
-        parts: &[CallPart],
-    ) {
+    fn call_item(&mut self, fp: &FusedProgram, f: &FusedFn, stub: StubId, parts: &[CallPart]) {
         let child = self.scratch_base;
         self.note(child);
-        let path = self.node_path(receiver);
+        let path = self.node_path(fp.receiver(f, parts));
         let nav = self.emit(Op::Nav {
             dst: child,
             path,
@@ -607,9 +567,10 @@ impl Lowerer<'_> {
         let argbase = self.reg(child, 1);
         let mut rel = 0usize;
         let mut infos = Vec::with_capacity(parts.len());
-        for part in parts {
+        for &part in parts {
+            let args = &fp.call(f, part).args;
             let pbase = self.reg(argbase, rel);
-            let nargs = self.fit(part.args.len(), "argument count");
+            let nargs = self.fit(args.len(), "argument count");
             infos.push(CallPartInfo {
                 traversal: part.traversal as u8,
                 argbase: self.fit(rel, "register number"),
@@ -626,16 +587,16 @@ impl Lowerer<'_> {
                     target: PENDING,
                 })
             });
-            for (k, a) in part.args.iter().enumerate() {
+            for (k, a) in args.iter().enumerate() {
                 let dst = self.reg(pbase, k);
-                self.expr(seq, part.traversal, a, dst);
+                self.expr(&f.seq, part.traversal, a, dst);
             }
             if let Some(skip) = skip {
                 let after = self.here();
                 self.patch(skip, after);
             }
-            rel += part.args.len();
-            let end = self.reg(pbase, part.args.len());
+            rel += args.len();
+            let end = self.reg(pbase, args.len());
             self.note(end);
         }
         let call = self.fit(self.calls.len(), "call table");

@@ -385,7 +385,7 @@ fn empty_module_is_detected() {
             "fb",
         )
         .unwrap();
-    let fused = grafter::fuse_slots(program, a, &[fb], &grafter::FuseOptions::default());
+    let fused = grafter::fuse_slots(program, a, &[fb], &grafter::FuseOptions::default()).unwrap();
     let module = grafter_vm::lower(&fused);
     assert!(
         module.is_empty(),
@@ -396,6 +396,7 @@ fn empty_module_is_detected() {
         a,
         &[program.method_on_class(a, "fa").unwrap()],
         &grafter::FuseOptions::default(),
-    );
+    )
+    .unwrap();
     assert!(!grafter_vm::lower(&normal).is_empty());
 }

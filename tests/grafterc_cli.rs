@@ -397,6 +397,28 @@ fn programs_nested_to_the_cap_compile_and_run_on_both_tiers() {
 }
 
 #[test]
+fn a_fused_entry_past_sixty_four_traversals_is_a_fuse_error_on_both_tiers() {
+    let src =
+        "global int G = 0; tree class N { traversal t() { if (G > 1000) { return; } G = G + 1; } }";
+    let passes = vec!["t"; 65].join(",");
+    for backend in ["interp", "vm"] {
+        let args = [
+            "-",
+            "--root",
+            "N",
+            "--passes",
+            &passes,
+            "--backend",
+            backend,
+        ];
+        let (_, stderr, code) = grafterc(&[&args[..], &["--emit", "none", "--run"]].concat(), src);
+        assert_eq!(code, Some(3), "a compile error, not a miscompile: {stderr}");
+        assert!(stderr.contains("error[fuse]"), "{stderr}");
+        assert!(stderr.contains("65 traversals"), "{stderr}");
+    }
+}
+
+#[test]
 fn a_program_past_a_bytecode_limit_is_a_compile_error_on_the_vm_only() {
     // 70,000 distinct literals overflow the VM's 16-bit constant pool.
     let stmts: String = (1..=70_000).map(|i| format!("G = {i}; ")).collect();
