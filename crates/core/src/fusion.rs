@@ -491,11 +491,13 @@ fn fuse_slots_timed(
         times: FusionTimes::default(),
         lap_start: Instant::now(),
     };
-    let entries = if opts.grouping {
+    let entries = if opts.grouping && !slots.is_empty() {
         vec![fuser.stub_for(class, slots.to_vec())]
     } else {
         // Unfused baseline: each traversal is dispatched separately, so the
         // tree is walked once per traversal just like the original program.
+        // An empty entry list takes this path in both modes: no entry, no
+        // function.
         slots
             .iter()
             .map(|&slot| fuser.stub_for(class, vec![slot]))
@@ -595,7 +597,7 @@ impl Fuser<'_> {
                     .map(|m| self.program.methods[m.index()].class)
                     .collect::<Vec<_>>(),
             )
-            .unwrap_or(self.program.methods[seq[0].index()].class);
+            .unwrap_or_else(|| self.program.methods[seq[0].index()].class);
         let name = format!(
             "_fuse_{}",
             seq.iter().map(|m| format!("_F{}", m.0)).collect::<String>()

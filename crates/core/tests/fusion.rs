@@ -2,8 +2,10 @@
 
 use std::time::{Duration, Instant};
 
-use grafter::{cpp, fuse, CallPart, FuseOptions, ScheduledItem};
+use grafter::{cpp, fuse, fuse_slots, CallPart, FuseOptions, ScheduledItem};
 use grafter_frontend::{compile, Program, Stmt};
+use grafter_runtime::{Heap, Interp};
+use grafter_vm::Vm;
 
 const FIG2: &str = r#"
     global int CHAR_WIDTH = 8;
@@ -404,6 +406,35 @@ fn schedule_never_violates_dependences() {
         for case in grafter_workloads::case_studies() {
             let program = case.compiled.program();
             check_schedules(program, case.root_class, &case.passes, &opts);
+        }
+    }
+}
+
+#[test]
+fn an_empty_traversal_list_fuses_to_an_empty_program_in_both_modes() {
+    let p = compile(FIG2).unwrap();
+    let element = p.class_by_name("Element").unwrap();
+    for opts in [FuseOptions::default(), FuseOptions::unfused()] {
+        let by_name = fuse(&p, "Element", &[], &opts).unwrap();
+        let by_slot = fuse_slots(&p, element, &[], &opts).unwrap();
+        for fp in [by_name, by_slot] {
+            assert_eq!(fp.functions.len(), 0, "grouping {}", opts.grouping);
+            assert_eq!(fp.entries.len(), 0, "grouping {}", opts.grouping);
+
+            let mut heap = Heap::new(&p);
+            let root = heap.alloc_by_name("TextBox").unwrap();
+            let end = heap.alloc_by_name("End").unwrap();
+            heap.set_child_by_name(root, "Next", Some(end)).unwrap();
+            let before = heap.snapshot(root);
+
+            let mut interp = Interp::new(&fp);
+            interp.run(&mut heap, root, &[]).unwrap();
+            assert_eq!(interp.metrics.visits, 0);
+            let module = grafter_vm::lower(&fp);
+            let mut vm = Vm::new(&module);
+            vm.run(&mut heap, root, &[]).unwrap();
+            assert_eq!(vm.metrics, interp.metrics);
+            assert_eq!(heap.snapshot(root), before);
         }
     }
 }

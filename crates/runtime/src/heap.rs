@@ -43,18 +43,82 @@ const HEAP_BASE_ADDR: u64 = 0x10_0000;
 /// then its own; struct-typed data fields are flattened into one slot per
 /// member, mirroring the C++ object layout Grafter's generated code runs
 /// against.
+///
+/// Built once per program, the layouts also resolve names: a class-name
+/// index and a per-class field-name index let tree builders go from
+/// `"Left"` to a slot with binary searches and array loads, touching no
+/// allocator.
 #[derive(Clone, Debug)]
 pub struct Layouts {
-    /// `(class, field)` → first slot of the field.
-    offsets: HashMap<(ClassId, FieldId), usize>,
-    /// Struct member → offset within its struct.
-    member_offsets: HashMap<FieldId, usize>,
+    /// Dense `class * n_fields + field` → first slot of the field,
+    /// `ABSENT` where the class has no such field (the encoding of the VM
+    /// module's offset table).
+    slots: Vec<u32>,
+    /// Row width of `slots`: the program's field count.
+    n_fields: usize,
+    /// Field → offset within its struct, `ABSENT` for a field that is no
+    /// struct member.
+    member_offsets: Vec<u32>,
+    /// Class names by id.
+    class_names: Vec<Box<str>>,
+    /// Field names by id.
+    field_names: Vec<Box<str>>,
+    /// Class ids by name, the first declared class of each name.
+    class_index: NameIndex,
+    /// Per class, the fields visible by name: a more-derived declaration
+    /// shadows an inherited one of its name.
+    field_index: Vec<NameIndex>,
     /// Slots per class.
     sizes: Vec<usize>,
     /// Per-class default slot values.
     defaults: Vec<Vec<Value>>,
     /// Per-slot field names (for snapshots/debugging).
     slot_names: Vec<Vec<String>>,
+}
+
+/// Marks a `(class, field)` or member entry with no slot in the dense
+/// tables of [`Layouts`].
+const ABSENT: u32 = u32::MAX;
+
+/// Ids sorted by name for binary search, each beside its name's first
+/// eight bytes as a big-endian integer. A lookup binary-searches those
+/// integers for the run sharing its prefix (one name, unless several
+/// share their first eight bytes), then the run by whole name: integer
+/// compares and, usually, one string compare, yet logarithmic whatever
+/// names a source declares.
+#[derive(Clone, Debug)]
+struct NameIndex(Vec<(u64, u32)>);
+
+impl NameIndex {
+    /// Indexes `ids` by `names[id]`; of ids sharing a name, the first
+    /// in `ids` wins.
+    fn new(ids: impl IntoIterator<Item = u32>, names: &[Box<str>]) -> Self {
+        let name = |id: u32| &*names[id as usize];
+        let mut entries: Vec<(u64, u32)> =
+            ids.into_iter().map(|id| (prefix(name(id)), id)).collect();
+        // Stable, so the first of a repeated name stays in front.
+        entries.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| name(a.1).cmp(name(b.1))));
+        entries.dedup_by(|later, first| name(later.1) == name(first.1));
+        NameIndex(entries)
+    }
+
+    /// The id named `name`.
+    fn get(&self, name: &str, names: &[Box<str>]) -> Option<u32> {
+        let key = prefix(name);
+        let run = &self.0[self.0.partition_point(|&(k, _)| k < key)..];
+        let run = &run[..run.partition_point(|&(k, _)| k == key)];
+        run.binary_search_by(|&(_, id)| (*names[id as usize]).cmp(name))
+            .ok()
+            .map(|i| run[i].1)
+    }
+}
+
+/// The first eight bytes of `name`, zero-padded, as a big-endian integer.
+fn prefix(name: &str) -> u64 {
+    name.bytes()
+        .take(8)
+        .enumerate()
+        .fold(0, |key, (i, b)| key | u64::from(b) << (56 - 8 * i))
 }
 
 fn ty_slots(program: &Program, ty: Ty) -> usize {
@@ -83,25 +147,45 @@ pub fn default_literal(ty: Ty, lit: Option<Literal>) -> Value {
 impl Layouts {
     /// Computes layouts for every class of `program`.
     pub fn new(program: &Program) -> Self {
+        let n_classes = program.classes.len();
+        let n_fields = program.fields.len();
+        let class_names: Vec<Box<str>> = program
+            .classes
+            .iter()
+            .map(|c| c.name.as_str().into())
+            .collect();
+        // In id order, so a repeated name keeps its first declared class,
+        // the one `Program::class_by_name` returns.
+        let class_index = NameIndex::new(0..n_classes as u32, &class_names);
         let mut layouts = Layouts {
-            offsets: HashMap::new(),
-            member_offsets: HashMap::new(),
-            sizes: Vec::new(),
-            defaults: Vec::new(),
-            slot_names: Vec::new(),
+            slots: vec![ABSENT; n_classes * n_fields],
+            n_fields,
+            member_offsets: vec![ABSENT; n_fields],
+            class_names,
+            field_names: program
+                .fields
+                .iter()
+                .map(|f| f.name.as_str().into())
+                .collect(),
+            class_index,
+            field_index: Vec::with_capacity(n_classes),
+            sizes: Vec::with_capacity(n_classes),
+            defaults: Vec::with_capacity(n_classes),
+            slot_names: Vec::with_capacity(n_classes),
         };
         for st in &program.structs {
             for (i, &m) in st.members.iter().enumerate() {
-                layouts.member_offsets.insert(m, i);
+                layouts.member_offsets[m.index()] = i as u32;
             }
         }
-        for ci in 0..program.classes.len() {
+        for ci in 0..n_classes {
             let class = ClassId(ci as u32);
+            let fields = program.all_fields(class);
             let mut cur = 0usize;
             let mut defaults = Vec::new();
             let mut names = Vec::new();
-            for f in program.all_fields(class) {
-                layouts.offsets.insert((class, f), cur);
+            for &f in &fields {
+                layouts.slots[ci * n_fields + f.index()] = cur as u32;
                 let field = &program.fields[f.index()];
                 match field.kind {
                     FieldKind::Child(_) => {
@@ -131,6 +215,10 @@ impl Layouts {
                     }
                 }
             }
+            // Most-derived first, so each name keeps the field
+            // `Program::field_on_class` resolves it to.
+            let visible = NameIndex::new(fields.iter().rev().map(|f| f.0), &layouts.field_names);
+            layouts.field_index.push(visible);
             layouts.sizes.push(cur);
             layouts.defaults.push(defaults);
             layouts.slot_names.push(names);
@@ -138,27 +226,75 @@ impl Layouts {
         layouts
     }
 
+    /// The class named `name`, if the program declares one.
+    pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
+        self.class_index.get(name, &self.class_names).map(ClassId)
+    }
+
+    /// The field `name` denotes on `class` (inherited fields included,
+    /// more-derived declarations shadowing), as
+    /// `Program::field_on_class` resolves it.
+    pub fn field_by_name(&self, class: ClassId, name: &str) -> Option<FieldId> {
+        self.field_index[class.index()]
+            .get(name, &self.field_names)
+            .map(FieldId)
+    }
+
     /// First slot of `field` within `class`.
     ///
     /// # Panics
     ///
     /// Panics if the field does not belong to the class.
+    #[inline]
     pub fn slot_of(&self, class: ClassId, field: FieldId) -> usize {
-        self.offsets[&(class, field)]
+        let slot = self.slots[class.index() * self.n_fields + field.index()];
+        if slot == ABSENT {
+            panic!(
+                "class `{}` has no field `{}`",
+                self.class_names[class.index()],
+                self.field_names[field.index()]
+            );
+        }
+        slot as usize
     }
 
     /// Slot of a data access chain `field(.member)?` within `class`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field does not belong to the class or a member
+    /// belongs to no struct.
+    #[inline]
     pub fn slot_of_chain(&self, class: ClassId, chain: &[FieldId]) -> usize {
         let mut slot = self.slot_of(class, chain[0]);
-        for m in &chain[1..] {
-            slot += self.member_offsets[m];
+        for &m in &chain[1..] {
+            slot += self.member_offset(m);
         }
         slot
     }
 
     /// Offset of a struct member within its struct.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field is no struct member.
+    #[inline]
     pub fn member_offset(&self, member: FieldId) -> usize {
-        self.member_offsets[&member]
+        let offset = self.member_offsets[member.index()];
+        if offset == ABSENT {
+            panic!(
+                "field `{}` is not a struct member",
+                self.field_names[member.index()]
+            );
+        }
+        offset as usize
+    }
+
+    /// The dense `class * n_fields + field` → first-slot table, with
+    /// `n_fields` the program's field count and `u32::MAX` where the
+    /// class has no such field.
+    pub fn slot_table(&self) -> &[u32] {
+        &self.slots
     }
 
     /// Number of slots of `class`.
@@ -289,7 +425,7 @@ impl Heap {
 
     /// Allocates a node by class name.
     pub fn alloc_by_name(&mut self, class: &str) -> Option<NodeId> {
-        self.program.class_by_name(class).map(|c| self.alloc(c))
+        self.layouts.class_by_name(class).map(|c| self.alloc(c))
     }
 
     /// Checked record accessor.
@@ -440,7 +576,7 @@ impl Heap {
         let class = self.nodes[id.index()].class;
         let mut parts = field.split('.');
         let head = parts.next()?;
-        let f = self.program.field_on_class(class, head)?;
+        let f = self.layouts.field_by_name(class, head)?;
         let mut slot = self.layouts.slot_of(class, f);
         for p in parts {
             let FieldKind::Data(Ty::Struct(st)) = self.program.fields[f.index()].kind else {

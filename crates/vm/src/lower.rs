@@ -125,18 +125,14 @@ pub fn try_lower_with(fp: &FusedProgram, opts: &VmOptions) -> Result<Module, Low
     let program = &fp.program;
     let layouts = Layouts::new(program);
 
-    // Dense class × field slot table (u32::MAX where the field is absent).
+    // The layouts' dense class × field slot table, in the module's
+    // encoding (u32::MAX where the field is absent).
     let n_fields = program.fields.len();
     let n_classes = program.classes.len();
-    let mut field_offsets = vec![u32::MAX; n_classes * n_fields];
-    let mut node_bytes = Vec::with_capacity(n_classes);
-    for ci in 0..n_classes {
-        let class = grafter_frontend::ClassId(ci as u32);
-        for f in program.all_fields(class) {
-            field_offsets[ci * n_fields + f.index()] = layouts.slot_of(class, f) as u32;
-        }
-        node_bytes.push(layouts.node_bytes(class));
-    }
+    let field_offsets = layouts.slot_table().to_vec();
+    let node_bytes = (0..n_classes as u32)
+        .map(|c| layouts.node_bytes(grafter_frontend::ClassId(c)))
+        .collect();
 
     // Flattened global frame — the same shared layout the interpreter
     // builds its global vector from, so indices correspond by

@@ -1,0 +1,169 @@
+//! The name indexes of `Layouts` resolve exactly as the program does:
+//! for every class and every field name visible on it, the index finds
+//! `Program::field_on_class`'s field, and the heap's name accessors land
+//! on the slot `Layouts::slot_of_chain` gives that field (and each of its
+//! struct members). Unknown classes, fields and members resolve to
+//! `None`, and the slot tables still panic, naming the field, on a field
+//! the class lacks.
+
+use grafter_frontend::{compile, ClassId, FieldKind, Program, Ty};
+use grafter_runtime::{Heap, Layouts, NodeId, Value};
+use grafter_workloads::case_studies;
+
+/// A hierarchy three classes deep with a struct field, an inherited
+/// child and, once `shadowed` renames `b` to `a`, a shadowed field; some
+/// class and field names share their first eight bytes, the prefix the
+/// name indexes search on first.
+const HIERARCHY: &str = r#"
+    struct Pair { int x; int y; }
+    tree class Base {
+        child Base* kid;
+        int a = 7;
+        virtual traversal nop() {}
+    }
+    tree class Mid : Base { Pair p; int b = 3; }
+    tree class Leaf : Mid {
+        float f = 1.5; child Base* kid2;
+        int neighbours; int neighbour; int neighbourhood;
+    }
+    tree class Container : Base { }
+    tree class ContainerItem : Container { }
+"#;
+
+fn hierarchy() -> Program {
+    compile(HIERARCHY).unwrap()
+}
+
+/// [`HIERARCHY`] with `Mid::b` renamed to `a`, so `Mid` and `Leaf` see
+/// their own `a` over `Base::a` (sema rejects the redeclaration in
+/// source, but `Program::field_on_class` defines the rule).
+fn shadowed() -> Program {
+    let mut p = hierarchy();
+    let mid = p.class_by_name("Mid").unwrap();
+    let b = p.field_on_class(mid, "b").unwrap();
+    p.fields[b.index()].name = "a".into();
+    p
+}
+
+/// Checks that `name` reads and writes slot `slot` of `node`.
+fn check_slot(heap: &mut Heap, node: NodeId, name: &str, slot: usize) {
+    let marker = Value::Int(1_000 + slot as i64);
+    heap.set(node, slot, marker);
+    assert_eq!(heap.get_by_name(node, name), Some(marker), "{name}");
+    heap.set_by_name(node, name, Value::Int(-1)).unwrap();
+    assert_eq!(heap.get(node, slot), Value::Int(-1), "{name}");
+}
+
+/// Checks every class and visible field name of `program`; returns the
+/// number of names checked.
+fn check_program(program: &Program) -> usize {
+    let layouts = Layouts::new(program);
+    let mut heap = Heap::new(program);
+    let mut checked = 0;
+    for (ci, decl) in program.classes.iter().enumerate() {
+        let class = ClassId(ci as u32);
+        assert_eq!(layouts.class_by_name(&decl.name), Some(class));
+        let node = heap.alloc_by_name(&decl.name).unwrap();
+        assert_eq!(heap.class_of(node), class);
+        for f in program.all_fields(class) {
+            let name = program.fields[f.index()].name.as_str();
+            let visible = program.field_on_class(class, name).unwrap();
+            assert_eq!(
+                layouts.field_by_name(class, name),
+                Some(visible),
+                "{}.{name}",
+                decl.name
+            );
+            check_slot(
+                &mut heap,
+                node,
+                name,
+                layouts.slot_of_chain(class, &[visible]),
+            );
+            checked += 1;
+            match program.fields[visible.index()].kind {
+                FieldKind::Data(Ty::Struct(st)) => {
+                    for &m in &program.structs[st.index()].members {
+                        let chain = format!("{name}.{}", program.fields[m.index()].name);
+                        let slot = layouts.slot_of_chain(class, &[visible, m]);
+                        check_slot(&mut heap, node, &chain, slot);
+                        checked += 1;
+                    }
+                    let unknown = format!("{name}.no_such_member");
+                    assert_eq!(heap.get_by_name(node, &unknown), None, "{unknown}");
+                }
+                _ => {
+                    let chain = format!("{name}.x");
+                    assert_eq!(heap.get_by_name(node, &chain), None, "{chain}");
+                }
+            }
+        }
+        assert_eq!(layouts.field_by_name(class, "no_such_field"), None);
+        assert_eq!(heap.get_by_name(node, "no_such_field"), None);
+        assert_eq!(heap.set_by_name(node, "no_such_field", Value::Int(0)), None);
+        assert_eq!(heap.child_by_name(node, "no_such_field"), None);
+    }
+    assert_eq!(layouts.class_by_name("NoSuchClass"), None);
+    assert_eq!(heap.alloc_by_name("NoSuchClass"), None);
+    checked
+}
+
+#[test]
+fn name_index_agrees_with_the_program_on_the_case_studies() {
+    for case in case_studies() {
+        let checked = check_program(case.compiled.program());
+        assert!(checked > 10, "{}: {checked} names", case.name);
+    }
+}
+
+#[test]
+fn name_index_resolves_inherited_struct_and_shadowed_fields() {
+    // Base: kid, a. Mid adds p, p.x, p.y, b. Leaf adds f, kid2 and the
+    // three neighbour fields. The containers inherit kid, a.
+    assert_eq!(check_program(&hierarchy()), 2 + 6 + 11 + 2 + 2);
+    let p = shadowed();
+    let layouts = Layouts::new(&p);
+    let [base, mid, leaf] = ["Base", "Mid", "Leaf"].map(|c| p.class_by_name(c).unwrap());
+    let base_a = p.field_on_class(base, "a").unwrap();
+    let mid_a = p.field_on_class(mid, "a").unwrap();
+    assert_ne!(base_a, mid_a);
+    assert_eq!(layouts.field_by_name(base, "a"), Some(base_a));
+    assert_eq!(layouts.field_by_name(mid, "a"), Some(mid_a));
+    assert_eq!(layouts.field_by_name(leaf, "a"), Some(mid_a));
+    assert_eq!(layouts.field_by_name(mid, "b"), None);
+    for unknown in ["neighbou", "neighbourz", "neighbourhoods"] {
+        assert_eq!(layouts.field_by_name(leaf, unknown), None, "{unknown}");
+    }
+    for unknown in ["Containe", "ContainerItems", "Leaf "] {
+        assert_eq!(layouts.class_by_name(unknown), None, "{unknown}");
+    }
+    // Leaf inherits kid, a (Base), p.x, p.y, a (Mid), then has f, kid2.
+    let mut heap = Heap::new(&p);
+    let node = heap.alloc(leaf);
+    check_slot(&mut heap, node, "a", layouts.slot_of(leaf, mid_a));
+    check_slot(&mut heap, node, "p.y", 3);
+    check_slot(&mut heap, node, "kid2", 6);
+    check_program(&p);
+}
+
+#[test]
+#[should_panic(expected = "class `Base` has no field `p`")]
+fn slot_of_a_field_the_class_lacks_panics_naming_it() {
+    let p = hierarchy();
+    let layouts = Layouts::new(&p);
+    let (base, mid) = (
+        p.class_by_name("Base").unwrap(),
+        p.class_by_name("Mid").unwrap(),
+    );
+    let pf = p.field_on_class(mid, "p").unwrap();
+    layouts.slot_of(base, pf);
+}
+
+#[test]
+#[should_panic(expected = "field `a` is not a struct member")]
+fn member_offset_of_a_field_outside_every_struct_panics_naming_it() {
+    let p = hierarchy();
+    let layouts = Layouts::new(&p);
+    let base = p.class_by_name("Base").unwrap();
+    layouts.member_offset(p.field_on_class(base, "a").unwrap());
+}
