@@ -54,9 +54,9 @@ use grafter::FusionOptions;
 use grafter_bench::{arg_value, baseline};
 use grafter_engine::{Backend, Engine, OptLevel};
 use grafter_obs::ExecCounters;
-use grafter_runtime::{with_stack, Heap, PureRegistry};
+use grafter_runtime::{with_stack, Heap, PureRegistry, RUN_STACK};
 use grafter_vm::{OpKind, Vm};
-use grafter_workloads::harness::{batch_throughput, Throughput, RUN_STACK};
+use grafter_workloads::harness::{batch_throughput, Throughput};
 use grafter_workloads::{case_studies, CaseStudy};
 
 /// Worker-thread counts swept by the throughput experiment.

@@ -20,9 +20,8 @@
 //! The verdicts aggregate into a [`FusionExplain`] attached to
 //! [`FusedProgram`](crate::FusedProgram), rendered as caret-snippet text via
 //! [`Diag::render`] or as machine JSON via the shared
-//! [`grafter_obs::json::JsonWriter`]. By construction the per-category totals
-//! equal the [`FusionCoverage`] counters — the
-//! invariant the test suite checks on every case study.
+//! [`grafter_obs::json::JsonWriter`]. Its per-category totals are the
+//! program's [`FusionCoverage`].
 //!
 //! [`DepGraph`]: crate::DepGraph
 //! [`DepGraph::blocking_hop`]: crate::DepGraph::blocking_hop
@@ -289,8 +288,8 @@ pub struct PairExplain {
 ///
 /// Accumulated once per distinct fused function (bodies are memoised), in
 /// deterministic order, so the report is a static code property suitable
-/// for golden tests. Per-category totals equal the
-/// [`FusionCoverage`] counters.
+/// for golden tests. Its per-category totals are the program's
+/// [`FusionCoverage`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FusionExplain {
     /// Every classified candidate pair, in discovery order.
@@ -317,8 +316,8 @@ impl FusionExplain {
         self.pairs.iter().filter(|p| f(&p.verdict)).count()
     }
 
-    /// The totals as a [`FusionCoverage`] — equal to the counters the
-    /// grouping stage accumulated (invariant-tested).
+    /// The totals as a [`FusionCoverage`] (what fusion stores as
+    /// [`FusedProgram::coverage`](crate::FusedProgram::coverage)).
     pub fn totals(&self) -> FusionCoverage {
         FusionCoverage {
             fused_pairs: self.fused(),

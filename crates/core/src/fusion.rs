@@ -226,11 +226,12 @@ pub struct FusedProgram {
     pub entries: Vec<StubId>,
     /// The entry sequence's dispatch slots.
     pub entry_slots: Vec<MethodId>,
-    /// Static coverage accounting of the grouping stage.
+    /// Static coverage of the grouping stage: the per-category totals of
+    /// `explain`, counted once when fusion ends.
     pub coverage: FusionCoverage,
     /// Per-pair fusability verdicts behind [`FusedProgram::coverage`]: one
     /// span-carrying record per candidate pair, with the reason it fused,
-    /// was missed, or was blocked. Category totals equal `coverage`.
+    /// was missed, or was blocked.
     pub explain: FusionExplain,
 }
 
@@ -486,7 +487,6 @@ fn fuse_slots_timed(
         fn_keys: HashMap::new(),
         stubs: Vec::new(),
         stub_keys: HashMap::new(),
-        coverage: FusionCoverage::default(),
         explain: FusionExplain::default(),
         times: FusionTimes::default(),
         lap_start: Instant::now(),
@@ -513,7 +513,7 @@ fn fuse_slots_timed(
         stubs: fuser.stubs,
         entries,
         entry_slots: slots.to_vec(),
-        coverage: fuser.coverage,
+        coverage: fuser.explain.totals(),
         explain: fuser.explain,
     };
     Ok((fused, times))
@@ -527,8 +527,8 @@ struct Fuser<'p> {
     fn_keys: HashMap<Vec<MethodId>, FusedFnId>,
     stubs: Vec<Stub>,
     stub_keys: HashMap<(ClassId, Vec<MethodId>), StubId>,
-    coverage: FusionCoverage,
-    /// Per-pair verdicts behind `coverage`, pushed in discovery order.
+    /// Per-pair verdicts, pushed in discovery order; the program's
+    /// coverage is their totals.
     explain: FusionExplain,
     /// Stage times so far. Until the run ends, `conflicts` holds all of
     /// dependence-graph building, summaries included.
@@ -778,13 +778,10 @@ impl Fuser<'_> {
                     continue;
                 }
                 let verdict = if self.opts.grouping && group_of[u] == group_of[v] {
-                    self.coverage.fused_pairs += 1;
                     FusionVerdict::Fused { group: group_of[u] }
                 } else if let Some(cause) = block_cause(self, u, v) {
-                    self.coverage.blocked_pairs += 1;
                     FusionVerdict::Blocked { cause }
                 } else {
-                    self.coverage.missed_pairs += 1;
                     let reason = if !self.opts.grouping {
                         MissReason::GroupingDisabled
                     } else {

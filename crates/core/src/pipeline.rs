@@ -255,11 +255,6 @@ impl Fused {
     pub fn fused_program(&self) -> &FusedProgram {
         &self.fused
     }
-
-    /// Consumes the stage into the bare [`FusedProgram`].
-    pub fn into_fused_program(self) -> FusedProgram {
-        self.fused
-    }
 }
 
 impl std::ops::Deref for Fused {

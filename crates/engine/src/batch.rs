@@ -6,15 +6,10 @@ use std::time::{Duration, Instant};
 
 use grafter::Error;
 use grafter_obs::{BatchTrace, WorkerStats};
-use grafter_runtime::{Heap, NodeId};
+use grafter_runtime::{Heap, NodeId, RUN_STACK};
 
 use crate::engine::Engine;
 use crate::report::Report;
-
-/// Reserved (not committed) stack of every batch thread. Traversals
-/// recurse once per tree level, so deep trees (long sibling chains) need
-/// large stacks; this matches the workload harness's experiment stack.
-const BATCH_STACK: usize = 1 << 31;
 
 /// Tuning for [`Engine::run_batch_with`].
 #[derive(Clone, Debug)]
@@ -116,7 +111,7 @@ impl Engine {
                 .map(|worker| {
                     let (inputs, results) = (&inputs, &results);
                     thread::Builder::new()
-                        .stack_size(BATCH_STACK)
+                        .stack_size(RUN_STACK)
                         .spawn_scoped(scope, move || self.batch_worker(worker, inputs, results))
                         .expect("spawn batch worker thread")
                 })

@@ -259,10 +259,14 @@ impl EngineBuilder {
         };
         let mut warnings = compiled.warnings().clone();
         warnings.dedup();
-        // Computed once here; every session heap shares the fused
-        // program's own `Arc` (no second program copy) and these layouts.
+        // Every session heap shares the fused program's own `Arc` (no
+        // second program copy) and one set of layouts: the module's on the
+        // VM tier, computed here on the interpreter's.
         let shared_program = Arc::clone(&fused.program);
-        let shared_layouts = Arc::new(Layouts::new(&shared_program));
+        let shared_layouts = match &module {
+            Some(m) => Arc::clone(m.layouts()),
+            None => Arc::new(Layouts::new(&shared_program)),
+        };
         let compile_trace = CompileTrace {
             spans,
             total: build_start.elapsed(),

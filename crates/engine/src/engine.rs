@@ -35,7 +35,8 @@ pub struct Engine {
     /// the interpreter tier, where it has no effect).
     pub(crate) opt_level: OptLevel,
     /// Program + layouts shared by every session heap (`Arc` bumps, not
-    /// program clones and layout recomputations, per session).
+    /// program clones and layout recomputations, per session). On the VM
+    /// tier the layouts are the module's own.
     pub(crate) shared_program: Arc<Program>,
     pub(crate) shared_layouts: Arc<Layouts>,
     pub(crate) pures: PureRegistry,
@@ -113,6 +114,12 @@ impl Engine {
     /// same shared instance every session heap references.
     pub fn program(&self) -> &Program {
         &self.shared_program
+    }
+
+    /// The program's node layouts and name indexes — the instance every
+    /// session heap (and, on [`Backend::Vm`], the module) shares.
+    pub fn layouts(&self) -> &Layouts {
+        &self.shared_layouts
     }
 
     /// The fused program the engine executes.

@@ -64,16 +64,6 @@ impl Report {
         }
     }
 
-    /// Throughput of this run in visits per second of wall time.
-    pub fn visits_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.metrics.visits as f64 / secs
-        }
-    }
-
     /// The final value of global variable `name` after the run.
     pub fn global(&self, name: &str) -> Option<Value> {
         self.globals

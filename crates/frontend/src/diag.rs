@@ -309,11 +309,6 @@ impl DiagnosticBag {
         &self.diags
     }
 
-    /// Consumes the bag into its diagnostics.
-    pub fn into_vec(self) -> Vec<Diag> {
-        self.diags
-    }
-
     /// Moves every diagnostic of `other` into `self`.
     pub fn merge(&mut self, other: DiagnosticBag) {
         self.diags.extend(other.diags);

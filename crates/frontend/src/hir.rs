@@ -242,14 +242,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Whether the operator produces a boolean.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne
-        )
-    }
-
     /// C-like spelling, for the code emitter.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -359,14 +351,6 @@ impl Program {
             .iter()
             .position(|g| g.name == name)
             .map(|i| GlobalId(i as u32))
-    }
-
-    /// Looks up a pure function by name.
-    pub fn pure_by_name(&self, name: &str) -> Option<PureId> {
-        self.pures
-            .iter()
-            .position(|p| p.name == name)
-            .map(|i| PureId(i as u32))
     }
 
     /// All ancestors of a class (transitive supers), nearest first,

@@ -53,6 +53,7 @@ pub use hir::{
     PathStep, Program, PureId, Stmt, StructId, TraverseStmt, Ty, UnOp,
 };
 pub use parser::MAX_NESTING;
+pub use sema::MAX_LAYOUT_ENTRIES;
 
 /// Parses and semantically checks a Grafter program.
 ///

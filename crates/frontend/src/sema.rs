@@ -21,6 +21,12 @@ use crate::ast::{self, Literal, Member, SurfaceExpr, SurfacePath, SurfaceStmt, T
 use crate::diag::{DiagnosticBag, Span, Stage};
 use crate::hir::*;
 
+/// The most `class × field` entries a program may declare: its tree
+/// classes times its fields, struct members included. The runtime lays
+/// every class out as one row of a dense table of that many `u32` slots,
+/// so the bound caps the table at 64 MiB.
+pub const MAX_LAYOUT_ENTRIES: usize = 1 << 24;
+
 /// Resolves and checks a surface program.
 ///
 /// # Errors
@@ -41,7 +47,10 @@ pub fn check_with_warnings(
     surface: &ast::SurfaceProgram,
 ) -> Result<(Program, DiagnosticBag), DiagnosticBag> {
     let mut cx = Checker::default();
-    cx.intern_signatures(surface);
+    cx.bound_layout(surface);
+    if !cx.errors.has_errors() {
+        cx.intern_signatures(surface);
+    }
     if !cx.errors.has_errors() {
         cx.resolve_bodies(surface);
     }
@@ -102,6 +111,26 @@ impl Checker {
                     self.pure_spans[i],
                 );
             }
+        }
+    }
+
+    /// Rejects a program past [`MAX_LAYOUT_ENTRIES`] before any of it is
+    /// resolved.
+    fn bound_layout(&mut self, surface: &ast::SurfaceProgram) {
+        let classes = surface.classes.len();
+        let members = surface.classes.iter().flat_map(|c| &c.members);
+        let class_fields = members.filter(|m| !matches!(m, Member::Traversal(_)));
+        let struct_members: usize = surface.structs.iter().map(|s| s.members.len()).sum();
+        let fields = class_fields.count() + struct_members;
+        let entries = classes.saturating_mul(fields);
+        if entries > MAX_LAYOUT_ENTRIES {
+            self.errors.error_global(
+                Stage::Sema,
+                format!(
+                    "{classes} tree classes times {fields} fields make {entries} node-layout \
+                     entries, past the limit of {MAX_LAYOUT_ENTRIES}"
+                ),
+            );
         }
     }
 

@@ -37,6 +37,16 @@ pub const SLOT_BYTES: u64 = 8;
 /// range, like a real process image).
 const HEAP_BASE_ADDR: u64 = 0x10_0000;
 
+/// Simulated address of the flattened global frame's first slot.
+const GLOBALS_BASE_ADDR: u64 = 0x1000;
+
+/// Simulated address of slot `idx` of the flattened global frame, the
+/// one both execution tiers touch for a global access.
+#[inline]
+pub fn global_addr(idx: usize) -> u64 {
+    GLOBALS_BASE_ADDR + SLOT_BYTES * idx as u64
+}
+
 /// Flattened field layouts of every class in a program.
 ///
 /// Each class lays out its inherited fields first (base-class subobject),
@@ -44,15 +54,15 @@ const HEAP_BASE_ADDR: u64 = 0x10_0000;
 /// member, mirroring the C++ object layout Grafter's generated code runs
 /// against.
 ///
-/// Built once per program, the layouts also resolve names: a class-name
+/// Built once per program and shared by every heap and, on the VM tier,
+/// by the lowered module, the layouts also name things: a class-name
 /// index and a per-class field-name index let tree builders go from
 /// `"Left"` to a slot with binary searches and array loads, touching no
 /// allocator.
 #[derive(Clone, Debug)]
 pub struct Layouts {
     /// Dense `class * n_fields + field` → first slot of the field,
-    /// `ABSENT` where the class has no such field (the encoding of the VM
-    /// module's offset table).
+    /// `ABSENT` where the class has no such field.
     slots: Vec<u32>,
     /// Row width of `slots`: the program's field count.
     n_fields: usize,
@@ -72,8 +82,6 @@ pub struct Layouts {
     sizes: Vec<usize>,
     /// Per-class default slot values.
     defaults: Vec<Vec<Value>>,
-    /// Per-slot field names (for snapshots/debugging).
-    slot_names: Vec<Vec<String>>,
 }
 
 /// Marks a `(class, field)` or member entry with no slot in the dense
@@ -121,14 +129,6 @@ fn prefix(name: &str) -> u64 {
         .fold(0, |key, (i, b)| key | u64::from(b) << (56 - 8 * i))
 }
 
-fn ty_slots(program: &Program, ty: Ty) -> usize {
-    match ty {
-        Ty::Int | Ty::Float | Ty::Bool => 1,
-        Ty::Struct(s) => program.structs[s.index()].members.len(),
-        Ty::Node(_) => 1,
-    }
-}
-
 /// Default value of a primitive/child slot, honouring a declared literal.
 pub fn default_literal(ty: Ty, lit: Option<Literal>) -> Value {
     match (ty, lit) {
@@ -171,7 +171,6 @@ impl Layouts {
             field_index: Vec::with_capacity(n_classes),
             sizes: Vec::with_capacity(n_classes),
             defaults: Vec::with_capacity(n_classes),
-            slot_names: Vec::with_capacity(n_classes),
         };
         for st in &program.structs {
             for (i, &m) in st.members.iter().enumerate() {
@@ -181,47 +180,30 @@ impl Layouts {
         for ci in 0..n_classes {
             let class = ClassId(ci as u32);
             let fields = program.all_fields(class);
-            let mut cur = 0usize;
+            // One default per slot, so its length is the next free slot.
             let mut defaults = Vec::new();
-            let mut names = Vec::new();
             for &f in &fields {
-                layouts.slots[ci * n_fields + f.index()] = cur as u32;
+                layouts.slots[ci * n_fields + f.index()] = defaults.len() as u32;
                 let field = &program.fields[f.index()];
                 match field.kind {
-                    FieldKind::Child(_) => {
-                        defaults.push(Value::Ref(None));
-                        names.push(field.name.clone());
-                        cur += 1;
-                    }
+                    FieldKind::Child(_) => defaults.push(Value::Ref(None)),
                     FieldKind::Data(Ty::Struct(s)) => {
                         for &m in &program.structs[s.index()].members {
-                            let mty = match program.fields[m.index()].kind {
-                                FieldKind::Data(t) => t,
-                                FieldKind::Child(_) => unreachable!("struct members are data"),
+                            let FieldKind::Data(mty) = program.fields[m.index()].kind else {
+                                unreachable!("struct members are data");
                             };
                             defaults.push(default_literal(mty, None));
-                            names.push(format!(
-                                "{}.{}",
-                                field.name,
-                                program.fields[m.index()].name
-                            ));
                         }
-                        cur += ty_slots(program, Ty::Struct(s));
                     }
-                    FieldKind::Data(ty) => {
-                        defaults.push(default_literal(ty, field.default));
-                        names.push(field.name.clone());
-                        cur += 1;
-                    }
+                    FieldKind::Data(ty) => defaults.push(default_literal(ty, field.default)),
                 }
             }
             // Most-derived first, so each name keeps the field
             // `Program::field_on_class` resolves it to.
             let visible = NameIndex::new(fields.iter().rev().map(|f| f.0), &layouts.field_names);
             layouts.field_index.push(visible);
-            layouts.sizes.push(cur);
+            layouts.sizes.push(defaults.len());
             layouts.defaults.push(defaults);
-            layouts.slot_names.push(names);
         }
         layouts
     }
@@ -238,6 +220,39 @@ impl Layouts {
         self.field_index[class.index()]
             .get(name, &self.field_names)
             .map(FieldId)
+    }
+
+    /// The field a name like `size` or `border.width` denotes on `class`
+    /// (the last of its field and struct-member chain) and its slot.
+    /// `program` is the one the layouts were computed for.
+    #[inline]
+    pub fn slot_by_name(
+        &self,
+        program: &Program,
+        class: ClassId,
+        name: &str,
+    ) -> Option<(FieldId, usize)> {
+        let mut parts = name.split('.');
+        let mut field = self.field_by_name(class, parts.next()?)?;
+        let mut slot = self.slot_of(class, field);
+        for member in parts {
+            let FieldKind::Data(Ty::Struct(st)) = program.fields[field.index()].kind else {
+                return None;
+            };
+            field = program.field_on_struct(st, member)?;
+            slot += self.member_offset(field);
+        }
+        Some((field, slot))
+    }
+
+    /// Name of `class`.
+    pub fn class_name(&self, class: ClassId) -> &str {
+        &self.class_names[class.index()]
+    }
+
+    /// Name of `field`.
+    pub fn field_name(&self, field: FieldId) -> &str {
+        &self.field_names[field.index()]
     }
 
     /// First slot of `field` within `class`.
@@ -290,11 +305,15 @@ impl Layouts {
         offset as usize
     }
 
-    /// The dense `class * n_fields + field` → first-slot table, with
-    /// `n_fields` the program's field count and `u32::MAX` where the
-    /// class has no such field.
-    pub fn slot_table(&self) -> &[u32] {
-        &self.slots
+    /// [`Layouts::slot_of`] without the release-build check that `class`
+    /// has `field`, for accesses resolved against these layouts at compile
+    /// time (the VM's). One table read; a field the class lacks yields a
+    /// slot past every node, which [`Heap::get`] and [`Heap::set`] reject.
+    #[inline]
+    pub fn slot_of_known(&self, class: ClassId, field: u32) -> usize {
+        let slot = self.slots[class.index() * self.n_fields + field as usize];
+        debug_assert_ne!(slot, ABSENT, "field not present on class");
+        slot as usize
     }
 
     /// Number of slots of `class`.
@@ -310,11 +329,6 @@ impl Layouts {
     /// Default slot values of `class`.
     pub fn defaults(&self, class: ClassId) -> &[Value] {
         &self.defaults[class.index()]
-    }
-
-    /// Human-readable name of each slot of `class`.
-    pub fn slot_names(&self, class: ClassId) -> &[String] {
-        &self.slot_names[class.index()]
     }
 }
 
@@ -471,6 +485,13 @@ impl Heap {
         HEAP_BASE_ADDR + NODE_HEADER_BYTES * id.0 as u64 + SLOT_BYTES * r.base as u64
     }
 
+    /// Simulated address of slot `slot` of a node, the one both execution
+    /// tiers touch for a field access.
+    #[inline]
+    pub fn slot_addr(&self, id: NodeId, slot: usize) -> u64 {
+        self.addr_of(id) + NODE_HEADER_BYTES + SLOT_BYTES * slot as u64
+    }
+
     /// Whether the node is still live (not deleted).
     #[inline]
     pub fn is_alive(&self, id: NodeId) -> bool {
@@ -574,17 +595,7 @@ impl Heap {
 
     fn slot_by_name(&self, id: NodeId, field: &str) -> Option<usize> {
         let class = self.nodes[id.index()].class;
-        let mut parts = field.split('.');
-        let head = parts.next()?;
-        let f = self.layouts.field_by_name(class, head)?;
-        let mut slot = self.layouts.slot_of(class, f);
-        for p in parts {
-            let FieldKind::Data(Ty::Struct(st)) = self.program.fields[f.index()].kind else {
-                return None;
-            };
-            let m = self.program.field_on_struct(st, p)?;
-            slot += self.layouts.member_offset(m);
-        }
+        let (_, slot) = self.layouts.slot_by_name(&self.program, class, field)?;
         Some(slot)
     }
 
@@ -757,7 +768,6 @@ mod tests {
         assert_eq!(d[1], Value::Int(7)); // a = 7
         assert_eq!(d[2], Value::Int(0)); // p.x
         assert_eq!(d[4], Value::Float(1.5)); // f = 1.5
-        assert_eq!(l.slot_names(derived)[3], "p.y");
     }
 
     #[test]

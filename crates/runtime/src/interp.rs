@@ -8,7 +8,7 @@ use grafter::{entry_flags, CallPart, FusedFn, FusedFnId, FusedProgram, Scheduled
 use grafter_cachesim::CacheHierarchy;
 use grafter_frontend::{BinOp, DataAccess, Expr, MethodId, NodePath, Stmt};
 
-use crate::heap::{Heap, NodeId, NODE_HEADER_BYTES, SLOT_BYTES};
+use crate::heap::{global_addr, Heap, NodeId, SLOT_BYTES};
 use crate::metrics::{cost, Metrics};
 use crate::ops::{binop, coerce, field_ty, flatten_globals, local_frame_layout};
 use crate::pure::PureRegistry;
@@ -70,8 +70,6 @@ pub struct Interp<'a> {
     /// nothing and costs one predicted branch per dispatch.
     class_visits: Option<Vec<u64>>,
 }
-
-const GLOBALS_BASE_ADDR: u64 = 0x1000;
 
 impl<'a> Interp<'a> {
     /// Creates an interpreter with the default math pures and no cache.
@@ -154,10 +152,6 @@ impl<'a> Interp<'a> {
         if let Some(cache) = &mut self.cache {
             cache.access(addr);
         }
-    }
-
-    fn slot_addr(&self, heap: &Heap, node: NodeId, slot: usize) -> u64 {
-        heap.addr_of(node) + NODE_HEADER_BYTES + SLOT_BYTES * slot as u64
     }
 
     fn local_layout(&mut self, method: MethodId) -> Rc<(Vec<usize>, usize)> {
@@ -311,7 +305,7 @@ impl<'a> Interp<'a> {
             let slot = heap.layouts().slot_of(class, step.field);
             self.metrics.instructions += 1;
             self.metrics.loads += 1;
-            self.touch(self.slot_addr(heap, cur, slot));
+            self.touch(heap.slot_addr(cur, slot));
             match heap.get(cur, slot) {
                 Value::Ref(Some(c)) => cur = c,
                 Value::Ref(None) => return Ok(None),
@@ -385,7 +379,7 @@ impl<'a> Interp<'a> {
                 self.metrics.stores += 1 + bytes / SLOT_BYTES;
                 let pclass = heap.class_of(parent);
                 let slot = heap.layouts().slot_of(pclass, last);
-                self.touch(self.slot_addr(heap, parent, slot));
+                self.touch(heap.slot_addr(parent, slot));
                 heap.set(parent, slot, Value::Ref(Some(fresh)));
                 Ok(Flow::Continue)
             }
@@ -397,7 +391,7 @@ impl<'a> Interp<'a> {
                 let pclass = heap.class_of(parent);
                 let slot = heap.layouts().slot_of(pclass, last);
                 self.metrics.loads += 1;
-                self.touch(self.slot_addr(heap, parent, slot));
+                self.touch(heap.slot_addr(parent, slot));
                 if let Value::Ref(Some(victim)) = heap.get(parent, slot) {
                     let freed = heap.delete_subtree(victim);
                     self.metrics.instructions += cost::FREE * freed as u64;
@@ -514,7 +508,7 @@ impl<'a> Interp<'a> {
                 let slot = heap.layouts().slot_of_chain(class, data);
                 self.metrics.instructions += 1;
                 self.metrics.loads += 1;
-                self.touch(self.slot_addr(heap, target, slot));
+                self.touch(heap.slot_addr(target, slot));
                 Ok(heap.get(target, slot))
             }
             DataAccess::Local { local, members } => {
@@ -534,7 +528,7 @@ impl<'a> Interp<'a> {
                 }
                 self.metrics.instructions += 1;
                 self.metrics.loads += 1;
-                self.touch(GLOBALS_BASE_ADDR + SLOT_BYTES * idx as u64);
+                self.touch(global_addr(idx));
                 Ok(self.globals[idx])
             }
         }
@@ -563,7 +557,7 @@ impl<'a> Interp<'a> {
                 let ty = field_ty(&self.fp.program, data);
                 self.metrics.instructions += 1;
                 self.metrics.stores += 1;
-                self.touch(self.slot_addr(heap, target, slot));
+                self.touch(heap.slot_addr(target, slot));
                 heap.set(target, slot, coerce(ty, value));
             }
             DataAccess::Local { local, members } => {
@@ -587,7 +581,7 @@ impl<'a> Interp<'a> {
                 }
                 self.metrics.instructions += 1;
                 self.metrics.stores += 1;
-                self.touch(GLOBALS_BASE_ADDR + SLOT_BYTES * idx as u64);
+                self.touch(global_addr(idx));
                 self.globals[idx] = coerce(ty, value);
             }
         }

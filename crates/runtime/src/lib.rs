@@ -61,16 +61,24 @@ pub mod ops;
 pub mod pipeline;
 mod pure;
 
-pub use heap::{default_literal, Heap, Layouts, NodeId, SnapValue, NODE_HEADER_BYTES, SLOT_BYTES};
+pub use heap::{
+    default_literal, global_addr, Heap, Layouts, NodeId, SnapValue, NODE_HEADER_BYTES, SLOT_BYTES,
+};
 pub use interp::{Interp, RuntimeError};
 pub use metrics::{cost, Metrics};
 pub use pure::{NativeFn, PureRegistry};
+
+/// Stack reserved (not committed) by every thread that runs traversals:
+/// the experiment harness's runs, `Engine::run_batch` workers and
+/// grafterd's executor threads.
+pub const RUN_STACK: usize = 1 << 31;
 
 /// Runs `f` on a dedicated thread with `bytes` of stack.
 ///
 /// The interpreter recurses once per tree level, exactly like the C++ the
 /// paper generates; very deep trees (long sibling chains) therefore need a
-/// large stack. Experiment harnesses wrap their runs in this helper.
+/// large stack ([`RUN_STACK`]). Experiment harnesses wrap their runs in
+/// this helper.
 ///
 /// # Panics
 ///

@@ -42,11 +42,6 @@ impl Metrics {
         *self = Metrics::default();
     }
 
-    /// Total memory operations.
-    pub fn memory_ops(&self) -> u64 {
-        self.loads + self.stores
-    }
-
     /// Modelled runtime in cycles: one cycle per instruction plus the
     /// memory-stall cycles accumulated by the cache hierarchy.
     pub fn cycles(&self, cache: &HierarchyStats) -> u64 {

@@ -636,7 +636,7 @@ fn make_builder(input: InputSpec, engine: &Engine) -> Result<Builder, AppError> 
             Ok(Box::new(move |heap: &mut Heap| build(heap, size, seed)))
         }
         InputSpec::Tree(spec) => {
-            let tree = resolve_tree_spec(engine.program(), &spec)?;
+            let tree = resolve_tree_spec(engine.program(), engine.layouts(), &spec)?;
             Ok(Box::new(move |heap: &mut Heap| {
                 build_tree_spec(heap, &tree)
             }))

@@ -16,9 +16,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 
 use grafter_obs::json::JsonWriter;
-
-/// Reserved (not committed) stack of every executor thread.
-const STACK: usize = 1 << 31;
+use grafter_runtime::RUN_STACK;
 
 type Job = Box<dyn FnOnce() + Send>;
 
@@ -55,7 +53,7 @@ impl Executor {
             let (receiver, counters) = (Arc::clone(&receiver), Arc::clone(&executor.counters));
             let thread = thread::Builder::new()
                 .name(format!("grafterd-exec-{id}"))
-                .stack_size(STACK)
+                .stack_size(RUN_STACK)
                 .spawn(move || work(&receiver, &counters))?;
             executor.threads.push(thread);
         }

@@ -62,10 +62,10 @@
 use std::io::{self, Read, Write};
 use std::ops::RangeInclusive;
 
-use grafter::{ClassId, FieldId, FieldKind, Program, Ty};
+use grafter::{ClassId, FieldKind, Program};
 use grafter_engine::{Backend, FusionOptions, OptLevel};
 use grafter_obs::json::{parse, Json, JsonWriter};
-use grafter_runtime::{Heap, NodeId, Value};
+use grafter_runtime::{Heap, Layouts, NodeId, Value};
 
 /// Hard cap on one frame's body, request or response chunk.
 pub const MAX_BODY: usize = 8 << 20;
@@ -368,58 +368,70 @@ pub struct TreeSpec {
     pub children: Vec<(String, Option<TreeSpec>)>,
 }
 
-/// An inline tree whose names [`resolve_tree_spec`] resolved against a
-/// program, so that building it cannot fail.
+/// An inline tree whose names [`resolve_tree_spec`] resolved to slots of
+/// a program's layouts, so that building it cannot fail.
 #[derive(Clone, Debug)]
 pub struct ResolvedTree {
     class: ClassId,
-    /// Data fields as the field and struct-member chain they write.
-    fields: Vec<(Vec<FieldId>, Value)>,
-    children: Vec<(FieldId, Option<ResolvedTree>)>,
+    /// Data fields as the slot they write.
+    fields: Vec<(usize, Value)>,
+    /// Child fields as their slot.
+    children: Vec<(usize, Option<ResolvedTree>)>,
 }
 
 /// Resolves an inline tree's class, data-field and child-field names
-/// against `program`, before any run is queued.
+/// through `layouts`' name indexes (those of `program`), before any run
+/// is queued.
 ///
 /// # Errors
 ///
 /// A `config` [`AppError`] naming the first class or field that does not
 /// resolve, or a child whose class the child field cannot hold.
-pub fn resolve_tree_spec(program: &Program, spec: &TreeSpec) -> Result<ResolvedTree, AppError> {
-    let class = program
+pub fn resolve_tree_spec(
+    program: &Program,
+    layouts: &Layouts,
+    spec: &TreeSpec,
+) -> Result<ResolvedTree, AppError> {
+    let class = layouts
         .class_by_name(&spec.class)
         .ok_or_else(|| AppError::config(format!("unknown tree class `{}`", spec.class)))?;
     let mut fields = Vec::with_capacity(spec.fields.len());
     for (name, value) in &spec.fields {
-        let chain = data_field_chain(program, class, name).ok_or_else(|| {
-            AppError::config(format!("unknown field `{name}` on `{}`", spec.class))
-        })?;
-        fields.push((chain, *value));
+        let data = layouts
+            .slot_by_name(program, class, name)
+            .filter(|&(f, _)| matches!(program.fields[f.index()].kind, FieldKind::Data(_)));
+        let Some((_, slot)) = data else {
+            return Err(AppError::config(format!(
+                "unknown field `{name}` on `{}`",
+                spec.class
+            )));
+        };
+        fields.push((slot, *value));
     }
     let mut children = Vec::with_capacity(spec.children.len());
     for (name, child) in &spec.children {
         let unknown =
             || AppError::config(format!("unknown child field `{name}` on `{}`", spec.class));
-        let field = program.field_on_class(class, name).ok_or_else(unknown)?;
+        let field = layouts.field_by_name(class, name).ok_or_else(unknown)?;
         let FieldKind::Child(declared) = program.fields[field.index()].kind else {
             return Err(unknown());
         };
         let child = match child {
             Some(c) => {
-                let tree = resolve_tree_spec(program, c)?;
+                let tree = resolve_tree_spec(program, layouts, c)?;
                 if !program.is_subtype(tree.class, declared) {
                     return Err(AppError::config(format!(
                         "child `{name}` of `{}` holds a `{}`, not a `{}`",
                         spec.class,
                         c.class,
-                        program.classes[declared.index()].name
+                        layouts.class_name(declared)
                     )));
                 }
                 Some(tree)
             }
             None => None,
         };
-        children.push((field, child));
+        children.push((layouts.slot_of(class, field), child));
     }
     Ok(ResolvedTree {
         class,
@@ -428,34 +440,16 @@ pub fn resolve_tree_spec(program: &Program, spec: &TreeSpec) -> Result<ResolvedT
     })
 }
 
-/// The field and struct-member chain a data-field name like `size` or
-/// `border.width` denotes on `class`.
-fn data_field_chain(program: &Program, class: ClassId, name: &str) -> Option<Vec<FieldId>> {
-    let mut parts = name.split('.');
-    let mut field = program.field_on_class(class, parts.next()?)?;
-    let mut chain = vec![field];
-    for member in parts {
-        let FieldKind::Data(Ty::Struct(st)) = program.fields[field.index()].kind else {
-            return None;
-        };
-        field = program.field_on_struct(st, member)?;
-        chain.push(field);
-    }
-    matches!(program.fields[field.index()].kind, FieldKind::Data(_)).then_some(chain)
-}
-
 /// Materializes a resolved inline tree into `heap` (laid out for the
 /// program it was resolved against), returning the root.
 pub fn build_tree_spec(heap: &mut Heap, tree: &ResolvedTree) -> NodeId {
     let node = heap.alloc(tree.class);
-    for (chain, value) in &tree.fields {
-        let slot = heap.layouts().slot_of_chain(tree.class, chain);
-        heap.set(node, slot, *value);
+    for &(slot, value) in &tree.fields {
+        heap.set(node, slot, value);
     }
-    for (field, child) in &tree.children {
+    for (slot, child) in &tree.children {
         let child = child.as_ref().map(|c| build_tree_spec(heap, c));
-        let slot = heap.layouts().slot_of(tree.class, *field);
-        heap.set(node, slot, Value::Ref(child));
+        heap.set(node, *slot, Value::Ref(child));
     }
     node
 }
@@ -1077,6 +1071,7 @@ mod tests {
         )
         .unwrap();
         let program = compiled.program();
+        let layouts = Layouts::new(program);
         let spec =
             |class: &str, fields: &[(&str, i64)], children: Vec<(&str, Option<TreeSpec>)>| {
                 TreeSpec {
@@ -1097,7 +1092,7 @@ mod tests {
             &[("a", 1), ("size.h", 7)],
             vec![("next", Some(spec("N", &[], Vec::new())))],
         );
-        let resolved = resolve_tree_spec(program, &tree).unwrap();
+        let resolved = resolve_tree_spec(program, &layouts, &tree).unwrap();
         let mut heap = Heap::new(program);
         let root = build_tree_spec(&mut heap, &resolved);
         assert_eq!(heap.get_by_name(root, "a"), Some(Value::Int(1)));
@@ -1136,7 +1131,7 @@ mod tests {
                 "unknown tree class `Gone`",
             ),
         ] {
-            let err = resolve_tree_spec(program, &tree).unwrap_err();
+            let err = resolve_tree_spec(program, &layouts, &tree).unwrap_err();
             assert_eq!(err.stage, "config");
             assert!(err.message.contains(needle), "{}", err.message);
         }

@@ -701,6 +701,33 @@ fn sources_past_a_bytecode_limit_are_typed_lower_errors_and_survivable() {
 }
 
 #[test]
+fn sources_past_the_layout_bound_are_typed_sema_errors_and_survivable() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+
+    // 4,100 one-field classes need 4,100 x 4,100 layout entries, past
+    // the 2^24 bound; a wider program could ask for gigabytes.
+    let mut source =
+        "tree class N { int a = 0; virtual traversal t() { a = a + 1; } }\n".to_string();
+    for i in 1..4_100 {
+        source += &format!("tree class C{i} : N {{ int f{i} = 0; }}\n");
+    }
+    let spec = ProgramSpec {
+        source,
+        ..program()
+    };
+    assert!(spec.source.len() < MAX_BODY);
+    let resp = client.call(&render_run(&spec, &leaf()));
+    assert!(!is_ok(&resp), "{resp:?}");
+    assert_eq!(error_stage(&resp), "sema", "{resp:?}");
+    assert!(is_ok(&client.call(&render_bare("ping"))));
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
 fn sources_sharing_a_hash_get_their_own_engines() {
     // Two programs whose source texts share an FNV-1a hash, found by a
     // collision search: a cache keyed by the hash would answer the second

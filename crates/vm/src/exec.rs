@@ -19,15 +19,11 @@ use grafter_frontend::ClassId;
 use grafter_obs::{ExecCounters, ExecProbe, NoProbe};
 use grafter_runtime::ops::{binop, unop};
 use grafter_runtime::{
-    cost, Heap, Metrics, NativeFn, NodeId, PureRegistry, RuntimeError, Value, NODE_HEADER_BYTES,
+    cost, global_addr, Heap, Layouts, Metrics, NativeFn, NodeId, PureRegistry, RuntimeError, Value,
     SLOT_BYTES,
 };
 
 use crate::module::{Module, Op, NO_TARGET};
-
-/// Base address of the flattened global frame (identical to the
-/// interpreter's, so global accesses hit the same cache lines).
-const GLOBALS_BASE_ADDR: u64 = 0x1000;
 
 type RResult<T> = Result<T, RuntimeError>;
 
@@ -36,6 +32,9 @@ type RResult<T> = Result<T, RuntimeError>;
 /// counterpart of [`grafter_runtime::Interp`].
 pub struct Vm<'a> {
     module: &'a Module,
+    /// The module's layouts, held here so a field access reads the slot
+    /// table without a load through the module.
+    layouts: &'a Layouts,
     /// Counters for the current run (reset with [`Metrics::reset`]).
     pub metrics: Metrics,
     /// Optional simulated memory hierarchy fed with every field access.
@@ -64,6 +63,7 @@ impl<'a> Vm<'a> {
             .collect();
         Vm {
             module,
+            layouts: &module.layouts,
             metrics: Metrics::default(),
             cache: None,
             pures,
@@ -148,11 +148,6 @@ impl<'a> Vm<'a> {
         }
     }
 
-    #[inline]
-    fn slot_addr(heap: &Heap, node: NodeId, slot: usize) -> u64 {
-        heap.addr_of(node) + NODE_HEADER_BYTES + SLOT_BYTES * slot as u64
-    }
-
     /// Virtual dispatch through a stub jump table; charges the dispatch
     /// costs and counts the visit.
     fn dispatch(&mut self, heap: &Heap, stub: u16, node: NodeId) -> RResult<u32> {
@@ -163,7 +158,7 @@ impl<'a> Vm<'a> {
         let target = self.module.stubs[stub as usize].targets[class.index()];
         if target == NO_TARGET {
             return Err(RuntimeError::MissingTarget(
-                self.module.class_names[class.index()].clone(),
+                self.layouts.class_name(class).to_string(),
             ));
         }
         self.metrics.visits += 1;
@@ -206,14 +201,14 @@ impl<'a> Vm<'a> {
     /// Follows a pooled path, counting pointer loads; `None` if any step
     /// is null.
     fn navigate(&mut self, heap: &Heap, node: NodeId, path: u16) -> RResult<Option<NodeId>> {
-        let m = self.module;
+        let (m, layouts) = (self.module, self.layouts);
         let mut cur = node;
         for &field in m.paths[path as usize].iter() {
             let class = heap.class_of(cur);
-            let slot = m.offset_of(class.index(), field);
+            let slot = layouts.slot_of_known(class, field);
             self.metrics.instructions += 1;
             self.metrics.loads += 1;
-            self.touch(Self::slot_addr(heap, cur, slot));
+            self.touch(heap.slot_addr(cur, slot));
             match heap.get(cur, slot) {
                 Value::Ref(Some(c)) => cur = c,
                 Value::Ref(None) => return Ok(None),
@@ -286,7 +281,7 @@ impl<'a> Vm<'a> {
         if P::ENABLED {
             probe.enter_func(fidx as usize);
         }
-        let m = self.module;
+        let (m, layouts) = (self.module, self.layouts);
         let f = &m.funcs[fidx as usize];
         // Prepay the guards lowering folded (see `FuncInfo`).
         self.metrics.instructions += f.folded as u64 * cost::GUARD;
@@ -378,10 +373,10 @@ impl<'a> Vm<'a> {
                         return Err(RuntimeError::NullDeref);
                     };
                     let class = heap.class_of(target);
-                    let slot = m.offset_of(class.index(), field) + addend as usize;
+                    let slot = layouts.slot_of_known(class, field) + addend as usize;
                     self.metrics.instructions += 1;
                     self.metrics.loads += 1;
-                    self.touch(Self::slot_addr(heap, target, slot));
+                    self.touch(heap.slot_addr(target, slot));
                     self.regs[base + dst as usize] = heap.get(target, slot);
                 }
                 Op::WriteTree {
@@ -395,22 +390,22 @@ impl<'a> Vm<'a> {
                         return Err(RuntimeError::NullDeref);
                     };
                     let class = heap.class_of(target);
-                    let slot = m.offset_of(class.index(), field) + addend as usize;
+                    let slot = layouts.slot_of_known(class, field) + addend as usize;
                     self.metrics.instructions += 1;
                     self.metrics.stores += 1;
-                    self.touch(Self::slot_addr(heap, target, slot));
+                    self.touch(heap.slot_addr(target, slot));
                     heap.set(target, slot, co.apply(self.regs[base + src as usize]));
                 }
                 Op::ReadGlobal { dst, idx } => {
                     self.metrics.instructions += 1;
                     self.metrics.loads += 1;
-                    self.touch(GLOBALS_BASE_ADDR + SLOT_BYTES * idx as u64);
+                    self.touch(global_addr(idx as usize));
                     self.regs[base + dst as usize] = self.globals[idx as usize];
                 }
                 Op::WriteGlobal { src, idx, co } => {
                     self.metrics.instructions += 1;
                     self.metrics.stores += 1;
-                    self.touch(GLOBALS_BASE_ADDR + SLOT_BYTES * idx as u64);
+                    self.touch(global_addr(idx as usize));
                     self.globals[idx as usize] = co.apply(self.regs[base + src as usize]);
                 }
                 Op::Nav {
@@ -446,24 +441,24 @@ impl<'a> Vm<'a> {
                         let fresh = heap.alloc(class);
                         self.metrics.instructions += cost::ALLOC;
                         // Constructor initialises the node: touch its lines.
-                        let bytes = m.node_bytes[class.index()];
+                        let bytes = layouts.node_bytes(class);
                         let addr = heap.addr_of(fresh);
                         if let Some(cache) = &mut self.cache {
                             cache.access_range(addr, bytes);
                         }
                         self.metrics.stores += 1 + bytes / SLOT_BYTES;
                         let pclass = heap.class_of(parent);
-                        let slot = m.offset_of(pclass.index(), field);
-                        self.touch(Self::slot_addr(heap, parent, slot));
+                        let slot = layouts.slot_of_known(pclass, field);
+                        self.touch(heap.slot_addr(parent, slot));
                         heap.set(parent, slot, Value::Ref(Some(fresh)));
                     }
                 }
                 Op::Delete { path, field } => {
                     if let Some(parent) = self.navigate(heap, node, path)? {
                         let pclass = heap.class_of(parent);
-                        let slot = m.offset_of(pclass.index(), field);
+                        let slot = layouts.slot_of_known(pclass, field);
                         self.metrics.loads += 1;
-                        self.touch(Self::slot_addr(heap, parent, slot));
+                        self.touch(heap.slot_addr(parent, slot));
                         if let Value::Ref(Some(victim)) = heap.get(parent, slot) {
                             let freed = heap.delete_subtree(victim);
                             self.metrics.instructions += cost::FREE * freed as u64;
@@ -517,10 +512,10 @@ impl<'a> Vm<'a> {
                         return Err(RuntimeError::NullDeref);
                     };
                     let class = heap.class_of(target);
-                    let slot = m.offset_of(class.index(), field) + addend as usize;
+                    let slot = layouts.slot_of_known(class, field) + addend as usize;
                     self.metrics.instructions += 1;
                     self.metrics.loads += 1;
-                    self.touch(Self::slot_addr(heap, target, slot));
+                    self.touch(heap.slot_addr(target, slot));
                     let r = heap.get(target, slot);
                     self.metrics.instructions += 1; // the fused Bin
                     let l = self.regs[base + a as usize];
@@ -529,7 +524,7 @@ impl<'a> Vm<'a> {
                 Op::GlobBin { op, dst, a, idx } => {
                     self.metrics.instructions += 1;
                     self.metrics.loads += 1;
-                    self.touch(GLOBALS_BASE_ADDR + SLOT_BYTES * idx as u64);
+                    self.touch(global_addr(idx as usize));
                     let r = self.globals[idx as usize];
                     self.metrics.instructions += 1; // the fused Bin
                     let l = self.regs[base + a as usize];
@@ -565,10 +560,10 @@ impl<'a> Vm<'a> {
                         return Err(RuntimeError::NullDeref);
                     };
                     let class = heap.class_of(target);
-                    let slot = m.offset_of(class.index(), field) + addend as usize;
+                    let slot = layouts.slot_of_known(class, field) + addend as usize;
                     self.metrics.instructions += 1;
                     self.metrics.stores += 1;
-                    self.touch(Self::slot_addr(heap, target, slot));
+                    self.touch(heap.slot_addr(target, slot));
                     heap.set(target, slot, co.apply(v));
                 }
                 Op::TreeLoc {
@@ -582,10 +577,10 @@ impl<'a> Vm<'a> {
                         return Err(RuntimeError::NullDeref);
                     };
                     let class = heap.class_of(target);
-                    let slot = m.offset_of(class.index(), field) + addend as usize;
+                    let slot = layouts.slot_of_known(class, field) + addend as usize;
                     self.metrics.instructions += 1;
                     self.metrics.loads += 1;
-                    self.touch(Self::slot_addr(heap, target, slot));
+                    self.touch(heap.slot_addr(target, slot));
                     let v = heap.get(target, slot);
                     self.metrics.instructions += 1; // the fused StoreLocal
                     self.regs[base + dst as usize] = co.apply(v);
@@ -603,19 +598,19 @@ impl<'a> Vm<'a> {
                         return Err(RuntimeError::NullDeref);
                     };
                     let class = heap.class_of(src);
-                    let slot = m.offset_of(class.index(), rfield as u32) + raddend as usize;
+                    let slot = layouts.slot_of_known(class, rfield.into()) + raddend as usize;
                     self.metrics.instructions += 1;
                     self.metrics.loads += 1;
-                    self.touch(Self::slot_addr(heap, src, slot));
+                    self.touch(heap.slot_addr(src, slot));
                     let v = heap.get(src, slot);
                     let Some(dst) = self.navigate(heap, node, wpath)? else {
                         return Err(RuntimeError::NullDeref);
                     };
                     let class = heap.class_of(dst);
-                    let slot = m.offset_of(class.index(), wfield as u32) + waddend as usize;
+                    let slot = layouts.slot_of_known(class, wfield.into()) + waddend as usize;
                     self.metrics.instructions += 1;
                     self.metrics.stores += 1;
-                    self.touch(Self::slot_addr(heap, dst, slot));
+                    self.touch(heap.slot_addr(dst, slot));
                     heap.set(dst, slot, co.apply(v));
                 }
                 Op::ConstTree {
@@ -629,10 +624,10 @@ impl<'a> Vm<'a> {
                         return Err(RuntimeError::NullDeref);
                     };
                     let class = heap.class_of(target);
-                    let slot = m.offset_of(class.index(), field) + addend as usize;
+                    let slot = layouts.slot_of_known(class, field) + addend as usize;
                     self.metrics.instructions += 1;
                     self.metrics.stores += 1;
-                    self.touch(Self::slot_addr(heap, target, slot));
+                    self.touch(heap.slot_addr(target, slot));
                     heap.set(target, slot, co.apply(m.consts[c as usize]));
                 }
                 Op::ConstLoc { dst, c, co } => {
@@ -652,10 +647,10 @@ impl<'a> Vm<'a> {
                         return Err(RuntimeError::NullDeref);
                     };
                     let class = heap.class_of(target);
-                    let slot = m.offset_of(class.index(), field) + addend as usize;
+                    let slot = layouts.slot_of_known(class, field) + addend as usize;
                     self.metrics.instructions += 1;
                     self.metrics.stores += 1;
-                    self.touch(Self::slot_addr(heap, target, slot));
+                    self.touch(heap.slot_addr(target, slot));
                     heap.set(target, slot, co.apply(v));
                 }
                 Op::LocLoc { dst, src, co } => {

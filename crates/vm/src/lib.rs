@@ -1,16 +1,19 @@
 //! `grafter-vm`: a bytecode compiler and register VM for fused traversals.
 //!
 //! The tree-walking interpreter in `grafter-runtime` executes a
-//! [`grafter::FusedProgram`] by walking its statement trees, probing
-//! layout `HashMap`s on every field access and allocating fresh frame
-//! vectors on every node visit — faithful, but dominated by interpretive
-//! dispatch overhead. This crate is the compiled execution tier:
+//! [`grafter::FusedProgram`] by walking its statement trees, summing each
+//! data access's member chain, scanning stub targets for the receiver's
+//! class and allocating fresh frame vectors on every node visit —
+//! faithful, but dominated by interpretive dispatch overhead. This crate
+//! is the compiled execution tier:
 //!
 //! 1. [`lower`] compiles a fused program **once** into a flat [`Module`]:
-//!    registers for locals and expression scratch, resolved field offsets
-//!    (dense `class × field` table) instead of name/hash lookups, a jump
-//!    table per dispatch stub keyed by the receiver's dynamic type, and
-//!    a deduplicated constant pool. Only the fusion bookkeeping lowering
+//!    registers for locals and expression scratch, field accesses with
+//!    their member addends folded (one read of the program's
+//!    [`grafter_runtime::Layouts`] slot table at run time, a table the
+//!    module shares with the engine's heaps), a jump table per dispatch
+//!    stub keyed by the receiver's dynamic type, and a deduplicated
+//!    constant pool. Only the fusion bookkeeping lowering
 //!    cannot decide reaches the bytecode: active-flag guards a
 //!    must-active analysis proves true are folded, and truncated call
 //!    parts pass no placeholder arguments;

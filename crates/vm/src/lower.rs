@@ -14,9 +14,9 @@
 //!   concatenated, parameters first, struct locals flattened), and
 //!   expressions compile to a register window above the locals;
 //! - every data access resolves its member chain to a constant slot
-//!   addend, every global to a flat frame index, and the `class × field`
-//!   slot table is densified so dynamic-type navigation is two array
-//!   indexes;
+//!   addend and every global to a flat frame index; the program's
+//!   [`Layouts`], which the module keeps, map a field of the receiver's
+//!   dynamic class to its slot with one table read;
 //! - each dispatch stub becomes a jump table indexed by dynamic class id;
 //! - literals are interned into a deduplicated constant pool.
 //!
@@ -33,6 +33,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use grafter::{entry_flags, CallPart, FusedFn, FusedProgram, ScheduledItem, StubId};
 use grafter_frontend::{
@@ -123,16 +124,8 @@ pub fn lower_with(fp: &FusedProgram, opts: &VmOptions) -> Module {
 pub fn try_lower_with(fp: &FusedProgram, opts: &VmOptions) -> Result<Module, LowerError> {
     LOWERINGS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let program = &fp.program;
-    let layouts = Layouts::new(program);
-
-    // The layouts' dense class × field slot table, in the module's
-    // encoding (u32::MAX where the field is absent).
-    let n_fields = program.fields.len();
-    let n_classes = program.classes.len();
-    let field_offsets = layouts.slot_table().to_vec();
-    let node_bytes = (0..n_classes as u32)
-        .map(|c| layouts.node_bytes(grafter_frontend::ClassId(c)))
-        .collect();
+    // The module keeps these layouts; an engine's session heaps share them.
+    let layouts = Arc::new(Layouts::new(program));
 
     // Flattened global frame — the same shared layout the interpreter
     // builds its global vector from, so indices correspond by
@@ -184,7 +177,7 @@ pub fn try_lower_with(fp: &FusedProgram, opts: &VmOptions) -> Result<Module, Low
         .stubs
         .iter()
         .map(|s| {
-            let mut targets = vec![NO_TARGET; n_classes];
+            let mut targets = vec![NO_TARGET; program.classes.len()];
             for &(class, fid) in &s.targets {
                 targets[class.index()] = fid.0;
             }
@@ -203,14 +196,10 @@ pub fn try_lower_with(fp: &FusedProgram, opts: &VmOptions) -> Result<Module, Low
         calls: lo.calls,
         consts: lo.consts,
         paths: lo.paths,
-        field_offsets,
-        n_fields,
-        node_bytes,
+        layouts,
         globals_init,
         global_names,
         pure_names: program.pures.iter().map(|p| p.name.clone()).collect(),
-        class_names: program.classes.iter().map(|c| c.name.clone()).collect(),
-        field_names: program.fields.iter().map(|f| f.name.clone()).collect(),
         entries,
         opt: OptReport::none(),
     };

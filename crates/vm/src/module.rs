@@ -8,8 +8,9 @@
 //! - **registers** replace the interpreter's per-traversal local frames
 //!   (one contiguous register window per activation, parameters first,
 //!   expression scratch above the locals);
-//! - **field offsets** are resolved into a dense `class × field` table, so
-//!   a data access is two array indexes instead of a `HashMap` probe;
+//! - **field accesses** carry their field id and static member addend; at
+//!   run time one read of the program's [`Layouts`] slot table (which the
+//!   module shares with the heaps it runs on) yields the slot;
 //! - **dispatch stubs** become per-stub jump tables indexed by the
 //!   receiver's dynamic [`ClassId`], replacing the interpreter's linear
 //!   `target_for` scan;
@@ -20,9 +21,10 @@
 //! whole thing (the `grafterc --emit bytecode` output).
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use grafter_frontend::{BinOp, UnOp};
-use grafter_runtime::Value;
+use grafter_frontend::{BinOp, ClassId, FieldId, UnOp};
+use grafter_runtime::{Layouts, Value};
 
 /// Coercion applied when a value is stored into a typed location
 /// (C++-style implicit int<->float conversion, resolved at lowering time
@@ -461,21 +463,15 @@ pub struct Module {
     /// Navigation paths as raw field-id sequences (casts are a
     /// compile-time fiction; navigation only follows child slots).
     pub(crate) paths: Vec<Box<[u32]>>,
-    /// Dense `class * n_fields + field → slot` table (`u32::MAX` absent).
-    pub(crate) field_offsets: Vec<u32>,
-    pub(crate) n_fields: usize,
-    /// Byte footprint per class (header + slots), for `new` accounting.
-    pub(crate) node_bytes: Vec<u64>,
+    /// The program's node layouts: field slots, node sizes for `new`,
+    /// and class and field names.
+    pub(crate) layouts: Arc<Layouts>,
     /// Initial values of the flattened global frame.
     pub(crate) globals_init: Vec<Value>,
     /// Global name → flat offset (for [`crate::Vm::set_global`]).
     pub(crate) global_names: Vec<(String, u32)>,
     /// Pure-function names by [`grafter_frontend::PureId`] index.
     pub(crate) pure_names: Vec<String>,
-    /// Class names by id (diagnostics, disassembly).
-    pub(crate) class_names: Vec<String>,
-    /// Field names by id (disassembly).
-    pub(crate) field_names: Vec<String>,
     /// Entry stubs, in invocation order (one for a fused sequence, one per
     /// traversal for the unfused baseline).
     pub(crate) entries: Vec<u16>,
@@ -561,12 +557,10 @@ impl Module {
         p
     }
 
-    /// Slot offset of `field` within dynamic class `class`.
-    #[inline]
-    pub(crate) fn offset_of(&self, class: usize, field: u32) -> usize {
-        let off = self.field_offsets[class * self.n_fields + field as usize];
-        debug_assert_ne!(off, u32::MAX, "field not present on class");
-        off as usize
+    /// The node layouts lowering resolved the module against; heaps
+    /// that share this `Arc` (an engine's sessions) lay out no copy.
+    pub fn layouts(&self) -> &Arc<Layouts> {
+        &self.layouts
     }
 
     /// Pretty-prints the whole module: functions with addressed ops, stub
@@ -613,18 +607,7 @@ impl Module {
                 let _ = writeln!(out, "  {pc:04}  {}", self.render_op(self.ops[pc as usize]));
             }
         }
-        for (i, s) in self.stubs.iter().enumerate() {
-            let _ = writeln!(out, "\nstub {i} {} (slots={})", s.name, s.n_parts);
-            for (class, &t) in s.targets.iter().enumerate() {
-                if t != NO_TARGET {
-                    let _ = writeln!(
-                        out,
-                        "  {:<16} -> fn {} {}",
-                        self.class_names[class], t, self.funcs[t as usize].name
-                    );
-                }
-            }
-        }
+        self.write_stubs(&mut out);
         if !self.consts.is_empty() {
             let _ = writeln!(out, "\nconsts");
             for (i, c) in self.consts.iter().enumerate() {
@@ -694,32 +677,44 @@ impl Module {
                 }
             }
         }
+        self.write_stubs(&mut out);
+        out
+    }
+
+    /// Appends each stub's jump table, one line per concrete target.
+    fn write_stubs(&self, out: &mut String) {
         for (i, s) in self.stubs.iter().enumerate() {
             let _ = writeln!(out, "\nstub {i} {} (slots={})", s.name, s.n_parts);
             for (class, &t) in s.targets.iter().enumerate() {
                 if t != NO_TARGET {
+                    let class = self.layouts.class_name(ClassId(class as u32));
                     let _ = writeln!(
                         out,
-                        "  {:<16} -> fn {} {}",
-                        self.class_names[class], t, self.funcs[t as usize].name
+                        "  {class:<16} -> fn {t} {}",
+                        self.funcs[t as usize].name
                     );
                 }
             }
         }
-        out
     }
 
     fn render_path(&self, path: u16) -> String {
-        let p = &self.paths[path as usize];
-        if p.is_empty() {
-            "this".to_string()
-        } else {
-            let mut s = "this".to_string();
-            for &f in p.iter() {
-                let _ = write!(s, "->{}", self.field_names[f as usize]);
-            }
-            s
+        let mut s = "this".to_string();
+        for &f in self.paths[path as usize].iter() {
+            let _ = write!(s, "->{}", self.layouts.field_name(FieldId(f)));
         }
+        s
+    }
+
+    /// Renders a tree slot operand as `path.field+addend`.
+    fn render_slot(&self, path: u16, field: u32, addend: u16) -> String {
+        let field = self.layouts.field_name(FieldId(field));
+        let addend = if addend > 0 {
+            format!("+{addend}")
+        } else {
+            String::new()
+        };
+        format!("{}.{field}{addend}", self.render_path(path))
     }
 
     fn render_op(&self, op: Op) -> String {
@@ -765,14 +760,8 @@ impl Module {
                 field,
                 addend,
             } => format!(
-                "rdtree   r{dst} <- [{}.{}{}]",
-                self.render_path(path),
-                self.field_names[field as usize],
-                if addend > 0 {
-                    format!("+{addend}")
-                } else {
-                    String::new()
-                }
+                "rdtree   r{dst} <- [{}]",
+                self.render_slot(path, field, addend)
             ),
             Op::WriteTree {
                 src,
@@ -781,14 +770,8 @@ impl Module {
                 addend,
                 co,
             } => format!(
-                "wrtree   [{}.{}{}] <- {co:?}(r{src})",
-                self.render_path(path),
-                self.field_names[field as usize],
-                if addend > 0 {
-                    format!("+{addend}")
-                } else {
-                    String::new()
-                }
+                "wrtree   [{}] <- {co:?}(r{src})",
+                self.render_slot(path, field, addend)
             ),
             Op::ReadGlobal { dst, idx } => format!("rdglob   r{dst} <- g{idx}"),
             Op::WriteGlobal { src, idx, co } => format!("wrglob   g{idx} <- {co:?}(r{src})"),
@@ -813,16 +796,13 @@ impl Module {
                 )
             }
             Op::New { path, field, class } => format!(
-                "new      [{}.{}] <- {}",
-                self.render_path(path),
-                self.field_names[field as usize],
-                self.class_names[class as usize]
+                "new      [{}] <- {}",
+                self.render_slot(path, field, 0),
+                self.layouts.class_name(ClassId(class.into()))
             ),
-            Op::Delete { path, field } => format!(
-                "delete   [{}.{}]",
-                self.render_path(path),
-                self.field_names[field as usize]
-            ),
+            Op::Delete { path, field } => {
+                format!("delete   [{}]", self.render_slot(path, field, 0))
+            }
             Op::CallPure {
                 dst,
                 pure,
@@ -849,11 +829,9 @@ impl Module {
                 field,
                 addend,
             } => format!(
-                "bin.t    r{dst} <- r{a} {} [{}.{}{}]",
+                "bin.t    r{dst} <- r{a} {} [{}]",
                 op.symbol(),
-                self.render_path(path),
-                self.field_names[field as usize],
-                render_addend(addend)
+                self.render_slot(path, field, addend)
             ),
             Op::GlobBin { op, dst, a, idx } => {
                 format!("bin.g    r{dst} <- r{a} {} g{idx}", op.symbol())
@@ -873,10 +851,8 @@ impl Module {
                 addend,
                 co,
             } => format!(
-                "wrtree.l [{}.{}{}] <- {co:?}(r{src})",
-                self.render_path(path),
-                self.field_names[field as usize],
-                render_addend(addend)
+                "wrtree.l [{}] <- {co:?}(r{src})",
+                self.render_slot(path, field, addend)
             ),
             Op::LocLoc { dst, src, co } => format!("stloc.l  r{dst} <- {co:?}(r{src})"),
             Op::BinTree {
@@ -888,10 +864,8 @@ impl Module {
                 addend,
                 co,
             } => format!(
-                "wrtree.b [{}.{}{}] <- {co:?}(r{a} {} r{b})",
-                self.render_path(path),
-                self.field_names[field as usize],
-                render_addend(addend),
+                "wrtree.b [{}] <- {co:?}(r{a} {} r{b})",
+                self.render_slot(path, field, addend),
                 op.symbol()
             ),
             Op::TreeLoc {
@@ -901,10 +875,8 @@ impl Module {
                 addend,
                 co,
             } => format!(
-                "stloc.t  r{dst} <- {co:?}([{}.{}{}])",
-                self.render_path(path),
-                self.field_names[field as usize],
-                render_addend(addend)
+                "stloc.t  r{dst} <- {co:?}([{}])",
+                self.render_slot(path, field, addend)
             ),
             Op::TreeTree {
                 rpath,
@@ -915,13 +887,9 @@ impl Module {
                 waddend,
                 co,
             } => format!(
-                "cptree   [{}.{}{}] <- {co:?}([{}.{}{}])",
-                self.render_path(wpath),
-                self.field_names[wfield as usize],
-                render_addend(waddend),
-                self.render_path(rpath),
-                self.field_names[rfield as usize],
-                render_addend(raddend)
+                "cptree   [{}] <- {co:?}([{}])",
+                self.render_slot(wpath, wfield.into(), waddend),
+                self.render_slot(rpath, rfield.into(), raddend)
             ),
             Op::ConstTree {
                 c,
@@ -930,10 +898,8 @@ impl Module {
                 addend,
                 co,
             } => format!(
-                "wrtree.c [{}.{}{}] <- {co:?}(#{c} {:?})",
-                self.render_path(path),
-                self.field_names[field as usize],
-                render_addend(addend),
+                "wrtree.c [{}] <- {co:?}(#{c} {:?})",
+                self.render_slot(path, field, addend),
                 self.consts[c as usize]
             ),
             Op::ConstLoc { dst, c, co } => format!(
@@ -987,13 +953,4 @@ fn basic_blocks(module: &Module, fidx: usize) -> Vec<(u32, u32)> {
         .enumerate()
         .map(|(i, &s)| (s, starts.get(i + 1).copied().unwrap_or(f.end)))
         .collect()
-}
-
-/// Renders a slot addend suffix (`+2`), empty when zero.
-fn render_addend(addend: u16) -> String {
-    if addend > 0 {
-        format!("+{addend}")
-    } else {
-        String::new()
-    }
 }

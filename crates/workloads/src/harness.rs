@@ -5,10 +5,10 @@
 //! workload and builds one immutable [`Engine`] per configuration
 //! (fused, unfused, ablation cutoffs) — compile, fusion and (on the VM
 //! tier) bytecode lowering run once per engine, then every measured run
-//! is just a [`Session`](grafter_engine::Session). [`Experiment::with_backend`]
-//! switches every run between the instrumented interpreter and the
-//! `grafter-vm` bytecode VM with one argument (both produce identical
-//! metrics; only wall-clock differs). [`batch_throughput`] measures the
+//! is just a [`Session`](grafter_engine::Session). Experiments run on the
+//! instrumented interpreter with the math pures; the VM differential
+//! suite moves one to the `grafter-vm` bytecode VM with
+//! [`Experiment::with_backend`]. [`batch_throughput`] measures the
 //! concurrent story: one shared engine fanning a batch of trees across
 //! worker threads.
 
@@ -18,11 +18,9 @@ use grafter::pipeline::Compiled;
 use grafter::FuseOptions;
 use grafter_cachesim::CacheHierarchy;
 use grafter_engine::{BatchOptions, Engine};
-use grafter_runtime::{with_stack, Heap, NodeId, PureRegistry, Value};
+pub use grafter_runtime::RUN_STACK;
+use grafter_runtime::{with_stack, Heap, NodeId, Value};
 use grafter_vm::Backend;
-
-/// Stack size used for experiment runs (trees can be deep sibling chains).
-pub const RUN_STACK: usize = 1 << 31;
 
 /// The metrics of one run, mirroring the paper's measured quantities.
 #[derive(Clone, Debug, Default)]
@@ -97,14 +95,13 @@ pub struct Experiment {
     pub args: Vec<Vec<Value>>,
     /// Builds the input tree.
     pub build: Box<dyn Fn(&mut Heap) -> NodeId + Send + Sync>,
-    /// Extra pure functions (besides the math defaults).
-    pub pures: fn() -> PureRegistry,
     /// Which execution tier runs the experiment (default: interpreter).
-    pub backend: Backend,
+    backend: Backend,
 }
 
 impl Experiment {
-    /// Creates an experiment with default math pures and no arguments.
+    /// Creates an experiment with no arguments, run on the interpreter
+    /// with the default math pures.
     pub fn new(
         compiled: Compiled,
         root_class: &'static str,
@@ -117,7 +114,6 @@ impl Experiment {
             passes: passes.to_vec(),
             args: Vec::new(),
             build: Box::new(build),
-            pures: PureRegistry::with_math,
             backend: Backend::default(),
         }
     }
@@ -136,7 +132,6 @@ impl Experiment {
             .entry(self.root_class, &self.passes)
             .fusion(opts.clone())
             .backend(self.backend)
-            .pures((self.pures)())
             .args(self.args.clone())
             .build()
             .expect("experiment entry sequence resolves")

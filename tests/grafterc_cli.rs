@@ -435,3 +435,35 @@ fn a_program_past_a_bytecode_limit_is_a_compile_error_on_the_vm_only() {
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stderr.contains("run ok"), "{stderr}");
 }
+
+/// A program of `classes` tree classes, each declaring one field: a root
+/// with a traversal and subclasses of it.
+fn wide_source(classes: usize) -> String {
+    let mut src =
+        "tree class C0 { int f0 = 0; virtual traversal t() { f0 = f0 + 1; } }\n".to_string();
+    for i in 1..classes {
+        src += &format!("tree class C{i} : C0 {{ int f{i} = 0; }}\n");
+    }
+    src
+}
+
+#[test]
+fn a_program_past_the_layout_bound_is_a_sema_error_on_both_tiers() {
+    // 4,100 classes times 4,100 fields just pass 2^24 layout entries.
+    let run = |src: &str, backend: &str| {
+        let args = ["-", "--root", "C0", "--passes", "t", "--backend", backend];
+        grafterc(&[&args[..], &["--emit", "none", "--run"]].concat(), src)
+    };
+    let past = wide_source(4_100);
+    let within = wide_source(3_000);
+    for backend in ["interp", "vm"] {
+        let (_, stderr, code) = run(&past, backend);
+        assert_eq!(code, Some(3), "{stderr}");
+        assert!(stderr.contains("error[sema]"), "{stderr}");
+        let bound = grafter_frontend::MAX_LAYOUT_ENTRIES.to_string();
+        assert!(stderr.contains(&bound), "{stderr}");
+        let (_, stderr, code) = run(&within, backend);
+        assert_eq!(code, Some(0), "{stderr}");
+        assert!(stderr.contains("run ok"), "{stderr}");
+    }
+}

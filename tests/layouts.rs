@@ -88,6 +88,9 @@ fn check_program(program: &Program) -> usize {
                         let slot = layouts.slot_of_chain(class, &[visible, m]);
                         check_slot(&mut heap, node, &chain, slot);
                         checked += 1;
+                        // A member is no struct: a third part names nothing.
+                        let deeper = format!("{chain}.{}", program.fields[m.index()].name);
+                        assert_eq!(heap.get_by_name(node, &deeper), None, "{deeper}");
                     }
                     let unknown = format!("{name}.no_such_member");
                     assert_eq!(heap.get_by_name(node, &unknown), None, "{unknown}");
