@@ -8,6 +8,8 @@
 //! automata machinery Grafter actually needs, built from scratch:
 //!
 //! - nondeterministic finite automata with epsilon transitions ([`Nfa`]),
+//!   kept in flat edge lists so that composing them copies no per-state
+//!   vectors,
 //! - primitive automata for single access paths ([`Nfa::from_path`]),
 //! - union ([`Nfa::union`]) and a language intersection test
 //!   ([`Nfa::intersects`]) that is aware of the wildcard "any member"
@@ -16,7 +18,13 @@
 //!   accepting pair, stepping both sides together on labels that
 //!   overlap; that is exact for the wildcard semantics, because a word
 //!   both automata accept overlaps label by label, and every overlapping
-//!   label pair is matched by some concrete member.
+//!   label pair is matched by some concrete member,
+//! - the ε-free, trimmed form the compiler keeps and searches
+//!   ([`Nfa::trim`], [`Trimmed`]): same language, no epsilon moves and
+//!   no state that cannot lead to acceptance, so a product search visits
+//!   only pairs that can matter. Its search ([`Trimmed::intersects`])
+//!   keeps visited pairs in a caller-owned [`Search`] whose table grows
+//!   with the pairs visited, and counts its work.
 //!
 //! The alphabet is generic over the [`Symbol`] trait so the automata can be
 //! tested independently of the compiler; the compiler instantiates it with
@@ -25,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use grafter_automata::{Nfa, PathSym};
+//! use grafter_automata::{Nfa, PathSym, Search};
 //!
 //! // reads of `this->Next.Width` (every non-empty prefix is also read)
 //! let read = Nfa::from_path(
@@ -40,12 +48,18 @@
 //! assert!(read.intersects(&write));
 //! let other = Nfa::from_path(&[PathSym::Root, PathSym::Field(3)], false);
 //! assert!(!read.intersects(&other));
+//!
+//! // The trimmed forms give the same answers.
+//! let mut search = Search::default();
+//! assert!(read.trim().intersects(&write.trim(), &mut search));
+//! assert!(!read.trim().intersects(&other.trim(), &mut search));
+//! assert_eq!(search.searches(), 2);
 //! ```
 
 mod nfa;
 mod sym;
 
-pub use nfa::{Nfa, StateId};
+pub use nfa::{Nfa, Search, StateId, Trimmed};
 pub use sym::{PathSym, Symbol};
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Unit and property tests for the automata crate.
 
-use crate::{Nfa, PathSym};
+use crate::{Nfa, PathSym, Search};
 
 fn path(word: &str) -> Vec<char> {
     word.chars().collect()
@@ -265,25 +265,113 @@ mod proptests {
             })
     }
 
+    /// Every word over `{a, b, c, *}` of at most `len` letters.
+    fn all_words(len: usize) -> Vec<Vec<char>> {
+        let mut words = vec![Vec::new()];
+        let mut last = vec![Vec::new()];
+        for _ in 0..len {
+            last = last
+                .iter()
+                .flat_map(|w: &Vec<char>| {
+                    ['a', 'b', 'c', '*'].map(|c| {
+                        let mut w = w.clone();
+                        w.push(c);
+                        w
+                    })
+                })
+                .collect();
+            words.extend(last.iter().cloned());
+        }
+        words
+    }
+
     /// The product search against a brute-force oracle on automata with
     /// wildcards, loops and epsilon edges. A shortest accepting path of
     /// the product visits each of its `|a| · |b|` (at most nine) state
     /// pairs at most once, so a shortest common word has fewer letters
     /// than that and the oracle's bound is exact.
+    ///
+    /// The ε-free, trimmed form of each automaton must accept exactly the
+    /// words it accepts (every word of up to four letters, wildcard
+    /// letters included) and give the same intersection answers, with one
+    /// search scratch reused across all of them.
     #[test]
     fn intersects_matches_bounded_word_search() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut outcomes = [0usize; 2];
+        let words = all_words(4);
+        let mut search = Search::default();
+        let mut trimmed_states = 0;
         for _ in 0..2 * CASES {
             let a = small_nfa(&mut rng);
             let b = small_nfa(&mut rng);
             let expected = shared_word(&a, &b, &mut Vec::new(), a.len() * b.len() - 1);
             assert_eq!(a.intersects(&b), expected, "{a:?} vs {b:?}");
             assert_eq!(b.intersects(&a), expected, "{b:?} vs {a:?}");
+            let (ta, tb) = (a.trim(), b.trim());
+            for (nfa, trimmed) in [(&a, &ta), (&b, &tb)] {
+                assert!(trimmed.len() <= nfa.len(), "{nfa:?} trimmed to {trimmed:?}");
+                assert_eq!(trimmed.is_empty(), nfa.is_empty_language());
+                for w in &words {
+                    assert_eq!(
+                        trimmed.accepts(w),
+                        nfa.accepts(w),
+                        "{w:?}: {nfa:?} vs {trimmed:?}"
+                    );
+                }
+                trimmed_states += trimmed.len();
+            }
+            assert_eq!(
+                ta.intersects(&tb, &mut search),
+                expected,
+                "{ta:?} vs {tb:?}"
+            );
+            assert_eq!(
+                tb.intersects(&ta, &mut search),
+                expected,
+                "{tb:?} vs {ta:?}"
+            );
             outcomes[usize::from(expected)] += 1;
         }
         // Both answers are well represented (50 disjoint, 206 not).
         assert!(outcomes.iter().all(|&n| n > CASES / 4), "{outcomes:?}");
+        // Trimming drops states somewhere, and searches were counted.
+        assert!(trimmed_states < 2 * 2 * CASES * 3, "{trimmed_states}");
+        assert!(search.searches() > 0 && search.pairs_visited() > 0);
+    }
+
+    /// Searches that visit many pairs grow the scratch table and still
+    /// answer exactly, and a later small search reuses it.
+    #[test]
+    fn trimmed_search_grows_its_table_with_the_pairs_visited() {
+        // `a^n` against `(a|*)^n`: the product walks a diagonal of n pairs
+        // to the accepting one; `b` misses on the last letter.
+        let n = 200;
+        let word: Vec<char> = std::iter::repeat('a').take(n).collect();
+        let mut loose = Nfa::new();
+        let mut cur = loose.start();
+        for _ in 0..n {
+            let next = loose.add_state();
+            loose.add_transition(cur, 'a', next);
+            loose.add_transition(cur, '*', next);
+            cur = next;
+        }
+        loose.set_accepting(cur, true);
+        let mut miss = word.clone();
+        miss[n - 1] = 'b';
+        let mut search = Search::default();
+        let (lit, loose) = (Nfa::from_path(&word, false).trim(), loose.trim());
+        assert!(lit.intersects(&loose, &mut search));
+        // Each of the diagonal's pairs before the accepting one is
+        // expanded once.
+        let visited = search.pairs_visited();
+        assert_eq!(visited, n as u64);
+        let no = Nfa::from_path(&miss[..n - 1], false);
+        assert!(!no.trim().intersects(&lit, &mut search));
+        assert!(!Nfa::from_path(&miss, false)
+            .trim()
+            .intersects(&Nfa::from_path(&word, false).trim(), &mut search));
+        assert_eq!(search.searches(), 3);
     }
 
     #[test]

@@ -1,26 +1,33 @@
 //! Access-path extraction and access automata (paper §3.2).
 //!
-//! Every top-level statement of a traversal gets an [`AccessSummary`]: six
+//! Every top-level statement of a traversal gets an [`AccessSummary`]: four
 //! automata over [`PathSym`] describing the tree and global locations the
 //! statement may read or write (relative to the node the enclosing function
-//! is invoked on), plus flat sets for locals and a may-return flag.
+//! is invoked on), plus flat sets for locals and a may-return flag. Every
+//! summary automaton is ε-free and trimmed ([`Trimmed`]): it is built in
+//! the flat construction form [`Nfa`] and trimmed once, so a dependence
+//! test searches no epsilon move and no dead state.
 //!
 //! Simple statements produce unions of primitive path automata. Traversing
 //! calls are summarised by Algorithm 1: a labelled call graph over all
 //! *concrete* functions transitively reachable under dynamic dispatch, with
 //! one automaton state per function and a back edge whenever a function is
-//! revisited (so unbounded recursion appears as loops).
+//! revisited (so unbounded recursion appears as loops). That graph depends
+//! only on the dispatch key — the called slot and the receiver's static
+//! type — so it is built and trimmed once per key, relative to the
+//! receiver ([`DispatchAutomata`]); a call's automaton is its receiver
+//! path followed by a flat copy of its key's automaton.
 //!
 //! [`ProgramAccesses`] computes each of these once per program: a
-//! statement's summary, a call's dispatch targets, and a statement pair's
-//! conflict verdict.
+//! statement's summary, a call's dispatch targets and automata, and the
+//! conflict verdict of a pair of summaries.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use grafter_automata::{Nfa, PathSym, StateId};
+use grafter_automata::{Nfa, PathSym, Search, StateId, Trimmed};
 use grafter_frontend::{
     ClassId, DataAccess, Expr, FieldId, GlobalId, LocalId, MethodId, NodePath, Program, Stmt,
     TraverseStmt,
@@ -41,16 +48,20 @@ pub fn global_sym(program: &Program, global: GlobalId) -> PathSym {
 }
 
 /// Summary of the locations one top-level statement may touch.
-#[derive(Clone, Debug)]
+///
+/// Summaries compare and hash by structure, which is how
+/// [`ProgramAccesses`] interns them: statements that touch the same
+/// locations the same way (`G = 1;` and `G = 2;`) share one summary.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AccessSummary {
     /// On-tree reads, rooted at the traversed-node transition.
-    pub tree_reads: Nfa<PathSym>,
+    pub tree_reads: Trimmed<PathSym>,
     /// On-tree writes.
-    pub tree_writes: Nfa<PathSym>,
+    pub tree_writes: Trimmed<PathSym>,
     /// Off-tree (global) reads.
-    pub global_reads: Nfa<PathSym>,
+    pub global_reads: Trimmed<PathSym>,
     /// Off-tree (global) writes.
-    pub global_writes: Nfa<PathSym>,
+    pub global_writes: Trimmed<PathSym>,
     /// Locals read (conflated per variable — sound, locals are scalar or
     /// small structs).
     pub local_reads: Vec<LocalId>,
@@ -61,18 +72,6 @@ pub struct AccessSummary {
 }
 
 impl AccessSummary {
-    fn empty() -> Self {
-        AccessSummary {
-            tree_reads: Nfa::new(),
-            tree_writes: Nfa::new(),
-            global_reads: Nfa::new(),
-            global_writes: Nfa::new(),
-            local_reads: Vec::new(),
-            local_writes: Vec::new(),
-            may_return: false,
-        }
-    }
-
     /// The first conflict between this statement and a later statement
     /// `other` when both execute with the same `this` binding, or `None`
     /// if they touch no common location with at least one of them writing.
@@ -83,30 +82,119 @@ impl AccessSummary {
     /// statements originating from the same traversal copy in a merged
     /// function (inlined copies have disjoint frames).
     pub fn conflict(&self, other: &AccessSummary, same_frame: bool) -> Option<ConflictKind> {
+        self.data_conflict(other, &mut Search::default())
+            .or_else(|| (same_frame && self.shares_local(other)).then_some(ConflictKind::Local))
+    }
+
+    /// The first tree or global conflict of [`AccessSummary::conflict`],
+    /// searching with `search`.
+    fn data_conflict(&self, other: &AccessSummary, search: &mut Search) -> Option<ConflictKind> {
+        let tests = [
+            (
+                &self.tree_writes,
+                &other.tree_reads,
+                ConflictKind::TreeWriteRead,
+            ),
+            (
+                &self.tree_writes,
+                &other.tree_writes,
+                ConflictKind::TreeWriteWrite,
+            ),
+            (
+                &self.tree_reads,
+                &other.tree_writes,
+                ConflictKind::TreeReadWrite,
+            ),
+            (
+                &self.global_writes,
+                &other.global_reads,
+                ConflictKind::GlobalWriteRead,
+            ),
+            (
+                &self.global_writes,
+                &other.global_writes,
+                ConflictKind::GlobalWriteWrite,
+            ),
+            (
+                &self.global_reads,
+                &other.global_writes,
+                ConflictKind::GlobalReadWrite,
+            ),
+        ];
+        tests
+            .into_iter()
+            .find(|(a, b, _)| a.intersects(b, search))
+            .map(|(_, _, kind)| kind)
+    }
+
+    /// Whether the two statements touch a common local with at least one
+    /// of them writing it.
+    fn shares_local(&self, other: &AccessSummary) -> bool {
         let hit = |a: &[LocalId], b: &[LocalId]| a.iter().any(|x| b.contains(x));
-        if self.tree_writes.intersects(&other.tree_reads) {
-            Some(ConflictKind::TreeWriteRead)
-        } else if self.tree_writes.intersects(&other.tree_writes) {
-            Some(ConflictKind::TreeWriteWrite)
-        } else if self.tree_reads.intersects(&other.tree_writes) {
-            Some(ConflictKind::TreeReadWrite)
-        } else if self.global_writes.intersects(&other.global_reads) {
-            Some(ConflictKind::GlobalWriteRead)
-        } else if self.global_writes.intersects(&other.global_writes) {
-            Some(ConflictKind::GlobalWriteWrite)
-        } else if self.global_reads.intersects(&other.global_writes) {
-            Some(ConflictKind::GlobalReadWrite)
-        } else if same_frame
-            && (hit(&self.local_writes, &other.local_reads)
-                || hit(&self.local_writes, &other.local_writes)
-                || hit(&self.local_reads, &other.local_writes))
-        {
-            Some(ConflictKind::Local)
-        } else {
-            None
+        hit(&self.local_writes, &other.local_reads)
+            || hit(&self.local_writes, &other.local_writes)
+            || hit(&self.local_reads, &other.local_writes)
+    }
+}
+
+/// The accesses of a statement being summarised, in construction form.
+struct Collect {
+    tree_reads: Nfa<PathSym>,
+    tree_writes: Nfa<PathSym>,
+    global_reads: Nfa<PathSym>,
+    global_writes: Nfa<PathSym>,
+    local_reads: Vec<LocalId>,
+    local_writes: Vec<LocalId>,
+    may_return: bool,
+}
+
+impl Collect {
+    fn new() -> Self {
+        Collect {
+            tree_reads: Nfa::new(),
+            tree_writes: Nfa::new(),
+            global_reads: Nfa::new(),
+            global_writes: Nfa::new(),
+            local_reads: Vec::new(),
+            local_writes: Vec::new(),
+            may_return: false,
+        }
+    }
+
+    fn finish(self) -> AccessSummary {
+        AccessSummary {
+            tree_reads: self.tree_reads.trim(),
+            tree_writes: self.tree_writes.trim(),
+            global_reads: self.global_reads.trim(),
+            global_writes: self.global_writes.trim(),
+            local_reads: self.local_reads,
+            local_writes: self.local_writes,
+            may_return: self.may_return,
         }
     }
 }
+
+/// Adds the path automaton of [`Nfa::from_path`] to `nfa`'s language.
+fn add_word(nfa: &mut Nfa<PathSym>, path: &[PathSym], prefixes_accept: bool) -> StateId {
+    let start = nfa.start();
+    let last = nfa.add_path(start, path, prefixes_accept);
+    nfa.set_accepting(last, true);
+    last
+}
+
+/// Everything a dispatch of one slot on a node of one static type may
+/// touch: Algorithm 1's call graph over the concrete functions the
+/// dispatch reaches, with every statement of theirs attached at its
+/// function's state. Tree paths are relative to the receiver (no `Root`).
+struct DispatchAutomata {
+    reads: Trimmed<PathSym>,
+    writes: Trimmed<PathSym>,
+    global_reads: Trimmed<PathSym>,
+    global_writes: Trimmed<PathSym>,
+}
+
+/// The id [`ProgramAccesses`] interns a distinct summary under.
+pub(crate) type SummaryId = u32;
 
 /// A top-level statement: its method and its index in the method's body.
 type StmtKey = (MethodId, usize);
@@ -114,11 +202,11 @@ type StmtKey = (MethodId, usize);
 /// A hash map keyed by tuples of program ids, hashed by [`IdHasher`].
 type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
-/// A multiply-rotate hasher (the Fx construction) for the memo keys, which
-/// the conflict memo alone is asked once per statement pair of every
-/// dependence graph. The keys are tuples of dense ids the compiler assigns
-/// (method, class, statement index), not values a source can pick, so
-/// SipHash's resistance to chosen keys buys nothing here.
+/// A multiply-rotate hasher (the Fx construction) for the memo keys and
+/// the summary interner. The keys are tuples of dense ids the compiler
+/// assigns (method, class, statement index, summary id) and summaries
+/// made of those ids, so SipHash's resistance to chosen keys buys little
+/// here and costs a summary's worth of rounds per lookup.
 #[derive(Default)]
 struct IdHasher(u64);
 
@@ -156,25 +244,88 @@ impl Hasher for IdHasher {
     }
 }
 
+/// Every class's supertypes, itself included, as one bitset per class,
+/// built once per program: the common-supertype tests of call grouping
+/// and the concrete subtypes of a dispatch read these instead of walking
+/// `supers`.
+#[derive(Clone, Debug)]
+pub(crate) struct Hierarchy {
+    words: usize,
+    up: Vec<u64>,
+}
+
+impl Hierarchy {
+    /// The hierarchy of classes whose direct supertypes are `supers[c]`
+    /// (several are allowed).
+    pub(crate) fn new<'a>(supers: impl ExactSizeIterator<Item = &'a [ClassId]>) -> Self {
+        let supers: Vec<&[ClassId]> = supers.collect();
+        let words = supers.len().div_ceil(64).max(1);
+        let mut up = vec![0u64; supers.len() * words];
+        let mut stack = Vec::new();
+        for c in 0..supers.len() {
+            let row = &mut up[c * words..(c + 1) * words];
+            stack.push(c);
+            while let Some(x) = stack.pop() {
+                if row[x / 64] & (1 << (x % 64)) == 0 {
+                    row[x / 64] |= 1 << (x % 64);
+                    stack.extend(supers[x].iter().map(|s| s.index()));
+                }
+            }
+        }
+        Hierarchy { words, up }
+    }
+
+    /// `class` and all its transitive supertypes, as a bitset.
+    pub(crate) fn up(&self, class: ClassId) -> &[u64] {
+        &self.up[class.index() * self.words..(class.index() + 1) * self.words]
+    }
+
+    /// Whether `sub` is `sup` or a transitive subtype of it
+    /// ([`Program::is_subtype`]).
+    fn is_subtype(&self, sub: ClassId, sup: ClassId) -> bool {
+        let i = sup.index();
+        self.up(sub)[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Whether the two classes have a common supertype, i.e. whether
+    /// [`Program::least_common_ancestor`] of them is `Some`.
+    pub(crate) fn share_supertype(&self, a: ClassId, b: ClassId) -> bool {
+        self.up(a).iter().zip(self.up(b)).any(|(x, y)| x & y != 0)
+    }
+}
+
 /// Cached per-statement access summaries for a whole program, the
-/// dispatch targets of its calls, and a memo of the conflicts between
-/// statements.
+/// dispatch targets and automata of its calls, and a memo of the conflicts
+/// between summaries.
 ///
 /// Call summaries depend on the *static receiver context* (the class whose
-/// method contains the call), so the cache key is `(method, stmt index)`.
-/// The cache also serves the non-call statements that call automata
-/// attach at their function's state, so each statement is summarised once
-/// however many call automata reach it.
+/// method contains the call), so statements are looked up by
+/// `(method, stmt index)`. Each statement's summary is interned: equal
+/// summaries get one [`SummaryId`] and are stored once, however many
+/// statements share them. Dispatch automata are built once per
+/// `(slot, static type)` key, whatever number of calls use the key.
 ///
-/// The same statement pairs recur across the fused functions of one
-/// program, so the dependence graphs ask for conflicts through a memo of
-/// `(statement, statement, same_frame)` verdicts: the automata of a pair
-/// are intersected once however many graphs test it.
+/// The dependence graphs ask for conflicts by summary id, through a memo
+/// of tree and global verdicts per ordered pair of ids: the automata of a
+/// pair are intersected once per program however many statement pairs and
+/// graphs share it (locals, which need the frame, are compared on top).
+/// The product searches share one [`Search`] scratch, which also counts
+/// their work.
 pub struct ProgramAccesses<'p> {
     program: &'p Program,
-    cache: IdMap<StmtKey, AccessSummary>,
+    hierarchy: Hierarchy,
+    stmt_ids: IdMap<StmtKey, SummaryId>,
+    /// Argument-free calls by slot, receiver static type and path.
+    call_ids: IdMap<(MethodId, ClassId, Vec<FieldId>), SummaryId>,
+    /// Distinct summaries by id; `interned` maps each back to its id.
+    summaries: Vec<Rc<AccessSummary>>,
+    interned: IdMap<Rc<AccessSummary>, SummaryId>,
+    concrete: IdMap<ClassId, Rc<[ClassId]>>,
+    resolved: IdMap<(ClassId, MethodId), Option<MethodId>>,
     dispatch: IdMap<(MethodId, ClassId), Rc<[MethodId]>>,
-    conflicts: IdMap<(StmtKey, StmtKey, bool), Option<ConflictKind>>,
+    dispatch_automata: IdMap<(MethodId, ClassId), Rc<DispatchAutomata>>,
+    conflicts: IdMap<(SummaryId, SummaryId), Option<ConflictKind>>,
+    search: Search,
     /// Wall time [`ProgramAccesses::summary`] spent building summaries.
     summary_time: Duration,
 }
@@ -184,9 +335,17 @@ impl<'p> ProgramAccesses<'p> {
     pub fn new(program: &'p Program) -> Self {
         ProgramAccesses {
             program,
-            cache: IdMap::default(),
+            hierarchy: Hierarchy::new(program.classes.iter().map(|c| c.supers.as_slice())),
+            stmt_ids: IdMap::default(),
+            call_ids: IdMap::default(),
+            summaries: Vec::new(),
+            interned: IdMap::default(),
+            concrete: IdMap::default(),
+            resolved: IdMap::default(),
             dispatch: IdMap::default(),
+            dispatch_automata: IdMap::default(),
             conflicts: IdMap::default(),
+            search: Search::default(),
             summary_time: Duration::ZERO,
         }
     }
@@ -199,13 +358,29 @@ impl<'p> ProgramAccesses<'p> {
     /// Summary for top-level statement `index` of `method`, computed on
     /// first request.
     pub fn summary(&mut self, method: MethodId, index: usize) -> &AccessSummary {
-        let key = (method, index);
-        if !self.cache.contains_key(&key) {
-            let t0 = Instant::now();
-            self.ensure_summary(key);
-            self.summary_time += t0.elapsed();
+        let id = self.summary_id((method, index));
+        &self.summaries[id as usize]
+    }
+
+    /// The interned summary id of a statement, computed on first request.
+    pub(crate) fn summary_id(&mut self, key: StmtKey) -> SummaryId {
+        if let Some(&id) = self.stmt_ids.get(&key) {
+            return id;
         }
-        &self.cache[&key]
+        let t0 = Instant::now();
+        let id = self.stmt_summary(key);
+        self.summary_time += t0.elapsed();
+        id
+    }
+
+    /// The summary interned under `id`.
+    pub(crate) fn summary_by_id(&self, id: SummaryId) -> &AccessSummary {
+        &self.summaries[id as usize]
+    }
+
+    /// Number of distinct summaries interned so far.
+    pub(crate) fn n_summaries(&self) -> usize {
+        self.summaries.len()
     }
 
     /// Wall time spent building summaries so far (call automata included;
@@ -214,14 +389,78 @@ impl<'p> ProgramAccesses<'p> {
         self.summary_time
     }
 
-    /// Builds the summary of `key` into the cache unless it is there.
-    fn ensure_summary(&mut self, key: StmtKey) {
-        if !self.cache.contains_key(&key) {
-            let m = &self.program.methods[key.0.index()];
-            let mut summary = AccessSummary::empty();
-            self.collect_stmt(&m.body[key.1], m.class, &mut summary);
-            self.cache.insert(key, summary);
+    /// The product-search scratch, with its counts of searches run and
+    /// state pairs expanded.
+    pub(crate) fn search(&self) -> &Search {
+        &self.search
+    }
+
+    /// The program's class hierarchy as supertype bitsets.
+    pub(crate) fn hierarchy(&self) -> &Hierarchy {
+        &self.hierarchy
+    }
+
+    /// The summary id of `key`, building and interning its summary unless
+    /// the statement has one.
+    fn stmt_summary(&mut self, key: StmtKey) -> SummaryId {
+        if let Some(&id) = self.stmt_ids.get(&key) {
+            return id;
         }
+        let m = &self.program.methods[key.0.index()];
+        let stmt = &m.body[key.1];
+        // A call without arguments is summarised by its dispatch key and
+        // receiver path alone, so calls sharing those share one build.
+        let call_key = match stmt {
+            Stmt::Traverse(call) if call.args.is_empty() => self
+                .program
+                .path_target_type(m.class, &call.receiver)
+                .map(|ty| (call.slot, ty, call.receiver.fields().collect::<Vec<_>>())),
+            _ => None,
+        };
+        if let Some(&id) = call_key.as_ref().and_then(|k| self.call_ids.get(k)) {
+            self.stmt_ids.insert(key, id);
+            return id;
+        }
+        let mut c = Collect::new();
+        self.collect_stmt(stmt, m.class, &mut c);
+        let summary = c.finish();
+        let id = match self.interned.get(&summary) {
+            Some(&id) => id,
+            None => {
+                let id = SummaryId::try_from(self.summaries.len()).expect("summary ids fit in u32");
+                let summary = Rc::new(summary);
+                self.summaries.push(Rc::clone(&summary));
+                self.interned.insert(summary, id);
+                id
+            }
+        };
+        self.stmt_ids.insert(key, id);
+        if let Some(call_key) = call_key {
+            self.call_ids.insert(call_key, id);
+        }
+        id
+    }
+
+    /// Every concrete type a node statically typed `class` may have:
+    /// [`Program::concrete_subtypes`], computed once per class.
+    pub(crate) fn concrete_subtypes(&mut self, class: ClassId) -> Rc<[ClassId]> {
+        let (program, hierarchy) = (self.program, &self.hierarchy);
+        let subtypes = self.concrete.entry(class).or_insert_with(|| {
+            (0..program.classes.len() as u32)
+                .map(ClassId)
+                .filter(|&c| hierarchy.is_subtype(c, class))
+                .collect()
+        });
+        Rc::clone(subtypes)
+    }
+
+    /// [`Program::resolve_virtual`], computed once per `(class, slot)`.
+    pub(crate) fn resolve_virtual(&mut self, class: ClassId, slot: MethodId) -> Option<MethodId> {
+        let program = self.program;
+        *self
+            .resolved
+            .entry((class, slot))
+            .or_insert_with(|| program.resolve_virtual(class, slot))
     }
 
     /// The concrete methods a call of `slot` on a node of static type
@@ -229,38 +468,62 @@ impl<'p> ProgramAccesses<'p> {
     /// order, each resolved by [`Program::resolve_virtual`] (classes that
     /// do not resolve are left out). Resolved once per program.
     pub fn dispatch_targets(&mut self, slot: MethodId, static_ty: ClassId) -> Rc<[MethodId]> {
-        let program = self.program;
-        let targets = self.dispatch.entry((slot, static_ty)).or_insert_with(|| {
-            program
-                .concrete_subtypes(static_ty)
-                .into_iter()
-                .filter_map(|concrete| program.resolve_virtual(concrete, slot))
-                .collect()
-        });
-        Rc::clone(targets)
+        if let Some(targets) = self.dispatch.get(&(slot, static_ty)) {
+            return Rc::clone(targets);
+        }
+        let targets: Rc<[MethodId]> = self
+            .concrete_subtypes(static_ty)
+            .iter()
+            .filter_map(|&concrete| self.resolve_virtual(concrete, slot))
+            .collect();
+        self.dispatch.insert((slot, static_ty), Rc::clone(&targets));
+        targets
+    }
+
+    /// The first tree or global conflict between the summaries `first`
+    /// and `second` (a later statement's), computed on first request for
+    /// each ordered pair.
+    fn data_conflict(&mut self, first: SummaryId, second: SummaryId) -> Option<ConflictKind> {
+        if let Some(&kind) = self.conflicts.get(&(first, second)) {
+            return kind;
+        }
+        let kind = self.summaries[first as usize]
+            .data_conflict(&self.summaries[second as usize], &mut self.search);
+        self.conflicts.insert((first, second), kind);
+        kind
+    }
+
+    /// Whether summary `first` conflicts with a later `second`, for
+    /// statements of different traversal copies (`[0]`) and of the same
+    /// copy (`[1]`, where locals count too).
+    pub(crate) fn conflicts_by_frame(&mut self, first: SummaryId, second: SummaryId) -> [bool; 2] {
+        if self.data_conflict(first, second).is_some() {
+            return [true; 2];
+        }
+        let (a, b) = (
+            &self.summaries[first as usize],
+            &self.summaries[second as usize],
+        );
+        [false, a.shares_local(b)]
     }
 
     /// The first conflict between statement `first` and a later statement
-    /// `second` ([`AccessSummary::conflict`] on their summaries), computed
-    /// on first request for each `(first, second, same_frame)`.
+    /// `second` ([`AccessSummary::conflict`] on their summaries), from the
+    /// memo of their summaries' verdicts.
     pub(crate) fn conflict(
         &mut self,
         first: StmtKey,
         second: StmtKey,
         same_frame: bool,
     ) -> Option<ConflictKind> {
-        let key = (first, second, same_frame);
-        if let Some(&kind) = self.conflicts.get(&key) {
-            return kind;
-        }
-        self.summary(first.0, first.1);
-        self.summary(second.0, second.1);
-        let kind = self.cache[&first].conflict(&self.cache[&second], same_frame);
-        self.conflicts.insert(key, kind);
-        kind
+        let (a, b) = (self.summary_id(first), self.summary_id(second));
+        self.data_conflict(a, b).or_else(|| {
+            let shares = self.summaries[a as usize].shares_local(&self.summaries[b as usize]);
+            (same_frame && shares).then_some(ConflictKind::Local)
+        })
     }
 
-    fn collect_stmt(&mut self, stmt: &Stmt, class: ClassId, s: &mut AccessSummary) {
+    fn collect_stmt(&mut self, stmt: &Stmt, class: ClassId, s: &mut Collect) {
         match stmt {
             Stmt::Traverse(call) => self.collect_call(call, class, s),
             Stmt::Assign { target, value } => {
@@ -288,15 +551,12 @@ impl<'p> ProgramAccesses<'p> {
                 // possible sub-field of the (old or new) subtree, and reads
                 // the path prefix leading there.
                 let path = on_tree_syms(target, &[]);
-                let mut w = Nfa::from_path(&path, false);
-                let last = w.len() - 1;
-                w.add_transition(last, PathSym::Any, last);
+                let last = add_word(&mut s.tree_writes, &path, false);
                 // Every state on the loop accepts: the node and all
                 // descendants are clobbered.
-                s.tree_writes.union_in_place(&w);
+                s.tree_writes.add_transition(last, PathSym::Any, last);
                 if path.len() > 1 {
-                    s.tree_reads
-                        .union_in_place(&Nfa::from_path(&path[..path.len() - 1], true));
+                    add_word(&mut s.tree_reads, &path[..path.len() - 1], true);
                 }
             }
             Stmt::Return => s.may_return = true,
@@ -308,7 +568,7 @@ impl<'p> ProgramAccesses<'p> {
         }
     }
 
-    fn collect_expr(&self, expr: &Expr, s: &mut AccessSummary) {
+    fn collect_expr(&self, expr: &Expr, s: &mut Collect) {
         match expr {
             Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) => {}
             Expr::Read(access) => self.collect_access(access, false, s),
@@ -325,18 +585,17 @@ impl<'p> ProgramAccesses<'p> {
         }
     }
 
-    fn collect_access(&self, access: &DataAccess, is_write: bool, s: &mut AccessSummary) {
+    fn collect_access(&self, access: &DataAccess, is_write: bool, s: &mut Collect) {
         match access {
             DataAccess::OnTree { path, data } => {
                 let syms = on_tree_syms(path, data);
                 if is_write {
-                    s.tree_writes.union_in_place(&Nfa::from_path(&syms, false));
+                    add_word(&mut s.tree_writes, &syms, false);
                     if syms.len() > 1 {
-                        s.tree_reads
-                            .union_in_place(&Nfa::from_path(&syms[..syms.len() - 1], true));
+                        add_word(&mut s.tree_reads, &syms[..syms.len() - 1], true);
                     }
                 } else {
-                    s.tree_reads.union_in_place(&Nfa::from_path(&syms, true));
+                    add_word(&mut s.tree_reads, &syms, true);
                 }
             }
             DataAccess::Local { local, .. } => {
@@ -355,14 +614,12 @@ impl<'p> ProgramAccesses<'p> {
                 // the access names the struct itself (writes to whole
                 // struct are rejected by sema).
                 if is_write {
-                    s.global_writes
-                        .union_in_place(&Nfa::from_path(&syms, false));
+                    add_word(&mut s.global_writes, &syms, false);
                     if syms.len() > 1 {
-                        s.global_reads
-                            .union_in_place(&Nfa::from_path(&syms[..syms.len() - 1], true));
+                        add_word(&mut s.global_reads, &syms[..syms.len() - 1], true);
                     }
                 } else {
-                    s.global_reads.union_in_place(&Nfa::from_path(&syms, true));
+                    add_word(&mut s.global_reads, &syms, true);
                 }
             }
         }
@@ -370,63 +627,65 @@ impl<'p> ProgramAccesses<'p> {
 
     // ---- Algorithm 1: call automata ---------------------------------------
 
-    /// Summarises a traversing call in the context of a method of `class`.
-    ///
-    /// Builds the labelled call graph over all concrete functions reachable
-    /// from the call (under dynamic dispatch), attaches every reachable
-    /// statement's automata at the state of its function, and prefixes the
-    /// receiver path. Argument expressions are evaluated in the caller's
-    /// frame and contribute caller-level accesses.
-    fn collect_call(&mut self, call: &TraverseStmt, class: ClassId, s: &mut AccessSummary) {
+    /// Summarises a traversing call in the context of a method of `class`:
+    /// the root transition, the receiver path (each step reads its child
+    /// pointer), then the automata of the call's dispatch key. Argument
+    /// expressions are evaluated in the caller's frame and contribute
+    /// caller-level accesses.
+    fn collect_call(&mut self, call: &TraverseStmt, class: ClassId, s: &mut Collect) {
         for a in &call.args {
             self.collect_expr(a, s);
         }
+        let Some(static_ty) = self.program.path_target_type(class, &call.receiver) else {
+            return;
+        };
+        let dispatch = self.dispatch_automata(call.slot, static_ty);
+        let steps = receiver_syms(&call.receiver);
+        let start = s.tree_reads.start();
+        let root = s.tree_reads.add_path(start, &[PathSym::Root], false);
+        let at = s.tree_reads.add_path(root, &steps, true);
+        s.tree_reads.attach(at, &dispatch.reads);
+        let start = s.tree_writes.start();
+        let root = s.tree_writes.add_path(start, &[PathSym::Root], false);
+        let at = s.tree_writes.add_path(root, &steps, false);
+        s.tree_writes.attach(at, &dispatch.writes);
+        let start = s.global_reads.start();
+        s.global_reads.attach(start, &dispatch.global_reads);
+        let start = s.global_writes.start();
+        s.global_writes.attach(start, &dispatch.global_writes);
+    }
 
-        let mut builder = CallAutomataBuilder {
-            program: self.program,
-            accesses: self,
+    /// The automata of a dispatch of `slot` on static type `static_ty`,
+    /// built and trimmed on first request.
+    fn dispatch_automata(&mut self, slot: MethodId, static_ty: ClassId) -> Rc<DispatchAutomata> {
+        if let Some(automata) = self.dispatch_automata.get(&(slot, static_ty)) {
+            return Rc::clone(automata);
+        }
+        let mut builder = DispatchBuilder {
             reads: Nfa::new(),
             writes: Nfa::new(),
             global_reads: Nfa::new(),
             global_writes: Nfa::new(),
-            fn_state: HashMap::new(),
+            fn_state: IdMap::default(),
+            hubs: IdMap::default(),
+            attached: HashSet::default(),
         };
-
-        // Root transition, then the receiver path.
-        let r0 = builder.reads.add_state();
-        builder.reads.add_transition(0, PathSym::Root, r0);
-        let w0 = builder.writes.add_state();
-        builder.writes.add_transition(0, PathSym::Root, w0);
-        let mut state = (r0, w0);
-        for step in &call.receiver.steps {
-            let rn = builder.reads.add_state();
-            builder
-                .reads
-                .add_transition(state.0, field_sym(step.field), rn);
-            // Dispatching through a child pointer reads that pointer.
-            builder.reads.set_accepting(rn, true);
-            let wn = builder.writes.add_state();
-            builder
-                .writes
-                .add_transition(state.1, field_sym(step.field), wn);
-            state = (rn, wn);
-        }
-
-        let Some(static_ty) = builder.program.path_target_type(class, &call.receiver) else {
-            return;
-        };
-        builder.append_dispatch(call.slot, static_ty, state);
-
-        s.tree_reads.union_in_place(&builder.reads);
-        s.tree_writes.union_in_place(&builder.writes);
-        s.global_reads.union_in_place(&builder.global_reads);
-        s.global_writes.union_in_place(&builder.global_writes);
+        let from = (builder.reads.start(), builder.writes.start());
+        builder.append_dispatch(self, slot, static_ty, from);
+        let automata = Rc::new(DispatchAutomata {
+            reads: builder.reads.trim(),
+            writes: builder.writes.trim(),
+            global_reads: builder.global_reads.trim(),
+            global_writes: builder.global_writes.trim(),
+        });
+        self.dispatch_automata
+            .insert((slot, static_ty), Rc::clone(&automata));
+        automata
     }
 }
 
-struct CallAutomataBuilder<'a, 'p> {
-    program: &'p Program,
-    accesses: &'a mut ProgramAccesses<'p>,
+/// Algorithm 1's call graph for one dispatch key, in construction form.
+struct DispatchBuilder {
     reads: Nfa<PathSym>,
     writes: Nfa<PathSym>,
     global_reads: Nfa<PathSym>,
@@ -434,15 +693,29 @@ struct CallAutomataBuilder<'a, 'p> {
     /// Memo: one (reads, writes) state pair per concrete function — the
     /// paper's `FunctionToState`, guaranteeing termination and representing
     /// recursion as automaton loops.
-    fn_state: HashMap<MethodId, (StateId, StateId)>,
+    fn_state: IdMap<MethodId, (StateId, StateId)>,
+    /// One (reads, writes) state pair per nested dispatch key, where the
+    /// last receiver step of every call of that key lands. Calls sharing a
+    /// key share its dispatch edges, so trimming copies the targets' edges
+    /// once per key, not once per call.
+    hubs: IdMap<(MethodId, ClassId), (StateId, StateId)>,
+    /// The summaries attached so far, with the reads state of the
+    /// function they were attached at (`StateId::MAX` for their globals).
+    attached: HashSet<(SummaryId, StateId), BuildHasherDefault<IdHasher>>,
 }
 
-impl CallAutomataBuilder<'_, '_> {
+impl DispatchBuilder {
     /// Expands a virtual dispatch of `slot` on a node whose static type is
     /// `static_ty`, linking from `from` (a (reads, writes) state pair).
-    fn append_dispatch(&mut self, slot: MethodId, static_ty: ClassId, from: (StateId, StateId)) {
-        for &target in self.accesses.dispatch_targets(slot, static_ty).iter() {
-            let state = self.append_function(target);
+    fn append_dispatch(
+        &mut self,
+        accesses: &mut ProgramAccesses<'_>,
+        slot: MethodId,
+        static_ty: ClassId,
+        from: (StateId, StateId),
+    ) {
+        for &target in accesses.dispatch_targets(slot, static_ty).iter() {
+            let state = self.append_function(accesses, target);
             // Dispatch consumes no member access: link with epsilon.
             self.reads.add_epsilon(from.0, state.0);
             self.writes.add_epsilon(from.1, state.1);
@@ -451,88 +724,129 @@ impl CallAutomataBuilder<'_, '_> {
 
     /// Returns the state pair of a concrete function, creating and filling
     /// it on first encounter.
-    fn append_function(&mut self, method: MethodId) -> (StateId, StateId) {
+    fn append_function(
+        &mut self,
+        accesses: &mut ProgramAccesses<'_>,
+        method: MethodId,
+    ) -> (StateId, StateId) {
         if let Some(&st) = self.fn_state.get(&method) {
             return st;
         }
         let st = (self.reads.add_state(), self.writes.add_state());
         self.fn_state.insert(method, st);
-        for index in 0..self.program.methods[method.index()].body.len() {
-            self.append_stmt((method, index), st);
+        for index in 0..accesses.program.methods[method.index()].body.len() {
+            self.append_stmt(accesses, (method, index), st);
         }
         st
     }
 
-    fn append_stmt(&mut self, key: StmtKey, at: (StateId, StateId)) {
-        let m = &self.program.methods[key.0.index()];
+    fn append_stmt(
+        &mut self,
+        accesses: &mut ProgramAccesses<'_>,
+        key: StmtKey,
+        at: (StateId, StateId),
+    ) {
+        let program = accesses.program;
+        let m = &program.methods[key.0.index()];
         if let Stmt::Traverse(call) = &m.body[key.1] {
             // Argument accesses happen in the callee's caller frame (this
-            // function); attach their tree parts at `at`.
-            let mut args = AccessSummary::empty();
-            for a in &call.args {
-                self.accesses.collect_expr(a, &mut args);
+            // function); attach them at `at`.
+            if !call.args.is_empty() {
+                let mut args = Collect::new();
+                for a in &call.args {
+                    accesses.collect_expr(a, &mut args);
+                }
+                self.attach_summary(&args.finish(), at);
             }
-            attach_at(&mut self.reads, &args.tree_reads, at.0);
-            attach_at(&mut self.writes, &args.tree_writes, at.1);
-            self.global_reads.union_in_place(&args.global_reads);
-            self.global_writes.union_in_place(&args.global_writes);
-
             // Walk the receiver path, then dispatch.
-            let mut state = at;
-            for step in &call.receiver.steps {
-                let rn = self.reads.add_state();
-                self.reads
-                    .add_transition(state.0, field_sym(step.field), rn);
-                self.reads.set_accepting(rn, true);
-                let wn = self.writes.add_state();
-                self.writes
-                    .add_transition(state.1, field_sym(step.field), wn);
-                state = (rn, wn);
-            }
-            if let Some(static_ty) = self.program.path_target_type(m.class, &call.receiver) {
-                self.append_dispatch(call.slot, static_ty, state);
+            let steps = receiver_syms(&call.receiver);
+            let static_ty = program.path_target_type(m.class, &call.receiver);
+            match (static_ty, steps.split_last()) {
+                (Some(static_ty), Some((last, steps))) => {
+                    let reads = self.reads.add_path(at.0, steps, true);
+                    let writes = self.writes.add_path(at.1, steps, false);
+                    let hub = self.hub(accesses, call.slot, static_ty);
+                    self.reads.add_transition(reads, *last, hub.0);
+                    self.writes.add_transition(writes, *last, hub.1);
+                }
+                (Some(static_ty), None) => self.append_dispatch(accesses, call.slot, static_ty, at),
+                (None, _) => {
+                    self.reads.add_path(at.0, &steps, true);
+                    self.writes.add_path(at.1, &steps, false);
+                }
             }
         } else {
-            self.accesses.ensure_summary(key);
-            let summary = &self.accesses.cache[&key];
-            attach_at(&mut self.reads, &summary.tree_reads, at.0);
-            attach_at(&mut self.writes, &summary.tree_writes, at.1);
-            self.global_reads.union_in_place(&summary.global_reads);
-            self.global_writes.union_in_place(&summary.global_writes);
+            // A statement equal to one attached already adds no word: its
+            // tree accesses once per function, its global ones once.
+            let id = accesses.stmt_summary(key);
+            let summary = Rc::clone(&accesses.summaries[id as usize]);
+            if self.attached.insert((id, at.0)) {
+                attach_relative(&mut self.reads, &summary.tree_reads, at.0);
+                attach_relative(&mut self.writes, &summary.tree_writes, at.1);
+            }
+            if self.attached.insert((id, StateId::MAX)) {
+                self.attach_globals(&summary);
+            }
+        }
+    }
+
+    /// The state pair a call of `slot` on static type `static_ty` enters
+    /// by its last receiver step (the reads side accepts: the step reads
+    /// the child pointer), created and linked to the dispatch on first use.
+    fn hub(
+        &mut self,
+        accesses: &mut ProgramAccesses<'_>,
+        slot: MethodId,
+        static_ty: ClassId,
+    ) -> (StateId, StateId) {
+        if let Some(&hub) = self.hubs.get(&(slot, static_ty)) {
+            return hub;
+        }
+        let hub = (self.reads.add_state(), self.writes.add_state());
+        self.reads.set_accepting(hub.0, true);
+        self.hubs.insert((slot, static_ty), hub);
+        self.append_dispatch(accesses, slot, static_ty, hub);
+        hub
+    }
+
+    /// Attaches a statement's accesses at the function state pair `at`:
+    /// its tree paths relative to the function's node, its global paths
+    /// from the start.
+    fn attach_summary(&mut self, summary: &AccessSummary, at: (StateId, StateId)) {
+        attach_relative(&mut self.reads, &summary.tree_reads, at.0);
+        attach_relative(&mut self.writes, &summary.tree_writes, at.1);
+        self.attach_globals(summary);
+    }
+
+    fn attach_globals(&mut self, summary: &AccessSummary) {
+        let start = self.global_reads.start();
+        self.global_reads.attach(start, &summary.global_reads);
+        let start = self.global_writes.start();
+        self.global_writes.attach(start, &summary.global_writes);
+    }
+}
+
+/// Attaches a statement-level on-tree automaton (whose words begin with
+/// the traversed-node transition) into `target`, rebasing it at `state`:
+/// each `Root` edge of its start becomes an epsilon from `state`, so the
+/// attached accesses become relative to the function the statement
+/// belongs to. (A trimmed on-tree automaton has `Root` edges only, and
+/// only out of its start.)
+fn attach_relative(target: &mut Nfa<PathSym>, stmt_automaton: &Trimmed<PathSym>, state: StateId) {
+    if let Some(offset) = target.embed(stmt_automaton) {
+        for &(sym, to) in stmt_automaton.edges(0) {
+            debug_assert_eq!(sym, PathSym::Root, "on-tree words start at the node");
+            target.add_epsilon(state, offset + to as usize);
         }
     }
 }
 
-/// Attaches a statement-level on-tree automaton (whose paths begin with the
-/// traversed-node transition) into `target`, rebasing it at `state`: the
-/// `Root` edge is replaced by an epsilon from `state`, so the attached
-/// accesses become relative to the function the statement belongs to.
-fn attach_at(target: &mut Nfa<PathSym>, stmt_automaton: &Nfa<PathSym>, state: StateId) {
-    if stmt_automaton.is_empty() {
-        return;
-    }
-    let offset = target.len();
-    // Absorb by re-adding states and transitions with an offset.
-    for st in 0..stmt_automaton.len() {
-        let ns = target.add_state();
-        debug_assert_eq!(ns, offset + st);
-        target.set_accepting(ns, stmt_automaton.is_accepting(st));
-    }
-    for st in 0..stmt_automaton.len() {
-        for (sym, to) in stmt_automaton.transitions_from(st) {
-            if *sym == PathSym::Root {
-                // The traversed-node transition marks the start of an
-                // on-tree path; in a statement automaton it can only occur
-                // at a path head. Entering via `state` replaces it.
-                target.add_epsilon(state, to + offset);
-            } else {
-                target.add_transition(st + offset, *sym, to + offset);
-            }
-        }
-        for to in stmt_automaton.epsilons_from(st) {
-            target.add_epsilon(st + offset, to + offset);
-        }
-    }
+/// The symbols of a receiver path's child steps.
+fn receiver_syms(path: &NodePath) -> Vec<PathSym> {
+    path.steps
+        .iter()
+        .map(|step| field_sym(step.field))
+        .collect()
 }
 
 /// The symbol path of an on-tree access: `Root`, the child steps, then the
@@ -636,7 +950,7 @@ mod tests {
         let s = acc.summary(m, 1).clone();
         let g = p.global_by_name("CHAR_WIDTH").unwrap();
         assert!(s.global_reads.accepts(&[global_sym(&p, g)]));
-        assert!(s.global_writes.is_empty_language());
+        assert!(s.global_writes.is_empty());
     }
 
     #[test]
@@ -786,26 +1100,321 @@ mod tests {
             .expect("local fixture compiles")
     }
 
+    /// Algorithm 1 as first written, kept as the oracle of the memo test:
+    /// one call graph per call, statement automata attached through
+    /// epsilon edges, dispatch resolved through `Program`, nothing trimmed,
+    /// interned or shared between calls.
+    mod reference {
+        use super::*;
+        use std::collections::{HashMap, HashSet};
+
+        pub struct Summary {
+            tree_reads: Nfa<PathSym>,
+            tree_writes: Nfa<PathSym>,
+            global_reads: Nfa<PathSym>,
+            global_writes: Nfa<PathSym>,
+            local_reads: Vec<LocalId>,
+            local_writes: Vec<LocalId>,
+        }
+
+        impl Summary {
+            fn empty() -> Self {
+                Summary {
+                    tree_reads: Nfa::new(),
+                    tree_writes: Nfa::new(),
+                    global_reads: Nfa::new(),
+                    global_writes: Nfa::new(),
+                    local_reads: Vec::new(),
+                    local_writes: Vec::new(),
+                }
+            }
+
+            /// [`AccessSummary::conflict`] on the epsilon automata.
+            pub fn conflict(&self, other: &Summary, same_frame: bool) -> Option<ConflictKind> {
+                let hit = |a: &[LocalId], b: &[LocalId]| a.iter().any(|x| b.contains(x));
+                if self.tree_writes.intersects(&other.tree_reads) {
+                    Some(ConflictKind::TreeWriteRead)
+                } else if self.tree_writes.intersects(&other.tree_writes) {
+                    Some(ConflictKind::TreeWriteWrite)
+                } else if self.tree_reads.intersects(&other.tree_writes) {
+                    Some(ConflictKind::TreeReadWrite)
+                } else if self.global_writes.intersects(&other.global_reads) {
+                    Some(ConflictKind::GlobalWriteRead)
+                } else if self.global_writes.intersects(&other.global_writes) {
+                    Some(ConflictKind::GlobalWriteWrite)
+                } else if self.global_reads.intersects(&other.global_writes) {
+                    Some(ConflictKind::GlobalReadWrite)
+                } else if same_frame
+                    && (hit(&self.local_writes, &other.local_reads)
+                        || hit(&self.local_writes, &other.local_writes)
+                        || hit(&self.local_reads, &other.local_writes))
+                {
+                    Some(ConflictKind::Local)
+                } else {
+                    None
+                }
+            }
+        }
+
+        /// The summary of top-level statement `index` of `method`.
+        pub fn summary(p: &Program, method: MethodId, index: usize) -> Summary {
+            let m = &p.methods[method.index()];
+            let mut s = Summary::empty();
+            stmt(p, &m.body[index], m.class, &mut s);
+            s
+        }
+
+        fn stmt(p: &Program, stmt_: &Stmt, class: ClassId, s: &mut Summary) {
+            match stmt_ {
+                Stmt::Traverse(c) => call(p, c, class, s),
+                Stmt::Assign { target, value } => {
+                    expr(p, value, s);
+                    access(p, target, true, s);
+                }
+                Stmt::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => {
+                    expr(p, cond, s);
+                    for st in then_branch.iter().chain(else_branch) {
+                        stmt(p, st, class, s);
+                    }
+                }
+                Stmt::LocalDef { local, init } => {
+                    if let Some(init) = init {
+                        expr(p, init, s);
+                    }
+                    push_unique(&mut s.local_writes, *local);
+                }
+                Stmt::New { target, .. } | Stmt::Delete { target } => {
+                    let path = on_tree_syms(target, &[]);
+                    let mut w = Nfa::from_path(&path, false);
+                    let last = w.len() - 1;
+                    w.add_transition(last, PathSym::Any, last);
+                    s.tree_writes.union_in_place(&w);
+                    if path.len() > 1 {
+                        s.tree_reads
+                            .union_in_place(&Nfa::from_path(&path[..path.len() - 1], true));
+                    }
+                }
+                Stmt::Return => {}
+                Stmt::PureStmt { args, .. } => {
+                    for a in args {
+                        expr(p, a, s);
+                    }
+                }
+            }
+        }
+
+        fn expr(p: &Program, e: &Expr, s: &mut Summary) {
+            match e {
+                Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) => {}
+                Expr::Read(a) => access(p, a, false, s),
+                Expr::Unary(_, e) => expr(p, e, s),
+                Expr::Binary(_, l, r) => {
+                    expr(p, l, s);
+                    expr(p, r, s);
+                }
+                Expr::PureCall(_, args) => {
+                    for a in args {
+                        expr(p, a, s);
+                    }
+                }
+            }
+        }
+
+        fn access(p: &Program, a: &DataAccess, is_write: bool, s: &mut Summary) {
+            let (syms, reads, writes) = match a {
+                DataAccess::OnTree { path, data } => (
+                    on_tree_syms(path, data),
+                    &mut s.tree_reads,
+                    &mut s.tree_writes,
+                ),
+                DataAccess::Local { local, .. } => {
+                    let set = if is_write {
+                        &mut s.local_writes
+                    } else {
+                        &mut s.local_reads
+                    };
+                    push_unique(set, *local);
+                    return;
+                }
+                DataAccess::Global { global, members } => {
+                    let mut syms = vec![global_sym(p, *global)];
+                    syms.extend(members.iter().map(|&f| field_sym(f)));
+                    (syms, &mut s.global_reads, &mut s.global_writes)
+                }
+            };
+            if is_write {
+                writes.union_in_place(&Nfa::from_path(&syms, false));
+                if syms.len() > 1 {
+                    reads.union_in_place(&Nfa::from_path(&syms[..syms.len() - 1], true));
+                }
+            } else {
+                reads.union_in_place(&Nfa::from_path(&syms, true));
+            }
+        }
+
+        struct Builder<'p> {
+            p: &'p Program,
+            reads: Nfa<PathSym>,
+            writes: Nfa<PathSym>,
+            global_reads: Nfa<PathSym>,
+            global_writes: Nfa<PathSym>,
+            fn_state: HashMap<MethodId, (StateId, StateId)>,
+        }
+
+        fn call(p: &Program, c: &TraverseStmt, class: ClassId, s: &mut Summary) {
+            for a in &c.args {
+                expr(p, a, s);
+            }
+            let mut b = Builder {
+                p,
+                reads: Nfa::new(),
+                writes: Nfa::new(),
+                global_reads: Nfa::new(),
+                global_writes: Nfa::new(),
+                fn_state: HashMap::new(),
+            };
+            let r0 = b.reads.add_state();
+            b.reads.add_transition(0, PathSym::Root, r0);
+            let w0 = b.writes.add_state();
+            b.writes.add_transition(0, PathSym::Root, w0);
+            let state = b.walk(&c.receiver, (r0, w0));
+            let Some(static_ty) = p.path_target_type(class, &c.receiver) else {
+                return;
+            };
+            b.dispatch(c.slot, static_ty, state);
+            s.tree_reads.union_in_place(&b.reads);
+            s.tree_writes.union_in_place(&b.writes);
+            s.global_reads.union_in_place(&b.global_reads);
+            s.global_writes.union_in_place(&b.global_writes);
+        }
+
+        impl Builder<'_> {
+            fn walk(
+                &mut self,
+                path: &NodePath,
+                mut state: (StateId, StateId),
+            ) -> (StateId, StateId) {
+                for step in &path.steps {
+                    let rn = self.reads.add_state();
+                    self.reads
+                        .add_transition(state.0, field_sym(step.field), rn);
+                    self.reads.set_accepting(rn, true);
+                    let wn = self.writes.add_state();
+                    self.writes
+                        .add_transition(state.1, field_sym(step.field), wn);
+                    state = (rn, wn);
+                }
+                state
+            }
+
+            fn dispatch(&mut self, slot: MethodId, static_ty: ClassId, from: (StateId, StateId)) {
+                let targets: Vec<MethodId> = self
+                    .p
+                    .concrete_subtypes(static_ty)
+                    .into_iter()
+                    .filter_map(|c| self.p.resolve_virtual(c, slot))
+                    .collect();
+                for target in targets {
+                    let state = self.function(target);
+                    self.reads.add_epsilon(from.0, state.0);
+                    self.writes.add_epsilon(from.1, state.1);
+                }
+            }
+
+            fn function(&mut self, method: MethodId) -> (StateId, StateId) {
+                if let Some(&st) = self.fn_state.get(&method) {
+                    return st;
+                }
+                let st = (self.reads.add_state(), self.writes.add_state());
+                self.fn_state.insert(method, st);
+                let p = self.p;
+                let m = &p.methods[method.index()];
+                for (index, s) in m.body.iter().enumerate() {
+                    let stmt_summary = match s {
+                        Stmt::Traverse(c) => {
+                            let mut args = Summary::empty();
+                            for a in &c.args {
+                                expr(p, a, &mut args);
+                            }
+                            self.attach(&args, st);
+                            let state = self.walk(&c.receiver, st);
+                            if let Some(static_ty) = p.path_target_type(m.class, &c.receiver) {
+                                self.dispatch(c.slot, static_ty, state);
+                            }
+                            continue;
+                        }
+                        _ => summary(p, method, index),
+                    };
+                    self.attach(&stmt_summary, st);
+                }
+                st
+            }
+
+            fn attach(&mut self, s: &Summary, at: (StateId, StateId)) {
+                attach_at(&mut self.reads, &s.tree_reads, at.0);
+                attach_at(&mut self.writes, &s.tree_writes, at.1);
+                self.global_reads.union_in_place(&s.global_reads);
+                self.global_writes.union_in_place(&s.global_writes);
+            }
+        }
+
+        /// Copies a statement automaton into `target`, replacing each
+        /// `Root` edge with an epsilon from `state`.
+        fn attach_at(target: &mut Nfa<PathSym>, a: &Nfa<PathSym>, state: StateId) {
+            let offset = target.len();
+            for st in 0..a.len() {
+                let ns = target.add_state();
+                target.set_accepting(ns, a.is_accepting(st));
+            }
+            for (from, sym, to) in a.transitions() {
+                if *sym == PathSym::Root {
+                    target.add_epsilon(state, to + offset);
+                } else {
+                    target.add_transition(from + offset, *sym, to + offset);
+                }
+            }
+            for (from, to) in a.epsilons() {
+                target.add_epsilon(from + offset, to + offset);
+            }
+        }
+    }
+
     #[test]
     fn memoised_conflicts_equal_direct_ones() {
-        // Verdicts without and with a conflict, and pairs whose verdict
-        // depends on `same_frame`.
-        let (mut none, mut some, mut frame_dependent) = (0, 0, 0);
-        for p in [fig2(), mutation(), local_only()] {
+        // Verdicts without and with a conflict, pairs whose verdict
+        // depends on `same_frame`, and statements sharing a summary.
+        let (mut none, mut some, mut frame_dependent, mut shared) = (0, 0, 0, 0);
+        let programs = [fig2(), mutation(), local_only(), interned()];
+        for p in &programs {
             let stmts: Vec<(MethodId, usize)> = (0..p.methods.len())
                 .flat_map(|m| (0..p.methods[m].body.len()).map(move |i| (MethodId(m as u32), i)))
                 .collect();
-            let mut acc = ProgramAccesses::new(&p);
+            let oracle: Vec<reference::Summary> = stmts
+                .iter()
+                .map(|&(m, i)| reference::summary(p, m, i))
+                .collect();
+            let mut acc = ProgramAccesses::new(p);
             // The second round repeats every query and must be answered
             // from the memo, with the same verdicts.
             for round in 0..2 {
-                for &a in &stmts {
-                    for &b in &stmts {
+                for (ai, &a) in stmts.iter().enumerate() {
+                    for (bi, &b) in stmts.iter().enumerate() {
                         let mut verdicts = [None; 2];
                         for same_frame in [false, true] {
                             let memo = acc.conflict(a, b, same_frame);
-                            let direct = acc.cache[&a].conflict(&acc.cache[&b], same_frame);
+                            let direct = oracle[ai].conflict(&oracle[bi], same_frame);
                             assert_eq!(memo, direct, "{a:?} vs {b:?}, same frame {same_frame}");
+                            let (ia, ib) = (acc.summary_id(a), acc.summary_id(b));
+                            let by_frame = acc.conflicts_by_frame(ia, ib);
+                            assert_eq!(by_frame[usize::from(same_frame)], direct.is_some());
+                            let trimmed = acc
+                                .summary_by_id(ia)
+                                .conflict(acc.summary_by_id(ib), same_frame);
+                            assert_eq!(trimmed, direct, "{a:?} vs {b:?}, same frame {same_frame}");
                             verdicts[usize::from(same_frame)] = memo;
                         }
                         if round == 0 {
@@ -820,10 +1429,94 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(acc.conflicts.len(), 2 * stmts.len() * stmts.len());
+                // One memo entry per ordered pair of distinct summaries
+                // asked about, however many statements share them.
+                let distinct = acc.n_summaries();
+                assert!(distinct <= stmts.len());
+                assert!(acc.conflicts.len() <= distinct * distinct);
+            }
+            shared += stmts.len() - acc.n_summaries();
+        }
+        assert!(none > 0 && some > 0 && frame_dependent > 0 && shared > 0);
+    }
+
+    /// Statements that differ only in constants share a summary.
+    fn interned() -> Program {
+        compile(
+            r#"
+            global int G = 0;
+            tree class A {
+                child A* kid;
+                int x = 0;
+                virtual traversal f() {}
+            }
+            tree class B : A {
+                traversal f() { G = 1; x = G; G = 2; this->kid->f(); x = 3; this->kid->f(); }
+            }
+            "#,
+        )
+        .expect("interning fixture compiles")
+    }
+
+    #[test]
+    fn equal_summaries_are_interned_once() {
+        let p = interned();
+        let mut acc = ProgramAccesses::new(&p);
+        let b = p.class_by_name("B").unwrap();
+        let f = p.method_on_class(b, "f").unwrap();
+        let ids: Vec<SummaryId> = (0..6).map(|i| acc.summary_id((f, i))).collect();
+        // `G = 1` and `G = 2`, and the two calls, share summaries.
+        assert_eq!(ids[0], ids[2]);
+        assert_eq!(ids[3], ids[5]);
+        assert_ne!(ids[0], ids[1]);
+        assert_ne!(ids[1], ids[4]);
+        assert_eq!(acc.n_summaries(), 4);
+        // The two calls' verdict against `x = 3` is searched once.
+        let before = acc.search().searches();
+        assert_eq!(
+            acc.conflict((f, 3), (f, 4), false),
+            acc.conflict((f, 5), (f, 4), false)
+        );
+        let searched = acc.search().searches() - before;
+        assert!(searched > 0);
+        assert_eq!(
+            acc.conflict((f, 3), (f, 4), false),
+            acc.conflict((f, 5), (f, 4), false)
+        );
+        assert_eq!(acc.search().searches() - before, searched);
+    }
+
+    #[test]
+    fn hierarchy_matches_the_program_on_the_case_studies() {
+        for case in grafter_workloads_free_programs() {
+            let h = Hierarchy::new(case.classes.iter().map(|c| c.supers.as_slice()));
+            let n = case.classes.len() as u32;
+            for a in (0..n).map(ClassId) {
+                for b in (0..n).map(ClassId) {
+                    assert_eq!(h.is_subtype(a, b), case.is_subtype(a, b));
+                    assert_eq!(
+                        h.share_supertype(a, b),
+                        case.least_common_ancestor(&[a, b]).is_some()
+                    );
+                }
             }
         }
-        assert!(none > 0 && some > 0 && frame_dependent > 0);
+    }
+
+    /// Programs with single and multiple inheritance.
+    fn grafter_workloads_free_programs() -> Vec<Program> {
+        let multi = compile(
+            r#"
+            tree class A { virtual traversal f() {} }
+            tree class B { virtual traversal g() {} }
+            tree class C : A, B { }
+            tree class D : C { }
+            tree class E : A { }
+            tree class F { }
+            "#,
+        )
+        .expect("multiple inheritance compiles");
+        vec![fig2(), mutation(), multi]
     }
 
     #[test]

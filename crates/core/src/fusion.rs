@@ -25,10 +25,10 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use grafter_frontend::{ClassId, FieldId, MethodId, NodePath, Program, Stmt, TraverseStmt};
+use grafter_frontend::{ClassId, MethodId, NodePath, Program, Stmt, TraverseStmt};
 
 use crate::access::ProgramAccesses;
-use crate::depgraph::{DepGraph, MergedStmt};
+use crate::depgraph::{DepGraph, GroupCall, MergedStmt};
 use crate::explain::{
     BlockCause, CallSite, ConflictKind, EdgeEnd, FusionExplain, FusionVerdict, MissReason,
     PairExplain,
@@ -310,11 +310,14 @@ impl FusedProgram {
     }
 }
 
-/// Where one fusion run's wall time went, stage by stage. The engine lays
-/// the stages out as the `fusion/*` spans of its compile trace.
+/// Where one fusion run's wall time went, stage by stage, plus the work
+/// its conflict tests did. The engine lays the stages out as the
+/// `fusion/*` spans of its compile trace and the counts as metadata of
+/// its `fusion` span.
 ///
-/// Wall times only, so nothing compares them: two runs that fuse
-/// identically differ here.
+/// Nothing compares the wall times: two runs that fuse identically differ
+/// there. The counts are deterministic: the same program, passes and
+/// options always run the same searches.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FusionTimes {
     /// Building statement access summaries, call automata included.
@@ -331,6 +334,11 @@ pub struct FusionTimes {
     /// Everything else: merging bodies, emitting scheduled bodies, stubs
     /// and names.
     pub emit: Duration,
+    /// Automata intersection tests that ran a product search (a memo hit,
+    /// or a test with an empty side, runs none).
+    pub intersections: u64,
+    /// Product state pairs those searches expanded.
+    pub pairs_visited: u64,
 }
 
 impl FusionTimes {
@@ -507,6 +515,8 @@ fn fuse_slots_timed(
     let mut times = fuser.times;
     times.summaries = fuser.accesses.summary_time();
     times.conflicts = times.conflicts.saturating_sub(times.summaries);
+    times.intersections = fuser.accesses.search().searches();
+    times.pairs_visited = fuser.accesses.search().pairs_visited();
     let fused = FusedProgram {
         program: Arc::new(program.clone()),
         functions: fuser.functions,
@@ -560,21 +570,14 @@ impl Fuser<'_> {
             name: format!("__stub{}", self.stubs.len()),
         });
         self.stub_keys.insert(key, id);
-        for concrete in self.program.concrete_subtypes(class) {
-            let mut seq = Vec::with_capacity(slots.len());
-            let mut ok = true;
-            for &slot in &slots {
-                match self.program.resolve_virtual(concrete, slot) {
-                    Some(m) => seq.push(m),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
+        for &concrete in self.accesses.concrete_subtypes(class).iter() {
+            let Some(seq) = slots
+                .iter()
+                .map(|&slot| self.accesses.resolve_virtual(concrete, slot))
+                .collect::<Option<Vec<_>>>()
+            else {
                 continue;
-            }
+            };
             let fid = self.fused_for(seq);
             self.stubs[id.0 as usize].targets.push((concrete, fid));
         }
@@ -611,14 +614,14 @@ impl Fuser<'_> {
         self.fn_keys.insert(seq.clone(), id);
 
         let merged = DepGraph::merge_bodies(self.program, &seq);
-        let receivers = receiver_keys(&merged);
-        let (group_of, order) = if !has_same_receiver_pair(&merged, &receivers) {
+        let calls = self.group_inputs(&seq, &merged);
+        let (group_of, order) = if calls.iter().enumerate().all(|(i, c)| c.key == i) {
             // No two calls could group and no pair gets a verdict, so the
             // schedule is source order (what the dependence-respecting
             // schedule of singleton groups yields): skip the graph's one
             // conflict test per statement pair. A body with a same-receiver
-            // pair still pays that quadratic cost, however many statements
-            // sit between the two calls.
+            // pair still pays for a test per statement pair, however many
+            // statements sit between the two calls.
             let identity: Vec<usize> = (0..merged.len()).collect();
             (identity.clone(), identity)
         } else {
@@ -627,7 +630,7 @@ impl Fuser<'_> {
             // Building the summaries the graph asked for is taken out at
             // the end of the run.
             self.charge(|t| &mut t.conflicts);
-            let (group_of, n_groups) = self.group_calls(&seq, &merged, &receivers, &graph);
+            let (group_of, n_groups) = self.group_calls(&seq, &merged, &calls, &graph);
             let order = graph.schedule(&group_of, n_groups);
             debug_assert!(graph.order_is_valid(&order));
             self.charge(|t| &mut t.group);
@@ -639,89 +642,43 @@ impl Fuser<'_> {
         id
     }
 
-    /// Greedy call grouping (paper §4): pick an ungrouped call, accumulate
-    /// other ungrouped calls on the same child while the condensed graph
-    /// stays acyclic and the cutoffs hold.
+    /// The traversing calls of `merged` as call grouping sees them: the
+    /// key of a call is the index of the first call with its receiver
+    /// path, so calls that could group share one.
+    fn group_inputs(&self, seq: &[MethodId], merged: &[MergedStmt]) -> Vec<GroupCall> {
+        let mut calls: Vec<(GroupCall, &NodePath)> = Vec::new();
+        for (vertex, ms) in merged.iter().enumerate() {
+            let Stmt::Traverse(call) = ms.stmt else {
+                continue;
+            };
+            let key = calls
+                .iter()
+                .position(|(_, r)| r.fields().eq(call.receiver.fields()))
+                .unwrap_or(calls.len());
+            let owner = self.program.methods[seq[ms.traversal].index()].class;
+            let group_call = GroupCall {
+                vertex,
+                key,
+                slot: call.slot,
+                ty: self.program.path_target_type(owner, &call.receiver),
+            };
+            calls.push((group_call, &call.receiver));
+        }
+        calls.into_iter().map(|(c, _)| c).collect()
+    }
+
+    /// Greedy call grouping ([`DepGraph::group_calls`]), then the
+    /// coverage accounting and explain verdict of every same-receiver
+    /// call pair.
     fn group_calls(
         &mut self,
         seq: &[MethodId],
         merged: &[MergedStmt],
-        receivers: &[Vec<FieldId>],
+        calls: &[GroupCall],
         graph: &DepGraph,
     ) -> (Vec<usize>, usize) {
         let n = merged.len();
-        // Initially every vertex is its own group.
-        let mut group_of: Vec<usize> = (0..n).collect();
-
-        let call_vertices: Vec<usize> = (0..n)
-            .filter(|&v| matches!(merged[v].stmt, Stmt::Traverse(_)))
-            .collect();
-        let slot_of = |v: usize| -> MethodId {
-            let Stmt::Traverse(call) = merged[v].stmt else {
-                unreachable!("call vertices are traverses");
-            };
-            call.slot
-        };
-        let static_target = |fuser: &Self, v: usize| -> Option<ClassId> {
-            let Stmt::Traverse(call) = merged[v].stmt else {
-                unreachable!("call vertices are traverses");
-            };
-            let owner = fuser.program.methods[seq[merged[v].traversal].index()].class;
-            fuser.program.path_target_type(owner, &call.receiver)
-        };
-
-        let mut grouped = vec![false; n];
-        for &u in &call_vertices {
-            if !self.opts.grouping {
-                break; // skip greedy grouping; coverage below still counts
-            }
-            if grouped[u] {
-                continue;
-            }
-            grouped[u] = true;
-            let mut members = vec![u];
-            let key = &receivers[u];
-            let mut types = vec![static_target(self, u).unwrap_or(ClassId(0))];
-            for &v in &call_vertices {
-                if grouped[v] || receivers[v] != *key {
-                    continue;
-                }
-                if members.len() + 1 > self.opts.max_group_size {
-                    break;
-                }
-                let occurrences = members
-                    .iter()
-                    .filter(|&&m| slot_of(m) == slot_of(v))
-                    .count();
-                if occurrences + 1 > self.opts.max_occurrences {
-                    continue;
-                }
-                // The grouped calls need a common supertype to dispatch on.
-                let Some(vt) = static_target(self, v) else {
-                    continue;
-                };
-                let mut tentative_types = types.clone();
-                tentative_types.push(vt);
-                if self
-                    .program
-                    .least_common_ancestor(&tentative_types)
-                    .is_none()
-                {
-                    continue;
-                }
-                // Tentatively merge and keep only if the condensation stays
-                // acyclic.
-                let saved = group_of[v];
-                group_of[v] = group_of[u];
-                if graph.condensation_is_acyclic(&group_of) {
-                    grouped[v] = true;
-                    members.push(v);
-                    types = tentative_types;
-                } else {
-                    group_of[v] = saved;
-                }
-            }
-        }
+        let mut group_of = graph.group_calls(calls, self.accesses.hierarchy(), &self.opts);
         self.charge(|t| &mut t.group);
 
         // Re-number groups densely in order of first appearance (before
@@ -751,55 +708,47 @@ impl Fuser<'_> {
             .expect("group_calls runs for the function just registered")
             .name
             .clone();
-        let method_name = |w: usize| program.methods[slot_of(w).index()].name.clone();
-        let block_cause = |fuser: &mut Self, u: usize, v: usize| match (
-            static_target(fuser, u),
-            static_target(fuser, v),
-        ) {
+        let method_name = |c: &GroupCall| program.methods[c.slot.index()].name.clone();
+        let block_cause = |fuser: &mut Self, a: &GroupCall, b: &GroupCall| match (a.ty, b.ty) {
             (None, _) => Some(BlockCause::CrossHierarchy {
-                method: method_name(u),
+                method: method_name(a),
             }),
             (_, None) => Some(BlockCause::CrossHierarchy {
-                method: method_name(v),
+                method: method_name(b),
             }),
-            (Some(a), Some(b)) if program.least_common_ancestor(&[a, b]).is_none() => {
+            (Some(x), Some(y)) if !fuser.accesses.hierarchy().share_supertype(x, y) => {
                 Some(BlockCause::NoCommonSupertype {
-                    left: program.classes[a.index()].name.clone(),
-                    right: program.classes[b.index()].name.clone(),
+                    left: program.classes[x.index()].name.clone(),
+                    right: program.classes[y.index()].name.clone(),
                 })
             }
             (Some(_), Some(_)) => graph
-                .blocking_hop(u, v)
-                .map(|hop| fuser.dependence_cycle(seq, merged, u, hop)),
+                .blocking_hop(a.vertex, b.vertex)
+                .map(|hop| fuser.dependence_cycle(seq, merged, a.vertex, hop)),
         };
-        for (i, &u) in call_vertices.iter().enumerate() {
-            for &v in &call_vertices[i + 1..] {
-                if receivers[u] != receivers[v] {
+        let group = |c: &GroupCall| group_of[c.vertex];
+        for (i, a) in calls.iter().enumerate() {
+            for b in &calls[i + 1..] {
+                if a.key != b.key {
                     continue;
                 }
-                let verdict = if self.opts.grouping && group_of[u] == group_of[v] {
-                    FusionVerdict::Fused { group: group_of[u] }
-                } else if let Some(cause) = block_cause(self, u, v) {
+                let verdict = if self.opts.grouping && group(a) == group(b) {
+                    FusionVerdict::Fused { group: group(a) }
+                } else if let Some(cause) = block_cause(self, a, b) {
                     FusionVerdict::Blocked { cause }
                 } else {
                     let reason = if !self.opts.grouping {
                         MissReason::GroupingDisabled
                     } else {
-                        let size =
-                            |g: usize| call_vertices.iter().filter(|&&w| group_of[w] == g).count();
-                        let combined: Vec<usize> = call_vertices
+                        let combined: Vec<&GroupCall> = calls
                             .iter()
-                            .copied()
-                            .filter(|&w| group_of[w] == group_of[u] || group_of[w] == group_of[v])
+                            .filter(|c| group(c) == group(a) || group(c) == group(b))
                             .collect();
-                        let repeats = combined.iter().any(|&w| {
-                            combined
-                                .iter()
-                                .filter(|&&x| slot_of(x) == slot_of(w))
-                                .count()
+                        let repeats = combined.iter().any(|c| {
+                            combined.iter().filter(|d| d.slot == c.slot).count()
                                 > self.opts.max_occurrences
                         });
-                        if size(group_of[u]) + size(group_of[v]) > self.opts.max_group_size {
+                        if combined.len() > self.opts.max_group_size {
                             MissReason::GroupSizeCutoff {
                                 limit: self.opts.max_group_size,
                             }
@@ -815,9 +764,9 @@ impl Fuser<'_> {
                 };
                 self.explain.pairs.push(PairExplain {
                     fused_fn: fn_name.clone(),
-                    receiver: render_receiver(program, u, merged),
-                    left: call_site(program, merged, u),
-                    right: call_site(program, merged, v),
+                    receiver: render_receiver(program, a.vertex, merged),
+                    left: call_site(program, merged, a.vertex),
+                    right: call_site(program, merged, b.vertex),
                     verdict,
                 });
             }
@@ -906,33 +855,6 @@ impl Fuser<'_> {
         }
         body
     }
-}
-
-/// The receiver path of each traversing call of `merged`, empty for other
-/// statements: the key [`Fuser::group_calls`] groups calls on and counts
-/// candidate pairs by.
-fn receiver_keys(merged: &[MergedStmt]) -> Vec<Vec<FieldId>> {
-    merged
-        .iter()
-        .map(|m| match m.stmt {
-            Stmt::Traverse(call) => call.receiver.fields().collect(),
-            _ => Vec::new(),
-        })
-        .collect()
-}
-
-/// Whether two traversing calls of `merged` share a receiver key.
-fn has_same_receiver_pair(merged: &[MergedStmt], receivers: &[Vec<FieldId>]) -> bool {
-    let mut keys: Vec<&[FieldId]> = merged
-        .iter()
-        .zip(receivers)
-        .filter(|(m, _)| matches!(m.stmt, Stmt::Traverse(_)))
-        .map(|(_, key)| key.as_slice())
-        .collect();
-    let calls = keys.len();
-    keys.sort_unstable();
-    keys.dedup();
-    keys.len() < calls
 }
 
 /// The explain record of one call site: the invoked slot's name plus the

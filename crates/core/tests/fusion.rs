@@ -474,8 +474,7 @@ fn bodies_without_a_call_pair_keep_source_order_in_linear_time() {
 fn bodies_without_a_same_receiver_pair_keep_source_order_in_linear_time() {
     // Two calls on different children around 5,000 statements: no pair of
     // calls could group, so the schedule needs no conflict test per
-    // statement pair. Many statements between two calls on the same child
-    // still cost a quadratic graph.
+    // statement pair (see the next test for calls on the same child).
     let stmts: String = (0..5000).map(|i| format!("G = {i}; ")).collect();
     let src = format!(
         "global int G = 0;
@@ -508,6 +507,49 @@ fn bodies_without_a_same_receiver_pair_keep_source_order_in_linear_time() {
             assert_eq!(positions, [(0, at)], "{}", f.name);
         }
     }
+}
+
+#[test]
+fn same_receiver_calls_around_many_equal_statements_fuse_in_near_linear_time() {
+    // Two calls on the same child around 2,000 statements, fused with
+    // itself: a 4,004-statement body whose every statement pair conflicts.
+    // The statements share one interned summary, so the graph costs a
+    // table read per pair, and grouping reads reach sets over the four
+    // calls instead of condensing the graph per tentative merge. This
+    // took 27 s and 628 MB in a release build when conflicts were
+    // memoised per statement pair.
+    let stmts: String = (0..2000).map(|i| format!("G = {i}; ")).collect();
+    let src = format!(
+        "global int G = 0;
+        tree class N {{ virtual traversal f() {{}} }}
+        tree class C : N {{
+            child N* left;
+            traversal f() {{ this->left->f(); {stmts} this->left->f(); }}
+        }}"
+    );
+    let t0 = Instant::now();
+    let program = compile(&src).unwrap();
+    let fused = fuse(&program, "C", &["f", "f"], &FuseOptions::default()).unwrap();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(10),
+        "compile + fuse took {took:?}"
+    );
+    // The entry body's four calls form six same-receiver pairs: the two
+    // first calls fuse, and the `G` writes between the others block them.
+    // The function fusing one copy of `f` has one pair, blocked too.
+    let coverage = fused.coverage;
+    assert_eq!(
+        (
+            coverage.fused_pairs,
+            coverage.missed_pairs,
+            coverage.blocked_pairs
+        ),
+        (1, 0, 6),
+        "{coverage:?}"
+    );
+    assert_eq!(fused.explain.pairs.len(), coverage.candidate_pairs());
+    check_schedules(&program, "C", &["f", "f"], &FuseOptions::default());
 }
 
 #[test]

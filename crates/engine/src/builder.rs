@@ -204,6 +204,14 @@ impl EngineBuilder {
                     "verdicts".to_string(),
                     fused.explain.pairs.len().to_string(),
                 ),
+                (
+                    "intersections".to_string(),
+                    stage_times.intersections.to_string(),
+                ),
+                (
+                    "pairs_visited".to_string(),
+                    stage_times.pairs_visited.to_string(),
+                ),
             ],
         });
         // Fusion timed its own stages (`FusionTimes`); lay them out inside

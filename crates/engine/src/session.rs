@@ -5,6 +5,7 @@ use std::time::Instant;
 
 use grafter::{Diag, Error, Stage};
 use grafter_cachesim::CacheHierarchy;
+use grafter_frontend::GlobalId;
 use grafter_obs::{ExecCounters, RunTrace, TierProfile};
 use grafter_runtime::{Heap, Interp, NodeId, SnapValue, Value};
 use grafter_vm::{Backend, Vm};
@@ -170,7 +171,15 @@ impl<'e> Session<'e> {
             )
         };
 
-        let global_names = engine.program().globals.iter().map(|g| g.name.clone());
+        // Every global by id, in declaration order, through the tier's
+        // offsets (a lookup by name is linear in the globals).
+        let read_globals = |value: &dyn Fn(GlobalId) -> Value| -> Vec<(String, Value)> {
+            let globals = &engine.program().globals;
+            (0..globals.len() as u32)
+                .map(GlobalId)
+                .map(|g| (globals[g.index()].name.clone(), value(g)))
+                .collect()
+        };
         // Run-side profiling exists only when the engine has a probe; the
         // unprobed paths are exactly the pre-observability ones (the VM
         // hooks monomorphize away).
@@ -191,12 +200,7 @@ impl<'e> Session<'e> {
                     .run(&mut self.heap, root, args)
                     .map_err(runtime_err)?;
                 let wall = start.elapsed();
-                let globals = global_names
-                    .map(|name| {
-                        let value = interp.global(&name).expect("declared global resolves");
-                        (name, value)
-                    })
-                    .collect();
+                let globals = read_globals(&|g| interp.global_at(g));
                 let profile = interp.take_class_counts().map(|counts| TierProfile {
                     class_visits: engine
                         .program()
@@ -236,12 +240,7 @@ impl<'e> Session<'e> {
                     None
                 };
                 let wall = start.elapsed();
-                let globals = global_names
-                    .map(|name| {
-                        let value = vm.global(&name).expect("declared global resolves");
-                        (name, value)
-                    })
-                    .collect();
+                let globals = read_globals(&|g| vm.global_at(g));
                 (
                     vm.metrics,
                     vm.cache.as_ref().map(CacheHierarchy::stats),

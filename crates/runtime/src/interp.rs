@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use grafter::{entry_flags, CallPart, FusedFn, FusedFnId, FusedProgram, ScheduledItem, StubId};
 use grafter_cachesim::CacheHierarchy;
-use grafter_frontend::{BinOp, DataAccess, Expr, MethodId, NodePath, Stmt};
+use grafter_frontend::{BinOp, DataAccess, Expr, GlobalId, MethodId, NodePath, Stmt};
 
 use crate::heap::{global_addr, Heap, NodeId, SLOT_BYTES};
 use crate::metrics::{cost, Metrics};
@@ -122,7 +122,12 @@ impl<'a> Interp<'a> {
     /// Reads a global variable by name.
     pub fn global(&self, name: &str) -> Option<Value> {
         let g = self.fp.program.global_by_name(name)?;
-        Some(self.globals[self.global_offsets[g.index()]])
+        Some(self.global_at(g))
+    }
+
+    /// Reads a declared global variable by id, in constant time.
+    pub fn global_at(&self, global: GlobalId) -> Value {
+        self.globals[self.global_offsets[global.index()]]
     }
 
     /// Runs the fused program's entry sequence on `root`.

@@ -15,7 +15,7 @@
 //! identical inputs.
 
 use grafter_cachesim::CacheHierarchy;
-use grafter_frontend::ClassId;
+use grafter_frontend::{ClassId, GlobalId};
 use grafter_obs::{ExecCounters, ExecProbe, NoProbe};
 use grafter_runtime::ops::{binop, unop};
 use grafter_runtime::{
@@ -89,6 +89,11 @@ impl<'a> Vm<'a> {
     pub fn global(&self, name: &str) -> Option<Value> {
         let &(_, idx) = self.module.global_names.iter().find(|(n, _)| n == name)?;
         Some(self.globals[idx as usize])
+    }
+
+    /// Reads a declared global variable by id, in constant time.
+    pub fn global_at(&self, global: GlobalId) -> Value {
+        self.globals[self.module.global_names[global.index()].1 as usize]
     }
 
     /// Runs the module's entry sequence on `root`.

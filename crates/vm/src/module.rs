@@ -468,7 +468,9 @@ pub struct Module {
     pub(crate) layouts: Arc<Layouts>,
     /// Initial values of the flattened global frame.
     pub(crate) globals_init: Vec<Value>,
-    /// Global name → flat offset (for [`crate::Vm::set_global`]).
+    /// Each global's name and flat offset, indexed by
+    /// [`grafter_frontend::GlobalId`] (for [`crate::Vm::set_global`] and
+    /// [`crate::Vm::global_at`]).
     pub(crate) global_names: Vec<(String, u32)>,
     /// Pure-function names by [`grafter_frontend::PureId`] index.
     pub(crate) pure_names: Vec<String>,

@@ -323,6 +323,45 @@ fn profile_lists_fusion_and_optimizer_stages() {
 }
 
 #[test]
+fn profile_reports_fusion_search_counts_that_repeat_across_builds() {
+    let search_counts = || {
+        let (_, stderr, code) = grafterc(
+            &[
+                "-",
+                "--root",
+                grafter_workloads::ast::ROOT_CLASS,
+                "--passes",
+                &grafter_workloads::ast::PASSES.join(","),
+                "--backend",
+                "vm",
+                "--emit",
+                "none",
+                "--profile",
+            ],
+            grafter_workloads::ast::SOURCE,
+        );
+        assert_eq!(code, Some(0), "stderr: {stderr}");
+        let fusion = stderr
+            .lines()
+            .find(|l| l.split_whitespace().nth(3) == Some("fusion"))
+            .unwrap_or_else(|| panic!("no fusion span:\n{stderr}"))
+            .to_string();
+        ["intersections", "pairs_visited"].map(|key| {
+            let value = fusion
+                .split(['[', ']', ','])
+                .filter_map(|kv| kv.trim().split_once('='))
+                .find(|(k, _)| *k == key)
+                .unwrap_or_else(|| panic!("`{key}` missing from `{fusion}`"))
+                .1;
+            value.parse::<u64>().unwrap()
+        })
+    };
+    let first = search_counts();
+    assert!(first[0] > 0 && first[1] >= first[0], "{first:?}");
+    assert_eq!(search_counts(), first);
+}
+
+#[test]
 fn stats_report_the_opt_level() {
     let (_, stderr, code) = grafterc(
         &[
