@@ -530,11 +530,6 @@ impl<S: Symbol> Trimmed<S> {
         self.accepting.is_empty()
     }
 
-    /// Returns `true` if `state` is accepting.
-    pub fn is_accepting(&self, state: StateId) -> bool {
-        self.accepting[state]
-    }
-
     /// The labelled edges out of `state`, sorted.
     pub fn edges(&self, state: StateId) -> &[(S, u32)] {
         &self.edges[self.offsets[state] as usize..self.offsets[state + 1] as usize]

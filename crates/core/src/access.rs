@@ -15,7 +15,7 @@
 //! revisited (so unbounded recursion appears as loops). That graph depends
 //! only on the dispatch key — the called slot and the receiver's static
 //! type — so it is built and trimmed once per key, relative to the
-//! receiver ([`DispatchAutomata`]); a call's automaton is its receiver
+//! receiver; a call's automaton is its receiver
 //! path followed by a flat copy of its key's automaton.
 //!
 //! [`ProgramAccesses`] computes each of these once per program: a
@@ -301,7 +301,7 @@ impl Hierarchy {
 /// Call summaries depend on the *static receiver context* (the class whose
 /// method contains the call), so statements are looked up by
 /// `(method, stmt index)`. Each statement's summary is interned: equal
-/// summaries get one [`SummaryId`] and are stored once, however many
+/// summaries get one id and are stored once, however many
 /// statements share them. Dispatch automata are built once per
 /// `(slot, static type)` key, whatever number of calls use the key.
 ///
@@ -315,8 +315,6 @@ pub struct ProgramAccesses<'p> {
     program: &'p Program,
     hierarchy: Hierarchy,
     stmt_ids: IdMap<StmtKey, SummaryId>,
-    /// Argument-free calls by slot, receiver static type and path.
-    call_ids: IdMap<(MethodId, ClassId, Vec<FieldId>), SummaryId>,
     /// Distinct summaries by id; `interned` maps each back to its id.
     summaries: Vec<Rc<AccessSummary>>,
     interned: IdMap<Rc<AccessSummary>, SummaryId>,
@@ -337,7 +335,6 @@ impl<'p> ProgramAccesses<'p> {
             program,
             hierarchy: Hierarchy::new(program.classes.iter().map(|c| c.supers.as_slice())),
             stmt_ids: IdMap::default(),
-            call_ids: IdMap::default(),
             summaries: Vec::new(),
             interned: IdMap::default(),
             concrete: IdMap::default(),
@@ -408,19 +405,6 @@ impl<'p> ProgramAccesses<'p> {
         }
         let m = &self.program.methods[key.0.index()];
         let stmt = &m.body[key.1];
-        // A call without arguments is summarised by its dispatch key and
-        // receiver path alone, so calls sharing those share one build.
-        let call_key = match stmt {
-            Stmt::Traverse(call) if call.args.is_empty() => self
-                .program
-                .path_target_type(m.class, &call.receiver)
-                .map(|ty| (call.slot, ty, call.receiver.fields().collect::<Vec<_>>())),
-            _ => None,
-        };
-        if let Some(&id) = call_key.as_ref().and_then(|k| self.call_ids.get(k)) {
-            self.stmt_ids.insert(key, id);
-            return id;
-        }
         let mut c = Collect::new();
         self.collect_stmt(stmt, m.class, &mut c);
         let summary = c.finish();
@@ -435,9 +419,6 @@ impl<'p> ProgramAccesses<'p> {
             }
         };
         self.stmt_ids.insert(key, id);
-        if let Some(call_key) = call_key {
-            self.call_ids.insert(call_key, id);
-        }
         id
     }
 
@@ -1106,7 +1087,7 @@ mod tests {
     /// interned or shared between calls.
     mod reference {
         use super::*;
-        use std::collections::{HashMap, HashSet};
+        use std::collections::HashMap;
 
         pub struct Summary {
             tree_reads: Nfa<PathSym>,

@@ -21,7 +21,7 @@
 //! small table, so a long body of repeated statements costs one table read
 //! per statement pair.
 //!
-//! Grouping calls into one dispatch ([`DepGraph::group_calls`]) is legal
+//! Grouping calls into one dispatch (`DepGraph::group_calls`) is legal
 //! exactly when the graph with the group condensed into one vertex stays
 //! acyclic. The grouping decides that on reach sets over the body's calls
 //! (a body has few calls), computed in one sweep over the graph and
@@ -121,45 +121,31 @@ impl DepGraph {
         let mut verdicts = vec![0u8; k * k];
         let n = merged.len();
         let traversal: Vec<usize> = merged.iter().map(|ms| ms.traversal).collect();
-        // Two passes: the first asks for every verdict and counts each
-        // vertex's edges, the second fills an edge array of exactly that
-        // size (growing a dense body's edges by doubling touched several
-        // times the memory the edges need).
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
-        let mut edges = 0u32;
-        for pass in 0..2 {
-            let mut targets = Vec::with_capacity(if pass == 0 { 0 } else { edges as usize });
-            for u in 0..n {
-                let (lu, tu) = (local[u], traversal[u]);
-                let row = &mut verdicts[lu * k..(lu + 1) * k];
-                for v in (u + 1)..n {
-                    let lv = local[v];
-                    let same_frame = traversal[v] == tu;
-                    let control = same_frame && (may_return[lu] || may_return[lv]);
-                    let edge = control || {
-                        if row[lv] == 0 {
-                            let [across, within] =
-                                accesses.conflicts_by_frame(distinct[lu], distinct[lv]);
-                            row[lv] = 0x80 | u8::from(across) | (u8::from(within) << 1);
-                        }
-                        (row[lv] >> u8::from(same_frame)) & 1 != 0
-                    };
-                    if edge && pass == 0 {
-                        edges = edges.checked_add(1).expect("edge count fits in u32");
-                    } else if edge {
-                        targets.push(v as u32);
+        let mut targets = Vec::new();
+        for u in 0..n {
+            let (lu, tu) = (local[u], traversal[u]);
+            let row = &mut verdicts[lu * k..(lu + 1) * k];
+            for v in (u + 1)..n {
+                let lv = local[v];
+                let same_frame = traversal[v] == tu;
+                let control = same_frame && (may_return[lu] || may_return[lv]);
+                let edge = control || {
+                    if row[lv] == 0 {
+                        let [across, within] =
+                            accesses.conflicts_by_frame(distinct[lu], distinct[lv]);
+                        row[lv] = 0x80 | u8::from(across) | (u8::from(within) << 1);
                     }
-                }
-                if pass == 0 {
-                    offsets.push(edges);
+                    (row[lv] >> u8::from(same_frame)) & 1 != 0
+                };
+                if edge {
+                    targets.push(v as u32);
                 }
             }
-            if pass == 1 {
-                return DepGraph { offsets, targets };
-            }
+            offsets.push(u32::try_from(targets.len()).expect("edge count fits in u32"));
         }
-        unreachable!("the second pass returns")
+        DepGraph { offsets, targets }
     }
 
     /// Number of vertices.
@@ -467,13 +453,14 @@ impl CallReach {
     }
 
     /// Whether call `v` may join the open group without closing a cycle.
-    /// A member's `down` and `up` are the group's.
+    /// A member's `down` and `up` are the group's. Calls join in order,
+    /// so every member precedes `v`, and a path through non-calls only
+    /// (which runs forward) can lead from the group to `v` but not back.
     fn may_join(&self, v: usize) -> bool {
         let (w, first) = (self.words, self.first);
         let meets = |a: &[u64], b: &[u64]| a.iter().zip(b).any(|(x, y)| x & y != 0);
-        // G → non-calls → v, or v → non-calls → G.
+        // G → non-calls → v.
         !has(&self.group_long, v)
-            && !meets(Self::row(&self.long, w, v), &self.members)
             // G → … → c → … → v, or v → … → c → … → G, for a call c
             // outside both.
             && !meets(Self::row(&self.down, w, first), Self::row(&self.up, w, v))

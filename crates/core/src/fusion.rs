@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use grafter_frontend::{ClassId, MethodId, NodePath, Program, Stmt, TraverseStmt};
+use grafter_frontend::{ClassId, FieldId, MethodId, NodePath, Program, Stmt, TraverseStmt};
 
 use crate::access::ProgramAccesses;
 use crate::depgraph::{DepGraph, GroupCall, MergedStmt};
@@ -646,25 +646,23 @@ impl Fuser<'_> {
     /// key of a call is the index of the first call with its receiver
     /// path, so calls that could group share one.
     fn group_inputs(&self, seq: &[MethodId], merged: &[MergedStmt]) -> Vec<GroupCall> {
-        let mut calls: Vec<(GroupCall, &NodePath)> = Vec::new();
+        let mut keys: HashMap<Vec<FieldId>, usize> = HashMap::new();
+        let mut calls = Vec::new();
         for (vertex, ms) in merged.iter().enumerate() {
             let Stmt::Traverse(call) = ms.stmt else {
                 continue;
             };
-            let key = calls
-                .iter()
-                .position(|(_, r)| r.fields().eq(call.receiver.fields()))
-                .unwrap_or(calls.len());
+            let next = calls.len();
+            let key = *keys.entry(call.receiver.fields().collect()).or_insert(next);
             let owner = self.program.methods[seq[ms.traversal].index()].class;
-            let group_call = GroupCall {
+            calls.push(GroupCall {
                 vertex,
                 key,
                 slot: call.slot,
                 ty: self.program.path_target_type(owner, &call.receiver),
-            };
-            calls.push((group_call, &call.receiver));
+            });
         }
-        calls.into_iter().map(|(c, _)| c).collect()
+        calls
     }
 
     /// Greedy call grouping ([`DepGraph::group_calls`]), then the
