@@ -448,9 +448,9 @@ fn opt_level_is_excluded_from_report_equality() {
 #[test]
 fn runs_read_forty_thousand_globals_back_in_linear_time_on_both_tiers() {
     // Each run reads every global back for its Report. Looked up by name,
-    // that was quadratic in the globals: a one-node run of this program
-    // took 2.8 s on the VM and 4.6 s on the interpreter in a release
-    // build. Read by id, it takes milliseconds.
+    // that was quadratic in the globals: `grafterc --run` on one node of
+    // this program took 1.9 s on the VM and 3.1 s on the interpreter in a
+    // release build on a 2-vCPU Xeon. Read by id, it takes milliseconds.
     const N: usize = 40_000;
     let mut src: String = (0..N)
         .map(|i| format!("global int g{i} = {i};\n"))
