@@ -270,10 +270,9 @@ impl EngineBuilder {
         // Every session heap shares the fused program's own `Arc` (no
         // second program copy) and one set of layouts: the module's on the
         // VM tier, computed here on the interpreter's.
-        let shared_program = Arc::clone(&fused.program);
         let shared_layouts = match &module {
             Some(m) => Arc::clone(m.layouts()),
-            None => Arc::new(Layouts::new(&shared_program)),
+            None => Arc::new(Layouts::new(&fused.program)),
         };
         let compile_trace = CompileTrace {
             spans,
@@ -289,7 +288,6 @@ impl EngineBuilder {
             module,
             backend: self.backend,
             opt_level: self.opt_level,
-            shared_program,
             shared_layouts,
             pures: self.pures.unwrap_or_else(PureRegistry::with_math),
             args: self.args,

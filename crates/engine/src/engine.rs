@@ -3,13 +3,14 @@
 use std::sync::Arc;
 
 use grafter::{cpp, DiagnosticBag, FusedProgram, FusionMetrics};
-use grafter_frontend::Program;
-use grafter_runtime::{Heap, Layouts, PureRegistry, Value};
-use grafter_vm::{Backend, Module, OptLevel};
+use grafter_cachesim::CacheHierarchy;
+use grafter_frontend::{ClassId, Program};
+use grafter_obs::{ExecCounters, TierProfile};
+use grafter_runtime::{Heap, Interp, Layouts, Metrics, NodeId, PureRegistry, RuntimeError, Value};
+use grafter_vm::{Backend, Module, OptLevel, Vm};
 
 use crate::builder::EngineBuilder;
 use crate::session::Session;
-use grafter_cachesim::CacheHierarchy;
 
 /// A fused program compiled for execution, immutable after
 /// [`EngineBuilder::build`].
@@ -34,10 +35,10 @@ pub struct Engine {
     /// Bytecode optimization level the module was lowered at (set even on
     /// the interpreter tier, where it has no effect).
     pub(crate) opt_level: OptLevel,
-    /// Program + layouts shared by every session heap (`Arc` bumps, not
-    /// program clones and layout recomputations, per session). On the VM
-    /// tier the layouts are the module's own.
-    pub(crate) shared_program: Arc<Program>,
+    /// The layouts every session heap (beside the fused program's own
+    /// `Arc<Program>`) and every run's executor share: `Arc` bumps, not
+    /// layout recomputations, per run. On the VM tier they are the
+    /// module's own.
     pub(crate) shared_layouts: Arc<Layouts>,
     pub(crate) pures: PureRegistry,
     pub(crate) args: Vec<Vec<Value>>,
@@ -113,7 +114,7 @@ impl Engine {
     /// The resolved source program (class/field/method tables) — the
     /// same shared instance every session heap references.
     pub fn program(&self) -> &Program {
-        &self.shared_program
+        &self.fused.program
     }
 
     /// The program's node layouts and name indexes — the instance every
@@ -152,9 +153,74 @@ impl Engine {
     /// shared, so this is two reference-count bumps and two empty vectors.
     pub fn new_heap(&self) -> Heap {
         Heap::with_shared(
-            Arc::clone(&self.shared_program),
+            Arc::clone(&self.fused.program),
             Arc::clone(&self.shared_layouts),
         )
+    }
+
+    /// A fresh executor of the engine's tier for one run, starting from
+    /// the shared layouts' global frame and simulating `cache`.
+    pub(crate) fn executor(&self, cache: Option<CacheHierarchy>) -> Executor<'_> {
+        let pures = self.pures.clone();
+        let Some(module) = &self.module else {
+            let layouts = Arc::clone(&self.shared_layouts);
+            let mut interp = Interp::with_layouts(&self.fused, layouts, pures);
+            interp.cache = cache;
+            return Executor::Interp(interp);
+        };
+        let mut vm = Vm::with_pures(module, pures);
+        vm.cache = cache;
+        Executor::Vm(vm, module)
+    }
+}
+
+/// One run's executor on either tier: the one interface
+/// [`Session::run`] drives.
+pub(crate) enum Executor<'e> {
+    Interp(Interp<'e>),
+    Vm(Vm<'e>, &'e Module),
+}
+
+impl Executor<'_> {
+    /// Runs the entry sequence on `root` with the entry `args`; a
+    /// `probed` run also returns its profile.
+    pub(crate) fn run(
+        &mut self,
+        heap: &mut Heap,
+        root: NodeId,
+        args: &[Vec<Value>],
+        probed: bool,
+    ) -> Result<Option<TierProfile>, RuntimeError> {
+        match self {
+            Executor::Interp(interp) if probed => {
+                let class_visits = (0..)
+                    .map(ClassId)
+                    .zip(interp.run_probed(heap, root, args)?)
+                    .filter(|&(_, n)| n > 0)
+                    .map(|(c, n)| (heap.layouts().class_name(c).to_string(), n))
+                    .collect();
+                Ok(Some(TierProfile {
+                    class_visits,
+                    ..TierProfile::default()
+                }))
+            }
+            Executor::Interp(interp) => interp.run(heap, root, args).map(|()| None),
+            Executor::Vm(vm, module) if probed => {
+                let mut counters = ExecCounters::new(module.n_functions(), module.n_ops());
+                vm.run_probed(heap, root, args, &mut counters)?;
+                Ok(Some(module.profile(&counters)))
+            }
+            Executor::Vm(vm, _) => vm.run(heap, root, args).map(|()| None),
+        }
+    }
+
+    /// The last run's counters, simulated cache (if any) and flat global
+    /// frame, one value per slot of [`Layouts::global_slot_names`].
+    pub(crate) fn outcome(&self) -> (&Metrics, Option<&CacheHierarchy>, &[Value]) {
+        match self {
+            Executor::Interp(interp) => (&interp.metrics, interp.cache.as_ref(), interp.globals()),
+            Executor::Vm(vm, _) => (&vm.metrics, vm.cache.as_ref(), vm.globals()),
+        }
     }
 }
 

@@ -41,9 +41,11 @@ pub struct Report {
     /// Simulated cache traffic, when the engine/session attached a cache
     /// model.
     pub cache: Option<HierarchyStats>,
-    /// Final values of the program's global variables after the run, in
-    /// declaration order — how global accumulators (e.g. the kd-tree
-    /// workload's `INTEGRAL`) surface without access to the executor.
+    /// Final values of the program's global variables after the run, one
+    /// per global frame slot in declaration order (a struct global's
+    /// members under dotted names, `P.x` then `P.y`) — how global
+    /// accumulators (e.g. the kd-tree workload's `INTEGRAL`) surface
+    /// without access to the executor.
     pub globals: Vec<(String, Value)>,
     /// Wall-clock time of the execution (excluded from equality).
     pub wall: Duration,

@@ -5,10 +5,8 @@ use std::time::Instant;
 
 use grafter::{Diag, Error, Stage};
 use grafter_cachesim::CacheHierarchy;
-use grafter_frontend::GlobalId;
-use grafter_obs::{ExecCounters, RunTrace, TierProfile};
-use grafter_runtime::{Heap, Interp, NodeId, SnapValue, Value};
-use grafter_vm::{Backend, Vm};
+use grafter_obs::RunTrace;
+use grafter_runtime::{Heap, NodeId, SnapValue, Value};
 
 use crate::engine::Engine;
 use crate::report::Report;
@@ -151,8 +149,9 @@ impl<'e> Session<'e> {
     /// [`Report`].
     ///
     /// Can be called repeatedly (e.g. on a tree the previous run
-    /// mutated); each run gets fresh counters and, when a cache model is
-    /// attached, a fresh simulated cache.
+    /// mutated); each run gets a fresh executor of the engine's tier:
+    /// fresh counters, the layouts' initial global frame and, when a
+    /// cache model is attached, a fresh simulated cache.
     ///
     /// # Errors
     ///
@@ -161,95 +160,25 @@ impl<'e> Session<'e> {
     /// identically for both backends.
     pub fn run(&mut self, root: NodeId) -> Result<Report, Error> {
         let engine = self.engine;
-        let args = &engine.args;
-        let pures = engine.pures.clone();
-        let cache = self.cache.clone();
-        let runtime_err = |e: grafter_runtime::RuntimeError| {
-            Error::from_diag(
-                Diag::error_global(Stage::Runtime, e.to_string()),
-                &engine.src,
-            )
-        };
-
-        // Every global by id, in declaration order, through the tier's
-        // offsets (a lookup by name is linear in the globals).
-        let read_globals = |value: &dyn Fn(GlobalId) -> Value| -> Vec<(String, Value)> {
-            let globals = &engine.program().globals;
-            (0..globals.len() as u32)
-                .map(GlobalId)
-                .map(|g| (globals[g.index()].name.clone(), value(g)))
-                .collect()
-        };
+        let mut executor = engine.executor(self.cache.clone());
+        // `wall` times the execution alone; executor setup and the
+        // post-run globals readout stay outside the measured region.
         // Run-side profiling exists only when the engine has a probe; the
         // unprobed paths are exactly the pre-observability ones (the VM
         // hooks monomorphize away).
-        let probing = engine.probe.is_some();
-        // `wall` times the execution alone; executor setup and the
-        // post-run globals readout stay outside the measured region.
-        let (metrics, cache_stats, globals, wall, profile) = match engine.backend {
-            Backend::Interp => {
-                let mut interp = Interp::with_pures(&engine.fused, pures);
-                if let Some(cache) = cache {
-                    interp = interp.with_cache(cache);
-                }
-                if probing {
-                    interp = interp.with_class_counts();
-                }
-                let start = Instant::now();
-                interp
-                    .run(&mut self.heap, root, args)
-                    .map_err(runtime_err)?;
-                let wall = start.elapsed();
-                let globals = read_globals(&|g| interp.global_at(g));
-                let profile = interp.take_class_counts().map(|counts| TierProfile {
-                    class_visits: engine
-                        .program()
-                        .classes
-                        .iter()
-                        .zip(counts)
-                        .filter(|&(_, n)| n > 0)
-                        .map(|(c, n)| (c.name.clone(), n))
-                        .collect(),
-                    ..TierProfile::default()
-                });
-                (
-                    interp.metrics,
-                    interp.cache.as_ref().map(CacheHierarchy::stats),
-                    globals,
-                    wall,
-                    profile,
-                )
-            }
-            Backend::Vm => {
-                let module = engine
-                    .module
-                    .as_ref()
-                    .expect("vm engine holds its module (lowered at build)");
-                let mut vm = Vm::with_pures(module, pures);
-                if let Some(cache) = cache {
-                    vm = vm.with_cache(cache);
-                }
-                let start = Instant::now();
-                let profile = if probing {
-                    let mut counters = ExecCounters::new(module.n_functions(), module.n_ops());
-                    vm.run_probed(&mut self.heap, root, args, &mut counters)
-                        .map_err(runtime_err)?;
-                    Some(module.profile(&counters))
-                } else {
-                    vm.run(&mut self.heap, root, args).map_err(runtime_err)?;
-                    None
-                };
-                let wall = start.elapsed();
-                let globals = read_globals(&|g| vm.global_at(g));
-                (
-                    vm.metrics,
-                    vm.cache.as_ref().map(CacheHierarchy::stats),
-                    globals,
-                    wall,
-                    profile,
-                )
-            }
-        };
+        let start = Instant::now();
+        let profile = executor
+            .run(&mut self.heap, root, &engine.args, engine.probe.is_some())
+            .map_err(|e| Error::from_diag(e.into(), &engine.src))?;
+        let wall = start.elapsed();
+        let (metrics, cache, globals) = executor.outcome();
+        let globals = engine
+            .layouts()
+            .global_slot_names()
+            .iter()
+            .zip(globals)
+            .map(|(name, &value)| (name.to_string(), value))
+            .collect();
         let trace = profile.map(|profile| {
             Box::new(RunTrace {
                 tier: engine.backend.to_string(),
@@ -264,8 +193,8 @@ impl<'e> Session<'e> {
             backend: engine.backend,
             opt_level: engine.opt_level,
             fusion: engine.fusion,
-            metrics,
-            cache: cache_stats,
+            metrics: metrics.clone(),
+            cache: cache.map(CacheHierarchy::stats),
             globals,
             wall,
             trace,

@@ -485,3 +485,36 @@ fn runs_read_forty_thousand_globals_back_in_linear_time_on_both_tiers() {
         );
     }
 }
+
+#[test]
+fn struct_globals_report_every_member_on_both_tiers() {
+    // A struct global is one frame slot per member; reported by declared
+    // name, only `P`'s first member showed, and the write to `P.y`
+    // reached no report.
+    const SRC: &str = "struct Pt { int x; int y; } global Pt P; global int Q = 3; \
+        tree class C { int v = 0; traversal t() { P.y = 41; P.x = 2; v = P.y + Q; } }";
+    let expected = [("P.x", 2), ("P.y", 41), ("Q", 3)]
+        .map(|(name, v)| (name.to_string(), Value::Int(v)))
+        .to_vec();
+    for backend in [Backend::Vm, Backend::Interp] {
+        let engine = Engine::builder()
+            .source(SRC)
+            .entry("C", &["t"])
+            .backend(backend)
+            .build()
+            .unwrap();
+        let mut session = engine.session();
+        let root = session.alloc("C").unwrap();
+        let report = session.run(root).unwrap();
+        assert_eq!(report.globals, expected, "{backend}");
+        assert_eq!(report.global("P.y"), Some(Value::Int(41)), "{backend}");
+        assert_eq!(session.get_field(root, "v").unwrap(), Value::Int(44));
+        assert!(
+            report.to_json().contains(
+                r#""globals":[{"name":"P.x","value":2},{"name":"P.y","value":41},{"name":"Q","value":3}]"#
+            ),
+            "{backend}: {}",
+            report.to_json()
+        );
+    }
+}

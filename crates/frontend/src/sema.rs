@@ -66,7 +66,7 @@ struct Checker {
     errors: DiagnosticBag,
     class_names: HashMap<String, ClassId>,
     struct_names: HashMap<String, StructId>,
-    global_names: HashMap<String, GlobalId>,
+    global_ids: HashMap<String, GlobalId>,
     pure_names: HashMap<String, PureId>,
     /// Declaration span of each pure, indexed by [`PureId`].
     pure_spans: Vec<Span>,
@@ -178,7 +178,7 @@ impl Checker {
                 Ty::Int
             });
             let id = GlobalId(self.program.globals.len() as u32);
-            if self.global_names.insert(g.name.clone(), id).is_some() {
+            if self.global_ids.insert(g.name.clone(), id).is_some() {
                 self.err(format!("duplicate global `{}`", g.name), g.span);
             }
             if let Some(lit) = g.default {
@@ -833,7 +833,7 @@ impl Checker {
                             ty,
                         ),
                     }
-                } else if let Some(&gid) = self.global_names.get(name) {
+                } else if let Some(&gid) = self.global_ids.get(name) {
                     let ty = self.program.globals[gid.index()].ty;
                     Base::Data(
                         DataAccess::Global {

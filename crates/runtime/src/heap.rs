@@ -1,4 +1,4 @@
-//! Node heap, class layouts and tree construction helpers.
+//! Node heap, slot layouts and tree construction helpers.
 //!
 //! Nodes live in one contiguous **slot arena**: a node is a small
 //! `(class, base)` record indexing into a single `Vec<Value>` pool, bump
@@ -13,8 +13,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use grafter_frontend::{ast::Literal, ClassId, FieldId, FieldKind, Program, Ty};
+use grafter_frontend::{
+    ast::Literal, ClassId, FieldId, FieldKind, GlobalId, MethodId, Program, Ty,
+};
 
+use crate::ops::field_ty;
 use crate::Value;
 
 /// Index of a node in a [`Heap`].
@@ -47,18 +50,19 @@ pub fn global_addr(idx: usize) -> u64 {
     GLOBALS_BASE_ADDR + SLOT_BYTES * idx as u64
 }
 
-/// Flattened field layouts of every class in a program.
+/// Every slot layout a run uses: each class's node slots, the global frame
+/// (globals in declaration order) and each method's local frame.
 ///
 /// Each class lays out its inherited fields first (base-class subobject),
-/// then its own; struct-typed data fields are flattened into one slot per
-/// member, mirroring the C++ object layout Grafter's generated code runs
-/// against.
+/// then its own; struct-typed fields, globals and locals are flattened
+/// into one slot per member, mirroring the C++ object layout Grafter's
+/// generated code runs against.
 ///
-/// Built once per program and shared by every heap and, on the VM tier,
-/// by the lowered module, the layouts also name things: a class-name
-/// index and a per-class field-name index let tree builders go from
-/// `"Left"` to a slot with binary searches and array loads, touching no
-/// allocator.
+/// Built once per program and shared by every heap, the engine's
+/// interpreters and, on the VM tier, the lowered module, the layouts also
+/// name things: class-, field- and global-name indexes let tree builders
+/// go from `"Left"` to a slot, and callers from `"P.y"` to a global, with
+/// binary searches and array loads, touching no allocator.
 #[derive(Clone, Debug)]
 pub struct Layouts {
     /// Dense `class * n_fields + field` → first slot of the field,
@@ -82,6 +86,18 @@ pub struct Layouts {
     sizes: Vec<usize>,
     /// Per-class default slot values.
     defaults: Vec<Vec<Value>>,
+    /// Global → its first slot in the global frame.
+    global_offsets: Vec<u32>,
+    /// The global frame before any run (declared literals honoured).
+    globals_init: Vec<Value>,
+    /// One name per global frame slot (`Q`, or `P.x` and `P.y`).
+    global_names: Vec<Box<str>>,
+    /// Global frame slots by name.
+    global_index: NameIndex,
+    /// Per method, the first frame slot of each local (parameters
+    /// first), then the frame's size: local `i` spans
+    /// `offsets[i]..offsets[i + 1]`.
+    local_offsets: Vec<Box<[u32]>>,
 }
 
 /// Marks a `(class, field)` or member entry with no slot in the dense
@@ -144,8 +160,25 @@ pub fn default_literal(ty: Ty, lit: Option<Literal>) -> Value {
     }
 }
 
+/// Calls `push` per slot a value of data type `ty` flattens to: with each
+/// member of a struct and its default, else once with `lit` or the
+/// type's default.
+fn data_slots(
+    program: &Program,
+    ty: Ty,
+    lit: Option<Literal>,
+    mut push: impl FnMut(Option<FieldId>, Value),
+) {
+    let Ty::Struct(s) = ty else {
+        return push(None, default_literal(ty, lit));
+    };
+    for &m in &program.structs[s.index()].members {
+        push(Some(m), default_literal(field_ty(program, &[m]), None));
+    }
+}
+
 impl Layouts {
-    /// Computes layouts for every class of `program`.
+    /// Computes every class, global and local layout of `program`.
     pub fn new(program: &Program) -> Self {
         let n_classes = program.classes.len();
         let n_fields = program.fields.len();
@@ -157,6 +190,31 @@ impl Layouts {
         // In id order, so a repeated name keeps its first declared class,
         // the one `Program::class_by_name` returns.
         let class_index = NameIndex::new(0..n_classes as u32, &class_names);
+        let (mut global_offsets, mut globals_init, mut global_names) =
+            (Vec::new(), Vec::new(), Vec::new());
+        for g in &program.globals {
+            global_offsets.push(globals_init.len() as u32);
+            data_slots(program, g.ty, g.default, |member, value| {
+                globals_init.push(value);
+                global_names.push(match member {
+                    Some(m) => format!("{}.{}", g.name, program.fields[m.index()].name).into(),
+                    None => g.name.as_str().into(),
+                });
+            });
+        }
+        let local_offsets = program
+            .methods
+            .iter()
+            .map(|m| {
+                let mut offsets = vec![0];
+                for local in &m.locals {
+                    let mut end = offsets[offsets.len() - 1];
+                    data_slots(program, local.ty, None, |_, _| end += 1);
+                    offsets.push(end);
+                }
+                offsets.into_boxed_slice()
+            })
+            .collect();
         let mut layouts = Layouts {
             slots: vec![ABSENT; n_classes * n_fields],
             n_fields,
@@ -171,6 +229,11 @@ impl Layouts {
             field_index: Vec::with_capacity(n_classes),
             sizes: Vec::with_capacity(n_classes),
             defaults: Vec::with_capacity(n_classes),
+            global_offsets,
+            globals_init,
+            global_index: NameIndex::new(0..global_names.len() as u32, &global_names),
+            global_names,
+            local_offsets,
         };
         for st in &program.structs {
             for (i, &m) in st.members.iter().enumerate() {
@@ -187,15 +250,9 @@ impl Layouts {
                 let field = &program.fields[f.index()];
                 match field.kind {
                     FieldKind::Child(_) => defaults.push(Value::Ref(None)),
-                    FieldKind::Data(Ty::Struct(s)) => {
-                        for &m in &program.structs[s.index()].members {
-                            let FieldKind::Data(mty) = program.fields[m.index()].kind else {
-                                unreachable!("struct members are data");
-                            };
-                            defaults.push(default_literal(mty, None));
-                        }
+                    FieldKind::Data(ty) => {
+                        data_slots(program, ty, field.default, |_, v| defaults.push(v))
                     }
-                    FieldKind::Data(ty) => defaults.push(default_literal(ty, field.default)),
                 }
             }
             // Most-derived first, so each name keeps the field
@@ -329,6 +386,43 @@ impl Layouts {
     /// Default slot values of `class`.
     pub fn defaults(&self, class: ClassId) -> &[Value] {
         &self.defaults[class.index()]
+    }
+
+    /// First slot of `global` in the global frame.
+    pub fn global_offset(&self, global: GlobalId) -> usize {
+        self.global_offsets[global.index()] as usize
+    }
+
+    /// The global frame each run starts from, one value per slot.
+    pub fn initial_globals(&self) -> &[Value] {
+        &self.globals_init
+    }
+
+    /// The name of each global frame slot, in frame order: a scalar
+    /// global's own name, `P.x` and `P.y` for the members of a struct
+    /// global `P`.
+    pub fn global_slot_names(&self) -> &[Box<str>] {
+        &self.global_names
+    }
+
+    /// The global frame slot [`Layouts::global_slot_names`] names `name`.
+    pub fn global_slot(&self, name: &str) -> Option<usize> {
+        self.global_index
+            .get(name, &self.global_names)
+            .map(|slot| slot as usize)
+    }
+
+    /// The frame slot of each local of `method`, in declaration order
+    /// (parameters first; a struct local takes one slot per member).
+    pub fn local_offsets(&self, method: MethodId) -> &[u32] {
+        let offsets = &self.local_offsets[method.index()];
+        &offsets[..offsets.len() - 1]
+    }
+
+    /// Slots of `method`'s local frame.
+    pub fn frame_size(&self, method: MethodId) -> usize {
+        let offsets = &self.local_offsets[method.index()];
+        offsets[offsets.len() - 1] as usize
     }
 }
 

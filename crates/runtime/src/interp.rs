@@ -1,16 +1,17 @@
 //! The instrumented interpreter for fused programs.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
-use grafter::{entry_flags, CallPart, FusedFn, FusedFnId, FusedProgram, ScheduledItem, StubId};
+use grafter::{
+    entry_flags, CallPart, Diag, FusedFn, FusedFnId, FusedProgram, ScheduledItem, Stage, StubId,
+};
 use grafter_cachesim::CacheHierarchy;
-use grafter_frontend::{BinOp, DataAccess, Expr, GlobalId, MethodId, NodePath, Stmt};
+use grafter_frontend::{BinOp, DataAccess, Expr, MethodId, NodePath, Stmt};
 
-use crate::heap::{global_addr, Heap, NodeId, SLOT_BYTES};
+use crate::heap::{global_addr, Heap, Layouts, NodeId, SLOT_BYTES};
 use crate::metrics::{cost, Metrics};
-use crate::ops::{binop, coerce, field_ty, flatten_globals, local_frame_layout};
+use crate::ops::{binop, coerce, field_ty};
 use crate::pure::PureRegistry;
 use crate::Value;
 
@@ -44,6 +45,14 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
+/// A failed run in the compiler's diagnostic currency, tagged
+/// [`Stage::Runtime`] so callers can tell a bad program from a bad run.
+impl From<RuntimeError> for Diag {
+    fn from(e: RuntimeError) -> Diag {
+        Diag::error_global(Stage::Runtime, e.to_string())
+    }
+}
+
 type RResult<T> = Result<T, RuntimeError>;
 
 enum Flow {
@@ -55,39 +64,40 @@ enum Flow {
 /// and (optionally) driving a cache simulator.
 pub struct Interp<'a> {
     fp: &'a FusedProgram,
+    /// The program's layouts, read here for the global and local frames
+    /// (node slots are read through the heap's).
+    layouts: Arc<Layouts>,
     /// Counters for the current run (reset with [`Metrics::reset`]).
     pub metrics: Metrics,
     /// Optional simulated memory hierarchy fed with every field access.
     pub cache: Option<CacheHierarchy>,
     pures: PureRegistry,
-    /// Flattened global values (structs expanded), plus their addresses.
+    /// The flat global frame (see [`Layouts::global_offset`]).
     globals: Vec<Value>,
-    global_offsets: Vec<usize>,
-    /// Per-method local frame layout: slot offset of each local, total size.
-    local_layouts: HashMap<MethodId, Rc<(Vec<usize>, usize)>>,
     /// Per-class visit counters of a probed run, indexed by
-    /// [`grafter_frontend::ClassId`]; `None` (the default) records
+    /// [`grafter_frontend::ClassId`]; `None` (an unprobed run) records
     /// nothing and costs one predicted branch per dispatch.
     class_visits: Option<Vec<u64>>,
 }
 
 impl<'a> Interp<'a> {
-    /// Creates an interpreter with the default math pures and no cache.
+    /// Creates an interpreter with the default math pures and no cache,
+    /// laying out the program itself.
     pub fn new(fp: &'a FusedProgram) -> Self {
-        Interp::with_pures(fp, PureRegistry::with_math())
+        let layouts = Arc::new(Layouts::new(&fp.program));
+        Interp::with_layouts(fp, layouts, PureRegistry::with_math())
     }
 
-    /// Creates an interpreter with a custom pure-function registry.
-    pub fn with_pures(fp: &'a FusedProgram, pures: PureRegistry) -> Self {
-        let (globals, global_offsets) = flatten_globals(&fp.program);
+    /// Creates an interpreter over `layouts` computed for `fp.program`
+    /// (an engine's shared ones) with a custom pure-function registry.
+    pub fn with_layouts(fp: &'a FusedProgram, layouts: Arc<Layouts>, pures: PureRegistry) -> Self {
         Interp {
             fp,
+            globals: layouts.initial_globals().to_vec(),
+            layouts,
             metrics: Metrics::default(),
             cache: None,
             pures,
-            globals,
-            global_offsets,
-            local_layouts: HashMap::new(),
             class_visits: None,
         }
     }
@@ -98,36 +108,22 @@ impl<'a> Interp<'a> {
         self
     }
 
-    /// Attaches zeroed per-class visit counters: every successful dispatch
-    /// bumps the receiver's dynamic-class slot. `Metrics` and cache
-    /// traffic are unchanged — the counters sit outside the cost model.
-    pub fn with_class_counts(mut self) -> Self {
-        self.class_visits = Some(vec![0; self.fp.program.classes.len()]);
-        self
-    }
-
-    /// Detaches and returns the per-class visit counters, if
-    /// [`Interp::with_class_counts`] attached any (indexed by class id).
-    pub fn take_class_counts(&mut self) -> Option<Vec<u64>> {
-        self.class_visits.take()
-    }
-
-    /// Sets a global variable by name before a run.
+    /// Sets a global variable by name before a run (`P.y` for a member
+    /// of a struct global, see [`Layouts::global_slot_names`]).
     pub fn set_global(&mut self, name: &str, value: Value) -> Option<()> {
-        let g = self.fp.program.global_by_name(name)?;
-        self.globals[self.global_offsets[g.index()]] = value;
+        self.globals[self.layouts.global_slot(name)?] = value;
         Some(())
     }
 
-    /// Reads a global variable by name.
+    /// Reads a global variable by name, as [`Interp::set_global`] names it.
     pub fn global(&self, name: &str) -> Option<Value> {
-        let g = self.fp.program.global_by_name(name)?;
-        Some(self.global_at(g))
+        Some(self.globals[self.layouts.global_slot(name)?])
     }
 
-    /// Reads a declared global variable by id, in constant time.
-    pub fn global_at(&self, global: GlobalId) -> Value {
-        self.globals[self.global_offsets[global.index()]]
+    /// The flat global frame, one value per slot of
+    /// [`Layouts::global_slot_names`].
+    pub fn globals(&self) -> &[Value] {
+        &self.globals
     }
 
     /// Runs the fused program's entry sequence on `root`.
@@ -153,19 +149,28 @@ impl<'a> Interp<'a> {
         Ok(())
     }
 
+    /// [`Interp::run`], also returning the visits per dynamic receiver
+    /// class (by class id); `Metrics` and cache traffic are unchanged.
+    ///
+    /// # Errors
+    ///
+    /// As [`Interp::run`].
+    pub fn run_probed(
+        &mut self,
+        heap: &mut Heap,
+        root: NodeId,
+        args: &[Vec<Value>],
+    ) -> RResult<Vec<u64>> {
+        self.class_visits = Some(vec![0; self.fp.program.classes.len()]);
+        let ran = self.run(heap, root, args);
+        let counts = self.class_visits.take().unwrap_or_default();
+        ran.map(|()| counts)
+    }
+
     fn touch(&mut self, addr: u64) {
         if let Some(cache) = &mut self.cache {
             cache.access(addr);
         }
-    }
-
-    fn local_layout(&mut self, method: MethodId) -> Rc<(Vec<usize>, usize)> {
-        if let Some(l) = self.local_layouts.get(&method) {
-            return Rc::clone(l);
-        }
-        let layout = Rc::new(local_frame_layout(&self.fp.program, method));
-        self.local_layouts.insert(method, Rc::clone(&layout));
-        layout
     }
 
     fn call_stub(
@@ -211,13 +216,12 @@ impl<'a> Interp<'a> {
         // Build one frame per traversal copy, parameters first.
         let mut frames: Vec<Vec<Value>> = Vec::with_capacity(seq.len());
         for (ti, &m) in seq.iter().enumerate() {
-            let layout = self.local_layout(m);
-            let (offsets, size) = (&layout.0, layout.1);
-            let mut frame = vec![Value::Int(0); size];
+            let offsets = self.layouts.local_offsets(m);
+            let mut frame = vec![Value::Int(0); self.layouts.frame_size(m)];
             let method = &fp.program.methods[m.index()];
             let args = part_args.get(ti).map(Vec::as_slice).unwrap_or(&[]);
             for (pi, arg) in args.iter().enumerate().take(method.n_params) {
-                frame[offsets[pi]] = *arg;
+                frame[offsets[pi] as usize] = *arg;
             }
             frames.push(frame);
         }
@@ -359,9 +363,9 @@ impl<'a> Interp<'a> {
                 if let Some(init) = init {
                     let v = self.eval(heap, seq, frames, node, traversal, init)?;
                     let method = seq[traversal];
-                    let layout = self.local_layout(method);
+                    let slot = self.layouts.local_offsets(method)[local.index()] as usize;
                     let ty = self.fp.program.methods[method.index()].locals[local.index()].ty;
-                    frames[traversal][layout.0[local.index()]] = coerce(ty, v);
+                    frames[traversal][slot] = coerce(ty, v);
                     self.metrics.instructions += 1;
                 }
                 Ok(Flow::Continue)
@@ -517,19 +521,17 @@ impl<'a> Interp<'a> {
                 Ok(heap.get(target, slot))
             }
             DataAccess::Local { local, members } => {
-                let method = seq[traversal];
-                let layout = self.local_layout(method);
-                let mut slot = layout.0[local.index()];
+                let mut slot = self.layouts.local_offsets(seq[traversal])[local.index()] as usize;
                 for m in members {
-                    slot += heap.layouts().member_offset(*m);
+                    slot += self.layouts.member_offset(*m);
                 }
                 self.metrics.instructions += 1;
                 Ok(frames[traversal][slot])
             }
             DataAccess::Global { global, members } => {
-                let mut idx = self.global_offsets[global.index()];
+                let mut idx = self.layouts.global_offset(*global);
                 for m in members {
-                    idx += heap.layouts().member_offset(*m);
+                    idx += self.layouts.member_offset(*m);
                 }
                 self.metrics.instructions += 1;
                 self.metrics.loads += 1;
@@ -567,21 +569,20 @@ impl<'a> Interp<'a> {
             }
             DataAccess::Local { local, members } => {
                 let method = seq[traversal];
-                let layout = self.local_layout(method);
-                let mut slot = layout.0[local.index()];
+                let mut slot = self.layouts.local_offsets(method)[local.index()] as usize;
                 let mut ty = self.fp.program.methods[method.index()].locals[local.index()].ty;
                 for m in members {
-                    slot += heap.layouts().member_offset(*m);
+                    slot += self.layouts.member_offset(*m);
                     ty = field_ty(&self.fp.program, &[*m]);
                 }
                 self.metrics.instructions += 1;
                 frames[traversal][slot] = coerce(ty, value);
             }
             DataAccess::Global { global, members } => {
-                let mut idx = self.global_offsets[global.index()];
+                let mut idx = self.layouts.global_offset(*global);
                 let mut ty = self.fp.program.globals[global.index()].ty;
                 for m in members {
-                    idx += heap.layouts().member_offset(*m);
+                    idx += self.layouts.member_offset(*m);
                     ty = field_ty(&self.fp.program, &[*m]);
                 }
                 self.metrics.instructions += 1;

@@ -58,7 +58,6 @@ mod heap;
 mod interp;
 mod metrics;
 pub mod ops;
-pub mod pipeline;
 mod pure;
 
 pub use heap::{

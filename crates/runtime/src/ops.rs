@@ -3,11 +3,11 @@
 //! Both execution backends must agree bit-for-bit on arithmetic,
 //! comparison and implicit conversion; keeping the kernel in one place
 //! makes the differential guarantees (`tests/vm_differential.rs`) a
-//! property of dispatch, not of duplicated arithmetic.
+//! property of dispatch, not of duplicated arithmetic. Where values live
+//! (node, global and local frame slots) is [`crate::Layouts`]' business.
 
-use grafter_frontend::{BinOp, FieldId, FieldKind, MethodId, Program, Ty, UnOp};
+use grafter_frontend::{BinOp, FieldId, FieldKind, Program, Ty, UnOp};
 
-use crate::heap::default_literal;
 use crate::Value;
 
 /// The value type of the final element of a data chain.
@@ -25,51 +25,6 @@ pub fn field_ty(program: &Program, chain: &[FieldId]) -> Ty {
         FieldKind::Data(t) => t,
         FieldKind::Child(_) => unreachable!("data chains end at data fields"),
     }
-}
-
-/// Per-method local frame layout: the slot offset of each local (struct
-/// locals flattened to one slot per member) and the total slot count.
-///
-/// The interpreter sizes its frame vectors and the VM numbers its
-/// registers from this one function, so local indices correspond across
-/// backends by construction.
-pub fn local_frame_layout(program: &Program, method: MethodId) -> (Vec<usize>, usize) {
-    let m = &program.methods[method.index()];
-    let mut offsets = Vec::with_capacity(m.locals.len());
-    let mut cur = 0usize;
-    for lv in &m.locals {
-        offsets.push(cur);
-        cur += match lv.ty {
-            Ty::Struct(s) => program.structs[s.index()].members.len(),
-            _ => 1,
-        };
-    }
-    (offsets, cur)
-}
-
-/// Flattened global frame: initial values (structs expanded to one slot
-/// per member, declared literals honoured) and each global's first slot.
-///
-/// Both backends index globals through these offsets.
-pub fn flatten_globals(program: &Program) -> (Vec<Value>, Vec<usize>) {
-    let mut values = Vec::new();
-    let mut offsets = Vec::with_capacity(program.globals.len());
-    for g in &program.globals {
-        offsets.push(values.len());
-        match g.ty {
-            Ty::Struct(s) => {
-                for &m in &program.structs[s.index()].members {
-                    let ty = match program.fields[m.index()].kind {
-                        FieldKind::Data(t) => t,
-                        FieldKind::Child(_) => unreachable!("struct members are data"),
-                    };
-                    values.push(default_literal(ty, None));
-                }
-            }
-            ty => values.push(default_literal(ty, g.default)),
-        }
-    }
-    (values, offsets)
 }
 
 /// Coerces a value to a declared type (C++-style implicit int<->float).

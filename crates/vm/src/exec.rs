@@ -15,7 +15,7 @@
 //! identical inputs.
 
 use grafter_cachesim::CacheHierarchy;
-use grafter_frontend::{ClassId, GlobalId};
+use grafter_frontend::ClassId;
 use grafter_obs::{ExecCounters, ExecProbe, NoProbe};
 use grafter_runtime::ops::{binop, unop};
 use grafter_runtime::{
@@ -41,7 +41,7 @@ pub struct Vm<'a> {
     pub cache: Option<CacheHierarchy>,
     /// Pure implementations resolved to function pointers by pure id.
     pures: Vec<Option<NativeFn>>,
-    /// Flattened global frame.
+    /// The flat global frame (see [`Layouts::global_offset`]).
     globals: Vec<Value>,
     /// Shared register stack; each activation owns one window.
     regs: Vec<Value>,
@@ -67,7 +67,7 @@ impl<'a> Vm<'a> {
             metrics: Metrics::default(),
             cache: None,
             pures,
-            globals: module.globals_init.clone(),
+            globals: module.layouts.initial_globals().to_vec(),
             regs: Vec::new(),
         }
     }
@@ -78,22 +78,22 @@ impl<'a> Vm<'a> {
         self
     }
 
-    /// Sets a global variable by name before a run.
+    /// Sets a global variable by name before a run (`P.y` for a member
+    /// of a struct global, see [`Layouts::global_slot_names`]).
     pub fn set_global(&mut self, name: &str, value: Value) -> Option<()> {
-        let &(_, idx) = self.module.global_names.iter().find(|(n, _)| n == name)?;
-        self.globals[idx as usize] = value;
+        self.globals[self.layouts.global_slot(name)?] = value;
         Some(())
     }
 
-    /// Reads a global variable by name.
+    /// Reads a global variable by name, as [`Vm::set_global`] names it.
     pub fn global(&self, name: &str) -> Option<Value> {
-        let &(_, idx) = self.module.global_names.iter().find(|(n, _)| n == name)?;
-        Some(self.globals[idx as usize])
+        Some(self.globals[self.layouts.global_slot(name)?])
     }
 
-    /// Reads a declared global variable by id, in constant time.
-    pub fn global_at(&self, global: GlobalId) -> Value {
-        self.globals[self.module.global_names[global.index()].1 as usize]
+    /// The flat global frame, one value per slot of
+    /// [`Layouts::global_slot_names`].
+    pub fn globals(&self) -> &[Value] {
+        &self.globals
     }
 
     /// Runs the module's entry sequence on `root`.

@@ -11,11 +11,12 @@
 //!   guard it proves true (the charge is prepaid per activation), and a
 //!   truncated call part passes no placeholder arguments;
 //! - locals get frame-relative **registers** (traversal frames
-//!   concatenated, parameters first, struct locals flattened), and
-//!   expressions compile to a register window above the locals;
+//!   concatenated, each at the [`Layouts`] local-frame offsets the
+//!   interpreter uses too), and expressions compile to a register window
+//!   above the locals;
 //! - every data access resolves its member chain to a constant slot
-//!   addend and every global to a flat frame index; the program's
-//!   [`Layouts`], which the module keeps, map a field of the receiver's
+//!   addend and every global to its [`Layouts`] global-frame index; the
+//!   layouts, which the module keeps, map a field of the receiver's
 //!   dynamic class to its slot with one table read;
 //! - each dispatch stub becomes a jump table indexed by dynamic class id;
 //! - literals are interned into a deduplicated constant pool.
@@ -39,7 +40,7 @@ use grafter::{entry_flags, CallPart, FusedFn, FusedProgram, ScheduledItem, StubI
 use grafter_frontend::{
     BinOp, DataAccess, Expr, GlobalId, LocalId, MethodId, NodePath, Program, Stmt, Ty,
 };
-use grafter_runtime::ops::{field_ty, flatten_globals, local_frame_layout};
+use grafter_runtime::ops::field_ty;
 use grafter_runtime::{Layouts, Value};
 
 use crate::module::{CallInfo, CallPartInfo, Co, FuncInfo, Module, Op, StubInfo, NO_TARGET};
@@ -124,32 +125,20 @@ pub fn lower_with(fp: &FusedProgram, opts: &VmOptions) -> Module {
 pub fn try_lower_with(fp: &FusedProgram, opts: &VmOptions) -> Result<Module, LowerError> {
     LOWERINGS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let program = &fp.program;
-    // The module keeps these layouts; an engine's session heaps share them.
+    // The module keeps these layouts; an engine's session heaps share
+    // them. Global indices and registers are their frame offsets, the
+    // interpreter's too, so they correspond across tiers by construction.
     let layouts = Arc::new(Layouts::new(program));
-
-    // Flattened global frame — the same shared layout the interpreter
-    // builds its global vector from, so indices correspond by
-    // construction.
-    let (globals_init, offsets) = flatten_globals(program);
-    let global_offsets: Vec<u32> = offsets.iter().map(|&o| o as u32).collect();
-    let global_names = program
-        .globals
-        .iter()
-        .zip(&global_offsets)
-        .map(|(g, &o)| (g.name.clone(), o))
-        .collect();
 
     let mut lo = Lowerer {
         program,
         layouts: &layouts,
-        global_offsets,
         ops: Vec::new(),
         consts: Vec::new(),
         const_keys: HashMap::new(),
         paths: Vec::new(),
         path_keys: HashMap::new(),
         calls: Vec::new(),
-        local_layouts: HashMap::new(),
         frame_bases: Vec::new(),
         scratch_base: 0,
         max_reg: 0,
@@ -197,8 +186,6 @@ pub fn try_lower_with(fp: &FusedProgram, opts: &VmOptions) -> Result<Module, Low
         consts: lo.consts,
         paths: lo.paths,
         layouts,
-        globals_init,
-        global_names,
         pure_names: program.pures.iter().map(|p| p.name.clone()).collect(),
         entries,
         opt: OptReport::none(),
@@ -297,15 +284,12 @@ const PENDING: u32 = u32::MAX;
 struct Lowerer<'p> {
     program: &'p Program,
     layouts: &'p Layouts,
-    global_offsets: Vec<u32>,
     ops: Vec<Op>,
     consts: Vec<Value>,
     const_keys: HashMap<(u8, u64), u16>,
     paths: Vec<Box<[u32]>>,
     path_keys: HashMap<Vec<u32>, u16>,
     calls: Vec<CallInfo>,
-    /// Per-method local frame layout: slot offset of each local, total size.
-    local_layouts: HashMap<MethodId, (Vec<usize>, usize)>,
     /// Per-traversal first register of the current function's frames.
     frame_bases: Vec<u16>,
     scratch_base: u16,
@@ -403,15 +387,6 @@ impl Lowerer<'_> {
 
     // ---- frame layout ----------------------------------------------------
 
-    fn local_layout(&mut self, method: MethodId) -> (Vec<usize>, usize) {
-        if let Some(l) = self.local_layouts.get(&method) {
-            return l.clone();
-        }
-        let layout = local_frame_layout(self.program, method);
-        self.local_layouts.insert(method, layout.clone());
-        layout
-    }
-
     fn local_reg(
         &mut self,
         seq: &[MethodId],
@@ -419,8 +394,7 @@ impl Lowerer<'_> {
         local: LocalId,
         members: &[grafter_frontend::FieldId],
     ) -> u16 {
-        let (offsets, _) = self.local_layout(seq[traversal]);
-        let mut slot = offsets[local.index()];
+        let mut slot = self.layouts.local_offsets(seq[traversal])[local.index()] as usize;
         for m in members {
             slot += self.layouts.member_offset(*m);
         }
@@ -428,7 +402,7 @@ impl Lowerer<'_> {
     }
 
     fn global_idx(&mut self, global: GlobalId, members: &[grafter_frontend::FieldId]) -> u16 {
-        let mut idx = self.global_offsets[global.index()] as usize;
+        let mut idx = self.layouts.global_offset(global);
         for m in members {
             idx += self.layouts.member_offset(*m);
         }
@@ -454,19 +428,20 @@ impl Lowerer<'_> {
         self.frame_bases.clear();
         let mut cur = 0usize;
         let mut params: Vec<Box<[u16]>> = Vec::with_capacity(seq.len());
+        let layouts = self.layouts;
         for &m in seq {
             let base = self.fit(cur, "register number");
             self.frame_bases.push(base);
-            let (offsets, size) = self.local_layout(m);
             let method = &self.program.methods[m.index()];
             params.push(
-                offsets
+                layouts
+                    .local_offsets(m)
                     .iter()
                     .take(method.n_params)
-                    .map(|&o| self.reg(base, o))
+                    .map(|&o| self.reg(base, o as usize))
                     .collect(),
             );
-            cur += size;
+            cur += layouts.frame_size(m);
         }
         let frame_regs = self.fit(cur, "register number");
         self.scratch_base = frame_regs;

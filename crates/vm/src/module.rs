@@ -6,8 +6,11 @@
 //! interpreter performs at runtime is resolved to a dense index here —
 //!
 //! - **registers** replace the interpreter's per-traversal local frames
-//!   (one contiguous register window per activation, parameters first,
-//!   expression scratch above the locals);
+//!   (one contiguous register window per activation, each traversal's
+//!   locals at their [`Layouts`] local-frame offsets, expression scratch
+//!   above the locals);
+//! - **global accesses** carry their slot in the [`Layouts`] global
+//!   frame, the frame both tiers start each run from;
 //! - **field accesses** carry their field id and static member addend; at
 //!   run time one read of the program's [`Layouts`] slot table (which the
 //!   module shares with the heaps it runs on) yields the slot;
@@ -452,7 +455,8 @@ pub(crate) struct CallInfo {
 /// A flat bytecode module lowered from a [`grafter::FusedProgram`].
 ///
 /// Produced by [`crate::lower`]; executed by [`crate::Vm`]. All tables are
-/// index-resolved at lowering time so execution performs no name lookups.
+/// index-resolved at lowering time so execution performs no name lookups;
+/// frames and names come from its [`Layouts`].
 #[derive(Clone, Debug)]
 pub struct Module {
     pub(crate) ops: Vec<Op>,
@@ -463,15 +467,10 @@ pub struct Module {
     /// Navigation paths as raw field-id sequences (casts are a
     /// compile-time fiction; navigation only follows child slots).
     pub(crate) paths: Vec<Box<[u32]>>,
-    /// The program's node layouts: field slots, node sizes for `new`,
-    /// and class and field names.
+    /// The program's slot layouts: field slots, node sizes for `new`,
+    /// names, and the local and global frames registers and global
+    /// indices in the ops are offsets into.
     pub(crate) layouts: Arc<Layouts>,
-    /// Initial values of the flattened global frame.
-    pub(crate) globals_init: Vec<Value>,
-    /// Each global's name and flat offset, indexed by
-    /// [`grafter_frontend::GlobalId`] (for [`crate::Vm::set_global`] and
-    /// [`crate::Vm::global_at`]).
-    pub(crate) global_names: Vec<(String, u32)>,
     /// Pure-function names by [`grafter_frontend::PureId`] index.
     pub(crate) pure_names: Vec<String>,
     /// Entry stubs, in invocation order (one for a fused sequence, one per
@@ -559,8 +558,9 @@ impl Module {
         p
     }
 
-    /// The node layouts lowering resolved the module against; heaps
-    /// that share this `Arc` (an engine's sessions) lay out no copy.
+    /// The slot layouts lowering resolved the module against (node
+    /// slots, global and local frames); heaps that share this `Arc` (an
+    /// engine's sessions) lay out no copy.
     pub fn layouts(&self) -> &Arc<Layouts> {
         &self.layouts
     }

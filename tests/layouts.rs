@@ -4,10 +4,11 @@
 //! on the slot `Layouts::slot_of_chain` gives that field (and each of its
 //! struct members). Unknown classes, fields and members resolve to
 //! `None`, and the slot tables still panic, naming the field, on a field
-//! the class lacks.
+//! the class lacks. The global and local frames equal the layouts each
+//! tier computed for itself before `Layouts` owned them.
 
-use grafter_frontend::{compile, ClassId, FieldKind, Program, Ty};
-use grafter_runtime::{Heap, Layouts, NodeId, Value};
+use grafter_frontend::{compile, ClassId, FieldKind, GlobalId, MethodId, Program, Ty};
+use grafter_runtime::{default_literal, Heap, Layouts, NodeId, Value};
 use grafter_workloads::case_studies;
 
 /// A hierarchy three classes deep with a struct field, an inherited
@@ -169,4 +170,124 @@ fn member_offset_of_a_field_outside_every_struct_panics_naming_it() {
     let layouts = Layouts::new(&p);
     let base = p.class_by_name("Base").unwrap();
     layouts.member_offset(p.field_on_class(base, "a").unwrap());
+}
+
+/// Each local's frame slot and the frame size of `method`, as the
+/// interpreter and VM lowering each computed them per method.
+fn per_tier_local_frame(program: &Program, method: MethodId) -> (Vec<usize>, usize) {
+    let m = &program.methods[method.index()];
+    let mut offsets = Vec::with_capacity(m.locals.len());
+    let mut cur = 0usize;
+    for lv in &m.locals {
+        offsets.push(cur);
+        cur += match lv.ty {
+            Ty::Struct(s) => program.structs[s.index()].members.len(),
+            _ => 1,
+        };
+    }
+    (offsets, cur)
+}
+
+/// The initial global frame and each global's first slot, as the
+/// interpreter and VM lowering each computed them per program.
+fn per_tier_global_frame(program: &Program) -> (Vec<Value>, Vec<usize>) {
+    let mut values = Vec::new();
+    let mut offsets = Vec::with_capacity(program.globals.len());
+    for g in &program.globals {
+        offsets.push(values.len());
+        match g.ty {
+            Ty::Struct(s) => {
+                for &m in &program.structs[s.index()].members {
+                    let ty = match program.fields[m.index()].kind {
+                        FieldKind::Data(t) => t,
+                        FieldKind::Child(_) => unreachable!("struct members are data"),
+                    };
+                    values.push(default_literal(ty, None));
+                }
+            }
+            ty => values.push(default_literal(ty, g.default)),
+        }
+    }
+    (values, offsets)
+}
+
+/// Checks the global and local frames of `program`'s layouts against the
+/// per-tier ones; returns the number of global slots.
+fn check_frames(program: &Program) -> usize {
+    let layouts = Layouts::new(program);
+    let (init, offsets) = per_tier_global_frame(program);
+    assert_eq!(layouts.initial_globals(), init.as_slice());
+    for (g, &offset) in offsets.iter().enumerate() {
+        assert_eq!(layouts.global_offset(GlobalId(g as u32)), offset);
+    }
+    let names = layouts.global_slot_names();
+    assert_eq!(names.len(), init.len());
+    for (slot, name) in names.iter().enumerate() {
+        assert_eq!(layouts.global_slot(name), Some(slot), "{name}");
+    }
+    for m in 0..program.methods.len() {
+        let method = MethodId(m as u32);
+        let (offsets, size) = per_tier_local_frame(program, method);
+        let shared: Vec<usize> = layouts
+            .local_offsets(method)
+            .iter()
+            .map(|&o| o as usize)
+            .collect();
+        assert_eq!(shared, offsets, "{}", program.methods[m].name);
+        assert_eq!(layouts.frame_size(method), size);
+    }
+    init.len()
+}
+
+#[test]
+fn frames_equal_the_per_tier_layouts() {
+    for case in case_studies() {
+        check_frames(case.compiled.program());
+    }
+    let p = compile(
+        r#"
+        struct Pt { int x; float y; }
+        global float SCALE = 2;
+        global Pt P;
+        global bool ON = true;
+        global int N = 7;
+        tree class C {
+            child C* next;
+            int v = 0;
+            virtual traversal t(int a, float b) {
+                Pt r;
+                float s = SCALE;
+                r.y = b + a;
+                v = r.x + N;
+                this->next->t(a, r.y);
+            }
+        }
+        tree class D : C { traversal t(int a, float b) { int k = a; v = k; } }
+        "#,
+    )
+    .unwrap();
+    assert_eq!(check_frames(&p), 5);
+    let layouts = Layouts::new(&p);
+    let names: Vec<&str> = layouts.global_slot_names().iter().map(|n| &**n).collect();
+    assert_eq!(names, ["SCALE", "P.x", "P.y", "ON", "N"]);
+    assert_eq!(
+        layouts.initial_globals(),
+        [
+            Value::Float(2.0),
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Bool(true),
+            Value::Int(7)
+        ]
+    );
+    // A struct global is its members: its bare name names no slot.
+    assert_eq!(layouts.global_slot("P"), None);
+    assert_eq!(layouts.global_slot("P.z"), None);
+    let t = |class: &str| p.classes[p.class_by_name(class).unwrap().index()].methods[0];
+    // C::t: a, b, then r.x, r.y, s.
+    assert_eq!(layouts.local_offsets(t("C")), [0, 1, 2, 4]);
+    assert_eq!(layouts.frame_size(t("C")), 5);
+    // D::t: a, b, then k.
+    assert_eq!(layouts.local_offsets(t("D")), [0, 1, 2]);
+    assert_eq!(layouts.frame_size(t("D")), 3);
 }
