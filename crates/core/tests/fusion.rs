@@ -429,11 +429,11 @@ fn an_empty_traversal_list_fuses_to_an_empty_program_in_both_modes() {
 
             let mut interp = Interp::new(&fp);
             interp.run(&mut heap, root, &[]).unwrap();
-            assert_eq!(interp.metrics.visits, 0);
+            assert_eq!(interp.machine.metrics.visits, 0);
             let module = grafter_vm::lower(&fp);
             let mut vm = Vm::new(&module);
             vm.run(&mut heap, root, &[]).unwrap();
-            assert_eq!(vm.metrics, interp.metrics);
+            assert_eq!(vm.machine.metrics, interp.machine.metrics);
             assert_eq!(heap.snapshot(root), before);
         }
     }

@@ -274,6 +274,11 @@ impl EngineBuilder {
             Some(m) => Arc::clone(m.layouts()),
             None => Arc::new(Layouts::new(&fused.program)),
         };
+        let names = fused.program.pures.iter().map(|p| p.name.as_str());
+        let pures = self
+            .pures
+            .unwrap_or_else(PureRegistry::with_math)
+            .resolve(names);
         let compile_trace = CompileTrace {
             spans,
             total: build_start.elapsed(),
@@ -289,7 +294,7 @@ impl EngineBuilder {
             backend: self.backend,
             opt_level: self.opt_level,
             shared_layouts,
-            pures: self.pures.unwrap_or_else(PureRegistry::with_math),
+            pures,
             args: self.args,
             cache: self.cache,
             warnings,

@@ -6,7 +6,7 @@ use grafter::{cpp, DiagnosticBag, FusedProgram, FusionMetrics};
 use grafter_cachesim::CacheHierarchy;
 use grafter_frontend::{ClassId, Program};
 use grafter_obs::{ExecCounters, TierProfile};
-use grafter_runtime::{Heap, Interp, Layouts, Metrics, NodeId, PureRegistry, RuntimeError, Value};
+use grafter_runtime::{Heap, Interp, Layouts, Machine, NodeId, Pures, RuntimeError, Value};
 use grafter_vm::{Backend, Module, OptLevel, Vm};
 
 use crate::builder::EngineBuilder;
@@ -17,8 +17,8 @@ use crate::session::Session;
 ///
 /// The engine owns everything that is per-*program*: the fused functions,
 /// the lowered bytecode module (VM backend, lowered exactly once), the
-/// resolved pure-function registry, default entry arguments and the cache
-/// model prototype. Everything per-*run* (the heap, counters, simulated
+/// resolved pures, default entry arguments and the cache model
+/// prototype. Everything per-*run* (the heap, counters, simulated
 /// cache state) lives in [`Session`]s, so one `Arc<Engine>` serves any
 /// number of threads concurrently — `Engine` is `Send + Sync` and two
 /// sessions never share mutable state.
@@ -40,7 +40,8 @@ pub struct Engine {
     /// layout recomputations, per run. On the VM tier they are the
     /// module's own.
     pub(crate) shared_layouts: Arc<Layouts>,
-    pub(crate) pures: PureRegistry,
+    /// Resolved once at build; each run's machine shares the table.
+    pub(crate) pures: Pures,
     pub(crate) args: Vec<Vec<Value>>,
     /// Fresh-state cache prototype cloned into each session.
     pub(crate) cache: Option<CacheHierarchy>,
@@ -158,19 +159,16 @@ impl Engine {
         )
     }
 
-    /// A fresh executor of the engine's tier for one run, starting from
-    /// the shared layouts' global frame and simulating `cache`.
+    /// A fresh executor of the engine's tier for one run: a machine
+    /// starting from the shared layouts' global frame and simulating
+    /// `cache`.
     pub(crate) fn executor(&self, cache: Option<CacheHierarchy>) -> Executor<'_> {
-        let pures = self.pures.clone();
-        let Some(module) = &self.module else {
-            let layouts = Arc::clone(&self.shared_layouts);
-            let mut interp = Interp::with_layouts(&self.fused, layouts, pures);
-            interp.cache = cache;
-            return Executor::Interp(interp);
-        };
-        let mut vm = Vm::with_pures(module, pures);
-        vm.cache = cache;
-        Executor::Vm(vm, module)
+        let mut machine = Machine::new(Arc::clone(&self.shared_layouts), self.pures.clone());
+        machine.cache = cache;
+        match &self.module {
+            None => Executor::Interp(Interp::with_machine(&self.fused, machine)),
+            Some(module) => Executor::Vm(Vm::with_machine(module, machine), module),
+        }
     }
 }
 
@@ -214,12 +212,13 @@ impl Executor<'_> {
         }
     }
 
-    /// The last run's counters, simulated cache (if any) and flat global
-    /// frame, one value per slot of [`Layouts::global_slot_names`].
-    pub(crate) fn outcome(&self) -> (&Metrics, Option<&CacheHierarchy>, &[Value]) {
+    /// The machine that metered the last run: its counters, simulated
+    /// cache (if any) and global frame.
+    pub(crate) fn outcome(&self) -> &Machine {
         match self {
-            Executor::Interp(interp) => (&interp.metrics, interp.cache.as_ref(), interp.globals()),
-            Executor::Vm(vm, _) => (&vm.metrics, vm.cache.as_ref(), vm.globals()),
+            Executor::Interp(Interp { machine, .. }) | Executor::Vm(Vm { machine, .. }, _) => {
+                machine
+            }
         }
     }
 }

@@ -81,18 +81,23 @@ impl<'e> Session<'e> {
     ///
     /// # Errors
     ///
-    /// Returns a [`Stage::Config`] error when the field does not resolve
-    /// on the node's class.
+    /// A [`Stage::Config`] error, as grafterd's for an inline tree, when
+    /// `field` is no child field of the node's class or cannot hold
+    /// `child`'s class.
     pub fn set_child(
         &mut self,
         node: NodeId,
         field: &str,
         child: Option<NodeId>,
     ) -> Result<(), Error> {
-        self.heap
-            .set_child_by_name(node, field, child)
-            .map(|_| ())
-            .ok_or_else(|| self.config_error(format!("unknown child field `{field}`")))
+        let heap = &self.heap;
+        let child_class = child.map(|c| heap.class_of(c));
+        let slot = heap
+            .layouts()
+            .child_slot(heap.program(), heap.class_of(node), field, child_class)
+            .map_err(|message| self.config_error(message))?;
+        self.heap.set(node, slot, Value::Ref(child));
+        Ok(())
     }
 
     /// Sets data field `field` of `node` (dotted struct paths allowed,
@@ -100,12 +105,16 @@ impl<'e> Session<'e> {
     ///
     /// # Errors
     ///
-    /// Returns a [`Stage::Config`] error when the field does not resolve
-    /// on the node's class.
+    /// A [`Stage::Config`] error, as grafterd's for an inline tree, when
+    /// `field` is no data field of the node's class.
     pub fn set_field(&mut self, node: NodeId, field: &str, value: Value) -> Result<(), Error> {
-        self.heap
-            .set_by_name(node, field, value)
-            .ok_or_else(|| self.config_error(format!("unknown field `{field}`")))
+        let heap = &self.heap;
+        let slot = heap
+            .layouts()
+            .data_slot(heap.program(), heap.class_of(node), field)
+            .map_err(|message| self.config_error(message))?;
+        self.heap.set(node, slot, value);
+        Ok(())
     }
 
     /// Reads data field `field` of `node`.
@@ -171,12 +180,12 @@ impl<'e> Session<'e> {
             .run(&mut self.heap, root, &engine.args, engine.probe.is_some())
             .map_err(|e| Error::from_diag(e.into(), &engine.src))?;
         let wall = start.elapsed();
-        let (metrics, cache, globals) = executor.outcome();
+        let machine = executor.outcome();
         let globals = engine
             .layouts()
             .global_slot_names()
             .iter()
-            .zip(globals)
+            .zip(machine.globals())
             .map(|(name, &value)| (name.to_string(), value))
             .collect();
         let trace = profile.map(|profile| {
@@ -193,8 +202,8 @@ impl<'e> Session<'e> {
             backend: engine.backend,
             opt_level: engine.opt_level,
             fusion: engine.fusion,
-            metrics: metrics.clone(),
-            cache: cache.map(CacheHierarchy::stats),
+            metrics: machine.metrics.clone(),
+            cache: machine.cache.as_ref().map(CacheHierarchy::stats),
             globals,
             wall,
             trace,

@@ -168,6 +168,49 @@ fn session_wrappers_return_config_errors() {
 }
 
 #[test]
+fn session_edits_reject_what_grafterd_rejects_on_both_tiers() {
+    // Each rejected edit used to return `Ok` and leave a heap the next
+    // run panicked on: an `End` in the data field `a`, an unrelated
+    // `Other` in `next`, an integer in the child field `next`.
+    let src = format!("{LIST} tree class Other {{ int c = 0; virtual traversal t() {{}} }}");
+    for backend in [Backend::Interp, Backend::Vm] {
+        let engine = Engine::builder()
+            .source(src.as_str())
+            .entry("Node", &["incA", "incB"])
+            .backend(backend)
+            .build()
+            .unwrap();
+        let mut s = engine.session();
+        let cons = s.alloc("Cons").unwrap();
+        let end = s.alloc("End").unwrap();
+        let other = s.alloc("Other").unwrap();
+        for (err, needle) in [
+            (
+                s.set_child(cons, "a", Some(end)).unwrap_err(),
+                "unknown child field `a` on `Cons`",
+            ),
+            (
+                s.set_child(cons, "next", Some(other)).unwrap_err(),
+                "child `next` of `Cons` holds a `Other`, not a `Node`",
+            ),
+            (
+                s.set_field(cons, "next", Value::Int(1)).unwrap_err(),
+                "unknown field `next` on `Cons`",
+            ),
+        ] {
+            assert_eq!(err.stage(), Stage::Config, "{backend}: {err}");
+            assert!(err.to_string().contains(needle), "{backend}: {err}");
+        }
+        // The rejected edits wrote nothing, and well-typed ones still go
+        // through.
+        s.set_child(cons, "next", Some(end)).unwrap();
+        s.set_field(cons, "a", Value::Int(41)).unwrap();
+        s.run(cons).unwrap();
+        assert_eq!(s.get_field(cons, "a").unwrap(), Value::Int(42), "{backend}");
+    }
+}
+
+#[test]
 fn runtime_failures_are_typed_runtime_errors() {
     // `Cons` recurses through `next`, which stays null: guaranteed null
     // dereference on both backends.

@@ -302,6 +302,55 @@ impl Layouts {
         Some((field, slot))
     }
 
+    /// The slot of data field (or `struct.member` chain) `name` on
+    /// `class`, or the message a typed tree edit reports.
+    pub fn data_slot(
+        &self,
+        program: &Program,
+        class: ClassId,
+        name: &str,
+    ) -> Result<usize, String> {
+        match self.slot_by_name(program, class, name) {
+            Some((f, slot)) if matches!(program.fields[f.index()].kind, FieldKind::Data(_)) => {
+                Ok(slot)
+            }
+            _ => Err(format!(
+                "unknown field `{name}` on `{}`",
+                self.class_name(class)
+            )),
+        }
+    }
+
+    /// The slot of child field `name` on `class` if it can hold a
+    /// `child` (`None`, a null, fits any), or the message a typed tree
+    /// edit reports.
+    pub fn child_slot(
+        &self,
+        program: &Program,
+        class: ClassId,
+        name: &str,
+        child: Option<ClassId>,
+    ) -> Result<usize, String> {
+        let field = self.field_by_name(class, name);
+        let Some((field, FieldKind::Child(declared))) =
+            field.map(|f| (f, program.fields[f.index()].kind))
+        else {
+            return Err(format!(
+                "unknown child field `{name}` on `{}`",
+                self.class_name(class)
+            ));
+        };
+        if let Some(child) = child.filter(|&c| !program.is_subtype(c, declared)) {
+            return Err(format!(
+                "child `{name}` of `{}` holds a `{}`, not a `{}`",
+                self.class_name(class),
+                self.class_name(child),
+                self.class_name(declared)
+            ));
+        }
+        Ok(self.slot_of(class, field))
+    }
+
     /// Name of `class`.
     pub fn class_name(&self, class: ClassId) -> &str {
         &self.class_names[class.index()]
@@ -338,11 +387,7 @@ impl Layouts {
     /// belongs to no struct.
     #[inline]
     pub fn slot_of_chain(&self, class: ClassId, chain: &[FieldId]) -> usize {
-        let mut slot = self.slot_of(class, chain[0]);
-        for &m in &chain[1..] {
-            slot += self.member_offset(m);
-        }
-        slot
+        self.slot_of(class, chain[0]) + self.chain_offset(&chain[1..])
     }
 
     /// Offset of a struct member within its struct.
@@ -360,6 +405,13 @@ impl Layouts {
             );
         }
         offset as usize
+    }
+
+    /// Offset of a struct member chain within its outermost struct (0
+    /// for none); panics if a field is no struct member.
+    #[inline]
+    pub fn chain_offset(&self, members: &[FieldId]) -> usize {
+        members.iter().map(|&m| self.member_offset(m)).sum()
     }
 
     /// [`Layouts::slot_of`] without the release-build check that `class`
@@ -607,12 +659,13 @@ impl Heap {
         self.pool[r.base as usize + slot]
     }
 
-    /// Writes slot `slot` of a node.
+    /// Writes slot `slot` of a node (forced inline: the VM's write arms
+    /// store through it on every tree write).
     ///
     /// # Panics
     ///
     /// Panics if the node was deleted or the slot is out of range.
-    #[inline]
+    #[inline(always)]
     pub fn set(&mut self, id: NodeId, slot: usize, value: Value) {
         let r = self.rec(id);
         assert!(

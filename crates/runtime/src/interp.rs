@@ -1,57 +1,18 @@
 //! The instrumented interpreter for fused programs.
 
-use std::fmt;
 use std::sync::Arc;
 
-use grafter::{
-    entry_flags, CallPart, Diag, FusedFn, FusedFnId, FusedProgram, ScheduledItem, Stage, StubId,
+use grafter::{entry_flags, CallPart, FusedFn, FusedFnId, FusedProgram, ScheduledItem, StubId};
+use grafter_frontend::{
+    BinOp, DataAccess, Expr, FieldId, GlobalId, LocalId, MethodId, PathStep, Stmt, Ty,
 };
-use grafter_cachesim::CacheHierarchy;
-use grafter_frontend::{BinOp, DataAccess, Expr, MethodId, NodePath, Stmt};
 
-use crate::heap::{global_addr, Heap, Layouts, NodeId, SLOT_BYTES};
-use crate::metrics::{cost, Metrics};
+use crate::heap::{Heap, Layouts, NodeId};
+use crate::machine::{Machine, RuntimeError};
+use crate::metrics::cost;
 use crate::ops::{binop, coerce, field_ty};
 use crate::pure::PureRegistry;
 use crate::Value;
-
-/// Errors surfaced while executing a fused program.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RuntimeError {
-    /// A data access navigated through a null child pointer.
-    NullDeref,
-    /// A `pure` function has no registered native implementation.
-    MissingPure(String),
-    /// A stub had no fused function for the receiver's dynamic type.
-    MissingTarget(String),
-    /// A child slot held a non-reference value (heap corruption).
-    NotARef,
-}
-
-impl fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuntimeError::NullDeref => write!(f, "null child dereferenced in a data access"),
-            RuntimeError::MissingPure(name) => {
-                write!(f, "pure function `{name}` has no native implementation")
-            }
-            RuntimeError::MissingTarget(class) => {
-                write!(f, "no fused function for dynamic type `{class}`")
-            }
-            RuntimeError::NotARef => write!(f, "child slot does not hold a reference"),
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
-
-/// A failed run in the compiler's diagnostic currency, tagged
-/// [`Stage::Runtime`] so callers can tell a bad program from a bad run.
-impl From<RuntimeError> for Diag {
-    fn from(e: RuntimeError) -> Diag {
-        Diag::error_global(Stage::Runtime, e.to_string())
-    }
-}
 
 type RResult<T> = Result<T, RuntimeError>;
 
@@ -60,20 +21,12 @@ enum Flow {
     Returned,
 }
 
-/// Executes a [`FusedProgram`] against a [`Heap`], collecting [`Metrics`]
-/// and (optionally) driving a cache simulator.
+/// Executes a [`FusedProgram`] against a [`Heap`], the recursive oracle
+/// the VM is checked against; its [`Machine`] meters every access.
 pub struct Interp<'a> {
     fp: &'a FusedProgram,
-    /// The program's layouts, read here for the global and local frames
-    /// (node slots are read through the heap's).
-    layouts: Arc<Layouts>,
-    /// Counters for the current run (reset with [`Metrics::reset`]).
-    pub metrics: Metrics,
-    /// Optional simulated memory hierarchy fed with every field access.
-    pub cache: Option<CacheHierarchy>,
-    pures: PureRegistry,
-    /// The flat global frame (see [`Layouts::global_offset`]).
-    globals: Vec<Value>,
+    /// The run's meter: counters, simulated cache, global frame, pures.
+    pub machine: Machine,
     /// Per-class visit counters of a probed run, indexed by
     /// [`grafter_frontend::ClassId`]; `None` (an unprobed run) records
     /// nothing and costs one predicted branch per dispatch.
@@ -85,45 +38,19 @@ impl<'a> Interp<'a> {
     /// laying out the program itself.
     pub fn new(fp: &'a FusedProgram) -> Self {
         let layouts = Arc::new(Layouts::new(&fp.program));
-        Interp::with_layouts(fp, layouts, PureRegistry::with_math())
+        let names = fp.program.pures.iter().map(|p| p.name.as_str());
+        let pures = PureRegistry::with_math().resolve(names);
+        Interp::with_machine(fp, Machine::new(layouts, pures))
     }
 
-    /// Creates an interpreter over `layouts` computed for `fp.program`
-    /// (an engine's shared ones) with a custom pure-function registry.
-    pub fn with_layouts(fp: &'a FusedProgram, layouts: Arc<Layouts>, pures: PureRegistry) -> Self {
+    /// Creates an interpreter metered by `machine`, whose layouts and
+    /// pures are those of `fp.program` (an engine's shared ones).
+    pub fn with_machine(fp: &'a FusedProgram, machine: Machine) -> Self {
         Interp {
             fp,
-            globals: layouts.initial_globals().to_vec(),
-            layouts,
-            metrics: Metrics::default(),
-            cache: None,
-            pures,
+            machine,
             class_visits: None,
         }
-    }
-
-    /// Attaches a cache hierarchy (all subsequent accesses are simulated).
-    pub fn with_cache(mut self, cache: CacheHierarchy) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Sets a global variable by name before a run (`P.y` for a member
-    /// of a struct global, see [`Layouts::global_slot_names`]).
-    pub fn set_global(&mut self, name: &str, value: Value) -> Option<()> {
-        self.globals[self.layouts.global_slot(name)?] = value;
-        Some(())
-    }
-
-    /// Reads a global variable by name, as [`Interp::set_global`] names it.
-    pub fn global(&self, name: &str) -> Option<Value> {
-        Some(self.globals[self.layouts.global_slot(name)?])
-    }
-
-    /// The flat global frame, one value per slot of
-    /// [`Layouts::global_slot_names`].
-    pub fn globals(&self) -> &[Value] {
-        &self.globals
     }
 
     /// Runs the fused program's entry sequence on `root`.
@@ -167,12 +94,6 @@ impl<'a> Interp<'a> {
         ran.map(|()| counts)
     }
 
-    fn touch(&mut self, addr: u64) {
-        if let Some(cache) = &mut self.cache {
-            cache.access(addr);
-        }
-    }
-
     fn call_stub(
         &mut self,
         heap: &mut Heap,
@@ -181,19 +102,14 @@ impl<'a> Interp<'a> {
         flags: u64,
         part_args: Vec<Vec<Value>>,
     ) -> RResult<()> {
-        // Virtual dispatch: read the node header (type tag / vtable).
-        self.metrics.instructions += cost::DISPATCH;
-        self.metrics.loads += 1;
-        self.touch(heap.addr_of(node));
-        let class = heap.class_of(node);
-        let Some(target) = self.fp.stub(stub).target_for(class) else {
-            return Err(RuntimeError::MissingTarget(
-                self.fp.program.classes[class.index()].name.clone(),
-            ));
-        };
-        if let Some(counts) = &mut self.class_visits {
-            counts[class.index()] += 1;
-        }
+        let (fp, class_visits) = (self.fp, &mut self.class_visits);
+        let target = self.machine.dispatch(heap, node, |class| {
+            let target = fp.stub(stub).target_for(class)?;
+            if let Some(counts) = class_visits {
+                counts[class.index()] += 1;
+            }
+            Some(target)
+        })?;
         self.run_fn(heap, target, node, flags, part_args)
     }
 
@@ -205,7 +121,6 @@ impl<'a> Interp<'a> {
         flags: u64,
         part_args: Vec<Vec<Value>>,
     ) -> RResult<()> {
-        self.metrics.visits += 1;
         // `fp` outlives `self`, so function data can be borrowed for the
         // whole call without holding a borrow of `self`.
         let fp = self.fp;
@@ -215,9 +130,10 @@ impl<'a> Interp<'a> {
 
         // Build one frame per traversal copy, parameters first.
         let mut frames: Vec<Vec<Value>> = Vec::with_capacity(seq.len());
+        let layouts = self.machine.layouts();
         for (ti, &m) in seq.iter().enumerate() {
-            let offsets = self.layouts.local_offsets(m);
-            let mut frame = vec![Value::Int(0); self.layouts.frame_size(m)];
+            let offsets = layouts.local_offsets(m);
+            let mut frame = vec![Value::Int(0); layouts.frame_size(m)];
             let method = &fp.program.methods[m.index()];
             let args = part_args.get(ti).map(Vec::as_slice).unwrap_or(&[]);
             for (pi, arg) in args.iter().enumerate().take(method.n_params) {
@@ -231,7 +147,7 @@ impl<'a> Interp<'a> {
             match item {
                 &ScheduledItem::Stmt { traversal, index } => {
                     if multi {
-                        self.metrics.instructions += cost::GUARD;
+                        self.machine.metrics.instructions += cost::GUARD;
                     }
                     let bit = 1u64 << traversal;
                     if active & bit == 0 {
@@ -248,7 +164,7 @@ impl<'a> Interp<'a> {
                 }
                 ScheduledItem::Call { stub, parts } => {
                     if multi {
-                        self.metrics.instructions += cost::GUARD;
+                        self.machine.metrics.instructions += cost::GUARD;
                     }
                     // OR, not sum: several parts may share a traversal
                     // copy (e.g. a traversal that spawns the same helper
@@ -257,13 +173,14 @@ impl<'a> Interp<'a> {
                     if active & mask == 0 {
                         continue;
                     }
-                    let Some(child) = self.navigate(heap, node, fp.receiver(f, parts))? else {
+                    let receiver = fields(&fp.receiver(f, parts).steps);
+                    let Some(child) = self.machine.navigate(heap, node, receiver)? else {
                         continue; // null child: traversal stops here
                     };
                     let mut call_flags = 0u64;
                     for (i, part) in parts.iter().enumerate() {
                         if multi {
-                            self.metrics.instructions += cost::FLAG_SHUFFLE;
+                            self.machine.metrics.instructions += cost::FLAG_SHUFFLE;
                         }
                         if active & (1u64 << part.traversal) != 0 {
                             call_flags |= 1u64 << i;
@@ -305,25 +222,6 @@ impl<'a> Interp<'a> {
         Ok(out)
     }
 
-    /// Follows a receiver path, counting pointer loads; `None` if any step
-    /// is null.
-    fn navigate(&mut self, heap: &Heap, node: NodeId, path: &NodePath) -> RResult<Option<NodeId>> {
-        let mut cur = node;
-        for step in &path.steps {
-            let class = heap.class_of(cur);
-            let slot = heap.layouts().slot_of(class, step.field);
-            self.metrics.instructions += 1;
-            self.metrics.loads += 1;
-            self.touch(heap.slot_addr(cur, slot));
-            match heap.get(cur, slot) {
-                Value::Ref(Some(c)) => cur = c,
-                Value::Ref(None) => return Ok(None),
-                _ => return Err(RuntimeError::NotARef),
-            }
-        }
-        Ok(Some(cur))
-    }
-
     fn exec_stmt(
         &mut self,
         heap: &mut Heap,
@@ -347,7 +245,7 @@ impl<'a> Interp<'a> {
                 then_branch,
                 else_branch,
             } => {
-                self.metrics.instructions += 1; // branch
+                self.machine.metrics.instructions += 1; // branch
                 let c = self
                     .eval(heap, seq, frames, node, traversal, cond)?
                     .as_bool();
@@ -362,88 +260,34 @@ impl<'a> Interp<'a> {
             Stmt::LocalDef { local, init } => {
                 if let Some(init) = init {
                     let v = self.eval(heap, seq, frames, node, traversal, init)?;
-                    let method = seq[traversal];
-                    let slot = self.layouts.local_offsets(method)[local.index()] as usize;
-                    let ty = self.fp.program.methods[method.index()].locals[local.index()].ty;
+                    let (slot, ty) = self.local_slot(seq[traversal], *local, &[]);
                     frames[traversal][slot] = coerce(ty, v);
-                    self.metrics.instructions += 1;
+                    self.machine.metrics.instructions += 1;
                 }
                 Ok(Flow::Continue)
             }
             Stmt::New { target, class } => {
-                // Navigate to the parent of the last step, then install a
-                // fresh node in the child slot.
-                let (parent, last) = self.navigate_to_parent(heap, node, target)?;
-                let Some(parent) = parent else {
-                    return Ok(Flow::Continue);
-                };
-                let fresh = heap.alloc(*class);
-                self.metrics.instructions += cost::ALLOC;
-                // Constructor initialises the node: touch its lines.
-                let bytes = heap.layouts().node_bytes(*class);
-                let base = heap.addr_of(fresh);
-                if let Some(cache) = &mut self.cache {
-                    cache.access_range(base, bytes);
-                }
-                self.metrics.stores += 1 + bytes / SLOT_BYTES;
-                let pclass = heap.class_of(parent);
-                let slot = heap.layouts().slot_of(pclass, last);
-                self.touch(heap.slot_addr(parent, slot));
-                heap.set(parent, slot, Value::Ref(Some(fresh)));
+                let (last, parent) = target.steps.split_last().expect("`new` has a step");
+                self.machine
+                    .new_node(heap, node, fields(parent), last.field.0, *class)?;
                 Ok(Flow::Continue)
             }
             Stmt::Delete { target } => {
-                let (parent, last) = self.navigate_to_parent(heap, node, target)?;
-                let Some(parent) = parent else {
-                    return Ok(Flow::Continue);
-                };
-                let pclass = heap.class_of(parent);
-                let slot = heap.layouts().slot_of(pclass, last);
-                self.metrics.loads += 1;
-                self.touch(heap.slot_addr(parent, slot));
-                if let Value::Ref(Some(victim)) = heap.get(parent, slot) {
-                    let freed = heap.delete_subtree(victim);
-                    self.metrics.instructions += cost::FREE * freed as u64;
-                }
-                heap.set(parent, slot, Value::Ref(None));
-                self.metrics.stores += 1;
+                let (last, parent) = target.steps.split_last().expect("`delete` has a step");
+                self.machine
+                    .delete_node(heap, node, fields(parent), last.field.0)?;
                 Ok(Flow::Continue)
             }
             Stmt::Return => Ok(Flow::Returned),
             Stmt::PureStmt { pure, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(heap, seq, frames, node, traversal, a)?);
-                }
-                let name = &self.fp.program.pures[pure.index()].name;
-                let Some(f) = self.pures.get(name) else {
-                    return Err(RuntimeError::MissingPure(name.clone()));
-                };
-                self.metrics.instructions += 1 + args.len() as u64;
-                f(&vals);
+                let args: Vec<Value> = args
+                    .iter()
+                    .map(|a| self.eval(heap, seq, frames, node, traversal, a))
+                    .collect::<RResult<_>>()?;
+                self.machine.call_pure(pure.index(), &args)?;
                 Ok(Flow::Continue)
             }
         }
-    }
-
-    /// Navigates to the parent node of the last step of `path`, returning
-    /// the parent and the final child field.
-    fn navigate_to_parent(
-        &mut self,
-        heap: &Heap,
-        node: NodeId,
-        path: &NodePath,
-    ) -> RResult<(Option<NodeId>, grafter_frontend::FieldId)> {
-        let last = path
-            .steps
-            .last()
-            .expect("topology targets have a step")
-            .field;
-        let prefix = NodePath {
-            base_cast: path.base_cast,
-            steps: path.steps[..path.steps.len() - 1].to_vec(),
-        };
-        Ok((self.navigate(heap, node, &prefix)?, last))
     }
 
     fn eval(
@@ -462,14 +306,14 @@ impl<'a> Interp<'a> {
             Expr::Read(access) => self.read_access(heap, seq, frames, node, traversal, access),
             Expr::Unary(op, e) => {
                 let v = self.eval(heap, seq, frames, node, traversal, e)?;
-                self.metrics.instructions += 1;
+                self.machine.metrics.instructions += 1;
                 Ok(crate::ops::unop(*op, v))
             }
             Expr::Binary(op, l, r) => {
                 // && and || short-circuit like the C++ they model.
                 if matches!(op, BinOp::And | BinOp::Or) {
                     let lv = self.eval(heap, seq, frames, node, traversal, l)?.as_bool();
-                    self.metrics.instructions += 1;
+                    self.machine.metrics.instructions += 1;
                     let short = matches!(op, BinOp::And) != lv;
                     // For And: short-circuit when lv == false; for Or, when
                     // lv == true.
@@ -481,20 +325,16 @@ impl<'a> Interp<'a> {
                 }
                 let lv = self.eval(heap, seq, frames, node, traversal, l)?;
                 let rv = self.eval(heap, seq, frames, node, traversal, r)?;
-                self.metrics.instructions += 1;
+                self.machine.metrics.instructions += 1;
                 Ok(binop(*op, lv, rv))
             }
             Expr::PureCall(pure, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(heap, seq, frames, node, traversal, a)?);
-                }
-                let decl = &self.fp.program.pures[pure.index()];
-                let Some(f) = self.pures.get(&decl.name) else {
-                    return Err(RuntimeError::MissingPure(decl.name.clone()));
-                };
-                self.metrics.instructions += 1 + args.len() as u64;
-                Ok(coerce(decl.return_type, f(&vals)))
+                let args: Vec<Value> = args
+                    .iter()
+                    .map(|a| self.eval(heap, seq, frames, node, traversal, a))
+                    .collect::<RResult<_>>()?;
+                let out = self.machine.call_pure(pure.index(), &args)?;
+                Ok(coerce(self.fp.program.pures[pure.index()].return_type, out))
             }
         }
     }
@@ -510,33 +350,18 @@ impl<'a> Interp<'a> {
     ) -> RResult<Value> {
         match access {
             DataAccess::OnTree { path, data } => {
-                let Some(target) = self.navigate(heap, node, path)? else {
-                    return Err(RuntimeError::NullDeref);
-                };
-                let class = heap.class_of(target);
-                let slot = heap.layouts().slot_of_chain(class, data);
-                self.metrics.instructions += 1;
-                self.metrics.loads += 1;
-                self.touch(heap.slot_addr(target, slot));
-                Ok(heap.get(target, slot))
+                let addend = self.machine.layouts().chain_offset(&data[1..]);
+                let path = fields(&path.steps);
+                self.machine.read_tree(heap, node, path, data[0].0, addend)
             }
             DataAccess::Local { local, members } => {
-                let mut slot = self.layouts.local_offsets(seq[traversal])[local.index()] as usize;
-                for m in members {
-                    slot += self.layouts.member_offset(*m);
-                }
-                self.metrics.instructions += 1;
+                let (slot, _) = self.local_slot(seq[traversal], *local, members);
+                self.machine.metrics.instructions += 1;
                 Ok(frames[traversal][slot])
             }
             DataAccess::Global { global, members } => {
-                let mut idx = self.layouts.global_offset(*global);
-                for m in members {
-                    idx += self.layouts.member_offset(*m);
-                }
-                self.metrics.instructions += 1;
-                self.metrics.loads += 1;
-                self.touch(global_addr(idx));
-                Ok(self.globals[idx])
+                let (slot, _) = self.global_slot(*global, members);
+                Ok(self.machine.read_global(slot))
             }
         }
     }
@@ -556,41 +381,55 @@ impl<'a> Interp<'a> {
     ) -> RResult<()> {
         match access {
             DataAccess::OnTree { path, data } => {
-                let Some(target) = self.navigate(heap, node, path)? else {
-                    return Err(RuntimeError::NullDeref);
-                };
-                let class = heap.class_of(target);
-                let slot = heap.layouts().slot_of_chain(class, data);
-                let ty = field_ty(&self.fp.program, data);
-                self.metrics.instructions += 1;
-                self.metrics.stores += 1;
-                self.touch(heap.slot_addr(target, slot));
-                heap.set(target, slot, coerce(ty, value));
+                let addend = self.machine.layouts().chain_offset(&data[1..]);
+                let value = coerce(field_ty(&self.fp.program, data), value);
+                let path = fields(&path.steps);
+                self.machine
+                    .write_tree(heap, node, path, data[0].0, addend, value)?;
             }
             DataAccess::Local { local, members } => {
-                let method = seq[traversal];
-                let mut slot = self.layouts.local_offsets(method)[local.index()] as usize;
-                let mut ty = self.fp.program.methods[method.index()].locals[local.index()].ty;
-                for m in members {
-                    slot += self.layouts.member_offset(*m);
-                    ty = field_ty(&self.fp.program, &[*m]);
-                }
-                self.metrics.instructions += 1;
+                let (slot, ty) = self.local_slot(seq[traversal], *local, members);
+                self.machine.metrics.instructions += 1;
                 frames[traversal][slot] = coerce(ty, value);
             }
             DataAccess::Global { global, members } => {
-                let mut idx = self.layouts.global_offset(*global);
-                let mut ty = self.fp.program.globals[global.index()].ty;
-                for m in members {
-                    idx += self.layouts.member_offset(*m);
-                    ty = field_ty(&self.fp.program, &[*m]);
-                }
-                self.metrics.instructions += 1;
-                self.metrics.stores += 1;
-                self.touch(global_addr(idx));
-                self.globals[idx] = coerce(ty, value);
+                let (slot, ty) = self.global_slot(*global, members);
+                self.machine.write_global(slot, coerce(ty, value));
             }
         }
         Ok(())
     }
+
+    /// The frame slot of local `local` of `method` (or of its struct
+    /// member chain `members`) and the type a write coerces to.
+    fn local_slot(&self, method: MethodId, local: LocalId, members: &[FieldId]) -> (usize, Ty) {
+        let layouts = self.machine.layouts();
+        let slot = layouts.local_offsets(method)[local.index()] as usize;
+        let program = &self.fp.program;
+        let ty = match members {
+            [] => program.methods[method.index()].locals[local.index()].ty,
+            _ => field_ty(program, members),
+        };
+        (slot + layouts.chain_offset(members), ty)
+    }
+
+    /// The global frame slot of `global` (or of its struct member chain
+    /// `members`) and the type a write coerces to.
+    fn global_slot(&self, global: GlobalId, members: &[FieldId]) -> (usize, Ty) {
+        let layouts = self.machine.layouts();
+        let program = &self.fp.program;
+        let ty = match members {
+            [] => program.globals[global.index()].ty,
+            _ => field_ty(program, members),
+        };
+        (
+            layouts.global_offset(global) + layouts.chain_offset(members),
+            ty,
+        )
+    }
+}
+
+/// The child fields a path steps through, as the machine navigates them.
+fn fields(steps: &[PathStep]) -> impl Iterator<Item = u32> + '_ {
+    steps.iter().map(|step| step.field.0)
 }

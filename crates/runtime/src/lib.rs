@@ -18,6 +18,14 @@
 //! (like `malloc` in the paper's C++ runs), so locality effects of fusion
 //! are faithfully reproduced.
 //!
+//! Both execution tiers, the [`Interp`] here (the recursive oracle) and
+//! `grafter-vm`'s bytecode VM, drive one [`Machine`]: it owns a run's
+//! metrics, simulated cache, global frame and resolved [`Pures`], and
+//! performs every charged memory access (dispatch header, navigation,
+//! tree and global reads and writes, `new`, `delete`, pure calls). Their
+//! loads, stores and cache traffic therefore agree by construction; only
+//! the ALU, guard and flag-shuffle charges are made per tier.
+//!
 //! # Example
 //!
 //! ```
@@ -49,13 +57,14 @@
 //! interp.run(&mut heap, cons, &[]).unwrap();
 //! assert_eq!(heap.get_by_name(cons, "a").unwrap(), Value::Int(1));
 //! // One fused pass: a single visit of each of the two nodes.
-//! assert_eq!(interp.metrics.visits, 2);
+//! assert_eq!(interp.machine.metrics.visits, 2);
 //! ```
 
 #![forbid(unsafe_code)]
 
 mod heap;
 mod interp;
+mod machine;
 mod metrics;
 pub mod ops;
 mod pure;
@@ -63,7 +72,8 @@ mod pure;
 pub use heap::{
     default_literal, global_addr, Heap, Layouts, NodeId, SnapValue, NODE_HEADER_BYTES, SLOT_BYTES,
 };
-pub use interp::{Interp, RuntimeError};
+pub use interp::Interp;
+pub use machine::{Machine, Pures, RuntimeError};
 pub use metrics::{cost, Metrics};
 pub use pure::{NativeFn, PureRegistry};
 

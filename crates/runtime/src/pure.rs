@@ -2,16 +2,18 @@
 //!
 //! Grafter treats `pure` functions as opaque, read-only C++ (paper §3.1);
 //! their bodies are never analysed. The runtime mirrors that: a pure
-//! function is a native Rust closure registered by name.
+//! function is a native Rust closure registered by name, and each engine
+//! resolves its program's pures to a [`Pures`] table once.
 
 use std::collections::HashMap;
 
+use crate::machine::Pures;
 use crate::Value;
 
 /// A native pure function.
 pub type NativeFn = fn(&[Value]) -> Value;
 
-/// Name → native function map used by the interpreter.
+/// Name → native function map a program's pures are resolved against.
 #[derive(Clone, Default)]
 pub struct PureRegistry {
     fns: HashMap<String, NativeFn>,
@@ -46,6 +48,17 @@ impl PureRegistry {
     /// Looks up a native function.
     pub fn get(&self, name: &str) -> Option<NativeFn> {
         self.fns.get(name).copied()
+    }
+
+    /// Resolves the pures named `names`, in `PureId` order, to a table
+    /// a [`Machine`](crate::Machine) calls by index.
+    pub fn resolve<'n>(&self, names: impl IntoIterator<Item = &'n str>) -> Pures {
+        Pures(
+            names
+                .into_iter()
+                .map(|name| self.get(name).ok_or_else(|| name.into()))
+                .collect(),
+        )
     }
 }
 

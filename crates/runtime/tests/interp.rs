@@ -87,7 +87,7 @@ fn run_and_snapshot(
     let root = build(&mut heap);
     let mut interp = Interp::new(fp);
     interp.run(&mut heap, root, &[]).expect("run succeeds");
-    (heap.snapshot(root), interp.metrics.clone())
+    (heap.snapshot(root), interp.machine.metrics.clone())
 }
 
 #[test]
@@ -383,9 +383,10 @@ fn cache_misses_drop_impl() {
     let run = |fp: &FusedProgram| {
         let mut heap = Heap::new(&program);
         let root = build(&mut heap);
-        let mut interp = Interp::new(fp).with_cache(CacheHierarchy::xeon());
+        let mut interp = Interp::new(fp);
+        interp.machine.cache = Some(CacheHierarchy::xeon());
         interp.run(&mut heap, root, &[]).unwrap();
-        interp.cache.as_ref().unwrap().stats()
+        interp.machine.cache.as_ref().unwrap().stats()
     };
     let s_f = run(&fused);
     let s_u = run(&unfused);
@@ -410,9 +411,12 @@ fn globals_are_readable_and_settable() {
     )
     .unwrap();
     let mut interp = Interp::new(&fp);
-    assert_eq!(interp.global("CHAR_WIDTH"), Some(Value::Int(8)));
-    interp.set_global("CHAR_WIDTH", Value::Int(4)).unwrap();
-    assert_eq!(interp.global("CHAR_WIDTH"), Some(Value::Int(4)));
+    assert_eq!(interp.machine.global("CHAR_WIDTH"), Some(Value::Int(8)));
+    interp
+        .machine
+        .set_global("CHAR_WIDTH", Value::Int(4))
+        .unwrap();
+    assert_eq!(interp.machine.global("CHAR_WIDTH"), Some(Value::Int(4)));
 
     let mut heap = Heap::new(&program);
     let end = heap.alloc_by_name("End").unwrap();

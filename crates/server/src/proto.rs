@@ -62,7 +62,7 @@
 use std::io::{self, Read, Write};
 use std::ops::RangeInclusive;
 
-use grafter::{ClassId, FieldKind, Program};
+use grafter::{ClassId, Program};
 use grafter_engine::{Backend, FusionOptions, OptLevel};
 use grafter_obs::json::{parse, Json, JsonWriter};
 use grafter_runtime::{Heap, Layouts, NodeId, Value};
@@ -397,41 +397,17 @@ pub fn resolve_tree_spec(
         .ok_or_else(|| AppError::config(format!("unknown tree class `{}`", spec.class)))?;
     let mut fields = Vec::with_capacity(spec.fields.len());
     for (name, value) in &spec.fields {
-        let data = layouts
-            .slot_by_name(program, class, name)
-            .filter(|&(f, _)| matches!(program.fields[f.index()].kind, FieldKind::Data(_)));
-        let Some((_, slot)) = data else {
-            return Err(AppError::config(format!(
-                "unknown field `{name}` on `{}`",
-                spec.class
-            )));
-        };
-        fields.push((slot, *value));
+        let slot = layouts.data_slot(program, class, name);
+        fields.push((slot.map_err(AppError::config)?, *value));
     }
     let mut children = Vec::with_capacity(spec.children.len());
     for (name, child) in &spec.children {
-        let unknown =
-            || AppError::config(format!("unknown child field `{name}` on `{}`", spec.class));
-        let field = layouts.field_by_name(class, name).ok_or_else(unknown)?;
-        let FieldKind::Child(declared) = program.fields[field.index()].kind else {
-            return Err(unknown());
-        };
         let child = match child {
-            Some(c) => {
-                let tree = resolve_tree_spec(program, layouts, c)?;
-                if !program.is_subtype(tree.class, declared) {
-                    return Err(AppError::config(format!(
-                        "child `{name}` of `{}` holds a `{}`, not a `{}`",
-                        spec.class,
-                        c.class,
-                        layouts.class_name(declared)
-                    )));
-                }
-                Some(tree)
-            }
+            Some(c) => Some(resolve_tree_spec(program, layouts, c)?),
             None => None,
         };
-        children.push((layouts.slot_of(class, field), child));
+        let slot = layouts.child_slot(program, class, name, child.as_ref().map(|t| t.class));
+        children.push((slot.map_err(AppError::config)?, child));
     }
     Ok(ResolvedTree {
         class,

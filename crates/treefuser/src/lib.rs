@@ -456,7 +456,7 @@ mod tests {
             let root = convert_document(&src, het_root, &mut heap);
             let mut interp = Interp::new(fp);
             interp.run(&mut heap, root, &[]).unwrap();
-            interp.metrics.clone()
+            interp.machine.metrics.clone()
         };
         let mf = run(&fused);
         let mu = run(&unfused);

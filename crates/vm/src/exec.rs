@@ -5,44 +5,34 @@
 //! `match`-dispatch loop over the module's contiguous op vector. One
 //! activation = one register window on a shared register stack (no
 //! per-call `Vec<Vec<Value>>` frames), dispatch is a jump-table index (no
-//! `HashMap` probes), and pure functions are resolved to function pointers
-//! once at construction.
+//! `HashMap` probes), and pure functions are called through a table
+//! resolved once per engine.
 //!
-//! Cost accounting is bit-compatible with [`grafter_runtime::Interp`]:
-//! the same [`cost`] constants are charged at the same execution points
-//! and every field access touches the same simulated byte address, so
-//! `Metrics` and cache statistics of the two backends are identical on
-//! identical inputs.
+//! Cost accounting is bit-compatible with [`grafter_runtime::Interp`] by
+//! construction: both tiers perform every memory access (dispatch header,
+//! navigation, tree and global reads and writes, `new`, `delete`, pure
+//! calls) through the shared [`Machine`], so loads, stores and simulated
+//! cache traffic cannot diverge. Only the ALU, guard and flag-shuffle
+//! charges are made here, at the points the interpreter makes them.
 
-use grafter_cachesim::CacheHierarchy;
+use std::sync::Arc;
+
 use grafter_frontend::ClassId;
 use grafter_obs::{ExecCounters, ExecProbe, NoProbe};
 use grafter_runtime::ops::{binop, unop};
-use grafter_runtime::{
-    cost, global_addr, Heap, Layouts, Metrics, NativeFn, NodeId, PureRegistry, RuntimeError, Value,
-    SLOT_BYTES,
-};
+use grafter_runtime::{cost, Heap, Machine, NodeId, PureRegistry, RuntimeError, Value};
 
 use crate::module::{Module, Op, NO_TARGET};
 
 type RResult<T> = Result<T, RuntimeError>;
 
-/// Executes a lowered [`Module`] against a [`Heap`], collecting
-/// [`Metrics`] and (optionally) driving a cache simulator — the VM
-/// counterpart of [`grafter_runtime::Interp`].
+/// Executes a lowered [`Module`] against a [`Heap`] — the VM counterpart
+/// of [`grafter_runtime::Interp`] — with a [`Machine`] metering every
+/// access.
 pub struct Vm<'a> {
     module: &'a Module,
-    /// The module's layouts, held here so a field access reads the slot
-    /// table without a load through the module.
-    layouts: &'a Layouts,
-    /// Counters for the current run (reset with [`Metrics::reset`]).
-    pub metrics: Metrics,
-    /// Optional simulated memory hierarchy fed with every field access.
-    pub cache: Option<CacheHierarchy>,
-    /// Pure implementations resolved to function pointers by pure id.
-    pures: Vec<Option<NativeFn>>,
-    /// The flat global frame (see [`Layouts::global_offset`]).
-    globals: Vec<Value>,
+    /// The run's meter: counters, simulated cache, global frame, pures.
+    pub machine: Machine,
     /// Shared register stack; each activation owns one window.
     regs: Vec<Value>,
 }
@@ -56,44 +46,24 @@ impl<'a> Vm<'a> {
     /// Creates a VM with a custom pure-function registry (resolved to
     /// function pointers once, here).
     pub fn with_pures(module: &'a Module, pures: PureRegistry) -> Self {
-        let pures = module
-            .pure_names
-            .iter()
-            .map(|name| pures.get(name))
-            .collect();
+        let pures = pures.resolve(module.pure_names.iter().map(String::as_str));
+        let layouts = Arc::clone(&module.layouts);
+        Vm::with_machine(module, Machine::new(layouts, pures))
+    }
+
+    /// Creates a VM metered by `machine`, whose layouts and pures are
+    /// those of the module's program (an engine's shared ones).
+    pub fn with_machine(module: &'a Module, machine: Machine) -> Self {
         Vm {
             module,
-            layouts: &module.layouts,
-            metrics: Metrics::default(),
-            cache: None,
-            pures,
-            globals: module.layouts.initial_globals().to_vec(),
+            machine,
             regs: Vec::new(),
         }
     }
 
-    /// Attaches a cache hierarchy (all subsequent accesses are simulated).
-    pub fn with_cache(mut self, cache: CacheHierarchy) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Sets a global variable by name before a run (`P.y` for a member
-    /// of a struct global, see [`Layouts::global_slot_names`]).
-    pub fn set_global(&mut self, name: &str, value: Value) -> Option<()> {
-        self.globals[self.layouts.global_slot(name)?] = value;
-        Some(())
-    }
-
-    /// Reads a global variable by name, as [`Vm::set_global`] names it.
+    /// Reads a global variable by name (see [`Machine::global`]).
     pub fn global(&self, name: &str) -> Option<Value> {
-        Some(self.globals[self.layouts.global_slot(name)?])
-    }
-
-    /// The flat global frame, one value per slot of
-    /// [`Layouts::global_slot_names`].
-    pub fn globals(&self) -> &[Value] {
-        &self.globals
+        self.machine.global(name)
     }
 
     /// Runs the module's entry sequence on `root`.
@@ -146,28 +116,14 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    #[inline]
-    fn touch(&mut self, addr: u64) {
-        if let Some(cache) = &mut self.cache {
-            cache.access(addr);
-        }
-    }
-
-    /// Virtual dispatch through a stub jump table; charges the dispatch
-    /// costs and counts the visit.
+    /// Virtual dispatch through a stub jump table (see
+    /// [`Machine::dispatch`]).
     fn dispatch(&mut self, heap: &Heap, stub: u16, node: NodeId) -> RResult<u32> {
-        self.metrics.instructions += cost::DISPATCH;
-        self.metrics.loads += 1;
-        self.touch(heap.addr_of(node));
-        let class = heap.class_of(node);
-        let target = self.module.stubs[stub as usize].targets[class.index()];
-        if target == NO_TARGET {
-            return Err(RuntimeError::MissingTarget(
-                self.layouts.class_name(class).to_string(),
-            ));
-        }
-        self.metrics.visits += 1;
-        Ok(target)
+        let targets = &self.module.stubs[stub as usize].targets;
+        self.machine.dispatch(heap, node, |class| {
+            let target = targets[class.index()];
+            (target != NO_TARGET).then_some(target)
+        })
     }
 
     /// Pushes a zeroed register window for function `fidx`.
@@ -203,26 +159,6 @@ impl<'a> Vm<'a> {
         r
     }
 
-    /// Follows a pooled path, counting pointer loads; `None` if any step
-    /// is null.
-    fn navigate(&mut self, heap: &Heap, node: NodeId, path: u16) -> RResult<Option<NodeId>> {
-        let (m, layouts) = (self.module, self.layouts);
-        let mut cur = node;
-        for &field in m.paths[path as usize].iter() {
-            let class = heap.class_of(cur);
-            let slot = layouts.slot_of_known(class, field);
-            self.metrics.instructions += 1;
-            self.metrics.loads += 1;
-            self.touch(heap.slot_addr(cur, slot));
-            match heap.get(cur, slot) {
-                Value::Ref(Some(c)) => cur = c,
-                Value::Ref(None) => return Ok(None),
-                _ => return Err(RuntimeError::NotARef),
-            }
-        }
-        Ok(Some(cur))
-    }
-
     /// Dispatches grouped call `calls[call]` on `child`: charges the flag
     /// shuffle, maps the caller's `active` flags onto the callee's parts,
     /// copies the active parts' arguments from `r[args..]` (an inactive
@@ -246,7 +182,7 @@ impl<'a> Vm<'a> {
         let mut call_flags = 0u64;
         for (i, part) in info.parts.iter().enumerate() {
             if info.charge_flags {
-                self.metrics.instructions += cost::FLAG_SHUFFLE;
+                self.machine.metrics.instructions += cost::FLAG_SHUFFLE;
             }
             if active & (1u64 << part.traversal) != 0 {
                 call_flags |= 1u64 << i;
@@ -286,10 +222,11 @@ impl<'a> Vm<'a> {
         if P::ENABLED {
             probe.enter_func(fidx as usize);
         }
-        let (m, layouts) = (self.module, self.layouts);
+        let m = self.module;
+        let path = |path: u16| m.paths[path as usize].iter().copied();
         let f = &m.funcs[fidx as usize];
         // Prepay the guards lowering folded (see `FuncInfo`).
-        self.metrics.instructions += f.folded as u64 * cost::GUARD;
+        self.machine.metrics.instructions += f.folded as u64 * cost::GUARD;
         let mut pc = f.entry as usize;
         loop {
             if P::ENABLED {
@@ -302,26 +239,26 @@ impl<'a> Vm<'a> {
                     self.regs[base + dst as usize] = m.consts[c as usize];
                 }
                 Op::Mov { dst, src } => {
-                    self.metrics.instructions += 1;
+                    self.machine.metrics.instructions += 1;
                     self.regs[base + dst as usize] = self.regs[base + src as usize];
                 }
                 Op::StoreLocal { dst, src, co } => {
-                    self.metrics.instructions += 1;
+                    self.machine.metrics.instructions += 1;
                     self.regs[base + dst as usize] = co.apply(self.regs[base + src as usize]);
                 }
                 Op::Un { op, dst, src } => {
-                    self.metrics.instructions += 1;
+                    self.machine.metrics.instructions += 1;
                     let v = self.regs[base + src as usize];
                     self.regs[base + dst as usize] = unop(op, v);
                 }
                 Op::Bin { op, dst, a, b } => {
-                    self.metrics.instructions += 1;
+                    self.machine.metrics.instructions += 1;
                     let (l, r) = (self.regs[base + a as usize], self.regs[base + b as usize]);
                     self.regs[base + dst as usize] = binop(op, l, r);
                 }
                 Op::Jump { target } => pc = target as usize,
                 Op::Branch { cond, target } => {
-                    self.metrics.instructions += 1;
+                    self.machine.metrics.instructions += 1;
                     if !self.regs[base + cond as usize].as_bool() {
                         pc = target as usize;
                     }
@@ -333,7 +270,7 @@ impl<'a> Vm<'a> {
                 } => {
                     let b = self.regs[base + reg as usize].as_bool();
                     self.regs[base + reg as usize] = Value::Bool(b);
-                    self.metrics.instructions += 1;
+                    self.machine.metrics.instructions += 1;
                     if b == jump_if {
                         pc = target as usize;
                     }
@@ -343,7 +280,7 @@ impl<'a> Vm<'a> {
                     self.regs[base + reg as usize] = Value::Bool(b);
                 }
                 Op::Guard { mask, target } => {
-                    self.metrics.instructions += cost::GUARD;
+                    self.machine.metrics.instructions += cost::GUARD;
                     if active & mask == 0 {
                         pc = target as usize;
                     }
@@ -362,7 +299,7 @@ impl<'a> Vm<'a> {
                 } => {
                     active &= !(1u64 << traversal);
                     if active == 0 {
-                        self.metrics.instructions -= refund as u64 * cost::GUARD;
+                        self.machine.metrics.instructions -= refund as u64 * cost::GUARD;
                         return Ok(());
                     }
                     pc = target as usize;
@@ -370,54 +307,38 @@ impl<'a> Vm<'a> {
                 Op::Ret => return Ok(()),
                 Op::ReadTree {
                     dst,
-                    path,
+                    path: p,
                     field,
                     addend,
                 } => {
-                    let Some(target) = self.navigate(heap, node, path)? else {
-                        return Err(RuntimeError::NullDeref);
-                    };
-                    let class = heap.class_of(target);
-                    let slot = layouts.slot_of_known(class, field) + addend as usize;
-                    self.metrics.instructions += 1;
-                    self.metrics.loads += 1;
-                    self.touch(heap.slot_addr(target, slot));
-                    self.regs[base + dst as usize] = heap.get(target, slot);
+                    let v = self
+                        .machine
+                        .read_tree(heap, node, path(p), field, addend.into())?;
+                    self.regs[base + dst as usize] = v;
                 }
                 Op::WriteTree {
                     src,
-                    path,
+                    path: p,
                     field,
                     addend,
                     co,
                 } => {
-                    let Some(target) = self.navigate(heap, node, path)? else {
-                        return Err(RuntimeError::NullDeref);
-                    };
-                    let class = heap.class_of(target);
-                    let slot = layouts.slot_of_known(class, field) + addend as usize;
-                    self.metrics.instructions += 1;
-                    self.metrics.stores += 1;
-                    self.touch(heap.slot_addr(target, slot));
-                    heap.set(target, slot, co.apply(self.regs[base + src as usize]));
+                    let v = co.apply(self.regs[base + src as usize]);
+                    self.machine
+                        .write_tree(heap, node, path(p), field, addend.into(), v)?;
                 }
                 Op::ReadGlobal { dst, idx } => {
-                    self.metrics.instructions += 1;
-                    self.metrics.loads += 1;
-                    self.touch(global_addr(idx as usize));
-                    self.regs[base + dst as usize] = self.globals[idx as usize];
+                    self.regs[base + dst as usize] = self.machine.read_global(idx.into());
                 }
                 Op::WriteGlobal { src, idx, co } => {
-                    self.metrics.instructions += 1;
-                    self.metrics.stores += 1;
-                    self.touch(global_addr(idx as usize));
-                    self.globals[idx as usize] = co.apply(self.regs[base + src as usize]);
+                    let v = co.apply(self.regs[base + src as usize]);
+                    self.machine.write_global(idx.into(), v);
                 }
                 Op::Nav {
                     dst,
-                    path,
+                    path: p,
                     null_target,
-                } => match self.navigate(heap, node, path)? {
+                } => match self.machine.navigate(heap, node, path(p))? {
                     Some(child) => {
                         self.regs[base + dst as usize] = Value::Ref(Some(child));
                     }
@@ -440,37 +361,16 @@ impl<'a> Vm<'a> {
                         probe,
                     )?;
                 }
-                Op::New { path, field, class } => {
-                    if let Some(parent) = self.navigate(heap, node, path)? {
-                        let class = ClassId(class as u32);
-                        let fresh = heap.alloc(class);
-                        self.metrics.instructions += cost::ALLOC;
-                        // Constructor initialises the node: touch its lines.
-                        let bytes = layouts.node_bytes(class);
-                        let addr = heap.addr_of(fresh);
-                        if let Some(cache) = &mut self.cache {
-                            cache.access_range(addr, bytes);
-                        }
-                        self.metrics.stores += 1 + bytes / SLOT_BYTES;
-                        let pclass = heap.class_of(parent);
-                        let slot = layouts.slot_of_known(pclass, field);
-                        self.touch(heap.slot_addr(parent, slot));
-                        heap.set(parent, slot, Value::Ref(Some(fresh)));
-                    }
+                Op::New {
+                    path: p,
+                    field,
+                    class,
+                } => {
+                    let class = ClassId(class.into());
+                    self.machine.new_node(heap, node, path(p), field, class)?;
                 }
-                Op::Delete { path, field } => {
-                    if let Some(parent) = self.navigate(heap, node, path)? {
-                        let pclass = heap.class_of(parent);
-                        let slot = layouts.slot_of_known(pclass, field);
-                        self.metrics.loads += 1;
-                        self.touch(heap.slot_addr(parent, slot));
-                        if let Value::Ref(Some(victim)) = heap.get(parent, slot) {
-                            let freed = heap.delete_subtree(victim);
-                            self.metrics.instructions += cost::FREE * freed as u64;
-                        }
-                        heap.set(parent, slot, Value::Ref(None));
-                        self.metrics.stores += 1;
-                    }
+                Op::Delete { path: p, field } => {
+                    self.machine.delete_node(heap, node, path(p), field)?;
                 }
                 Op::CallPure {
                     dst,
@@ -479,14 +379,9 @@ impl<'a> Vm<'a> {
                     n,
                     co,
                 } => {
-                    let Some(f) = self.pures[pure as usize] else {
-                        return Err(RuntimeError::MissingPure(
-                            m.pure_names[pure as usize].clone(),
-                        ));
-                    };
-                    self.metrics.instructions += 1 + n as u64;
                     let lo = base + abase as usize;
-                    let out = f(&self.regs[lo..lo + n as usize]);
+                    let args = &self.regs[lo..lo + n as usize];
+                    let out = self.machine.call_pure(pure.into(), args)?;
                     self.regs[base + dst as usize] = co.apply(out);
                 }
 
@@ -496,12 +391,12 @@ impl<'a> Vm<'a> {
                 // of the op pair it replaced (see `crate::opt`): Metrics
                 // and cache traffic stay bit-identical to `O0`.
                 Op::ConstBin { op, dst, a, c } => {
-                    self.metrics.instructions += 1;
+                    self.machine.metrics.instructions += 1;
                     let l = self.regs[base + a as usize];
                     self.regs[base + dst as usize] = binop(op, l, m.consts[c as usize]);
                 }
                 Op::LocBin { op, dst, a, src } => {
-                    self.metrics.instructions += 2; // Mov + Bin
+                    self.machine.metrics.instructions += 2; // Mov + Bin
                     let (l, r) = (self.regs[base + a as usize], self.regs[base + src as usize]);
                     self.regs[base + dst as usize] = binop(op, l, r);
                 }
@@ -509,41 +404,32 @@ impl<'a> Vm<'a> {
                     op,
                     dst,
                     a,
-                    path,
+                    path: p,
                     field,
                     addend,
                 } => {
-                    let Some(target) = self.navigate(heap, node, path)? else {
-                        return Err(RuntimeError::NullDeref);
-                    };
-                    let class = heap.class_of(target);
-                    let slot = layouts.slot_of_known(class, field) + addend as usize;
-                    self.metrics.instructions += 1;
-                    self.metrics.loads += 1;
-                    self.touch(heap.slot_addr(target, slot));
-                    let r = heap.get(target, slot);
-                    self.metrics.instructions += 1; // the fused Bin
+                    let r = self
+                        .machine
+                        .read_tree(heap, node, path(p), field, addend.into())?;
+                    self.machine.metrics.instructions += 1; // the fused Bin
                     let l = self.regs[base + a as usize];
                     self.regs[base + dst as usize] = binop(op, l, r);
                 }
                 Op::GlobBin { op, dst, a, idx } => {
-                    self.metrics.instructions += 1;
-                    self.metrics.loads += 1;
-                    self.touch(global_addr(idx as usize));
-                    let r = self.globals[idx as usize];
-                    self.metrics.instructions += 1; // the fused Bin
+                    let r = self.machine.read_global(idx.into());
+                    self.machine.metrics.instructions += 1; // the fused Bin
                     let l = self.regs[base + a as usize];
                     self.regs[base + dst as usize] = binop(op, l, r);
                 }
                 Op::ConstBinBranch { op, a, c, target } => {
-                    self.metrics.instructions += 2; // Bin + Branch (Const free)
+                    self.machine.metrics.instructions += 2; // Bin + Branch (Const free)
                     let l = self.regs[base + a as usize];
                     if !binop(op, l, m.consts[c as usize]).as_bool() {
                         pc = target as usize;
                     }
                 }
                 Op::LocBinBranch { op, a, src, target } => {
-                    self.metrics.instructions += 3; // Mov + Bin + Branch
+                    self.machine.metrics.instructions += 3; // Mov + Bin + Branch
                     let (l, r) = (self.regs[base + a as usize], self.regs[base + src as usize]);
                     if !binop(op, l, r).as_bool() {
                         pc = target as usize;
@@ -553,41 +439,28 @@ impl<'a> Vm<'a> {
                     op,
                     a,
                     b,
-                    path,
+                    path: p,
                     field,
                     addend,
                     co,
                 } => {
-                    self.metrics.instructions += 1; // the fused Bin
+                    self.machine.metrics.instructions += 1; // the fused Bin
                     let (l, r) = (self.regs[base + a as usize], self.regs[base + b as usize]);
-                    let v = binop(op, l, r);
-                    let Some(target) = self.navigate(heap, node, path)? else {
-                        return Err(RuntimeError::NullDeref);
-                    };
-                    let class = heap.class_of(target);
-                    let slot = layouts.slot_of_known(class, field) + addend as usize;
-                    self.metrics.instructions += 1;
-                    self.metrics.stores += 1;
-                    self.touch(heap.slot_addr(target, slot));
-                    heap.set(target, slot, co.apply(v));
+                    let v = co.apply(binop(op, l, r));
+                    self.machine
+                        .write_tree(heap, node, path(p), field, addend.into(), v)?;
                 }
                 Op::TreeLoc {
                     dst,
-                    path,
+                    path: p,
                     field,
                     addend,
                     co,
                 } => {
-                    let Some(target) = self.navigate(heap, node, path)? else {
-                        return Err(RuntimeError::NullDeref);
-                    };
-                    let class = heap.class_of(target);
-                    let slot = layouts.slot_of_known(class, field) + addend as usize;
-                    self.metrics.instructions += 1;
-                    self.metrics.loads += 1;
-                    self.touch(heap.slot_addr(target, slot));
-                    let v = heap.get(target, slot);
-                    self.metrics.instructions += 1; // the fused StoreLocal
+                    let v = self
+                        .machine
+                        .read_tree(heap, node, path(p), field, addend.into())?;
+                    self.machine.metrics.instructions += 1; // the fused StoreLocal
                     self.regs[base + dst as usize] = co.apply(v);
                 }
                 Op::TreeTree {
@@ -599,76 +472,58 @@ impl<'a> Vm<'a> {
                     waddend,
                     co,
                 } => {
-                    let Some(src) = self.navigate(heap, node, rpath)? else {
-                        return Err(RuntimeError::NullDeref);
-                    };
-                    let class = heap.class_of(src);
-                    let slot = layouts.slot_of_known(class, rfield.into()) + raddend as usize;
-                    self.metrics.instructions += 1;
-                    self.metrics.loads += 1;
-                    self.touch(heap.slot_addr(src, slot));
-                    let v = heap.get(src, slot);
-                    let Some(dst) = self.navigate(heap, node, wpath)? else {
-                        return Err(RuntimeError::NullDeref);
-                    };
-                    let class = heap.class_of(dst);
-                    let slot = layouts.slot_of_known(class, wfield.into()) + waddend as usize;
-                    self.metrics.instructions += 1;
-                    self.metrics.stores += 1;
-                    self.touch(heap.slot_addr(dst, slot));
-                    heap.set(dst, slot, co.apply(v));
+                    let (rfield, raddend) = (rfield.into(), raddend.into());
+                    let v = self
+                        .machine
+                        .read_tree(heap, node, path(rpath), rfield, raddend)?;
+                    let (wfield, waddend) = (wfield.into(), waddend.into());
+                    self.machine.write_tree(
+                        heap,
+                        node,
+                        path(wpath),
+                        wfield,
+                        waddend,
+                        co.apply(v),
+                    )?;
                 }
                 Op::ConstTree {
                     c,
-                    path,
+                    path: p,
                     field,
                     addend,
                     co,
                 } => {
-                    let Some(target) = self.navigate(heap, node, path)? else {
-                        return Err(RuntimeError::NullDeref);
-                    };
-                    let class = heap.class_of(target);
-                    let slot = layouts.slot_of_known(class, field) + addend as usize;
-                    self.metrics.instructions += 1;
-                    self.metrics.stores += 1;
-                    self.touch(heap.slot_addr(target, slot));
-                    heap.set(target, slot, co.apply(m.consts[c as usize]));
+                    let v = co.apply(m.consts[c as usize]);
+                    self.machine
+                        .write_tree(heap, node, path(p), field, addend.into(), v)?;
                 }
                 Op::ConstLoc { dst, c, co } => {
-                    self.metrics.instructions += 1;
+                    self.machine.metrics.instructions += 1;
                     self.regs[base + dst as usize] = co.apply(m.consts[c as usize]);
                 }
                 Op::LocTree {
                     src,
-                    path,
+                    path: p,
                     field,
                     addend,
                     co,
                 } => {
-                    self.metrics.instructions += 1; // the fused Mov
-                    let v = self.regs[base + src as usize];
-                    let Some(target) = self.navigate(heap, node, path)? else {
-                        return Err(RuntimeError::NullDeref);
-                    };
-                    let class = heap.class_of(target);
-                    let slot = layouts.slot_of_known(class, field) + addend as usize;
-                    self.metrics.instructions += 1;
-                    self.metrics.stores += 1;
-                    self.touch(heap.slot_addr(target, slot));
-                    heap.set(target, slot, co.apply(v));
+                    self.machine.metrics.instructions += 1; // the fused Mov
+                    let v = co.apply(self.regs[base + src as usize]);
+                    self.machine
+                        .write_tree(heap, node, path(p), field, addend.into(), v)?;
                 }
                 Op::LocLoc { dst, src, co } => {
-                    self.metrics.instructions += 2; // Mov + StoreLocal
+                    self.machine.metrics.instructions += 2; // Mov + StoreLocal
                     self.regs[base + dst as usize] = co.apply(self.regs[base + src as usize]);
                 }
                 Op::NavCall {
                     call,
-                    path,
+                    path: p,
                     argbase,
                     null_target,
                 } => {
-                    match self.navigate(heap, node, path)? {
+                    match self.machine.navigate(heap, node, path(p))? {
                         None => pc = null_target as usize, // traversal stops here
                         Some(child_node) => {
                             let args = base + argbase as usize;

@@ -25,10 +25,12 @@
 //!    fewer dispatch rounds;
 //! 3. [`Vm`] executes the module with a single `match`-dispatch loop over
 //!    the contiguous op vector, directly against the existing
-//!    [`grafter_runtime::Heap`], producing the same
-//!    [`grafter_runtime::Metrics`] and (optionally) feeding the same
-//!    [`grafter_cachesim::CacheHierarchy`] as the interpreter —
-//!    bit-identical counters, measurably less wall-clock per visit.
+//!    [`grafter_runtime::Heap`]. Every memory access goes through the
+//!    [`grafter_runtime::Machine`] the interpreter drives too, so the
+//!    [`grafter_runtime::Metrics`] and the simulated
+//!    [`grafter_cachesim::CacheHierarchy`] traffic are the interpreter's
+//!    by construction — bit-identical counters, measurably less
+//!    wall-clock per visit.
 //!
 //! Backend choice is one builder call away: [`Backend`] on
 //! `grafter_engine::Engine::builder().backend(..)` selects the tier, and
@@ -75,7 +77,7 @@
 //! let mut vm = Vm::new(&module);
 //! vm.run(&mut h2, r2, &[]).unwrap();
 //!
-//! assert_eq!(interp.metrics, vm.metrics); // identical metrics, bit for bit
+//! assert_eq!(interp.machine.metrics, vm.machine.metrics); // identical metrics, bit for bit
 //! assert_eq!(h1.snapshot(r1), h2.snapshot(r2)); // identical trees
 //!
 //! // The lowered artifact is inspectable (grafterc --emit bytecode).

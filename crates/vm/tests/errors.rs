@@ -140,6 +140,44 @@ fn not_a_ref_surfaces_identically() {
     assert_eq!(interp[0].message, vm[0].message);
 }
 
+#[test]
+fn a_wrong_class_child_below_the_api_fails_identically() {
+    // `Heap::set_child_by_name` skips the class check `Session::set_child`
+    // makes, so `next` can hold an `Other`, which has no slot for `a`.
+    // Reading or writing `next.a` must then fail the same way on both
+    // tiers (a panic the session turns into a runtime error), never
+    // touch another field.
+    for body in ["a = next.a + 1;", "next.a = 1;"] {
+        let src = format!(
+            "tree class Node {{ child Node* next; int a = 0; virtual traversal go() {{}} }}
+             tree class Cons : Node {{ traversal go() {{ {body} }} }}
+             tree class End : Node {{ }}
+             tree class Other {{ int b = 0; int c = 0; virtual traversal t() {{}} }}"
+        );
+        let compiled = Compiled::compile(src).unwrap();
+        let run = |backend: Backend| {
+            let engine = Engine::builder()
+                .compiled(compiled.clone())
+                .entry("Node", &["go"])
+                .backend(backend)
+                .build()
+                .unwrap();
+            let err = engine
+                .session()
+                .run_input(|heap| {
+                    let other = heap.alloc_by_name("Other").unwrap();
+                    let cons = heap.alloc_by_name("Cons").unwrap();
+                    heap.set_child_by_name(cons, "next", Some(other)).unwrap();
+                    cons
+                })
+                .expect_err("run must fail");
+            assert_eq!(err.stage(), Stage::Runtime, "{backend} `{body}`: {err}");
+            err.to_string()
+        };
+        assert_eq!(run(Backend::Interp), run(Backend::Vm), "`{body}`");
+    }
+}
+
 /// Builds `src` (entry `N.t`) on both tiers: the VM build must fail at the
 /// lowering stage naming `limit`, and the interpreter must still run it.
 fn past_a_bytecode_limit(src: &str, limit: &str) -> Report {

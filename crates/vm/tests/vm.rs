@@ -102,8 +102,8 @@ fn differential(
     vm.run(&mut h2, r2, args).expect("vm run succeeds");
 
     (
-        (h1.snapshot(r1), interp.metrics.clone()),
-        (h2.snapshot(r2), vm.metrics.clone()),
+        (h1.snapshot(r1), interp.machine.metrics.clone()),
+        (h2.snapshot(r2), vm.machine.metrics.clone()),
     )
 }
 
@@ -282,16 +282,18 @@ fn cache_traffic_is_identical_to_interp() {
 
     let mut h1 = Heap::new(&program);
     let r1 = build(&mut h1);
-    let mut interp = Interp::new(&fused).with_cache(CacheHierarchy::xeon());
+    let mut interp = Interp::new(&fused);
+    interp.machine.cache = Some(CacheHierarchy::xeon());
     interp.run(&mut h1, r1, &[]).unwrap();
-    let s_i = interp.cache.as_ref().unwrap().stats();
+    let s_i = interp.machine.cache.as_ref().unwrap().stats();
 
     let module = lower(&fused);
     let mut h2 = Heap::new(&program);
     let r2 = build(&mut h2);
-    let mut vm = Vm::new(&module).with_cache(CacheHierarchy::xeon());
+    let mut vm = Vm::new(&module);
+    vm.machine.cache = Some(CacheHierarchy::xeon());
     vm.run(&mut h2, r2, &[]).unwrap();
-    let s_v = vm.cache.as_ref().unwrap().stats();
+    let s_v = vm.machine.cache.as_ref().unwrap().stats();
 
     for level in 0..3 {
         assert_eq!(
@@ -317,7 +319,7 @@ fn globals_are_readable_and_settable_on_the_vm() {
     let module = lower(&fused);
     let mut vm = Vm::new(&module);
     assert_eq!(vm.global("CHAR_WIDTH"), Some(Value::Int(8)));
-    vm.set_global("CHAR_WIDTH", Value::Int(4)).unwrap();
+    vm.machine.set_global("CHAR_WIDTH", Value::Int(4)).unwrap();
     assert_eq!(vm.global("CHAR_WIDTH"), Some(Value::Int(4)));
 
     let mut heap = Heap::new(&program);
@@ -437,7 +439,7 @@ fn global_names_resolve_through_the_index_on_both_tiers() {
     let mut interp = Interp::new(&fused);
     for (tier, took) in [
         ("vm", read_all(&|n| vm.global(n))),
-        ("interp", read_all(&|n| interp.global(n))),
+        ("interp", read_all(&|n| interp.machine.global(n))),
     ] {
         assert!(
             took < std::time::Duration::from_secs(1),
@@ -445,11 +447,11 @@ fn global_names_resolve_through_the_index_on_both_tiers() {
         );
     }
     assert_eq!(vm.global("g40000"), None);
-    assert_eq!(interp.global("g4"), Some(Value::Int(4)));
+    assert_eq!(interp.machine.global("g4"), Some(Value::Int(4)));
 
     // A set on the last global is what the next run reads.
-    vm.set_global("g39999", Value::Int(5)).unwrap();
-    interp.set_global("g39999", Value::Int(5)).unwrap();
+    vm.machine.set_global("g39999", Value::Int(5)).unwrap();
+    interp.machine.set_global("g39999", Value::Int(5)).unwrap();
     let mut h1 = Heap::new(&program);
     let mut h2 = Heap::new(&program);
     let (r1, r2) = (

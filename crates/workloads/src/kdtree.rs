@@ -432,7 +432,7 @@ mod tests {
                 &[vec![Value::Float(0.0), Value::Float(2.0)]],
             )
             .unwrap();
-        assert_eq!(interp.global("INTEGRAL"), Some(Value::Float(2.0)));
+        assert_eq!(interp.machine.global("INTEGRAL"), Some(Value::Float(2.0)));
     }
 
     #[test]
@@ -504,8 +504,8 @@ mod tests {
             interp.run(&mut heap, leaf, &[op.args()]).unwrap();
             let c = coeffs(&heap, leaf);
             let (i, pr) = (
-                interp.global("INTEGRAL").unwrap().as_f64(),
-                interp.global("PROJECTION").unwrap().as_f64(),
+                interp.machine.global("INTEGRAL").unwrap().as_f64(),
+                interp.machine.global("PROJECTION").unwrap().as_f64(),
             );
             (c, i, pr)
         };
@@ -547,7 +547,7 @@ mod tests {
             let root = (exp.build)(&mut heap);
             let mut interp = Interp::new(engine.fused_program());
             interp.run(&mut heap, root, &exp.args).unwrap();
-            interp.global("INTEGRAL").unwrap()
+            interp.machine.global("INTEGRAL").unwrap()
         };
         assert_eq!(run(&fused), run(&unfused));
     }
