@@ -759,7 +759,8 @@ impl Heap {
         Some(())
     }
 
-    /// Sets a child pointer by name.
+    /// Sets a child pointer by name, unchecked: [`Layouts::child_slot`]
+    /// is the check a typed edit makes.
     pub fn set_child_by_name(
         &mut self,
         id: NodeId,
