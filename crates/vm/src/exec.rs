@@ -6,14 +6,20 @@
 //! activation = one register window on a shared register stack (no
 //! per-call `Vec<Vec<Value>>` frames), dispatch is a jump-table index (no
 //! `HashMap` probes), and pure functions are called through a table
-//! resolved once per engine.
+//! resolved once per engine. After stub dispatch, one read of the
+//! callee's entry-mask table picks the clone an activation with those
+//! flags runs (the generic body when there is none); the activation
+//! still takes its generic function's frame and parameter registers,
+//! which every clone shares.
 //!
 //! Cost accounting is bit-compatible with [`grafter_runtime::Interp`] by
 //! construction: both tiers perform every memory access (dispatch header,
 //! navigation, tree and global reads and writes, `new`, `delete`, pure
 //! calls) through the shared [`Machine`], so loads, stores and simulated
 //! cache traffic cannot diverge. Only the ALU, guard and flag-shuffle
-//! charges are made here, at the points the interpreter makes them.
+//! charges are made here, at the points the interpreter makes them; the
+//! guards a function's body left out are prepaid on entry and refunded
+//! by a `retrav` that leaves early.
 
 use std::sync::Arc;
 
@@ -205,7 +211,12 @@ impl<'a> Vm<'a> {
         r
     }
 
-    /// The dispatch loop: executes one activation of function `fidx`.
+    /// The dispatch loop: executes one activation of function `fidx`
+    /// entered with `active`, running the function's clone for that entry
+    /// mask when it has one. (Picking the clone here, once per activation
+    /// and outside the loop, keeps `call`'s inlined copy in the loop
+    /// small: picked in `call`, it slowed perfbench `run` on render and
+    /// kdtree, which have no clone, by 3-4% on a 2-vCPU Xeon.)
     ///
     /// Generic over the probe so the uninstrumented instantiation
     /// (`P = NoProbe`, `P::ENABLED = false`) monomorphizes to exactly the
@@ -219,10 +230,11 @@ impl<'a> Vm<'a> {
         base: usize,
         probe: &mut P,
     ) -> RResult<()> {
+        let m = self.module;
+        let fidx = m.specialized(fidx, active);
         if P::ENABLED {
             probe.enter_func(fidx as usize);
         }
-        let m = self.module;
         let path = |path: u16| m.paths[path as usize].iter().copied();
         let f = &m.funcs[fidx as usize];
         // Prepay the guards lowering folded (see `FuncInfo`).

@@ -19,13 +19,16 @@
 //!    parts pass no placeholder arguments;
 //! 2. the [`opt`] pipeline rewrites the module ([`OptLevel::O2`] by
 //!    default, [`OptLevel::O0`] via [`lower_with`]/[`VmOptions`]):
-//!    peephole fusion of hot adjacent pairs into superinstructions, then
-//!    register-window compaction — both observationally bit-identical to
-//!    unoptimized code (same `Metrics`, cache traffic, errors), just
-//!    fewer dispatch rounds;
+//!    peephole fusion of hot adjacent pairs into superinstructions,
+//!    register-window compaction, then per-entry-mask clones of the
+//!    multi-traversal functions, which leave out what the traversal
+//!    copies inactive at entry would guard — all observationally
+//!    bit-identical to unoptimized code (same `Metrics`, cache traffic,
+//!    errors), just fewer dispatch rounds;
 //! 3. [`Vm`] executes the module with a single `match`-dispatch loop over
 //!    the contiguous op vector, directly against the existing
-//!    [`grafter_runtime::Heap`]. Every memory access goes through the
+//!    [`grafter_runtime::Heap`]; each activation runs the clone for its
+//!    entry mask when there is one. Every memory access goes through the
 //!    [`grafter_runtime::Machine`] the interpreter drives too, so the
 //!    [`grafter_runtime::Metrics`] and the simulated
 //!    [`grafter_cachesim::CacheHierarchy`] traffic are the interpreter's

@@ -43,7 +43,9 @@ use grafter_frontend::{
 use grafter_runtime::ops::field_ty;
 use grafter_runtime::{Layouts, Value};
 
-use crate::module::{CallInfo, CallPartInfo, Co, FuncInfo, Module, Op, StubInfo, NO_TARGET};
+use crate::module::{
+    CallInfo, CallPartInfo, Co, FuncInfo, Module, Op, StubInfo, NO_CLONES, NO_TARGET,
+};
 use crate::opt::{optimize, OptReport, VmOptions};
 
 /// Process-wide count of [`lower`] invocations.
@@ -189,6 +191,8 @@ pub fn try_lower_with(fp: &FusedProgram, opts: &VmOptions) -> Result<Module, Low
         pure_names: program.pures.iter().map(|p| p.name.clone()).collect(),
         entries,
         opt: OptReport::none(),
+        clone_table: Vec::new(),
+        clone_of: Vec::new(),
     };
     module.opt = optimize(&mut module, opts.opt_level);
     Ok(module)
@@ -510,6 +514,7 @@ impl Lowerer<'_> {
             total_regs: self.reg(self.max_reg, 1),
             params: params.into_boxed_slice(),
             name: f.name.clone(),
+            clones: NO_CLONES,
         }
     }
 

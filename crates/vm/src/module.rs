@@ -17,7 +17,11 @@
 //! - **dispatch stubs** become per-stub jump tables indexed by the
 //!   receiver's dynamic [`ClassId`], replacing the interpreter's linear
 //!   `target_for` scan;
-//! - **constants** are interned into a deduplicated pool at lowering time.
+//! - **constants** are interned into a deduplicated pool at lowering time;
+//! - **entry-mask clones** (made by [`crate::opt`]'s `specialize` pass)
+//!   follow the functions lowered from the fused program, ops and
+//!   metadata alike; a function with clones has a table from entry mask
+//!   to the function an activation entered with that mask runs.
 //!
 //! The module is inert data: [`crate::Vm`] executes it against a
 //! [`grafter_runtime::Heap`]. [`Module::disassemble`] pretty-prints the
@@ -397,7 +401,8 @@ pub(crate) const NO_TARGET: u32 = u32::MAX;
 /// Every activation of a multi-traversal function pays one
 /// [`grafter_runtime::cost::GUARD`] per scheduled item it reaches, as the
 /// interpreter does. Lowering folds each guard the must-active analysis
-/// decides; the activation prepays those `folded` charges on entry, and a
+/// decides, and a clone folds or drops more (see [`crate::opt`]); the
+/// activation prepays those `folded` charges on entry, and a
 /// [`Op::Deactivate`] that leaves early refunds the ones it skips.
 #[derive(Clone, Debug)]
 pub(crate) struct FuncInfo {
@@ -413,11 +418,21 @@ pub(crate) struct FuncInfo {
     pub frame_regs: u16,
     /// Total register window (locals + expression scratch).
     pub total_regs: u16,
-    /// Per traversal copy: frame-relative register of each parameter.
+    /// Per traversal copy: frame-relative register of each parameter
+    /// (empty for a clone, whose activations take its generic function's).
     pub params: Box<[Box<[u16]>]>,
-    /// Generated name (mirrors the fused function's).
+    /// Generated name (mirrors the fused function's; empty for a clone,
+    /// named by [`Module::func_name`]).
     pub name: String,
+    /// Where this function's mask table starts in [`Module::clone_table`]
+    /// ([`NO_CLONES`] when it has no clone): entry `mask` names the
+    /// function an activation entered with `mask` runs. The table has
+    /// `2^n_traversals` entries, one per mask.
+    pub clones: u32,
 }
+
+/// [`FuncInfo::clones`] of a function without clones.
+pub(crate) const NO_CLONES: u32 = u32::MAX;
 
 /// A lowered dispatch stub: a jump table keyed by dynamic class id.
 #[derive(Clone, Debug)]
@@ -478,17 +493,64 @@ pub struct Module {
     pub(crate) entries: Vec<u16>,
     /// What the optimizer did to this module (level + per-pass deltas).
     pub(crate) opt: crate::opt::OptReport,
+    /// The entry-mask tables of the functions that have clones (see
+    /// [`FuncInfo::clones`]); empty below [`crate::OptLevel::O2`].
+    pub(crate) clone_table: Vec<u32>,
+    /// Per clone, in function order after the generic functions: the
+    /// function it specialises and the entry mask its activations start
+    /// with.
+    pub(crate) clone_of: Vec<(u32, u64)>,
 }
 
 impl Module {
-    /// Number of bytecode instructions across all functions.
+    /// Number of bytecode instructions across all functions, clones
+    /// included.
     pub fn n_ops(&self) -> usize {
         self.ops.len()
     }
 
-    /// Number of lowered functions.
+    /// Number of functions, clones included (the per-function counters of
+    /// a probed run are sized by it).
     pub fn n_functions(&self) -> usize {
         self.funcs.len()
+    }
+
+    /// Number of functions and of ops lowered from the fused program: the
+    /// clones and their ops follow them.
+    fn generic_size(&self) -> (usize, usize) {
+        let fns = self.funcs.len() - self.clone_of.len();
+        let ops = self
+            .funcs
+            .get(fns)
+            .map_or(self.ops.len(), |c| c.entry as usize);
+        (fns, ops)
+    }
+
+    /// The generic function and entry mask of function `fidx`, when it is
+    /// a clone.
+    fn clone_source(&self, fidx: usize) -> Option<(u32, u64)> {
+        let (generic, _) = self.generic_size();
+        fidx.checked_sub(generic).map(|c| self.clone_of[c])
+    }
+
+    /// Display name of function `fidx`: a clone reads `<fn>@<mask>`, its
+    /// generic function's name and its entry mask.
+    pub(crate) fn func_name(&self, fidx: usize) -> String {
+        match self.clone_source(fidx) {
+            Some((g, mask)) => format!("{}@{mask:#b}", self.funcs[g as usize].name),
+            None => self.funcs[fidx].name.clone(),
+        }
+    }
+
+    /// The function an activation of `fidx` entered with `flags` runs: its
+    /// clone for that entry mask, or `fidx` itself. Entry flags only set
+    /// bits of the function's copies, so they index its table.
+    #[inline(always)]
+    pub(crate) fn specialized(&self, fidx: u32, flags: u64) -> u32 {
+        match self.funcs[fidx as usize].clones {
+            NO_CLONES => fidx,
+            start => self.clone_table[start as usize + flags as usize],
+        }
     }
 
     /// Number of dispatch jump tables.
@@ -518,10 +580,10 @@ impl Module {
     /// superinstructions flagged, and the fires totalled per [`OpKind`].
     pub fn profile(&self, counters: &grafter_obs::ExecCounters) -> grafter_obs::TierProfile {
         let mut p = grafter_obs::TierProfile::default();
-        for (i, f) in self.funcs.iter().enumerate() {
+        for i in 0..self.funcs.len() {
             let hits = counters.func_hits.get(i).copied().unwrap_or(0);
             if hits > 0 {
-                p.func_hits.push((f.name.clone(), hits));
+                p.func_hits.push((self.func_name(i), hits));
             }
         }
         let mut fires: std::collections::BTreeMap<&'static str, (u64, bool)> =
@@ -547,11 +609,12 @@ impl Module {
             .iter()
             .map(|&k| (k.label().to_string(), kinds[k as usize]))
             .collect();
-        for (i, f) in self.funcs.iter().enumerate() {
+        for i in 0..self.funcs.len() {
             for (bi, &(start, _)) in basic_blocks(self, i).iter().enumerate() {
                 let hits = counters.op_hits.get(start as usize).copied().unwrap_or(0);
                 if hits > 0 {
-                    p.block_hits.push((format!("{}/b{bi}", f.name), hits));
+                    p.block_hits
+                        .push((format!("{}/b{bi}", self.func_name(i)), hits));
                 }
             }
         }
@@ -565,18 +628,37 @@ impl Module {
         &self.layouts
     }
 
-    /// Pretty-prints the whole module: functions with addressed ops, stub
-    /// jump tables and the constant pool (the `--emit bytecode` format).
-    pub fn disassemble(&self) -> String {
-        let mut out = String::new();
+    /// The module line both disassembly formats open with. It counts the
+    /// functions and ops lowered from the fused program; the `specialize`
+    /// pass line counts the clones' ops on top.
+    fn write_header(&self, out: &mut String) {
+        let (fns, ops) = self.generic_size();
         let _ = writeln!(
             out,
-            "; grafter-vm module: {} op(s), {} function(s), {} stub(s), {} const(s)",
-            self.ops.len(),
-            self.funcs.len(),
+            "; grafter-vm module: {ops} op(s), {fns} function(s), {} stub(s), {} const(s)",
             self.stubs.len(),
             self.consts.len()
         );
+    }
+
+    /// The opening of function `fidx`'s header line, up to its traversal
+    /// count: a clone's name carries its entry mask, and it names the
+    /// function it specialises.
+    fn fn_head(&self, fidx: usize) -> String {
+        let of = match self.clone_source(fidx) {
+            Some((g, _)) => format!("clone of fn {g}, "),
+            None => String::new(),
+        };
+        let (name, n) = (self.func_name(fidx), self.funcs[fidx].n_traversals);
+        format!("fn {fidx} {name} ({of}traversals={n}")
+    }
+
+    /// Pretty-prints the whole module: functions with addressed ops (the
+    /// entry-mask clones after the functions they specialise), stub jump
+    /// tables and the constant pool (the `--emit bytecode` format).
+    pub fn disassemble(&self) -> String {
+        let mut out = String::new();
+        self.write_header(&mut out);
         let _ = writeln!(
             out,
             "; entries: {}",
@@ -594,12 +676,20 @@ impl Module {
                 p.pass, p.before, p.after, p.unit, p.rewrites, p.action
             );
         }
+        let (generic, _) = self.generic_size();
         for (i, f) in self.funcs.iter().enumerate() {
+            if i == generic {
+                let _ = writeln!(
+                    out,
+                    "\n; entry-mask clones: {} function(s), {} op(s)",
+                    self.funcs.len() - generic,
+                    self.ops.len() - f.entry as usize
+                );
+            }
             let _ = writeln!(
                 out,
-                "\nfn {i} {} (traversals={}, folded-guards={}, locals=r0..r{}, scratch=r{}..r{})",
-                f.name,
-                f.n_traversals,
+                "\n{}, folded-guards={}, locals=r0..r{}, scratch=r{}..r{})",
+                self.fn_head(i),
                 f.folded,
                 f.frame_regs.saturating_sub(1),
                 f.frame_regs,
@@ -628,25 +718,12 @@ impl Module {
     /// shows both its next-item edge and the final-traversal `ret`).
     pub fn disassemble_blocks(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "; grafter-vm module: {} op(s), {} function(s), {} stub(s), {} const(s)",
-            self.ops.len(),
-            self.funcs.len(),
-            self.stubs.len(),
-            self.consts.len()
-        );
+        self.write_header(&mut out);
         let _ = writeln!(out, "; basic-block view: the CFG of each function");
         let _ = writeln!(out, "; opt: {}", self.opt.level);
         for (i, f) in self.funcs.iter().enumerate() {
             let blocks = basic_blocks(self, i);
-            let _ = writeln!(
-                out,
-                "\nfn {i} {} (traversals={}, {} block(s))",
-                f.name,
-                f.n_traversals,
-                blocks.len()
-            );
+            let _ = writeln!(out, "\n{}, {} block(s))", self.fn_head(i), blocks.len());
             let block_of = |pc: u32| {
                 blocks
                     .binary_search_by_key(&pc, |&(s, _)| s)

@@ -3,7 +3,7 @@
 //! [`crate::lower`] emits naive one-op-per-HIR-node code, so the VM's
 //! dispatch loop pays a full `match` round-trip per tiny instruction —
 //! the classic interpreter overhead that superinstructions eliminate.
-//! At [`OptLevel::O2`], [`optimize`] runs two passes over a module:
+//! At [`OptLevel::O2`], [`optimize`] runs three passes over a module:
 //!
 //! 1. **peephole** — fusion of hot adjacent pairs into
 //!    superinstructions (load-field + coerce, load + binop, compare +
@@ -11,30 +11,41 @@
 //!    receiver navigation + call), in one scan per function over a
 //!    register-liveness solution computed once for that function;
 //! 2. **regs** — register-window compaction: each function's window
-//!    shrinks to the registers its fused body still touches.
+//!    shrinks to the registers its fused body still touches;
+//! 3. **specialize** — entry-mask clones: a multi-traversal function
+//!    gets one copy of its optimised body per entry mask its activations
+//!    can start with, without the items of traversal copies inactive at
+//!    entry and without the guards and `skipoff`s the mask decides. The
+//!    generic body stays as it is and runs every mask without a clone;
+//!    clones and their mask tables share one cap (`CLONE_OP_CAP`). A
+//!    module with no multi-traversal function (every unfused one) skips
+//!    the pass.
 //!
-//! **The invariant both passes preserve:** optimized execution is
+//! **The invariant every pass preserves:** optimized execution is
 //! *observationally bit-identical* to unoptimized execution — the same
 //! heap snapshots, the same [`grafter_runtime::Metrics`] (every
 //! superinstruction charges exactly the instructions/loads/stores of the
-//! pair it replaces), the same simulated cache traffic (same addresses
-//! touched in the same order), and the same runtime errors. The
-//! optimizer trades *dispatch overhead* — fewer `match` rounds, smaller
-//! register windows — never counters. The differential suites
+//! pair it replaces, and a clone prepays each guard it drops), the same
+//! simulated cache traffic (same addresses touched in the same order),
+//! and the same runtime errors. The optimizer trades *dispatch overhead*
+//! — fewer `match` rounds, smaller register windows, fewer guards —
+//! never counters. The differential suites
 //! (`crates/vm/tests/opt_differential.rs`) assert `O0 == O2 == interp`
-//! across every case-study workload.
+//! across every case-study workload, and `tests/soundness.rs` across
+//! generated programs with early returns.
 
 use std::fmt;
 use std::str::FromStr;
 
-use crate::module::{CallInfo, Module, Op};
+use crate::module::{CallInfo, FuncInfo, Module, Op, NO_CLONES};
 
 /// How hard [`optimize`] works on a lowered module.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum OptLevel {
     /// No optimization: execute exactly what [`crate::lower`] emitted.
     O0,
-    /// Peephole superinstructions, then register-window compaction.
+    /// Peephole superinstructions, register-window compaction, then
+    /// entry-mask clones.
     #[default]
     O2,
 }
@@ -78,7 +89,7 @@ impl VmOptions {
 /// One optimization pass's before/after accounting.
 #[derive(Clone, Debug)]
 pub struct PassStat {
-    /// Pass name (`peephole`, `regs`).
+    /// Pass name (`peephole`, `regs`, `specialize`).
     pub pass: &'static str,
     /// Count before the pass ran, in `unit`s.
     pub before: usize,
@@ -88,7 +99,7 @@ pub struct PassStat {
     pub unit: &'static str,
     /// How many sites the pass rewrote.
     pub rewrites: usize,
-    /// What a rewrite did (`fused`, `shrunk`).
+    /// What a rewrite did (`fused`, `shrunk`, `cloned`).
     pub action: &'static str,
     /// Wall time the pass took, in nanoseconds (excluded from equality —
     /// two identical optimizations compare equal across machines).
@@ -142,7 +153,10 @@ pub fn optimize(module: &mut Module, level: OptLevel) -> OptReport {
     if level == OptLevel::O0 {
         return OptReport::none();
     }
-    let passes = vec![timed(module, peephole_pass), timed(module, regs_pass)];
+    let mut passes = vec![timed(module, peephole_pass), timed(module, regs_pass)];
+    if module.clone_of.is_empty() && module.funcs.iter().any(|f| f.n_traversals > 1) {
+        passes.push(timed(module, specialize_pass));
+    }
     OptReport { level, passes }
 }
 
@@ -719,6 +733,488 @@ fn regs_pass(module: &mut Module) -> PassStat {
         unit: "reg",
         rewrites,
         action: "shrunk",
+    }
+}
+
+// ---- pass 3: entry-mask specialisation ------------------------------------
+
+/// What the entry-mask clones of one module may cost together, in ops:
+/// every clone's ops and every mask table the search allocates, at four
+/// entries to the op (a `u32` function index against a 16-byte op).
+pub(crate) const CLONE_OP_CAP: usize = 8_192;
+
+/// A mask-table entry no reached activation starts with.
+const UNREACHED: u32 = u32::MAX;
+
+/// A grouped call of a multi-traversal function, as the search sees it.
+#[derive(Clone, Copy)]
+struct Site {
+    stub: u16,
+    /// The caller copies with a `retrav` before the call: their bits are
+    /// undecided at it.
+    returned: u64,
+    /// The caller copies the call's parts belong to.
+    copies: u64,
+    /// The site's range of [`Search::groups`].
+    groups: (u32, u32),
+}
+
+/// The state of [`specialize_pass`]: each multi-traversal function's
+/// bookkeeping ops and call sites, and the (function, entry mask) pairs
+/// its activations can start with.
+struct Search {
+    /// Per generic function: its range of `events`, `jumps` and `sites`.
+    ranges: Vec<[(u32, u32); 3]>,
+    /// The pcs of every `guard`, `skipoff`, `retrav`, `nav` and `call`,
+    /// function by function.
+    events: Vec<u32>,
+    /// The pcs of every op with a jump target, function by function.
+    jumps: Vec<u32>,
+    sites: Vec<Site>,
+    /// Per site: the copies active at the call, `[lo, hi]`, that it last
+    /// reached callee masks for.
+    last: Vec<(u64, u64)>,
+    /// Per site and caller copy among its parts: the copy's bit and the
+    /// callee bits of its parts.
+    groups: Vec<(u64, u64)>,
+    /// The distinct functions each stub dispatches to, stub by stub, and
+    /// each stub's range of them.
+    targets: Vec<u32>,
+    stub_targets: Vec<(u32, u32)>,
+    /// Per generic function: the start of its mask table in `table`
+    /// (`2^n` entries for `n` copies), once a pair of it is reached.
+    /// `Some(UNREACHED)` when the table did not fit the cap.
+    at: Vec<Option<u32>>,
+    /// Mask tables: [`UNREACHED`], the function itself once reached, or
+    /// its clone.
+    table: Vec<u32>,
+    /// Reached pairs, in the order they were reached.
+    reached: Vec<(u32, u64)>,
+    /// What is left of [`CLONE_OP_CAP`].
+    left: usize,
+    /// Scratch: the callee masks of one call.
+    masks: Vec<u64>,
+}
+
+impl Search {
+    fn new(module: &Module) -> Self {
+        let mut search = Search {
+            ranges: Vec::with_capacity(module.funcs.len()),
+            events: Vec::new(),
+            jumps: Vec::new(),
+            sites: Vec::new(),
+            last: Vec::new(),
+            groups: Vec::new(),
+            targets: Vec::new(),
+            stub_targets: Vec::with_capacity(module.stubs.len()),
+            at: vec![None; module.funcs.len()],
+            table: Vec::new(),
+            reached: Vec::new(),
+            left: CLONE_OP_CAP,
+            masks: Vec::new(),
+        };
+        for f in &module.funcs {
+            let start = [&search.events, &search.jumps].map(|v| v.len() as u32);
+            let s0 = search.sites.len() as u32;
+            if f.n_traversals > 1 {
+                let mut returned = 0u64;
+                for pc in f.entry..f.end {
+                    match module.ops[pc as usize] {
+                        Op::Guard { .. } | Op::SkipInactive { .. } | Op::Nav { .. } => {
+                            search.jumps.push(pc);
+                        }
+                        Op::Deactivate { traversal, .. } => {
+                            returned |= 1 << traversal;
+                            search.jumps.push(pc);
+                        }
+                        Op::NavCall { call, .. } => {
+                            search.site(module, call, returned);
+                            search.jumps.push(pc);
+                        }
+                        Op::Call { call, .. } => search.site(module, call, returned),
+                        ref op => {
+                            if op_target(op).is_some() {
+                                search.jumps.push(pc);
+                            }
+                            continue;
+                        }
+                    }
+                    search.events.push(pc);
+                }
+            }
+            search.ranges.push([
+                (start[0], search.events.len() as u32),
+                (start[1], search.jumps.len() as u32),
+                (s0, search.sites.len() as u32),
+            ]);
+        }
+        search.last = vec![(u64::MAX, 0); search.sites.len()];
+        // Each stub's targets in class order, each function once.
+        let mut listed = vec![u32::MAX; module.funcs.len()];
+        for (si, s) in module.stubs.iter().enumerate() {
+            let t0 = search.targets.len() as u32;
+            for &t in s.targets.iter() {
+                if t != crate::module::NO_TARGET && listed[t as usize] != si as u32 {
+                    listed[t as usize] = si as u32;
+                    search.targets.push(t);
+                }
+            }
+            search.stub_targets.push((t0, search.targets.len() as u32));
+        }
+        search
+    }
+
+    /// Records call `call`, after `retrav`s of the `returned` copies.
+    fn site(&mut self, module: &Module, call: u16, returned: u64) {
+        let info = &module.calls[call as usize];
+        let g0 = self.groups.len();
+        let mut copies = 0u64;
+        for (i, part) in info.parts.iter().enumerate() {
+            let bit = 1u64 << part.traversal;
+            copies |= bit;
+            match self.groups[g0..].iter_mut().find(|g| g.0 == bit) {
+                Some(g) => g.1 |= 1 << i,
+                None => self.groups.push((bit, 1 << i)),
+            }
+        }
+        self.sites.push(Site {
+            stub: info.stub,
+            returned,
+            copies,
+            groups: (g0 as u32, self.groups.len() as u32),
+        });
+    }
+
+    /// The start of `f`'s mask table, allocated on first use; `None` for a
+    /// single-copy function or when the table does not fit the cap.
+    fn table_of(&mut self, module: &Module, f: u32) -> Option<usize> {
+        let at = *self.at[f as usize].get_or_insert_with(|| {
+            let n = u32::from(module.funcs[f as usize].n_traversals);
+            let len = 1usize << n.min(32);
+            if !(2..32).contains(&n) || len / 4 > self.left {
+                return UNREACHED;
+            }
+            self.left -= len / 4;
+            self.table.resize(self.table.len() + len, UNREACHED);
+            (self.table.len() - len) as u32
+        });
+        (at != UNREACHED).then_some(at as usize)
+    }
+
+    /// Reaches the entry masks call site `si` of a function entered with
+    /// `entry` passes its callees when at most one of the caller copies
+    /// undecided at the call is active, and when all of them are. Part `i`
+    /// sets callee bit `i` when its copy is active; the copies active at
+    /// the call are `entry` less some of those returned before it, and
+    /// at least one of the call's own (its guard passed).
+    ///
+    /// The masks between are left out: their clones would come after
+    /// these in popcount order, and a mask the search misses runs the
+    /// generic body.
+    fn call(&mut self, module: &Module, si: usize, entry: u64) {
+        let site = self.sites[si];
+        let (lo, hi) = (entry & site.copies & !site.returned, entry & site.copies);
+        if hi == 0 || self.last[si] == (lo, hi) {
+            return;
+        }
+        self.last[si] = (lo, hi);
+        let (mut low, mut high) = (0u64, 0u64);
+        self.masks.clear();
+        for &(bit, callee) in &self.groups[site.groups.0 as usize..site.groups.1 as usize] {
+            if lo & bit != 0 {
+                low |= callee;
+            } else if hi & bit != 0 {
+                high |= callee;
+                self.masks.push(callee);
+            }
+        }
+        for mask in &mut self.masks {
+            *mask |= low;
+        }
+        let undecided = self.masks.len();
+        if low != 0 {
+            self.masks.push(low);
+        }
+        if undecided > 1 {
+            self.masks.push(low | high);
+        }
+        let (t0, t1) = self.stub_targets[site.stub as usize];
+        for ti in t0..t1 {
+            let target = self.targets[ti as usize];
+            let Some(at) = self.table_of(module, target) else {
+                continue;
+            };
+            for &mask in &self.masks {
+                let entry = &mut self.table[at + mask as usize];
+                if *entry == UNREACHED {
+                    *entry = target;
+                    self.reached.push((target, mask));
+                }
+            }
+        }
+    }
+}
+
+/// What a clone of one function for one entry mask leaves out.
+#[derive(Default)]
+struct Plan {
+    /// Dropped pc ranges `[a, b)` of the generic body, in order, each with
+    /// the ops dropped before `a`.
+    drops: Vec<(u32, u32, u32)>,
+    dropped: u32,
+    /// Guards the clone prepays on top of the generic function's.
+    prepaid: u32,
+    /// Each kept `retrav`, with `prepaid` as it stood there.
+    retravs: Vec<(u32, u32)>,
+    /// Each `nav` the clone fuses with its call, and the call.
+    fused: Vec<(u32, u32)>,
+}
+
+impl Plan {
+    fn drop_range(&mut self, a: u32, b: u32) {
+        self.drops.push((a, b, self.dropped));
+        self.dropped += b - a;
+    }
+
+    /// The clone's pc of generic pc `t` (the next kept op's, when `t` is
+    /// dropped), relative to the clone's first op.
+    fn map(&self, start: u32, t: u32) -> u32 {
+        let k = self.drops.partition_point(|&(a, _, _)| a < t);
+        let before = match k {
+            0 => 0,
+            _ => {
+                let (a, b, d) = self.drops[k - 1];
+                d + t.min(b) - a
+            }
+        };
+        t - start - before
+    }
+
+    /// Decides the clone of `f` for activations entered with `entry`, in
+    /// one pass over the function's bookkeeping ops.
+    ///
+    /// An item whose guard mask misses `entry` is dropped whole, as is the
+    /// argument window of a call part outside it; a guard or `skipoff` the
+    /// clone proves true is dropped alone. A copy's bit stays known until
+    /// its first `retrav`, and an item whose mask covers all of `entry` is
+    /// live, since an activation whose last bit clears has returned. A
+    /// dropped guard's charge joins the prepaid ones, and a `retrav`
+    /// refunds those after its item. A `nav` whose argument windows all
+    /// drop fuses with its call, as the peephole fuses argument-less ones.
+    fn decide(&mut self, module: &Module, search: &Search, f: usize, entry: u64) {
+        self.drops.clear();
+        self.retravs.clear();
+        self.fused.clear();
+        self.dropped = 0;
+        self.prepaid = 0;
+        let (e0, e1) = search.ranges[f][0];
+        let events = &search.events[e0 as usize..e1 as usize];
+        let mut known = entry;
+        let mut nav = None;
+        let mut i = 0;
+        while i < events.len() {
+            let pc = events[i];
+            i += 1;
+            let skip_to = match module.ops[pc as usize] {
+                Op::Guard { mask, target } => {
+                    let live = mask & entry;
+                    if live != 0 && live != entry && mask & known == 0 {
+                        continue;
+                    }
+                    self.prepaid += 1;
+                    if live == 0 {
+                        target
+                    } else {
+                        pc + 1
+                    }
+                }
+                Op::SkipInactive {
+                    traversal, target, ..
+                } => {
+                    let bit = 1u64 << traversal;
+                    if entry & bit == 0 {
+                        target
+                    } else if entry == bit || known & bit != 0 {
+                        pc + 1
+                    } else {
+                        continue;
+                    }
+                }
+                Op::Deactivate { traversal, .. } => {
+                    known &= !(1u64 << traversal);
+                    self.retravs.push((pc, self.prepaid));
+                    continue;
+                }
+                Op::Nav { .. } => {
+                    nav = Some((pc, self.dropped));
+                    continue;
+                }
+                Op::Call { child, .. } => match nav.take() {
+                    Some((n, dropped)) if self.dropped - dropped == pc - n - 1 => {
+                        debug_assert!(
+                            matches!(module.ops[n as usize], Op::Nav { dst, .. } if dst == child)
+                        );
+                        self.fused.push((n, pc));
+                        pc + 1
+                    }
+                    _ => continue,
+                },
+                _ => continue,
+            };
+            self.drop_range(pc, skip_to);
+            while i < events.len() && events[i] < skip_to {
+                i += 1;
+            }
+        }
+    }
+
+    /// Appends the clone decided last to the module's ops and returns its
+    /// first op: the kept runs of `f`'s body, jump targets remapped.
+    fn emit(&self, module: &mut Module, search: &Search, f: usize) -> u32 {
+        let (start, end) = (module.funcs[f].entry, module.funcs[f].end);
+        let out = module.ops.len() as u32;
+        let mut from = start;
+        for &(a, b, _) in &self.drops {
+            module.ops.extend_from_within(from as usize..a as usize);
+            from = b;
+        }
+        module.ops.extend_from_within(from as usize..end as usize);
+        let at = |t: u32| (out + self.map(start, t)) as usize;
+        for &(nav, call) in &self.fused {
+            if let (
+                Op::Nav {
+                    path, null_target, ..
+                },
+                Op::Call { call, argbase, .. },
+            ) = (module.ops[nav as usize], module.ops[call as usize])
+            {
+                module.ops[at(nav)] = Op::NavCall {
+                    call,
+                    path,
+                    argbase,
+                    null_target,
+                };
+            }
+        }
+        let (j0, j1) = search.ranges[f][1];
+        let mut drops = self.drops.iter().peekable();
+        for &pc in &search.jumps[j0 as usize..j1 as usize] {
+            while drops.next_if(|&&(_, b, _)| b <= pc).is_some() {}
+            if drops.peek().is_some_and(|&&(a, _, _)| a <= pc) {
+                continue; // dropped
+            }
+            map_target(&mut module.ops[at(pc)], |t| out + self.map(start, t));
+        }
+        for &(pc, prepaid) in &self.retravs {
+            if let Op::Deactivate { refund, .. } = &mut module.ops[at(pc)] {
+                *refund += self.prepaid - prepaid;
+            }
+        }
+        out
+    }
+}
+
+/// Entry-mask specialisation: appends, for each multi-traversal function,
+/// one clone per entry mask its activations can start with, and points
+/// the function's mask table at them.
+///
+/// The search reaches (function, entry mask) pairs from each entry's
+/// all-ones mask through the calls' parts (see [`Search::call`]), then
+/// clones them in increasing popcount order: the fewer copies an
+/// activation starts with, the more of the body its clone drops. Each
+/// clone comes from one pass over its generic function's optimised body
+/// (see [`Plan`]), whose ops stay as they are: every mask without a clone
+/// runs them. Clones and mask tables share [`CLONE_OP_CAP`]; the cloning
+/// stops at the first clone past what is left of it.
+fn specialize_pass(module: &mut Module) -> PassStat {
+    let before = module.ops.len();
+    let generic = module.funcs.len();
+    let mut search = Search::new(module);
+    for &stub in &module.entries {
+        let flags = grafter::entry_flags(module.stubs[stub as usize].n_parts.into());
+        let (t0, t1) = search.stub_targets[stub as usize];
+        for ti in t0..t1 {
+            let target = search.targets[ti as usize];
+            // An entry too wide for a table is still searched through: it
+            // may call narrower functions.
+            match search.table_of(module, target) {
+                Some(at) if search.table[at + flags as usize] != UNREACHED => continue,
+                Some(at) => search.table[at + flags as usize] = target,
+                None if search.reached.contains(&(target, flags)) => continue,
+                None => {}
+            }
+            search.reached.push((target, flags));
+        }
+    }
+    let mut next = 0;
+    while next < search.reached.len() {
+        let (f, entry) = search.reached[next];
+        next += 1;
+        let (s0, s1) = search.ranges[f as usize][2];
+        for si in s0..s1 {
+            search.call(module, si as usize, entry);
+        }
+    }
+    let mut order = std::mem::take(&mut search.reached);
+    order.sort_by_key(|&(_, mask)| mask.count_ones());
+    let mut plan = Plan::default();
+    for (f, entry) in order {
+        let Some(at) = search.at[f as usize].filter(|&at| at != UNREACHED) else {
+            continue;
+        };
+        plan.decide(module, &search, f as usize, entry);
+        let body = module.funcs[f as usize].end - module.funcs[f as usize].entry;
+        let size = (body - plan.dropped) as usize;
+        if plan.drops.is_empty() {
+            continue;
+        }
+        if size > search.left {
+            break;
+        }
+        search.left -= size;
+        // What is left bounds the clones still to come: reserve it once.
+        module.ops.reserve(size + search.left);
+        let start = plan.emit(module, &search, f as usize);
+        let g = &module.funcs[f as usize];
+        let clone = FuncInfo {
+            entry: start,
+            end: module.ops.len() as u32,
+            n_traversals: g.n_traversals,
+            folded: g.folded + plan.prepaid,
+            frame_regs: g.frame_regs,
+            total_regs: g.total_regs,
+            params: Box::new([]),
+            name: String::new(),
+            clones: NO_CLONES,
+        };
+        search.table[at as usize + entry as usize] = module.funcs.len() as u32;
+        module.funcs.push(clone);
+        module.clone_of.push((f, entry));
+    }
+    module.ops.shrink_to_fit();
+    let mut cloned: Vec<u32> = module.clone_of.iter().map(|&(f, _)| f).collect();
+    cloned.sort_unstable();
+    cloned.dedup();
+    for f in cloned {
+        let f = f as usize;
+        let at = search.at[f].expect("a cloned function has a table");
+        let len = 1usize << module.funcs[f].n_traversals;
+        let table = &search.table[at as usize..at as usize + len];
+        module.funcs[f].clones = module.clone_table.len() as u32;
+        module.clone_table.extend(
+            table
+                .iter()
+                .map(|&t| if t == UNREACHED { f as u32 } else { t }),
+        );
+    }
+    PassStat {
+        wall_ns: 0,
+        pass: "specialize",
+        before,
+        after: module.ops.len(),
+        unit: "op",
+        rewrites: module.funcs.len() - generic,
+        action: "cloned",
     }
 }
 

@@ -11,7 +11,7 @@ use grafter_cachesim::CacheHierarchy;
 use grafter_engine::{Backend, Engine, OptLevel};
 use grafter_obs::ExecCounters;
 use grafter_runtime::{with_stack, Heap, NodeId, PureRegistry, Value};
-use grafter_vm::{Op, Vm};
+use grafter_vm::{Module, Op, Vm};
 use grafter_workloads::case_studies;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,10 +27,23 @@ fn check_against_interp(
     args: &[Vec<Value>],
     build: fn(&mut Heap, &mut StdRng) -> NodeId,
 ) -> String {
+    check_fused_against_interp(src, root, passes, args, build, FusionOptions::default())
+}
+
+/// [`check_against_interp`] on the program fused with `opts`.
+fn check_fused_against_interp(
+    src: &str,
+    root: &str,
+    passes: &[&str],
+    args: &[Vec<Value>],
+    build: fn(&mut Heap, &mut StdRng) -> NodeId,
+    opts: FusionOptions,
+) -> String {
     let engine = |backend: Backend, level: OptLevel| {
         Engine::builder()
             .source(src)
             .entry(root, passes)
+            .fusion(opts.clone())
             .backend(backend)
             .opt_level(level)
             .args(args.to_vec())
@@ -223,13 +236,40 @@ fn truncated_call_parts_pass_no_placeholders() {
 fn dispatched(case: &grafter_workloads::CaseStudy, opts: FusionOptions) -> (u64, String) {
     let engine = case.engine_opt(opts, OptLevel::O2);
     let module = engine.module().expect("vm engine");
+    let (fired, _) = fires(case, module, false);
+    (fired, module.disassemble())
+}
+
+/// Ops a probed run of `module` dispatches on `case`'s test or bench
+/// tree: all of them, and the bookkeeping (`guard`, `skipoff`) among them.
+fn fires(case: &grafter_workloads::CaseStudy, module: &Module, bench: bool) -> (u64, u64) {
     let mut heap = Heap::new(case.compiled.program());
-    let root = case.build_test(&mut heap);
+    let root = if bench {
+        case.build_bench(&mut heap)
+    } else {
+        case.build_test(&mut heap)
+    };
     let mut vm = Vm::with_pures(module, PureRegistry::with_math());
     let mut counters = ExecCounters::new(module.n_functions(), module.n_ops());
     vm.run_probed(&mut heap, root, &case.args, &mut counters)
         .expect("case study runs");
-    (counters.op_hits.iter().sum(), module.disassemble())
+    let profile = module.profile(&counters);
+    let bookkeeping = profile
+        .op_kinds
+        .iter()
+        .find(|(kind, _)| kind == "bookkeeping")
+        .map_or(0, |&(_, n)| n);
+    (counters.op_hits.iter().sum(), bookkeeping)
+}
+
+/// The clones the `specialize` pass appended to `module`.
+fn clones(module: &Module) -> usize {
+    let report = module.opt_report();
+    report
+        .passes
+        .iter()
+        .find(|p| p.pass == "specialize")
+        .map_or(0, |p| p.rewrites)
 }
 
 #[test]
@@ -256,4 +296,135 @@ fn fused_code_without_return_dispatches_fewer_ops_than_unfused() {
 #[test]
 fn ops_stay_sixteen_bytes() {
     assert_eq!(std::mem::size_of::<Op>(), 16);
+}
+
+#[test]
+fn entry_mask_clones_cut_fused_ast_bookkeeping() {
+    // Clones of fused ast's functions per entry mask drop the items of
+    // copies inactive at entry and fold the guards they decide: the
+    // probed run fires (all ops, bookkeeping) exactly these, against
+    // (64,445, 23,685) at test size and (327,279, 121,635) at bench size
+    // from the generic bodies alone.
+    with_stack(256 << 20, || {
+        let cases = case_studies();
+        let ast = cases.iter().find(|c| c.name == "ast").expect("ast case");
+        let engine = ast.engine_opt(FusionOptions::default(), OptLevel::O2);
+        let module = engine.module().expect("vm engine");
+        assert!(clones(module) > 0, "fused ast has no clone");
+        assert_eq!(fires(ast, module, false), (46_866, 6_892), "test size");
+        assert_eq!(fires(ast, module, true), (231_547, 30_639), "bench size");
+    });
+}
+
+#[test]
+fn only_partial_entry_masks_get_clones() {
+    // Fused render, kdtree and fmm enter every activation with all of its
+    // copies active, and an unfused module has one copy per function:
+    // none of them gets a clone.
+    for case in case_studies() {
+        for (label, opts) in [
+            ("fused", FusionOptions::default()),
+            ("unfused", FusionOptions::unfused()),
+        ] {
+            if case.name == "ast" && label == "fused" {
+                continue;
+            }
+            let engine = case.engine_opt(opts, OptLevel::O2);
+            let module = engine.module().expect("vm engine");
+            assert_eq!(clones(module), 0, "{} {label}", case.name);
+        }
+    }
+}
+
+/// A binary tree program of `passes` traversals. Each returns first
+/// thing at a `stop` node, counts into its own field, returns again where
+/// `k` picks it, then recurses into both children.
+fn stopping_tree_program(passes: usize) -> String {
+    let mut src = String::from(
+        "tree class Node {\n  child Node* l;\n  child Node* r;\n  bool stop = false;\n  int k = 0;\n",
+    );
+    for i in 0..passes {
+        src.push_str(&format!(
+            "  int c{i} = 0;\n  virtual traversal t{i}() {{}}\n"
+        ));
+    }
+    src.push_str("}\ntree class Fork : Node {\n");
+    for i in 0..passes {
+        src.push_str(&format!(
+            "  traversal t{i}() {{ if (stop) {{ return; }} c{i} = c{i} + k; \
+             if (k == {}) {{ return; }} this->l->t{i}(); this->r->t{i}(); }}\n",
+            i % 7
+        ));
+    }
+    src.push_str("}\ntree class Leaf : Node { }\n");
+    src
+}
+
+/// A random binary tree of `Fork` nodes over `Leaf`s.
+fn stopping_tree(heap: &mut Heap, rng: &mut StdRng) -> NodeId {
+    fn grow(heap: &mut Heap, rng: &mut StdRng, depth: u32) -> NodeId {
+        if depth == 0 || rng.gen_bool(0.1) {
+            return heap.alloc_by_name("Leaf").unwrap();
+        }
+        let fork = heap.alloc_by_name("Fork").unwrap();
+        heap.set_by_name(fork, "stop", Value::Bool(rng.gen_bool(0.1)))
+            .unwrap();
+        heap.set_by_name(fork, "k", Value::Int(rng.gen_range(0..12)))
+            .unwrap();
+        let (l, r) = (grow(heap, rng, depth - 1), grow(heap, rng, depth - 1));
+        heap.set_child_by_name(fork, "l", Some(l)).unwrap();
+        heap.set_child_by_name(fork, "r", Some(r)).unwrap();
+        fork
+    }
+    grow(heap, rng, 6)
+}
+
+#[test]
+fn clones_stay_within_the_cap_when_entry_masks_explode() {
+    // One fused function holds every pass, and every copy may return
+    // before the calls, so a 12-pass activation can pass any of 4,095
+    // masks to its children and a 64-pass one any of 2^64 - 1: far past
+    // what the clone cap holds. The build stays fast, the clones stay
+    // within the cap, and every mask without a clone runs the generic
+    // body to the interpreter's result.
+    const CLONE_OP_CAP: usize = 8_192;
+    for passes in [12, 64] {
+        let src = stopping_tree_program(passes);
+        let names: Vec<String> = (0..passes).map(|i| format!("t{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let opts = FusionOptions {
+            max_group_size: passes,
+            ..FusionOptions::default()
+        };
+        let t0 = std::time::Instant::now();
+        let o2 = Engine::builder()
+            .source(&src)
+            .entry("Node", &names)
+            .fusion(opts.clone())
+            .backend(Backend::Vm)
+            .opt_level(OptLevel::O2)
+            .build()
+            .unwrap_or_else(|e| panic!("program compiles: {e}"));
+        let took = t0.elapsed();
+        // Release builds are held to a second; debug ones run the same
+        // code some ten times slower.
+        let bound = if cfg!(debug_assertions) { 20 } else { 1 };
+        assert!(
+            took < std::time::Duration::from_secs(bound),
+            "{passes} passes: the O2 build took {took:?}"
+        );
+        let module = o2.module().expect("vm engine");
+        let report = module.opt_report();
+        let stat = report
+            .passes
+            .iter()
+            .find(|p| p.pass == "specialize")
+            .expect("a fused module runs the pass");
+        assert!(
+            stat.after - stat.before <= CLONE_OP_CAP,
+            "{passes} passes: {} clone ops",
+            stat.after - stat.before
+        );
+        check_fused_against_interp(&src, "Node", &names, &[], stopping_tree, opts);
+    }
 }

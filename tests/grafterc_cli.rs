@@ -312,6 +312,7 @@ fn profile_lists_fusion_and_optimizer_stages() {
         "lower",
         "opt/peephole",
         "opt/regs",
+        "opt/specialize",
     ] {
         assert!(
             stderr

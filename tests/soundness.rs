@@ -16,8 +16,9 @@
 //! `grafter::Compiled` and the `grafter_engine::Engine` API.
 
 use grafter::{Compiled, FuseOptions};
-use grafter_engine::Engine;
-use grafter_runtime::Value;
+use grafter_cachesim::CacheHierarchy;
+use grafter_engine::{Backend, Engine, OptLevel};
+use grafter_runtime::{Heap, NodeId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -158,6 +159,21 @@ fn random_list(rng: &mut StdRng) -> Vec<(i64, i64, i64, bool)> {
         .collect()
 }
 
+/// Builds `list` as a chain of `Cons` cells ending in an `End`.
+fn build_list(heap: &mut Heap, list: &[(i64, i64, i64, bool)]) -> NodeId {
+    let mut cur = heap.alloc_by_name("End").unwrap();
+    for &(a, b, c, stop) in list.iter().rev() {
+        let n = heap.alloc_by_name("Cons").unwrap();
+        heap.set_by_name(n, "a", Value::Int(a)).unwrap();
+        heap.set_by_name(n, "b", Value::Int(b)).unwrap();
+        heap.set_by_name(n, "c", Value::Int(c)).unwrap();
+        heap.set_by_name(n, "stop", Value::Bool(stop)).unwrap();
+        heap.set_child_by_name(n, "next", Some(cur)).unwrap();
+        cur = n;
+    }
+    cur
+}
+
 fn random_traversals(rng: &mut StdRng, max: usize) -> Vec<GenTraversal> {
     let n = rng.gen_range(1..max);
     (0..n).map(|_| GenTraversal::random(rng)).collect()
@@ -188,19 +204,7 @@ fn fused_equals_unfused_on_random_programs() {
 
         let snapshot = |engine: &Engine| {
             let mut session = engine.session();
-            let root = session.build_tree(|heap| {
-                let mut cur = heap.alloc_by_name("End").unwrap();
-                for &(a, b, c, stop) in list.iter().rev() {
-                    let n = heap.alloc_by_name("Cons").unwrap();
-                    heap.set_by_name(n, "a", Value::Int(a)).unwrap();
-                    heap.set_by_name(n, "b", Value::Int(b)).unwrap();
-                    heap.set_by_name(n, "c", Value::Int(c)).unwrap();
-                    heap.set_by_name(n, "stop", Value::Bool(stop)).unwrap();
-                    heap.set_child_by_name(n, "next", Some(cur)).unwrap();
-                    cur = n;
-                }
-                cur
-            });
+            let root = session.build_tree(|heap| build_list(heap, &list));
             let report = session.run(root).unwrap();
             (session.snapshot(root), report.metrics.visits)
         };
@@ -229,5 +233,46 @@ fn fusion_terminates_on_recursive_schedules() {
         let fused = compiled.fuse_default("Node", &name_refs).unwrap();
         let n = fused.metrics().functions;
         assert!(n < 2_000, "case {case}: got {n}");
+    }
+}
+
+#[test]
+fn vm_tiers_match_the_interpreter_on_generated_programs_with_early_returns() {
+    // Conditional returns leave fused activations entered with only some
+    // of their copies active: the VM's guard folding and its entry-mask
+    // clones must still charge, touch and compute what the interpreter
+    // does, at O0 and O2.
+    let mut rng = StdRng::seed_from_u64(0x4D41_534B);
+    for case in 0..120 {
+        let traversals = random_traversals(&mut rng, 7);
+        let list = random_list(&mut rng);
+        let src = render_program(&traversals);
+        let compiled = Compiled::compile(src.as_str()).expect("generated programs are valid");
+        let names: Vec<String> = (0..traversals.len()).map(|i| format!("t{i}")).collect();
+        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let engine = |backend: Backend, level: OptLevel| {
+            Engine::builder()
+                .compiled(compiled.clone())
+                .entry("Node", &name_refs)
+                .backend(backend)
+                .opt_level(level)
+                .build()
+                .unwrap()
+        };
+        let run = |engine: &Engine| {
+            let mut session = engine.session().with_cache(CacheHierarchy::xeon());
+            let root = session.build_tree(|heap| build_list(heap, &list));
+            let report = session.run(root).unwrap();
+            (session.snapshot(root), report)
+        };
+        let (snap_i, interp) = run(&engine(Backend::Interp, OptLevel::O2));
+        for level in [OptLevel::O0, OptLevel::O2] {
+            let (snap_v, vm) = run(&engine(Backend::Vm, level));
+            let what = format!("case {case} {level}; program:\n{src}");
+            assert_eq!(snap_i, snap_v, "{what}: snapshots diverge");
+            assert_eq!(interp.metrics, vm.metrics, "{what}: metrics diverge");
+            assert_eq!(interp.cache, vm.cache, "{what}: cache traffic diverges");
+            assert_eq!(interp.globals, vm.globals, "{what}: globals diverge");
+        }
     }
 }
