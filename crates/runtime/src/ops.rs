@@ -2,8 +2,9 @@
 //!
 //! Both execution backends must agree bit-for-bit on arithmetic,
 //! comparison and implicit conversion; keeping the kernel in one place
-//! makes the differential guarantees (`tests/vm_differential.rs`) a
-//! property of dispatch, not of duplicated arithmetic. Where values live
+//! makes the differential guarantees (the tier-parity harness,
+//! `grafter_workloads::harness::check_parity`) a property of dispatch,
+//! not of duplicated arithmetic. Where values live
 //! (node, global and local frame slots) is [`crate::Layouts`]' business.
 
 use grafter_frontend::{BinOp, FieldId, FieldKind, Program, Ty, UnOp};

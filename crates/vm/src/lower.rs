@@ -24,7 +24,9 @@
 //! The lowering mirrors the interpreter's cost accounting exactly: ops
 //! charge the same [`grafter_runtime::cost`] constants at the same
 //! execution points, so `Metrics` (and simulated cache traffic) of the two
-//! backends are bit-identical — see `tests/vm_differential.rs`.
+//! backends are bit-identical — see the tier-parity harness,
+//! `grafter_workloads::harness::check_parity`, which every differential
+//! suite runs its programs through.
 //!
 //! Operands are fixed-width (`u16` registers and pool indices, `u8`
 //! argument counts). A program that does not fit is a [`LowerError`]

@@ -29,10 +29,12 @@
 //! simulated cache traffic (same addresses touched in the same order),
 //! and the same runtime errors. The optimizer trades *dispatch overhead*
 //! — fewer `match` rounds, smaller register windows, fewer guards —
-//! never counters. The differential suites
-//! (`crates/vm/tests/opt_differential.rs`) assert `O0 == O2 == interp`
-//! across every case-study workload, and `tests/soundness.rs` across
-//! generated programs with early returns.
+//! never counters. The tier-parity harness
+//! (`grafter_workloads::harness::check_parity`) asserts `O0 == O2 ==
+//! interp` on every program of every differential suite: the case-study
+//! workloads (`tests/workloads.rs`), generated programs with early
+//! returns (`tests/soundness.rs`) and one program per peephole pattern
+//! (`crates/vm/tests/opt_differential.rs`).
 
 use std::fmt;
 use std::str::FromStr;

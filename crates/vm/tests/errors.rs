@@ -1,36 +1,32 @@
 //! Runtime error parity: the VM must surface every [`RuntimeError`]
 //! variant through the same `DiagnosticBag` `Stage::Runtime` path as the
-//! interpreter — one test per variant, each asserting both backends
-//! produce the identical diagnostic.
+//! interpreter — one test per variant, each run through the tier-parity
+//! harness, which asserts every tier fails with the identical error.
 
-use grafter::{Compiled, DiagnosticBag, Stage};
+use grafter::{Compiled, Error, FuseOptions, Stage};
 use grafter_engine::{Engine, Report};
 use grafter_runtime::{Heap, NodeId, Value};
 use grafter_vm::Backend;
+use grafter_workloads::harness::{check_parity, Entry};
 
-/// Runs both backends on identical fresh trees and returns the two
-/// diagnostic bags (both runs must fail).
-fn both_fail(
-    compiled: &Compiled,
-    passes: &[&str],
-    build: &dyn Fn(&mut Heap) -> NodeId,
-) -> (DiagnosticBag, DiagnosticBag) {
-    let run = |backend: Backend| {
-        let engine = Engine::builder()
-            .compiled(compiled.clone())
-            .entry("Node", passes)
-            .backend(backend)
-            .build()
-            .unwrap();
-        let mut session = engine.session();
-        let root = session.build_tree(build);
-        session.run(root).expect_err("run must fail").into_bag()
-    };
-    (run(Backend::Interp), run(Backend::Vm))
+/// Runs `passes` of `src` from root `Node` on every tier and returns the
+/// error all of them failed with.
+fn fails(src: &str, passes: &[&str], build: impl Fn(&mut Heap) -> NodeId + Sync) -> Error {
+    let compiled = Compiled::compile(src).unwrap();
+    let configs = [FuseOptions::default()];
+    let parities = check_parity(
+        src,
+        &compiled,
+        Entry::new("Node", passes),
+        &configs,
+        &[build],
+    );
+    parities[0].error(0).clone()
 }
 
-fn assert_runtime_diag(bag: &DiagnosticBag, needle: &str) {
-    assert!(bag.has_errors(), "{bag}");
+/// Asserts `err` is a runtime error whose first diagnostic names `needle`.
+fn assert_runtime_diag(err: &Error, needle: &str) {
+    let bag = err.diagnostics();
     assert_eq!(bag[0].stage, Stage::Runtime, "{bag}");
     assert!(
         bag[0].message.contains(needle),
@@ -56,11 +52,8 @@ fn null_deref_surfaces_identically() {
         }
         tree class End : Node { }
     "#;
-    let compiled = Compiled::compile(src).unwrap();
     let build = |heap: &mut Heap| heap.alloc_by_name("Cons").unwrap();
-    let (interp, vm) = both_fail(&compiled, &["sum"], &build);
-    assert_runtime_diag(&vm, "null child dereferenced");
-    assert_eq!(interp[0].message, vm[0].message);
+    assert_runtime_diag(&fails(src, &["sum"], build), "null child dereferenced");
 }
 
 #[test]
@@ -77,16 +70,14 @@ fn missing_pure_surfaces_identically() {
         }
         tree class End : Node { }
     "#;
-    let compiled = Compiled::compile(src).unwrap();
     let build = |heap: &mut Heap| {
         let end = heap.alloc_by_name("End").unwrap();
         let c = heap.alloc_by_name("Cons").unwrap();
         heap.set_child_by_name(c, "next", Some(end)).unwrap();
         c
     };
-    let (interp, vm) = both_fail(&compiled, &["go"], &build);
-    assert_runtime_diag(&vm, "pure function `mystery` has no native implementation");
-    assert_eq!(interp[0].message, vm[0].message);
+    let err = fails(src, &["go"], build);
+    assert_runtime_diag(&err, "pure function `mystery` has no native implementation");
 }
 
 #[test]
@@ -108,11 +99,9 @@ fn missing_target_surfaces_identically() {
             virtual traversal other() {}
         }
     "#;
-    let compiled = Compiled::compile(src).unwrap();
     let build = |heap: &mut Heap| heap.alloc_by_name("Stray").unwrap();
-    let (interp, vm) = both_fail(&compiled, &["go"], &build);
-    assert_runtime_diag(&vm, "no fused function for dynamic type `Stray`");
-    assert_eq!(interp[0].message, vm[0].message);
+    let err = fails(src, &["go"], build);
+    assert_runtime_diag(&err, "no fused function for dynamic type `Stray`");
 }
 
 #[test]
@@ -129,15 +118,13 @@ fn not_a_ref_surfaces_identically() {
         }
         tree class End : Node { }
     "#;
-    let compiled = Compiled::compile(src).unwrap();
     let build = |heap: &mut Heap| {
         let c = heap.alloc_by_name("Cons").unwrap();
         heap.set_by_name(c, "next", Value::Int(7)).unwrap();
         c
     };
-    let (interp, vm) = both_fail(&compiled, &["go"], &build);
-    assert_runtime_diag(&vm, "child slot does not hold a reference");
-    assert_eq!(interp[0].message, vm[0].message);
+    let err = fails(src, &["go"], build);
+    assert_runtime_diag(&err, "child slot does not hold a reference");
 }
 
 #[test]
@@ -154,27 +141,13 @@ fn a_wrong_class_child_below_the_api_fails_identically() {
              tree class End : Node {{ }}
              tree class Other {{ int b = 0; int c = 0; virtual traversal t() {{}} }}"
         );
-        let compiled = Compiled::compile(src).unwrap();
-        let run = |backend: Backend| {
-            let engine = Engine::builder()
-                .compiled(compiled.clone())
-                .entry("Node", &["go"])
-                .backend(backend)
-                .build()
-                .unwrap();
-            let err = engine
-                .session()
-                .run_input(|heap| {
-                    let other = heap.alloc_by_name("Other").unwrap();
-                    let cons = heap.alloc_by_name("Cons").unwrap();
-                    heap.set_child_by_name(cons, "next", Some(other)).unwrap();
-                    cons
-                })
-                .expect_err("run must fail");
-            assert_eq!(err.stage(), Stage::Runtime, "{backend} `{body}`: {err}");
-            err.to_string()
-        };
-        assert_eq!(run(Backend::Interp), run(Backend::Vm), "`{body}`");
+        let err = fails(&src, &["go"], |heap| {
+            let other = heap.alloc_by_name("Other").unwrap();
+            let cons = heap.alloc_by_name("Cons").unwrap();
+            heap.set_child_by_name(cons, "next", Some(other)).unwrap();
+            cons
+        });
+        assert_eq!(err.stage(), Stage::Runtime, "`{body}`: {err}");
     }
 }
 
@@ -197,9 +170,10 @@ fn past_a_bytecode_limit(src: &str, limit: &str) -> Report {
         "expected `{limit}` in `{err}`"
     );
     let engine = build(Backend::Interp).expect("the interpreter tier builds");
-    let mut session = engine.session();
-    let root = session.build_tree(|heap| heap.alloc_by_name("N").unwrap());
-    session.run(root).expect("the interpreter runs the program")
+    engine
+        .session()
+        .run_input(|heap| heap.alloc_by_name("N").unwrap())
+        .expect("the interpreter runs the program")
 }
 
 #[test]

@@ -2,24 +2,24 @@
 //! proves true are folded, and truncated call parts pass no placeholder
 //! arguments. The VM must still match the interpreter bit for bit — heap
 //! snapshots, `Metrics`, simulated cache traffic and globals — at `O0`
-//! and `O2`, on the three shapes the analysis has to get right. On the
+//! and `O2`, on the three shapes the analysis has to get right; the
+//! tier-parity harness checks each over ten seeded trees. On the
 //! case studies the result is pinned: fused code without `return`
 //! dispatches no bookkeeping and fewer ops than its unfused form.
 
-use grafter::FusionOptions;
-use grafter_cachesim::CacheHierarchy;
+use grafter::{Compiled, FusionOptions};
 use grafter_engine::{Backend, Engine, OptLevel};
 use grafter_obs::ExecCounters;
-use grafter_runtime::{with_stack, Heap, NodeId, PureRegistry, Value};
+use grafter_runtime::{Heap, NodeId, PureRegistry, Value};
 use grafter_vm::{Module, Op, Vm};
 use grafter_workloads::case_studies;
+use grafter_workloads::harness::{check_parity, on_run_stack, Entry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Runs `passes` from `root` with entry arguments `args` on the
-/// interpreter and on the VM at `O0` and `O2` over ten seeded trees from
-/// `build`, asserting every observable agrees. Returns the `O2` module's
-/// disassembly.
+/// Runs `passes` from `root` with entry arguments `args`, fused, through
+/// the tier-parity harness over ten seeded trees from `build`. Returns
+/// the `O2` module's disassembly.
 fn check_against_interp(
     src: &str,
     root: &str,
@@ -39,46 +39,19 @@ fn check_fused_against_interp(
     build: fn(&mut Heap, &mut StdRng) -> NodeId,
     opts: FusionOptions,
 ) -> String {
-    let engine = |backend: Backend, level: OptLevel| {
-        Engine::builder()
-            .source(src)
-            .entry(root, passes)
-            .fusion(opts.clone())
-            .backend(backend)
-            .opt_level(level)
-            .args(args.to_vec())
-            .build()
-            .unwrap_or_else(|e| panic!("program compiles: {e}"))
+    let compiled = Compiled::compile(src).unwrap_or_else(|e| panic!("program compiles: {e}"));
+    let entry = Entry {
+        args,
+        ..Entry::new(root, passes)
     };
-    let interp = engine(Backend::Interp, OptLevel::O2);
-    let vms = [OptLevel::O0, OptLevel::O2].map(|level| engine(Backend::Vm, level));
-    for seed in 0..10u64 {
-        let run = |engine: &Engine| {
-            let mut session = engine.session().with_cache(CacheHierarchy::xeon());
-            let root = session.build_tree(|h| build(h, &mut StdRng::seed_from_u64(seed)));
-            let report = session.run(root).expect("program runs");
-            (report, session.snapshot(root))
-        };
-        let (ri, si) = run(&interp);
-        for vm in &vms {
-            let (rv, sv) = run(vm);
-            let level = vm.opt_level();
-            assert_eq!(si, sv, "seed {seed} {level}: snapshots diverge");
-            assert_eq!(
-                ri.metrics, rv.metrics,
-                "seed {seed} {level}: metrics diverge"
-            );
-            assert_eq!(
-                ri.cache, rv.cache,
-                "seed {seed} {level}: cache traffic diverges"
-            );
-            assert_eq!(
-                ri.globals, rv.globals,
-                "seed {seed} {level}: globals diverge"
-            );
-        }
-    }
-    vms[1].module().expect("vm engine").disassemble()
+    let trees: Vec<_> = (0..10u64)
+        .map(|seed| move |h: &mut Heap| build(h, &mut StdRng::seed_from_u64(seed)))
+        .collect();
+    let parities = check_parity(src, &compiled, entry, &[opts], &trees);
+    parities[0].engines[2]
+        .module()
+        .expect("vm engine")
+        .disassemble()
 }
 
 /// Whether the disassembly contains an op with mnemonic `op`.
@@ -274,7 +247,7 @@ fn clones(module: &Module) -> usize {
 
 #[test]
 fn fused_code_without_return_dispatches_fewer_ops_than_unfused() {
-    with_stack(256 << 20, || {
+    on_run_stack(|| {
         for case in case_studies() {
             if case.name == "ast" {
                 continue; // `return`s keep some of its guards dynamic
@@ -305,7 +278,7 @@ fn entry_mask_clones_cut_fused_ast_bookkeeping() {
     // probed run fires (all ops, bookkeeping) exactly these, against
     // (64,445, 23,685) at test size and (327,279, 121,635) at bench size
     // from the generic bodies alone.
-    with_stack(256 << 20, || {
+    on_run_stack(|| {
         let cases = case_studies();
         let ast = cases.iter().find(|c| c.name == "ast").expect("ast case");
         let engine = ast.engine_opt(FusionOptions::default(), OptLevel::O2);

@@ -1,101 +1,20 @@
-//! Differential testing of the bytecode optimizer: `O0 == O2 == interp`
-//! — bit-identical heap snapshots, `Metrics`, simulated cache traffic
-//! and final globals — across the paper's four case studies, fused and
-//! unfused, plus one focused program per peephole pattern proving the
-//! pattern actually fires (and stays observation-preserving).
+//! Differential testing of the bytecode optimizer: one focused program
+//! per peephole pattern proving the pattern actually fires, run through
+//! the tier-parity harness, which asserts `O0 == O2 == interp` —
+//! bit-identical heap snapshots, `Metrics`, simulated cache traffic and
+//! final globals — plus structural checks of the levels. The harness
+//! holds the case studies, fused and unfused, to the same contract in
+//! `tests/workloads.rs`.
 //!
 //! This is the executable statement of the optimizer's contract (see
 //! `grafter_vm::opt`): optimization sheds dispatch overhead, never
 //! counters.
 
-use grafter::FusionOptions;
-use grafter_cachesim::CacheHierarchy;
-use grafter_engine::{Backend, Engine, OptLevel, Report};
-use grafter_runtime::{with_stack, Heap, NodeId, SnapValue};
+use grafter::{Compiled, FusionOptions};
+use grafter_engine::OptLevel;
+use grafter_runtime::Heap;
 use grafter_vm::{lower_with, VmOptions};
-use grafter_workloads::case_studies;
-
-const LEVELS: [OptLevel; 2] = [OptLevel::O0, OptLevel::O2];
-
-/// Runs `engine` on a freshly built tree with a Xeon cache model
-/// attached; returns the report and the final heap snapshot.
-fn run_snap(
-    engine: &Engine,
-    build: &dyn Fn(&mut Heap) -> NodeId,
-) -> (Report, Vec<(String, Vec<SnapValue>)>) {
-    let mut session = engine.session().with_cache(CacheHierarchy::xeon());
-    let root = session.build_tree(build);
-    let report = session.run(root).expect("case study runs");
-    let snap = session.snapshot(root);
-    (report, snap)
-}
-
-#[test]
-fn opt_levels_match_interp_on_all_case_studies() {
-    with_stack(256 << 20, || {
-        for case in case_studies() {
-            for (kind, opts) in [
-                ("fused", FusionOptions::default()),
-                ("unfused", FusionOptions::unfused()),
-            ] {
-                let interp = case.engine_with(opts.clone(), Backend::Interp);
-                let (r_interp, snap_interp) = run_snap(&interp, &|h| case.build_test(h));
-                for level in LEVELS {
-                    let vm = case.engine_opt(opts.clone(), level);
-                    let (r_vm, snap_vm) = run_snap(&vm, &|h| case.build_test(h));
-                    assert_eq!(
-                        snap_interp, snap_vm,
-                        "{}/{kind}/{level}: heap states diverge from interp",
-                        case.name
-                    );
-                    // Metrics, cache traffic and globals in one shot:
-                    // Report equality ignores backend-independent fields
-                    // (wall, opt level) by construction.
-                    assert_eq!(
-                        r_interp.metrics, r_vm.metrics,
-                        "{}/{kind}/{level}: metrics diverge from interp",
-                        case.name
-                    );
-                    assert_eq!(
-                        r_interp.cache, r_vm.cache,
-                        "{}/{kind}/{level}: cache traffic diverges from interp",
-                        case.name
-                    );
-                    assert_eq!(
-                        r_interp.globals, r_vm.globals,
-                        "{}/{kind}/{level}: final globals diverge from interp",
-                        case.name
-                    );
-                }
-            }
-        }
-    });
-}
-
-#[test]
-fn opt_levels_match_each_other_exactly() {
-    // Transitivity spot-check at the Report level (PartialEq covers
-    // metrics + cache + globals): O0 == O2 on every case study.
-    with_stack(256 << 20, || {
-        for case in case_studies() {
-            let reports: Vec<(Report, _)> = LEVELS
-                .iter()
-                .map(|&level| {
-                    let vm = case.engine_opt(FusionOptions::default(), level);
-                    run_snap(&vm, &|h| case.build_test(h))
-                })
-                .collect();
-            for (r, snap) in &reports[1..] {
-                assert_eq!(
-                    &reports[0].0, r,
-                    "{}: reports diverge across levels",
-                    case.name
-                );
-                assert_eq!(&reports[0].1, snap, "{}: snapshots diverge", case.name);
-            }
-        }
-    });
-}
+use grafter_workloads::harness::{check_parity, Entry};
 
 // ---- per-pattern peephole tests ------------------------------------------
 //
@@ -108,32 +27,6 @@ fn opt_levels_match_each_other_exactly() {
 
 /// List program: every class reachable, one recursion, rich statements.
 fn check_pattern(src: &str, root: &str, passes: &[&str], mnemonic: Option<&str>) {
-    let engine_at = |level: OptLevel, backend: Backend| {
-        Engine::builder()
-            .source(src)
-            .entry(root, passes)
-            .backend(backend)
-            .opt_level(level)
-            .build()
-            .unwrap_or_else(|e| panic!("pattern program compiles: {e}"))
-    };
-    // (a) + (b): the pattern fires at O2 and only at O2.
-    let o2 = engine_at(OptLevel::O2, Backend::Vm);
-    let o0 = engine_at(OptLevel::O0, Backend::Vm);
-    if let Some(mnemonic) = mnemonic {
-        let disasm_o2 = o2.module().unwrap().disassemble();
-        let disasm_o0 = o0.module().unwrap().disassemble();
-        assert!(
-            disasm_o2.contains(mnemonic),
-            "`{mnemonic}` did not fire; O2 disassembly:\n{disasm_o2}"
-        );
-        assert!(
-            !disasm_o0.contains(mnemonic),
-            "`{mnemonic}` must not appear at O0:\n{disasm_o0}"
-        );
-    }
-    // (c): observational bit-identity against the interpreter.
-    let interp = engine_at(OptLevel::O2, Backend::Interp);
     let build = |h: &mut Heap| {
         let end = h.alloc_by_name("E").unwrap();
         let mut cur = end;
@@ -144,14 +37,31 @@ fn check_pattern(src: &str, root: &str, passes: &[&str], mnemonic: Option<&str>)
         }
         cur
     };
+    // (c): observational bit-identity against the interpreter.
+    let compiled =
+        Compiled::compile(src).unwrap_or_else(|e| panic!("pattern program compiles: {e}"));
     let label = mnemonic.unwrap_or(src);
-    let (ri, si) = run_snap(&interp, &build);
-    for engine in [&o0, &o2] {
-        let (rv, sv) = run_snap(engine, &build);
-        assert_eq!(si, sv, "{label}: snapshots diverge");
-        assert_eq!(ri.metrics, rv.metrics, "{label}: metrics diverge");
-        assert_eq!(ri.cache, rv.cache, "{label}: cache traffic diverges");
-        assert_eq!(ri.globals, rv.globals, "{label}: globals diverge");
+    let configs = [FusionOptions::default()];
+    let parities = check_parity(
+        label,
+        &compiled,
+        Entry::new(root, passes),
+        &configs,
+        &[build],
+    );
+    // (a) + (b): the pattern fires at O2 and only at O2.
+    if let Some(mnemonic) = mnemonic {
+        let [_, o0, o2] = &parities[0].engines;
+        let disasm_o2 = o2.module().unwrap().disassemble();
+        let disasm_o0 = o0.module().unwrap().disassemble();
+        assert!(
+            disasm_o2.contains(mnemonic),
+            "`{mnemonic}` did not fire; O2 disassembly:\n{disasm_o2}"
+        );
+        assert!(
+            !disasm_o0.contains(mnemonic),
+            "`{mnemonic}` must not appear at O0:\n{disasm_o0}"
+        );
     }
 }
 
@@ -340,7 +250,7 @@ fn programs_without_a_superinstruction_match_interp() {
 #[test]
 fn lower_with_levels_are_ordered_and_reported() {
     let src = list_program("", "b = a + 1; if (a == 1) { b = 0; }");
-    let compiled = grafter::pipeline::Compiled::compile(&src).unwrap();
+    let compiled = Compiled::compile(&src).unwrap();
     let fused = grafter::fuse(
         compiled.program(),
         "N",
@@ -370,7 +280,7 @@ fn empty_module_is_detected() {
         tree class A { int x = 0; virtual traversal fa() {} }
         tree class B { int y = 0; virtual traversal fb() {} }
     "#;
-    let compiled = grafter::pipeline::Compiled::compile(src).unwrap();
+    let compiled = Compiled::compile(src).unwrap();
     let program = compiled.program();
     let a = (0..program.classes.len() as u32)
         .map(grafter_frontend::ClassId)

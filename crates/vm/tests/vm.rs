@@ -1,13 +1,12 @@
-//! VM integration tests: differential interp-vs-VM execution on small
-//! programs covering every statement/expression form, plus disassembly
-//! and API surface checks.
+//! VM integration tests: small programs covering every
+//! statement/expression form run through the tier-parity harness, plus
+//! disassembly and API surface checks.
 
-use grafter::{fuse, Compiled, FuseOptions, Fused};
-use grafter_cachesim::CacheHierarchy;
-use grafter_engine::Engine;
+use grafter::{fuse, Compiled, FuseOptions};
 use grafter_frontend::compile;
-use grafter_runtime::{Heap, Interp, Metrics, NodeId, SnapValue, Value};
-use grafter_vm::{lower, Backend, Vm};
+use grafter_runtime::{Heap, Interp, NodeId, SnapValue, Value};
+use grafter_vm::{lower, Vm};
+use grafter_workloads::harness::{check_parity, fused_and_unfused, Entry, Parity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,51 +79,50 @@ fn build_random_elements(heap: &mut Heap, rng: &mut StdRng, depth: usize, length
     next
 }
 
-type Snapshot = Vec<(String, Vec<SnapValue>)>;
-
-/// Runs both backends on identical fresh trees; returns the two
-/// `(snapshot, metrics)` pairs.
-fn differential(
-    fused: &Fused,
+/// Checks `passes` of `src` from root `Node`, fused, on every tree of
+/// `trees`.
+fn check<B: Fn(&mut Heap) -> NodeId + Sync>(
+    label: &str,
+    src: &str,
+    passes: &[&str],
     args: &[Vec<Value>],
-    build: &dyn Fn(&mut Heap) -> NodeId,
-) -> ((Snapshot, Metrics), (Snapshot, Metrics)) {
-    let fp = fused.fused_program();
-    let mut h1 = Heap::new(fused.program());
-    let r1 = build(&mut h1);
-    let mut interp = Interp::new(fp);
-    interp.run(&mut h1, r1, args).expect("interp run succeeds");
-
-    let module = lower(fp);
-    let mut h2 = Heap::new(fused.program());
-    let r2 = build(&mut h2);
-    let mut vm = Vm::new(&module);
-    vm.run(&mut h2, r2, args).expect("vm run succeeds");
-
-    (
-        (h1.snapshot(r1), interp.machine.metrics.clone()),
-        (h2.snapshot(r2), vm.machine.metrics.clone()),
-    )
+    trees: &[B],
+) -> Vec<Parity> {
+    let compiled = Compiled::compile(src).unwrap();
+    let entry = Entry {
+        args,
+        ..Entry::new("Node", passes)
+    };
+    check_parity(label, &compiled, entry, &[FuseOptions::default()], trees)
 }
 
 #[test]
 fn fig2_fused_and_unfused_match_interp_bit_for_bit() {
+    // Ten seeded element lists, one longer list and a single text box.
+    let seeded: Vec<_> = (0..10u64)
+        .map(|seed| {
+            move |heap: &mut Heap| {
+                build_random_elements(heap, &mut StdRng::seed_from_u64(seed), 3, 8)
+            }
+        })
+        .collect();
+    let long = |heap: &mut Heap| build_random_elements(heap, &mut StdRng::seed_from_u64(9), 3, 40);
+    let text_box = |heap: &mut Heap| {
+        let end = heap.alloc_by_name("End").unwrap();
+        let t = heap.alloc_by_name("TextBox").unwrap();
+        heap.set_by_name(t, "Text.Length", Value::Int(16)).unwrap();
+        heap.set_child_by_name(t, "Next", Some(end)).unwrap();
+        t
+    };
+    let mut trees: Vec<&(dyn Fn(&mut Heap) -> NodeId + Sync)> = vec![&long, &text_box];
+    trees.extend(
+        seeded
+            .iter()
+            .map(|t| t as &(dyn Fn(&mut Heap) -> NodeId + Sync)),
+    );
     let compiled = Compiled::compile(FIG2).unwrap();
-    let traversals = ["computeWidth", "computeHeight"];
-    for artifact in [
-        compiled.fuse_default("Element", &traversals).unwrap(),
-        compiled.fuse_unfused("Element", &traversals).unwrap(),
-    ] {
-        for seed in 0..10u64 {
-            let build = move |heap: &mut Heap| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                build_random_elements(heap, &mut rng, 3, 8)
-            };
-            let ((snap_i, m_i), (snap_v, m_v)) = differential(&artifact, &[], &build);
-            assert_eq!(snap_i, snap_v, "seed {seed}: heap states diverge");
-            assert_eq!(m_i, m_v, "seed {seed}: metrics diverge");
-        }
-    }
+    let entry = Entry::new("Element", &["computeWidth", "computeHeight"]);
+    check_parity("fig2", &compiled, entry, &fused_and_unfused(), &trees);
 }
 
 #[test]
@@ -150,26 +148,24 @@ fn truncation_via_return_matches_interp() {
         }
         tree class End : Node { }
     "#;
-    let compiled = Compiled::compile(src).unwrap();
-    let fused = compiled.fuse_default("Node", &["markA", "markB"]).unwrap();
-    for seed in 0..10u64 {
-        let build = move |heap: &mut Heap| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let end = heap.alloc_by_name("End").unwrap();
-            let mut next = end;
-            for _ in 0..20 {
-                let c = heap.alloc_by_name("Cons").unwrap();
-                heap.set_by_name(c, "stop", Value::Bool(rng.gen_bool(0.2)))
-                    .unwrap();
-                heap.set_child_by_name(c, "next", Some(next)).unwrap();
-                next = c;
+    let trees: Vec<_> = (0..10u64)
+        .map(|seed| {
+            move |heap: &mut Heap| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let end = heap.alloc_by_name("End").unwrap();
+                let mut next = end;
+                for _ in 0..20 {
+                    let c = heap.alloc_by_name("Cons").unwrap();
+                    heap.set_by_name(c, "stop", Value::Bool(rng.gen_bool(0.2)))
+                        .unwrap();
+                    heap.set_child_by_name(c, "next", Some(next)).unwrap();
+                    next = c;
+                }
+                next
             }
-            next
-        };
-        let ((snap_i, m_i), (snap_v, m_v)) = differential(&fused, &[], &build);
-        assert_eq!(snap_i, snap_v, "seed {seed}");
-        assert_eq!(m_i, m_v, "seed {seed}");
-    }
+        })
+        .collect();
+    check("truncation", src, &["markA", "markB"], &[], &trees);
 }
 
 #[test]
@@ -200,10 +196,6 @@ fn tree_mutation_new_delete_matches_interp() {
         tree class Leaf : Node { int v = 0; }
         tree class End : Node { }
     "#;
-    let compiled = Compiled::compile(src).unwrap();
-    let fused = compiled
-        .fuse_default("Node", &["desugar", "tally"])
-        .unwrap();
     let build = |heap: &mut Heap| {
         let mut rng = StdRng::seed_from_u64(42);
         let end = heap.alloc_by_name("End").unwrap();
@@ -221,9 +213,7 @@ fn tree_mutation_new_delete_matches_interp() {
         }
         next
     };
-    let ((snap_i, m_i), (snap_v, m_v)) = differential(&fused, &[], &build);
-    assert_eq!(snap_i, snap_v);
-    assert_eq!(m_i, m_v);
+    check("new/delete", src, &["desugar", "tally"], &[], &[build]);
 }
 
 #[test]
@@ -247,8 +237,6 @@ fn traversal_parameters_match_interp() {
         }
         tree class End : Node { }
     "#;
-    let compiled = Compiled::compile(src).unwrap();
-    let fused = compiled.fuse_default("Node", &["addA", "addB"]).unwrap();
     let build = |heap: &mut Heap| {
         let end = heap.alloc_by_name("End").unwrap();
         let mut next = end;
@@ -260,50 +248,7 @@ fn traversal_parameters_match_interp() {
         next
     };
     let args = vec![vec![Value::Int(5)], vec![Value::Int(3)]];
-    let ((snap_i, m_i), (snap_v, m_v)) = differential(&fused, &args, &build);
-    assert_eq!(snap_i, snap_v);
-    assert_eq!(m_i, m_v);
-}
-
-#[test]
-fn cache_traffic_is_identical_to_interp() {
-    let program = compile(FIG2).unwrap();
-    let fused = fuse(
-        &program,
-        "Element",
-        &["computeWidth", "computeHeight"],
-        &FuseOptions::default(),
-    )
-    .unwrap();
-    let build = |heap: &mut Heap| {
-        let mut rng = StdRng::seed_from_u64(9);
-        build_random_elements(heap, &mut rng, 3, 40)
-    };
-
-    let mut h1 = Heap::new(&program);
-    let r1 = build(&mut h1);
-    let mut interp = Interp::new(&fused);
-    interp.machine.cache = Some(CacheHierarchy::xeon());
-    interp.run(&mut h1, r1, &[]).unwrap();
-    let s_i = interp.machine.cache.as_ref().unwrap().stats();
-
-    let module = lower(&fused);
-    let mut h2 = Heap::new(&program);
-    let r2 = build(&mut h2);
-    let mut vm = Vm::new(&module);
-    vm.machine.cache = Some(CacheHierarchy::xeon());
-    vm.run(&mut h2, r2, &[]).unwrap();
-    let s_v = vm.machine.cache.as_ref().unwrap().stats();
-
-    for level in 0..3 {
-        assert_eq!(
-            s_i.misses(level),
-            s_v.misses(level),
-            "L{} misses diverge",
-            level + 1
-        );
-    }
-    assert_eq!(s_i.cycles, s_v.cycles);
+    check("parameters", src, &["addA", "addB"], &args, &[build]);
 }
 
 #[test]
@@ -330,33 +275,6 @@ fn globals_are_readable_and_settable_on_the_vm() {
     vm.run(&mut heap, t, &[]).unwrap();
     // Height = 8*(8/4)+1 = 17 with the overridden CHAR_WIDTH.
     assert_eq!(heap.get_by_name(t, "Height").unwrap(), Value::Int(17));
-}
-
-#[test]
-fn backend_selection_through_the_engine() {
-    let compiled = Compiled::compile(FIG2).unwrap();
-    let run = |backend: Backend| {
-        let engine = Engine::builder()
-            .compiled(compiled.clone())
-            .entry("Element", &["computeWidth", "computeHeight"])
-            .backend(backend)
-            .build()
-            .unwrap();
-        let mut session = engine.session();
-        let root = session.build_tree(|heap| {
-            let end = heap.alloc_by_name("End").unwrap();
-            let t = heap.alloc_by_name("TextBox").unwrap();
-            heap.set_by_name(t, "Text.Length", Value::Int(16)).unwrap();
-            heap.set_child_by_name(t, "Next", Some(end)).unwrap();
-            t
-        });
-        let report = session.run(root).unwrap();
-        (session.snapshot(root), report.metrics)
-    };
-    let (snap_i, m_interp) = run(Backend::Interp);
-    let (snap_v, m_vm) = run(Backend::Vm);
-    assert_eq!(m_interp, m_vm);
-    assert_eq!(snap_i, snap_v);
 }
 
 #[test]
@@ -400,8 +318,6 @@ fn pure_calls_flow_through_the_vm() {
         }
         tree class End : Node { }
     "#;
-    let compiled = Compiled::compile(src).unwrap();
-    let fused = compiled.fuse_default("Node", &["root"]).unwrap();
     let build = |heap: &mut Heap| {
         let end = heap.alloc_by_name("End").unwrap();
         let c = heap.alloc_by_name("Cons").unwrap();
@@ -409,10 +325,11 @@ fn pure_calls_flow_through_the_vm() {
         heap.set_child_by_name(c, "next", Some(end)).unwrap();
         c
     };
-    let ((snap_i, m_i), (snap_v, m_v)) = differential(&fused, &[], &build);
-    assert_eq!(snap_i, snap_v);
-    assert_eq!(m_i, m_v);
-    assert_eq!(snap_v[0].1[1], SnapValue::Float(3.0));
+    let parities = check("pure calls", src, &["root"], &[], &[build]);
+    assert_eq!(
+        parities[0].agreed(0).snapshot[0].1[1],
+        SnapValue::Float(3.0)
+    );
 }
 
 #[test]

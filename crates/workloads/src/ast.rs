@@ -291,7 +291,7 @@ pub fn build_prog3(heap: &mut Heap, n_funcs: usize, range_len: usize, seed: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Experiment;
+    use crate::harness::{check_parity, fused_and_unfused, Entry, Experiment};
 
     #[test]
     fn program_compiles_with_20_types() {
@@ -300,25 +300,17 @@ mod tests {
     }
 
     #[test]
-    fn fused_equals_unfused_on_random_programs() {
-        for seed in [1, 7, 23] {
-            let exp = Experiment::new(compiled(), ROOT_CLASS, &PASSES, move |heap| {
-                build_program(heap, 6, seed)
-            });
-            assert!(exp.check_equivalence(), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn fused_equals_unfused_on_prog_configs() {
-        let exp = Experiment::new(compiled(), ROOT_CLASS, &PASSES, |heap| {
-            build_prog2(heap, 40, 5)
-        });
-        assert!(exp.check_equivalence());
-        let exp = Experiment::new(compiled(), ROOT_CLASS, &PASSES, |heap| {
-            build_prog3(heap, 4, 20, 5)
-        });
-        assert!(exp.check_equivalence());
+    fn fused_equals_unfused_on_random_programs_and_prog_configs() {
+        let seeded = [1, 7, 23].map(|seed| move |heap: &mut Heap| build_program(heap, 6, seed));
+        let trees: [&(dyn Fn(&mut Heap) -> NodeId + Sync); 5] = [
+            &seeded[0],
+            &seeded[1],
+            &seeded[2],
+            &|heap| build_prog2(heap, 40, 5),
+            &|heap| build_prog3(heap, 4, 20, 5),
+        ];
+        let entry = Entry::new(ROOT_CLASS, &PASSES);
+        check_parity("ast", &compiled(), entry, &fused_and_unfused(), &trees);
     }
 
     #[test]

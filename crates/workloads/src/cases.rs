@@ -11,6 +11,7 @@ use grafter::FusionOptions;
 use grafter_engine::{Backend, Engine, OptLevel};
 use grafter_runtime::{Heap, NodeId, Value};
 
+use crate::harness::Entry;
 use crate::{ast, fmm, kdtree, render};
 
 /// One case study's full entry configuration.
@@ -45,6 +46,16 @@ impl CaseStudy {
     /// Builds the test-sized input tree (seed 42).
     pub fn build_test(&self, heap: &mut Heap) -> NodeId {
         (self.build)(heap, self.test_size, 42)
+    }
+
+    /// The case study's entry sequence, for
+    /// [`check_parity`](crate::harness::check_parity).
+    pub fn entry(&self) -> Entry<'_> {
+        Entry {
+            root_class: self.root_class,
+            passes: &self.passes,
+            args: &self.args,
+        }
     }
 
     /// The case study's pre-wired engine builder (program, entry

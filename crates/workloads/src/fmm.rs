@@ -155,6 +155,7 @@ pub fn experiment(n_points: usize, seed: u64) -> crate::harness::Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{check_parity, fused_and_unfused, Entry};
     use grafter::{fuse, FuseOptions};
     use grafter_runtime::Interp;
 
@@ -196,8 +197,9 @@ mod tests {
 
     #[test]
     fn fused_equals_unfused() {
-        let exp = experiment(256, 11);
-        assert!(exp.check_equivalence());
+        let entry = Entry::new(ROOT_CLASS, &PASSES);
+        let tree = |heap: &mut Heap| build_tree(heap, 256, 11);
+        check_parity("fmm", &compiled(), entry, &fused_and_unfused(), &[tree]);
     }
 
     #[test]

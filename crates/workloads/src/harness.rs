@@ -1,26 +1,28 @@
-//! Measurement harness: runs a workload fused and unfused and reports the
-//! paper's four metrics.
+//! Measurement harness and tier-parity harness.
 //!
-//! Built on the Engine API: an [`Experiment`] holds a [`Compiled`]
+//! [`check_parity`] is the one differential test harness: it runs a
+//! program on every execution tier, fused and unfused, asserts that they
+//! all agree, and returns what they agreed on. Every differential test
+//! suite goes through it.
+//!
+//! [`Experiment`] measures the paper's metrics: it holds a [`Compiled`]
 //! workload and builds one immutable [`Engine`] per configuration
-//! (fused, unfused, ablation cutoffs) — compile, fusion and (on the VM
-//! tier) bytecode lowering run once per engine, then every measured run
-//! is just a [`Session`](grafter_engine::Session). Experiments run on the
-//! instrumented interpreter with the math pures; the VM differential
-//! suite moves one to the `grafter-vm` bytecode VM with
-//! [`Experiment::with_backend`]. [`batch_throughput`] measures the
-//! concurrent story: one shared engine fanning a batch of trees across
-//! worker threads.
+//! (fused, unfused, ablation cutoffs) — compile and fusion run once per
+//! engine, then every measured run is just a
+//! [`Session`] of the instrumented interpreter
+//! with the math pures. [`batch_throughput`] measures the concurrent
+//! story: one shared engine fanning a batch of trees across worker
+//! threads.
 
+use std::thread;
 use std::time::{Duration, Instant};
 
 use grafter::pipeline::Compiled;
-use grafter::FuseOptions;
+use grafter::{Error, FuseOptions};
 use grafter_cachesim::CacheHierarchy;
-use grafter_engine::{BatchOptions, Engine};
+use grafter_engine::{Backend, BatchOptions, Engine, OptLevel, Report, Session};
 pub use grafter_runtime::RUN_STACK;
-use grafter_runtime::{with_stack, Heap, NodeId, Value};
-use grafter_vm::Backend;
+use grafter_runtime::{with_stack, Heap, NodeId, SnapValue, Value};
 
 /// The metrics of one run, mirroring the paper's measured quantities.
 #[derive(Clone, Debug, Default)]
@@ -95,8 +97,6 @@ pub struct Experiment {
     pub args: Vec<Vec<Value>>,
     /// Builds the input tree.
     pub build: Box<dyn Fn(&mut Heap) -> NodeId + Send + Sync>,
-    /// Which execution tier runs the experiment (default: interpreter).
-    backend: Backend,
 }
 
 impl Experiment {
@@ -114,14 +114,7 @@ impl Experiment {
             passes: passes.to_vec(),
             args: Vec::new(),
             build: Box::new(build),
-            backend: Backend::default(),
         }
-    }
-
-    /// Selects the execution backend for every run of this experiment.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Builds the immutable engine for this experiment's entry sequence:
@@ -131,7 +124,6 @@ impl Experiment {
             .compiled(self.compiled.clone())
             .entry(self.root_class, &self.passes)
             .fusion(opts.clone())
-            .backend(self.backend)
             .args(self.args.clone())
             .build()
             .expect("experiment entry sequence resolves")
@@ -179,21 +171,6 @@ impl Experiment {
                 fused: self.run_stats(&fused),
                 unfused: self.run_stats(&unfused),
             }
-        })
-    }
-
-    /// Differential check: fused and unfused runs must leave identical
-    /// trees. Returns the two snapshots' equality.
-    pub fn check_equivalence(self) -> bool {
-        with_stack(RUN_STACK, move || {
-            let snap = |engine: &Engine| {
-                let mut session = engine.session();
-                let root = (self.build)(session.heap_mut());
-                session.run(root).expect("run succeeds");
-                session.snapshot(root)
-            };
-            snap(&self.engine_with(&FuseOptions::default()))
-                == snap(&self.engine_with(&FuseOptions::unfused()))
         })
     }
 }
@@ -249,4 +226,318 @@ pub fn batch_throughput(
         trees,
         wall,
     }
+}
+
+/// A heap snapshot: class name and slot values of every node under a
+/// root, in preorder (what [`Heap::snapshot`] returns).
+pub type Snapshot = Vec<(String, Vec<SnapValue>)>;
+
+/// A program's entry sequence: root class, traversals in invocation
+/// order and each traversal's arguments.
+#[derive(Clone, Copy, Debug)]
+pub struct Entry<'a> {
+    /// Root class of the entry sequence.
+    pub root_class: &'a str,
+    /// Entry traversal names, in invocation order.
+    pub passes: &'a [&'a str],
+    /// Per-traversal entry arguments.
+    pub args: &'a [Vec<Value>],
+}
+
+impl<'a> Entry<'a> {
+    /// An entry sequence whose traversals take no arguments.
+    pub fn new(root_class: &'a str, passes: &'a [&'a str]) -> Self {
+        Entry {
+            root_class,
+            passes,
+            args: &[],
+        }
+    }
+}
+
+/// The two configurations most suites check: default fusion and the
+/// unfused baseline.
+pub fn fused_and_unfused() -> [FuseOptions; 2] {
+    [FuseOptions::default(), FuseOptions::unfused()]
+}
+
+/// The engines [`check_parity`] builds per configuration, in
+/// [`Parity::engines`] order. The interpreter ignores the level.
+const TIERS: [(Backend, OptLevel); 3] = [
+    (Backend::Interp, OptLevel::O2),
+    (Backend::Vm, OptLevel::O0),
+    (Backend::Vm, OptLevel::O2),
+];
+
+/// The executors of one configuration, in [`Agreed::reports`] order:
+/// name, index into [`Parity::engines`], and whether the run has the
+/// `xeon` cache model attached.
+const EXECUTORS: [(&str, usize, bool); 4] = [
+    ("interp", 0, true),
+    ("vm-O0", 1, true),
+    ("vm-O2", 2, true),
+    ("uncached vm-O2", 2, false),
+];
+
+/// One fusion configuration as [`check_parity`] ran it.
+pub struct Parity {
+    /// The configuration's fusion options.
+    pub opts: FuseOptions,
+    /// Its engines: the interpreter, VM-O0 and VM-O2.
+    pub engines: [Engine; 3],
+    /// One outcome per tree, in the order the trees were given: what
+    /// every executor agreed on, or the error all of them failed with.
+    pub outcomes: Vec<Result<Agreed, Error>>,
+}
+
+impl Parity {
+    /// What every executor agreed on for tree `tree`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the shared error when the runs failed.
+    pub fn agreed(&self, tree: usize) -> &Agreed {
+        match &self.outcomes[tree] {
+            Ok(agreed) => agreed,
+            Err(e) => panic!("tree {tree} failed on every executor: {e}"),
+        }
+    }
+
+    /// The error every executor failed with on tree `tree`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the runs succeeded.
+    pub fn error(&self, tree: usize) -> &Error {
+        match &self.outcomes[tree] {
+            Err(e) => e,
+            Ok(_) => panic!("tree {tree} ran on every executor"),
+        }
+    }
+}
+
+/// What every executor of one configuration agreed on for one tree.
+pub struct Agreed {
+    /// One report per executor: each engine's run with the `xeon` cache
+    /// model, in [`Parity::engines`] order, then VM-O2's run without one.
+    pub reports: [Report; 4],
+    /// The final tree.
+    pub snapshot: Snapshot,
+}
+
+/// Runs `entry` of `compiled` under each fusion configuration in
+/// `configs` on every tree of `trees`, asserts that all executors agree
+/// and that fusion is sound, and returns one [`Parity`] per
+/// configuration.
+///
+/// Each configuration builds three engines, the interpreter, VM-O0 and
+/// VM-O2, and runs each tree on each of them with the `xeon` cache model,
+/// then on VM-O2 once more without a cache, the way perfbench and
+/// grafterd run. All executors of a configuration must leave the same
+/// snapshot and report the same `FusionMetrics`, `Metrics`, cache
+/// statistics and globals, or fail with the same typed error: the same
+/// stage and the same rendered text. A run that panics fails with the
+/// panic as its error ([`Session::run_input`]).
+///
+/// The unfused interpreter is the oracle: the unfused configuration's
+/// own run when `configs` has one, an extra run otherwise. On every tree,
+/// each configuration must leave the oracle's snapshot and globals and
+/// visit no more nodes than it, or fail with the oracle's error. Each
+/// configuration's explain totals must also equal its fused program's
+/// coverage counters.
+///
+/// Everything runs on one thread with a [`RUN_STACK`] stack.
+///
+/// # Panics
+///
+/// On any disagreement, with a message naming `label`, the
+/// configuration, the tree and the executor; and when an engine does not
+/// build.
+pub fn check_parity<B>(
+    label: &str,
+    compiled: &Compiled,
+    entry: Entry<'_>,
+    configs: &[FuseOptions],
+    trees: &[B],
+) -> Vec<Parity>
+where
+    B: Fn(&mut Heap) -> NodeId + Sync,
+{
+    let engine = |opts: &FuseOptions, (backend, level): (Backend, OptLevel)| {
+        Engine::builder()
+            .compiled(compiled.clone())
+            .entry(entry.root_class, entry.passes)
+            .fusion(opts.clone())
+            .backend(backend)
+            .opt_level(level)
+            .args(entry.args.to_vec())
+            .build()
+            .unwrap_or_else(|e| panic!("{label}: {backend} {level} build fails: {e}"))
+    };
+    on_run_stack(|| {
+        let parities: Vec<Parity> = configs
+            .iter()
+            .map(|opts| {
+                let engines = TIERS.map(|tier| engine(opts, tier));
+                let fused = engines[0].fused_program();
+                assert_eq!(
+                    fused.explain.totals(),
+                    fused.coverage,
+                    "{label} {opts:?}: explain totals differ from coverage"
+                );
+                let outcomes = trees
+                    .iter()
+                    .enumerate()
+                    .map(|(t, build)| agree(&format!("{label} {opts:?} tree {t}"), &engines, build))
+                    .collect();
+                Parity {
+                    opts: opts.clone(),
+                    engines,
+                    outcomes,
+                }
+            })
+            .collect();
+        let unfused = FuseOptions::unfused();
+        let own_oracle: Vec<_>;
+        let oracle: Vec<Result<(&Report, &Snapshot), &Error>> =
+            match parities.iter().find(|p| p.opts == unfused) {
+                Some(p) => p
+                    .outcomes
+                    .iter()
+                    .map(|o| o.as_ref().map(|a| (&a.reports[0], &a.snapshot)))
+                    .collect(),
+                None => {
+                    let interp = engine(&unfused, TIERS[0]);
+                    own_oracle = trees
+                        .iter()
+                        .map(|build| run(&mut interp.session(), build))
+                        .collect();
+                    own_oracle
+                        .iter()
+                        .map(|o| o.as_ref().map(|(r, s)| (r, s)))
+                        .collect()
+                }
+            };
+        for p in &parities {
+            for (t, (outcome, oracle)) in p.outcomes.iter().zip(&oracle).enumerate() {
+                let what = format!("{label} {:?} tree {t} against the unfused oracle", p.opts);
+                match (outcome, oracle) {
+                    (Ok(agreed), Ok((report, snapshot))) => {
+                        let ours = &agreed.reports[0];
+                        assert_same_tree(&what, &agreed.snapshot, snapshot);
+                        assert_eq!(ours.globals, report.globals, "{what}: globals differ");
+                        assert!(
+                            ours.metrics.visits <= report.metrics.visits,
+                            "{what}: {} visits, the oracle {}",
+                            ours.metrics.visits,
+                            report.metrics.visits
+                        );
+                    }
+                    (Err(ours), Err(theirs)) => assert_same_error(&what, ours, theirs),
+                    (Ok(_), Err(e)) => panic!("{what}: runs, the oracle fails with {e}"),
+                    (Err(e), Ok(_)) => panic!("{what}: fails with {e}, the oracle runs"),
+                }
+            }
+        }
+        parities
+    })
+}
+
+/// Runs every executor of one configuration on the tree `build` makes
+/// and returns what they agreed on.
+fn agree(
+    what: &str,
+    engines: &[Engine; 3],
+    build: &impl Fn(&mut Heap) -> NodeId,
+) -> Result<Agreed, Error> {
+    let runs = EXECUTORS.map(|(_, engine, cached)| {
+        let mut session = engines[engine].session();
+        if cached {
+            session = session.with_cache(CacheHierarchy::xeon());
+        }
+        run(&mut session, build)
+    });
+    let (interp, rest) = runs.split_first().expect("four executors");
+    for ((name, _, cached), other) in EXECUTORS[1..].iter().zip(rest) {
+        let what = format!("{what}: {name} against interp");
+        match (interp, other) {
+            (Ok((expected, tree)), Ok((report, snapshot))) => {
+                assert_same_tree(&what, snapshot, tree);
+                assert_eq!(
+                    report.fusion, expected.fusion,
+                    "{what}: fusion metrics differ"
+                );
+                assert_eq!(report.metrics, expected.metrics, "{what}: metrics differ");
+                assert_eq!(report.globals, expected.globals, "{what}: globals differ");
+                let cache = expected.cache.as_ref().filter(|_| *cached);
+                assert_eq!(
+                    report.cache.as_ref(),
+                    cache,
+                    "{what}: cache statistics differ"
+                );
+            }
+            (Err(expected), Err(e)) => assert_same_error(&what, e, expected),
+            (Ok(_), Err(e)) => panic!("{what}: fails with {e}, interp runs"),
+            (Err(e), Ok(_)) => panic!("{what}: runs, interp fails with {e}"),
+        }
+    }
+    let [interp, o0, o2, uncached] = runs;
+    let (interp, snapshot) = interp?;
+    let report = |run: Result<(Report, Snapshot), Error>| run.expect("agreed").0;
+    Ok(Agreed {
+        reports: [interp, report(o0), report(o2), report(uncached)],
+        snapshot,
+    })
+}
+
+/// Serves one tree on `session` the way a batch worker does: resets its
+/// heap, builds the tree with `build` and runs it
+/// ([`Session::run_input`]), then snapshots the final tree.
+///
+/// # Errors
+///
+/// The run's typed error; a panic in the build or the run becomes one.
+pub fn run(
+    session: &mut Session<'_>,
+    build: impl FnOnce(&mut Heap) -> NodeId,
+) -> Result<(Report, Snapshot), Error> {
+    let mut root = None;
+    let report = session.run_input(|heap| *root.insert(build(heap)))?;
+    Ok((report, session.snapshot(root.expect("the tree was built"))))
+}
+
+/// Runs `f` on a fresh thread with a [`RUN_STACK`] stack, the way
+/// [`with_stack`] does, but lets `f` borrow from the caller.
+///
+/// # Panics
+///
+/// Re-raises a panic of `f`; panics if the thread cannot be spawned.
+pub fn on_run_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    thread::scope(|scope| {
+        thread::Builder::new()
+            .stack_size(RUN_STACK)
+            .spawn_scoped(scope, f)
+            .expect("spawn a RUN_STACK thread")
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
+
+/// Asserts two snapshots are equal, naming the first node that differs.
+fn assert_same_tree(what: &str, ours: &Snapshot, theirs: &Snapshot) {
+    if let Some(i) = (0..ours.len().max(theirs.len())).find(|&i| ours.get(i) != theirs.get(i)) {
+        panic!(
+            "{what}: trees differ at node {i} of {} vs {}: {:?} vs {:?}",
+            ours.len(),
+            theirs.len(),
+            ours.get(i),
+            theirs.get(i)
+        );
+    }
+}
+
+/// Asserts two typed errors have the same stage and rendered text.
+fn assert_same_error(what: &str, ours: &Error, theirs: &Error) {
+    assert_eq!(ours.stage(), theirs.stage(), "{what}: error stages differ");
+    assert_eq!(ours.rendered(), theirs.rendered(), "{what}: errors differ");
 }

@@ -375,6 +375,7 @@ pub fn experiment(schedule: &[Op], depth: usize, seed: u64) -> crate::harness::E
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{check_parity, fused_and_unfused, Entry};
     use grafter::{fuse, FuseOptions};
     use grafter_runtime::Interp;
 
@@ -462,11 +463,24 @@ mod tests {
         );
     }
 
+    /// Checks `schedule` fused and unfused on every tier over one
+    /// balanced tree.
+    fn check_schedule(label: &str, schedule: &[Op], depth: usize, seed: u64) {
+        let passes: Vec<&str> = schedule.iter().map(Op::pass).collect();
+        let args: Vec<Vec<Value>> = schedule.iter().map(Op::args).collect();
+        let entry = Entry {
+            root_class: ROOT_CLASS,
+            passes: &passes,
+            args: &args,
+        };
+        let tree = |heap: &mut Heap| build_balanced(heap, depth, seed);
+        check_parity(label, &compiled(), entry, &fused_and_unfused(), &[tree]);
+    }
+
     #[test]
     fn equations_run_fused_and_unfused_identically() {
         for (name, schedule) in equation_schedules() {
-            let exp = experiment(&schedule, 6, 42);
-            assert!(exp.check_equivalence(), "equation {name}");
+            check_schedule(name, &schedule, 6, 42);
         }
     }
 
@@ -537,18 +551,8 @@ mod tests {
     #[test]
     fn global_accumulators_serialize_but_stay_correct() {
         // Two integrates cannot fuse with each other (both write the global
-        // accumulator), but results must match the unfused run.
-        let schedule = vec![Op::Integrate(0.0, DOMAIN.1), Op::Integrate(DOMAIN.0, 0.0)];
-        let exp = experiment(&schedule, 5, 9);
-        let fused = exp.engine_with(&FuseOptions::default());
-        let unfused = exp.engine_with(&FuseOptions::unfused());
-        let run = |engine: &grafter_engine::Engine| {
-            let mut heap = engine.new_heap();
-            let root = (exp.build)(&mut heap);
-            let mut interp = Interp::new(engine.fused_program());
-            interp.run(&mut heap, root, &exp.args).unwrap();
-            interp.machine.global("INTEGRAL").unwrap()
-        };
-        assert_eq!(run(&fused), run(&unfused));
+        // accumulator), but the final globals must match the unfused run's.
+        let schedule = [Op::Integrate(0.0, DOMAIN.1), Op::Integrate(DOMAIN.0, 0.0)];
+        check_schedule("integrate twice", &schedule, 5, 9);
     }
 }

@@ -7,7 +7,7 @@
 //! | [`ast`] | §5.2 | 20-type AST, 6 compiler passes (Fig. 10, Table 2) |
 //! | [`kdtree`] | §5.3 | MADNESS-style piecewise functions (Table 5/6) |
 //! | [`fmm`] | §5.4 | fast-multipole-method two-pass kernel (Fig. 13) |
-//! | [`harness`] | §5 prelude | fused/unfused comparison runner |
+//! | [`harness`] | §5 prelude | fused/unfused measurement runner; tier-parity test harness |
 //!
 //! Every workload exposes its DSL source (`SOURCE`), the pass list
 //! (`PASSES`), the root class, and deterministic input builders used by the

@@ -511,7 +511,7 @@ pub fn build_mixed_document(heap: &mut Heap, pages: usize, seed: u64) -> NodeId 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Experiment;
+    use crate::harness::{check_parity, fused_and_unfused, Entry, Experiment};
 
     #[test]
     fn program_compiles_with_17_types() {
@@ -529,27 +529,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_equals_unfused_on_documents() {
-        let exp = Experiment::new(compiled(), ROOT_CLASS, &PASSES, |heap| {
-            build_document(heap, 10, 42)
-        });
-        assert!(exp.check_equivalence());
-    }
-
-    #[test]
-    fn fused_equals_unfused_on_dense_page() {
-        let exp = Experiment::new(compiled(), ROOT_CLASS, &PASSES, |heap| {
-            build_dense_page(heap, 4, 3, 7)
-        });
-        assert!(exp.check_equivalence());
-    }
-
-    #[test]
-    fn fused_equals_unfused_on_mixed_documents() {
-        let exp = Experiment::new(compiled(), ROOT_CLASS, &PASSES, |heap| {
-            build_mixed_document(heap, 12, 3)
-        });
-        assert!(exp.check_equivalence());
+    fn fused_equals_unfused_on_plain_dense_and_mixed_documents() {
+        let trees: [&(dyn Fn(&mut Heap) -> NodeId + Sync); 3] = [
+            &|heap| build_document(heap, 10, 42),
+            &|heap| build_dense_page(heap, 4, 3, 7),
+            &|heap| build_mixed_document(heap, 12, 3),
+        ];
+        let entry = Entry::new(ROOT_CLASS, &PASSES);
+        check_parity("render", &compiled(), entry, &fused_and_unfused(), &trees);
     }
 
     #[test]

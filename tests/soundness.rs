@@ -12,13 +12,13 @@
 //!
 //! Originally written against proptest; the build environment is offline,
 //! so cases are drawn from the vendored deterministic `rand` shim with
-//! fixed seeds, and every run is identical. The whole flow goes through
-//! `grafter::Compiled` and the `grafter_engine::Engine` API.
+//! fixed seeds, and every run is identical. Every program runs through
+//! the tier-parity harness (`grafter_workloads::harness::check_parity`),
+//! so the interpreter, VM-O0 and VM-O2 must also agree with each other.
 
 use grafter::{Compiled, FuseOptions};
-use grafter_cachesim::CacheHierarchy;
-use grafter_engine::{Backend, Engine, OptLevel};
 use grafter_runtime::{Heap, NodeId, Value};
+use grafter_workloads::harness::{check_parity, fused_and_unfused, Entry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -179,43 +179,34 @@ fn random_traversals(rng: &mut StdRng, max: usize) -> Vec<GenTraversal> {
     (0..n).map(|_| GenTraversal::random(rng)).collect()
 }
 
+/// Checks one generated program under `configs` on one list.
+fn check(
+    case: usize,
+    traversals: &[GenTraversal],
+    list: &[(i64, i64, i64, bool)],
+    configs: &[FuseOptions],
+) {
+    let src = render_program(traversals);
+    let compiled = Compiled::compile(src.as_str()).expect("generated programs are valid");
+    let names: Vec<String> = (0..traversals.len()).map(|i| format!("t{i}")).collect();
+    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let tree = |heap: &mut Heap| build_list(heap, list);
+    check_parity(
+        &format!("case {case}; program:\n{src}"),
+        &compiled,
+        Entry::new("Node", &name_refs),
+        configs,
+        &[tree],
+    );
+}
+
 #[test]
 fn fused_equals_unfused_on_random_programs() {
     let mut rng = StdRng::seed_from_u64(0x5041_4C44);
     for case in 0..48 {
         let traversals = random_traversals(&mut rng, 4);
         let list = random_list(&mut rng);
-
-        let src = render_program(&traversals);
-        let compiled = Compiled::compile(src.as_str()).expect("generated programs are valid");
-        let names: Vec<String> = (0..traversals.len()).map(|i| format!("t{i}")).collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-
-        let engine_with = |opts: FuseOptions| {
-            Engine::builder()
-                .compiled(compiled.clone())
-                .entry("Node", &name_refs)
-                .fusion(opts)
-                .build()
-                .unwrap()
-        };
-        let fused = engine_with(FuseOptions::default());
-        let unfused = engine_with(FuseOptions::unfused());
-
-        let snapshot = |engine: &Engine| {
-            let mut session = engine.session();
-            let root = session.build_tree(|heap| build_list(heap, &list));
-            let report = session.run(root).unwrap();
-            (session.snapshot(root), report.metrics.visits)
-        };
-
-        let (snap_f, visits_f) = snapshot(&fused);
-        let (snap_u, visits_u) = snapshot(&unfused);
-        assert_eq!(snap_f, snap_u, "case {case} diverged; program:\n{src}");
-        assert!(
-            visits_f <= visits_u,
-            "fusion never increases visits (case {case})"
-        );
+        check(case, &traversals, &list, &fused_and_unfused());
     }
 }
 
@@ -246,33 +237,6 @@ fn vm_tiers_match_the_interpreter_on_generated_programs_with_early_returns() {
     for case in 0..120 {
         let traversals = random_traversals(&mut rng, 7);
         let list = random_list(&mut rng);
-        let src = render_program(&traversals);
-        let compiled = Compiled::compile(src.as_str()).expect("generated programs are valid");
-        let names: Vec<String> = (0..traversals.len()).map(|i| format!("t{i}")).collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let engine = |backend: Backend, level: OptLevel| {
-            Engine::builder()
-                .compiled(compiled.clone())
-                .entry("Node", &name_refs)
-                .backend(backend)
-                .opt_level(level)
-                .build()
-                .unwrap()
-        };
-        let run = |engine: &Engine| {
-            let mut session = engine.session().with_cache(CacheHierarchy::xeon());
-            let root = session.build_tree(|heap| build_list(heap, &list));
-            let report = session.run(root).unwrap();
-            (session.snapshot(root), report)
-        };
-        let (snap_i, interp) = run(&engine(Backend::Interp, OptLevel::O2));
-        for level in [OptLevel::O0, OptLevel::O2] {
-            let (snap_v, vm) = run(&engine(Backend::Vm, level));
-            let what = format!("case {case} {level}; program:\n{src}");
-            assert_eq!(snap_i, snap_v, "{what}: snapshots diverge");
-            assert_eq!(interp.metrics, vm.metrics, "{what}: metrics diverge");
-            assert_eq!(interp.cache, vm.cache, "{what}: cache traffic diverges");
-            assert_eq!(interp.globals, vm.globals, "{what}: globals diverge");
-        }
+        check(case, &traversals, &list, &[FuseOptions::default()]);
     }
 }

@@ -1,111 +1,70 @@
-//! Engine API coverage over the paper's four case studies: for each
-//! workload, the fused execution must produce exactly the tree (and
-//! fewer node visits) of the unfused execution, end to end through
-//! `grafter_engine::Engine` and per-run `Session`s.
+//! The paper's four case studies at test size, each fused and unfused,
+//! through the tier-parity harness: the interpreter, VM-O0 and VM-O2
+//! must agree on every tree, the fused runs must leave the unfused
+//! interpreter's tree and globals, and fusion must strictly reduce node
+//! visits. The kd-tree runs all three equations of Table 6.
 
-use grafter::{Compiled, FuseOptions};
-use grafter_engine::Engine;
-use grafter_runtime::{with_stack, Heap, NodeId, SnapValue, Value};
-use grafter_workloads::{ast, fmm, kdtree, render};
+use grafter_runtime::{Heap, Value};
+use grafter_workloads::harness::{check_parity, fused_and_unfused, Entry, Parity};
+use grafter_workloads::{case_studies, kdtree};
 
-/// Runs one engine on a freshly built tree; returns the final tree
-/// snapshot and the visit count.
-fn run(
-    engine: &Engine,
-    build: &dyn Fn(&mut Heap) -> NodeId,
-) -> (Vec<(String, Vec<SnapValue>)>, u64) {
-    let mut session = engine.session();
-    let root = session.build_tree(build);
-    let report = session.run(root).unwrap();
-    (session.snapshot(root), report.metrics.visits)
+/// Asserts the fused configuration visits fewer nodes than the unfused.
+fn assert_fewer_visits(label: &str, parities: &[Parity]) {
+    let [fused, unfused] = parities else {
+        panic!("{label}: expected a fused and an unfused configuration")
+    };
+    let visits = |p: &Parity| p.agreed(0).reports[0].metrics.visits;
+    let (fused, unfused) = (visits(fused), visits(unfused));
+    assert!(
+        fused < unfused,
+        "{label}: fusion should reduce node visits ({fused} vs {unfused})"
+    );
 }
 
-/// Fuses `passes` both ways and checks the soundness + profitability pair.
-fn check_workload(
-    name: &str,
-    compiled: &Compiled,
-    root_class: &str,
-    passes: &[&str],
-    args: &[Vec<Value>],
-    build: &dyn Fn(&mut Heap) -> NodeId,
-) {
-    let engine_with = |opts: FuseOptions| {
-        Engine::builder()
-            .compiled(compiled.clone())
-            .entry(root_class, passes)
-            .fusion(opts)
-            .args(args.to_vec())
-            .build()
-            .unwrap()
-    };
-    let fused = engine_with(FuseOptions::default());
-    let unfused = engine_with(FuseOptions::unfused());
-    let (snap_f, visits_f) = run(&fused, build);
-    let (snap_u, visits_u) = run(&unfused, build);
-    assert_eq!(snap_f, snap_u, "{name}: fused and unfused trees diverge");
-    assert!(
-        visits_f < visits_u,
-        "{name}: fusion should reduce node visits ({visits_f} vs {visits_u})"
+/// Checks one case study at test size.
+fn check_case(name: &str) {
+    let cases = case_studies();
+    let case = cases.iter().find(|c| c.name == name).expect("case study");
+    let tree = |heap: &mut Heap| case.build_test(heap);
+    let parities = check_parity(
+        name,
+        &case.compiled,
+        case.entry(),
+        &fused_and_unfused(),
+        &[tree],
     );
+    assert_fewer_visits(name, &parities);
 }
 
 #[test]
 fn ast_fused_matches_unfused_with_fewer_visits() {
-    with_stack(64 << 20, || {
-        check_workload(
-            "ast",
-            &ast::compiled(),
-            ast::ROOT_CLASS,
-            &ast::PASSES,
-            &[],
-            &|heap| ast::build_program(heap, 20, 42),
-        );
-    });
+    check_case("ast");
 }
 
 #[test]
 fn kdtree_fused_matches_unfused_with_fewer_visits() {
-    with_stack(64 << 20, || {
-        let compiled = kdtree::compiled();
-        for (eq_name, schedule) in kdtree::equation_schedules() {
-            let passes: Vec<&str> = schedule.iter().map(|op| op.pass()).collect();
-            let args: Vec<Vec<Value>> = schedule.iter().map(|op| op.args()).collect();
-            check_workload(
-                &format!("kdtree/{eq_name}"),
-                &compiled,
-                kdtree::ROOT_CLASS,
-                &passes,
-                &args,
-                &|heap| kdtree::build_balanced(heap, 8, 42),
-            );
-        }
-    });
+    let compiled = kdtree::compiled();
+    for (eq_name, schedule) in kdtree::equation_schedules() {
+        let passes: Vec<&str> = schedule.iter().map(|op| op.pass()).collect();
+        let args: Vec<Vec<Value>> = schedule.iter().map(|op| op.args()).collect();
+        let entry = Entry {
+            root_class: kdtree::ROOT_CLASS,
+            passes: &passes,
+            args: &args,
+        };
+        let tree = |heap: &mut Heap| kdtree::build_balanced(heap, 8, 42);
+        let label = format!("kdtree/{eq_name}");
+        let parities = check_parity(&label, &compiled, entry, &fused_and_unfused(), &[tree]);
+        assert_fewer_visits(&label, &parities);
+    }
 }
 
 #[test]
 fn render_fused_matches_unfused_with_fewer_visits() {
-    with_stack(64 << 20, || {
-        check_workload(
-            "render",
-            &render::compiled(),
-            render::ROOT_CLASS,
-            &render::PASSES,
-            &[],
-            &|heap| render::build_document(heap, 30, 42),
-        );
-    });
+    check_case("render");
 }
 
 #[test]
 fn fmm_fused_matches_unfused_with_fewer_visits() {
-    with_stack(64 << 20, || {
-        check_workload(
-            "fmm",
-            &fmm::compiled(),
-            fmm::ROOT_CLASS,
-            &fmm::PASSES,
-            &[],
-            &|heap| fmm::build_tree(heap, 1_000, 42),
-        );
-    });
+    check_case("fmm");
 }
