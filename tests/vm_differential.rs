@@ -4,8 +4,9 @@
 //! harness, so the interpreter, VM-O0 and VM-O2 must agree on the final
 //! tree, `Metrics`, simulated cache traffic and globals, or fail with
 //! the same typed error. The four case studies run through the same
-//! harness in `tests/workloads.rs`. The suite also runs a 100k-node deep
-//! spine on the VM.
+//! harness in `tests/workloads.rs`; here the kd-tree's equations also run
+//! under the fusion cutoffs. The suite also runs a 100k-node deep spine
+//! on the VM.
 
 use grafter::{Compiled, FuseOptions};
 use grafter_cachesim::CacheHierarchy;
@@ -14,7 +15,7 @@ use grafter_runtime::{Heap, NodeId, SnapValue, Value};
 use grafter_workloads::harness::{
     check_parity, fused_and_unfused, on_run_stack, run, Entry, Parity,
 };
-use grafter_workloads::render;
+use grafter_workloads::{kdtree, render};
 
 /// Checks `passes` of `src` from root `Node` under `configs` on one tree.
 fn check(
@@ -32,6 +33,49 @@ fn check(
         configs,
         &[build],
     )
+}
+
+#[test]
+fn kdtree_vm_matches_interp_on_every_equation() {
+    // All three piecewise schedules of Table 6, under the two fusion
+    // cutoffs: each groups fewer pairs than default fusion, so the tiers
+    // run fused code that default fusion never emits. `tests/workloads.rs`
+    // runs the same equations fused and unfused.
+    let configs = [
+        FuseOptions {
+            max_group_size: 2,
+            ..FuseOptions::default()
+        },
+        FuseOptions {
+            max_occurrences: 1,
+            ..FuseOptions::default()
+        },
+    ];
+    let compiled = kdtree::compiled();
+    for (eq_name, schedule) in kdtree::equation_schedules() {
+        let passes: Vec<&str> = schedule.iter().map(|op| op.pass()).collect();
+        let args: Vec<Vec<Value>> = schedule.iter().map(|op| op.args()).collect();
+        let entry = Entry {
+            root_class: kdtree::ROOT_CLASS,
+            passes: &passes,
+            args: &args,
+        };
+        let tree = |heap: &mut Heap| kdtree::build_balanced(heap, 8, 42);
+        let label = format!("kdtree/{eq_name}");
+        let default = compiled
+            .fuse_default(kdtree::ROOT_CLASS, &passes)
+            .expect("kdtree fuses")
+            .fused_program()
+            .coverage;
+        for parity in check_parity(&label, &compiled, entry, &configs, &[tree]) {
+            let coverage = parity.engines[0].fused_program().coverage;
+            assert!(
+                coverage.fused_pairs < default.fused_pairs,
+                "{label} {:?}: the cutoff groups as many pairs as default fusion",
+                parity.opts
+            );
+        }
+    }
 }
 
 #[test]
