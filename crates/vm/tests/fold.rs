@@ -48,10 +48,7 @@ fn check_fused_against_interp(
         .map(|seed| move |h: &mut Heap| build(h, &mut StdRng::seed_from_u64(seed)))
         .collect();
     let parities = check_parity(src, &compiled, entry, &[opts], &trees);
-    parities[0].engines[2]
-        .module()
-        .expect("vm engine")
-        .disassemble()
+    parities[0].vm_o2.module().expect("vm engine").disassemble()
 }
 
 /// Whether the disassembly contains an op with mnemonic `op`.

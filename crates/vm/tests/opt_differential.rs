@@ -14,7 +14,7 @@ use grafter::{Compiled, FusionOptions};
 use grafter_engine::OptLevel;
 use grafter_runtime::Heap;
 use grafter_vm::{lower_with, VmOptions};
-use grafter_workloads::harness::{check_parity, Entry};
+use grafter_workloads::harness::{check_parity, Entry, Parity};
 
 // ---- per-pattern peephole tests ------------------------------------------
 //
@@ -51,9 +51,9 @@ fn check_pattern(src: &str, root: &str, passes: &[&str], mnemonic: Option<&str>)
     );
     // (a) + (b): the pattern fires at O2 and only at O2.
     if let Some(mnemonic) = mnemonic {
-        let [_, o0, o2] = &parities[0].engines;
-        let disasm_o2 = o2.module().unwrap().disassemble();
-        let disasm_o0 = o0.module().unwrap().disassemble();
+        let Parity { vm_o0, vm_o2, .. } = &parities[0];
+        let disasm_o2 = vm_o2.module().unwrap().disassemble();
+        let disasm_o0 = vm_o0.module().unwrap().disassemble();
         assert!(
             disasm_o2.contains(mnemonic),
             "`{mnemonic}` did not fire; O2 disassembly:\n{disasm_o2}"

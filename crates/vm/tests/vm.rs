@@ -327,7 +327,7 @@ fn pure_calls_flow_through_the_vm() {
     };
     let parities = check("pure calls", src, &["root"], &[], &[build]);
     assert_eq!(
-        parities[0].agreed(0).snapshot[0].1[1],
+        parities[0].agreed[0].snapshot[0].1[1],
         SnapValue::Float(3.0)
     );
 }

@@ -1,9 +1,11 @@
 //! Measurement harness and tier-parity harness.
 //!
 //! [`check_parity`] is the one differential test harness: it runs a
-//! program on every execution tier, fused and unfused, asserts that they
-//! all agree, and returns what they agreed on. Every differential test
-//! suite goes through it.
+//! program on every execution tier, fused and unfused, asserts that every
+//! run succeeds and that they all agree, and returns what they agreed on.
+//! Its twin [`check_error_parity`] asserts instead that every run fails
+//! with the same expected error. Every differential test suite goes
+//! through one of the two.
 //!
 //! [`Experiment`] measures the paper's metrics: it holds a [`Compiled`]
 //! workload and builds one immutable [`Engine`] per configuration
@@ -261,98 +263,72 @@ pub fn fused_and_unfused() -> [FuseOptions; 2] {
     [FuseOptions::default(), FuseOptions::unfused()]
 }
 
-/// The engines [`check_parity`] builds per configuration, in
-/// [`Parity::engines`] order. The interpreter ignores the level.
+/// The engines [`check_parity`] builds per configuration: the
+/// interpreter (which ignores the level), VM-O0 and VM-O2.
 const TIERS: [(Backend, OptLevel); 3] = [
     (Backend::Interp, OptLevel::O2),
     (Backend::Vm, OptLevel::O0),
     (Backend::Vm, OptLevel::O2),
 ];
 
-/// The executors of one configuration, in [`Agreed::reports`] order:
-/// name, index into [`Parity::engines`], and whether the run has the
-/// `xeon` cache model attached.
-const EXECUTORS: [(&str, usize, bool); 4] = [
-    ("interp", 0, true),
-    ("vm-O0", 1, true),
-    ("vm-O2", 2, true),
-    ("uncached vm-O2", 2, false),
-];
-
 /// One fusion configuration as [`check_parity`] ran it.
 pub struct Parity {
     /// The configuration's fusion options.
     pub opts: FuseOptions,
-    /// Its engines: the interpreter, VM-O0 and VM-O2.
-    pub engines: [Engine; 3],
-    /// One outcome per tree, in the order the trees were given: what
-    /// every executor agreed on, or the error all of them failed with.
-    pub outcomes: Vec<Result<Agreed, Error>>,
-}
-
-impl Parity {
-    /// What every executor agreed on for tree `tree`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the shared error when the runs failed.
-    pub fn agreed(&self, tree: usize) -> &Agreed {
-        match &self.outcomes[tree] {
-            Ok(agreed) => agreed,
-            Err(e) => panic!("tree {tree} failed on every executor: {e}"),
-        }
-    }
-
-    /// The error every executor failed with on tree `tree`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the runs succeeded.
-    pub fn error(&self, tree: usize) -> &Error {
-        match &self.outcomes[tree] {
-            Err(e) => e,
-            Ok(_) => panic!("tree {tree} ran on every executor"),
-        }
-    }
+    /// The interpreter engine.
+    pub interp: Engine,
+    /// The VM engine at `O0`.
+    pub vm_o0: Engine,
+    /// The VM engine at `O2`.
+    pub vm_o2: Engine,
+    /// What every executor agreed on, one entry per tree, in the order
+    /// the trees were given.
+    pub agreed: Vec<Agreed>,
 }
 
 /// What every executor of one configuration agreed on for one tree.
 pub struct Agreed {
-    /// One report per executor: each engine's run with the `xeon` cache
-    /// model, in [`Parity::engines`] order, then VM-O2's run without one.
-    pub reports: [Report; 4],
+    /// The interpreter's run with the `xeon` cache model.
+    pub interp: Report,
+    /// VM-O0's run with the `xeon` cache model.
+    pub vm_o0: Report,
+    /// VM-O2's run with the `xeon` cache model.
+    pub vm_o2: Report,
+    /// VM-O2's run without a cache model, the way perfbench and grafterd
+    /// run.
+    pub vm_o2_uncached: Report,
     /// The final tree.
     pub snapshot: Snapshot,
 }
 
 /// Runs `entry` of `compiled` under each fusion configuration in
-/// `configs` on every tree of `trees`, asserts that all executors agree
-/// and that fusion is sound, and returns one [`Parity`] per
-/// configuration.
+/// `configs` on every tree of `trees`, asserts that every run succeeds,
+/// that all executors agree and that fusion is sound, and returns one
+/// [`Parity`] per configuration.
 ///
 /// Each configuration builds three engines, the interpreter, VM-O0 and
 /// VM-O2, and runs each tree on each of them with the `xeon` cache model,
 /// then on VM-O2 once more without a cache, the way perfbench and
 /// grafterd run. All executors of a configuration must leave the same
 /// snapshot and report the same `FusionMetrics`, `Metrics`, cache
-/// statistics and globals, or fail with the same typed error: the same
-/// stage and the same rendered text. A run that panics fails with the
-/// panic as its error ([`Session::run_input`]).
+/// statistics and globals.
 ///
 /// The unfused interpreter is the oracle: the unfused configuration's
 /// own run when `configs` has one, an extra run otherwise. On every tree,
 /// each configuration must leave the oracle's snapshot and globals and
-/// visit no more nodes than it, or fail with the oracle's error. Each
-/// configuration's explain totals must also equal its fused program's
-/// coverage counters.
+/// visit no more nodes than it. Each configuration's explain totals must
+/// also equal its fused program's coverage counters.
 ///
 /// Everything runs on one thread with a [`RUN_STACK`] stack.
 ///
 /// # Panics
 ///
-/// On any disagreement, with a message naming `label`, the
-/// configuration, the tree and the executor; and when an engine does not
-/// build.
+/// When a run fails, even with the same error on every executor; a run
+/// that panics fails with the panic as its error
+/// ([`Session::run_input`]), and a tree builder that panics fails the
+/// check ([`run`]). On any disagreement, with a message naming `label`,
+/// the configuration, the tree and the executor; and when an engine does
+/// not build.
 pub fn check_parity<B>(
     label: &str,
     compiled: &Compiled,
@@ -360,6 +336,101 @@ pub fn check_parity<B>(
     configs: &[FuseOptions],
     trees: &[B],
 ) -> Vec<Parity>
+where
+    B: Fn(&mut Heap) -> NodeId + Sync,
+{
+    check_tiers(label, compiled, entry, configs, trees)
+        .into_iter()
+        .map(|checked| {
+            let Checked {
+                opts,
+                engines: [interp, vm_o0, vm_o2],
+                outcomes,
+            } = checked;
+            let agreed = outcomes
+                .into_iter()
+                .enumerate()
+                .map(|(t, outcome)| {
+                    outcome.unwrap_or_else(|e| {
+                        panic!("{label} {opts:?} tree {t}: every executor fails with {e}")
+                    })
+                })
+                .collect();
+            Parity {
+                opts,
+                interp,
+                vm_o0,
+                vm_o2,
+                agreed,
+            }
+        })
+        .collect()
+}
+
+/// The error-path twin of [`check_parity`]: every executor of every
+/// configuration, and the unfused interpreter oracle, must fail on every
+/// tree with the same typed error (the same stage and rendered text),
+/// and that error's text must contain `expected`. Returns the errors,
+/// one list per configuration with one error per tree.
+///
+/// A run that panics fails with the session's `worker panicked: ..`
+/// error ([`Session::run_input`]), so it passes only where `expected`
+/// names that panic; a tree builder that panics fails the check
+/// ([`run`]).
+///
+/// # Panics
+///
+/// When a run succeeds or fails with an error that does not contain
+/// `expected`, and on every disagreement [`check_parity`] panics on.
+pub fn check_error_parity<B>(
+    label: &str,
+    compiled: &Compiled,
+    entry: Entry<'_>,
+    configs: &[FuseOptions],
+    trees: &[B],
+    expected: &str,
+) -> Vec<Vec<Error>>
+where
+    B: Fn(&mut Heap) -> NodeId + Sync,
+{
+    check_tiers(label, compiled, entry, configs, trees)
+        .into_iter()
+        .map(|Checked { opts, outcomes, .. }| {
+            outcomes
+                .into_iter()
+                .enumerate()
+                .map(|(t, outcome)| {
+                    let what = format!("{label} {opts:?} tree {t}");
+                    match outcome {
+                        Err(e) if e.to_string().contains(expected) => e,
+                        Err(e) => panic!("{what}: every executor fails with {e}, not `{expected}`"),
+                        Ok(_) => panic!("{what}: runs on every executor, expected `{expected}`"),
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// One configuration's engines and, per tree, what its executors agreed
+/// on or the error all of them failed with.
+struct Checked {
+    opts: FuseOptions,
+    engines: [Engine; 3],
+    outcomes: Vec<Result<Agreed, Error>>,
+}
+
+/// The checks [`check_parity`] and [`check_error_parity`] share: every
+/// executor agrees within a configuration, every configuration agrees
+/// with the unfused interpreter oracle, and explain totals equal
+/// coverage.
+fn check_tiers<B>(
+    label: &str,
+    compiled: &Compiled,
+    entry: Entry<'_>,
+    configs: &[FuseOptions],
+    trees: &[B],
+) -> Vec<Checked>
 where
     B: Fn(&mut Heap) -> NodeId + Sync,
 {
@@ -375,7 +446,7 @@ where
             .unwrap_or_else(|e| panic!("{label}: {backend} {level} build fails: {e}"))
     };
     on_run_stack(|| {
-        let parities: Vec<Parity> = configs
+        let checked: Vec<Checked> = configs
             .iter()
             .map(|opts| {
                 let engines = TIERS.map(|tier| engine(opts, tier));
@@ -390,7 +461,7 @@ where
                     .enumerate()
                     .map(|(t, build)| agree(&format!("{label} {opts:?} tree {t}"), &engines, build))
                     .collect();
-                Parity {
+                Checked {
                     opts: opts.clone(),
                     engines,
                     outcomes,
@@ -400,11 +471,11 @@ where
         let unfused = FuseOptions::unfused();
         let own_oracle: Vec<_>;
         let oracle: Vec<Result<(&Report, &Snapshot), &Error>> =
-            match parities.iter().find(|p| p.opts == unfused) {
-                Some(p) => p
+            match checked.iter().find(|c| c.opts == unfused) {
+                Some(c) => c
                     .outcomes
                     .iter()
-                    .map(|o| o.as_ref().map(|a| (&a.reports[0], &a.snapshot)))
+                    .map(|o| o.as_ref().map(|a| (&a.interp, &a.snapshot)))
                     .collect(),
                 None => {
                     let interp = engine(&unfused, TIERS[0]);
@@ -418,12 +489,12 @@ where
                         .collect()
                 }
             };
-        for p in &parities {
-            for (t, (outcome, oracle)) in p.outcomes.iter().zip(&oracle).enumerate() {
-                let what = format!("{label} {:?} tree {t} against the unfused oracle", p.opts);
+        for c in &checked {
+            for (t, (outcome, oracle)) in c.outcomes.iter().zip(&oracle).enumerate() {
+                let what = format!("{label} {:?} tree {t} against the unfused oracle", c.opts);
                 match (outcome, oracle) {
                     (Ok(agreed), Ok((report, snapshot))) => {
-                        let ours = &agreed.reports[0];
+                        let ours = &agreed.interp;
                         assert_same_tree(&what, &agreed.snapshot, snapshot);
                         assert_eq!(ours.globals, report.globals, "{what}: globals differ");
                         assert!(
@@ -439,28 +510,33 @@ where
                 }
             }
         }
-        parities
+        checked
     })
 }
 
 /// Runs every executor of one configuration on the tree `build` makes
-/// and returns what they agreed on.
+/// and returns what they agreed on, or the error all of them failed
+/// with.
 fn agree(
     what: &str,
-    engines: &[Engine; 3],
+    [interp, vm_o0, vm_o2]: &[Engine; 3],
     build: &impl Fn(&mut Heap) -> NodeId,
 ) -> Result<Agreed, Error> {
-    let runs = EXECUTORS.map(|(_, engine, cached)| {
-        let mut session = engines[engine].session();
-        if cached {
-            session = session.with_cache(CacheHierarchy::xeon());
-        }
-        run(&mut session, build)
-    });
-    let (interp, rest) = runs.split_first().expect("four executors");
-    for ((name, _, cached), other) in EXECUTORS[1..].iter().zip(rest) {
+    let cached = |engine: &Engine| {
+        run(
+            &mut engine.session().with_cache(CacheHierarchy::xeon()),
+            build,
+        )
+    };
+    let expected = cached(interp);
+    let others = [
+        ("vm-O0", cached(vm_o0), true),
+        ("vm-O2", cached(vm_o2), true),
+        ("uncached vm-O2", run(&mut vm_o2.session(), build), false),
+    ];
+    for (name, other, with_cache) in &others {
         let what = format!("{what}: {name} against interp");
-        match (interp, other) {
+        match (&expected, other) {
             (Ok((expected, tree)), Ok((report, snapshot))) => {
                 assert_same_tree(&what, snapshot, tree);
                 assert_eq!(
@@ -469,7 +545,7 @@ fn agree(
                 );
                 assert_eq!(report.metrics, expected.metrics, "{what}: metrics differ");
                 assert_eq!(report.globals, expected.globals, "{what}: globals differ");
-                let cache = expected.cache.as_ref().filter(|_| *cached);
+                let cache = expected.cache.as_ref().filter(|_| *with_cache);
                 assert_eq!(
                     report.cache.as_ref(),
                     cache,
@@ -481,11 +557,13 @@ fn agree(
             (Err(e), Ok(_)) => panic!("{what}: runs, interp fails with {e}"),
         }
     }
-    let [interp, o0, o2, uncached] = runs;
-    let (interp, snapshot) = interp?;
-    let report = |run: Result<(Report, Snapshot), Error>| run.expect("agreed").0;
+    let (interp, snapshot) = expected?;
+    let [vm_o0, vm_o2, vm_o2_uncached] = others.map(|(_, run, _)| run.expect("agreed").0);
     Ok(Agreed {
-        reports: [interp, report(o0), report(o2), report(uncached)],
+        interp,
+        vm_o0,
+        vm_o2,
+        vm_o2_uncached,
         snapshot,
     })
 }
@@ -496,14 +574,24 @@ fn agree(
 ///
 /// # Errors
 ///
-/// The run's typed error; a panic in the build or the run becomes one.
+/// The run's typed error; a panic in the run becomes one.
+///
+/// # Panics
+///
+/// When `build` panics: a broken tree builder is a failed test, never a
+/// run error that every tier could share.
 pub fn run(
     session: &mut Session<'_>,
     build: impl FnOnce(&mut Heap) -> NodeId,
 ) -> Result<(Report, Snapshot), Error> {
     let mut root = None;
-    let report = session.run_input(|heap| *root.insert(build(heap)))?;
-    Ok((report, session.snapshot(root.expect("the tree was built"))))
+    let report = session.run_input(|heap| *root.insert(build(heap)));
+    match (report, root) {
+        (Ok(report), Some(root)) => Ok((report, session.snapshot(root))),
+        (Err(e), Some(_)) => Err(e),
+        (Err(e), None) => panic!("the tree builder panicked: {e}"),
+        (Ok(_), None) => unreachable!("a session runs only a built tree"),
+    }
 }
 
 /// Runs `f` on a fresh thread with a [`RUN_STACK`] stack, the way
@@ -540,4 +628,34 @@ fn assert_same_tree(what: &str, ours: &Snapshot, theirs: &Snapshot) {
 fn assert_same_error(what: &str, ours: &Error, theirs: &Error) {
     assert_eq!(ours.stage(), theirs.stage(), "{what}: error stages differ");
     assert_eq!(ours.rendered(), theirs.rendered(), "{what}: errors differ");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `Leaf.t` reads through its null `next`: every tier fails alike.
+    fn null_deref() -> Compiled {
+        Compiled::compile(
+            "tree class Node { child Node* next; int a = 0; virtual traversal t() {} }
+             tree class Leaf : Node { traversal t() { a = this->next->a; } }",
+        )
+        .expect("test program compiles")
+    }
+
+    #[test]
+    #[should_panic(expected = "every executor fails with")]
+    fn a_failure_shared_by_every_tier_is_no_parity() {
+        let build = |heap: &mut Heap| heap.alloc_by_name("Leaf").unwrap();
+        let (entry, configs) = (Entry::new("Node", &["t"]), fused_and_unfused());
+        check_parity("null", &null_deref(), entry, &configs, &[build]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the tree builder panicked")]
+    fn a_panicking_tree_builder_is_no_expected_error() {
+        let build = |heap: &mut Heap| heap.alloc_by_name("Renamed").unwrap();
+        let (entry, configs) = (Entry::new("Node", &["t"]), fused_and_unfused());
+        check_error_parity("null", &null_deref(), entry, &configs, &[build], "panicked");
+    }
 }

@@ -20,10 +20,12 @@ fn reset_sessions_match_fresh_sessions_all_cases_both_backends() {
         let tree = |heap: &mut Heap| case.build_test(heap);
         let configs = [FuseOptions::default()];
         let parities = check_parity(case.name, &case.compiled, case.entry(), &configs, &[tree]);
-        let (parity, agreed) = (&parities[0], parities[0].agreed(0));
+        let (parity, agreed) = (&parities[0], &parities[0].agreed[0]);
         // The interpreter and VM-O2 engines.
-        for tier in [0, 2] {
-            let engine = &parity.engines[tier];
+        for (engine, expected) in [
+            (&parity.interp, &agreed.interp),
+            (&parity.vm_o2, &agreed.vm_o2),
+        ] {
             let label = format!("{}/{}", case.name, engine.backend());
             on_run_stack(|| {
                 // One session serving three consecutive requests on a
@@ -32,7 +34,7 @@ fn reset_sessions_match_fresh_sessions_all_cases_both_backends() {
                 for round in 0..3 {
                     let (report, snapshot) = run(&mut pooled, tree).expect("case study runs");
                     assert_eq!(
-                        report, agreed.reports[tier],
+                        &report, expected,
                         "{label}: report diverges on reused arena (round {round})"
                     );
                     assert_eq!(
@@ -62,15 +64,17 @@ fn pooled_batch_workers_stay_input_ordered_and_deterministic() {
         let parities = check_parity(case.name, &case.compiled, case.entry(), &configs, &trees);
         let parity = &parities[0];
         // Batches run without a cache model: the fresh-session baselines
-        // are VM-O2's uncached report, and the interpreter's with its
-        // cache statistics dropped.
-        for (engine, tier) in [(&parity.engines[0], 0), (&parity.engines[2], 3)] {
-            let fresh: Vec<Report> = (0..trees.len())
-                .map(|t| Report {
-                    cache: None,
-                    ..parity.agreed(t).reports[tier].clone()
-                })
-                .collect();
+        // are the interpreter's reports with their cache statistics
+        // dropped, and VM-O2's uncached reports.
+        let interp = parity.agreed.iter().map(|a| Report {
+            cache: None,
+            ..a.interp.clone()
+        });
+        let vm = parity.agreed.iter().map(|a| a.vm_o2_uncached.clone());
+        for (engine, fresh) in [
+            (&parity.interp, interp.collect::<Vec<_>>()),
+            (&parity.vm_o2, vm.collect()),
+        ] {
             for workers in [1, 3] {
                 let opts = BatchOptions { workers };
                 let batch = engine

@@ -30,11 +30,13 @@ fn shared_engine_is_bit_identical_across_threads_all_cases_both_backends() {
         let tree = |heap: &mut Heap| case.build_test(heap);
         let configs = [FuseOptions::default()];
         let parities = check_parity(case.name, &case.compiled, case.entry(), &configs, &[tree]);
-        let (parity, agreed) = (&parities[0], parities[0].agreed(0));
+        let (parity, agreed) = (&parities[0], &parities[0].agreed[0]);
         // The interpreter and VM-O2 engines, each shared by THREADS
         // concurrent sessions.
-        for tier in [0, 2] {
-            let engine = &parity.engines[tier];
+        for (engine, expected) in [
+            (&parity.interp, &agreed.interp),
+            (&parity.vm_o2, &agreed.vm_o2),
+        ] {
             let label = format!("{}/{}", case.name, engine.backend());
             thread::scope(|scope| {
                 let handles: Vec<_> = (0..THREADS)
@@ -52,7 +54,7 @@ fn shared_engine_is_bit_identical_across_threads_all_cases_both_backends() {
                 for handle in handles {
                     let (report, snapshot) = handle.join().unwrap();
                     assert_eq!(
-                        report, agreed.reports[tier],
+                        &report, expected,
                         "{label}: concurrent report diverges from single-threaded run"
                     );
                     assert_eq!(
@@ -77,10 +79,13 @@ fn run_batch_is_deterministic_and_ordered_for_every_case_study() {
         let parities = check_parity(case.name, &case.compiled, case.entry(), &configs, &trees);
         let parity = &parities[0];
         // Batches run without a cache model, like VM-O2's uncached run.
-        let fresh: Vec<Report> = (0..trees.len())
-            .map(|t| parity.agreed(t).reports[3].clone())
+        let fresh: Vec<Report> = parity
+            .agreed
+            .iter()
+            .map(|a| a.vm_o2_uncached.clone())
             .collect();
-        let concurrent = parity.engines[2]
+        let concurrent = parity
+            .vm_o2
             .run_batch_with(trees, &BatchOptions { workers: THREADS })
             .unwrap();
         assert_eq!(

@@ -29,14 +29,17 @@ fn probed_runs_are_bit_identical_to_unprobed_on_all_case_studies() {
         let tree = |heap: &mut Heap| case.build_test(heap);
         let configs = [FusionOptions::default()];
         let parities = check_parity(case.name, &case.compiled, case.entry(), &configs, &[tree]);
-        let agreed = parities[0].agreed(0);
+        let agreed = &parities[0].agreed[0];
         // The interpreter's and VM-O2's cached reports.
-        for (backend, tier) in [(Backend::Interp, 0), (Backend::Vm, 2)] {
+        for (backend, plain) in [
+            (Backend::Interp, &agreed.interp),
+            (Backend::Vm, &agreed.vm_o2),
+        ] {
             let probe = Arc::new(TraceProbe::new());
             let probed = case.engine_probed(backend, Arc::clone(&probe) as Arc<dyn Probe>);
             let mut session = probed.session().with_cache(CacheHierarchy::xeon());
             let (report, snapshot) = on_run_stack(|| run(&mut session, tree)).expect("probed run");
-            let (plain, label) = (&agreed.reports[tier], format!("{}/{backend}", case.name));
+            let label = format!("{}/{backend}", case.name);
             assert_eq!(
                 snapshot, agreed.snapshot,
                 "{label}: probing changed the heap"

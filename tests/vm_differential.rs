@@ -2,8 +2,9 @@
 //! runtime-error rendering, division by zero and wrapping overflow, and
 //! NaN-carrying trees. Every program goes through the tier-parity
 //! harness, so the interpreter, VM-O0 and VM-O2 must agree on the final
-//! tree, `Metrics`, simulated cache traffic and globals, or fail with
-//! the same typed error. The four case studies run through the same
+//! tree, `Metrics`, simulated cache traffic and globals; the failing
+//! program goes through its error twin, so every tier must fail with the
+//! same typed error. The four case studies run through the same
 //! harness in `tests/workloads.rs`; here the kd-tree's equations also run
 //! under the fusion cutoffs. The suite also runs a 100k-node deep spine
 //! on the VM.
@@ -13,7 +14,7 @@ use grafter_cachesim::CacheHierarchy;
 use grafter_engine::{Backend, Engine};
 use grafter_runtime::{Heap, NodeId, SnapValue, Value};
 use grafter_workloads::harness::{
-    check_parity, fused_and_unfused, on_run_stack, run, Entry, Parity,
+    check_error_parity, check_parity, fused_and_unfused, on_run_stack, run, Entry, Parity,
 };
 use grafter_workloads::{kdtree, render};
 
@@ -68,7 +69,7 @@ fn kdtree_vm_matches_interp_on_every_equation() {
             .fused_program()
             .coverage;
         for parity in check_parity(&label, &compiled, entry, &configs, &[tree]) {
-            let coverage = parity.engines[0].fused_program().coverage;
+            let coverage = parity.interp.fused_program().coverage;
             assert!(
                 coverage.fused_pairs < default.fused_pairs,
                 "{label} {:?}: the cutoff groups as many pairs as default fusion",
@@ -121,7 +122,7 @@ fn nan_fields_stay_differentially_comparable() {
         build,
     );
     // The trees really do carry NaN: snapshots must still self-compare.
-    let snap = &parities[0].agreed(0).snapshot;
+    let snap = &parities[0].agreed[0].snapshot;
     let q = &snap[0].1[3];
     assert!(
         matches!(q, SnapValue::Float(f) if f.is_nan()),
@@ -161,13 +162,17 @@ fn runtime_errors_render_identically_on_all_tiers() {
         }
     "#;
     let build = |heap: &mut Heap| heap.alloc_by_name("Leafless").unwrap();
-    let parities = check("null", src, &["probe"], &[FuseOptions::default()], build);
-    let err = parities[0].error(0);
-    assert!(err.is_runtime(), "error stage is not Runtime: {err}");
-    assert!(
-        err.to_string().contains("null child dereferenced"),
-        "unexpected error text: {err}"
+    let compiled = Compiled::compile(src).expect("test program compiles");
+    let errors = check_error_parity(
+        "null",
+        &compiled,
+        Entry::new("Node", &["probe"]),
+        &[FuseOptions::default()],
+        &[build],
+        "null child dereferenced",
     );
+    let err = &errors[0][0];
+    assert!(err.is_runtime(), "error stage is not Runtime: {err}");
 }
 
 #[test]
@@ -204,7 +209,7 @@ fn div_by_zero_and_overflow_semantics_match_across_tiers() {
     let parities = check("div0", src, &["crunch"], &[FuseOptions::default()], build);
     // And the semantics really are div0 → 0, wrapping multiply and
     // wrapping negation.
-    let cell = &parities[0].agreed(0).snapshot[0].1;
+    let cell = &parities[0].agreed[0].snapshot[0].1;
     assert_eq!(cell[1], SnapValue::Int(0), "q = 41 / 0 must yield 0");
     assert_eq!(cell[2], SnapValue::Int(0), "r = 17 % 0 must yield 0");
     assert_eq!(

@@ -13,7 +13,7 @@ fn assert_fewer_visits(label: &str, parities: &[Parity]) {
     let [fused, unfused] = parities else {
         panic!("{label}: expected a fused and an unfused configuration")
     };
-    let visits = |p: &Parity| p.agreed(0).reports[0].metrics.visits;
+    let visits = |p: &Parity| p.agreed[0].interp.metrics.visits;
     let (fused, unfused) = (visits(fused), visits(unfused));
     assert!(
         fused < unfused,
