@@ -8,8 +8,9 @@
 //! automata machinery Grafter actually needs, built from scratch:
 //!
 //! - nondeterministic finite automata with epsilon transitions ([`Nfa`]),
-//!   kept in flat edge lists so that composing them copies no per-state
-//!   vectors,
+//!   whose per-state edge lists are threaded through flat edge vectors,
+//!   so that composing them copies no per-state vectors and any state's
+//!   edges can be followed without an index,
 //! - primitive automata for single access paths ([`Nfa::from_path`]),
 //! - union ([`Nfa::union`]) and a language intersection test
 //!   ([`Nfa::intersects`]) that is aware of the wildcard "any member"
@@ -22,9 +23,13 @@
 //! - the ε-free, trimmed form the compiler keeps and searches
 //!   ([`Nfa::trim`], [`Trimmed`]): same language, no epsilon moves and
 //!   no state that cannot lead to acceptance, so a product search visits
-//!   only pairs that can matter. Its search ([`Trimmed::intersects`])
-//!   keeps visited pairs in a caller-owned [`Search`] whose table grows
-//!   with the pairs visited, and counts its work.
+//!   only pairs that can matter. A trim may start at any state
+//!   ([`Nfa::trim_from`]), so one large automaton can hold many
+//!   automata that share parts, and it works in a caller-owned
+//!   [`TrimScratch`], allocating only its result. Its search
+//!   ([`Trimmed::intersects`]) keeps visited pairs in a caller-owned
+//!   [`Search`] whose table grows with the pairs visited. Both scratches
+//!   count their work.
 //!
 //! The alphabet is generic over the [`Symbol`] trait so the automata can be
 //! tested independently of the compiler; the compiler instantiates it with
@@ -33,7 +38,7 @@
 //! # Example
 //!
 //! ```
-//! use grafter_automata::{Nfa, PathSym, Search};
+//! use grafter_automata::{Nfa, PathSym, Search, TrimScratch};
 //!
 //! // reads of `this->Next.Width` (every non-empty prefix is also read)
 //! let read = Nfa::from_path(
@@ -50,16 +55,17 @@
 //! assert!(!read.intersects(&other));
 //!
 //! // The trimmed forms give the same answers.
-//! let mut search = Search::default();
-//! assert!(read.trim().intersects(&write.trim(), &mut search));
-//! assert!(!read.trim().intersects(&other.trim(), &mut search));
-//! assert_eq!(search.searches(), 2);
+//! let (mut trim, mut search) = (TrimScratch::default(), Search::default());
+//! let read = read.trim(&mut trim);
+//! assert!(read.intersects(&write.trim(&mut trim), &mut search));
+//! assert!(!read.intersects(&other.trim(&mut trim), &mut search));
+//! assert_eq!((trim.trims(), search.searches()), (3, 2));
 //! ```
 
 mod nfa;
 mod sym;
 
-pub use nfa::{Nfa, Search, StateId, Trimmed};
+pub use nfa::{Nfa, Search, StateId, TrimScratch, Trimmed};
 pub use sym::{PathSym, Symbol};
 
 #[cfg(test)]

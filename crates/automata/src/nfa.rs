@@ -9,22 +9,62 @@ use crate::sym::Symbol;
 /// Index of an automaton state.
 pub type StateId = usize;
 
+/// The end of an edge list, and an unnumbered state of a trim.
+const NONE: u32 = u32::MAX;
+
 /// A nondeterministic finite automaton with epsilon transitions, in
 /// construction form.
 ///
 /// States are dense indices; state `start` is the unique initial state.
 /// The automaton accepts a word if some path from `start` spelling the word
 /// (modulo epsilon transitions and wildcard overlap) ends in an accepting
-/// state. Transitions live in two flat edge lists, so adding a state, an
-/// edge or a whole other automaton ([`Nfa::union_in_place`],
+/// state. Each state's labelled and epsilon edges are two lists threaded
+/// through two flat edge vectors, in the order they were added, so adding
+/// a state, an edge or a whole other automaton ([`Nfa::union_in_place`],
 /// [`Nfa::embed`]) appends to a few vectors and allocates nothing per
-/// state. [`Nfa::trim`] turns it into the searchable [`Trimmed`] form.
+/// state, and [`Nfa::trim_from`] follows the edges out of any state
+/// without indexing the rest. Trimming turns it into the searchable
+/// [`Trimmed`] form.
 #[derive(Clone, Debug, Default)]
 pub struct Nfa<S> {
-    accepting: Vec<bool>,
-    transitions: Vec<(u32, S, u32)>,
+    states: Vec<State>,
+    /// `(symbol, target, next edge out of the same state)`.
+    transitions: Vec<(S, u32, u32)>,
+    /// `(target, next edge out of the same state)`.
     epsilons: Vec<(u32, u32)>,
     start: StateId,
+}
+
+/// One [`Nfa`] state: its acceptance and its two edge lists.
+#[derive(Clone, Copy, Debug)]
+struct State {
+    accepting: bool,
+    labelled: List,
+    epsilons: List,
+}
+
+impl State {
+    fn new(accepting: bool) -> Self {
+        State {
+            accepting,
+            labelled: List::EMPTY,
+            epsilons: List::EMPTY,
+        }
+    }
+}
+
+/// The first and last edge of a state's edge list ([`NONE`] when empty).
+#[derive(Clone, Copy, Debug)]
+struct List {
+    first: u32,
+    last: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        first: NONE,
+        last: NONE,
+    };
 }
 
 impl<S: Symbol> Nfa<S> {
@@ -33,7 +73,7 @@ impl<S: Symbol> Nfa<S> {
     /// Its language is empty until transitions and accept states are added.
     pub fn new() -> Self {
         Nfa {
-            accepting: vec![false],
+            states: vec![State::new(false)],
             transitions: Vec::new(),
             epsilons: Vec::new(),
             start: 0,
@@ -71,14 +111,14 @@ impl<S: Symbol> Nfa<S> {
 
     /// Number of states.
     pub fn len(&self) -> usize {
-        self.accepting.len()
+        self.states.len()
     }
 
     /// Returns `true` if the automaton has no states other than an inert
     /// start state. Note this is *not* a language-emptiness test; see
     /// [`Nfa::is_empty_language`].
     pub fn is_empty(&self) -> bool {
-        self.len() == 1 && self.transitions.is_empty() && !self.accepting[0]
+        self.len() == 1 && self.transitions.is_empty() && !self.states[0].accepting
     }
 
     /// The initial state.
@@ -88,60 +128,93 @@ impl<S: Symbol> Nfa<S> {
 
     /// Returns `true` if `state` is accepting.
     pub fn is_accepting(&self, state: StateId) -> bool {
-        self.accepting[state]
+        self.states[state].accepting
     }
 
     /// Adds a fresh state and returns its id.
     pub fn add_state(&mut self) -> StateId {
-        self.accepting.push(false);
-        self.accepting.len() - 1
+        self.states.push(State::new(false));
+        self.states.len() - 1
     }
 
     /// Adds a labelled transition.
     pub fn add_transition(&mut self, from: StateId, sym: S, to: StateId) {
-        self.transitions.push((id32(from), sym, id32(to)));
+        let e = id32(self.transitions.len());
+        self.transitions.push((sym, id32(to), NONE));
+        let list = &mut self.states[from].labelled;
+        match list.last {
+            NONE => list.first = e,
+            last => self.transitions[last as usize].2 = e,
+        }
+        list.last = e;
     }
 
     /// Adds an epsilon transition.
     pub fn add_epsilon(&mut self, from: StateId, to: StateId) {
-        if from != to {
-            self.epsilons.push((id32(from), id32(to)));
+        if from == to {
+            return;
         }
+        let e = id32(self.epsilons.len());
+        self.epsilons.push((id32(to), NONE));
+        let list = &mut self.states[from].epsilons;
+        match list.last {
+            NONE => list.first = e,
+            last => self.epsilons[last as usize].1 = e,
+        }
+        list.last = e;
     }
 
     /// Marks (or unmarks) a state as accepting.
     pub fn set_accepting(&mut self, state: StateId, accepting: bool) {
-        self.accepting[state] = accepting;
+        self.states[state].accepting = accepting;
+    }
+
+    /// The labelled edges out of `state`, as `(symbol, target)`, in the
+    /// order they were added. (Here and below, [`NONE`] ends a list by
+    /// lying past every edge.)
+    fn labelled(&self, state: StateId) -> impl Iterator<Item = (&S, StateId)> + '_ {
+        let mut e = self.states[state].labelled.first;
+        std::iter::from_fn(move || {
+            let (sym, to, next) = self.transitions.get(e as usize)?;
+            e = *next;
+            Some((sym, *to as StateId))
+        })
+    }
+
+    /// The epsilon targets of `state`, in the order they were added.
+    fn epsilon_targets(&self, state: StateId) -> impl Iterator<Item = StateId> + '_ {
+        let mut e = self.states[state].epsilons.first;
+        std::iter::from_fn(move || {
+            let &(to, next) = self.epsilons.get(e as usize)?;
+            e = next;
+            Some(to as StateId)
+        })
     }
 
     /// Every labelled transition, as `(from, symbol, to)`.
     pub fn transitions(&self) -> impl Iterator<Item = (StateId, &S, StateId)> + '_ {
-        self.transitions
-            .iter()
-            .map(|(f, s, t)| (*f as StateId, s, *t as StateId))
+        (0..self.len()).flat_map(move |q| self.labelled(q).map(move |(s, t)| (q, s, t)))
     }
 
     /// Every epsilon transition, as `(from, to)`.
     pub fn epsilons(&self) -> impl Iterator<Item = (StateId, StateId)> + '_ {
-        self.epsilons
-            .iter()
-            .map(|&(f, t)| (f as StateId, t as StateId))
+        (0..self.len()).flat_map(move |q| self.epsilon_targets(q).map(move |t| (q, t)))
     }
 
     /// Copies `other` into `self` (disjoint state renaming) and returns the
     /// offset added to `other`'s state ids.
     fn absorb(&mut self, other: &Nfa<S>) -> usize {
         let offset = self.len();
-        let off = id32(offset);
-        self.accepting.extend_from_slice(&other.accepting);
-        self.transitions.extend(
-            other
-                .transitions
-                .iter()
-                .map(|(f, s, t)| (f + off, s.clone(), t + off)),
-        );
-        self.epsilons
-            .extend(other.epsilons.iter().map(|&(f, t)| (f + off, t + off)));
+        self.states
+            .extend(other.states.iter().map(|s| State::new(s.accepting)));
+        for q in 0..other.len() {
+            for (s, t) in other.labelled(q) {
+                self.add_transition(q + offset, s.clone(), t + offset);
+            }
+            for t in other.epsilon_targets(q) {
+                self.add_epsilon(q + offset, t + offset);
+            }
+        }
         offset
     }
 
@@ -155,16 +228,12 @@ impl<S: Symbol> Nfa<S> {
             return None;
         }
         let offset = self.len();
-        let off = id32(offset);
-        self.accepting.extend_from_slice(&other.accepting);
+        self.states
+            .extend(other.accepting.iter().map(|&a| State::new(a)));
         for q in 0..other.len() {
-            let from = id32(q) + off;
-            self.transitions.extend(
-                other
-                    .edges(q)
-                    .iter()
-                    .map(|(s, t)| (from, s.clone(), t + off)),
-            );
+            for (s, t) in other.edges(q) {
+                self.add_transition(q + offset, s.clone(), *t as usize + offset);
+            }
         }
         Some(offset)
     }
@@ -199,14 +268,12 @@ impl<S: Symbol> Nfa<S> {
     /// algorithms below walk these).
     #[allow(clippy::type_complexity)]
     fn adjacency(&self) -> (Vec<Vec<(S, StateId)>>, Vec<Vec<StateId>>) {
-        let mut labelled = vec![Vec::new(); self.len()];
-        let mut eps = vec![Vec::new(); self.len()];
-        for (f, s, t) in &self.transitions {
-            labelled[*f as usize].push((s.clone(), *t as usize));
-        }
-        for &(f, t) in &self.epsilons {
-            eps[f as usize].push(t as usize);
-        }
+        let labelled = (0..self.len())
+            .map(|q| self.labelled(q).map(|(s, t)| (s.clone(), t)).collect())
+            .collect();
+        let eps = (0..self.len())
+            .map(|q| self.epsilon_targets(q).collect())
+            .collect();
         (labelled, eps)
     }
 
@@ -217,7 +284,7 @@ impl<S: Symbol> Nfa<S> {
         let mut queue = VecDeque::from([self.start]);
         seen[self.start] = true;
         while let Some(st) = queue.pop_front() {
-            if self.accepting[st] {
+            if self.states[st].accepting {
                 return false;
             }
             let nexts = eps[st].iter().chain(labelled[st].iter().map(|(_, t)| t));
@@ -263,7 +330,7 @@ impl<S: Symbol> Nfa<S> {
             closure(&mut next);
             current = next;
         }
-        current.iter().any(|&st| self.accepting[st])
+        current.iter().any(|&st| self.states[st].accepting)
     }
 
     /// Returns `true` if `L(self) ∩ L(other)` is non-empty.
@@ -292,7 +359,7 @@ impl<S: Symbol> Nfa<S> {
         let mut stack = vec![(self.start, other.start)];
         seen[self.start * width + other.start] = true;
         while let Some((a, b)) = stack.pop() {
-            if self.accepting[a] && other.accepting[b] {
+            if self.states[a].accepting && other.states[b].accepting {
                 return true;
             }
             let mut visit = |a: StateId, b: StateId| {
@@ -318,126 +385,78 @@ impl<S: Symbol> Nfa<S> {
         false
     }
 
-    /// The ε-free form of this automaton, trimmed to the states reachable
-    /// from the start that can reach acceptance; it accepts the same words.
+    /// The ε-free form of this automaton: [`Nfa::trim_from`] its start.
+    pub fn trim(&self, scratch: &mut TrimScratch<S>) -> Trimmed<S> {
+        self.trim_from(self.start, scratch)
+    }
+
+    /// The ε-free form of the automaton that starts at `start`, trimmed
+    /// to the states reachable from `start` that can reach acceptance; it
+    /// accepts the same words.
     ///
-    /// Epsilon removal: the start and every target of a labelled edge
+    /// Epsilon removal: `start` and every target of a labelled edge
     /// become states, each taking the labelled edges and the acceptance
     /// of every state in its epsilon closure. States that cannot reach
     /// acceptance then go, with the edges into them. Each state's edges
     /// are sorted and deduplicated, and states are numbered in discovery
-    /// order from the start (state 0), so automata built the same way
-    /// trim to equal values. The work is linear in the closures walked
-    /// plus the edges copied, on flat arrays.
-    pub fn trim(&self) -> Trimmed<S> {
-        let n = self.len();
-        let labelled = Rows::new(n, self.transitions.iter().map(|e| e.0));
-        let eps = Rows::new(n, self.epsilons.iter().map(|e| e.0));
-
-        // Epsilon removal, in discovery order from the start.
-        let mut id = vec![u32::MAX; n];
-        let mut order = vec![id32(self.start)];
-        id[self.start] = 0;
-        let mut mark = vec![u32::MAX; n];
-        let mut closure = Vec::new();
-        let mut accepting = Vec::new();
-        let mut offsets = vec![0u32];
-        let mut edges: Vec<(S, u32)> = Vec::new();
+    /// order from `start` (state 0), so automata built the same way trim
+    /// to equal values, and so does the same part of a larger automaton.
+    /// The work is linear in the closures walked plus the edges copied,
+    /// and touches no state `start` does not reach: one trim per entry
+    /// state of a shared automaton costs what each entry's part costs.
+    /// Working memory lives in `scratch`, so a trim allocates only its
+    /// result (nothing for an empty language).
+    pub fn trim_from(&self, start: StateId, scratch: &mut TrimScratch<S>) -> Trimmed<S> {
+        let s = scratch;
+        s.begin(self.len());
+        s.id[start] = 0;
+        s.order.push(id32(start));
         let mut i = 0;
-        while i < order.len() {
-            let q = order[i];
-            let stamp = id32(i);
-            closure.clear();
-            closure.push(q);
-            mark[q as usize] = stamp;
+        while i < s.order.len() {
+            let stamp = s.next_stamp();
+            let q = s.order[i];
+            s.closure.clear();
+            s.closure.push(q);
+            s.mark[q as usize] = stamp;
             let mut j = 0;
-            while j < closure.len() {
-                let c = closure[j] as usize;
+            while j < s.closure.len() {
+                let mut e = self.states[s.closure[j] as usize].epsilons.first;
                 j += 1;
-                for &e in eps.row(c) {
-                    let d = self.epsilons[e as usize].1;
-                    if mark[d as usize] != stamp {
-                        mark[d as usize] = stamp;
-                        closure.push(d);
+                while e != NONE {
+                    let (d, next) = self.epsilons[e as usize];
+                    if s.mark[d as usize] != stamp {
+                        s.mark[d as usize] = stamp;
+                        s.closure.push(d);
                     }
+                    e = next;
                 }
             }
-            let first = edges.len();
+            let first = s.edges.len();
             let mut acc = false;
-            for &c in &closure {
-                acc |= self.accepting[c as usize];
-                for &e in labelled.row(c as usize) {
-                    let (_, s, t) = &self.transitions[e as usize];
+            for &c in &s.closure {
+                let state = &self.states[c as usize];
+                acc |= state.accepting;
+                let mut e = state.labelled.first;
+                while e != NONE {
+                    let (sym, t, next) = &self.transitions[e as usize];
                     let t = *t as usize;
-                    if id[t] == u32::MAX {
-                        id[t] = id32(order.len());
-                        order.push(id32(t));
+                    if s.id[t] == NONE {
+                        s.id[t] = id32(s.order.len());
+                        s.order.push(id32(t));
                     }
-                    edges.push((s.clone(), id[t]));
+                    s.edges.push((sym.clone(), s.id[t]));
+                    e = *next;
                 }
             }
-            sort_dedup_tail(&mut edges, first);
-            accepting.push(acc);
-            offsets.push(id32(edges.len()));
+            sort_dedup_tail(&mut s.edges, first);
+            s.accepting.push(acc);
+            s.offsets.push(id32(s.edges.len()));
             i += 1;
         }
-
-        // Keep the states that reach acceptance: walk the edges backwards
-        // from the accepting states.
-        let m = accepting.len();
-        let sources: Vec<u32> = (0..m)
-            .flat_map(|q| (offsets[q]..offsets[q + 1]).map(move |_| id32(q)))
-            .collect();
-        let into = Rows::new(m, edges.iter().map(|e| e.1));
-        let mut useful = accepting.clone();
-        let mut stack: Vec<u32> = (0..m).filter(|&q| useful[q]).map(id32).collect();
-        while let Some(q) = stack.pop() {
-            for &e in into.row(q as usize) {
-                let p = sources[e as usize];
-                if !useful[p as usize] {
-                    useful[p as usize] = true;
-                    stack.push(p);
-                }
-            }
+        for &q in &s.order {
+            s.id[q as usize] = NONE;
         }
-        if !useful[0] {
-            return Trimmed::empty();
-        }
-        if useful.iter().all(|&u| u) {
-            return Trimmed {
-                offsets,
-                edges,
-                accepting,
-            };
-        }
-        // Every state on a path from the start to a useful state is
-        // useful, so renumbering the useful states in order keeps them in
-        // discovery order, and keeps each state's edges sorted.
-        let mut renumber = vec![u32::MAX; m];
-        let mut kept = 0;
-        for q in 0..m {
-            if useful[q] {
-                renumber[q] = kept;
-                kept += 1;
-            }
-        }
-        let mut out = Trimmed {
-            offsets: vec![0],
-            edges: Vec::with_capacity(edges.len()),
-            accepting: Vec::with_capacity(kept as usize),
-        };
-        for q in (0..m).filter(|&q| useful[q]) {
-            let (lo, hi) = (offsets[q] as usize, offsets[q + 1] as usize);
-            out.edges.extend(
-                edges[lo..hi]
-                    .iter()
-                    .filter(|(_, t)| useful[*t as usize])
-                    .map(|(s, t)| (s.clone(), renumber[*t as usize])),
-            );
-            out.accepting.push(accepting[q]);
-            out.offsets.push(id32(out.edges.len()));
-        }
-        out
+        s.useful_part()
     }
 }
 
@@ -458,33 +477,163 @@ fn id32(id: usize) -> u32 {
     u32::try_from(id).expect("automaton state ids fit in u32")
 }
 
-/// Edge lists grouped by source state: row `q` holds the indices of the
-/// edges out of `q`, in input order (a counting sort of the sources).
-struct Rows {
+/// Reusable working memory of [`Nfa::trim_from`], plus a count of the
+/// trims run.
+///
+/// Per-state marks of the automaton being trimmed are kept between trims
+/// and reset by stamps and by undoing what a trim set, so a trim touches
+/// only the states it reaches; the other vectors are cleared per trim.
+/// Every allocation is kept for the next trim, so the scratch tracks the
+/// largest automaton trimmed so far, and is freed with it.
+#[derive(Clone, Debug)]
+pub struct TrimScratch<S> {
+    /// Per automaton state: its trimmed number ([`NONE`] between trims).
+    id: Vec<u32>,
+    /// Per automaton state: the stamp of the last closure that holds it.
+    mark: Vec<u32>,
+    stamp: u32,
+    /// Automaton states by trimmed number.
+    order: Vec<u32>,
+    /// One state's epsilon closure; later the usefulness walk's stack.
+    closure: Vec<u32>,
+    /// The ε-free automaton, before dead states go.
+    accepting: Vec<bool>,
     offsets: Vec<u32>,
-    edges: Vec<u32>,
+    edges: Vec<(S, u32)>,
+    /// The sources of the edges into each state, grouped by target.
+    into: Vec<u32>,
+    sources: Vec<u32>,
+    /// Per state: a fill cursor into `sources`, later its kept number.
+    cursor: Vec<u32>,
+    useful: Vec<bool>,
+    trims: u64,
 }
 
-impl Rows {
-    fn new(rows: usize, sources: impl Iterator<Item = u32> + Clone) -> Self {
-        let mut offsets = vec![0u32; rows + 1];
-        for from in sources.clone() {
-            offsets[from as usize + 1] += 1;
+impl<S: Symbol> Default for TrimScratch<S> {
+    fn default() -> Self {
+        TrimScratch {
+            id: Vec::new(),
+            mark: Vec::new(),
+            stamp: 0,
+            order: Vec::new(),
+            closure: Vec::new(),
+            accepting: Vec::new(),
+            offsets: Vec::new(),
+            edges: Vec::new(),
+            into: Vec::new(),
+            sources: Vec::new(),
+            cursor: Vec::new(),
+            useful: Vec::new(),
+            trims: 0,
         }
-        for q in 0..rows {
-            offsets[q + 1] += offsets[q];
-        }
-        let mut next = offsets[..rows].to_vec();
-        let mut edges = vec![0u32; offsets[rows] as usize];
-        for (e, from) in sources.enumerate() {
-            edges[next[from as usize] as usize] = id32(e);
-            next[from as usize] += 1;
-        }
-        Rows { offsets, edges }
+    }
+}
+
+impl<S: Symbol> TrimScratch<S> {
+    /// Trims run so far.
+    pub fn trims(&self) -> u64 {
+        self.trims
     }
 
-    fn row(&self, q: usize) -> &[u32] {
-        &self.edges[self.offsets[q] as usize..self.offsets[q + 1] as usize]
+    /// Starts a trim of an automaton of `states` states.
+    fn begin(&mut self, states: usize) {
+        self.trims += 1;
+        if self.id.len() < states {
+            self.id.resize(states, NONE);
+            self.mark.resize(states, 0);
+        }
+        self.order.clear();
+        self.accepting.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.edges.clear();
+    }
+
+    /// A stamp no mark holds yet.
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            self.mark.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.stamp
+    }
+
+    /// The ε-free automaton without the states that cannot reach
+    /// acceptance: walks the edges backwards from the accepting states.
+    fn useful_part(&mut self) -> Trimmed<S> {
+        let m = self.accepting.len();
+        self.into.clear();
+        self.into.resize(m + 1, 0);
+        for &(_, t) in &self.edges {
+            self.into[t as usize + 1] += 1;
+        }
+        for q in 0..m {
+            self.into[q + 1] += self.into[q];
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.into[..m]);
+        self.sources.clear();
+        self.sources.resize(self.edges.len(), 0);
+        for q in 0..m {
+            let (lo, hi) = (self.offsets[q] as usize, self.offsets[q + 1] as usize);
+            for &(_, t) in &self.edges[lo..hi] {
+                let slot = &mut self.cursor[t as usize];
+                self.sources[*slot as usize] = id32(q);
+                *slot += 1;
+            }
+        }
+        self.useful.clear();
+        self.useful.extend_from_slice(&self.accepting);
+        self.closure.clear();
+        self.closure
+            .extend((0..m).filter(|&q| self.accepting[q]).map(id32));
+        while let Some(q) = self.closure.pop() {
+            let q = q as usize;
+            for k in self.into[q] as usize..self.into[q + 1] as usize {
+                let p = self.sources[k] as usize;
+                if !self.useful[p] {
+                    self.useful[p] = true;
+                    self.closure.push(id32(p));
+                }
+            }
+        }
+        if !self.useful[0] {
+            return Trimmed::empty();
+        }
+        if self.useful.iter().all(|&u| u) {
+            return Trimmed {
+                offsets: self.offsets.clone(),
+                edges: self.edges.clone(),
+                accepting: self.accepting.clone(),
+            };
+        }
+        // Every state on a path from the start to a useful state is
+        // useful, so renumbering the useful states in order keeps them in
+        // discovery order, and keeps each state's edges sorted.
+        let mut kept = 0;
+        for q in 0..m {
+            self.cursor[q] = if self.useful[q] { kept } else { NONE };
+            kept += u32::from(self.useful[q]);
+        }
+        let mut out = Trimmed {
+            offsets: Vec::with_capacity(kept as usize + 1),
+            edges: Vec::with_capacity(self.edges.len()),
+            accepting: Vec::with_capacity(kept as usize),
+        };
+        out.offsets.push(0);
+        for q in (0..m).filter(|&q| self.useful[q]) {
+            let (lo, hi) = (self.offsets[q] as usize, self.offsets[q + 1] as usize);
+            out.edges.extend(
+                self.edges[lo..hi]
+                    .iter()
+                    .filter(|(_, t)| self.useful[*t as usize])
+                    .map(|(s, t)| (s.clone(), self.cursor[*t as usize])),
+            );
+            out.accepting.push(self.accepting[q]);
+            out.offsets.push(id32(out.edges.len()));
+        }
+        out
     }
 }
 
@@ -510,10 +659,11 @@ impl<S: Symbol> Default for Trimmed<S> {
 }
 
 impl<S: Symbol> Trimmed<S> {
-    /// The automaton of the empty language (no states).
+    /// The automaton of the empty language (no states, and no offsets
+    /// either: it allocates nothing).
     pub fn empty() -> Self {
         Trimmed {
-            offsets: vec![0],
+            offsets: Vec::new(),
             edges: Vec::new(),
             accepting: Vec::new(),
         }

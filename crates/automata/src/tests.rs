@@ -1,6 +1,6 @@
 //! Unit and property tests for the automata crate.
 
-use crate::{Nfa, PathSym, Search};
+use crate::{Nfa, PathSym, Search, TrimScratch};
 
 fn path(word: &str) -> Vec<char> {
     word.chars().collect()
@@ -301,6 +301,7 @@ mod proptests {
         let mut outcomes = [0usize; 2];
         let words = all_words(4);
         let mut search = Search::default();
+        let mut trim = TrimScratch::default();
         let mut trimmed_states = 0;
         for _ in 0..2 * CASES {
             let a = small_nfa(&mut rng);
@@ -308,7 +309,7 @@ mod proptests {
             let expected = shared_word(&a, &b, &mut Vec::new(), a.len() * b.len() - 1);
             assert_eq!(a.intersects(&b), expected, "{a:?} vs {b:?}");
             assert_eq!(b.intersects(&a), expected, "{b:?} vs {a:?}");
-            let (ta, tb) = (a.trim(), b.trim());
+            let (ta, tb) = (a.trim(&mut trim), b.trim(&mut trim));
             for (nfa, trimmed) in [(&a, &ta), (&b, &tb)] {
                 assert!(trimmed.len() <= nfa.len(), "{nfa:?} trimmed to {trimmed:?}");
                 assert_eq!(trimmed.is_empty(), nfa.is_empty_language());
@@ -359,19 +360,69 @@ mod proptests {
         loose.set_accepting(cur, true);
         let mut miss = word.clone();
         miss[n - 1] = 'b';
-        let mut search = Search::default();
-        let (lit, loose) = (Nfa::from_path(&word, false).trim(), loose.trim());
+        let (mut search, mut trim) = (Search::default(), TrimScratch::default());
+        let lit = Nfa::from_path(&word, false).trim(&mut trim);
+        let loose = loose.trim(&mut trim);
         assert!(lit.intersects(&loose, &mut search));
         // Each of the diagonal's pairs before the accepting one is
         // expanded once.
         let visited = search.pairs_visited();
         assert_eq!(visited, n as u64);
         let no = Nfa::from_path(&miss[..n - 1], false);
-        assert!(!no.trim().intersects(&lit, &mut search));
+        assert!(!no.trim(&mut trim).intersects(&lit, &mut search));
         assert!(!Nfa::from_path(&miss, false)
-            .trim()
-            .intersects(&Nfa::from_path(&word, false).trim(), &mut search));
+            .trim(&mut trim)
+            .intersects(&Nfa::from_path(&word, false).trim(&mut trim), &mut search));
         assert_eq!(search.searches(), 3);
+    }
+
+    /// A random automaton of `n` states over `{a, b, *}`: each state gets
+    /// up to three labelled edges and maybe an epsilon edge, to any state.
+    fn random_nfa(rng: &mut StdRng, n: usize) -> Nfa<char> {
+        let mut a = Nfa::new();
+        for _ in 1..n {
+            a.add_state();
+        }
+        for from in 0..n {
+            for _ in 0..rng.gen_range(0..4usize) {
+                let label = ['a', 'b', '*'][rng.gen_range(0..3usize)];
+                a.add_transition(from, label, rng.gen_range(0..n));
+            }
+            if rng.gen_bool(0.3) {
+                a.add_epsilon(from, rng.gen_range(0..n));
+            }
+            a.set_accepting(from, rng.gen_bool(0.15));
+        }
+        a
+    }
+
+    /// One scratch reused across automata of mixed sizes (so its marks
+    /// and numbers outlive each trim) trims each to what a fresh scratch
+    /// gives, and so does a trim from each automaton's start inside one
+    /// automaton that holds them all.
+    #[test]
+    fn trims_reusing_one_scratch_equal_trims_on_a_fresh_one() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut shared = TrimScratch::default();
+        let mut whole = Nfa::new();
+        let mut parts = Vec::new();
+        let (mut empty, mut shrunk) = (0, 0);
+        for _ in 0..CASES {
+            let n = [1, 3, 12, 60][rng.gen_range(0..4usize)];
+            let a = random_nfa(&mut rng, n);
+            let fresh = a.trim(&mut TrimScratch::default());
+            assert_eq!(a.trim(&mut shared), fresh, "{a:?}");
+            empty += usize::from(fresh.is_empty());
+            shrunk += usize::from(!fresh.is_empty() && fresh.len() < n);
+            parts.push((whole.len(), fresh));
+            whole.union_in_place(&a);
+        }
+        for (start, fresh) in &parts {
+            assert_eq!(&whole.trim_from(*start, &mut shared), fresh);
+        }
+        assert_eq!(shared.trims(), 2 * CASES as u64);
+        // Empty languages, and non-empty ones that lost dead states.
+        assert!(empty > 0 && shrunk > 0, "{empty} empty, {shrunk} shrunk");
     }
 
     #[test]

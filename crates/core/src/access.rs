@@ -12,22 +12,23 @@
 //! calls are summarised by Algorithm 1: a labelled call graph over all
 //! *concrete* functions transitively reachable under dynamic dispatch, with
 //! one automaton state per function and a back edge whenever a function is
-//! revisited (so unbounded recursion appears as loops). That graph depends
-//! only on the dispatch key — the called slot and the receiver's static
-//! type — so it is built and trimmed once per key, relative to the
-//! receiver; a call's automaton is its receiver
-//! path followed by a flat copy of its key's automaton.
+//! revisited (so unbounded recursion appears as loops). One such graph
+//! serves the whole program: each function is expanded into it once, and
+//! each dispatch key — the called slot and the receiver's static type —
+//! enters it at its own states. A key's automata are the words from its
+//! entry, trimmed once, relative to the receiver; a call's automaton is
+//! its receiver path followed by a flat copy of its key's automaton.
 //!
 //! [`ProgramAccesses`] computes each of these once per program: a
-//! statement's summary, a call's dispatch targets and automata, and the
-//! conflict verdict of a pair of summaries.
+//! statement's summary, a function's expansion, a call's dispatch targets
+//! and automata, and the conflict verdict of a pair of summaries.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use grafter_automata::{Nfa, PathSym, Search, StateId, Trimmed};
+use grafter_automata::{Nfa, PathSym, Search, StateId, TrimScratch, Trimmed};
 use grafter_frontend::{
     ClassId, DataAccess, Expr, FieldId, GlobalId, LocalId, MethodId, NodePath, Program, Stmt,
     TraverseStmt,
@@ -161,12 +162,12 @@ impl Collect {
         }
     }
 
-    fn finish(self) -> AccessSummary {
+    fn finish(self, trim: &mut TrimScratch<PathSym>) -> AccessSummary {
         AccessSummary {
-            tree_reads: self.tree_reads.trim(),
-            tree_writes: self.tree_writes.trim(),
-            global_reads: self.global_reads.trim(),
-            global_writes: self.global_writes.trim(),
+            tree_reads: self.tree_reads.trim(trim),
+            tree_writes: self.tree_writes.trim(trim),
+            global_reads: self.global_reads.trim(trim),
+            global_writes: self.global_writes.trim(trim),
             local_reads: self.local_reads,
             local_writes: self.local_writes,
             may_return: self.may_return,
@@ -302,15 +303,18 @@ impl Hierarchy {
 /// method contains the call), so statements are looked up by
 /// `(method, stmt index)`. Each statement's summary is interned: equal
 /// summaries get one id and are stored once, however many
-/// statements share them. Dispatch automata are built once per
-/// `(slot, static type)` key, whatever number of calls use the key.
+/// statements share them. Every function reachable from a call is
+/// expanded once into one [`CallAutomaton`], and each `(slot, static
+/// type)` key's automata are trimmed out of it once, whatever number of
+/// calls use the key and of keys reach the function.
 ///
 /// The dependence graphs ask for conflicts by summary id, through a memo
 /// of tree and global verdicts per ordered pair of ids: the automata of a
 /// pair are intersected once per program however many statement pairs and
 /// graphs share it (locals, which need the frame, are compared on top).
-/// The product searches share one [`Search`] scratch, which also counts
-/// their work.
+/// The product searches share one [`Search`] scratch and the trims one
+/// [`TrimScratch`]; both count their work, and both go when the cache
+/// does.
 pub struct ProgramAccesses<'p> {
     program: &'p Program,
     hierarchy: Hierarchy,
@@ -321,9 +325,11 @@ pub struct ProgramAccesses<'p> {
     concrete: IdMap<ClassId, Rc<[ClassId]>>,
     resolved: IdMap<(ClassId, MethodId), Option<MethodId>>,
     dispatch: IdMap<(MethodId, ClassId), Rc<[MethodId]>>,
+    calls: CallAutomaton,
     dispatch_automata: IdMap<(MethodId, ClassId), Rc<DispatchAutomata>>,
     conflicts: IdMap<(SummaryId, SummaryId), Option<ConflictKind>>,
     search: Search,
+    trim: TrimScratch<PathSym>,
     /// Wall time [`ProgramAccesses::summary`] spent building summaries.
     summary_time: Duration,
 }
@@ -340,9 +346,11 @@ impl<'p> ProgramAccesses<'p> {
             concrete: IdMap::default(),
             resolved: IdMap::default(),
             dispatch: IdMap::default(),
+            calls: CallAutomaton::new(),
             dispatch_automata: IdMap::default(),
             conflicts: IdMap::default(),
             search: Search::default(),
+            trim: TrimScratch::default(),
             summary_time: Duration::ZERO,
         }
     }
@@ -392,6 +400,18 @@ impl<'p> ProgramAccesses<'p> {
         &self.search
     }
 
+    /// Functions expanded into the call automaton so far: each at most
+    /// once.
+    pub(crate) fn functions_expanded(&self) -> u64 {
+        self.calls.functions.len() as u64
+    }
+
+    /// Automata trimmed so far: four per distinct statement summary and
+    /// per dispatch key, plus those of call arguments.
+    pub(crate) fn trims(&self) -> u64 {
+        self.trim.trims()
+    }
+
     /// The program's class hierarchy as supertype bitsets.
     pub(crate) fn hierarchy(&self) -> &Hierarchy {
         &self.hierarchy
@@ -407,7 +427,7 @@ impl<'p> ProgramAccesses<'p> {
         let stmt = &m.body[key.1];
         let mut c = Collect::new();
         self.collect_stmt(stmt, m.class, &mut c);
-        let summary = c.finish();
+        let summary = c.finish(&mut self.trim);
         let id = match self.interned.get(&summary) {
             Some(&id) => id,
             None => {
@@ -636,174 +656,271 @@ impl<'p> ProgramAccesses<'p> {
         s.global_writes.attach(start, &dispatch.global_writes);
     }
 
-    /// The automata of a dispatch of `slot` on static type `static_ty`,
-    /// built and trimmed on first request.
+    /// The automata of a dispatch of `slot` on static type `static_ty`:
+    /// the words of the call automaton from the key's entry, trimmed on
+    /// first request.
     fn dispatch_automata(&mut self, slot: MethodId, static_ty: ClassId) -> Rc<DispatchAutomata> {
         if let Some(automata) = self.dispatch_automata.get(&(slot, static_ty)) {
             return Rc::clone(automata);
         }
-        let mut builder = DispatchBuilder {
-            reads: Nfa::new(),
-            writes: Nfa::new(),
-            global_reads: Nfa::new(),
-            global_writes: Nfa::new(),
-            fn_state: IdMap::default(),
-            hubs: IdMap::default(),
-            attached: HashSet::default(),
-        };
-        let from = (builder.reads.start(), builder.writes.start());
-        builder.append_dispatch(self, slot, static_ty, from);
+        let entry = self.dispatch_key(slot, static_ty).entry;
+        // Expansion asks for no key's automata (see `expand_stmt`), so no
+        // function the entry reaches is still being filled.
+        debug_assert_eq!(self.calls.open, 0, "a key trimmed during expansion");
+        let (calls, trim) = (&self.calls, &mut self.trim);
+        let [reads, writes, global_reads, global_writes] =
+            std::array::from_fn(|side| calls.sides[side].trim_from(entry[side], trim));
         let automata = Rc::new(DispatchAutomata {
-            reads: builder.reads.trim(),
-            writes: builder.writes.trim(),
-            global_reads: builder.global_reads.trim(),
-            global_writes: builder.global_writes.trim(),
+            reads,
+            writes,
+            global_reads,
+            global_writes,
         });
         self.dispatch_automata
             .insert((slot, static_ty), Rc::clone(&automata));
         automata
     }
-}
 
-/// Algorithm 1's call graph for one dispatch key, in construction form.
-struct DispatchBuilder {
-    reads: Nfa<PathSym>,
-    writes: Nfa<PathSym>,
-    global_reads: Nfa<PathSym>,
-    global_writes: Nfa<PathSym>,
-    /// Memo: one (reads, writes) state pair per concrete function — the
-    /// paper's `FunctionToState`, guaranteeing termination and representing
-    /// recursion as automaton loops.
-    fn_state: IdMap<MethodId, (StateId, StateId)>,
-    /// One (reads, writes) state pair per nested dispatch key, where the
-    /// last receiver step of every call of that key lands. Calls sharing a
-    /// key share its dispatch edges, so trimming copies the targets' edges
-    /// once per key, not once per call.
-    hubs: IdMap<(MethodId, ClassId), (StateId, StateId)>,
-    /// The summaries attached so far, with the reads state of the
-    /// function they were attached at (`StateId::MAX` for their globals).
-    attached: HashSet<(SummaryId, StateId), BuildHasherDefault<IdHasher>>,
-}
+    /// The states of a dispatch of `slot` on static type `static_ty` in
+    /// the call automaton. The first request creates them and expands
+    /// every function the dispatch may run that no earlier key reached.
+    fn dispatch_key(&mut self, slot: MethodId, static_ty: ClassId) -> Key {
+        if let Some(&key) = self.calls.keys.get(&(slot, static_ty)) {
+            return key;
+        }
+        let entry = self.calls.add_quad();
+        let hub = [READS, WRITES].map(|side| {
+            let nfa = &mut self.calls.sides[side];
+            let hub = nfa.add_state();
+            nfa.add_epsilon(hub, entry[side]);
+            hub
+        });
+        self.calls.sides[READS].set_accepting(hub[READS], true);
+        let key = Key { entry, hub };
+        self.calls.keys.insert((slot, static_ty), key);
+        self.link_dispatch(slot, static_ty, entry);
+        key
+    }
 
-impl DispatchBuilder {
-    /// Expands a virtual dispatch of `slot` on a node whose static type is
-    /// `static_ty`, linking from `from` (a (reads, writes) state pair).
-    fn append_dispatch(
-        &mut self,
-        accesses: &mut ProgramAccesses<'_>,
-        slot: MethodId,
-        static_ty: ClassId,
-        from: (StateId, StateId),
-    ) {
-        for &target in accesses.dispatch_targets(slot, static_ty).iter() {
-            let state = self.append_function(accesses, target);
-            // Dispatch consumes no member access: link with epsilon.
-            self.reads.add_epsilon(from.0, state.0);
-            self.writes.add_epsilon(from.1, state.1);
+    /// Links `from` to the states of every function a dispatch of `slot`
+    /// on static type `static_ty` may run, expanding each on first
+    /// encounter. Dispatch consumes no member access: the links are
+    /// epsilon edges.
+    fn link_dispatch(&mut self, slot: MethodId, static_ty: ClassId, from: Quad) {
+        for &target in self.dispatch_targets(slot, static_ty).iter() {
+            let to = self.expand_function(target);
+            self.calls.link(from, to);
         }
     }
 
-    /// Returns the state pair of a concrete function, creating and filling
-    /// it on first encounter.
-    fn append_function(
-        &mut self,
-        accesses: &mut ProgramAccesses<'_>,
-        method: MethodId,
-    ) -> (StateId, StateId) {
-        if let Some(&st) = self.fn_state.get(&method) {
+    /// The states of a concrete function, created and filled on first
+    /// encounter.
+    fn expand_function(&mut self, method: MethodId) -> Quad {
+        if let Some(&st) = self.calls.functions.get(&method) {
             return st;
         }
-        let st = (self.reads.add_state(), self.writes.add_state());
-        self.fn_state.insert(method, st);
-        for index in 0..accesses.program.methods[method.index()].body.len() {
-            self.append_stmt(accesses, (method, index), st);
+        let st = self.calls.add_quad();
+        self.calls.functions.insert(method, st);
+        self.calls.open += 1;
+        for index in 0..self.program.methods[method.index()].body.len() {
+            self.expand_stmt((method, index), st);
         }
+        self.calls.open -= 1;
         st
     }
 
-    fn append_stmt(
-        &mut self,
-        accesses: &mut ProgramAccesses<'_>,
-        key: StmtKey,
-        at: (StateId, StateId),
-    ) {
-        let program = accesses.program;
+    /// Adds a statement of a function at the function's states `at`.
+    fn expand_stmt(&mut self, key: StmtKey, at: Quad) {
+        let program = self.program;
         let m = &program.methods[key.0.index()];
-        if let Stmt::Traverse(call) = &m.body[key.1] {
-            // Argument accesses happen in the callee's caller frame (this
-            // function); attach them at `at`.
-            if !call.args.is_empty() {
-                let mut args = Collect::new();
-                for a in &call.args {
-                    accesses.collect_expr(a, &mut args);
-                }
-                self.attach_summary(&args.finish(), at);
+        match &m.body[key.1] {
+            Stmt::Traverse(call) => self.expand_call(call, m.class, at),
+            stmt if holds_call(stmt) => {
+                // A call inside an `if` (sema rejects one; a program built
+                // by hand may hold one) joins the call automaton like a
+                // top-level call, and the rest of the statement is
+                // attached unshared. Summarising the statement instead
+                // would trim its key while this function is unfinished.
+                let mut rest = Collect::new();
+                self.expand_nested(stmt, m.class, at, &mut rest);
+                let rest = rest.finish(&mut self.trim);
+                self.calls.attach(&rest, at);
             }
-            // Walk the receiver path, then dispatch.
-            let steps = receiver_syms(&call.receiver);
-            let static_ty = program.path_target_type(m.class, &call.receiver);
-            match (static_ty, steps.split_last()) {
-                (Some(static_ty), Some((last, steps))) => {
-                    let reads = self.reads.add_path(at.0, steps, true);
-                    let writes = self.writes.add_path(at.1, steps, false);
-                    let hub = self.hub(accesses, call.slot, static_ty);
-                    self.reads.add_transition(reads, *last, hub.0);
-                    self.writes.add_transition(writes, *last, hub.1);
-                }
-                (Some(static_ty), None) => self.append_dispatch(accesses, call.slot, static_ty, at),
-                (None, _) => {
-                    self.reads.add_path(at.0, &steps, true);
-                    self.writes.add_path(at.1, &steps, false);
-                }
-            }
-        } else {
-            // A statement equal to one attached already adds no word: its
-            // tree accesses once per function, its global ones once.
-            let id = accesses.stmt_summary(key);
-            let summary = Rc::clone(&accesses.summaries[id as usize]);
-            if self.attached.insert((id, at.0)) {
-                attach_relative(&mut self.reads, &summary.tree_reads, at.0);
-                attach_relative(&mut self.writes, &summary.tree_writes, at.1);
-            }
-            if self.attached.insert((id, StateId::MAX)) {
-                self.attach_globals(&summary);
+            _ => {
+                let id = self.stmt_summary(key);
+                self.calls
+                    .attach_interned(id, &self.summaries[id as usize], at);
             }
         }
     }
 
-    /// The state pair a call of `slot` on static type `static_ty` enters
-    /// by its last receiver step (the reads side accepts: the step reads
-    /// the child pointer), created and linked to the dispatch on first use.
-    fn hub(
-        &mut self,
-        accesses: &mut ProgramAccesses<'_>,
-        slot: MethodId,
-        static_ty: ClassId,
-    ) -> (StateId, StateId) {
-        if let Some(&hub) = self.hubs.get(&(slot, static_ty)) {
-            return hub;
+    /// [`ProgramAccesses::expand_stmt`] below a statement's top level:
+    /// calls join the call automaton, other accesses go to `rest`.
+    fn expand_nested(&mut self, stmt: &Stmt, class: ClassId, at: Quad, rest: &mut Collect) {
+        match stmt {
+            Stmt::Traverse(call) => self.expand_call(call, class, at),
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                self.collect_expr(cond, rest);
+                for st in then_branch.iter().chain(else_branch) {
+                    self.expand_nested(st, class, at, rest);
+                }
+            }
+            _ => self.collect_stmt(stmt, class, rest),
         }
-        let hub = (self.reads.add_state(), self.writes.add_state());
-        self.reads.set_accepting(hub.0, true);
-        self.hubs.insert((slot, static_ty), hub);
-        self.append_dispatch(accesses, slot, static_ty, hub);
-        hub
     }
 
-    /// Attaches a statement's accesses at the function state pair `at`:
-    /// its tree paths relative to the function's node, its global paths
-    /// from the start.
-    fn attach_summary(&mut self, summary: &AccessSummary, at: (StateId, StateId)) {
-        attach_relative(&mut self.reads, &summary.tree_reads, at.0);
-        attach_relative(&mut self.writes, &summary.tree_writes, at.1);
-        self.attach_globals(summary);
+    /// Adds a traversing call of a method of `class` at the method's
+    /// states `at`: the argument accesses (made in the caller's frame),
+    /// the receiver path (each step reads its child pointer), then the
+    /// dispatch, through the key's hub when the path has a step.
+    fn expand_call(&mut self, call: &TraverseStmt, class: ClassId, at: Quad) {
+        if !call.args.is_empty() {
+            let mut args = Collect::new();
+            for a in &call.args {
+                self.collect_expr(a, &mut args);
+            }
+            let args = args.finish(&mut self.trim);
+            self.calls.attach(&args, at);
+        }
+        let steps = receiver_syms(&call.receiver);
+        let static_ty = self.program.path_target_type(class, &call.receiver);
+        match (static_ty, steps.split_last()) {
+            (Some(static_ty), Some((last, steps))) => {
+                let reads = self.calls.sides[READS].add_path(at[READS], steps, true);
+                let writes = self.calls.sides[WRITES].add_path(at[WRITES], steps, false);
+                let key = self.dispatch_key(call.slot, static_ty);
+                let sides = &mut self.calls.sides;
+                sides[READS].add_transition(reads, *last, key.hub[READS]);
+                sides[WRITES].add_transition(writes, *last, key.hub[WRITES]);
+                for side in [GLOBAL_READS, GLOBAL_WRITES] {
+                    sides[side].add_epsilon(at[side], key.entry[side]);
+                }
+            }
+            (Some(static_ty), None) => self.link_dispatch(call.slot, static_ty, at),
+            (None, _) => {
+                self.calls.sides[READS].add_path(at[READS], &steps, true);
+                self.calls.sides[WRITES].add_path(at[WRITES], &steps, false);
+            }
+        }
+    }
+}
+
+/// One state per side of the [`CallAutomaton`], indexed by [`READS`],
+/// [`WRITES`], [`GLOBAL_READS`] and [`GLOBAL_WRITES`].
+type Quad = [StateId; 4];
+
+/// The tree-reads side of a [`Quad`].
+const READS: usize = 0;
+/// The tree-writes side.
+const WRITES: usize = 1;
+/// The global-reads side.
+const GLOBAL_READS: usize = 2;
+/// The global-writes side.
+const GLOBAL_WRITES: usize = 3;
+
+/// Algorithm 1's call graph for every dispatch key of a program, in
+/// construction form: four automata (tree reads, tree writes, global
+/// reads, global writes) with one state quadruple per concrete function
+/// — the paper's `FunctionToState`, which ends recursion in automaton
+/// loops — filled once, however many keys reach the function.
+///
+/// A function's tree states take its statements' tree paths relative to
+/// its node and its calls' receiver paths; its global states take its
+/// statements' global paths and an epsilon edge to the global states of
+/// each call's dispatch, so a key's entry reaches the globals of every
+/// function the key may run. Edges only ever leave states that the
+/// expansion in progress made, so the part a finished expansion reaches
+/// never changes, and trimming it from a key's entry gives what a graph
+/// built for that key alone would.
+struct CallAutomaton {
+    sides: [Nfa<PathSym>; 4],
+    functions: IdMap<MethodId, Quad>,
+    keys: IdMap<(MethodId, ClassId), Key>,
+    /// The summaries attached so far, with the tree-reads state of the
+    /// function they were attached at.
+    attached: HashSet<(SummaryId, StateId), BuildHasherDefault<IdHasher>>,
+    /// Each attached summary's global automata, copied in once and shared
+    /// by every function that attaches the summary: the start of each
+    /// side's copy, `None` for an empty side.
+    globals: IdMap<SummaryId, [Option<StateId>; 2]>,
+    /// Functions whose expansion began and has not ended.
+    open: usize,
+}
+
+/// The states of one dispatch key in the [`CallAutomaton`].
+#[derive(Clone, Copy, Debug)]
+struct Key {
+    /// Where the key's automata start: epsilon edges lead to the states
+    /// of each function the dispatch may run.
+    entry: Quad,
+    /// Where the last receiver step of every call of the key lands, on
+    /// the tree-reads and tree-writes sides (the reads side accepts: the
+    /// step reads the child pointer); an epsilon edge leads on to the
+    /// entry. Calls sharing a key share its dispatch edges, so trimming
+    /// copies the targets' edges once per key, not once per call.
+    hub: [StateId; 2],
+}
+
+impl CallAutomaton {
+    fn new() -> Self {
+        CallAutomaton {
+            sides: std::array::from_fn(|_| Nfa::new()),
+            functions: IdMap::default(),
+            keys: IdMap::default(),
+            attached: HashSet::default(),
+            globals: IdMap::default(),
+            open: 0,
+        }
     }
 
-    fn attach_globals(&mut self, summary: &AccessSummary) {
-        let start = self.global_reads.start();
-        self.global_reads.attach(start, &summary.global_reads);
-        let start = self.global_writes.start();
-        self.global_writes.attach(start, &summary.global_writes);
+    /// Adds one fresh state per side.
+    fn add_quad(&mut self) -> Quad {
+        std::array::from_fn(|side| self.sides[side].add_state())
+    }
+
+    /// Adds an epsilon edge from each side of `from` to the same side of
+    /// `to`.
+    fn link(&mut self, from: Quad, to: Quad) {
+        for (side, nfa) in self.sides.iter_mut().enumerate() {
+            nfa.add_epsilon(from[side], to[side]);
+        }
+    }
+
+    /// Attaches a statement's accesses at the function states `at`: its
+    /// tree paths relative to the function's node, its global paths
+    /// behind epsilon edges from the function's global states.
+    fn attach(&mut self, summary: &AccessSummary, at: Quad) {
+        attach_relative(&mut self.sides[READS], &summary.tree_reads, at[READS]);
+        attach_relative(&mut self.sides[WRITES], &summary.tree_writes, at[WRITES]);
+        self.sides[GLOBAL_READS].attach(at[GLOBAL_READS], &summary.global_reads);
+        self.sides[GLOBAL_WRITES].attach(at[GLOBAL_WRITES], &summary.global_writes);
+    }
+
+    /// [`CallAutomaton::attach`] for the interned summary `id`, unless a
+    /// statement equal to it was attached at `at` already: its tree
+    /// accesses are copied once per function, its global ones once.
+    fn attach_interned(&mut self, id: SummaryId, summary: &AccessSummary, at: Quad) {
+        if !self.attached.insert((id, at[READS])) {
+            return;
+        }
+        attach_relative(&mut self.sides[READS], &summary.tree_reads, at[READS]);
+        attach_relative(&mut self.sides[WRITES], &summary.tree_writes, at[WRITES]);
+        let sides = &mut self.sides;
+        let copies = *self.globals.entry(id).or_insert_with(|| {
+            [
+                sides[GLOBAL_READS].embed(&summary.global_reads),
+                sides[GLOBAL_WRITES].embed(&summary.global_writes),
+            ]
+        });
+        for (side, copy) in [GLOBAL_READS, GLOBAL_WRITES].into_iter().zip(copies) {
+            if let Some(start) = copy {
+                self.sides[side].add_epsilon(at[side], start);
+            }
+        }
     }
 }
 
@@ -819,6 +936,19 @@ fn attach_relative(target: &mut Nfa<PathSym>, stmt_automaton: &Trimmed<PathSym>,
             debug_assert_eq!(sym, PathSym::Root, "on-tree words start at the node");
             target.add_epsilon(state, offset + to as usize);
         }
+    }
+}
+
+/// Whether a statement is or holds a traversing call.
+fn holds_call(stmt: &Stmt) -> bool {
+    match stmt {
+        Stmt::Traverse(_) => true,
+        Stmt::If {
+            then_branch,
+            else_branch,
+            ..
+        } => then_branch.iter().chain(else_branch).any(holds_call),
+        _ => false,
     }
 }
 
@@ -1369,7 +1499,14 @@ mod tests {
         // Verdicts without and with a conflict, pairs whose verdict
         // depends on `same_frame`, and statements sharing a summary.
         let (mut none, mut some, mut frame_dependent, mut shared) = (0, 0, 0, 0);
-        let programs = [fig2(), mutation(), local_only(), interned()];
+        let programs = [
+            fig2(),
+            mutation(),
+            local_only(),
+            interned(),
+            call_in_if(),
+            mutual_recursion(),
+        ];
         for p in &programs {
             let stmts: Vec<(MethodId, usize)> = (0..p.methods.len())
                 .flat_map(|m| (0..p.methods[m].body.len()).map(move |i| (MethodId(m as u32), i)))
@@ -1415,10 +1552,104 @@ mod tests {
                 let distinct = acc.n_summaries();
                 assert!(distinct <= stmts.len());
                 assert!(acc.conflicts.len() <= distinct * distinct);
+                // No function is expanded twice, whatever keys reach it.
+                assert!(acc.functions_expanded() <= p.methods.len() as u64);
             }
             shared += stmts.len() - acc.n_summaries();
         }
         assert!(none > 0 && some > 0 && frame_dependent > 0 && shared > 0);
+    }
+
+    /// Moves statement `call` of `class::method` to the end of the
+    /// `then` branch of the method's first statement, an `if`: sema
+    /// rejects a call there, so fixtures compile it at the top level.
+    fn nest_call(p: &mut Program, class: &str, method: &str, call: usize) {
+        let c = p.class_by_name(class).unwrap();
+        let m = p.method_on_class(c, method).unwrap();
+        let body = &mut p.methods[m.index()].body;
+        let call = body.remove(call);
+        let Stmt::If { then_branch, .. } = &mut body[0] else {
+            unreachable!("`{method}` starts with an `if`");
+        };
+        then_branch.push(call);
+    }
+
+    /// A callee whose `if` holds a call: `A::g`, which the key of `f`'s
+    /// call reaches, meets the key of `h` inside a statement.
+    fn call_in_if() -> Program {
+        let mut p = compile(
+            r#"
+            global int G = 0;
+            tree class N {
+                child N* kid;
+                int x = 0; int y = 0;
+                virtual traversal f() {}
+                virtual traversal g() {}
+                virtual traversal h() {}
+            }
+            tree class A : N {
+                traversal f() { this->kid->g(); x = y; }
+                traversal g() { if (y > 0) { x = 1; } this->kid->h(); y = G; }
+                traversal h() { x = x + 1; G = 2; }
+            }
+            tree class B : N { traversal h() { y = 2; } }
+            "#,
+        )
+        .expect("call-in-if fixture compiles");
+        nest_call(&mut p, "A", "g", 1);
+        p
+    }
+
+    #[test]
+    fn a_call_recursing_through_an_if_is_summarised() {
+        // Summarising the `if` expands `f`, which meets the `if` again:
+        // it must join the call automaton, not be summarised anew.
+        let mut p = compile(
+            "tree class N { child N* kid; int x = 0;
+             traversal f() { if (x > 0) { x = 1; } this->kid->f(); } }",
+        )
+        .expect("recursion fixture compiles");
+        nest_call(&mut p, "N", "f", 1);
+        let n = p.class_by_name("N").unwrap();
+        let f = p.method_on_class(n, "f").unwrap();
+        let (kid, x) = (
+            field_sym(p.field_on_class(n, "kid").unwrap()),
+            field_sym(p.field_on_class(n, "x").unwrap()),
+        );
+        let mut acc = ProgramAccesses::new(&p);
+        let s = acc.summary(f, 0).clone();
+        for depth in 0..3 {
+            let mut path = vec![PathSym::Root];
+            path.extend(std::iter::repeat(kid).take(depth));
+            assert!(s.tree_reads.accepts(&[path.clone(), vec![x]].concat()));
+            path.push(x);
+            assert!(s.tree_writes.accepts(&path), "{path:?}");
+        }
+        assert!(!s.tree_writes.accepts(&[PathSym::Root, kid]));
+        assert_eq!(acc.functions_expanded(), 1);
+    }
+
+    /// Two keys whose call graphs overlap: `p` and `q` call each other,
+    /// so each key reaches both functions, and a call's arguments read a
+    /// global and a field in the caller's frame.
+    fn mutual_recursion() -> Program {
+        compile(
+            r#"
+            global int G = 0;
+            tree class N {
+                child N* l; child N* r;
+                int a = 0; int b = 0;
+                virtual traversal p(int k) {}
+                virtual traversal q() {}
+            }
+            tree class M : N {
+                traversal p(int k) { a = b + k; this->l->q(); this->r->p(G + a); }
+                traversal q() { b = a + 1; this->r->p(b); G = b; }
+            }
+            tree class L : N { traversal q() { a = 0; } }
+            "#,
+        )
+        .expect("mutual recursion fixture compiles")
     }
 
     /// Statements that differ only in constants share a summary.

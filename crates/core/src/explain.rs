@@ -27,6 +27,8 @@
 //! [`DepGraph::blocking_hop`]: crate::DepGraph::blocking_hop
 //! [`AccessSummary::conflict`]: crate::AccessSummary::conflict
 
+use std::sync::Arc;
+
 use grafter_frontend::{Diag, Span, Stage};
 use grafter_obs::json::JsonWriter;
 
@@ -260,22 +262,25 @@ impl FusionVerdict {
     }
 }
 
-/// One call site of a candidate pair.
+/// One call site of a candidate pair; every pair that names the call
+/// shares its record's name.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CallSite {
     /// Name of the invoked traversal (the dispatch slot's name).
-    pub method: String,
+    pub method: Arc<str>,
     /// Source span of the `receiver->method(...)` statement.
     pub span: Span,
 }
 
-/// The full record of one candidate pair.
+/// The full record of one candidate pair. Its names are shared: one
+/// copy per fused function, receiver and call site, however many pairs
+/// name them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PairExplain {
     /// Generated name of the fused function whose body held the pair.
-    pub fused_fn: String,
+    pub fused_fn: Arc<str>,
     /// Rendered common receiver path, e.g. `this->left`.
-    pub receiver: String,
+    pub receiver: Arc<str>,
     /// First call of the pair (in merged order).
     pub left: CallSite,
     /// Second call of the pair.

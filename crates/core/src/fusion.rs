@@ -339,6 +339,12 @@ pub struct FusionTimes {
     pub intersections: u64,
     /// Product state pairs those searches expanded.
     pub pairs_visited: u64,
+    /// Functions expanded into the call automaton of Algorithm 1: each
+    /// concrete function a call may reach, once.
+    pub functions_expanded: u64,
+    /// Construction automata trimmed: those of statement summaries, call
+    /// arguments and dispatch keys.
+    pub trims: u64,
 }
 
 impl FusionTimes {
@@ -517,6 +523,8 @@ fn fuse_slots_timed(
     times.conflicts = times.conflicts.saturating_sub(times.summaries);
     times.intersections = fuser.accesses.search().searches();
     times.pairs_visited = fuser.accesses.search().pairs_visited();
+    times.functions_expanded = fuser.accesses.functions_expanded();
+    times.trims = fuser.accesses.trims();
     let fused = FusedProgram {
         program: Arc::new(program.clone()),
         functions: fuser.functions,
@@ -700,12 +708,17 @@ impl Fuser<'_> {
         // cycle) and "missed" otherwise. Each pair gets a span-carrying
         // verdict recording the specific reason.
         let program = self.program;
-        let fn_name = self
-            .functions
-            .last()
-            .expect("group_calls runs for the function just registered")
-            .name
-            .clone();
+        let fn_name: Arc<str> = Arc::from(
+            self.functions
+                .last()
+                .expect("group_calls runs for the function just registered")
+                .name
+                .as_str(),
+        );
+        // Each call's rendered receiver and call site, built on its first
+        // pair and shared by the rest.
+        let mut receivers: Vec<Option<Arc<str>>> = vec![None; calls.len()];
+        let mut sites: Vec<Option<CallSite>> = vec![None; calls.len()];
         let method_name = |c: &GroupCall| program.methods[c.slot.index()].name.clone();
         let block_cause = |fuser: &mut Self, a: &GroupCall, b: &GroupCall| match (a.ty, b.ty) {
             (None, _) => Some(BlockCause::CrossHierarchy {
@@ -726,7 +739,7 @@ impl Fuser<'_> {
         };
         let group = |c: &GroupCall| group_of[c.vertex];
         for (i, a) in calls.iter().enumerate() {
-            for b in &calls[i + 1..] {
+            for (j, b) in calls.iter().enumerate().skip(i + 1) {
                 if a.key != b.key {
                     continue;
                 }
@@ -760,11 +773,18 @@ impl Fuser<'_> {
                     };
                     FusionVerdict::Missed { reason }
                 };
+                let receiver = receivers[i]
+                    .get_or_insert_with(|| render_receiver(program, a.vertex, merged).into());
+                let [left, right] = [(i, a), (j, b)].map(|(k, c)| {
+                    sites[k]
+                        .get_or_insert_with(|| call_site(program, merged, c.vertex))
+                        .clone()
+                });
                 self.explain.pairs.push(PairExplain {
-                    fused_fn: fn_name.clone(),
-                    receiver: render_receiver(program, a.vertex, merged),
-                    left: call_site(program, merged, a.vertex),
-                    right: call_site(program, merged, b.vertex),
+                    fused_fn: Arc::clone(&fn_name),
+                    receiver: Arc::clone(receiver),
+                    left,
+                    right,
                     verdict,
                 });
             }
@@ -862,7 +882,7 @@ fn call_site(program: &Program, merged: &[MergedStmt], v: usize) -> CallSite {
         unreachable!("call sites are traverses");
     };
     CallSite {
-        method: program.methods[call.slot.index()].name.clone(),
+        method: program.methods[call.slot.index()].name.as_str().into(),
         span: call.span,
     }
 }

@@ -212,6 +212,11 @@ impl EngineBuilder {
                     "pairs_visited".to_string(),
                     stage_times.pairs_visited.to_string(),
                 ),
+                (
+                    "functions_expanded".to_string(),
+                    stage_times.functions_expanded.to_string(),
+                ),
+                ("trims".to_string(), stage_times.trims.to_string()),
             ],
         });
         // Fusion timed its own stages (`FusionTimes`); lay them out inside

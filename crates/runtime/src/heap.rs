@@ -414,15 +414,14 @@ impl Layouts {
         members.iter().map(|&m| self.member_offset(m)).sum()
     }
 
-    /// [`Layouts::slot_of`] without the release-build check that `class`
-    /// has `field`, for accesses resolved against these layouts at compile
-    /// time (the VM's). One table read; a field the class lacks yields a
-    /// slot past every node, which [`Heap::get`] and [`Heap::set`] reject.
+    /// [`Layouts::slot_of`] without the check that `class` has `field`,
+    /// for accesses resolved against these layouts at compile time (both
+    /// tiers'). One table read; a field the class lacks yields a slot
+    /// past every node, which [`Heap::get_slot`] and [`Heap::set_slot`]
+    /// refuse.
     #[inline]
     pub fn slot_of_known(&self, class: ClassId, field: u32) -> usize {
-        let slot = self.slots[class.index() * self.n_fields + field as usize];
-        debug_assert_ne!(slot, ABSENT, "field not present on class");
-        slot as usize
+        self.slots[class.index() * self.n_fields + field as usize] as usize
     }
 
     /// Number of slots of `class`.
@@ -651,28 +650,49 @@ impl Heap {
     /// Panics if the node was deleted or the slot is out of range.
     #[inline]
     pub fn get(&self, id: NodeId, slot: usize) -> Value {
-        let r = self.rec(id);
-        assert!(
-            slot < self.layouts.size_of(r.class),
-            "slot {slot} out of range for node {id:?}"
-        );
-        self.pool[r.base as usize + slot]
+        self.get_slot(id, slot)
+            .unwrap_or_else(|| panic!("slot {slot} out of range for node {id:?}"))
     }
 
-    /// Writes slot `slot` of a node (forced inline: the VM's write arms
-    /// store through it on every tree write).
+    /// [`Heap::get`], or `None` for a slot past the node's end (forced
+    /// inline, as [`Heap::set_slot`]: the machine reads through it on
+    /// every tree read).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node was deleted.
+    #[inline(always)]
+    pub fn get_slot(&self, id: NodeId, slot: usize) -> Option<Value> {
+        let r = self.rec(id);
+        (slot < self.layouts.size_of(r.class)).then(|| self.pool[r.base as usize + slot])
+    }
+
+    /// Writes slot `slot` of a node.
     ///
     /// # Panics
     ///
     /// Panics if the node was deleted or the slot is out of range.
-    #[inline(always)]
+    #[inline]
     pub fn set(&mut self, id: NodeId, slot: usize, value: Value) {
+        let inside = self.set_slot(id, slot, value);
+        assert!(inside, "slot {slot} out of range for node {id:?}");
+    }
+
+    /// [`Heap::set`], or `false` (writing nothing) for a slot past the
+    /// node's end (forced inline: the machine stores through it on every
+    /// tree write).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node was deleted.
+    #[inline(always)]
+    pub fn set_slot(&mut self, id: NodeId, slot: usize, value: Value) -> bool {
         let r = self.rec(id);
-        assert!(
-            slot < self.layouts.size_of(r.class),
-            "slot {slot} out of range for node {id:?}"
-        );
-        self.pool[r.base as usize + slot] = value;
+        let inside = slot < self.layouts.size_of(r.class);
+        if inside {
+            self.pool[r.base as usize + slot] = value;
+        }
+        inside
     }
 
     /// The node's flattened field values.

@@ -125,20 +125,26 @@ fn not_a_ref_surfaces_identically() {
 #[test]
 fn a_wrong_class_child_below_the_api_fails_identically() {
     // `Heap::set_child_by_name` skips the class check `Session::set_child`
-    // makes, so `next` can hold an `Other`, which has no slot for `a`.
-    // Reading or writing `next.a` must then fail the same way on both
-    // tiers (a panic in the run, which the session turns into a runtime
-    // error; its text differs between debug and release builds), never
-    // touch another field.
-    let needle = "worker panicked: ";
-    for body in ["a = next.a + 1;", "next.a = 1;"] {
+    // makes, so `next` can hold an `Other`, which has no slot for `a` or
+    // `next`. Reading or writing `next.a`, navigating on from it, and
+    // `delete` or `new` below it must then fail with the same typed
+    // error on both tiers and in both build profiles, never touch
+    // another field.
+    for (body, field) in [
+        ("a = next.a + 1;", "a"),
+        ("next.a = 1;", "a"),
+        ("a = this->next->next.a;", "next"),
+        ("delete this->next->next;", "next"),
+        ("this->next->next = new End();", "next"),
+    ] {
+        let needle = format!("a node of class `Other` has no field `{field}`");
         let src = format!(
             "tree class Node {{ child Node* next; int a = 0; virtual traversal go() {{}} }}
              tree class Cons : Node {{ traversal go() {{ {body} }} }}
              tree class End : Node {{ }}
              tree class Other {{ int b = 0; int c = 0; virtual traversal t() {{}} }}"
         );
-        fails(&src, &["go"], needle, |heap| {
+        fails(&src, &["go"], &needle, |heap| {
             let other = heap.alloc_by_name("Other").unwrap();
             let cons = heap.alloc_by_name("Cons").unwrap();
             heap.set_child_by_name(cons, "next", Some(other)).unwrap();

@@ -51,7 +51,7 @@ fn explain_totals_equal_coverage_on_case_studies() {
                     );
                     let text = &case.source[site.span.start..site.span.end];
                     assert!(
-                        text.contains(&site.method),
+                        text.contains(&*site.method),
                         "{}: span text {text:?} does not name `{}`",
                         case.name,
                         site.method
@@ -72,8 +72,8 @@ fn fused_verdict_with_group_and_spans() {
         .iter()
         .find(|p| matches!(p.verdict, FusionVerdict::Fused { .. }))
         .expect("one fused pair");
-    assert_eq!(pair.receiver, "this->next");
-    assert_eq!(pair.left.method, "go");
+    assert_eq!(&*pair.receiver, "this->next");
+    assert_eq!(&*pair.left.method, "go");
     let text = &PAIR_SRC[pair.left.span.start..pair.left.span.end];
     assert!(text.contains("this->next->go()"), "span text: {text:?}");
     assert_eq!(fp.explain.totals(), fp.coverage);

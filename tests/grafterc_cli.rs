@@ -347,7 +347,13 @@ fn profile_reports_fusion_search_counts_that_repeat_across_builds() {
             .find(|l| l.split_whitespace().nth(3) == Some("fusion"))
             .unwrap_or_else(|| panic!("no fusion span:\n{stderr}"))
             .to_string();
-        ["intersections", "pairs_visited"].map(|key| {
+        [
+            "intersections",
+            "pairs_visited",
+            "functions_expanded",
+            "trims",
+        ]
+        .map(|key| {
             let value = fusion
                 .split(['[', ']', ','])
                 .filter_map(|kv| kv.trim().split_once('='))
@@ -358,7 +364,19 @@ fn profile_reports_fusion_search_counts_that_repeat_across_builds() {
         })
     };
     let first = search_counts();
-    assert!(first[0] > 0 && first[1] >= first[0], "{first:?}");
+    let [intersections, pairs_visited, functions_expanded, trims] = first;
+    assert!(
+        intersections > 0 && pairs_visited >= intersections,
+        "{first:?}"
+    );
+    // The call automaton expands each function at most once, however
+    // many dispatch keys reach it.
+    let methods = grafter_workloads::ast::compiled().program().methods.len() as u64;
+    assert!(
+        (1..=methods).contains(&functions_expanded),
+        "{functions_expanded} expansions of {methods} methods"
+    );
+    assert!(trims > 0, "{first:?}");
     assert_eq!(search_counts(), first);
 }
 
